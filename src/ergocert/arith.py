@@ -12,18 +12,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
-
-from .errors import BudgetExceededError
-
-Rat = Fraction
+from typing import Callable
 
 #: default cap on refinement rounds in precision-driven loops
 DEFAULT_STEP_BUDGET = 64
-
-
-def rat(x, y=None) -> Fraction:
-    return Fraction(x) if y is None else Fraction(x, y)
 
 
 def parse_rat(s: str) -> Fraction:
@@ -142,13 +134,6 @@ def imax(*xs: Interval) -> Interval:
     return out
 
 
-def interval_eval(expr: Callable, args: list) -> Interval:
-    """Evaluate an expression built from +, -, *, abs, imin, imax and
-    constants over interval arguments.  Soundness follows from the operator
-    definitions above: the result contains f(v) for every v in the boxes."""
-    return _as_interval(expr(*[_as_interval(a) for a in args]))
-
-
 # ---------------------------------------------------------------------------
 # Computable reals
 
@@ -202,20 +187,8 @@ class CReal:
     def __sub__(self, other):
         return self + (-other if isinstance(other, CReal) else -Fraction(other))
 
-    def scale2(self) -> "CReal":
-        """Return the real 2x."""
-        return CReal(lambda m: 2 * self.approx(m + 1))
-
     def __repr__(self):
         return f"CReal({self.name or '...'})"
-
-
-def creal_from_rational(q) -> CReal:
-    return CReal.from_rational(q)
-
-
-def creal_approx(x: CReal, m: int) -> Fraction:
-    return x.approx(m)
 
 
 def creal_compare(x: CReal, y: CReal, m: int) -> Cmp:
@@ -266,16 +239,8 @@ class Quad:
         self.b = Fraction(b)
 
     @staticmethod
-    def sqrt2() -> "Quad":
-        return Quad(0, 1)
-
-    @staticmethod
     def of(x) -> "Quad":
         return x if isinstance(x, Quad) else Quad(x)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:
@@ -288,9 +253,6 @@ class Quad:
         s = m + self.b.denominator.bit_length() + abs(self.b.numerator).bit_length() + 4
         r2 = Fraction(math.isqrt(2 << (2 * s)), 1 << s)
         return self.a + self.b * r2
-
-    def creal(self) -> CReal:
-        return CReal(self.approx, name=str(self))
 
     def __add__(self, o):
         o = Quad.of(o)
@@ -385,28 +347,10 @@ class Quad:
         return f"({fmt_rat(self.a)}+{fmt_rat(self.b)}*sqrt2)"
 
 
+def mod1(x):
+    """x mod 1 for a rational or a Quad."""
+    return x % 1 if isinstance(x, (Fraction, int)) else x.mod1()
+
+
 SQRT2_MINUS_1 = Quad(-1, 1)
 
-
-Scalar = Union[Fraction, Quad]
-
-
-def scalar_min(x, y):
-    return x if x <= y else y
-
-
-def scalar_max(x, y):
-    return x if x >= y else y
-
-
-def refine_until(f: Callable[[int], "Interval | None"], target_width: Fraction,
-                 m0: int = 0, budget: int = DEFAULT_STEP_BUDGET) -> Interval:
-    """Call f with doubling precision until it returns an interval no wider
-    than target_width.  f may return None to ask for more precision."""
-    m = m0
-    for _ in range(budget):
-        out = f(m)
-        if out is not None and out.width <= target_width:
-            return out
-        m = max(m + 1, 2 * m)
-    raise BudgetExceededError(f"no enclosure of width {target_width} within budget")

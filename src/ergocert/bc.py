@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import CReal, Interval, fmt_rat, parse_rat, pow2
+from .arith import CReal, Interval, Quad, fmt_rat, parse_rat, pow2
 from .errors import (BudgetExceededError, InputError, NoMassError,
                      UnsupportedInstanceError)
 from .dynamics import (Observable, System, as_concrete, birkhoff_eval,
-                       centered, deviation_region, integral, parse_system,
-                       region_to_balls)
-from .measures import region_measure
-from .observables import (CylinderFn, PiecewiseLinear, observable_from_json,
+                       birkhoff_observable, centered, deviation_region,
+                       integral, parse_system, region_to_balls)
+from .measures import balls_to_region, region_measure, support_hit
+from .observables import (CylinderFn, enumerate_F, observable_from_json,
                           observable_to_json)
 from .rates import SummableSchedule, as_rate_l1
 from .regions import ArcSet, CylSet
@@ -73,15 +73,6 @@ class BCSequence:
         return u
 
 
-def _default_deltas(system: System) -> Callable[[int], Fraction]:
-    floor = Fraction(1, 128) if system.name == "rotation" else Fraction(1, 4)
-    return lambda j: max(floor, pow2(j))
-
-
-def _default_max_n(system: System) -> int:
-    return {"doubling": 14, "shift": 18, "rotation": 200}[system.name]
-
-
 def _region_full(space: Space):
     return ArcSet.full() if space.kind is SpaceKind.CIRCLE else CylSet.full()
 
@@ -89,11 +80,10 @@ def _region_full(space: Space):
 def _region_err(system: System, region) -> tuple[object, Fraction]:
     """Rational-data region together with the exact measure of the
     complement of that (possibly shrunk) region."""
-    if isinstance(region, CylSet):
-        return region, 1 - region.measure(system.p)
-    if any(not isinstance(e, Fraction) for arc in region.arcs for e in arc):
+    if isinstance(region, ArcSet) and any(
+            not isinstance(e, Fraction) for arc in region.arcs for e in arc):
         region, _ = region.to_rational_inner(pow2(48))
-    return region, 1 - region.measure()
+    return region, 1 - region_measure(system.measure.tag, region)
 
 
 def _complement_mass(system: System, f: Observable, n: int,
@@ -102,20 +92,9 @@ def _complement_mass(system: System, f: Observable, n: int,
     (shift only; circle regions are cheap to build directly)."""
     if system.space.kind is not SpaceKind.CANTOR:
         return None
-    from .dynamics import _average_of_centered
-    from .regions import cylinder_mass as cmass
-    a = _average_of_centered(system, as_concrete(system, centered(system, f)),
-                             n)
-    if a.depth == 0:
-        return Fraction(0) if abs(a.table[0]) < delta else Fraction(1)
-    p, q = system.p, 1 - system.p
-    tot = Fraction(0)
-    d = a.depth
-    for w, v in enumerate(a.table):
-        if abs(v) >= delta:
-            ones = bin(w).count("1")
-            tot += p ** ones * q ** (d - ones)
-    return tot
+    a = birkhoff_observable(system, centered(system, f), n)
+    return CylinderFn(a.depth, [abs(v) >= delta for v in a.table]
+                      ).integral(system.p)
 
 
 def bc_exact_windows(system: System, f: Observable,
@@ -131,8 +110,9 @@ def bc_exact_windows(system: System, f: Observable,
     measure meets caps(j); when no n within budget meets the cap the window
     degrades to the whole space with err 0 (a valid, vacuous window).
     Windows beyond `count` are the whole space."""
-    deltas = deltas or _default_deltas(system)
-    max_n = max_n if max_n is not None else _default_max_n(system)
+    floor = system.bc_delta_floor
+    deltas = deltas or (lambda j: max(floor, pow2(j)))
+    max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     windows: dict[int, dict] = {}
     state = {"n": max(1, start_n), "dead": False}
@@ -207,16 +187,6 @@ def bc_exact_windows(system: System, f: Observable,
 # Literal windows from almost-sure rate certificates
 
 
-class _BoxPoint:
-    """Adapter: a fixed interval standing in for a point enclosure."""
-
-    def __init__(self, box: Interval):
-        self._box = box
-
-    def enclosure(self, m: int) -> Interval:
-        return self._box
-
-
 def _cyl_range(g: CylinderFn, partial: str) -> Interval:
     """Range of g over all infinite words extending `partial`."""
     k = g.depth
@@ -238,9 +208,7 @@ def window_sup_bound(system: System, fbar, n: int, ball: IdealBall):
             tot = tot + _cyl_range(fbar, w[i:])
         box = Interval(tot.lo / n, tot.hi / n)
     else:
-        from .dynamics import birkhoff_enclosure
-        a, b = ball_arc(ball)
-        box = birkhoff_enclosure(system, fbar, _BoxPoint(Interval(a, b)), n, 0)
+        box = system.box_average(fbar, *ball_arc(ball), n)
     return max(abs(box.lo), abs(box.hi))
 
 
@@ -447,7 +415,7 @@ def _point_from(system: System, final: IdealBall, tail_rule: str,
         window = max((g.depth for g in track), default=1)
         dt = _DigitTail(base, track, window, space.kind)
         return CantorPoint(dt.bit)
-    if system.name != "doubling" or tail_rule == "left" or not track:
+    if not system.shifts_digits or tail_rule == "left" or not track:
         return CirclePoint.from_rational(final.center)
     # dyadic arc -> binary digits of the left endpoint
     r = final.radius
@@ -498,13 +466,6 @@ def _candidates(space: Space, cur: IdealBall, depth: int):
     for a in range(a0, a1 + 1):
         yield IdealBall(space, Fraction(2 * a + 1, 2 * two) % 1,
                         Fraction(1, 2 * two))
-
-
-def _ball_region(space: Space, ball: IdealBall):
-    if space.kind is SpaceKind.CANTOR:
-        return CylSet([ball.cylinder_prefix])
-    a, b = ball_arc(ball)
-    return ArcSet.from_raw([(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +543,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     tag = system.measure.tag
     if tag is None:
         raise UnsupportedInstanceError("synthesis needs an exact measure")
-    remaining = _ball_region(space, target)
+    remaining = balls_to_region(tag, [target])
     mass = region_measure(tag, remaining)
     if mass == 0:
         raise NoMassError("target ball carries no mass")
@@ -619,7 +580,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                             None)
                 if widx is None:
                     continue
-                inter = remaining.intersect(_ball_region(space, cand))
+                inter = remaining.intersect(balls_to_region(tag, [cand]))
                 m_inter = region_measure(tag, inter)
                 lam = m_inter - t_next
                 if lam <= 0:
@@ -702,7 +663,6 @@ def _region_contains_ball(region, ball: IdealBall) -> bool:
 
 
 def _le(x, y) -> bool:
-    from .arith import Quad
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x <= y
     return (Quad.of(y) - Quad.of(x)).sign() >= 0
@@ -762,7 +722,6 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
 def dense_sequence(system: System, bc: BCSequence, count: int,
                    windows: int = 6) -> list[SynthPoint]:
     """Members of every positive-mass ideal ball, in canonical ball order."""
-    from .measures import support_hit
     out = []
     idx = 0
     while len(out) < count:
@@ -786,7 +745,6 @@ def typical_point(system: System, members: int, windows: int = 8,
     dovetails them, and synthesizes a member of the intersection; the digit
     tail of the point keeps the running Birkhoff sums of all tracked
     observables balanced beyond the certified windows."""
-    from .observables import enumerate_F
     if members < 1:
         raise InputError("need at least one observable")
     terms = enumerate_F(system.space, members)
@@ -800,7 +758,6 @@ def typical_point(system: System, members: int, windows: int = 8,
 
 
 def _first_mass_ball(system: System) -> IdealBall:
-    from .measures import support_hit
     idx = 0
     while True:
         ball = IdealBall.from_index(system.space, idx)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import fmt_rat, parse_rat
+from .arith import fmt_rat, parse_rat, pow2
 from .bc import (SynthPoint, bc_exact_windows, replay_synth,
                  synthesize_point, typical_point)
 from .dynamics import System, builtin_systems, parse_system
@@ -120,7 +120,6 @@ def _cmd_validate(args) -> int:
 
 
 def _make_bc(system: System, f, count: int):
-    from .arith import pow2
     return bc_exact_windows(system, f, caps=lambda j: pow2(j), count=count)
 
 

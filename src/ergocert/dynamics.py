@@ -11,19 +11,18 @@ exact norms and sublevel sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
+from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad, mod1,
                     parse_rat, pow2)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .measures import (ComputableMeasure, bernoulli_measure, lebesgue_measure)
-from .observables import (CylinderFn, FTerm, PiecewiseLinear, pl_sum)
-from .regions import ArcSet, CylSet, cylinder_mass
-from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, EffectiveOpen,
-                     IdealBall, Space, SpaceKind, ball_arc)
+from .observables import CylinderFn, FTerm, PiecewiseLinear, pl_inner, pl_sum
+from .regions import ArcSet, CylSet
+from .spaces import (CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space,
+                     SpaceKind, ball_arc)
 
 #: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
 CYLINDER_BUDGET_LOG2 = 24
@@ -31,44 +30,281 @@ CYLINDER_BUDGET_LOG2 = 24
 SEGMENT_BUDGET = 1 << 21
 #: correlation terms computed exactly before the geometric tail bound kicks in
 CORRELATION_CUTOFF = 120
+#: largest octave that is searched linearly for the minimal p
+SCAN_CAP = 2048
+#: denominators of the continued-fraction convergents of sqrt(2)-1
+PELL_DENOMINATORS = [1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741, 13860,
+                     33461, 80782, 195025]
 
 Observable = Union[PiecewiseLinear, CylinderFn, FTerm]
 
 
-@dataclass
 class System:
-    name: str  # "doubling" | "shift" | "rotation"
+    """A built-in measure-preserving system.
+
+    Each subclass owns every choice that depends on the map: the map step,
+    the exact average A_n, the L2 route, preimages, the p-search schedule
+    and the defaults of exact Borel-Cantelli windows.  The base class holds
+    the route shared by the two mixing systems: ||A_p fbar||_2^2 from the
+    correlations C(m) of fbar, and a doubling-then-scan p-search."""
+
+    name: str
     space: Space
     measure: ComputableMeasure
-    p: Optional[Fraction] = None  # shift symbol probability (of "1")
-    alpha: Optional[Quad] = None  # rotation angle, exact quadratic
-    alpha_real: Optional[CReal] = None  # rotation angle, oracle form
+    #: smallest deviation level of the default exact BC windows
+    bc_delta_floor = Fraction(1, 4)
+    #: largest n of the default exact BC windows
+    bc_max_n: int
+    #: the map shifts binary digits, so a digit tail steers the orbit sums
+    shifts_digits = False
 
     def selector(self) -> str:
-        if self.name == "shift":
-            return f"shift:p={self.p.numerator}/{self.p.denominator}"
         return self.name
+
+    def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
+        if corr is None:
+            corr = self.correlations(centered(self, f),
+                                     min(p, CORRELATION_CUTOFF))
+        return corr.l2_sq(p)
+
+    def norm_method(self, fbar, p: int, norm: str) -> str:
+        """How ||A_p fbar||_norm is bounded (a certificate norm_method)."""
+        if norm == "L1" and self.l1_exact_feasible(fbar, p):
+            return "l1-exact"
+        return "l2-upper"
+
+    def search_p(self, bound, threshold: Fraction, p_budget: int):
+        """(p, w, method) with bound(p) = (w, method) and w < threshold:
+        a doubling schedule, then a linear scan of the winning octave when
+        it is small enough to examine exhaustively."""
+        p = 1
+        while True:
+            w, method = bound(p)
+            if w < threshold:
+                break
+            p *= 2
+            if p > p_budget:
+                raise BudgetExceededError(f"p-search exceeded {p_budget}")
+        if p > 1 and (p - p // 2) <= SCAN_CAP:
+            for q in range(p // 2 + 1, p):
+                wq, mq = bound(q)
+                if wq < threshold:
+                    return q, wq, mq
+        return p, w, method
+
+
+class Shift(System):
+    """One-sided Bernoulli(p) shift on Cantor space (p = prob of 1)."""
+
+    name = "shift"
+    space = CANTOR
+    bc_max_n = 18
+
+    def __init__(self, p: Fraction):
+        self.measure = bernoulli_measure(p)
+        self.p = p
+
+    def selector(self) -> str:
+        return f"shift:p={self.p.numerator}/{self.p.denominator}"
+
+    def step(self, x, m: int):
+        return x.prefix(m + 1)[1:]
+
+    def orbit_enclosure(self, g: CylinderFn, x, n: int, m_in: int) -> Interval:
+        w = x.prefix(n + g.depth - 1 if g.depth else n)
+        tot = Fraction(0)
+        for i in range(n):
+            tot += g.value_on_word(w[i:])
+        return Interval.point(tot / n)
+
+    def orbit_values(self, g: CylinderFn, x: Fraction, count: int):
+        # the sample's binary expansion is the symbol sequence
+        word = "".join(str((x * (1 << (i + 1))).__floor__() % 2)
+                       for i in range(count + g.depth + 1))
+        return (g.value_on_word(word[i:]) for i in range(count))
+
+    def average(self, g: CylinderFn, n: int) -> CylinderFn:
+        k = g.depth
+        d = n + k - 1 if k else 0
+        if d == 0:
+            return g
+        if d > CYLINDER_BUDGET_LOG2:
+            raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
+        den = math.lcm(*[v.denominator for v in g.table])
+        nums = [int(v * den) for v in g.table]
+        mask = (1 << k) - 1
+        table = []
+        for w in range(1 << d):
+            s = 0
+            for i in range(n):
+                s += nums[(w >> (d - i - k)) & mask]
+            table.append(Fraction(s, den * n))
+        return CylinderFn(d, table)
+
+    def correlations(self, fbar: CylinderFn, count: int) -> Correlations:
+        # C(m) = 0 for m >= depth (independence), so the list is exact
+        k = fbar.depth
+        return Correlations([_shift_correlation(fbar, m, self.p)
+                             for m in range(min(k, count) or 1)], 0)
+
+    def l1_exact_feasible(self, fbar: CylinderFn, p: int) -> bool:
+        return (p + fbar.depth - 1 if fbar.depth else 0) <= 16
+
+    def preimage(self, ball: IdealBall) -> CylSet:
+        w = ball.cylinder_prefix
+        return CylSet(["0" + w, "1" + w])
+
+
+class CircleMap(System):
+    """A Lebesgue-preserving map of the circle; subclasses give the image
+    of a real-line interval under T^i and the terms of the average."""
+
+    space = CIRCLE
+    #: input bits each map step costs (log2 of the map's expansion)
+    bits_per_step = 0
+
+    def __init__(self):
+        self.measure = lebesgue_measure()
+
+    def step(self, x, m: int) -> Interval:
+        box = self._step_box(x.enclosure(m + 1), m + 1)
+        shiftn = math.floor(box.mid)
+        return Interval(box.lo - shiftn, box.hi - shiftn)
+
+    def orbit_enclosure(self, g: PiecewiseLinear, x, n: int,
+                        m_in: int) -> Interval:
+        box = x.enclosure(m_in)
+        return self.box_average(g, box.lo, box.hi, n)
+
+    def box_average(self, g: PiecewiseLinear, lo, hi, n: int) -> Interval:
+        """Enclosure of A_n g over the real-line interval [lo, hi]."""
+        total = Interval.point(0)
+        for i in range(n):
+            total = total + g.range_on(*self._image(lo, hi, i))
+        return Interval(total.lo / n, total.hi / n)
+
+    def orbit_values(self, g: PiecewiseLinear, x: Fraction, count: int):
+        return (g.eval_right(self._orbit_point(x, i)) for i in range(count))
+
+    def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
+        return pl_sum(self._terms(g, n)).scale(Fraction(1, n))
+
+    def preimage(self, ball: IdealBall) -> ArcSet:
+        return ArcSet.from_raw(self._preimage_arcs(*ball_arc(ball)))
+
+
+class Doubling(CircleMap):
+    """x -> 2x mod 1."""
+
+    name = "doubling"
+    bc_max_n = 14
+    shifts_digits = True
+    bits_per_step = 1
+
+    def _step_box(self, box: Interval, m: int) -> Interval:
+        return Interval(2 * box.lo, 2 * box.hi)
+
+    def _image(self, lo, hi, i: int):
+        sc = 1 << i
+        return sc * lo, sc * hi
+
+    def _orbit_point(self, x: Fraction, i: int) -> Fraction:
+        return (x * (1 << i)) % 1
+
+    def _terms(self, g: PiecewiseLinear, n: int) -> list:
+        per = max(len(g.segments), 1)
+        if per << n > SEGMENT_BUDGET:
+            raise BudgetExceededError(
+                f"A_{n} on the doubling map needs ~{per << n} segments")
+        terms = [g]
+        for _ in range(n - 1):
+            terms.append(terms[-1].pullback_doubling())
+        return terms
+
+    def correlations(self, fbar: PiecewiseLinear, count: int) -> Correlations:
+        # the transfer operator halves variation and a zero-mean function
+        # is bounded by its variation: |C(m)| <= ||fbar||_1 Var(fbar) 2^-m
+        return Correlations(doubling_correlations(fbar, count),
+                            fbar.abs_integral() * fbar.total_variation())
+
+    def l1_exact_feasible(self, fbar: PiecewiseLinear, p: int) -> bool:
+        return max(len(fbar.segments), 1) << p <= (1 << 12)
+
+    def _preimage_arcs(self, a, b) -> list:
+        half = Fraction(1, 2)
+        return [(a * half, b * half), (a * half + half, b * half + half)]
+
+
+class Rotation(CircleMap):
+    """x -> x + alpha mod 1 for an exact quadratic irrational alpha."""
+
+    name = "rotation"
+    bc_delta_floor = Fraction(1, 128)
+    bc_max_n = 200
+
+    def __init__(self, alpha: Quad):
+        super().__init__()
+        self.alpha = alpha
+
+    def _step_box(self, box: Interval, m: int) -> Interval:
+        a = self.alpha.approx(m + 1)
+        return box + Interval(a - pow2(m + 1), a + pow2(m + 1))
+
+    def _image(self, lo, hi, i: int):
+        sh = self.alpha * i
+        return lo + sh, hi + sh
+
+    def _orbit_point(self, x: Fraction, i: int) -> Quad:
+        return (x + self.alpha * i).mod1()
+
+    def _terms(self, g: PiecewiseLinear, n: int) -> list:
+        if max(len(g.segments), 1) * n > SEGMENT_BUDGET:
+            raise BudgetExceededError(f"A_{n} rotation average too large")
+        return [g] + [g.shift(self.alpha * i) for i in range(1, n)]
+
+    def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
+        # no decay of correlations: square-integrate the exact average
+        abar = birkhoff_observable(self, f, p).add_const(-integral(self, f))
+        sq = abar.square_integral()
+        if isinstance(sq, Quad):
+            lo = sq.approx(60)
+            return Interval(lo - pow2(60), lo + pow2(60))
+        return Interval(sq, sq)
+
+    def norm_method(self, fbar, p: int, norm: str) -> str:
+        # the L1 norm is irrational and correlations do not decay: bound
+        # every norm by the sup norm of the exact average
+        return "sup-exact"
+
+    def search_p(self, bound, threshold: Fraction, p_budget: int):
+        """Probe the denominators of the continued-fraction convergents of
+        the angle only: intermediate p are not competitive and each probe
+        costs a full exact average."""
+        for p in PELL_DENOMINATORS:
+            w, method = bound(p)
+            if w < threshold:
+                return p, w, method
+        raise BudgetExceededError(
+            f"no convergent denominator attains norm < {threshold}")
+
+    def _preimage_arcs(self, a, b) -> list:
+        return [(a - self.alpha, b - self.alpha)]
 
 
 def doubling_system() -> System:
-    return System("doubling", CIRCLE, lebesgue_measure())
+    return Doubling()
 
 
 def shift_system(p) -> System:
     p = Fraction(p)
     if not 0 < p < 1:
         raise InputError("shift parameter must lie in (0,1)")
-    return System("shift", CANTOR, bernoulli_measure(p), p=p)
+    return Shift(p)
 
 
-def rotation_system(alpha: Optional[Quad] = None,
-                    alpha_real: Optional[CReal] = None) -> System:
-    """Rotation by alpha (default sqrt(2)-1).  An exact Quad angle enables
-    all exact oracles; a bare CReal angle supports interval evaluation only."""
-    if alpha is None and alpha_real is None:
-        alpha = SQRT2_MINUS_1
-    return System("rotation", CIRCLE, lebesgue_measure(), alpha=alpha,
-                  alpha_real=alpha_real)
+def rotation_system(alpha: Optional[Quad] = None) -> System:
+    """Rotation by the exact angle alpha (default sqrt(2)-1)."""
+    return Rotation(SQRT2_MINUS_1 if alpha is None else alpha)
 
 
 def parse_system(selector: str) -> System:
@@ -134,16 +370,6 @@ def sup_norm_bound(f: Observable) -> Fraction:
     return f.sup_norm()
 
 
-def truncate(f: Observable, M) -> Observable:
-    M = Fraction(M)
-    if M <= 0:
-        raise InputError("truncation level must be positive")
-    if isinstance(f, FTerm):
-        raise UnsupportedPairError("truncate needs a concrete observable; "
-                                   "convert the expression tree first")
-    return f.clamp(M)
-
-
 # ---------------------------------------------------------------------------
 # Orbit evaluation with certified enclosures
 
@@ -153,52 +379,13 @@ def apply_map(system: System, x, m: int):
 
     Circle systems return an Interval enclosing a representative of T(x);
     the shift returns the m-symbol prefix of the shifted sequence."""
-    if system.space.kind is SpaceKind.CANTOR:
-        return x.prefix(m + 1)[1:]
-    if system.name == "doubling":
-        box = x.enclosure(m + 1)
-        box = Interval(2 * box.lo, 2 * box.hi)
-    else:
-        a = _rotation_alpha_box(system, m + 1)
-        box = x.enclosure(m + 1) + a
-    shiftn = math.floor(box.mid) if isinstance(box.mid, Fraction) else 0
-    return Interval(box.lo - shiftn, box.hi - shiftn)
-
-
-def _rotation_alpha_box(system: System, m: int) -> Interval:
-    if system.alpha is not None:
-        a = system.alpha.approx(m + 1)
-        return Interval(a - pow2(m + 1), a + pow2(m + 1))
-    return system.alpha_real.enclosure(m)
+    return system.step(x, m)
 
 
 def birkhoff_enclosure(system: System, f: Observable, x, n: int,
                        m_in: int) -> Interval:
     """Enclosure of A_n f(x) from input precision m_in (no refinement)."""
-    g = as_concrete(system, f)
-    if system.space.kind is SpaceKind.CANTOR:
-        w = x.prefix(n + g.depth - 1 if g.depth else n)
-        tot = Fraction(0)
-        for i in range(n):
-            tot += g.value_on_word(w[i:])
-        return Interval.point(tot / n)
-    box = x.enclosure(m_in)
-    total = Interval.point(0)
-    if system.name == "doubling":
-        for i in range(n):
-            sc = 1 << i
-            total = total + g.range_on(sc * box.lo, sc * box.hi)
-    else:
-        if system.alpha is not None:
-            for i in range(n):
-                sh = system.alpha * i
-                total = total + g.range_on(box.lo + sh, box.hi + sh)
-        else:
-            for i in range(n):
-                a = system.alpha_real.enclosure(m_in)
-                sh_lo, sh_hi = i * a.lo, i * a.hi
-                total = total + g.range_on(box.lo + sh_lo, box.hi + sh_hi)
-    return Interval(total.lo / n, total.hi / n)
+    return system.orbit_enclosure(as_concrete(system, f), x, n, m_in)
 
 
 def birkhoff_eval(system: System, f: Observable, x, n: int, m: int,
@@ -213,8 +400,7 @@ def birkhoff_eval(system: System, f: Observable, x, n: int, m: int,
     if system.space.kind is SpaceKind.CANTOR:
         return birkhoff_enclosure(system, f, x, n, 0)
     target = pow2(m)
-    m_in = m + 2 + (n + _slope_bits(as_concrete(system, f)) if system.name == "doubling"
-                    else _slope_bits(as_concrete(system, f)))
+    m_in = m + 2 + system.bits_per_step * n + _slope_bits(as_concrete(system, f))
     best = None
     for _ in range(budget):
         out = birkhoff_enclosure(system, f, x, n, m_in)
@@ -245,73 +431,11 @@ def birkhoff_observable(system: System, f: Observable, n: int):
     """A_n f as an exact concrete observable (budget-capped)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    g = as_concrete(system, f)
-    if system.space.kind is SpaceKind.CANTOR:
-        return _shift_average(g, n)
-    if system.name == "doubling":
-        per = max(len(g.segments), 1)
-        if per << n > SEGMENT_BUDGET:
-            raise BudgetExceededError(
-                f"A_{n} on the doubling map needs ~{per << n} segments")
-        terms = [g]
-        for _ in range(n - 1):
-            terms.append(terms[-1].pullback_doubling())
-        return pl_sum(terms).scale(Fraction(1, n))
-    if system.alpha is None:
-        raise UnsupportedPairError("exact averages need an exact Quad angle")
-    if max(len(g.segments), 1) * n > SEGMENT_BUDGET:
-        raise BudgetExceededError(f"A_{n} rotation average too large")
-    terms = [g] + [g.shift(system.alpha * i) for i in range(1, n)]
-    return pl_sum(terms).scale(Fraction(1, n))
-
-
-def _shift_average(g: CylinderFn, n: int) -> CylinderFn:
-    k = g.depth
-    d = n + k - 1 if k else 0
-    if d == 0:
-        return g
-    if d > CYLINDER_BUDGET_LOG2:
-        raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-    den = math.lcm(*[v.denominator for v in g.table])
-    nums = [int(v * den) for v in g.table]
-    mask = (1 << k) - 1
-    table = []
-    for w in range(1 << d):
-        s = 0
-        for i in range(n):
-            s += nums[(w >> (d - i - k)) & mask]
-        table.append(Fraction(s, den * n))
-    return CylinderFn(d, table)
+    return system.average(as_concrete(system, f), n)
 
 
 # ---------------------------------------------------------------------------
 # Exact norms of centered Birkhoff averages
-
-
-def pl_inner(f: PiecewiseLinear, g: PiecewiseLinear):
-    """Exact integral of the product f*g over the circle."""
-    cuts = sorted(set([s[0] for s in f.segments] + [s[0] for s in g.segments]
-                      + [Fraction(1)]))
-    tot = 0
-    for a, b in zip(cuts, cuts[1:]):
-        fa, fb = _pl_pair(f, a, b)
-        ga, gb = _pl_pair(g, a, b)
-        tot = tot + (b - a) * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb) / 6
-    return tot
-
-
-def _pl_pair(f: PiecewiseLinear, a, b):
-    seg = f._segment_at(a)
-    sa, sb, va, vb = seg
-
-    def at(x):
-        if x == sa:
-            return va
-        if x == sb:
-            return vb
-        return va + (vb - va) * (x - sa) / (sb - sa)
-
-    return at(a), at(b)
 
 
 def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
@@ -326,56 +450,59 @@ def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
     return out
 
 
-def l2_sq_enclosure(system: System, f: Observable, p: int) -> Interval:
+class Correlations:
+    """C(0), ..., C(len-1) of a centered observable, kept as prefix sums of
+    C(m) and m C(m) so that any p combines in O(1), with a constant `decay`
+    such that |C(m)| <= decay * 2^-m for every m >= len."""
+
+    def __init__(self, c: list, decay):
+        self.c0 = c[0]
+        self.sums = [Fraction(0)]
+        self.msums = [Fraction(0)]
+        for m in range(1, len(c)):
+            self.sums.append(self.sums[-1] + c[m])
+            self.msums.append(self.msums[-1] + m * c[m])
+        self.decay = decay
+
+    def l2_sq(self, p: int) -> Interval:
+        """(1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)], with the terms
+        past the table bounded by the geometric tail."""
+        cut = min(p, len(self.sums))
+        tot = p * self.c0 + 2 * (p * self.sums[cut - 1] - self.msums[cut - 1])
+        val = tot / Fraction(p * p)
+        if cut == p:
+            return Interval(val, val)
+        tail = Fraction(2, p) * self.decay * pow2(cut - 1)
+        return Interval(val - tail, val + tail)
+
+
+def l2_sq_enclosure(system: System, f: Observable, p: int,
+                    corr: Optional[Correlations] = None) -> Interval:
     """Enclosure of ||A_p(f - integral f)||_2^2, exact (width 0) whenever
     all correlations are computed, tail-bounded otherwise.
 
-    Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)].
-    Doubling-map tail: |C(m)| <= ||fbar||_1 Var(fbar) 2^-m since the
-    transfer operator halves variation and a zero-mean function is bounded
-    by its variation.  Shift: C(m) = 0 for m >= depth (independence)."""
-    fbar = centered(system, f)
-    if system.space.kind is SpaceKind.CANTOR:
-        k = fbar.depth
-        c = [_shift_correlation(fbar, m, system.p) for m in range(min(k, p) or 1)]
-        val = _corr_combination(c, p)
-        return Interval(val, val)
-    if system.name == "doubling":
-        cutoff = min(p, CORRELATION_CUTOFF)
-        c = doubling_correlations(fbar, cutoff)
-        val = _corr_combination(c, p)
-        if cutoff == p:
-            return Interval(val, val)
-        tail = Fraction(2, p) * fbar.abs_integral() * fbar.total_variation() \
-            * pow2(cutoff - 1)
-        return Interval(val - tail, val + tail)
-    # rotation: no decay of correlations; fall back to the exact average
-    a = birkhoff_observable(system, f, p)
-    abar = a.add_const(-integral(system, f))
-    sq = abar.square_integral()
-    if isinstance(sq, Quad):
-        lo = sq.approx(60)
-        return Interval(lo - pow2(60), lo + pow2(60))
-    return Interval(sq, sq)
-
-
-def _corr_combination(c: list, p: int) -> Fraction:
-    tot = p * c[0]
-    for m in range(1, min(len(c), p)):
-        tot += 2 * (p - m) * c[m]
-    return tot / Fraction(p * p)
+    Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)]
+    on the doubling map and the shift; the rotation, whose correlations do
+    not decay, square-integrates its exact average.  A caller that probes
+    many p passes the system's correlation table of fbar as `corr` once
+    computed; f is then not re-centered."""
+    return system.l2_sq(f, p, corr)
 
 
 def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
     k = fbar.depth
-    d = k + m
-    tot = Fraction(0)
     maskk = (1 << k) - 1
-    for w in range(1 << d):
-        word = format(w, f"0{d}b")
-        tot += cylinder_mass(word, prob) * fbar.table[w >> m] \
-            * fbar.table[w & maskk]
-    return tot
+    table = [fbar.table[w >> m] * fbar.table[w & maskk]
+             for w in range(1 << (k + m))]
+    return CylinderFn(k + m, table).integral(prob)
+
+
+def l1_norm(system: System, g) -> Fraction:
+    """Exact ||g||_1 under the invariant measure, for a concrete g (a
+    Quad for rotation averages with irrational breakpoints)."""
+    if isinstance(g, CylinderFn):
+        return CylinderFn(g.depth, [abs(v) for v in g.table]).integral(system.p)
+    return g.abs_integral()
 
 
 def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
@@ -386,39 +513,17 @@ def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
     thresholds, which is lossless)."""
     if norm not in ("L1", "L2"):
         raise InputError("norm must be L1 or L2")
-    fbar = centered(system, f)
     if norm == "L2":
         box = l2_sq_enclosure(system, f, p)
         if box.width == 0:
             return box.lo
         raise BudgetExceededError("exact L2 norm out of range; "
                                   "use l2_sq_enclosure for a certified bound")
-    a = _average_of_centered(system, fbar, p)
-    if isinstance(a, CylinderFn):
-        tot = Fraction(0)
-        for w in range(1 << a.depth):
-            word = format(w, f"0{a.depth}b") if a.depth else ""
-            tot += cylinder_mass(word, system.p) * abs(a.table[w])
-        return tot
-    val = a.abs_integral()
+    val = l1_norm(system, birkhoff_observable(system, centered(system, f), p))
     if isinstance(val, Quad):
         raise BudgetExceededError("rotation L1 norm is irrational; "
                                   "use rotation_sup_bound for a certificate")
     return val
-
-
-def _average_of_centered(system: System, fbar, p: int):
-    if isinstance(fbar, CylinderFn):
-        return _shift_average(fbar, p)
-    if system.name == "doubling":
-        per = max(len(fbar.segments), 1)
-        if per << p > SEGMENT_BUDGET:
-            raise BudgetExceededError(f"A_{p} on the doubling map too large")
-        terms = [fbar]
-        for _ in range(p - 1):
-            terms.append(terms[-1].pullback_doubling())
-        return pl_sum(terms).scale(Fraction(1, p))
-    return birkhoff_observable(system, fbar, p)
 
 
 def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:
@@ -432,10 +537,6 @@ def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:
     return s
 
 
-PELL_DENOMINATORS = [1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741, 13860,
-                     33461, 80782, 195025]
-
-
 # ---------------------------------------------------------------------------
 # Deviation sets
 
@@ -446,8 +547,7 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    fbar = centered(system, f)
-    a = _average_of_centered(system, fbar, n)
+    a = birkhoff_observable(system, centered(system, f), n)
     if isinstance(a, CylinderFn):
         cyls = []
         for w in range(1 << a.depth):
@@ -480,7 +580,7 @@ def _arc_to_balls(space: Space, a, b) -> list[IdealBall]:
     step = width / parts
     for i in range(parts):
         lo, hi = a + step * i, a + step * (i + 1)
-        c = ((lo + hi) / 2) % 1 if isinstance(lo, Fraction) else ((lo + hi) / 2).mod1()
+        c = mod1((lo + hi) / 2)
         r = (hi - lo) / 2
         if not isinstance(c, Fraction):
             raise UnsupportedPairError("ball conversion needs rational arcs")
@@ -509,14 +609,4 @@ def deviation_open(system: System, f: Observable, n: int,
 
 def preimage_region(system: System, ball: IdealBall):
     """T^{-1}(ball) as an exact region."""
-    if system.space.kind is SpaceKind.CANTOR:
-        w = ball.cylinder_prefix
-        return CylSet(["0" + w, "1" + w])
-    a, b = ball_arc(ball)
-    if system.name == "doubling":
-        half = Fraction(1, 2)
-        return ArcSet.from_raw([(a * half, b * half),
-                                (a * half + half, b * half + half)])
-    if system.alpha is None:
-        raise UnsupportedPairError("exact preimages need an exact Quad angle")
-    return ArcSet.from_raw([(a - system.alpha, b - system.alpha)])
+    return system.preimage(ball)

@@ -9,11 +9,11 @@ Cantor space get exact measure oracles for finite unions of balls.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import fmt_rat, parse_rat, pow2
+from .arith import fmt_rat, parse_rat
 from .errors import UnsupportedInstanceError
 from .regions import ArcSet, CylSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space,

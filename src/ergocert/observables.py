@@ -11,16 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
 
-from .arith import Interval, Quad
-from .regions import ArcSet, CylSet, cylinder_mass
-from .spaces import (CANTOR, CIRCLE, Space, SpaceKind, cantor_word,
-                     circle_point, pair, pos_rational, unpair)
-
-
-def _mod1(x):
-    return x % 1 if isinstance(x, (Fraction, int)) else x.mod1()
+from .arith import Interval, Quad, fmt_rat, mod1
+from .regions import ArcSet, cylinder_mass
+from .spaces import CANTOR, CIRCLE, Space, SpaceKind, pos_rational, unpair
 
 
 class PiecewiseLinear:
@@ -93,15 +87,6 @@ class PiecewiseLinear:
             return va
         return va + (vb - va) * (x - a) / (b - a)
 
-    def eval_left(self, x):
-        """Left limit of f at x; x in (0,1]."""
-        for a, b, va, vb in reversed(self.segments):
-            if a < x <= b:
-                if x == b:
-                    return vb
-                return va + (vb - va) * (x - a) / (b - a)
-        raise ValueError("x must lie in (0,1]")
-
     def _segment_at(self, x):
         lo, hi = 0, len(self.segments) - 1
         while lo < hi:
@@ -116,7 +101,7 @@ class PiecewiseLinear:
         """Exact hull of f over the real-line interval [lo, hi] mod 1."""
         if hi - lo >= 1:
             return self.global_range()
-        lo0 = _mod1(lo)
+        lo0 = mod1(lo)
         hi0 = lo0 + (hi - lo)
         vals = []
         for a, b, va, vb in self.segments:
@@ -189,9 +174,6 @@ class PiecewiseLinear:
         c = Fraction(c)
         return PiecewiseLinear([(a, b, c * va, c * vb) for a, b, va, vb in self.segments])
 
-    def neg(self) -> "PiecewiseLinear":
-        return self.scale(-1)
-
     def add_const(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
         return PiecewiseLinear([(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
@@ -250,7 +232,6 @@ class PiecewiseLinear:
                 continue
             if lo >= delta or hi <= -delta:
                 continue
-            s, t = a, b
             if vb != va:
                 slope = (vb - va) / (b - a)
                 xs = [a, b]
@@ -315,7 +296,7 @@ def _rebuild_from_circular(segs) -> PiecewiseLinear:
     for a, b, va, vb in segs:
         if b <= a:
             continue
-        a0 = _mod1(a)
+        a0 = mod1(a)
         b0 = a0 + (b - a)
         if b0 <= 1:
             out.append((a0, b0, va, vb))
@@ -368,6 +349,18 @@ def _seg_values(f: PiecewiseLinear, a, b):
     contain an interior breakpoint of f."""
     seg = f._segment_at(a)
     return _lerp(seg[0], seg[1], seg[2], seg[3], a), _lerp(seg[0], seg[1], seg[2], seg[3], b)
+
+
+def pl_inner(f: PiecewiseLinear, g: PiecewiseLinear):
+    """Exact integral of the product f*g over the circle."""
+    cuts = sorted(set([s[0] for s in f.segments] + [s[0] for s in g.segments]
+                      + [Fraction(1)]))
+    tot = 0
+    for a, b in zip(cuts, cuts[1:]):
+        fa, fb = _seg_values(f, a, b)
+        ga, gb = _seg_values(g, a, b)
+        tot = tot + (b - a) * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb) / 6
+    return tot
 
 
 def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
@@ -460,11 +453,19 @@ class CylinderFn:
         return max(abs(v) for v in self.table)
 
     def integral(self, p) -> Fraction:
+        """Exact expectation under Bernoulli(p).  A cylinder's mass depends
+        only on how many of its symbols are 1, so the table is summed per
+        count first.  Every expectation on the shift goes through here."""
         p = Fraction(p)
+        d = self.depth
+        sums = [0] * (d + 1)
+        for w, v in enumerate(self.table):
+            if v:
+                sums[w.bit_count()] += v
         tot = Fraction(0)
-        for w in range(1 << self.depth):
-            word = format(w, f"0{self.depth}b") if self.depth else ""
-            tot += self.table[w] * cylinder_mass(word, p)
+        for ones, s in enumerate(sums):
+            if s:
+                tot += s * cylinder_mass("1" * ones + "0" * (d - ones), p)
         return tot
 
     def __repr__(self):
@@ -643,22 +644,17 @@ def _signed_rational(i: int) -> Fraction:
 # Serialization (variant-tagged JSON; rationals as "num/den" strings)
 
 
-def _fmt(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def observable_to_json(f) -> dict:
     if isinstance(f, PiecewiseLinear):
         segs = []
         for a, b, va, vb in f.segments:
             if not all(isinstance(v, Fraction) for v in (a, b, va, vb)):
                 raise ValueError("only rational piecewise-linear data serializes")
-            segs.append([_fmt(a), _fmt(b), _fmt(va), _fmt(vb)])
+            segs.append([fmt_rat(a), fmt_rat(b), fmt_rat(va), fmt_rat(vb)])
         return {"variant": "piecewise_linear", "segments": segs}
     if isinstance(f, CylinderFn):
         return {"variant": "cylinder", "depth": f.depth,
-                "table": [_fmt(v) for v in f.table]}
+                "table": [fmt_rat(v) for v in f.table]}
     if isinstance(f, FTerm):
         return {"variant": "fterm", "expr": _fterm_to_json(f)}
     raise ValueError(f"not an observable: {f!r}")
@@ -671,12 +667,12 @@ def _fterm_to_json(t: FTerm) -> dict:
         space, s, r, eps = t.args
         return {"op": "gen",
                 "space": "cantor" if space.kind is SpaceKind.CANTOR else "circle",
-                "s": s if isinstance(s, str) else _fmt(s),
-                "r": _fmt(r), "eps": _fmt(eps)}
+                "s": s if isinstance(s, str) else fmt_rat(s),
+                "r": fmt_rat(r), "eps": fmt_rat(eps)}
     if t.kind in ("max", "min"):
         return {"op": t.kind, "args": [_fterm_to_json(a) for a in t.args]}
     return {"op": "lin",
-            "terms": [[_fmt(c), _fterm_to_json(a)] for c, a in t.args]}
+            "terms": [[fmt_rat(c), _fterm_to_json(a)] for c, a in t.args]}
 
 
 def observable_from_json(d: dict):

@@ -10,24 +10,20 @@ guarantees can be measured exactly at desk scale (`validate_as`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_rat, pow2
 from .errors import BudgetExceededError, InputError, UnsupportedPairError
-from .dynamics import (CYLINDER_BUDGET_LOG2, PELL_DENOMINATORS, Observable,
+from .dynamics import (CORRELATION_CUTOFF, CYLINDER_BUDGET_LOG2, Observable,
                        System, as_concrete, birkhoff_observable, centered,
-                       doubling_correlations, integral, l2_sq_enclosure,
-                       l_norm_birkhoff, parse_system, rotation_sup_bound,
-                       sup_norm_bound, truncate)
-from .observables import (CylinderFn, PiecewiseLinear, observable_from_json,
+                       l1_norm, l2_sq_enclosure, l_norm_birkhoff,
+                       parse_system, rotation_sup_bound, sup_norm_bound)
+from .observables import (CylinderFn, observable_from_json,
                           observable_to_json)
-from .regions import cylinder_mass
 from .spaces import SpaceKind
 
-#: largest octave that is searched linearly for the minimal p
-SCAN_CAP = 2048
 #: default cap on the doubling p-search
 DEFAULT_P_BUDGET = 1 << 34
 
@@ -56,15 +52,7 @@ class NormOracle:
         self.f = f
         self.fbar = centered(system, f)
         self._cache: dict = {}
-        self._corr = None  # (c, prefix_c, prefix_mc) for the doubling map
-
-    def l1_exact_feasible(self, p: int) -> bool:
-        g = self.fbar
-        if isinstance(g, CylinderFn):
-            return (p + g.depth - 1 if g.depth else 0) <= 16
-        if self.system.name == "doubling":
-            return max(len(g.segments), 1) << p <= (1 << 12)
-        return False
+        self._corr = None  # the system's correlation table of fbar
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
@@ -74,38 +62,16 @@ class NormOracle:
         return self._cache[key]
 
     def _compute(self, p: int, norm: str):
-        if self.system.name == "rotation":
-            return rotation_sup_bound(self.system, self.f, p), "sup-exact"
-        if norm == "L1" and self.l1_exact_feasible(p):
-            return l_norm_birkhoff(self.system, self.f, p, "L1"), "l1-exact"
-        sq = self._l2_sq(p)
-        return sqrt_upper(sq.hi), "l2-upper"
-
-    def _l2_sq(self, p: int):
-        if self.system.name == "doubling":
-            return self._doubling_l2_sq(p)
-        return l2_sq_enclosure(self.system, self.f, p)
-
-    def _doubling_l2_sq(self, p: int):
-        from .arith import Interval
-        from .dynamics import CORRELATION_CUTOFF
+        method = self.system.norm_method(self.fbar, p, norm)
+        if method == "sup-exact":
+            return rotation_sup_bound(self.system, self.f, p), method
+        if method == "l1-exact":
+            return l_norm_birkhoff(self.system, self.f, p, "L1"), method
         if self._corr is None:
-            c = doubling_correlations(self.fbar, CORRELATION_CUTOFF)
-            ps = [Fraction(0)]
-            pms = [Fraction(0)]
-            for m in range(1, len(c)):
-                ps.append(ps[-1] + c[m])
-                pms.append(pms[-1] + m * c[m])
-            self._corr = (c, ps, pms)
-        c, ps, pms = self._corr
-        cut = min(p, len(c))
-        tot = p * c[0] + 2 * (p * ps[cut - 1] - pms[cut - 1])
-        val = tot / Fraction(p * p)
-        if cut == p:
-            return Interval(val, val)
-        tail = Fraction(2, p) * self.fbar.abs_integral() \
-            * self.fbar.total_variation() * pow2(cut - 1)
-        return Interval(val - tail, val + tail)
+            self._corr = self.system.correlations(self.fbar,
+                                                  CORRELATION_CUTOFF)
+        sq = l2_sq_enclosure(self.system, self.f, p, self._corr)
+        return sqrt_upper(sq.hi), method
 
     def fbar_norm_upper(self, norm: str) -> Fraction:
         """Certified upper bound on ||fbar||_norm (p = 1)."""
@@ -115,32 +81,11 @@ class NormOracle:
 
 def find_p(oracle: NormOracle, threshold: Fraction, norm: str,
            p_budget: int = DEFAULT_P_BUDGET) -> tuple[int, Fraction, str]:
-    """Deterministic p-search: doubling schedule, then a linear scan of the
-    winning octave when it is small enough to examine exhaustively.  The
-    rotation searches denominators of the continued-fraction convergents
-    of its angle instead (intermediate p are not competitive and each
-    evaluation costs a full exact average)."""
-    if oracle.system.name == "rotation":
-        for p in PELL_DENOMINATORS:
-            w, method = oracle.bound(p, norm)
-            if w < threshold:
-                return p, w, method
-        raise BudgetExceededError(
-            f"no convergent denominator attains norm < {threshold}")
-    p = 1
-    while True:
-        w, method = oracle.bound(p, norm)
-        if w < threshold:
-            break
-        p *= 2
-        if p > p_budget:
-            raise BudgetExceededError(f"p-search exceeded {p_budget}")
-    if p > 1 and (p - p // 2) <= SCAN_CAP:
-        for q in range(p // 2 + 1, p):
-            wq, mq = oracle.bound(q, norm)
-            if wq < threshold:
-                return q, wq, mq
-    return p, w, method
+    """Deterministic p-search on the system's schedule
+    (`System.search_p`): the smallest probed p whose bound clears the
+    threshold."""
+    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold,
+                                  p_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +166,11 @@ def l_rate(system: System, f: Observable, epsilon: Fraction, norm: str = "L1",
     m = n * p
     return RateCertificate(
         kind=f"NORM_{norm}", system_sel=system.selector(),
-        observable=observable_to_json(_serializable(system, f)),
+        observable=observable_to_json(as_concrete(system, f)),
         epsilon=epsilon, delta=None, p=p, norm_bound=w, norm_method=method,
         n0_or_m=m, n_factor=n, fbar_norm=nf,
         guarantee=(f"||A_m'(f-int f)||_{norm} <= {fmt_rat(epsilon)} "
                    f"for all m' >= {m}"))
-
-
-def _serializable(system: System, f: Observable):
-    return as_concrete(system, f)
 
 
 def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
@@ -252,7 +193,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
     n0 = max(1, _ceil_frac(Fraction(4 * (p - 1)) * sup / delta))
     return RateCertificate(
         kind="AS_BOUNDED", system_sel=system.selector(),
-        observable=observable_to_json(_serializable(system, f)),
+        observable=observable_to_json(as_concrete(system, f)),
         epsilon=epsilon, delta=delta, p=p, norm_bound=w, norm_method=method,
         n0_or_m=n0, sup_bound=sup,
         guarantee=(f"mu(sup_(n>={n0}) |A_n(f-int f)| > {fmt_rat(delta)}) "
@@ -261,15 +202,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
 
 def _tail_l1(system: System, g, M: Fraction) -> Fraction:
     """Exact ||g - clamp(g, M)||_1."""
-    gm = g.clamp(M)
-    if isinstance(g, CylinderFn):
-        diff = g._zip(gm, lambda x, y: x - y)
-        tot = Fraction(0)
-        for w in range(1 << diff.depth):
-            word = format(w, f"0{diff.depth}b") if diff.depth else ""
-            tot += cylinder_mass(word, system.p) * abs(diff.table[w])
-        return tot
-    return g.add(gm.scale(-1)).abs_integral()
+    return l1_norm(system, g.add(g.clamp(M).scale(-1)))
 
 
 def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
@@ -296,12 +229,15 @@ def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
     rho = _tail_l1(system, g, M)
     a = rho / (epsilon / 2) if rho > 0 else Fraction(0)
     delta_sub = delta - rho - a
-    assert delta_sub > 0
+    if delta_sub <= 0:
+        raise InputError(
+            f"level budget exhausted: delta {fmt_rat(delta)} - tail "
+            f"{fmt_rat(rho)} - tail level {fmt_rat(a)} = {fmt_rat(delta_sub)}")
     gm = g.clamp(M)
     sub = as_rate_bounded(system, gm, epsilon / 2, delta_sub, p_budget)
     return RateCertificate(
         kind="AS_L1", system_sel=system.selector(),
-        observable=observable_to_json(_serializable(system, f)),
+        observable=observable_to_json(as_concrete(system, f)),
         epsilon=epsilon, delta=delta, p=sub.p, norm_bound=sub.norm_bound,
         norm_method=sub.norm_method, n0_or_m=sub.n0_or_m,
         sup_bound=sub.sup_bound, M=M, rho=rho, tail_level=a,
@@ -459,19 +395,15 @@ def _exact_cylinder_mass(system: System, g: CylinderFn, window: range,
     nums = [int(v * den) for v in g.table]
     mask = (1 << k) - 1 if k else 0
     dn, dd = delta.numerator, delta.denominator
-    mass = Fraction(0)
-    prob = system.p
+    exceeded = [0] * (1 << d)
     for w in range(1 << d):
         s = 0
-        exceeded = False
         for n in range(1, horizon + 1):
             s += nums[(w >> (d - n - k + 1)) & mask] if k else nums[0]
             if n in window and abs(s) * dd > dn * den * n:
-                exceeded = True
+                exceeded[w] = 1
                 break
-        if exceeded:
-            mass += cylinder_mass(format(w, f"0{d}b"), prob)
-    return mass
+    return CylinderFn(d, exceeded).integral(system.p)
 
 
 def _max_envelope(system: System, g, window: range):
@@ -484,23 +416,8 @@ def _max_envelope(system: System, g, window: range):
 
 def _sample_exceeds(system: System, g, window: range, delta, x: Fraction) -> bool:
     total = 0
-    vals = []
-    if system.space.kind is SpaceKind.CANTOR:
-        # the sample's binary expansion is the symbol sequence
-        need = window.stop + g.depth
-        word = "".join(str((x * (1 << (i + 1))).__floor__() % 2)
-                       for i in range(need))
-        for n in range(1, window.stop):
-            total = total + g.value_on_word(word[n - 1:])
-            if n in window and abs(total) > delta * n:
-                return True
-        return False
-    if system.name == "doubling":
-        pts = [(x * (1 << i)) % 1 for i in range(window.stop)]
-    else:
-        pts = [(x + system.alpha * i).mod1() for i in range(window.stop)]
-    for n in range(1, window.stop):
-        total = total + g.eval_right(pts[n - 1])
+    for n, v in enumerate(system.orbit_values(g, x, window.stop - 1), 1):
+        total = total + v
         if n in window and abs(total) > delta * n:
             return True
     return False

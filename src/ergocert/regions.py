@@ -8,15 +8,10 @@ Q[sqrt2]) computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import Quad
-
-
-def _mod1(x):
-    return x % 1 if isinstance(x, (Fraction, int)) else x.mod1()
+from .arith import Quad, mod1
 
 
 class ArcSet:
@@ -52,25 +47,18 @@ class ArcSet:
                 continue
             if b - a >= 1:
                 return ArcSet.full()
-            a0 = _mod1(a)
+            a0 = mod1(a)
             b0 = a0 + (b - a)
             if b0 <= 1:
                 out.append((a0, b0))
             else:
-                out.append((a0, _one_like(a0)))
-                out.append((_zero_like(a0), b0 - 1))
+                out.append((a0, Fraction(1)))
+                out.append((Fraction(0), b0 - 1))
         return ArcSet(out)
 
     @staticmethod
     def full() -> "ArcSet":
         return ArcSet([(Fraction(0), Fraction(1))])
-
-    @staticmethod
-    def empty() -> "ArcSet":
-        return ArcSet([])
-
-    def is_empty(self) -> bool:
-        return not self.arcs
 
     def measure(self):
         tot = Fraction(0)
@@ -136,14 +124,6 @@ class ArcSet:
         return f"ArcSet({self.arcs!r})"
 
 
-def _zero_like(x):
-    return Fraction(0)
-
-
-def _one_like(x):
-    return Fraction(1)
-
-
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -186,13 +166,6 @@ class CylSet:
     def full() -> "CylSet":
         return CylSet([""])
 
-    @staticmethod
-    def empty() -> "CylSet":
-        return CylSet([])
-
-    def is_empty(self) -> bool:
-        return not self.prefixes
-
     def measure(self, p: Fraction) -> Fraction:
         p = Fraction(p)
         tot = Fraction(0)
@@ -214,7 +187,6 @@ class CylSet:
         return CylSet(self.prefixes + other.prefixes)
 
     def complement(self) -> "CylSet":
-        out = CylSet.full()
         result = [""]
         for w in self.prefixes:
             new_result = []

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Callable, Iterable, Optional
 
-from .arith import CReal, Interval, pow2, fmt_rat, parse_rat
+from .arith import CReal, Interval, fmt_rat, mod1, parse_rat, pow2
 from .errors import InvalidNestingError
 
 
@@ -135,8 +135,7 @@ class SpaceKind(enum.Enum):
 
 def circle_dist(x, y):
     """Arc metric on [0,1); works for Fraction and Quad coordinates."""
-    t = x - y
-    t = t % 1 if isinstance(t, (Fraction, int)) else t.mod1()
+    t = mod1(x - y)
     return min(t, 1 - t)
 
 
@@ -160,11 +159,6 @@ class Space:
             return circle_point(i)
         return cantor_word(i)
 
-    def ideal_index(self, pt) -> int:
-        if self.kind is SpaceKind.CIRCLE:
-            return circle_index(pt)
-        return cantor_word_index(pt)
-
     def dist(self, a, b) -> Fraction:
         if self.kind is SpaceKind.CIRCLE:
             return circle_dist(Fraction(a), Fraction(b))
@@ -173,12 +167,6 @@ class Space:
 
 CIRCLE = Space(SpaceKind.CIRCLE)
 CANTOR = Space(SpaceKind.CANTOR)
-
-
-def ideal_distance(space: Space, i: int, j: int, m: int = 0) -> Fraction:
-    """d(s_i, s_j); exact for both built-in instances, so m is honored
-    trivially."""
-    return space.dist(space.ideal_point(i), space.ideal_point(j))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +288,6 @@ class CantorPoint:
         return f"CantorPoint({self.prefix(8)}...)"
 
 
-SpacePoint = object  # CirclePoint | CantorPoint
-
-
 class Membership(enum.Enum):
     IN = "IN"
     OUT = "OUT"
@@ -328,8 +313,7 @@ def _circle_dist_interval(c: Fraction, box: Interval) -> Interval:
 
 def _hits_mod1(c: Fraction, lo: Fraction, hi: Fraction) -> bool:
     """Is c congruent mod 1 to some t in [lo, hi]?"""
-    import math
-    k = math.ceil(lo - c)
+    k = ceil(lo - c)
     return c + k <= hi
 
 
@@ -382,7 +366,6 @@ class EffectiveOpen:
     @staticmethod
     def whole(space: Space) -> "EffectiveOpen":
         if space.kind is SpaceKind.CIRCLE:
-            b = IdealBall(space, Fraction(0), Fraction(2, 3))
             prefix = [IdealBall(space, Fraction(0), Fraction(1, 3)),
                       IdealBall(space, Fraction(1, 2), Fraction(1, 3))]
             return EffectiveOpen(space, exact_prefix=prefix)

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, artifact round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,20 @@ class TestVerbs:
         assert out["float_hits_zero_at"] <= 64
         assert not out["exact_orbit_hits_zero"]
         assert 4 % out["exact_orbit_period"] == 0
+
+
+class TestCorpus:
+    def test_stored_artifacts_replay(self, capsys):
+        # [DERIVED: artifacts emitted by an earlier version must still
+        # replay, so every file of the stored benchmark corpus is replayed]
+        corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+        names = json.loads((corpus / "MANIFEST.json").read_text())["files"]
+        assert names
+        failed = [name for name in sorted(names)
+                  if main(["replay", "--artifact", str(corpus / name)])
+                  != EXIT_OK]
+        capsys.readouterr()
+        assert not failed
 
 
 class TestExitCodes:

@@ -7,13 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from ergocert.dynamics import (doubling_system, l_norm_birkhoff, integral,
-                               birkhoff_observable, centered, rotation_system,
-                               shift_system)
+                               birkhoff_observable, centered, l2_sq_enclosure,
+                               rotation_system, shift_system)
 from ergocert.errors import InputError
 from ergocert.observables import CylinderFn, PiecewiseLinear
-from ergocert.rates import (RateCertificate, SummableSchedule, as_rate_bounded,
-                            as_rate_l1, check_certificate, l_rate,
-                            validate_as)
+from ergocert.rates import (NormOracle, RateCertificate, SummableSchedule,
+                            as_rate_bounded, as_rate_l1, check_certificate,
+                            l_rate, sqrt_upper, validate_as)
 from ergocert.regions import cylinder_mass
 
 SHIFT = shift_system(F(1, 2))
@@ -59,6 +59,9 @@ class TestEmission:
             l_rate(SHIFT, FIRSTBIT, F(0))
         with pytest.raises(InputError):
             l_rate(SHIFT, FIRSTBIT, F(1, 4), "L7")
+        # truncation tail rho = 2 exceeds delta: no level budget is left
+        with pytest.raises(InputError, match="level budget"):
+            as_rate_l1(SHIFT, FIRSTBIT.scale(8), 64, F(1, 4))
 
     def test_tampered_certificate_rejected(self):
         # [DERIVED: the checker recomputes the norm, so a lowered bound or
@@ -68,6 +71,16 @@ class TestEmission:
         bad.n0_or_m = 1
         ok, _ = check_certificate(bad)
         assert not ok
+
+
+class TestNormOracle:
+    def test_doubling_l2_matches_enclosure(self):
+        # [DERIVED: the p-search reuses one correlation table for every p;
+        # it must agree with a fresh enclosure on both sides of the cutoff]
+        oracle = NormOracle(DBL, HAT)
+        for p in (1, 2, 5, 119, 120, 121, 200):
+            expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p).hi)
+            assert oracle.bound(p, "L2") == (expect, "l2-upper")
 
 
 class TestMaximalInequality:
