@@ -20,6 +20,8 @@ DEFAULT_STEP_BUDGET = 64
 
 def parse_rat(s: str) -> Fraction:
     """Parse a "num/den" (or plain integer) string."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string, got {s!r}")
     return Fraction(s.strip())
 
 

@@ -16,23 +16,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import CReal, Interval, Quad, fmt_rat, parse_rat, pow2
+from .arith import fmt_rat, parse_rat, pow2
 from .errors import (BudgetExceededError, InputError, NoMassError,
                      UnsupportedInstanceError)
-from .dynamics import (Observable, System, as_concrete, birkhoff_eval,
-                       birkhoff_observable, centered, deviation_region,
-                       integral, parse_system, region_to_balls)
-from .measures import balls_to_region, region_measure, support_hit
-from .observables import (CylinderFn, enumerate_F, observable_from_json,
-                          observable_to_json)
+from .dynamics import (Observable, System, birkhoff_eval, centered,
+                       deviation_region, integral, parse_system,
+                       region_to_balls)
+from .measures import region_measure, support_hit
+from .observables import enumerate_F, observable_from_json, observable_to_json
 from .rates import SummableSchedule, as_rate_l1
 from .regions import ArcSet, CylSet
-from .spaces import (CirclePoint, CantorPoint, EffectiveOpen, IdealBall,
-                     Membership, Space, SpaceKind, ball_arc, ball_member,
-                     circle_dist, unpair)
+from .spaces import (CantorPoint, EffectiveOpen, IdealBall, Membership, Space,
+                     ball_member, unpair)
 
-#: digit window used when scoring partial orbit points during synthesis
-BALANCE_WINDOW = 24
 #: cap on candidate balls examined per refinement step
 CANDIDATE_BUDGET = 1 << 14
 #: extra depth explored below the minimum at each refinement step
@@ -73,30 +69,6 @@ class BCSequence:
         return u
 
 
-def _region_full(space: Space):
-    return ArcSet.full() if space.kind is SpaceKind.CIRCLE else CylSet.full()
-
-
-def _region_err(system: System, region) -> tuple[object, Fraction]:
-    """Rational-data region together with the exact measure of the
-    complement of that (possibly shrunk) region."""
-    if isinstance(region, ArcSet) and any(
-            not isinstance(e, Fraction) for arc in region.arcs for e in arc):
-        region, _ = region.to_rational_inner(pow2(48))
-    return region, 1 - region_measure(system.measure.tag, region)
-
-
-def _complement_mass(system: System, f: Observable, n: int,
-                     delta: Fraction) -> Optional[Fraction]:
-    """Exact mu{|A_n fbar| >= delta} without materializing the region
-    (shift only; circle regions are cheap to build directly)."""
-    if system.space.kind is not SpaceKind.CANTOR:
-        return None
-    a = birkhoff_observable(system, centered(system, f), n)
-    return CylinderFn(a.depth, [abs(v) >= delta for v in a.table]
-                      ).integral(system.p)
-
-
 def bc_exact_windows(system: System, f: Observable,
                      caps: Callable[[int], Fraction],
                      deltas: Optional[Callable[[int], Fraction]] = None,
@@ -115,11 +87,14 @@ def bc_exact_windows(system: System, f: Observable,
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     windows: dict[int, dict] = {}
-    state = {"n": max(1, start_n), "dead": False}
-    mass_cache: dict[tuple, tuple] = {}
+    state = {"n": max(1, start_n)}
+    # per (n, delta): the cheap complement mass where the system has one,
+    # and the rational region with its exact complement mass
+    masses: dict[tuple, Optional[Fraction]] = {}
+    regions: dict[tuple, tuple] = {}
 
     def _trivial(j: int) -> dict:
-        reg = _region_full(system.space)
+        reg = system.full_region()
         return {"trivial": True, "n": None, "delta": None,
                 "err": Fraction(0), "region": reg,
                 "open": EffectiveOpen.whole(system.space),
@@ -133,37 +108,30 @@ def bc_exact_windows(system: System, f: Observable,
         cap = Fraction(caps(j))
         delta = Fraction(deltas(j))
         found = None
-        if not state["dead"]:
-            for n in range(state["n"], max_n + 1):
-                key = (n, delta)
-                if key not in mass_cache:
-                    try:
-                        err_fast = _complement_mass(system, f, n, delta)
-                        if err_fast is not None and err_fast > cap:
-                            mass_cache[key] = ("mass-only", err_fast)
-                        else:
-                            reg = deviation_region(system, f, n, delta)
-                            mass_cache[key] = _region_err(system, reg)
-                    except BudgetExceededError:
-                        mass_cache[key] = None
-                got = mass_cache[key]
-                if got is None:
-                    break
-                reg, err = got
-                if reg == "mass-only" and err <= cap:
-                    reg = deviation_region(system, f, n, delta)
-                    mass_cache[key] = _region_err(system, reg)
-                    reg, err = mass_cache[key]
-                if err <= cap:
-                    found = {"trivial": False, "n": n, "delta": delta,
-                             "err": err, "region": reg,
-                             "open": EffectiveOpen(
-                                 system.space,
-                                 exact_prefix=region_to_balls(system.space,
-                                                              reg)),
-                             "observable": obs_json}
-                    state["n"] = n
-                    break
+        for n in range(state["n"], max_n + 1):
+            key = (n, delta)
+            try:
+                if key not in masses:
+                    masses[key] = system.exceed_mass(f, n, delta)
+                if masses[key] is not None and masses[key] > cap:
+                    continue
+                if key not in regions:
+                    reg, _ = system.rational_region(
+                        deviation_region(system, f, n, delta))
+                    regions[key] = reg, 1 - region_measure(system.measure.tag,
+                                                           reg)
+            except BudgetExceededError:
+                break
+            reg, err = regions[key]
+            if err <= cap:
+                found = {"trivial": False, "n": n, "delta": delta,
+                         "err": err, "region": reg,
+                         "open": EffectiveOpen(
+                             system.space,
+                             exact_prefix=region_to_balls(system, reg)),
+                         "observable": obs_json}
+                state["n"] = n
+                break
         windows[j] = found if found is not None else _trivial(j)
         return windows[j]
 
@@ -187,28 +155,9 @@ def bc_exact_windows(system: System, f: Observable,
 # Literal windows from almost-sure rate certificates
 
 
-def _cyl_range(g: CylinderFn, partial: str) -> Interval:
-    """Range of g over all infinite words extending `partial`."""
-    k = g.depth
-    if len(partial) >= k:
-        v = g.value_on_word(partial)
-        return Interval.point(v)
-    free = k - len(partial)
-    base = int(partial, 2) << free if partial else 0
-    vals = [g.table[base + s] for s in range(1 << free)]
-    return Interval(min(vals), max(vals))
-
-
 def window_sup_bound(system: System, fbar, n: int, ball: IdealBall):
     """Certified upper bound on sup over the closed ball of |A_n fbar|."""
-    if system.space.kind is SpaceKind.CANTOR:
-        w = ball.cylinder_prefix
-        tot = Interval.point(0)
-        for i in range(n):
-            tot = tot + _cyl_range(fbar, w[i:])
-        box = Interval(tot.lo / n, tot.hi / n)
-    else:
-        box = system.box_average(fbar, *ball_arc(ball), n)
+    box = system.ball_average(fbar, ball, n)
     return max(abs(box.lo), abs(box.hi))
 
 
@@ -223,7 +172,7 @@ def bc_from_rate(system: System, f: Observable,
     with per-step work capped by the enumeration index, so every answer is
     finite-time.  No exact region oracle is attached (the thresholds are
     far beyond exhaustive-region budgets)."""
-    fbar = as_concrete(system, centered(system, f))
+    fbar = system.as_concrete(centered(system, f))
     certs: dict[int, object] = {}
 
     def cert(j: int):
@@ -245,9 +194,8 @@ def bc_from_rate(system: System, f: Observable,
             if hi - lo > effort:
                 return None
             ball = IdealBall.from_index(system.space, c)
-            if system.space.kind is SpaceKind.CIRCLE \
-                    and ball.radius > pow2(min(hi, 60)):
-                return None  # defer: range bounds only sharpen on small balls
+            if system.coarse_ball_ranges and ball.radius > pow2(min(hi, 60)):
+                return None  # defer until the ball is small
             for n in range(lo, hi):
                 if window_sup_bound(system, fbar, n, ball) >= delta:
                     return None
@@ -279,7 +227,7 @@ def bc_intersect(members: list[BCSequence]) -> BCSequence:
         raise InputError("need at least one member")
     g = len(members)
     space = members[0].space
-    if any(m.space.kind is not space.kind for m in members):
+    if any(m.space is not space for m in members):
         raise InputError("members must share a space")
     pairs: list[tuple[int, int]] = []
     gen = _pair_stream(g)
@@ -346,129 +294,6 @@ def bc_intersect(members: list[BCSequence]) -> BCSequence:
 
 
 # ---------------------------------------------------------------------------
-# Digit tails (deterministic extension of a synthesized prefix)
-
-
-class _DigitTail:
-    """Extends a fixed bit prefix one digit at a time.
-
-    With tracked observables the next digit is chosen to keep the running
-    orbit sums small (each settled window of `window` digits fixes one
-    orbit point up to 2^-window); otherwise digits are 0."""
-
-    def __init__(self, base: list[int], track: list, window: int,
-                 kind: SpaceKind):
-        self.bits = list(base)
-        self.track = track
-        self.window = max(1, window)
-        self.kind = kind
-        self.sums = [Fraction(0)] * len(track)
-        # settle orbit points already fixed by the base prefix
-        self._settled = 0
-        while self._settled + self.window <= len(self.bits):
-            vals = self._values(self._settled, None)
-            for gi in range(len(track)):
-                self.sums[gi] += vals[gi]
-            self._settled += 1
-
-    def _values(self, i: int, extra: Optional[int]) -> list[Fraction]:
-        bits = self.bits[i:i + self.window] if extra is None \
-            else self.bits[i:] + [extra]
-        if self.kind is SpaceKind.CIRCLE:
-            y = Fraction(2 * int("".join(map(str, bits)), 2) + 1,
-                         1 << (len(bits) + 1))
-            return [g.eval_right(y) for g in self.track]
-        w = "".join(map(str, bits))
-        return [g.value_on_word(w) for g in self.track]
-
-    def bit(self, i: int) -> int:
-        while len(self.bits) <= i:
-            self._choose()
-        return self.bits[i]
-
-    def _choose(self):
-        t = len(self.bits)
-        i = t + 1 - self.window
-        if not self.track or i < 0:
-            self.bits.append(0)
-            return
-        best, best_score = 0, None
-        for b in (0, 1):
-            vals = self._values(i, b)
-            score = sum(abs(self.sums[gi] + vals[gi])
-                        for gi in range(len(self.track)))
-            if best_score is None or score < best_score:
-                best, best_score = b, score
-        vals = self._values(i, best)
-        for gi in range(len(self.track)):
-            self.sums[gi] += vals[gi]
-        self.bits.append(best)
-        self._settled = i + 1
-
-
-def _point_from(system: System, final: IdealBall, tail_rule: str,
-                track: list):
-    """Deterministic point inside the closed final ball."""
-    space = system.space
-    if space.kind is SpaceKind.CANTOR:
-        base = [int(c) for c in final.cylinder_prefix]
-        window = max((g.depth for g in track), default=1)
-        dt = _DigitTail(base, track, window, space.kind)
-        return CantorPoint(dt.bit)
-    if not system.shifts_digits or tail_rule == "left" or not track:
-        return CirclePoint.from_rational(final.center)
-    # dyadic arc -> binary digits of the left endpoint
-    r = final.radius
-    left = (final.center - r) % 1
-    if r.numerator != 1 or r.denominator & (r.denominator - 1):
-        return CirclePoint.from_rational(final.center)
-    depth = r.denominator.bit_length() - 2
-    if depth < 0 or left * (1 << depth) != int(left * (1 << depth)):
-        return CirclePoint.from_rational(final.center)
-    a = int(left * (1 << depth))
-    base = [int(c) for c in format(a, f"0{depth}b")] if depth else []
-    dt = _DigitTail(base, track, BALANCE_WINDOW, space.kind)
-
-    def approx(m: int) -> Fraction:
-        d = m + 2
-        v = Fraction(sum(dt.bit(i) << (d - 1 - i) for i in range(d)), 1 << d)
-        return v + pow2(d + 1)  # midpoint of the remaining digit interval
-
-    return CirclePoint(CReal(approx))
-
-
-def _inside_ball(space: Space, inner: IdealBall, outer: IdealBall,
-                 strict: bool) -> bool:
-    """Closure of `inner` inside `outer` (open if strict, closed if not)."""
-    if space.kind is SpaceKind.CANTOR:
-        ki, ko = inner.cylinder_depth, outer.cylinder_depth
-        return ki >= ko and inner.cylinder_prefix[:ko] == outer.cylinder_prefix
-    gap = outer.radius - circle_dist(inner.center, outer.center) \
-        - inner.radius
-    return gap > 0 if strict else gap >= 0
-
-
-def _candidates(space: Space, cur: IdealBall, depth: int):
-    """Canonical depth-`depth` refinements whose closure lies in `cur`."""
-    if space.kind is SpaceKind.CANTOR:
-        w = cur.cylinder_prefix
-        free = depth - len(w)
-        if free < 0:
-            return
-        for s in range(1 << free):
-            prefix = w + (format(s, f"0{free}b") if free else "")
-            yield IdealBall(space, prefix, Fraction(3, 1 << (depth + 1)))
-        return
-    two = 1 << depth
-    lo, hi = ball_arc(cur)
-    a0 = math.ceil(lo * two)
-    a1 = min(math.floor(hi * two) - 1, a0 + two - 1)
-    for a in range(a0, a1 + 1):
-        yield IdealBall(space, Fraction(2 * a + 1, 2 * two) % 1,
-                        Fraction(1, 2 * two))
-
-
-# ---------------------------------------------------------------------------
 # Synthesis
 
 
@@ -517,11 +342,11 @@ class SynthPoint:
     def from_json(d: dict) -> "SynthPoint":
         system = parse_system(d["system"])
         balls = [IdealBall.from_json(b) for b in d["balls"]]
-        track = [as_concrete(system, observable_from_json(o))
+        track = [system.as_concrete(observable_from_json(o))
                  for o in d["track"]]
         sp = SynthPoint(d["system"], d["start_index"], d["windows"], balls,
                         d["certs"], d["tail_rule"], d["track"])
-        sp.point = _point_from(system, balls[-1], sp.tail_rule, track)
+        sp.point = system.point_in(balls[-1], sp.tail_rule, track)
         return sp
 
 
@@ -543,7 +368,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     tag = system.measure.tag
     if tag is None:
         raise UnsupportedInstanceError("synthesis needs an exact measure")
-    remaining = balls_to_region(tag, [target])
+    remaining = tag.region([target])
     mass = region_measure(tag, remaining)
     if mass == 0:
         raise NoMassError("target ball carries no mass")
@@ -553,14 +378,10 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     certs = []
     stream = [target]
     cur = target
-    if space.kind is SpaceKind.CANTOR:
-        depth = cur.cylinder_depth
-    else:
-        r = cur.radius
-        depth = max(0, (r.denominator // r.numerator).bit_length() - 1)
+    depth = space.depth(cur)
     for step in range(1, windows + 1):
         j = k + step - 1
-        remaining = remaining.intersect(_coerce_region(space, bc.region(j)))
+        remaining = remaining.intersect(_coerce_region(bc.region(j)))
         t_next = bc.tail(j + 1)
         u = bc.opens(j)
         if u.exact_prefix is None:
@@ -570,17 +391,17 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
         examined = 0
         for d in range(max(depth + 1, step + 1),
                        max(depth + 1, step + 1) + DEPTH_SLACK):
-            for cand in _candidates(space, cur, d):
+            for cand in space.refinements(cur, d):
                 examined += 1
                 if examined > CANDIDATE_BUDGET:
                     raise BudgetExceededError(
                         f"no admissible refinement for window {j}")
                 widx = next((w for w, b in enumerate(u.exact_prefix)
-                             if _inside_ball(space, cand, b, strict=True)),
+                             if space.inside(cand, b, strict=True)),
                             None)
                 if widx is None:
                     continue
-                inter = remaining.intersect(balls_to_region(tag, [cand]))
+                inter = remaining.intersect(tag.region([cand]))
                 m_inter = region_measure(tag, inter)
                 lam = m_inter - t_next
                 if lam <= 0:
@@ -607,12 +428,12 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
         certs.append(cert)
         stream.append(cand)
         cur = cand
-    concrete = [as_concrete(system, centered(system, t))
-                for t in (track or [])]
-    concrete = [g for g in concrete if _nonconstant(g)]
+    # centered, so a nonzero observable is a nonconstant one
+    concrete = [system.as_concrete(centered(system, t)) for t in (track or [])]
+    concrete = [g for g in concrete if g.sup_norm() != 0]
     sp = SynthPoint(system.selector(), k, windows, stream, certs, tail_rule,
                     [observable_to_json(g) for g in concrete])
-    sp.point = _point_from(system, cur, tail_rule, concrete)
+    sp.point = system.point_in(cur, tail_rule, concrete)
     return sp
 
 
@@ -628,20 +449,14 @@ def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,
     cur = inter
     m_cur = m_inter
     for jj in range(j + 1, support + 1):
-        cur = cur.intersect(_coerce_region(system.space, bc.region(jj)))
+        cur = cur.intersect(_coerce_region(bc.region(jj)))
         m_cur = region_measure(tag, cur)
         if m_cur <= lazy_tail:
             return None
     return m_cur - lazy_tail
 
 
-def _nonconstant(g) -> bool:
-    if isinstance(g, CylinderFn):
-        return g.depth > 0 and len(set(g.table)) > 1
-    return g.total_variation() != 0 or g.sup_norm() != 0
-
-
-def _coerce_region(space: Space, region):
+def _coerce_region(region):
     if isinstance(region, (ArcSet, CylSet)):
         return region
     raise UnsupportedInstanceError("window region is not an exact region")
@@ -649,23 +464,6 @@ def _coerce_region(space: Space, region):
 
 # ---------------------------------------------------------------------------
 # Replay
-
-
-def _region_contains_ball(region, ball: IdealBall) -> bool:
-    if isinstance(region, CylSet):
-        return region.contains_word_prefix(ball.cylinder_prefix)
-    a, b = ball_arc(ball)
-    for lo, hi in region.components():
-        for shift in (0, 1):
-            if _le(lo, a + shift) and _le(b + shift, hi):
-                return True
-    return region.measure() == 1
-
-
-def _le(x, y) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x <= y
-    return (Quad.of(y) - Quad.of(x)).sign() >= 0
 
 
 def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
@@ -684,14 +482,14 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
     for i in range(1, len(balls)):
         if balls[i].radius > pow2(i):
             failures.append(f"ball {i}: radius above 2^-{i}")
-        if not _inside_ball(space, balls[i], balls[i - 1], strict=False):
+        if not space.inside(balls[i], balls[i - 1]):
             failures.append(f"ball {i}: not nested in ball {i - 1}")
     checked = 0
     for cert in sp.certs:
         j = cert["index"]
         witness = IdealBall.from_json(cert["witness"])
         ball = IdealBall.from_json(cert["ball"])
-        if not _inside_ball(space, ball, witness, strict=True):
+        if not space.inside(ball, witness, strict=True):
             failures.append(f"window {j}: accepted ball escapes witness")
         if ball_member(space, witness, point, cert["precision"]) \
                 is not Membership.IN:
@@ -703,7 +501,7 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
         n = cert["n"]
         delta = parse_rat(cert["delta"])
         region = deviation_region(system, obs, n, delta)
-        if not _region_contains_ball(region, witness):
+        if not region.contains_ball(witness):
             failures.append(f"window {j}: witness outside deviation region")
         if check_eval:
             mean = integral(system, obs)
@@ -722,17 +520,8 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
 def dense_sequence(system: System, bc: BCSequence, count: int,
                    windows: int = 6) -> list[SynthPoint]:
     """Members of every positive-mass ideal ball, in canonical ball order."""
-    out = []
-    idx = 0
-    while len(out) < count:
-        ball = IdealBall.from_index(system.space, idx)
-        idx += 1
-        if ball.radius > 1:
-            continue
-        if not support_hit(system.measure, ball):
-            continue
-        out.append(synthesize_point(system, bc, ball, windows))
-    return out
+    return [synthesize_point(system, bc, ball, windows)
+            for ball in itertools.islice(_mass_balls(system), count)]
 
 
 def typical_point(system: System, members: int, windows: int = 8,
@@ -753,17 +542,17 @@ def typical_point(system: System, members: int, windows: int = 8,
                             deltas=deltas, count=window_count, max_n=max_n)
            for i in range(members)]
     bc = bc_intersect(bcs)
-    target = _first_mass_ball(system)
+    target = next(_mass_balls(system))
     return synthesize_point(system, bc, target, windows, track=list(terms))
 
 
-def _first_mass_ball(system: System) -> IdealBall:
-    idx = 0
-    while True:
+def _mass_balls(system: System):
+    """Canonical ideal balls of radius <= 1 that carry positive mass, in
+    index order."""
+    for idx in itertools.count():
         ball = IdealBall.from_index(system.space, idx)
-        idx += 1
         if ball.radius <= 1 and support_hit(system.measure, ball):
-            return ball
+            yield ball
 
 
 def horizon_tolerance(sp: SynthPoint) -> Optional[Fraction]:

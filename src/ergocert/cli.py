@@ -16,13 +16,13 @@ from pathlib import Path
 from .arith import fmt_rat, parse_rat, pow2
 from .bc import (SynthPoint, bc_exact_windows, replay_synth,
                  synthesize_point, typical_point)
-from .dynamics import System, builtin_systems, parse_system
+from .dynamics import builtin_systems, parse_system
 from .errors import BudgetExceededError, ErgocertError, InputError
 from .measures import IdealMeasure, w1_ideal
 from .observables import observable_from_json
 from .rates import (RateCertificate, as_rate_bounded, as_rate_l1,
                     check_certificate, l_rate, validate_as)
-from .spaces import CANTOR, CIRCLE, IdealBall
+from .spaces import IdealBall, space_named
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -76,11 +76,8 @@ def _frac(s: str, what: str) -> Fraction:
 def _cmd_systems(args) -> int:
     out = []
     for s in builtin_systems():
-        out.append({"selector": s.selector(),
-                    "space": s.space.kind.value,
-                    "map": s.name,
-                    "measure": ("lebesgue" if s.space.kind.value == "circle"
-                                else f"bernoulli({fmt_rat(s.p)})")})
+        out.append({"selector": s.selector(), "space": s.space.name,
+                    "map": s.name, "measure": s.measure.tag.label})
     _emit(args, {"systems": out})
     return EXIT_OK
 
@@ -119,15 +116,11 @@ def _cmd_validate(args) -> int:
     return code
 
 
-def _make_bc(system: System, f, count: int):
-    return bc_exact_windows(system, f, caps=lambda j: pow2(j), count=count)
-
-
 def _cmd_synthesize(args) -> int:
     system = parse_system(args.system)
     f = _load_observable(args.observable)
     target = IdealBall.from_json(_load_json_arg(args.target, "target ball"))
-    bc = _make_bc(system, f, args.count)
+    bc = bc_exact_windows(system, f, caps=lambda j: pow2(j), count=args.count)
     sp = synthesize_point(system, bc, target, windows=args.windows,
                           track=[f])
     _emit(args, sp.to_json())
@@ -142,7 +135,7 @@ def _cmd_typical(args) -> int:
 
 
 def _cmd_w1(args) -> int:
-    space = CIRCLE if args.space == "circle" else CANTOR
+    space = space_named(args.space)
     mu1 = IdealMeasure.from_json(space, _load_json_arg(args.mu1, "mu1"))
     mu2 = IdealMeasure.from_json(space, _load_json_arg(args.mu2, "mu2"))
     value, plan = w1_ideal(space, mu1, mu2)
@@ -238,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "optionally measure it against a horizon)")
     p.add_argument("--certificate", required=True)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--mode", default="EXACT_CYLINDER",
-                   choices=["EXACT_CYLINDER", "EXACT_ARC", "SAMPLED"])
+    p.add_argument("--mode", choices=["EXACT_CYLINDER", "EXACT_ARC", "SAMPLED"],
+                   help="default: the exact mode of the certificate's system")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("synthesize",
@@ -272,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-float",
                        help="contrast IEEE-double and exact orbits")
-    p.add_argument("--system", default="doubling", choices=["doubling"])
     p.add_argument("--x0", default="1/10")
     p.add_argument("--steps", type=int, default=64)
     p.set_defaults(fn=_cmd_demo_float)
@@ -286,7 +278,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as e:
         print(json.dumps({"error": "input", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_INPUT
@@ -296,10 +289,6 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ErgocertError as e:
         print(json.dumps({"error": type(e).__name__, "detail": str(e)}),
-              file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
-        print(json.dumps({"error": "input", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad, mod1,
-                    parse_rat, pow2)
+from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
+                    mod1, parse_rat, pow2)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .measures import (ComputableMeasure, bernoulli_measure, lebesgue_measure)
 from .observables import CylinderFn, FTerm, PiecewiseLinear, pl_inner, pl_sum
 from .regions import ArcSet, CylSet
-from .spaces import (CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space,
-                     SpaceKind, ball_arc)
+from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, EffectiveOpen,
+                     IdealBall, Space, ball_arc)
 
 #: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
 CYLINDER_BUDGET_LOG2 = 24
@@ -32,6 +32,8 @@ SEGMENT_BUDGET = 1 << 21
 CORRELATION_CUTOFF = 120
 #: largest octave that is searched linearly for the minimal p
 SCAN_CAP = 2048
+#: digit window used when scoring partial orbit points of a digit tail
+BALANCE_WINDOW = 24
 #: denominators of the continued-fraction convergents of sqrt(2)-1
 PELL_DENOMINATORS = [1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741, 13860,
                      33461, 80782, 195025]
@@ -42,24 +44,54 @@ Observable = Union[PiecewiseLinear, CylinderFn, FTerm]
 class System:
     """A built-in measure-preserving system.
 
-    Each subclass owns every choice that depends on the map: the map step,
-    the exact average A_n, the L2 route, preimages, the p-search schedule
-    and the defaults of exact Borel-Cantelli windows.  The base class holds
-    the route shared by the two mixing systems: ||A_p fbar||_2^2 from the
-    correlations C(m) of fbar, and a doubling-then-scan p-search."""
+    Each subclass owns every choice that depends on the map or on the
+    invariant measure: the concrete observable class and its integral, the
+    map step, the exact average A_n, the L2 route, preimages, the p-search
+    schedule, exact regions and their ball lists, the exact validation
+    mode and the defaults of exact Borel-Cantelli windows.  The base class
+    holds the route shared by the two mixing systems: ||A_p fbar||_2^2 from
+    the correlations C(m) of fbar, and a doubling-then-scan p-search."""
 
     name: str
     space: Space
     measure: ComputableMeasure
+    #: observable class the exact machinery works on
+    concrete: type
+    #: how error messages name the system family
+    where: str
+    #: validate_as mode that measures a deviation event exactly
+    exact_mode: str
     #: smallest deviation level of the default exact BC windows
     bc_delta_floor = Fraction(1, 4)
     #: largest n of the default exact BC windows
     bc_max_n: int
-    #: the map shifts binary digits, so a digit tail steers the orbit sums
-    shifts_digits = False
+    #: ranges over a ball only sharpen as the ball shrinks
+    coarse_ball_ranges = False
 
     def selector(self) -> str:
         return self.name
+
+    def as_concrete(self, f: Observable):
+        """Resolve an observable to the concrete class of the system."""
+        if isinstance(f, FTerm):
+            return f.concrete(self.concrete)
+        if not isinstance(f, self.concrete):
+            raise UnsupportedPairError(
+                f"{type(f).__name__} observable on {self.where}")
+        return f
+
+    def exceed_mass(self, f: Observable, n: int, delta: Fraction):
+        """Exact mu{|A_n fbar| >= delta} when it is cheaper than the region
+        itself, else None."""
+        return None
+
+    def rational_region(self, region):
+        """(region with rational endpoints, exact bound on the mass lost)."""
+        return region, Fraction(0)
+
+    def full_region(self):
+        """The whole space as an exact region."""
+        return self.measure.tag.region(self.space.cover())
 
     def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
         if corr is None:
@@ -98,6 +130,9 @@ class Shift(System):
 
     name = "shift"
     space = CANTOR
+    concrete = CylinderFn
+    where = "the shift"
+    exact_mode = "EXACT_CYLINDER"
     bc_max_n = 18
 
     def __init__(self, p: Fraction):
@@ -111,11 +146,9 @@ class Shift(System):
         return x.prefix(m + 1)[1:]
 
     def orbit_enclosure(self, g: CylinderFn, x, n: int, m_in: int) -> Interval:
-        w = x.prefix(n + g.depth - 1 if g.depth else n)
-        tot = Fraction(0)
-        for i in range(n):
-            tot += g.value_on_word(w[i:])
-        return Interval.point(tot / n)
+        # exact: the average reads no more than these symbols
+        word = x.prefix(n + g.depth - 1 if g.depth else n)
+        return self.ball_average(g, CANTOR.cylinder_ball(word), n)
 
     def orbit_values(self, g: CylinderFn, x: Fraction, count: int):
         # the sample's binary expansion is the symbol sequence
@@ -130,8 +163,7 @@ class Shift(System):
             return g
         if d > CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-        den = math.lcm(*[v.denominator for v in g.table])
-        nums = [int(v * den) for v in g.table]
+        den, nums = _over_common_denominator(g)
         mask = (1 << k) - 1
         table = []
         for w in range(1 << d):
@@ -154,12 +186,80 @@ class Shift(System):
         w = ball.cylinder_prefix
         return CylSet(["0" + w, "1" + w])
 
+    def integral(self, g: CylinderFn) -> Fraction:
+        return g.integral(self.p)
+
+    def l1_norm(self, g: CylinderFn) -> Fraction:
+        return CylinderFn(g.depth, [abs(v) for v in g.table]).integral(self.p)
+
+    def sublevel(self, a: CylinderFn, delta: Fraction) -> CylSet:
+        return a.cylinders_below_abs(delta)
+
+    def region_balls(self, region: CylSet) -> list[IdealBall]:
+        return [CANTOR.cylinder_ball(w) for w in region.prefixes]
+
+    def exceed_mass(self, f: Observable, n: int, delta: Fraction):
+        a = birkhoff_observable(self, centered(self, f), n)
+        return CylinderFn(a.depth, [abs(v) >= delta for v in a.table]
+                          ).integral(self.p)
+
+    def ball_average(self, g: CylinderFn, ball: IdealBall, n: int) -> Interval:
+        w = ball.cylinder_prefix
+        tot = Interval.point(0)
+        for i in range(n):
+            tot = tot + g.range_on_prefix(w[i:])
+        return Interval(tot.lo / n, tot.hi / n)
+
+    def input_bits(self, g: CylinderFn, n: int, m: int) -> int:
+        return 0  # cylinder averages read their symbols exactly
+
+    def value_on_digits(self, g: CylinderFn, bits: list[int]) -> Fraction:
+        return g.value_on_word("".join(map(str, bits)))
+
+    def point_in(self, final: IdealBall, tail_rule: str, track: list):
+        # the digit tail always steers; tail_rule only matters on circles
+        window = max((g.depth for g in track), default=1)
+        tail = _DigitTail([int(c) for c in final.cylinder_prefix], track,
+                          window, self.value_on_digits)
+        return CantorPoint(tail.bit)
+
+    def window_mass(self, g: CylinderFn, window: range,
+                    delta: Fraction) -> Fraction:
+        """Exact mu{max_{n in window} |A_n g| > delta} by enumerating the
+        cylinders the horizon reads."""
+        k = g.depth
+        horizon = window.stop - 1
+        d = horizon + k - 1 if k else 1
+        if d > CYLINDER_BUDGET_LOG2:
+            raise BudgetExceededError(f"validation needs 2^{d} cylinders")
+        den, nums = _over_common_denominator(g)
+        mask = (1 << k) - 1 if k else 0
+        dn, dd = delta.numerator, delta.denominator
+        exceeded = [0] * (1 << d)
+        for w in range(1 << d):
+            s = 0
+            for n in range(1, horizon + 1):
+                s += nums[(w >> (d - n - k + 1)) & mask] if k else nums[0]
+                if n in window and abs(s) * dd > dn * den * n:
+                    exceeded[w] = 1
+                    break
+        return CylinderFn(d, exceeded).integral(self.p)
+
+
+def _over_common_denominator(g: CylinderFn) -> tuple[int, list[int]]:
+    den = math.lcm(*[v.denominator for v in g.table])
+    return den, [int(v * den) for v in g.table]
+
 
 class CircleMap(System):
     """A Lebesgue-preserving map of the circle; subclasses give the image
     of a real-line interval under T^i and the terms of the average."""
 
     space = CIRCLE
+    concrete = PiecewiseLinear
+    where = "a circle system"
+    exact_mode = "EXACT_ARC"
+    coarse_ball_ranges = True
     #: input bits each map step costs (log2 of the map's expansion)
     bits_per_step = 0
 
@@ -192,13 +292,64 @@ class CircleMap(System):
     def preimage(self, ball: IdealBall) -> ArcSet:
         return ArcSet.from_raw(self._preimage_arcs(*ball_arc(ball)))
 
+    def integral(self, g: PiecewiseLinear):
+        return g.integral()
+
+    def l1_norm(self, g: PiecewiseLinear):
+        return g.abs_integral()
+
+    def sublevel(self, a: PiecewiseLinear, delta: Fraction) -> ArcSet:
+        return a.arcs_below_abs(delta)
+
+    def region_balls(self, region: ArcSet) -> list[IdealBall]:
+        # split every arc so each piece is shorter than 1/2 (a circle ball
+        # of radius >= 1/2 is the whole space, not an arc)
+        balls = []
+        for a, b in region.components():
+            width = b - a
+            parts = 1
+            while width / parts >= Fraction(1, 2):
+                parts += 1
+            step = width / parts
+            for i in range(parts):
+                lo, hi = a + step * i, a + step * (i + 1)
+                c = mod1((lo + hi) / 2)
+                if not isinstance(c, Fraction):
+                    raise UnsupportedPairError(
+                        "ball conversion needs rational arcs")
+                balls.append(IdealBall(CIRCLE, c, (hi - lo) / 2))
+        return balls
+
+    def ball_average(self, g: PiecewiseLinear, ball: IdealBall,
+                     n: int) -> Interval:
+        return self.box_average(g, *ball_arc(ball), n)
+
+    def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
+        return m + 2 + self.bits_per_step * n + _slope_bits(g)
+
+    def point_in(self, final: IdealBall, tail_rule: str, track: list):
+        return CirclePoint.from_rational(final.center)
+
+    def window_mass(self, g: PiecewiseLinear, window: range,
+                    delta: Fraction) -> Fraction:
+        """Exact mu{max_{n in window} |A_n g| > delta} from the arcs where
+        the envelope of the averages exceeds delta (rounded up when the
+        arcs are irrational)."""
+        env = None
+        for n in window:
+            a = birkhoff_observable(self, g, n).abs()
+            env = a if env is None else env.max_with(a)
+        mass = env.arcs_above(delta).measure()
+        if not isinstance(mass, Fraction):
+            mass = mass.approx(60) + pow2(60)
+        return mass
+
 
 class Doubling(CircleMap):
     """x -> 2x mod 1."""
 
     name = "doubling"
     bc_max_n = 14
-    shifts_digits = True
     bits_per_step = 1
 
     def _step_box(self, box: Interval, m: int) -> Interval:
@@ -233,6 +384,34 @@ class Doubling(CircleMap):
     def _preimage_arcs(self, a, b) -> list:
         half = Fraction(1, 2)
         return [(a * half, b * half), (a * half + half, b * half + half)]
+
+    def value_on_digits(self, g: PiecewiseLinear, bits: list[int]) -> Fraction:
+        # the map shifts binary digits: probe the dyadic interval they fix
+        return g.eval_right(Fraction(2 * int("".join(map(str, bits)), 2) + 1,
+                                     1 << (len(bits) + 1)))
+
+    def point_in(self, final: IdealBall, tail_rule: str, track: list):
+        """The left endpoint's binary digits, continued by a digit tail
+        that keeps the tracked orbit sums balanced (the centre when the
+        ball is not a dyadic arc, under tail_rule "left", or untracked)."""
+        r = final.radius
+        depth = r.denominator.bit_length() - 2
+        left = (final.center - r) % 1 * (1 << max(depth, 0))
+        if tail_rule == "left" or not track or r.numerator != 1 \
+                or r.denominator & (r.denominator - 1) or depth < 0 \
+                or left.denominator != 1:
+            return super().point_in(final, tail_rule, track)
+        base = [int(c) for c in format(int(left), f"0{depth}b")] \
+            if depth else []
+        tail = _DigitTail(base, track, BALANCE_WINDOW, self.value_on_digits)
+
+        def approx(m: int) -> Fraction:
+            d = m + 2
+            v = Fraction(sum(tail.bit(i) << (d - 1 - i) for i in range(d)),
+                         1 << d)
+            return v + pow2(d + 1)  # midpoint of the remaining digit interval
+
+        return CirclePoint(CReal(approx))
 
 
 class Rotation(CircleMap):
@@ -290,6 +469,11 @@ class Rotation(CircleMap):
     def _preimage_arcs(self, a, b) -> list:
         return [(a - self.alpha, b - self.alpha)]
 
+    def rational_region(self, region: ArcSet):
+        # the breakpoints b - i*alpha are irrational: shrink every arc
+        # inward to the 2^-48 grid
+        return region.to_rational_inner(pow2(48))
+
 
 def doubling_system() -> System:
     return Doubling()
@@ -330,44 +514,15 @@ def builtin_systems() -> list[System]:
 # Observables vs systems
 
 
-def as_concrete(system: System, f: Observable):
-    """Resolve an observable to the system's concrete class (PL on the
-    circle, cylinder function on Cantor space)."""
-    if isinstance(f, FTerm):
-        if system.space.kind is SpaceKind.CIRCLE:
-            return f.to_piecewise_linear()
-        return f.to_cylinder()
-    if system.space.kind is SpaceKind.CIRCLE:
-        if not isinstance(f, PiecewiseLinear):
-            raise UnsupportedPairError(
-                f"{type(f).__name__} observable on a circle system")
-        return f
-    if not isinstance(f, CylinderFn):
-        raise UnsupportedPairError(
-            f"{type(f).__name__} observable on the shift")
-    return f
-
-
 def integral(system: System, f: Observable) -> Fraction:
     """Exact integral of f against the invariant measure."""
-    g = as_concrete(system, f)
-    if isinstance(g, PiecewiseLinear):
-        return g.integral()
-    return g.integral(system.p)
+    return system.integral(system.as_concrete(f))
 
 
 def centered(system: System, f: Observable):
     """f - integral(f), in concrete form."""
-    g = as_concrete(system, f)
-    return g.add_const(-integral(system, f))
-
-
-def sup_norm_bound(f: Observable) -> Fraction:
-    """Exact sup norm for concrete observables; a valid upper bound for
-    expression trees."""
-    if isinstance(f, FTerm):
-        return f.sup_norm_bound()
-    return f.sup_norm()
+    g = system.as_concrete(f)
+    return g.add_const(-system.integral(g))
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +537,22 @@ def apply_map(system: System, x, m: int):
     return system.step(x, m)
 
 
-def birkhoff_enclosure(system: System, f: Observable, x, n: int,
-                       m_in: int) -> Interval:
-    """Enclosure of A_n f(x) from input precision m_in (no refinement)."""
-    return system.orbit_enclosure(as_concrete(system, f), x, n, m_in)
-
-
 def birkhoff_eval(system: System, f: Observable, x, n: int, m: int,
                   budget: int = DEFAULT_STEP_BUDGET) -> Interval:
     """Certified enclosure of A_n f(x) of width <= 2^-m.
 
-    Input precision starts at the structural requirement (n + m plus slope
-    overhead for the doubling map) and doubles until the width target is
-    met; a persistent straddle of a discontinuity raises PRECISION_STALL."""
+    Input precision starts at the system's structural requirement (n + m
+    plus slope overhead on the circle, nothing on the shift, whose
+    enclosures are exact) and grows until the width target is met; a
+    persistent straddle of a discontinuity raises PRECISION_STALL."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if system.space.kind is SpaceKind.CANTOR:
-        return birkhoff_enclosure(system, f, x, n, 0)
+    g = system.as_concrete(f)
     target = pow2(m)
-    m_in = m + 2 + system.bits_per_step * n + _slope_bits(as_concrete(system, f))
+    m_in = system.input_bits(g, n, m)
     best = None
     for _ in range(budget):
-        out = birkhoff_enclosure(system, f, x, n, m_in)
+        out = system.orbit_enclosure(g, x, n, m_in)
         if best is None:
             best = out
         else:
@@ -431,7 +580,7 @@ def birkhoff_observable(system: System, f: Observable, n: int):
     """A_n f as an exact concrete observable (budget-capped)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    return system.average(as_concrete(system, f), n)
+    return system.average(system.as_concrete(f), n)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +646,6 @@ def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
     return CylinderFn(k + m, table).integral(prob)
 
 
-def l1_norm(system: System, g) -> Fraction:
-    """Exact ||g||_1 under the invariant measure, for a concrete g (a
-    Quad for rotation averages with irrational breakpoints)."""
-    if isinstance(g, CylinderFn):
-        return CylinderFn(g.depth, [abs(v) for v in g.table]).integral(system.p)
-    return g.abs_integral()
-
-
 def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
     """Exact norm of A_p(f - integral f).
 
@@ -519,7 +660,7 @@ def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
             return box.lo
         raise BudgetExceededError("exact L2 norm out of range; "
                                   "use l2_sq_enclosure for a certified bound")
-    val = l1_norm(system, birkhoff_observable(system, centered(system, f), p))
+    val = system.l1_norm(birkhoff_observable(system, centered(system, f), p))
     if isinstance(val, Quad):
         raise BudgetExceededError("rotation L1 norm is irrational; "
                                   "use rotation_sup_bound for a certificate")
@@ -548,44 +689,13 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     if delta <= 0:
         raise InputError("delta must be positive")
     a = birkhoff_observable(system, centered(system, f), n)
-    if isinstance(a, CylinderFn):
-        cyls = []
-        for w in range(1 << a.depth):
-            if abs(a.table[w]) < delta:
-                cyls.append(format(w, f"0{a.depth}b") if a.depth else "")
-        return CylSet(cyls)
-    return a.arcs_below_abs(delta)
+    return system.sublevel(a, delta)
 
 
-def region_to_balls(space: Space, region) -> list[IdealBall]:
-    """Represent an exact region as a finite union of ideal balls (arcs are
-    split below the half-circle scale; cylinders map to canonical balls)."""
-    if isinstance(region, CylSet):
-        return [IdealBall(space, w, Fraction(3, 1 << (len(w) + 1)))
-                for w in region.prefixes]
-    balls = []
-    for a, b in region.components():
-        balls.extend(_arc_to_balls(space, a, b))
-    return balls
-
-
-def _arc_to_balls(space: Space, a, b) -> list[IdealBall]:
-    # split so every piece is shorter than 1/2 (a circle ball of radius
-    # >= 1/2 is the whole space, not an arc)
-    pieces = []
-    width = b - a
-    parts = 1
-    while width / parts >= Fraction(1, 2):
-        parts += 1
-    step = width / parts
-    for i in range(parts):
-        lo, hi = a + step * i, a + step * (i + 1)
-        c = mod1((lo + hi) / 2)
-        r = (hi - lo) / 2
-        if not isinstance(c, Fraction):
-            raise UnsupportedPairError("ball conversion needs rational arcs")
-        pieces.append(IdealBall(space, c, r))
-    return pieces
+def region_to_balls(system: System, region) -> list[IdealBall]:
+    """An exact region as a finite union of ideal balls (arcs are split
+    below the half-circle scale; cylinders map to canonical balls)."""
+    return system.region_balls(region)
 
 
 def deviation_open(system: System, f: Observable, n: int,
@@ -593,13 +703,10 @@ def deviation_open(system: System, f: Observable, n: int,
     """{x : |A_n(f - integral f)(x)| < delta} as an effective open with
     exact_prefix.  Rotation regions are shrunk to rational endpoints; the
     lost mass is recorded in measure_defect."""
-    region = deviation_region(system, f, n, delta)
-    defect = Fraction(0)
-    if isinstance(region, ArcSet) and any(
-            not isinstance(e, Fraction) for arc in region.arcs for e in arc):
-        region, defect = region.to_rational_inner(pow2(48))
-    balls = region_to_balls(system.space, region)
-    return EffectiveOpen(system.space, exact_prefix=balls,
+    region, defect = system.rational_region(
+        deviation_region(system, f, n, delta))
+    return EffectiveOpen(system.space,
+                         exact_prefix=region_to_balls(system, region),
                          measure_defect=defect)
 
 
@@ -610,3 +717,58 @@ def deviation_open(system: System, f: Observable, n: int,
 def preimage_region(system: System, ball: IdealBall):
     """T^{-1}(ball) as an exact region."""
     return system.preimage(ball)
+
+
+# ---------------------------------------------------------------------------
+# Digit tails (deterministic extension of a synthesized prefix)
+
+
+class _DigitTail:
+    """Extends a fixed bit prefix one digit at a time.
+
+    With tracked observables the next digit is chosen to keep the running
+    orbit sums small (each settled window of `window` digits fixes one
+    orbit point up to 2^-window, and `value(g, bits)` reads g there);
+    otherwise digits are 0."""
+
+    def __init__(self, base: list[int], track: list, window: int,
+                 value: Callable[[object, list[int]], Fraction]):
+        self.bits = list(base)
+        self.track = track
+        self.window = max(1, window)
+        self.value = value
+        self.sums = [Fraction(0)] * len(track)
+        # settle orbit points already fixed by the base prefix
+        self._settled = 0
+        while self._settled + self.window <= len(self.bits):
+            self._add(self._values(self._settled, None))
+            self._settled += 1
+
+    def _values(self, i: int, extra: Optional[int]) -> list[Fraction]:
+        bits = self.bits[i:i + self.window] if extra is None \
+            else self.bits[i:] + [extra]
+        return [self.value(g, bits) for g in self.track]
+
+    def _add(self, vals: list[Fraction]):
+        self.sums = [s + v for s, v in zip(self.sums, vals)]
+
+    def bit(self, i: int) -> int:
+        while len(self.bits) <= i:
+            self._choose()
+        return self.bits[i]
+
+    def _choose(self):
+        t = len(self.bits)
+        i = t + 1 - self.window
+        if not self.track or i < 0:
+            self.bits.append(0)
+            return
+        best, best_score = 0, None
+        for b in (0, 1):
+            score = sum(abs(s + v)
+                        for s, v in zip(self.sums, self._values(i, b)))
+            if best_score is None or score < best_score:
+                best, best_score = b, score
+        self._add(self._values(i, best))
+        self.bits.append(best)
+        self._settled = i + 1

@@ -8,7 +8,6 @@ Cantor space get exact measure oracles for finite unions of balls.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -16,8 +15,7 @@ from typing import Callable, Optional
 from .arith import fmt_rat, parse_rat
 from .errors import UnsupportedInstanceError
 from .regions import ArcSet, CylSet, cylinder_mass
-from .spaces import (CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space,
-                     SpaceKind, ball_arc)
+from .spaces import CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space, ball_arc
 
 
 @dataclass(frozen=True)
@@ -38,23 +36,19 @@ class IdealMeasure:
             raise ValueError("weights must sum to 1")
         object.__setattr__(
             self, "atoms",
-            tuple((p if self.space.kind is SpaceKind.CANTOR else Fraction(p), w)
-                  for (p, _), w in zip(self.atoms, ws)))
+            tuple((self.space.point(p), w) for (p, _), w in zip(self.atoms, ws)))
 
     @staticmethod
     def dirac(space: Space, point) -> "IdealMeasure":
         return IdealMeasure(space, ((point, Fraction(1)),))
 
     def to_json(self) -> list:
-        return [[p if isinstance(p, str) else fmt_rat(p), fmt_rat(w)] for p, w in self.atoms]
+        return [[self.space.point_to_json(p), fmt_rat(w)] for p, w in self.atoms]
 
     @staticmethod
     def from_json(space: Space, data: list) -> "IdealMeasure":
-        atoms = []
-        for p, w in data:
-            pt = p if space.kind is SpaceKind.CANTOR else parse_rat(p)
-            atoms.append((pt, parse_rat(w)))
-        return IdealMeasure(space, tuple(atoms))
+        return IdealMeasure(space, tuple((space.point_from_json(p), parse_rat(w))
+                                         for p, w in data))
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
     (Bellman-Ford, exact rationals).  Shortest-path augmentation keeps the
     flow extreme at every step, so the final flow is optimal; every
     augmentation exhausts a source or a sink, so at most n+m rounds."""
-    if mu1.space.kind is not space.kind or mu2.space.kind is not space.kind:
+    if mu1.space is not space or mu2.space is not space:
         raise ValueError("measures must live on the given space")
     src = list(mu1.atoms)
     snk = list(mu2.atoms)
@@ -169,26 +163,45 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
 # Computable measures with exact instance oracles
 
 
-class TagKind(enum.Enum):
-    LEBESGUE = "lebesgue"
-    BERNOULLI = "bernoulli"
-
-
-@dataclass(frozen=True)
 class MeasureTag:
-    kind: TagKind
-    p: Optional[Fraction] = None  # Bernoulli parameter (prob of symbol 1)
+    """Exact measure oracle of a built-in instance: it turns a finite union
+    of ideal balls into an exact region and weighs regions exactly."""
 
     @staticmethod
     def lebesgue() -> "MeasureTag":
-        return MeasureTag(TagKind.LEBESGUE)
+        return _Lebesgue()
 
     @staticmethod
     def bernoulli(p) -> "MeasureTag":
         p = Fraction(p)
         if not 0 <= p <= 1:
             raise ValueError("p must lie in [0,1]")
-        return MeasureTag(TagKind.BERNOULLI, p)
+        return _Bernoulli(p)
+
+
+class _Lebesgue(MeasureTag):
+    label = "lebesgue"
+
+    def region(self, balls: list[IdealBall]) -> ArcSet:
+        return ArcSet.from_raw([ball_arc(b) for b in balls])
+
+    def weigh(self, region: ArcSet) -> Fraction:
+        return region.measure()
+
+
+@dataclass(frozen=True)
+class _Bernoulli(MeasureTag):
+    p: Fraction  # probability of symbol 1
+
+    @property
+    def label(self) -> str:
+        return f"bernoulli({fmt_rat(self.p)})"
+
+    def region(self, balls: list[IdealBall]) -> CylSet:
+        return CylSet([b.cylinder_prefix for b in balls])
+
+    def weigh(self, region: CylSet) -> Fraction:
+        return region.measure(self.p)
 
 
 @dataclass
@@ -231,38 +244,24 @@ def bernoulli_measure(p) -> ComputableMeasure:
     return ComputableMeasure(CANTOR, oracle, tag)
 
 
-def balls_to_region(tag: MeasureTag, balls: list[IdealBall]):
-    if tag.kind is TagKind.LEBESGUE:
-        return ArcSet.from_raw([ball_arc(b) for b in balls])
-    return CylSet([b.cylinder_prefix for b in balls])
-
-
 def region_measure(tag: MeasureTag, region) -> Fraction:
-    if tag.kind is TagKind.LEBESGUE:
-        return region.measure()
-    return region.measure(tag.p)
+    return tag.weigh(region)
 
 
 def measure_of_finite_union(tag: Optional[MeasureTag], balls: list[IdealBall]) -> Fraction:
     """Exact measure of a finite union of ideal balls."""
     if tag is None:
         raise UnsupportedInstanceError("no exact measure oracle for this instance")
-    if not balls:
-        return Fraction(0)
-    return region_measure(tag, balls_to_region(tag, balls))
+    return region_measure(tag, tag.region(balls))
 
 
 def open_measure_lower(mu: ComputableMeasure, u: EffectiveOpen, prefix_len: int) -> Fraction:
     """Exact measure of the union of the first `prefix_len` enumerated balls;
     a nondecreasing lower bound for the measure of the whole open set."""
-    if mu.tag is None:
-        raise UnsupportedInstanceError("no exact measure oracle for this instance")
     balls = [b for b in (u.ball(k) for k in range(prefix_len)) if b is not None]
     return measure_of_finite_union(mu.tag, balls)
 
 
 def support_hit(mu: ComputableMeasure, ball: IdealBall) -> bool:
     """Decide exactly whether the ball carries positive mass."""
-    if mu.tag is None:
-        raise UnsupportedInstanceError("no exact measure oracle for this instance")
     return measure_of_finite_union(mu.tag, [ball]) > 0

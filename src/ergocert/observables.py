@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Interval, Quad, fmt_rat, mod1
-from .regions import ArcSet, cylinder_mass
-from .spaces import CANTOR, CIRCLE, Space, SpaceKind, pos_rational, unpair
+from .regions import ArcSet, CylSet, cylinder_mass
+from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
+                     space_named, unpair)
 
 
 class PiecewiseLinear:
@@ -25,6 +26,7 @@ class PiecewiseLinear:
     allowed (f(x)=x as a circle map jumps at 0)."""
 
     __slots__ = ("segments",)
+    space = CIRCLE
 
     def __init__(self, segments):
         segs = [s for s in segments if s[0] < s[1]]
@@ -386,6 +388,7 @@ class CylinderFn:
     `depth` symbols; table indexed by the word read as a binary number."""
 
     __slots__ = ("depth", "table")
+    space = CANTOR
 
     def __init__(self, depth: int, table):
         if len(table) != 1 << depth:
@@ -410,6 +413,24 @@ class CylinderFn:
         table = [Fraction(0)] * (1 << d)
         table[idx] = Fraction(1)
         return CylinderFn(d, table)
+
+    @staticmethod
+    def hat(s: str, r: Fraction, eps: Fraction) -> "CylinderFn":
+        """The Lipschitz bump g_{s,r,eps} as an exact cylinder function.
+
+        The distance to s takes values in {0} union {2^-i}; reading enough
+        symbols determines the bump value exactly (a cylinder that agrees
+        with s on all its symbols lies within 2^-depth <= r of s, where the
+        bump is 1)."""
+        depth = max(len(s), 1)
+        while Fraction(1, 1 << depth) > r:
+            depth += 1
+        table = []
+        for w in range(1 << depth):
+            d = cantor_dist(format(w, f"0{depth}b"), s)
+            v = 1 - max(d - r, Fraction(0)) / eps
+            table.append(max(Fraction(0), min(Fraction(1), v)))
+        return CylinderFn(depth, table)
 
     def value_on_word(self, w: str) -> Fraction:
         if len(w) < self.depth:
@@ -451,6 +472,23 @@ class CylinderFn:
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.table)
+
+    def range_on_prefix(self, partial: str) -> Interval:
+        """Range of the function over all infinite words extending
+        `partial`."""
+        k = self.depth
+        if len(partial) >= k:
+            return Interval.point(self.value_on_word(partial))
+        free = k - len(partial)
+        base = int(partial, 2) << free if partial else 0
+        vals = [self.table[base + s] for s in range(1 << free)]
+        return Interval(min(vals), max(vals))
+
+    def cylinders_below_abs(self, delta) -> CylSet:
+        """{x : |f(x)| < delta} as an exact cylinder set."""
+        return CylSet([format(w, f"0{self.depth}b") if self.depth else ""
+                       for w in range(1 << self.depth)
+                       if abs(self.table[w]) < delta])
 
     def integral(self, p) -> Fraction:
         """Exact expectation under Bernoulli(p).  A cylinder's mass depends
@@ -518,63 +556,28 @@ class FTerm:
         return lo, hi
 
     def to_piecewise_linear(self) -> PiecewiseLinear:
-        if self.kind == "one":
-            return PiecewiseLinear.constant(1)
-        if self.kind == "gen":
-            space, s, r, eps = self.args
-            if space.kind is not SpaceKind.CIRCLE:
-                raise ValueError("not a circle generator")
-            return PiecewiseLinear.hat(s, r, eps)
-        if self.kind == "max":
-            return self.args[0].to_piecewise_linear().max_with(self.args[1].to_piecewise_linear())
-        if self.kind == "min":
-            return self.args[0].to_piecewise_linear().min_with(self.args[1].to_piecewise_linear())
-        out = PiecewiseLinear.constant(0)
-        for c, t in self.args:
-            out = out.add(t.to_piecewise_linear().scale(c))
-        return out
+        return self.concrete(PiecewiseLinear)
 
     def to_cylinder(self) -> CylinderFn:
+        return self.concrete(CylinderFn)
+
+    def concrete(self, cls):
+        """The term as an exact `cls` observable; every generator must live
+        on `cls.space`."""
         if self.kind == "one":
-            return CylinderFn.constant(1)
+            return cls.constant(1)
         if self.kind == "gen":
             space, s, r, eps = self.args
-            if space.kind is not SpaceKind.CANTOR:
-                raise ValueError("not a Cantor generator")
-            return _cantor_bump(s, r, eps)
-        if self.kind == "max":
-            return self.args[0].to_cylinder().max_with(self.args[1].to_cylinder())
-        if self.kind == "min":
-            return self.args[0].to_cylinder().min_with(self.args[1].to_cylinder())
-        out = CylinderFn.constant(0)
+            if space is not cls.space:
+                raise ValueError(f"not a {cls.space.name} generator")
+            return cls.hat(s, r, eps)
+        if self.kind in ("max", "min"):
+            a, b = (t.concrete(cls) for t in self.args)
+            return a.max_with(b) if self.kind == "max" else a.min_with(b)
+        out = cls.constant(0)
         for c, t in self.args:
-            out = out.add(t.to_cylinder().scale(c))
+            out = out.add(t.concrete(cls).scale(c))
         return out
-
-
-def _cantor_bump(s: str, r: Fraction, eps: Fraction) -> CylinderFn:
-    """g_{s,r,eps} on Cantor space as an exact cylinder function.
-
-    The distance to s takes values in {0} union {2^-i}; reading enough
-    symbols determines the bump value exactly."""
-    depth = max(len(s), 1)
-    while Fraction(1, 1 << depth) > r:
-        depth += 1
-    table = []
-    for w in range(1 << depth):
-        word = format(w, f"0{depth}b")
-        d = _word_dist(word, s, depth)
-        v = 1 - max(d - r, Fraction(0)) / eps
-        table.append(max(Fraction(0), min(Fraction(1), v)))
-    return CylinderFn(depth, table)
-
-
-def _word_dist(word: str, s: str, depth: int) -> Fraction:
-    sp = s.ljust(depth, "0")[:depth]
-    for i in range(depth):
-        if word[i] != sp[i]:
-            return Fraction(1, 1 << i)
-    return Fraction(1, 1 << depth)  # agreement to full depth: d <= 2^-depth <= r
 
 
 def enumerate_F(space: Space, count: int) -> list[FTerm]:
@@ -591,7 +594,7 @@ _FTERM_CACHE: dict = {}
 
 
 def _decode_fterm(space: Space, n: int) -> FTerm:
-    key = (space.kind, n)
+    key = (space, n)
     if key in _FTERM_CACHE:
         return _FTERM_CACHE[key]
     if n == 0:
@@ -620,19 +623,10 @@ def _decode_fterm(space: Space, n: int) -> FTerm:
 def _decode_generator(space: Space, idx: int) -> FTerm:
     si, rest = unpair(idx)
     ri, ei = unpair(rest)
-    s = space.ideal_point(si)
-    r = pos_rational(ri)
-    eps = pos_rational(ei)
-    if space.kind is SpaceKind.CIRCLE:
-        # keep bumps well inside the circle scale
-        r = min(r, Fraction(1, 3))
-        eps = min(eps, Fraction(1, 3))
-    else:
-        # keep bumps below the Cantor diameter so no generator degenerates
-        # to a constant
-        r = min(r, Fraction(1, 4))
-        eps = min(eps, Fraction(1, 4))
-    return FTerm.generator(space, s, r, eps)
+    cap = space.bump_cap
+    return FTerm.generator(space, space.ideal_point(si),
+                           min(pos_rational(ri), cap),
+                           min(pos_rational(ei), cap))
 
 
 def _signed_rational(i: int) -> Fraction:
@@ -665,9 +659,8 @@ def _fterm_to_json(t: FTerm) -> dict:
         return {"op": "one"}
     if t.kind == "gen":
         space, s, r, eps = t.args
-        return {"op": "gen",
-                "space": "cantor" if space.kind is SpaceKind.CANTOR else "circle",
-                "s": s if isinstance(s, str) else fmt_rat(s),
+        return {"op": "gen", "space": space.name,
+                "s": space.point_to_json(s),
                 "r": fmt_rat(r), "eps": fmt_rat(eps)}
     if t.kind in ("max", "min"):
         return {"op": t.kind, "args": [_fterm_to_json(a) for a in t.args]}
@@ -697,9 +690,9 @@ def _fterm_from_json(d: dict) -> FTerm:
     if op == "one":
         return FTerm.one()
     if op == "gen":
-        space = CANTOR if d["space"] == "cantor" else CIRCLE
-        s = d["s"] if space.kind is SpaceKind.CANTOR else Fraction(d["s"])
-        return FTerm.generator(space, s, Fraction(d["r"]), Fraction(d["eps"]))
+        space = space_named(d["space"])
+        return FTerm.generator(space, space.point_from_json(d["s"]),
+                               Fraction(d["r"]), Fraction(d["eps"]))
     if op in ("max", "min"):
         a, b = (_fterm_from_json(x) for x in d["args"])
         return FTerm(op, (a, b))

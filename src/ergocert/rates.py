@@ -16,13 +16,10 @@ from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_rat, pow2
 from .errors import BudgetExceededError, InputError, UnsupportedPairError
-from .dynamics import (CORRELATION_CUTOFF, CYLINDER_BUDGET_LOG2, Observable,
-                       System, as_concrete, birkhoff_observable, centered,
-                       l1_norm, l2_sq_enclosure, l_norm_birkhoff,
-                       parse_system, rotation_sup_bound, sup_norm_bound)
-from .observables import (CylinderFn, observable_from_json,
-                          observable_to_json)
-from .spaces import SpaceKind
+from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
+                       l2_sq_enclosure, l_norm_birkhoff, parse_system,
+                       rotation_sup_bound)
+from .observables import observable_from_json, observable_to_json
 
 #: default cap on the doubling p-search
 DEFAULT_P_BUDGET = 1 << 34
@@ -145,6 +142,23 @@ class RateCertificate:
             M=opt("M"), rho=opt("rho"), tail_level=opt("tail_level"),
             delta_sub=opt("delta_sub"), guarantee=d.get("guarantee", ""))
 
+    def statement(self) -> str:
+        """The guarantee the certificate states, in its own parameters."""
+        if self.delta is None:
+            return (f"||A_m'(f-int f)||_{self.kind[-2:]} <= "
+                    f"{fmt_rat(self.epsilon)} for all m' >= {self.n0_or_m}")
+        return (f"mu(sup_(n>={self.n0_or_m}) |A_n(f-int f)| > "
+                f"{fmt_rat(self.delta)}) <= {fmt_rat(self.epsilon)}")
+
+
+def _certificate(system: System, f: Observable, **fields) -> RateCertificate:
+    """A certificate for f on the system, with its guarantee text."""
+    cert = RateCertificate(
+        system_sel=system.selector(),
+        observable=observable_to_json(system.as_concrete(f)), **fields)
+    cert.guarantee = cert.statement()
+    return cert
+
 
 def _ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
@@ -164,13 +178,9 @@ def l_rate(system: System, f: Observable, epsilon: Fraction, norm: str = "L1",
     nf = oracle.fbar_norm_upper(norm)
     n = max(1, _ceil_frac(2 * nf / epsilon))
     m = n * p
-    return RateCertificate(
-        kind=f"NORM_{norm}", system_sel=system.selector(),
-        observable=observable_to_json(as_concrete(system, f)),
-        epsilon=epsilon, delta=None, p=p, norm_bound=w, norm_method=method,
-        n0_or_m=m, n_factor=n, fbar_norm=nf,
-        guarantee=(f"||A_m'(f-int f)||_{norm} <= {fmt_rat(epsilon)} "
-                   f"for all m' >= {m}"))
+    return _certificate(system, f, kind=f"NORM_{norm}", epsilon=epsilon,
+                        delta=None, p=p, norm_bound=w, norm_method=method,
+                        n0_or_m=m, n_factor=n, fbar_norm=nf)
 
 
 def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
@@ -189,20 +199,16 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
         raise InputError("need eps, delta > 0")
     oracle = NormOracle(system, f)
     p, w, method = find_p(oracle, delta * epsilon / 2, "L1", p_budget)
-    sup = sup_norm_bound(oracle.fbar)
+    sup = oracle.fbar.sup_norm()
     n0 = max(1, _ceil_frac(Fraction(4 * (p - 1)) * sup / delta))
-    return RateCertificate(
-        kind="AS_BOUNDED", system_sel=system.selector(),
-        observable=observable_to_json(as_concrete(system, f)),
-        epsilon=epsilon, delta=delta, p=p, norm_bound=w, norm_method=method,
-        n0_or_m=n0, sup_bound=sup,
-        guarantee=(f"mu(sup_(n>={n0}) |A_n(f-int f)| > {fmt_rat(delta)}) "
-                   f"<= {fmt_rat(epsilon)}"))
+    return _certificate(system, f, kind="AS_BOUNDED", epsilon=epsilon,
+                        delta=delta, p=p, norm_bound=w, norm_method=method,
+                        n0_or_m=n0, sup_bound=sup)
 
 
 def _tail_l1(system: System, g, M: Fraction) -> Fraction:
     """Exact ||g - clamp(g, M)||_1."""
-    return l1_norm(system, g.add(g.clamp(M).scale(-1)))
+    return system.l1_norm(g.add(g.clamp(M).scale(-1)))
 
 
 def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
@@ -224,7 +230,7 @@ def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
     M = Fraction(1)
     while _tail_l1(system, g, M) > target:
         M *= 2
-        if M > sup_norm_bound(g) * 4 + 4:
+        if M > g.sup_norm() * 4 + 4:
             raise BudgetExceededError("truncation scan failed to converge")
     rho = _tail_l1(system, g, M)
     a = rho / (epsilon / 2) if rho > 0 else Fraction(0)
@@ -235,15 +241,11 @@ def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
             f"{fmt_rat(rho)} - tail level {fmt_rat(a)} = {fmt_rat(delta_sub)}")
     gm = g.clamp(M)
     sub = as_rate_bounded(system, gm, epsilon / 2, delta_sub, p_budget)
-    return RateCertificate(
-        kind="AS_L1", system_sel=system.selector(),
-        observable=observable_to_json(as_concrete(system, f)),
-        epsilon=epsilon, delta=delta, p=sub.p, norm_bound=sub.norm_bound,
-        norm_method=sub.norm_method, n0_or_m=sub.n0_or_m,
-        sup_bound=sub.sup_bound, M=M, rho=rho, tail_level=a,
-        delta_sub=delta_sub,
-        guarantee=(f"mu(sup_(n>={sub.n0_or_m}) |A_n(f-int f)| > "
-                   f"{fmt_rat(delta)}) <= {fmt_rat(epsilon)}"))
+    return _certificate(system, f, kind="AS_L1", epsilon=epsilon,
+                        delta=delta, p=sub.p, norm_bound=sub.norm_bound,
+                        norm_method=sub.norm_method, n0_or_m=sub.n0_or_m,
+                        sup_bound=sub.sup_bound, M=M, rho=rho, tail_level=a,
+                        delta_sub=delta_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
             return False, "n does not satisfy n >= 2||fbar||/eps"
         if cert.n0_or_m != cert.n_factor * cert.p:
             return False, "m != n*p"
-        return True, "ok"
+        return _check_recorded(cert, method)
     if cert.kind == "AS_BOUNDED":
         return _check_as_bounded(oracle, cert, cert.delta, cert.epsilon)
     if cert.kind == "AS_L1":
@@ -301,12 +303,21 @@ def _check_as_bounded(oracle: NormOracle, cert: RateCertificate,
         return False, f"recomputed ||A_p||_1 bound {w} > recorded"
     if not cert.norm_bound < delta * epsilon / 2:
         return False, "recorded bound does not clear delta*eps/2"
-    sup = sup_norm_bound(oracle.fbar)
+    sup = oracle.fbar.sup_norm()
     if sup > cert.sup_bound:
         return False, "recomputed sup bound exceeds recorded value"
     need = max(1, _ceil_frac(Fraction(4 * (cert.p - 1)) * cert.sup_bound / delta))
     if cert.n0_or_m < need:
         return False, f"n0 {cert.n0_or_m} below required {need}"
+    return _check_recorded(cert, method)
+
+
+def _check_recorded(cert: RateCertificate, method: str) -> tuple[bool, str]:
+    """The recorded method and guarantee text match the recomputation."""
+    if method != cert.norm_method:
+        return False, f"recorded norm_method differs from {method}"
+    if cert.guarantee != cert.statement():
+        return False, "guarantee text differs from the certified parameters"
     return True, "ok"
 
 
@@ -337,38 +348,34 @@ class ValidationReport:
         return d
 
 
+#: exact validation modes, with the systems that support them
+EXACT_MODES = {"EXACT_CYLINDER": "the shift", "EXACT_ARC": "a circle system"}
+
+
 def validate_as(system: System, f: Observable, cert: RateCertificate,
-                horizon: int, mode: str = "EXACT_CYLINDER") -> ValidationReport:
+                horizon: int, mode: Optional[str] = None) -> ValidationReport:
     """Measure mu{x : max_{n_start <= n <= horizon} |A_n(f-int f)(x)| > delta}
     and compare against the certified eps.
 
-    n_start is max(1, n0); when n0 exceeds the horizon the certified event
-    does not restrict the window at all, so the window is empty and the
-    measured mass is 0 (reported with window_empty set, instead of
-    rejecting the call: desk-scale horizons are routinely far below the
-    pessimistic n0 of the maximal-ergodic route)."""
+    `mode` defaults to the system's exact mode.  n_start is max(1, n0);
+    when n0 exceeds the horizon the certified event does not restrict the
+    window at all, so the window is empty and the measured mass is 0
+    (reported with window_empty set, instead of rejecting the call:
+    desk-scale horizons are routinely far below the pessimistic n0 of the
+    maximal-ergodic route)."""
     if cert.delta is None:
         raise InputError("only a.s. certificates validate against a horizon")
+    mode = system.exact_mode if mode is None else mode
     n0 = cert.n0_or_m
     if n0 > horizon:
         return ValidationReport(mode, horizon, n0, Fraction(0), cert.epsilon,
                                 cert.delta, True, window_empty=True)
     window = range(max(1, n0), horizon + 1)
     g = centered(system, f)
-    if mode == "EXACT_CYLINDER":
-        if system.space.kind is not SpaceKind.CANTOR:
-            raise UnsupportedPairError("EXACT_CYLINDER needs the shift")
-        mass = _exact_cylinder_mass(system, g, window, cert.delta)
-        return ValidationReport(mode, horizon, window.start, mass,
-                                cert.epsilon, cert.delta, mass <= cert.epsilon)
-    if mode == "EXACT_ARC":
-        if system.space.kind is not SpaceKind.CIRCLE:
-            raise UnsupportedPairError("EXACT_ARC needs a circle system")
-        env = _max_envelope(system, g, window)
-        exceed = env.arcs_above(cert.delta)
-        mass = exceed.measure()
-        if not isinstance(mass, Fraction):
-            mass = mass.approx(60) + pow2(60)
+    if mode in EXACT_MODES:
+        if mode != system.exact_mode:
+            raise UnsupportedPairError(f"{mode} needs {EXACT_MODES[mode]}")
+        mass = system.window_mass(g, window, cert.delta)
         return ValidationReport(mode, horizon, window.start, mass,
                                 cert.epsilon, cert.delta, mass <= cert.epsilon)
     if mode == "SAMPLED":
@@ -382,36 +389,6 @@ def validate_as(system: System, f: Observable, cert: RateCertificate,
                                 Fraction(hits, count), cert.epsilon,
                                 cert.delta, None, samples=count)
     raise InputError(f"unknown validation mode {mode!r}")
-
-
-def _exact_cylinder_mass(system: System, g: CylinderFn, window: range,
-                         delta: Fraction) -> Fraction:
-    k = g.depth
-    horizon = window.stop - 1
-    d = horizon + k - 1 if k else 1
-    if d > CYLINDER_BUDGET_LOG2:
-        raise BudgetExceededError(f"validation needs 2^{d} cylinders")
-    den = math.lcm(*[v.denominator for v in g.table])
-    nums = [int(v * den) for v in g.table]
-    mask = (1 << k) - 1 if k else 0
-    dn, dd = delta.numerator, delta.denominator
-    exceeded = [0] * (1 << d)
-    for w in range(1 << d):
-        s = 0
-        for n in range(1, horizon + 1):
-            s += nums[(w >> (d - n - k + 1)) & mask] if k else nums[0]
-            if n in window and abs(s) * dd > dn * den * n:
-                exceeded[w] = 1
-                break
-    return CylinderFn(d, exceeded).integral(system.p)
-
-
-def _max_envelope(system: System, g, window: range):
-    env = None
-    for n in window:
-        a = birkhoff_observable(system, g, n).abs()
-        env = a if env is None else env.max_with(a)
-    return env
 
 
 def _sample_exceeds(system: System, g, window: range, delta, x: Fraction) -> bool:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .arith import Quad, mod1
+from .spaces import ball_arc
 
 
 class ArcSet:
@@ -104,6 +105,15 @@ class ArcSet:
             arcs.append((last[0], first[1] + 1))
         return arcs
 
+    def contains_ball(self, ball) -> bool:
+        """Does the set contain the closed arc of a circle ball?"""
+        a, b = ball_arc(ball)
+        for lo, hi in self.components():
+            for shift in (0, 1):
+                if _le(lo, a + shift) and _le(b + shift, hi):
+                    return True
+        return self.measure() == 1
+
     def to_rational_inner(self, grain: Fraction) -> tuple["ArcSet", Fraction]:
         """Shrink each arc to rational endpoints on the grid of step `grain`.
 
@@ -124,14 +134,15 @@ class ArcSet:
         return f"ArcSet({self.arcs!r})"
 
 
+def _le(x, y) -> bool:
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x <= y
+    return (Quad.of(y) - Quad.of(x)).sign() >= 0
+
+
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    n = (x / Quad.of(grain)).floor()
-    g = grain * n
-    if Quad.of(g) < x:
-        g = grain * (n + 1)
-    return g
+    g = _floor_to_grid(x, grain)
+    return g + grain if Quad.of(g) < x else g
 
 
 def _floor_to_grid(x, grain: Fraction) -> Fraction:
@@ -161,10 +172,6 @@ class CylSet:
                     kept.discard(sib)
                     kept.add(w[:-1])
         self.prefixes = sorted(kept, key=lambda w: (len(w), w))
-
-    @staticmethod
-    def full() -> "CylSet":
-        return CylSet([""])
 
     def measure(self, p: Fraction) -> Fraction:
         p = Fraction(p)
@@ -197,6 +204,9 @@ class CylSet:
 
     def contains_word_prefix(self, word: str) -> bool:
         return any(word.startswith(w) for w in self.prefixes)
+
+    def contains_ball(self, ball) -> bool:
+        return self.contains_word_prefix(ball.cylinder_prefix)
 
     def __repr__(self):
         return f"CylSet({self.prefixes!r})"

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, floor, gcd
 from typing import Callable, Iterable, Optional
 
 from .arith import CReal, Interval, fmt_rat, mod1, parse_rat, pow2
@@ -36,68 +36,57 @@ def unpair(n: int) -> tuple[int, int]:
     return s - b, b
 
 
-def circle_point(i: int) -> Fraction:
-    """i-th rational in [0,1), ordered by denominator then numerator."""
+def _unit_rationals():
+    """(p, q) for the rationals p/q in [0,1), by denominator then
+    numerator."""
+    yield 0, 1
+    for q in itertools.count(2):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                yield p, q
+
+
+def _pos_rationals():
+    """(p, q) for the positive rationals p/q, by anti-diagonals."""
+    for s in itertools.count(2):
+        for p in range(1, s):
+            if gcd(p, s - p) == 1:
+                yield p, s - p
+
+
+def _nth(pairs, i: int) -> Fraction:
     if i < 0:
         raise ValueError("negative index")
-    q = 1
-    while True:
-        count = _totient_in_unit(q)
-        if i < count:
-            for p in range(q):
-                if gcd(p, q) == 1 or (p == 0 and q == 1):
-                    if i == 0:
-                        return Fraction(p, q)
-                    i -= 1
-        i -= count
-        q += 1
+    return Fraction(*next(itertools.islice(pairs, i, None)))
+
+
+def _index(pairs, x: Fraction) -> int:
+    key = (x.numerator, x.denominator)
+    return next(i for i, pq in enumerate(pairs) if pq == key)
+
+
+def circle_point(i: int) -> Fraction:
+    """i-th rational in [0,1), ordered by denominator then numerator."""
+    return _nth(_unit_rationals(), i)
 
 
 def circle_index(x) -> int:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("not in [0,1)")
-    q = x.denominator
-    idx = sum(_totient_in_unit(d) for d in range(1, q))
-    for p in range(q):
-        if gcd(p, q) == 1 or (p == 0 and q == 1):
-            if Fraction(p, q) == x:
-                return idx
-            idx += 1
-    raise AssertionError
-
-
-def _totient_in_unit(q: int) -> int:
-    if q == 1:
-        return 1  # just 0/1
-    return sum(1 for p in range(1, q) if gcd(p, q) == 1)
+    return _index(_unit_rationals(), x)
 
 
 def pos_rational(j: int) -> Fraction:
     """j-th positive rational, by anti-diagonals of reduced p/q."""
-    if j < 0:
-        raise ValueError("negative index")
-    for s in itertools.count(2):
-        for p in range(1, s):
-            q = s - p
-            if gcd(p, q) == 1:
-                if j == 0:
-                    return Fraction(p, q)
-                j -= 1
+    return _nth(_pos_rationals(), j)
 
 
 def pos_rational_index(r) -> int:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("not positive")
-    idx = 0
-    for s in itertools.count(2):
-        for p in range(1, s):
-            q = s - p
-            if gcd(p, q) == 1:
-                if Fraction(p, q) == r:
-                    return idx
-                idx += 1
+    return _index(_pos_rationals(), r)
 
 
 def cantor_word(i: int) -> str:
@@ -128,11 +117,6 @@ def cantor_word_index(w: str) -> int:
 # Spaces
 
 
-class SpaceKind(enum.Enum):
-    CIRCLE = "circle"
-    CANTOR = "cantor"
-
-
 def circle_dist(x, y):
     """Arc metric on [0,1); works for Fraction and Quad coordinates."""
     t = mod1(x - y)
@@ -150,23 +134,156 @@ def cantor_dist(u: str, v: str) -> Fraction:
     return Fraction(0)
 
 
-@dataclass(frozen=True)
 class Space:
-    kind: SpaceKind
+    """A computable metric space.
 
-    def ideal_point(self, i: int):
-        if self.kind is SpaceKind.CIRCLE:
-            return circle_point(i)
-        return cantor_word(i)
+    Each subclass owns every choice that depends on the metric or on how
+    ideal points and balls are encoded: the numberings, the JSON form of a
+    point, ball membership and nesting, canonical refinements, limits of
+    nested ball streams and the scale of the bump generators.  `dist` is
+    defined here only, so every distance goes through one method."""
+
+    name: str
+    #: cap on the radius and the width of a canonical bump generator
+    bump_cap: Fraction
 
     def dist(self, a, b) -> Fraction:
-        if self.kind is SpaceKind.CIRCLE:
-            return circle_dist(Fraction(a), Fraction(b))
-        return cantor_dist(a, b)
+        return self._metric(a, b)
 
 
-CIRCLE = Space(SpaceKind.CIRCLE)
-CANTOR = Space(SpaceKind.CANTOR)
+class CircleSpace(Space):
+    """The unit circle [0,1) with the arc metric; ideal points are the
+    rationals, ideal balls are open arcs."""
+
+    name = "circle"
+    bump_cap = Fraction(1, 3)  # keep bumps well inside the circle scale
+    ideal_point = staticmethod(circle_point)
+    point = staticmethod(Fraction)
+    point_to_json = staticmethod(fmt_rat)
+    point_from_json = staticmethod(parse_rat)
+
+    def _metric(self, a, b) -> Fraction:
+        return circle_dist(Fraction(a), Fraction(b))
+
+    def ball_center(self, ball: "IdealBall") -> Fraction:
+        c = Fraction(ball.center)
+        if not 0 <= c < 1:
+            raise ValueError("circle center must lie in [0,1)")
+        return c
+
+    def ball_index(self, ball: "IdealBall") -> int:
+        return pair(circle_index(ball.center), pos_rational_index(ball.radius))
+
+    def ball_at(self, a: int, b: int) -> "IdealBall":
+        return IdealBall(self, circle_point(a), pos_rational(b))
+
+    def cover(self) -> list:
+        return [IdealBall(self, Fraction(0), Fraction(1, 3)),
+                IdealBall(self, Fraction(1, 2), Fraction(1, 3))]
+
+    def member(self, ball: "IdealBall", x, m: int) -> "Membership":
+        d = _circle_dist_interval(ball.center, x.enclosure(m))
+        if d.hi < ball.radius:
+            return Membership.IN
+        if d.lo > ball.radius:
+            return Membership.OUT
+        return Membership.BOUNDARY_AT_M
+
+    def inside(self, inner: "IdealBall", outer: "IdealBall",
+               strict: bool = False) -> bool:
+        """Closure of `inner` inside the open (strict) or the closed
+        `outer` ball."""
+        gap = outer.radius - circle_dist(inner.center, outer.center) \
+            - inner.radius
+        return gap > 0 if strict else gap >= 0
+
+    def depth(self, ball: "IdealBall") -> int:
+        r = ball.radius
+        return max(0, (r.denominator // r.numerator).bit_length() - 1)
+
+    def refinements(self, cur: "IdealBall", depth: int):
+        two = 1 << depth
+        lo, hi = ball_arc(cur)
+        a0 = ceil(lo * two)
+        a1 = min(floor(hi * two) - 1, a0 + two - 1)
+        for a in range(a0, a1 + 1):
+            yield IdealBall(self, Fraction(2 * a + 1, 2 * two) % 1,
+                            Fraction(1, 2 * two))
+
+    def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CirclePoint":
+        return CirclePoint(CReal(lambda m: Fraction(fetch(m).center)))
+
+
+class CantorSpace(Space):
+    """Binary sequences with the metric 2^-(first differing index); ideal
+    points are the finite words, ideal balls are cylinders."""
+
+    name = "cantor"
+    # below the diameter, so no generator degenerates to a constant
+    bump_cap = Fraction(1, 4)
+    ideal_point = staticmethod(cantor_word)
+    _metric = staticmethod(cantor_dist)
+    # words are their own canonical and JSON form
+    point = point_to_json = point_from_json = staticmethod(lambda w: w)
+
+    def ball_center(self, ball: "IdealBall") -> str:
+        if ball.cylinder_depth is None:
+            raise ValueError("cantor radius must be 3*2^-(k+1)")
+        return str(ball.center).rstrip("0")
+
+    def ball_index(self, ball: "IdealBall") -> int:
+        return pair(cantor_word_index(ball.center), ball.cylinder_depth)
+
+    def ball_at(self, a: int, b: int) -> "IdealBall":
+        return self.cylinder_ball(cantor_word(a), b)
+
+    def cylinder_ball(self, word: str, depth: Optional[int] = None):
+        """The canonical ball of the cylinder fixing `word`, zero-padded to
+        `depth` symbols (default: the length of the word)."""
+        k = len(word) if depth is None else depth
+        return IdealBall(self, word, Fraction(3, 1 << (k + 1)))
+
+    def cover(self) -> list:
+        return [self.cylinder_ball("")]
+
+    def member(self, ball: "IdealBall", x, m: int) -> "Membership":
+        if x.prefix(ball.cylinder_depth) == ball.cylinder_prefix:
+            return Membership.IN
+        return Membership.OUT
+
+    def inside(self, inner: "IdealBall", outer: "IdealBall",
+               strict: bool = False) -> bool:
+        # cylinders are clopen: strict and closed nesting agree
+        ko = outer.cylinder_depth
+        return inner.cylinder_depth >= ko \
+            and inner.cylinder_prefix[:ko] == outer.cylinder_prefix
+
+    def depth(self, ball: "IdealBall") -> int:
+        return ball.cylinder_depth
+
+    def refinements(self, cur: "IdealBall", depth: int):
+        w = cur.cylinder_prefix
+        free = depth - len(w)
+        for s in range(1 << free) if free >= 0 else ():
+            yield self.cylinder_ball(w + (format(s, f"0{free}b") if free else ""))
+
+    def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CantorPoint":
+        # radius <= 2^-(i+1) fixes at least i+1 coordinates
+        return CantorPoint(lambda i: int(fetch(i + 1).cylinder_prefix[i]))
+
+
+CIRCLE = CircleSpace()
+CANTOR = CantorSpace()
+_BY_NAME = {s.name: s for s in (CIRCLE, CANTOR)}
+
+
+def space_named(name) -> Space:
+    """The built-in space with this JSON name; ValueError for any other."""
+    try:
+        return _BY_NAME[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown space {name!r} (expected circle | cantor)"
+                         ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +300,7 @@ class IdealBall:
         object.__setattr__(self, "radius", Fraction(self.radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.space.kind is SpaceKind.CIRCLE:
-            c = Fraction(self.center)
-            if not 0 <= c < 1:
-                raise ValueError("circle center must lie in [0,1)")
-            object.__setattr__(self, "center", c)
-        else:
-            if self.cylinder_depth is None:
-                raise ValueError("cantor radius must be 3*2^-(k+1)")
-            object.__setattr__(self, "center", str(self.center).rstrip("0"))
+        object.__setattr__(self, "center", self.space.ball_center(self))
 
     @property
     def cylinder_depth(self) -> Optional[int]:
@@ -210,29 +319,22 @@ class IdealBall:
         return self.center.ljust(k, "0")[:k]
 
     def index(self) -> int:
-        if self.space.kind is SpaceKind.CIRCLE:
-            return pair(circle_index(self.center), pos_rational_index(self.radius))
-        return pair(cantor_word_index(self.center), self.cylinder_depth)
+        return self.space.ball_index(self)
 
     @staticmethod
     def from_index(space: Space, n: int) -> "IdealBall":
-        a, b = unpair(n)
-        if space.kind is SpaceKind.CIRCLE:
-            return IdealBall(space, circle_point(a), pos_rational(b))
-        return IdealBall(space, cantor_word(a), Fraction(3, 1 << (b + 1)))
+        return space.ball_at(*unpair(n))
 
     def to_json(self) -> dict:
-        return {
-            "space": self.space.kind.value,
-            "center": fmt_rat(self.center) if self.space.kind is SpaceKind.CIRCLE else self.center,
-            "radius": fmt_rat(self.radius),
-        }
+        return {"space": self.space.name,
+                "center": self.space.point_to_json(self.center),
+                "radius": fmt_rat(self.radius)}
 
     @staticmethod
     def from_json(d: dict) -> "IdealBall":
-        space = CIRCLE if d["space"] == "circle" else CANTOR
-        center = parse_rat(d["center"]) if space.kind is SpaceKind.CIRCLE else d["center"]
-        return IdealBall(space, center, parse_rat(d["radius"]))
+        space = space_named(d["space"])
+        return IdealBall(space, space.point_from_json(d["center"]),
+                         parse_rat(d["radius"]))
 
 
 def ball_arc(ball: IdealBall) -> tuple[Fraction, Fraction]:
@@ -318,18 +420,7 @@ def _hits_mod1(c: Fraction, lo: Fraction, hi: Fraction) -> bool:
 
 
 def ball_member(space: Space, ball: IdealBall, x, m: int) -> Membership:
-    if space.kind is SpaceKind.CIRCLE:
-        d = _circle_dist_interval(ball.center, x.enclosure(m))
-        if d.hi < ball.radius:
-            return Membership.IN
-        if d.lo > ball.radius:
-            return Membership.OUT
-        return Membership.BOUNDARY_AT_M
-    k = ball.cylinder_depth
-    px = x.prefix(k)
-    if px == ball.cylinder_prefix:
-        return Membership.IN
-    return Membership.OUT
+    return space.member(ball, x, m)
 
 
 class OpenResult(enum.Enum):
@@ -365,11 +456,7 @@ class EffectiveOpen:
 
     @staticmethod
     def whole(space: Space) -> "EffectiveOpen":
-        if space.kind is SpaceKind.CIRCLE:
-            prefix = [IdealBall(space, Fraction(0), Fraction(1, 3)),
-                      IdealBall(space, Fraction(1, 2), Fraction(1, 3))]
-            return EffectiveOpen(space, exact_prefix=prefix)
-        return EffectiveOpen(space, exact_prefix=[IdealBall(space, "", Fraction(3, 2))])
+        return EffectiveOpen(space, exact_prefix=space.cover())
 
     @staticmethod
     def from_balls(space: Space, balls: list) -> "EffectiveOpen":
@@ -408,23 +495,10 @@ def refine_to_point(space: Space, balls: Iterable[IdealBall]):
             if b.radius > pow2(len(fetched)):
                 raise InvalidNestingError(
                     f"ball {len(fetched)} has radius {b.radius} > 2^-{len(fetched)}")
-            if fetched:
-                prev = fetched[-1]
-                if space.kind is SpaceKind.CIRCLE:
-                    if circle_dist(b.center, prev.center) + b.radius > prev.radius:
-                        raise InvalidNestingError("closure not contained in predecessor")
-                else:
-                    kp = prev.cylinder_depth
-                    if b.cylinder_depth < kp or b.cylinder_prefix[:kp] != prev.cylinder_prefix:
-                        raise InvalidNestingError("cylinder not contained in predecessor")
+            if fetched and not space.inside(b, fetched[-1]):
+                raise InvalidNestingError(
+                    "closure not contained in predecessor")
             fetched.append(b)
         return fetched[m]
 
-    if space.kind is SpaceKind.CIRCLE:
-        return CirclePoint(CReal(lambda m: Fraction(fetch(m).center)))
-
-    def bit(i: int) -> int:
-        b = fetch(i + 1)  # radius <= 2^-(i+1) fixes at least i+1 coordinates
-        return int(b.cylinder_prefix[i])
-
-    return CantorPoint(bit)
+    return space.limit(fetch)

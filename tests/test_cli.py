@@ -12,6 +12,7 @@ HAT = ('{"variant": "piecewise_linear", "segments": '
        '[["0", "1/8", "0", "0"], ["1/8", "1/4", "0", "1"],'
        ' ["1/4", "3/4", "1", "1"], ["3/4", "7/8", "1", "0"],'
        ' ["7/8", "1", "0", "0"]]}')
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def run(capsys, *argv):
@@ -24,7 +25,13 @@ class TestVerbs:
     def test_systems(self, capsys):
         code, out = run(capsys, "systems")
         assert code == EXIT_OK
-        assert len(out["systems"]) == 3
+        assert out["systems"] == [
+            {"selector": "doubling", "space": "circle", "map": "doubling",
+             "measure": "lebesgue"},
+            {"selector": "shift:p=1/2", "space": "cantor", "map": "shift",
+             "measure": "bernoulli(1/2)"},
+            {"selector": "rotation", "space": "circle", "map": "rotation",
+             "measure": "lebesgue"}]
 
     def test_rate_and_replay(self, capsys, tmp_path):
         art = tmp_path / "cert.json"
@@ -44,6 +51,15 @@ class TestVerbs:
         assert code == EXIT_OK
         assert out["certificate_check"]["ok"]
         assert out["horizon_validation"]["passed"]
+        # without --mode the rotation certificate is measured in its
+        # system's exact mode (EXACT_ARC), over a nonempty window
+        rot = CORPUS / "cert_rotation_hat_c_as-bounded_1-4_1-2.json"
+        code, out = run(capsys, "validate", "--certificate", str(rot),
+                        "--horizon", "52")
+        assert code == EXIT_OK
+        assert out["horizon_validation"]["mode"] == "EXACT_ARC"
+        assert out["horizon_validation"]["passed"]
+        assert not out["horizon_validation"]["window_empty"]
 
     def test_w1(self, capsys):
         mu = '[["1/4", "1"]]'
@@ -76,11 +92,10 @@ class TestCorpus:
     def test_stored_artifacts_replay(self, capsys):
         # [DERIVED: artifacts emitted by an earlier version must still
         # replay, so every file of the stored benchmark corpus is replayed]
-        corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
-        names = json.loads((corpus / "MANIFEST.json").read_text())["files"]
+        names = json.loads((CORPUS / "MANIFEST.json").read_text())["files"]
         assert names
         failed = [name for name in sorted(names)
-                  if main(["replay", "--artifact", str(corpus / name)])
+                  if main(["replay", "--artifact", str(CORPUS / name)])
                   != EXIT_OK]
         capsys.readouterr()
         assert not failed
@@ -100,6 +115,12 @@ class TestExitCodes:
                      '{"variant": "nope"}', "--eps", "1/4",
                      "--delta", "1/4"])
         assert code == EXIT_INPUT
+        # a generator on a space that does not exist
+        torus = ('{"variant": "fterm", "expr": {"op": "gen", "space": '
+                 '"torus", "s": "1/2", "r": "1/4", "eps": "1/8"}}')
+        code = main(["rate", "--system", "doubling", "--observable", torus,
+                     "--eps", "1/4", "--delta", "1/4"])
+        assert code == EXIT_INPUT
 
     def test_bad_eps(self, capsys):
         code = main(["rate", "--system", "shift:p=1/2", "--observable",
@@ -109,6 +130,12 @@ class TestExitCodes:
     def test_bad_system(self, capsys):
         code = main(["rate", "--system", "lorenz", "--observable",
                      FIRSTBIT, "--eps", "1/4", "--delta", "1/4"])
+        assert code == EXIT_INPUT
+        # a target ball on a space that does not exist
+        code = main(["synthesize", "--system", "shift:p=1/2", "--observable",
+                     FIRSTBIT, "--target", '{"space": "torus", "center": '
+                     '"1", "radius": "3/4"}', "--windows", "3", "--count",
+                     "4"])
         assert code == EXIT_INPUT
 
     def test_unreadable_artifact(self, capsys):

@@ -165,3 +165,7 @@ class TestCodec:
         # [TRIVIAL]
         with pytest.raises(ValueError, match="variant"):
             observable_from_json({"variant": "mystery"})
+        with pytest.raises(ValueError, match="torus"):
+            observable_from_json({"variant": "fterm", "expr": {
+                "op": "gen", "space": "torus", "s": "1/2", "r": "1/4",
+                "eps": "1/8"}})

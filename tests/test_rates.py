@@ -71,6 +71,14 @@ class TestEmission:
         bad.n0_or_m = 1
         ok, _ = check_certificate(bad)
         assert not ok
+        # the method and the guarantee text are compared with what the
+        # checker recomputes
+        for field, value in (("norm_method", "made-up"),
+                             ("guarantee", "mu(anything) <= 0")):
+            bad = RateCertificate.from_json(cert.to_json())
+            setattr(bad, field, value)
+            ok, _ = check_certificate(bad)
+            assert not ok, field
 
 
 class TestNormOracle:
@@ -126,6 +134,10 @@ class TestValidation:
         cert.n0_or_m = min(cert.n0_or_m, 4)
         rep = validate_as(DBL, HAT, cert, 6, "EXACT_ARC")
         assert rep.measured_mass >= 0
+        # without a mode the system's exact mode is used
+        default = validate_as(DBL, HAT, cert, 6)
+        assert default.mode == "EXACT_ARC"
+        assert default.measured_mass == rep.measured_mass
 
     def test_sampled_mode_reports_estimate(self):
         # [TRIVIAL] sampling never claims pass/fail

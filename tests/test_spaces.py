@@ -82,6 +82,9 @@ class TestBalls:
         assert b.cylinder_depth == 2 and b.cylinder_prefix == "01"
         with pytest.raises(ValueError):
             IdealBall(CANTOR, "01", F(1, 4))
+        with pytest.raises(ValueError, match="torus"):
+            IdealBall.from_json({"space": "torus", "center": "01",
+                                 "radius": "3/8"})
 
     def test_ball_index_roundtrip(self):
         # [DERIVED: effective numbering of balls is bijective where defined]
