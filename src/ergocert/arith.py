@@ -326,7 +326,8 @@ class Quad:
         return (self - Quad.of(o)).sign() >= 0
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational Quad equals its Fraction, so it must hash like it
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def floor(self) -> int:
         if self.b == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Interval, Quad, fmt_rat, mod1
+from .arith import Interval, Quad, fmt_rat, mod1, parse_rat
 from .regions import ArcSet, CylSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
                      space_named, unpair)
@@ -181,13 +181,13 @@ class PiecewiseLinear:
         return PiecewiseLinear([(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _binary(self, other, "add")
+        return pl_sum([self, other])
 
     def min_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _binary(self, other, "min")
+        return _lattice(self, other, min)
 
     def max_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _binary(self, other, "max")
+        return _lattice(self, other, max)
 
     def min_const(self, c) -> "PiecewiseLinear":
         return self.min_with(PiecewiseLinear.constant(c))
@@ -226,46 +226,31 @@ class PiecewiseLinear:
     def arcs_below_abs(self, delta) -> ArcSet:
         """{x : |f(x)| < delta} as an exact arc set (up to finitely many
         points, which carry no measure)."""
-        arcs = []
-        for a, b, va, vb in self.segments:
-            lo, hi = min(va, vb), max(va, vb)
-            if hi < delta and lo > -delta:
-                arcs.append((a, b))
-                continue
-            if lo >= delta or hi <= -delta:
-                continue
-            if vb != va:
-                slope = (vb - va) / (b - a)
-                xs = [a, b]
-                for lvl in (delta, -delta):
-                    x = a + (lvl - va) / slope
-                    if a < x < b:
-                        xs.append(x)
-                xs.sort()
-                for u, v in zip(xs, xs[1:]):
-                    midval = va + slope * ((u + v) / 2 - a)
-                    if -delta < midval < delta:
-                        arcs.append((u, v))
-            # constant segment outside the band was already skipped
-        return ArcSet(arcs)
+        return self._arcs_between(-delta, delta)
 
     def arcs_above(self, level) -> ArcSet:
         """{x : f(x) > level} as an exact arc set (up to finitely many
         points)."""
+        return self._arcs_between(level, None)
+
+    def _arcs_between(self, lo, hi) -> ArcSet:
+        """{x : lo < f(x) < hi}, unbounded above when hi is None."""
         arcs = []
         for a, b, va, vb in self.segments:
-            lo, hi = min(va, vb), max(va, vb)
-            if lo > level:
+            small, big = (va, vb) if va < vb else (vb, va)
+            if small > lo and (hi is None or big < hi):
                 arcs.append((a, b))
                 continue
-            if hi <= level:
+            if big <= lo or (hi is not None and small >= hi):
                 continue
+            # the segment meets a level, so it is not constant
             slope = (vb - va) / (b - a)
-            c = a + (level - va) / slope
-            if va > level:
-                arcs.append((a, c))
-            else:
-                arcs.append((c, b))
+            xs = sorted([a, b] + [a + (lvl - va) / slope for lvl in (lo, hi)
+                                  if lvl is not None and small < lvl < big])
+            for u, v in zip(xs, xs[1:]):
+                mid = va + slope * ((u + v) / 2 - a)
+                if lo < mid and (hi is None or mid < hi):
+                    arcs.append((u, v))
         return ArcSet(arcs)
 
     def __repr__(self):
@@ -323,19 +308,30 @@ def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:
     return PiecewiseLinear(segs)
 
 
-def _binary(f: PiecewiseLinear, g: PiecewiseLinear, op: str) -> PiecewiseLinear:
-    """Pointwise add/min/max on the merged breakpoint grid (exact crossings)."""
-    cuts = sorted(set([s[0] for s in f.segments] + [s[0] for s in g.segments]
-                      + [Fraction(1)]))
+def _cells(f: PiecewiseLinear, g: PiecewiseLinear):
+    """Walk the merged breakpoint grid of f and g: yields (a, b, fa, fb,
+    ga, gb) for each cell [a, b] on which both are linear, with the values
+    at a (right limits) and at b (left limits)."""
+    fs, gs = f.segments, g.segments
+    i = j = 0
+    a = fs[0][0]
+    while i < len(fs):
+        fseg, gseg = fs[i], gs[j]
+        b = min(fseg[1], gseg[1])
+        yield (a, b, _lerp(*fseg, a), _lerp(*fseg, b),
+               _lerp(*gseg, a), _lerp(*gseg, b))
+        if fseg[1] == b:
+            i += 1
+        if gseg[1] == b:
+            j += 1
+        a = b
+
+
+def _lattice(f: PiecewiseLinear, g: PiecewiseLinear, pick) -> PiecewiseLinear:
+    """Pointwise pick (min or max) of f and g, with exact crossings."""
     segs = []
-    for a, b in zip(cuts, cuts[1:]):
-        fa, fb = _seg_values(f, a, b)
-        ga, gb = _seg_values(g, a, b)
-        if op == "add":
-            segs.append((a, b, fa + ga, fb + gb))
-            continue
+    for a, b, fa, fb, ga, gb in _cells(f, g):
         da, db = fa - ga, fb - gb
-        pick = min if op == "min" else max
         if (da < 0 < db) or (db < 0 < da):
             x = a + (b - a) * (0 - da) / (db - da)
             fx = _lerp(a, b, fa, fb, x)
@@ -346,37 +342,39 @@ def _binary(f: PiecewiseLinear, g: PiecewiseLinear, op: str) -> PiecewiseLinear:
     return PiecewiseLinear(segs)
 
 
-def _seg_values(f: PiecewiseLinear, a, b):
-    """Values of f at a (right limit) and b (left limit); [a,b] must not
-    contain an interior breakpoint of f."""
-    seg = f._segment_at(a)
-    return _lerp(seg[0], seg[1], seg[2], seg[3], a), _lerp(seg[0], seg[1], seg[2], seg[3], b)
-
-
 def pl_inner(f: PiecewiseLinear, g: PiecewiseLinear):
     """Exact integral of the product f*g over the circle."""
-    cuts = sorted(set([s[0] for s in f.segments] + [s[0] for s in g.segments]
-                      + [Fraction(1)]))
     tot = 0
-    for a, b in zip(cuts, cuts[1:]):
-        fa, fb = _seg_values(f, a, b)
-        ga, gb = _seg_values(g, a, b)
+    for a, b, fa, fb, ga, gb in _cells(f, g):
         tot = tot + (b - a) * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb) / 6
     return tot
 
 
 def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
-    """Divide-and-conquer sum; far cheaper than folding for long lists."""
-    if not fs:
-        return PiecewiseLinear.constant(0)
-    while len(fs) > 1:
-        nxt = []
-        for i in range(0, len(fs) - 1, 2):
-            nxt.append(fs[i].add(fs[i + 1]))
-        if len(fs) % 2:
-            nxt.append(fs[-1])
-        fs = nxt
-    return fs[0]
+    """Pointwise sum of fs in one sweep.
+
+    Every term adds its value and slope at 0, and its jump in value and
+    in slope at each of its other breakpoints.  The breakpoints of all
+    terms are sorted once and the jumps accumulated from 0 to 1."""
+    value = slope = Fraction(0)
+    jumps = {}
+    for f in fs:
+        (a, b, va, vb), *rest = f.segments
+        prev = (vb - va) / (b - a)
+        value, slope, end = value + va, slope + prev, vb
+        for a, b, va, vb in rest:
+            s = (vb - va) / (b - a)
+            jumps.setdefault(a, []).append((va - end, s - prev))
+            end, prev = vb, s
+    segs = []
+    x = Fraction(0)
+    for c in sorted(jumps) + [Fraction(1)]:
+        end = value + slope * (c - x)
+        segs.append((x, c, value, end))
+        x, value = c, end
+        for dv, ds in jumps.get(c, ()):
+            value, slope = value + dv, slope + ds
+    return PiecewiseLinear(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +670,14 @@ def observable_from_json(d: dict):
     v = d.get("variant")
     if v == "piecewise_linear":
         if "segments" in d:
-            segs = [(Fraction(a), Fraction(b), Fraction(va), Fraction(vb))
+            segs = [(parse_rat(a), parse_rat(b), parse_rat(va), parse_rat(vb))
                     for a, b, va, vb in d["segments"]]
             return PiecewiseLinear(segs)
-        xs = [Fraction(x) for x in d["breakpoints"]]
-        vs = [Fraction(x) for x in d["values"]]
+        xs = [parse_rat(x) for x in d["breakpoints"]]
+        vs = [parse_rat(x) for x in d["values"]]
         return PiecewiseLinear.from_breakpoint_values(xs, vs)
     if v == "cylinder":
-        return CylinderFn(int(d["depth"]), [Fraction(x) for x in d["table"]])
+        return CylinderFn(int(d["depth"]), [parse_rat(x) for x in d["table"]])
     if v == "fterm":
         return _fterm_from_json(d["expr"])
     raise ValueError(f"unknown observable variant {v!r}")
@@ -692,11 +690,11 @@ def _fterm_from_json(d: dict) -> FTerm:
     if op == "gen":
         space = space_named(d["space"])
         return FTerm.generator(space, space.point_from_json(d["s"]),
-                               Fraction(d["r"]), Fraction(d["eps"]))
+                               parse_rat(d["r"]), parse_rat(d["eps"]))
     if op in ("max", "min"):
         a, b = (_fterm_from_json(x) for x in d["args"])
         return FTerm(op, (a, b))
     if op == "lin":
-        return FTerm("lin", tuple((Fraction(c), _fterm_from_json(x))
+        return FTerm("lin", tuple((parse_rat(c), _fterm_from_json(x))
                                   for c, x in d["terms"]))
     raise ValueError(f"unknown expression node {op!r}")

@@ -92,6 +92,14 @@ class TestQuad:
         q2 = Quad(F(1393, 985), -1)
         assert q2.sign() == -1
 
+    def test_hash_matches_equal_fraction(self):
+        # [DERIVED: equal objects must hash equal, so a set or dict keyed
+        # by breakpoints holds one entry for a rational Quad and its
+        # Fraction]
+        assert Quad(F(1, 2)) == F(1, 2)
+        assert len({Quad(F(1, 2)), F(1, 2)}) == 1
+        assert {F(1, 2): 1}[Quad(F(1, 2))] == 1
+
     def test_field_ops_vs_float(self):
         # [DERIVED: oracle = floating point at coarse tolerance]
         rng = random.Random(7)

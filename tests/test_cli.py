@@ -121,6 +121,16 @@ class TestExitCodes:
         code = main(["rate", "--system", "doubling", "--observable", torus,
                      "--eps", "1/4", "--delta", "1/4"])
         assert code == EXIT_INPUT
+        # JSON numbers where rational strings belong: a binary float
+        # breakpoint, and integers
+        for system, obs in (
+                ("doubling", '{"variant": "piecewise_linear", "segments": '
+                             '[[0, 0.1, 0, 1], [0.1, 1, 1, 0]]}'),
+                ("shift:p=1/2", '{"variant": "cylinder", "depth": 1, '
+                                '"table": [0, 1]}')):
+            code = main(["rate", "--system", system, "--kind", "norm-l2",
+                         "--observable", obs, "--eps", "1/8"])
+            assert code == EXIT_INPUT
 
     def test_bad_eps(self, capsys):
         code = main(["rate", "--system", "shift:p=1/2", "--observable",

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert.arith import SQRT2_MINUS_1
 from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear,
                                   enumerate_F, observable_from_json,
-                                  observable_to_json)
+                                  observable_to_json, pl_inner, pl_sum)
 from ergocert.spaces import CANTOR, CIRCLE
 
 
@@ -63,12 +64,58 @@ class TestPiecewiseLinear:
     def test_sublevel_arcs(self):
         # [DERIVED: hat - 1/2 is small exactly off a centered arc]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8)).add_const(F(-1, 2))
-        arcs = f.arcs_below_abs(F(1, 4))
+        below, above = f.arcs_below_abs(F(1, 4)), f.arcs_above(F(1, 4))
         for i in range(128):
             x = F(2 * i + 1, 256)
-            inside = any(a < x < b for a, b in arcs.arcs)
-            assert inside == (abs(f.eval_right(x)) < F(1, 4)) or \
-                abs(f.eval_right(x)) == F(1, 4)
+            fx = f.eval_right(x)
+            inside = any(a < x < b for a, b in below.arcs)
+            assert inside == (abs(fx) < F(1, 4)) or abs(fx) == F(1, 4)
+            inside = any(a < x < b for a, b in above.arcs)
+            assert inside == (fx > F(1, 4)) or fx == F(1, 4)
+        # segments constant at exactly +-delta are not in either set
+        g = PiecewiseLinear([(F(0), F(1, 4), F(1, 4), F(1, 4)),
+                             (F(1, 4), F(1, 2), F(1, 4), F(-1, 4)),
+                             (F(1, 2), F(3, 4), F(-1, 4), F(-1, 4)),
+                             (F(3, 4), F(1), F(-1, 4), F(1, 4))])
+        assert g.arcs_below_abs(F(1, 4)).arcs == [(F(1, 4), F(1, 2)),
+                                                  (F(3, 4), F(1))]
+        assert g.arcs_above(F(1, 4)).arcs == []
+        assert g.arcs_above(F(-1, 4)).arcs == [(F(0), F(1, 2)),
+                                               (F(3, 4), F(1))]
+
+    def test_sum_of_many_terms_pointwise(self):
+        # [DERIVED: oracle = the terms evaluated one by one at every
+        # breakpoint and midpoint]
+        h = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
+        ident = PiecewiseLinear.identity()
+        families = [
+            # doubling pullbacks of the identity: a jump at each k/2^i
+            [ident, ident.pullback_doubling(),
+             ident.pullback_doubling().pullback_doubling()],
+            # coinciding breakpoints, and a function added to itself
+            [h, h, h.pullback_doubling(), h.scale(F(-1, 2))],
+            # rotation shifts: Q[sqrt2] breakpoints
+            [h] + [h.shift(SQRT2_MINUS_1 * i) for i in range(1, 5)],
+            [ident, ident.shift(SQRT2_MINUS_1), h.shift(-SQRT2_MINUS_1)],
+        ]
+        for terms in families:
+            total = pl_sum(terms)
+            xs = sorted({s[0] for t in terms + [total] for s in t.segments})
+            xs += [(u + v) / 2 for u, v in zip(xs, xs[1:] + [F(1)])]
+            for x in xs:
+                assert total.eval_right(x) == sum(t.eval_right(x)
+                                                  for t in terms)
+
+    def test_inner_product_by_polarization(self):
+        # [DERIVED: <f,g> = (||f+g||^2 - ||f-g||^2) / 4]
+        h = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
+        fs = [h, PiecewiseLinear.identity(), h.pullback_doubling(),
+              h.shift(SQRT2_MINUS_1), PiecewiseLinear.constant(F(2, 3))]
+        for f in fs:
+            for g in fs:
+                want = (f.add(g).square_integral()
+                        - f.add(g.scale(-1)).square_integral()) / 4
+                assert pl_inner(f, g) == want
 
 
 class TestCylinderFn:
