@@ -1,8 +1,9 @@
 """Ideal and computable measures, exact W1 transport, instance oracles.
 
 W1 between ideal measures is solved as an exact min-cost transportation
-problem over rationals (successive shortest augmenting paths with node
-potentials); no floating point.  Lebesgue on the circle and Bernoulli(p) on
+problem (successive shortest augmenting paths found by Bellman-Ford), in
+integer arithmetic over one common denominator for the costs and one for
+the masses; no floating point.  Lebesgue on the circle and Bernoulli(p) on
 Cantor space get exact measure oracles for finite unions of balls.
 """
 
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_rat
-from .errors import UnsupportedInstanceError
+from .errors import InputError, UnsupportedInstanceError
 from .regions import ArcSet, CylSet, cylinder_mass
 from .spaces import CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space, ball_arc
 
@@ -80,22 +82,32 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
     """Exact W1 distance and an optimal transport plan.
 
     Successive shortest augmenting paths on the bipartite residual graph
-    (Bellman-Ford, exact rationals).  Shortest-path augmentation keeps the
-    flow extreme at every step, so the final flow is optimal; every
-    augmentation exhausts a source or a sink, so at most n+m rounds."""
+    (Bellman-Ford).  Shortest-path augmentation keeps the flow extreme at
+    every step, so the final flow is optimal; every augmentation exhausts a
+    source or a sink, so at most n+m rounds.
+
+    The loop runs on integers: every cost is scaled by the lcm of the cost
+    denominators and every mass by the lcm of the weight denominators.
+    Scaling by a positive constant keeps every comparison and every min,
+    so the paths and amounts are those of the same loop over rationals;
+    flows and the value are divided back once at the end."""
     if mu1.space is not space or mu2.space is not space:
         raise ValueError("measures must live on the given space")
-    src = list(mu1.atoms)
-    snk = list(mu2.atoms)
+    src, snk = mu1.atoms, mu2.atoms
     n, m = len(src), len(snk)
-    cost = [[space.dist(src[i][0], snk[j][0]) for j in range(m)] for i in range(n)]
-    supply = [w for _, w in src]
-    demand = [w for _, w in snk]
-    flow = [[Fraction(0)] * m for _ in range(n)]
+    dist = [[space.dist(p, q) for q, _ in snk] for p, _ in src]
+    lc = lcm(*(c.denominator for row in dist for c in row))
+    cost = [[c.numerator * (lc // c.denominator) for c in row] for row in dist]
+    lw = lcm(*(w.denominator for _, w in src + snk))
+    supply = [w.numerator * (lw // w.denominator) for _, w in src]
+    demand = [w.numerator * (lw // w.denominator) for _, w in snk]
+    if sum(supply) != sum(demand):
+        raise InputError("the two measures must have equal total mass")
+    flow = [[0] * m for _ in range(n)]
 
     while any(s > 0 for s in supply):
         # Bellman-Ford from all sources with remaining supply.
-        dist_s: list = [Fraction(0) if supply[i] > 0 else None for i in range(n)]
+        dist_s: list = [0 if supply[i] > 0 else None for i in range(n)]
         dist_t: list = [None] * m
         prev_t = [None] * m  # source used to reach sink j
         prev_s = [None] * n  # sink used to reach source i (via residual arc)
@@ -120,12 +132,13 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
                             changed = True
             if not changed:
                 break
+        # equal totals: a sink with demand left is reachable from every
+        # source with supply left
         tgt = None
         for j in range(m):
             if demand[j] > 0 and dist_t[j] is not None:
                 if tgt is None or dist_t[j] < dist_t[tgt]:
                     tgt = j
-        assert tgt is not None, "transportation problem must be feasible"
         # Trace the path back to a free source, collecting the bottleneck.
         path = []  # (i, j, forward)
         amount = demand[tgt]
@@ -149,14 +162,14 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
         supply[root] -= amount
         demand[tgt] -= amount
 
-    value = Fraction(0)
+    total = 0
     sparse = []
     for i in range(n):
         for j in range(m):
             if flow[i][j] > 0:
-                value += flow[i][j] * cost[i][j]
-                sparse.append((i, j, flow[i][j]))
-    return value, TransportPlan(tuple(sparse))
+                total += flow[i][j] * cost[i][j]
+                sparse.append((i, j, Fraction(flow[i][j], lw)))
+    return Fraction(total, lw * lc), TransportPlan(tuple(sparse))
 
 
 # ---------------------------------------------------------------------------

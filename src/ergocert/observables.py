@@ -677,7 +677,10 @@ def observable_from_json(d: dict):
         vs = [parse_rat(x) for x in d["values"]]
         return PiecewiseLinear.from_breakpoint_values(xs, vs)
     if v == "cylinder":
-        return CylinderFn(int(d["depth"]), [parse_rat(x) for x in d["table"]])
+        depth = d["depth"]
+        if isinstance(depth, bool) or not isinstance(depth, int):
+            raise ValueError(f"depth must be a JSON integer, not {depth!r}")
+        return CylinderFn(depth, [parse_rat(x) for x in d["table"]])
     if v == "fterm":
         return _fterm_from_json(d["expr"])
     raise ValueError(f"unknown observable variant {v!r}")

@@ -224,7 +224,15 @@ class CantorSpace(Space):
     ideal_point = staticmethod(cantor_word)
     _metric = staticmethod(cantor_dist)
     # words are their own canonical and JSON form
-    point = point_to_json = point_from_json = staticmethod(lambda w: w)
+    point_to_json = staticmethod(lambda w: w)
+
+    @staticmethod
+    def point(w) -> str:
+        if not isinstance(w, str) or w.strip("01"):
+            raise ValueError(f"not a binary word: {w!r}")
+        return w
+
+    point_from_json = point
 
     def ball_center(self, ball: "IdealBall") -> str:
         if ball.cylinder_depth is None:

@@ -127,9 +127,19 @@ class TestExitCodes:
                 ("doubling", '{"variant": "piecewise_linear", "segments": '
                              '[[0, 0.1, 0, 1], [0.1, 1, 1, 0]]}'),
                 ("shift:p=1/2", '{"variant": "cylinder", "depth": 1, '
-                                '"table": [0, 1]}')):
+                                '"table": [0, 1]}'),
+                # a depth that is not a JSON integer
+                *(("shift:p=1/2", '{"variant": "cylinder", "depth": %s, '
+                                  '"table": ["0", "1"]}' % depth)
+                  for depth in ("1.9", '"1"', "true"))):
             code = main(["rate", "--system", system, "--kind", "norm-l2",
                          "--observable", obs, "--eps", "1/8"])
+            assert code == EXIT_INPUT
+
+    def test_non_binary_cantor_word(self, capsys):
+        for word in ("2", "01x"):
+            code = main(["w1", "--space", "cantor", "--mu1",
+                         json.dumps([[word, "1"]]), "--mu2", '[["0", "1"]]'])
             assert code == EXIT_INPUT
 
     def test_bad_eps(self, capsys):

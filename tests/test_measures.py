@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert.errors import InputError
 from ergocert.measures import (ComputableMeasure, IdealMeasure, MeasureTag,
                                bernoulli_measure, lebesgue_measure,
                                measure_of_finite_union, open_measure_lower,
@@ -110,6 +111,60 @@ class TestW1Examples:
         mu2 = IdealMeasure.dirac(CIRCLE, F(0))
         value, _ = w1_ideal(CIRCLE, mu1, mu2)
         assert value == F(1, 6)
+
+    def test_pinned_plans(self):
+        # [DERIVED: optimal plans are not unique.  Both instances have
+        #  optimal plans that another tie-break (a non-strict `<` in the
+        #  choice of sink, or another scan order) would pick instead, so
+        #  the plans recorded from the solver over rationals pin its choices]
+        circle = (
+            ([f"{k}/16" for k in (11, 7, 14, 4, 6, 3, 13, 0, 15, 9, 5, 2)],
+             ["1/10", "1/6", "1/8", "1/36", "1/30", "1/24", "5/36", "1/18",
+              "1/12", "1/20", "1/15", "1/9"]),
+            ([f"{k}/16" for k in (7, 10, 3, 0, 4, 11, 5, 2, 14, 12, 1, 15)],
+             ["1/20", "1/12", "1/15", "1/30", "5/36", "1/10", "1/18", "1/36",
+              "1/8", "1/24", "1/6", "1/9"]),
+            F(39, 640),
+            [[0, 5, "1/10"], [1, 0, "1/20"], [1, 1, "1/30"], [1, 2, "1/60"],
+             [1, 4, "1/15"], [2, 8, "1/8"], [3, 4, "1/36"], [4, 4, "1/30"],
+             [5, 2, "1/24"], [6, 9, "1/24"], [6, 10, "5/72"],
+             [6, 11, "1/36"], [7, 3, "1/30"], [7, 10, "1/45"],
+             [8, 11, "1/12"], [9, 1, "1/20"], [10, 4, "1/90"],
+             [10, 6, "1/18"], [11, 2, "1/120"], [11, 7, "1/36"],
+             [11, 10, "3/40"]])
+        cantor = (
+            (["", "1", "01", "11", "001", "101", "011", "111", "0001",
+              "1001", "0101", "1101"],
+             ["1/15", "5/36", "1/6", "1/30", "1/8", "1/18", "1/10", "1/12",
+              "1/20", "1/24", "1/36", "1/9"]),
+            (["0011", "1011", "0111", "1111", "", "01", "1", "11", "001",
+              "011", "101", "0101"],
+             ["1/6", "1/12", "1/8", "1/24", "1/10", "1/15", "1/20", "1/30",
+              "1/9", "1/18", "1/36", "5/36"]),
+            F(401, 1440),
+            [[0, 4, "1/15"], [1, 0, "1/30"], [1, 1, "1/18"], [1, 6, "1/20"],
+             [2, 5, "1/15"], [2, 11, "1/10"], [3, 7, "1/30"], [4, 0, "1/72"],
+             [4, 8, "1/9"], [5, 1, "1/36"], [5, 10, "1/36"], [6, 2, "2/45"],
+             [6, 9, "1/18"], [7, 0, "1/24"], [7, 3, "1/24"], [8, 0, "1/60"],
+             [8, 4, "1/30"], [9, 0, "1/24"], [10, 11, "1/36"],
+             [11, 0, "7/360"], [11, 2, "29/360"], [11, 11, "1/90"]])
+        for space, (a, b, value, flows) in ((CIRCLE, circle),
+                                            (CANTOR, cantor)):
+            mu1 = IdealMeasure.from_json(space, [list(x) for x in zip(*a)])
+            mu2 = IdealMeasure.from_json(space, [list(x) for x in zip(*b)])
+            got, plan = w1_ideal(space, mu1, mu2)
+            assert got == value
+            assert plan.to_json() == flows
+
+    def test_unbalanced_rejected(self):
+        # [DERIVED: unequal total masses raise a typed error in both
+        #  directions, not an assert that python -O strips]
+        one = IdealMeasure.dirac(CIRCLE, F(0))
+        half = IdealMeasure(CIRCLE, ((F(0), F(1, 2)), (F(1, 2), F(1, 2))))
+        object.__setattr__(half, "atoms", half.atoms[:1])
+        for mu1, mu2 in ((one, half), (half, one)):
+            with pytest.raises(InputError):
+                w1_ideal(CIRCLE, mu1, mu2)
 
 
 class TestW1Oracles:
