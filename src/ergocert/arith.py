@@ -25,6 +25,13 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s.strip())
 
 
+def parse_int(v, what: str) -> int:
+    """A JSON integer; a bool, a string or a float raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be a JSON integer, not {v!r}")
+    return v
+
+
 def fmt_rat(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import fmt_rat, parse_rat, pow2
+from .arith import fmt_rat, parse_int, parse_rat, pow2
 from .errors import (BudgetExceededError, InputError, NoMassError,
                      UnsupportedInstanceError)
 from .dynamics import (Observable, System, birkhoff_eval, centered,
@@ -344,7 +344,9 @@ class SynthPoint:
         balls = [IdealBall.from_json(b) for b in d["balls"]]
         track = [system.as_concrete(observable_from_json(o))
                  for o in d["track"]]
-        sp = SynthPoint(d["system"], d["start_index"], d["windows"], balls,
+        sp = SynthPoint(d["system"],
+                        parse_int(d["start_index"], "start_index"),
+                        parse_int(d["windows"], "windows"), balls,
                         d["certs"], d["tail_rule"], d["track"])
         sp.point = system.point_in(balls[-1], sp.tail_rule, track)
         return sp
@@ -470,28 +472,37 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
                  eval_precision: int = 6) -> dict:
     """Re-verify a synthesized point from its own audit trail.
 
-    Checks exact stream nesting, witness membership of every recorded
-    window, containment of each witness in the recomputed deviation region,
-    and (optionally) a direct interval evaluation of each window's Birkhoff
-    average at the point."""
+    Checks the window claim (one certificate per window, in sequence from
+    `start_index`, and windows + 1 stream balls), exact stream nesting,
+    witness membership of every recorded window, containment of each
+    witness in the recomputed deviation region, and (optionally) a direct
+    interval evaluation of each window's Birkhoff average at the point."""
     space = system.space
     point = sp.point if sp.point is not None \
         else SynthPoint.from_json(sp.to_json()).point
     failures = []
     balls = sp.balls
+    if len(sp.certs) != sp.windows or len(balls) != sp.windows + 1:
+        failures.append(f"{sp.windows} windows claimed, {len(sp.certs)} "
+                        f"certificates and {len(balls)} balls recorded")
     for i in range(1, len(balls)):
         if balls[i].radius > pow2(i):
             failures.append(f"ball {i}: radius above 2^-{i}")
         if not space.inside(balls[i], balls[i - 1]):
             failures.append(f"ball {i}: not nested in ball {i - 1}")
     checked = 0
-    for cert in sp.certs:
-        j = cert["index"]
+    for t, cert in enumerate(sp.certs):
+        j = parse_int(cert["index"], "index")
+        if (j, parse_int(cert["position"], "position")) \
+                != (sp.start_index + t, t + 1):
+            failures.append(f"certificate {t}: not window "
+                            f"{sp.start_index + t} at position {t + 1}")
         witness = IdealBall.from_json(cert["witness"])
         ball = IdealBall.from_json(cert["ball"])
         if not space.inside(ball, witness, strict=True):
             failures.append(f"window {j}: accepted ball escapes witness")
-        if ball_member(space, witness, point, cert["precision"]) \
+        precision = parse_int(cert["precision"], "precision")
+        if ball_member(space, witness, point, precision) \
                 is not Membership.IN:
             failures.append(f"window {j}: point not certified in witness")
         if cert.get("trivial", True):

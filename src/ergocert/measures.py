@@ -1,10 +1,11 @@
 """Ideal and computable measures, exact W1 transport, instance oracles.
 
-W1 between ideal measures is solved as an exact min-cost transportation
-problem (successive shortest augmenting paths found by Bellman-Ford), in
-integer arithmetic over one common denominator for the costs and one for
-the masses; no floating point.  Lebesgue on the circle and Bernoulli(p) on
-Cantor space get exact measure oracles for finite unions of balls.
+W1 between ideal measures is exact over the rationals: each space couples
+integer masses by its own closed form (`Space.transport`), a cut at a
+weighted median plus a monotone rearrangement on the circle, greedy
+bottom-up matching on the ultrametric Cantor space.  Lebesgue on the circle
+and Bernoulli(p) on Cantor space get exact measure oracles for finite
+unions of balls.
 """
 
 from __future__ import annotations
@@ -81,95 +82,20 @@ class TransportPlan:
 def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
     """Exact W1 distance and an optimal transport plan.
 
-    Successive shortest augmenting paths on the bipartite residual graph
-    (Bellman-Ford).  Shortest-path augmentation keeps the flow extreme at
-    every step, so the final flow is optimal; every augmentation exhausts a
-    source or a sink, so at most n+m rounds.
-
-    The loop runs on integers: every cost is scaled by the lcm of the cost
-    denominators and every mass by the lcm of the weight denominators.
-    Scaling by a positive constant keeps every comparison and every min,
-    so the paths and amounts are those of the same loop over rationals;
-    flows and the value are divided back once at the end."""
+    The masses become integers over the lcm of the weight denominators and
+    the space's closed form couples them; the value is the cost of that plan
+    under `Space.dist`, so value and plan agree by construction."""
     if mu1.space is not space or mu2.space is not space:
         raise ValueError("measures must live on the given space")
-    src, snk = mu1.atoms, mu2.atoms
-    n, m = len(src), len(snk)
-    dist = [[space.dist(p, q) for q, _ in snk] for p, _ in src]
-    lc = lcm(*(c.denominator for row in dist for c in row))
-    cost = [[c.numerator * (lc // c.denominator) for c in row] for row in dist]
-    lw = lcm(*(w.denominator for _, w in src + snk))
-    supply = [w.numerator * (lw // w.denominator) for _, w in src]
-    demand = [w.numerator * (lw // w.denominator) for _, w in snk]
-    if sum(supply) != sum(demand):
+    lw = lcm(*(w.denominator for _, w in mu1.atoms + mu2.atoms))
+    src, snk = ([(p, w.numerator * (lw // w.denominator)) for p, w in mu.atoms]
+                for mu in (mu1, mu2))
+    if sum(w for _, w in src) != sum(w for _, w in snk):
         raise InputError("the two measures must have equal total mass")
-    flow = [[0] * m for _ in range(n)]
-
-    while any(s > 0 for s in supply):
-        # Bellman-Ford from all sources with remaining supply.
-        dist_s: list = [0 if supply[i] > 0 else None for i in range(n)]
-        dist_t: list = [None] * m
-        prev_t = [None] * m  # source used to reach sink j
-        prev_s = [None] * n  # sink used to reach source i (via residual arc)
-        for _ in range(n + m + 1):
-            changed = False
-            for i in range(n):
-                if dist_s[i] is None:
-                    continue
-                for j in range(m):
-                    nd = dist_s[i] + cost[i][j]
-                    if dist_t[j] is None or nd < dist_t[j]:
-                        dist_t[j], prev_t[j] = nd, i
-                        changed = True
-            for j in range(m):
-                if dist_t[j] is None:
-                    continue
-                for i in range(n):
-                    if flow[i][j] > 0:
-                        nd = dist_t[j] - cost[i][j]
-                        if dist_s[i] is None or nd < dist_s[i]:
-                            dist_s[i], prev_s[i] = nd, j
-                            changed = True
-            if not changed:
-                break
-        # equal totals: a sink with demand left is reachable from every
-        # source with supply left
-        tgt = None
-        for j in range(m):
-            if demand[j] > 0 and dist_t[j] is not None:
-                if tgt is None or dist_t[j] < dist_t[tgt]:
-                    tgt = j
-        # Trace the path back to a free source, collecting the bottleneck.
-        path = []  # (i, j, forward)
-        amount = demand[tgt]
-        j = tgt
-        while True:
-            i = prev_t[j]
-            path.append((i, j, True))
-            if supply[i] > 0 and (prev_s[i] is None or dist_s[i] == 0):
-                amount = min(amount, supply[i])
-                root = i
-                break
-            j2 = prev_s[i]
-            path.append((i, j2, False))
-            amount = min(amount, flow[i][j2])
-            j = j2
-        for i, jj, fwd in path:
-            if fwd:
-                flow[i][jj] += amount
-            else:
-                flow[i][jj] -= amount
-        supply[root] -= amount
-        demand[tgt] -= amount
-
-    total = 0
-    sparse = []
-    for i in range(n):
-        for j in range(m):
-            if flow[i][j] > 0:
-                total += flow[i][j] * cost[i][j]
-                sparse.append((i, j, Fraction(flow[i][j], lw)))
-    return Fraction(total, lw * lc), TransportPlan(tuple(sparse))
+    plan = TransportPlan(tuple((i, j, Fraction(a, lw)) for (i, j), a
+                               in sorted(space.transport(src, snk).items())))
+    return sum(a * space.dist(src[i][0], snk[j][0])
+               for i, j, a in plan.flows), plan
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Interval, Quad, fmt_rat, mod1, parse_rat
+from .arith import Interval, Quad, fmt_rat, mod1, parse_int, parse_rat
 from .regions import ArcSet, CylSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
                      space_named, unpair)
@@ -677,10 +677,8 @@ def observable_from_json(d: dict):
         vs = [parse_rat(x) for x in d["values"]]
         return PiecewiseLinear.from_breakpoint_values(xs, vs)
     if v == "cylinder":
-        depth = d["depth"]
-        if isinstance(depth, bool) or not isinstance(depth, int):
-            raise ValueError(f"depth must be a JSON integer, not {depth!r}")
-        return CylinderFn(depth, [parse_rat(x) for x in d["table"]])
+        return CylinderFn(parse_int(d["depth"], "depth"),
+                          [parse_rat(x) for x in d["table"]])
     if v == "fterm":
         return _fterm_from_json(d["expr"])
     raise ValueError(f"unknown observable variant {v!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import fmt_rat, parse_rat, pow2
+from .arith import fmt_rat, parse_int, parse_rat, pow2
 from .errors import BudgetExceededError, InputError, UnsupportedPairError
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
                        l2_sq_enclosure, l_norm_birkhoff, parse_system,
@@ -135,9 +135,11 @@ class RateCertificate:
         return RateCertificate(
             kind=d["kind"], system_sel=d["system"], observable=d["observable"],
             epsilon=parse_rat(d["epsilon"]), delta=opt("delta"),
-            p=int(d["p"]), norm_bound=parse_rat(d["norm_bound"]),
-            norm_method=d["norm_method"], n0_or_m=int(d["n0_or_m"]),
-            n_factor=int(d["n_factor"]) if "n_factor" in d else None,
+            p=parse_int(d["p"], "p"), norm_bound=parse_rat(d["norm_bound"]),
+            norm_method=d["norm_method"],
+            n0_or_m=parse_int(d["n0_or_m"], "n0_or_m"),
+            n_factor=(parse_int(d["n_factor"], "n_factor")
+                      if "n_factor" in d else None),
             fbar_norm=opt("fbar_norm"), sup_bound=opt("sup_bound"),
             M=opt("M"), rho=opt("rho"), tail_level=opt("tail_level"),
             delta_sub=opt("delta_sub"), guarantee=d.get("guarantee", ""))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
@@ -140,8 +141,9 @@ class Space:
     Each subclass owns every choice that depends on the metric or on how
     ideal points and balls are encoded: the numberings, the JSON form of a
     point, ball membership and nesting, canonical refinements, limits of
-    nested ball streams and the scale of the bump generators.  `dist` is
-    defined here only, so every distance goes through one method."""
+    nested ball streams, the scale of the bump generators and the optimal
+    coupling of two atomic measures (`transport`).  `dist` is defined here
+    only, so every distance goes through one method."""
 
     name: str
     #: cap on the radius and the width of a canonical bump generator
@@ -213,6 +215,44 @@ class CircleSpace(Space):
     def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CirclePoint":
         return CirclePoint(CReal(lambda m: Fraction(fetch(m).center)))
 
+    def transport(self, src: list, snk: list) -> dict:
+        """Optimal coupling of two atom lists [(point, integer mass)] of
+        equal total, as {(i, j): integer flow}.
+
+        Cut at 0, F(x) = src[0, x] - snk[0, x] is a step function and W1 is
+        the minimum over alpha of the integral of |F - alpha|, attained at a
+        weighted median of its step values (the lowest one on a tie).  The
+        plan is the monotone rearrangement: each atom gets its quantile
+        interval in circle order, the snk ones turned by alpha, and
+        flow(i, j) is their overlap (Rabin, Delon & Gousseau, JMIV 2011)."""
+        pts = sorted((x % 1, s, k, w) for s, atoms in enumerate((src, snk))
+                     for k, (x, w) in enumerate(atoms))
+        xs = [x for x, *_ in pts]
+        steps, f = [], 0
+        for (x, s, _, w), nxt in zip(pts, xs[1:] + [xs[0] + 1]):
+            f += -w if s else w
+            steps.append((f, nxt - x))
+        acc = 0
+        for alpha, length in sorted(steps):
+            acc += length
+            if 2 * acc >= 1:
+                break
+        total = sum(w for _, w in src)
+        starts, cuts = [0, alpha], []
+        for _, s, k, w in pts:
+            cuts.append((starts[s] % total, s, k))
+            starts[s] += w
+        cuts.sort()
+        # the turned snk interval that covers 0 starts last
+        cur = [None, next(k for _, s, k in reversed(cuts) if s)]
+        flows, prev = Counter(), 0
+        for c, s, k in cuts + [(total, 0, None)]:
+            if c > prev:
+                flows[tuple(cur)] += c - prev
+                prev = c
+            cur[s] = k
+        return flows
+
 
 class CantorSpace(Space):
     """Binary sequences with the metric 2^-(first differing index); ideal
@@ -278,6 +318,39 @@ class CantorSpace(Space):
     def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CantorPoint":
         # radius <= 2^-(i+1) fixes at least i+1 coordinates
         return CantorPoint(lambda i: int(fetch(i + 1).cylinder_prefix[i]))
+
+    def transport(self, src: list, snk: list) -> dict:
+        """Optimal coupling of two atom lists [(word, integer mass)] of
+        equal total, as {(i, j): integer flow}.
+
+        The metric is an ultrametric, so greedy matching inside the deepest
+        common cylinder first is optimal (the tree earth mover's distance;
+        Evans & Matsen, JRSS-B 2012): walk the trie of the zero-padded
+        words bottom-up, pair the src and snk remainders of each node in
+        word order, and pass what is left up to the parent."""
+        depth = max(len(w) for w, _ in src + snk)
+        nodes = {}
+        for s, atoms in enumerate((src, snk)):
+            for k, (w, m) in enumerate(atoms):
+                nodes.setdefault(w.ljust(depth, "0"),
+                                 (deque(), deque()))[s].append([k, m])
+        nodes = dict(sorted(nodes.items()))
+        flows = {}
+        for d in range(depth, -1, -1):
+            up = {}
+            for key, (a, b) in nodes.items():
+                while a and b:
+                    t = min(a[0][1], b[0][1])
+                    flows[a[0][0], b[0][0]] = t
+                    for r in (a, b):
+                        r[0][1] -= t
+                        if not r[0][1]:
+                            r.popleft()
+                rest = up.setdefault(key[:d - 1], (deque(), deque()))
+                rest[0].extend(a)
+                rest[1].extend(b)
+            nodes = up
+        return flows
 
 
 CIRCLE = CircleSpace()

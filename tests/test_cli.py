@@ -176,3 +176,26 @@ class TestExitCodes:
         art.write_text(json.dumps(data))
         code = main(["replay", "--artifact", str(art)])
         assert code == EXIT_INPUT
+        # certificate integers that are not JSON integers
+        cert = json.loads((CORPUS / "cert_shift1-2_w01_as-bounded_1-4_1-2"
+                                    ".json").read_text())
+        for field, value in (("p", "18"), ("p", 18.4), ("n0_or_m", "102"),
+                             ("n0_or_m", 102.0), ("n0_or_m", True)):
+            art.write_text(json.dumps({**cert, field: value}))
+            assert main(["replay", "--artifact", str(art)]) == EXIT_INPUT
+            assert main(["validate", "--certificate", str(art)]) \
+                == EXIT_INPUT
+        # a synthesized point whose window claim its certificates do not
+        # back: more windows than certificates, a shifted start, a cut
+        # certificate list, and counts that are not JSON integers
+        point = json.loads((CORPUS / "synth_shift1-2_w01.json").read_text())
+        first, *rest = point["certs"]
+        for change in ({"windows": 40}, {"start_index": 1},
+                       {"start_index": 99}, {"certs": [first]},
+                       {"windows": "4"}, {"start_index": 4.0},
+                       *({"certs": [{**first, field: value}, *rest]}
+                         for field, value in (("index", 4.0),
+                                              ("position", True),
+                                              ("precision", 5.5)))):
+            art.write_text(json.dumps({**point, **change}))
+            assert main(["replay", "--artifact", str(art)]) == EXIT_INPUT

@@ -4,6 +4,7 @@ oracles for Lebesgue and Bernoulli."""
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -113,10 +114,13 @@ class TestW1Examples:
         assert value == F(1, 6)
 
     def test_pinned_plans(self):
-        # [DERIVED: optimal plans are not unique.  Both instances have
-        #  optimal plans that another tie-break (a non-strict `<` in the
-        #  choice of sink, or another scan order) would pick instead, so
-        #  the plans recorded from the solver over rationals pin its choices]
+        # [DERIVED: optimal plans are not unique.  The circle instance's
+        #  CDF difference reaches half the circle exactly at one step value,
+        #  so every alpha up to the next step value is a weighted median:
+        #  the plan pins the lowest one.  The Cantor plan pins the matching
+        #  order: remainders pair off in word order inside each cylinder.
+        #  Both plans were recorded from the closed forms; the values are
+        #  those of the earlier flow solver]
         circle = (
             ([f"{k}/16" for k in (11, 7, 14, 4, 6, 3, 13, 0, 15, 9, 5, 2)],
              ["1/10", "1/6", "1/8", "1/36", "1/30", "1/24", "5/36", "1/18",
@@ -125,12 +129,12 @@ class TestW1Examples:
              ["1/20", "1/12", "1/15", "1/30", "5/36", "1/10", "1/18", "1/36",
               "1/8", "1/24", "1/6", "1/9"]),
             F(39, 640),
-            [[0, 5, "1/10"], [1, 0, "1/20"], [1, 1, "1/30"], [1, 2, "1/60"],
-             [1, 4, "1/15"], [2, 8, "1/8"], [3, 4, "1/36"], [4, 4, "1/30"],
-             [5, 2, "1/24"], [6, 9, "1/24"], [6, 10, "5/72"],
-             [6, 11, "1/36"], [7, 3, "1/30"], [7, 10, "1/45"],
-             [8, 11, "1/12"], [9, 1, "1/20"], [10, 4, "1/90"],
-             [10, 6, "1/18"], [11, 2, "1/120"], [11, 7, "1/36"],
+            [[0, 5, "1/10"], [1, 0, "1/20"], [1, 1, "1/30"], [1, 4, "1/36"],
+             [1, 6, "1/18"], [2, 8, "1/36"], [2, 11, "7/72"], [3, 2, "1/60"],
+             [3, 4, "1/90"], [4, 4, "1/30"], [5, 2, "1/24"], [6, 8, "7/72"],
+             [6, 9, "1/24"], [7, 10, "1/18"], [8, 3, "1/30"],
+             [8, 10, "13/360"], [8, 11, "1/72"], [9, 1, "1/20"],
+             [10, 4, "1/15"], [11, 2, "1/120"], [11, 7, "1/36"],
              [11, 10, "3/40"]])
         cantor = (
             (["", "1", "01", "11", "001", "101", "011", "111", "0001",
@@ -145,9 +149,9 @@ class TestW1Examples:
             [[0, 4, "1/15"], [1, 0, "1/30"], [1, 1, "1/18"], [1, 6, "1/20"],
              [2, 5, "1/15"], [2, 11, "1/10"], [3, 7, "1/30"], [4, 0, "1/72"],
              [4, 8, "1/9"], [5, 1, "1/36"], [5, 10, "1/36"], [6, 2, "2/45"],
-             [6, 9, "1/18"], [7, 0, "1/24"], [7, 3, "1/24"], [8, 0, "1/60"],
+             [6, 9, "1/18"], [7, 2, "1/24"], [7, 3, "1/24"], [8, 0, "1/60"],
              [8, 4, "1/30"], [9, 0, "1/24"], [10, 11, "1/36"],
-             [11, 0, "7/360"], [11, 2, "29/360"], [11, 11, "1/90"]])
+             [11, 0, "11/180"], [11, 2, "7/180"], [11, 11, "1/90"]])
         for space, (a, b, value, flows) in ((CIRCLE, circle),
                                             (CANTOR, cantor)):
             mu1 = IdealMeasure.from_json(space, [list(x) for x in zip(*a)])
@@ -226,6 +230,100 @@ class TestW1Oracles:
         mu1 = IdealMeasure.dirac(CIRCLE, F(0))
         mu2 = IdealMeasure.dirac(CIRCLE, F(1, 8))
         assert w1_ideal(CIRCLE, mu1, mu2)[0] > 0
+
+    def test_closed_forms_large(self):
+        # [DERIVED: beyond vertex-enumeration size the value is checked
+        #  against the two closed formulas, written here from scratch:
+        #  circle, min over the step values alpha of the CDF difference F
+        #  of sum length * |F - alpha|; Cantor, sum over cylinders w with
+        #  |w| >= 1 of 2^-(|w|+1) * |mu1[w] - mu2[w]|]
+        rng = random.Random(2024)
+        sizes = (50, 50, 300, 300, *rng.sample(range(50, 301), 4))
+        for t, size in enumerate(sizes):
+            space = CIRCLE if t % 2 == 0 else CANTOR
+            if space is CIRCLE:
+                # 1/4 and 5/4 are one point; shared points across measures
+                pool = [F(k, 256) for k in range(-64, 320)]
+            else:
+                # "1" and "10" are one point
+                pool = sorted({"".join(rng.choice("01") for _ in range(n))
+                               for n in range(13) for _ in range(80)})
+            mu1, mu2 = (big_measure(rng, space, pool, size) for _ in "ab")
+            value, plan = w1_ideal(space, mu1, mu2)
+            assert plan.check_marginals(mu1, mu2)
+            assert value == sum(
+                a * space.dist(mu1.atoms[i][0], mu2.atoms[j][0])
+                for i, j, a in plan.flows)
+            formula = circle_formula if space is CIRCLE else cantor_formula
+            assert value == formula(mu1, mu2)
+
+    def test_edge_cases_against_vertices(self):
+        # [DERIVED: points given off [0,1), two atoms of one measure at one
+        #  point, a point shared by both measures, and Cantor words that
+        #  differ only by trailing zeros, against the brute force]
+        cases = [
+            (CIRCLE, [("1", "1/2"), ("5/4", "1/4"), ("-1/4", "1/4")],
+             [("0", "1/3"), ("1/2", "1/3"), ("3/8", "1/3")]),
+            (CIRCLE, [("1/4", "1/3"), ("5/4", "1/6"), ("2/3", "1/2")],
+             [("1/4", "1/5"), ("1/2", "2/5"), ("-1/8", "2/5")]),
+            (CIRCLE, [("1/3", "1/2"), ("0", "1/2")],
+             [("1/3", "1/4"), ("3/4", "3/4")]),
+            (CANTOR, [("1", "1/3"), ("10", "1/6"), ("", "1/2")],
+             [("", "1/4"), ("01", "1/4"), ("100", "1/2")]),
+            (CANTOR, [("1", "1/2"), ("", "1/2")],
+             [("10", "1/3"), ("0", "1/3"), ("11", "1/3")]),
+        ]
+        for space, a, b in cases:
+            mu1 = IdealMeasure.from_json(space, [list(x) for x in a])
+            mu2 = IdealMeasure.from_json(space, [list(x) for x in b])
+            value, plan = w1_ideal(space, mu1, mu2)
+            assert plan.check_marginals(mu1, mu2)
+            assert value == sum(
+                a * space.dist(mu1.atoms[i][0], mu2.atoms[j][0])
+                for i, j, a in plan.flows)
+            assert value == vertex_minimum(space, mu1, mu2)
+
+
+def big_measure(rng, space, pool, size):
+    ws = [rng.randint(1, 20) for _ in range(size)]
+    return IdealMeasure(space, tuple(
+        (p, F(w, sum(ws))) for p, w in zip(rng.sample(pool, size), ws)))
+
+
+def circle_formula(mu1, mu2):
+    """min over the step values alpha of the integral of |F - alpha|, F the
+    difference of the two CDFs on [0, 1)."""
+    jump = {}
+    for sign, mu in ((1, mu1), (-1, mu2)):
+        for p, w in mu.atoms:
+            jump[p % 1] = jump.get(p % 1, 0) + sign * w
+    xs = sorted(jump)
+    steps, f = [], F(0)
+    for x, nxt in zip(xs, xs[1:] + [xs[0] + 1]):
+        f += jump[x]
+        steps.append((f, nxt - x))
+    # integers over one denominator keep the quadratic minimum fast
+    den = lcm(*(v.denominator for s in steps for v in s))
+    ints = [(int(v * den), int(length * den)) for v, length in steps]
+    return min(sum(length * abs(v - alpha) for v, length in ints)
+               for alpha, _ in ints) / F(den * den)
+
+
+def cantor_formula(mu1, mu2):
+    """sum over cylinders w, |w| >= 1, of 2^-(|w|+1) |mu1[w] - mu2[w]|; past
+    the longest word every cylinder is a point with its zero tail."""
+    depth = max(len(p) for mu in (mu1, mu2) for p, _ in mu.atoms)
+    diff = {}
+    for sign, mu in ((1, mu1), (-1, mu2)):
+        for p, w in mu.atoms:
+            word = p.ljust(depth, "0")
+            for n in range(1, depth + 1):
+                diff[word[:n]] = diff.get(word[:n], 0) + sign * w
+    total = sum(F(abs(d), 1 << (len(w) + 1)) for w, d in diff.items())
+    points = [abs(d) for w, d in diff.items() if len(w) == depth]
+    # the zero-tail cylinders of length depth + 1, depth + 2, ... sum to
+    # 2^-(depth+1) per point
+    return total + sum(points) / (1 << (depth + 1))
 
 
 class TestInstanceOracles:

@@ -109,6 +109,22 @@ class TestMaximalInequality:
                     mass += cylinder_mass(word, F(1, 2))
             assert mass <= l1 / delta
 
+    def test_exact_window_mass(self):
+        # [DERIVED: oracle = depth-12 enumeration of the running maximum
+        #  over the window 8 <= n <= 12; 23/128 as recorded before any
+        #  rewrite of the shift's window kernel]
+        fbar = centered(SHIFT, FIRSTBIT)
+        window, delta = range(8, 13), F(1, 4)
+        d_max = window.stop - 1 + fbar.depth - 1
+        avgs = [birkhoff_observable(SHIFT, fbar, n).lift(d_max)
+                for n in window]
+        mass = F(0)
+        for w in range(1 << d_max):
+            word = format(w, f"0{d_max}b")
+            if max(abs(a.value_on_word(word)) for a in avgs) > delta:
+                mass += cylinder_mass(word, F(1, 2))
+        assert SHIFT.window_mass(fbar, window, delta) == mass == F(23, 128)
+
 
 class TestValidation:
     def test_window_empty_below_n0(self):
@@ -134,6 +150,7 @@ class TestValidation:
         cert.n0_or_m = min(cert.n0_or_m, 4)
         rep = validate_as(DBL, HAT, cert, 6, "EXACT_ARC")
         assert rep.measured_mass >= 0
+        assert rep.measured_mass == F(3, 64)  # recorded from the arc kernel
         # without a mode the system's exact mode is used
         default = validate_as(DBL, HAT, cert, 6)
         assert default.mode == "EXACT_ARC"
