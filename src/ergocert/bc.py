@@ -474,6 +474,7 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
 
     Checks the window claim (one certificate per window, in sequence from
     `start_index`, and windows + 1 stream balls), exact stream nesting,
+    that certificate t records stream ball t + 1 as its accepted ball,
     witness membership of every recorded window, containment of each
     witness in the recomputed deviation region, and (optionally) a direct
     interval evaluation of each window's Birkhoff average at the point."""
@@ -499,6 +500,9 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
                             f"{sp.start_index + t} at position {t + 1}")
         witness = IdealBall.from_json(cert["witness"])
         ball = IdealBall.from_json(cert["ball"])
+        if t + 1 < len(balls) and ball != balls[t + 1]:
+            failures.append(f"window {j}: accepted ball is not stream "
+                            f"ball {t + 1}")
         if not space.inside(ball, witness, strict=True):
             failures.append(f"window {j}: accepted ball escapes witness")
         precision = parse_int(cert["precision"], "precision")
@@ -509,7 +513,7 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
             checked += 1
             continue
         obs = observable_from_json(cert["observable"])
-        n = cert["n"]
+        n = parse_int(cert["n"], "n")
         delta = parse_rat(cert["delta"])
         region = deviation_region(system, obs, n, delta)
         if not region.contains_ball(witness):

@@ -5,7 +5,7 @@ one-sided Bernoulli shift on Cantor space, and the rigid rotation by an
 exact quadratic irrational (default sqrt(2)-1).  Birkhoff averages are
 evaluated either as certified interval enclosures along an orbit, or as
 whole exact objects (piecewise-linear / cylinder functions) supporting
-exact norms and sublevel sets.
+exact norms and sublevel sets, read from one running sum S_n per system.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ class System:
     bc_max_n: int
     #: ranges over a ball only sharpen as the ball shrinks
     coarse_ball_ranges = False
+    #: (g's data, n, state) of the last running sum built
+    _slot = None
 
     def selector(self) -> str:
         return self.name
@@ -79,6 +81,19 @@ class System:
             raise UnsupportedPairError(
                 f"{type(f).__name__} observable on {self.where}")
         return f
+
+    def birkhoff_sum(self, g, n: int):
+        """S_n g = sum_{i<n} g o T^i in the system's form.  The last sum is
+        kept, keyed on g's data (`centered` builds a new g on every call):
+        the same g at n >= the kept m extends S_m, else S_0 is extended."""
+        key = g.table if isinstance(g, CylinderFn) else g.segments
+        held, m, state = self._slot or (None, 0, None)
+        if held != key or m > n:
+            m, state = 0, None
+        if m < n:
+            state = self._extend(g, state, m, n)
+            self._slot = (key, n, state)
+        return state
 
     def exceed_mass(self, f: Observable, n: int, delta: Fraction):
         """Exact mu{|A_n fbar| >= delta} when it is cheaper than the region
@@ -157,21 +172,26 @@ class Shift(System):
         return (g.value_on_word(word[i:]) for i in range(count))
 
     def average(self, g: CylinderFn, n: int) -> CylinderFn:
-        k = g.depth
-        d = n + k - 1 if k else 0
-        if d == 0:
+        if not g.depth:
             return g
+        den, table = self.birkhoff_sum(g, n)
+        return CylinderFn(n + g.depth - 1, [Fraction(s, den * n)
+                                            for s in table])
+
+    def _extend(self, g: CylinderFn, state, m: int, n: int):
+        # (den, den S_n) on the n + k - 1 symbols S_n reads; appending b to
+        # word w adds g on its last k: S_{n+1}[2w+b] = S_n[w] + g[(2w+b) % 2^k]
+        k, d = g.depth, n + g.depth - 1
         if d > CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-        den, nums = _over_common_denominator(g)
+        den, table = state or (math.lcm(*[v.denominator for v in g.table]),
+                               [0] * (1 << (k - 1)))
+        nums = [int(v * den) for v in g.table]
         mask = (1 << k) - 1
-        table = []
-        for w in range(1 << d):
-            s = 0
-            for i in range(n):
-                s += nums[(w >> (d - i - k)) & mask]
-            table.append(Fraction(s, den * n))
-        return CylinderFn(d, table)
+        for _ in range(m, n):
+            table = [table[v >> 1] + nums[v & mask]
+                     for v in range(len(table) << 1)]
+        return den, table
 
     def correlations(self, fbar: CylinderFn, count: int) -> Correlations:
         # C(m) = 0 for m >= depth (independence), so the list is exact
@@ -225,30 +245,24 @@ class Shift(System):
 
     def window_mass(self, g: CylinderFn, window: range,
                     delta: Fraction) -> Fraction:
-        """Exact mu{max_{n in window} |A_n g| > delta} by enumerating the
-        cylinders the horizon reads."""
+        """Exact mu{max_{n in window} |A_n g| > delta}: one flag per cylinder
+        of each S_n, ORed down into the cylinders of the next."""
         k = g.depth
         horizon = window.stop - 1
         d = horizon + k - 1 if k else 1
         if d > CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"validation needs 2^{d} cylinders")
-        den, nums = _over_common_denominator(g)
-        mask = (1 << k) - 1 if k else 0
+        if not k:  # A_n g = g
+            return Fraction(int(bool(window) and abs(g.table[0]) > delta))
         dn, dd = delta.numerator, delta.denominator
-        exceeded = [0] * (1 << d)
-        for w in range(1 << d):
-            s = 0
-            for n in range(1, horizon + 1):
-                s += nums[(w >> (d - n - k + 1)) & mask] if k else nums[0]
-                if n in window and abs(s) * dd > dn * den * n:
-                    exceeded[w] = 1
-                    break
-        return CylinderFn(d, exceeded).integral(self.p)
-
-
-def _over_common_denominator(g: CylinderFn) -> tuple[int, list[int]]:
-    den = math.lcm(*[v.denominator for v in g.table])
-    return den, [int(v * den) for v in g.table]
+        hit, depth = [False], 0
+        for n in window:
+            den, table = self.birkhoff_sum(g, n)
+            up, lim = n + k - 1 - depth, dn * den * n
+            hit = [hit[w >> up] or abs(s) * dd > lim
+                   for w, s in enumerate(table)]
+            depth += up
+        return CylinderFn(depth, hit).integral(self.p)
 
 
 class CircleMap(System):
@@ -287,7 +301,7 @@ class CircleMap(System):
         return (g.eval_right(self._orbit_point(x, i)) for i in range(count))
 
     def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
-        return pl_sum(self._terms(g, n)).scale(Fraction(1, n))
+        return self.birkhoff_sum(g, n)[0].scale(Fraction(1, n))
 
     def preimage(self, ball: IdealBall) -> ArcSet:
         return ArcSet.from_raw(self._preimage_arcs(*ball_arc(ball)))
@@ -362,15 +376,18 @@ class Doubling(CircleMap):
     def _orbit_point(self, x: Fraction, i: int) -> Fraction:
         return (x * (1 << i)) % 1
 
-    def _terms(self, g: PiecewiseLinear, n: int) -> list:
+    def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
+        # (S_n, g o T^(n-1)): one sweep over S_m and g o T^i, m <= i < n,
+        # pulling back from the last term kept
         per = max(len(g.segments), 1)
         if per << n > SEGMENT_BUDGET:
             raise BudgetExceededError(
                 f"A_{n} on the doubling map needs ~{per << n} segments")
-        terms = [g]
-        for _ in range(n - 1):
-            terms.append(terms[-1].pullback_doubling())
-        return terms
+        terms, last = ([state[0]], state[1]) if state else ([], g)
+        for i in range(m, n):
+            last = last.pullback_doubling() if i else g
+            terms.append(last)
+        return pl_sum(terms), last
 
     def correlations(self, fbar: PiecewiseLinear, count: int) -> Correlations:
         # the transfer operator halves variation and a zero-mean function
@@ -436,10 +453,13 @@ class Rotation(CircleMap):
     def _orbit_point(self, x: Fraction, i: int) -> Quad:
         return (x + self.alpha * i).mod1()
 
-    def _terms(self, g: PiecewiseLinear, n: int) -> list:
+    def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
+        # (S_n, None): one sweep over S_m and g o R^i, m <= i < n
         if max(len(g.segments), 1) * n > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
-        return [g] + [g.shift(self.alpha * i) for i in range(1, n)]
+        head = [state[0]] if state else []
+        return pl_sum(head + [g.shift(self.alpha * i) if i else g
+                              for i in range(m, n)]), None
 
     def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
         # no decay of correlations: square-integrate the exact average
@@ -577,7 +597,8 @@ def _slope_bits(g: PiecewiseLinear) -> int:
 
 
 def birkhoff_observable(system: System, f: Observable, n: int):
-    """A_n f as an exact concrete observable (budget-capped)."""
+    """A_n f as an exact concrete observable (budget-capped), read from the
+    system's one running sum S_n f (`System.birkhoff_sum`)."""
     if n < 1:
         raise InputError("n must be >= 1")
     return system.average(system.as_concrete(f), n)
@@ -670,9 +691,7 @@ def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
 def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:
     """Certified rational upper bound on ||A_p(f - integral f)||_infty for
     the rotation (hence on the L1 and L2 norms as well)."""
-    fbar = centered(system, f)
-    a = birkhoff_observable(system, fbar, p)
-    s = a.sup_norm()
+    s = birkhoff_observable(system, centered(system, f), p).sup_norm()
     if isinstance(s, Quad):
         return s.approx(60) + pow2(60)
     return s
@@ -688,8 +707,8 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    a = birkhoff_observable(system, centered(system, f), n)
-    return system.sublevel(a, delta)
+    return system.sublevel(
+        birkhoff_observable(system, centered(system, f), n), delta)
 
 
 def region_to_balls(system: System, region) -> list[IdealBall]:

@@ -9,8 +9,10 @@ exact arithmetic; that is what makes rate certificates replayable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .arith import Interval, Quad, fmt_rat, mod1, parse_int, parse_rat
 from .regions import ArcSet, CylSet, cylinder_mass
@@ -58,15 +60,14 @@ class PiecewiseLinear:
 
     @staticmethod
     def from_breakpoint_values(xs, vs) -> "PiecewiseLinear":
-        """Continuous circular interpolation through (x_i, v_i); xs sorted in
-        [0,1)."""
-        n = len(xs)
-        segs = []
-        for i in range(n):
-            x0, v0 = xs[i], vs[i]
-            x1, v1 = (xs[i + 1], vs[i + 1]) if i + 1 < n else (xs[0] + 1, vs[0])
-            segs.append((x0, x1, v0, v1))
-        return _rebuild_from_circular(segs)
+        """Continuous circular interpolation through (x_i, v_i); xs
+        increasing and within one turn.  Built unrolled from x_0, then
+        shifted back by x_0."""
+        x0 = xs[0] if xs else 0
+        starts = [x - x0 for x in xs]
+        ends = starts[1:] + [Fraction(1)]
+        return PiecewiseLinear(
+            list(zip(starts, ends, vs, vs[1:] + vs[:1]))).shift(-x0)
 
     @staticmethod
     def hat(s, r, eps) -> "PiecewiseLinear":
@@ -75,8 +76,9 @@ class PiecewiseLinear:
         s, r, eps = Fraction(s), Fraction(r), Fraction(eps)
         if r <= 0 or eps <= 0:
             raise ValueError("r and eps must be positive")
-        anti = (s + Fraction(1, 2)) % 1
-        dist = PiecewiseLinear.from_breakpoint_values(*_sorted_pair_nodes(s, anti))
+        half = Fraction(1, 2)
+        dist = PiecewiseLinear.from_breakpoint_values([s, s + half],
+                                                      [Fraction(0), half])
         g = dist.add_const(-r).max_const(0).scale(Fraction(-1) / eps).add_const(1)
         return g.max_const(0).min_const(1)
 
@@ -84,20 +86,11 @@ class PiecewiseLinear:
 
     def eval_right(self, x):
         """f(x) with the right-continuous convention; x in [0,1)."""
-        a, b, va, vb = self._segment_at(x)
-        if x == a:
-            return va
-        return va + (vb - va) * (x - a) / (b - a)
+        return _lerp(*self.segments[self._index_at(x)], x)
 
-    def _segment_at(self, x):
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.segments[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.segments[lo]
+    def _index_at(self, x) -> int:
+        """Index of the segment [a, b) holding x in [0,1)."""
+        return bisect_right(self.segments, x, key=itemgetter(0)) - 1
 
     def range_on(self, lo, hi) -> Interval:
         """Exact hull of f over the real-line interval [lo, hi] mod 1."""
@@ -200,9 +193,20 @@ class PiecewiseLinear:
         return self.min_const(m).max_const(-m)
 
     def shift(self, c) -> "PiecewiseLinear":
-        """Pullback under rotation: x -> f(x + c mod 1)."""
-        segs = [(a - c, b - c, va, vb) for a, b, va, vb in self.segments]
-        return _rebuild_from_circular(segs)
+        """Pullback under rotation: x -> f(x + c mod 1).  The segments keep
+        their circular order: cut the one holding c mod 1 and wrap the
+        segments before it to the end."""
+        c = mod1(c)
+        i = self._index_at(c)
+        segs = [(a - c, b - c, va, vb) for a, b, va, vb in self.segments[i:]]
+        segs += [(a + 1 - c, b + 1 - c, va, vb)
+                 for a, b, va, vb in self.segments[:i]]
+        a, b, va, vb = self.segments[i]
+        if a < c:
+            cut = _lerp(a, b, va, vb, c)
+            segs[0] = (Fraction(0), b - c, cut, vb)
+            segs.append((a + 1 - c, Fraction(1), va, cut))
+        return PiecewiseLinear(segs)
 
     def pullback_doubling(self) -> "PiecewiseLinear":
         """x -> f(2x mod 1)."""
@@ -268,31 +272,6 @@ def _lerp(a, b, va, vb, x):
 def _collinear(a, b, va, vb, c, vc) -> bool:
     # (a,va)-(b,vb) extended hits (c,vc)?
     return (vb - va) * (c - a) == (vc - va) * (b - a)
-
-
-def _sorted_pair_nodes(s, anti):
-    if s < anti:
-        return [s, anti], [Fraction(0), Fraction(1, 2)]
-    return [anti, s], [Fraction(1, 2), Fraction(0)]
-
-
-def _rebuild_from_circular(segs) -> PiecewiseLinear:
-    """Normalize segments given with arbitrary real positions (interpreted
-    mod 1) back into the canonical [0,1] tiling."""
-    out = []
-    for a, b, va, vb in segs:
-        if b <= a:
-            continue
-        a0 = mod1(a)
-        b0 = a0 + (b - a)
-        if b0 <= 1:
-            out.append((a0, b0, va, vb))
-        else:
-            cut = _lerp(a0, b0, va, vb, Fraction(1))
-            out.append((a0, Fraction(1), va, cut))
-            out.append((Fraction(0), b0 - 1, cut, vb))
-    out.sort(key=lambda s: (s[0],))
-    return PiecewiseLinear(out)
 
 
 def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:

@@ -187,7 +187,8 @@ class TestExitCodes:
                 == EXIT_INPUT
         # a synthesized point whose window claim its certificates do not
         # back: more windows than certificates, a shifted start, a cut
-        # certificate list, and counts that are not JSON integers
+        # certificate list, counts that are not JSON integers, and accepted
+        # balls that are not the stream's next ball
         point = json.loads((CORPUS / "synth_shift1-2_w01.json").read_text())
         first, *rest = point["certs"]
         for change in ({"windows": 40}, {"start_index": 1},
@@ -196,6 +197,14 @@ class TestExitCodes:
                        *({"certs": [{**first, field: value}, *rest]}
                          for field, value in (("index", 4.0),
                                               ("position", True),
-                                              ("precision", 5.5)))):
+                                              ("precision", 5.5),
+                                              ("n", True), ("n", 4.0),
+                                              ("n", "4"),
+                                              ("ball", {"center": "1011",
+                                                        "radius": "3/32",
+                                                        "space": "cantor"}),
+                                              ("ball", {"center": "10111",
+                                                        "radius": "3/64",
+                                                        "space": "cantor"})))):
             art.write_text(json.dumps({**point, **change}))
             assert main(["replay", "--artifact", str(art)]) == EXIT_INPUT

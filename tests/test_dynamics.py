@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert.arith import mod1
 from ergocert.dynamics import (apply_map, birkhoff_eval, birkhoff_observable,
                                builtin_systems, centered, deviation_open,
                                deviation_region, doubling_system, integral,
@@ -202,3 +203,75 @@ class TestSystems:
         assert integral(DBL, PiecewiseLinear.identity()) == F(1, 2)
         assert integral(ROT, PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))) \
             == F(5, 8)
+
+
+def _fresh(g):
+    """An equal observable that is a new object."""
+    if isinstance(g, CylinderFn):
+        return CylinderFn(g.depth, list(g.table))
+    return PiecewiseLinear(list(g.segments))
+
+
+def _shift_matches(g, n, a) -> bool:
+    """A_n g on every word it reads, by enumeration."""
+    d = n + g.depth - 1
+    words = [format(w, f"0{d}b") for w in range(1 << d)]
+    return a.table == [sum(g.value_on_word(w[i:]) for i in range(n)) / F(n)
+                       for w in words]
+
+
+def _circle_matches(orbit):
+    def matches(g, n, a) -> bool:
+        # a is linear on each segment: read it at the start and midpoint
+        return all(sum(g.eval_right(orbit(x, i)) for i in range(n)) == n * v
+                   for lo, hi, va, vb in a.segments
+                   for x, v in ((lo, va), ((lo + hi) / 2, (va + vb) / 2)))
+    return matches
+
+
+HATS = (PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 8)),
+        PiecewiseLinear.hat(F(2, 3), F(1, 8), F(1, 8)))
+
+
+class TestRunningSum:
+    # [DERIVED: every order of requests must give the A_n of a direct
+    # reference; one request past the budget leaves the kept sum alone]
+    CASES = {
+        "shift": (lambda: shift_system(F(1, 3)),
+                  (CylinderFn.word_indicator("01"),
+                   CylinderFn.word_indicator("10")), _shift_matches, 24),
+        "doubling": (doubling_system, HATS,
+                     _circle_matches(lambda x, i: x * (1 << i) % 1), 30),
+        "rotation": (rotation_system, HATS,
+                     _circle_matches(lambda x, i: mod1(x + ROT.alpha * i)),
+                     1 << 20),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_orders_and_budget(self, name):
+        make, (g, h), matches, over = self.CASES[name]
+        system = make()
+        assert integral(system, g) == integral(system, h)
+        steps = []
+        extend = system._extend
+        system._extend = lambda f, state, m, n: \
+            steps.append((m, n)) or extend(f, state, m, n)
+
+        def check(f, n):
+            assert matches(f, n, birkhoff_observable(system, _fresh(f), n))
+
+        for n in range(1, 9):
+            check(g, n)
+        # an equal observable built anew extends the kept sum by one term
+        assert steps == [(m, m + 1) for m in range(8)]
+        for n in range(8, 0, -1):
+            check(g, n)
+        for n in range(1, 9):
+            check(g, n)
+            check(h, n)
+        kept = system._slot
+        with pytest.raises(BudgetExceededError):
+            birkhoff_observable(system, _fresh(h), over)
+        assert system._slot is kept
+        for n in (8, 3, 9):
+            check(h, n)
