@@ -54,8 +54,9 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -233,19 +234,24 @@ def sqrt2_minus_one() -> CReal:
 # ---------------------------------------------------------------------------
 # Exact quadratic field Q[sqrt(2)]
 
+_RATIONAL = (int, Fraction)
+
 
 class Quad:
     """Exact number a + b*sqrt(2) with rational a, b.
 
     Supports field arithmetic and exact total order; used for rotation-map
     internals where orbit points and PL breakpoints live in Q[sqrt(2)].
+    Both parts are `Fraction`s, kept as given when they already are; int and
+    Fraction operands join without a lift to Quad.  Comparisons read the
+    `sign` of one difference, which decides a^2 against 2b^2 on integers.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     @staticmethod
     def of(x) -> "Quad":
@@ -264,8 +270,11 @@ class Quad:
         return self.a + self.b * r2
 
     def __add__(self, o):
-        o = Quad.of(o)
-        return Quad(self.a + o.a, self.b + o.b)
+        if isinstance(o, Quad):
+            return Quad(self.a + o.a, self.b + o.b)
+        if isinstance(o, _RATIONAL):
+            return Quad(self.a + o, self.b)
+        return self + Quad(o)
 
     __radd__ = __add__
 
@@ -273,64 +282,70 @@ class Quad:
         return Quad(-self.a, -self.b)
 
     def __sub__(self, o):
-        return self + (-Quad.of(o))
+        if isinstance(o, Quad):
+            return Quad(self.a - o.a, self.b - o.b)
+        if isinstance(o, _RATIONAL):
+            return Quad(self.a - o, self.b)
+        return self - Quad(o)
 
     def __rsub__(self, o):
-        return Quad.of(o) + (-self)
+        if isinstance(o, _RATIONAL):
+            return Quad(o - self.a, -self.b)
+        return Quad(o) - self
 
     def __mul__(self, o):
-        o = Quad.of(o)
-        return Quad(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if isinstance(o, Quad):
+            return Quad(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        if isinstance(o, _RATIONAL):
+            return Quad(self.a * o, self.b * o)
+        return self * Quad(o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
+        if isinstance(o, _RATIONAL):
+            return Quad(self.a / o, self.b / o)
         o = Quad.of(o)
-        n = o.a * o.a - 2 * o.b * o.b
-        if n == 0:
-            raise ZeroDivisionError
-        inv = Quad(o.a / n, -o.b / n)
-        return self * inv
+        n = o.a * o.a - 2 * o.b * o.b  # zero only for o = 0
+        return self * Quad(o.a / n, -o.b / n)
 
     def __rtruediv__(self, o):
-        return Quad.of(o) / self
+        if not isinstance(o, _RATIONAL):
+            return Quad(o) / self
+        n = self.a * self.a - 2 * self.b * self.b
+        return Quad(o * self.a / n, -o * self.b / n)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0: positive iff a^2 > 2 b^2
-            return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
-        return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
+        an, bn = a.numerator, b.numerator
+        sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
+        if sa * sb >= 0:  # the same sign, or one part is zero
+            return sa or sb
+        # opposite signs: the sign of a wins iff a^2 > 2 b^2 (never equal)
+        big_a = an * an * b.denominator ** 2 > 2 * bn * bn * a.denominator ** 2
+        return sa if big_a else sb
 
     def __eq__(self, o):
-        o = Quad.of(o)
-        return self.a == o.a and self.b == o.b
-
-    def __ne__(self, o):
-        return not self.__eq__(o)
+        if isinstance(o, Quad):
+            return self.a == o.a and self.b == o.b
+        if isinstance(o, _RATIONAL):
+            return self.a == o and not self.b
+        return self == Quad(o)
 
     def __lt__(self, o):
-        return (self - Quad.of(o)).sign() < 0
+        return (self - o).sign() < 0
 
     def __le__(self, o):
-        return (self - Quad.of(o)).sign() <= 0
+        return (self - o).sign() <= 0
 
     def __gt__(self, o):
-        return (self - Quad.of(o)).sign() > 0
+        return (self - o).sign() > 0
 
     def __ge__(self, o):
-        return (self - Quad.of(o)).sign() >= 0
+        return (self - o).sign() >= 0
 
     def __hash__(self):
         # a rational Quad equals its Fraction, so it must hash like it

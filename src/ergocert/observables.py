@@ -25,7 +25,10 @@ class PiecewiseLinear:
 
     Stored as contiguous segments (a, b, va, vb): linear from va at a to vb
     at b, right-continuous at segment starts.  Jumps between segments are
-    allowed (f(x)=x as a circle map jumps at 0)."""
+    allowed (f(x)=x as a circle map jumps at 0).  Normal form: no segment
+    has zero length and no two neighbours are continuous and collinear.
+    The constructor establishes it; `pl_sum`, `scale` (c != 0), `add_const`,
+    `shift` and `pullback_doubling` emit it and skip the checks."""
 
     __slots__ = ("segments",)
     space = CIRCLE
@@ -46,6 +49,13 @@ class PiecewiseLinear:
             else:
                 merged.append((a, b, va, vb))
         self.segments = merged
+
+    @staticmethod
+    def _normal(segments) -> "PiecewiseLinear":
+        """Wrap segments that are already in normal form, unchecked."""
+        f = object.__new__(PiecewiseLinear)
+        f.segments = segments
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -167,11 +177,13 @@ class PiecewiseLinear:
 
     def scale(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
-        return PiecewiseLinear([(a, b, c * va, c * vb) for a, b, va, vb in self.segments])
+        segs = [(a, b, c * va, c * vb) for a, b, va, vb in self.segments]
+        return PiecewiseLinear._normal(segs) if c else PiecewiseLinear(segs)
 
     def add_const(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
-        return PiecewiseLinear([(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
+        return PiecewiseLinear._normal(
+            [(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return pl_sum([self, other])
@@ -206,17 +218,17 @@ class PiecewiseLinear:
             cut = _lerp(a, b, va, vb, c)
             segs[0] = (Fraction(0), b - c, cut, vb)
             segs.append((a + 1 - c, Fraction(1), va, cut))
-        return PiecewiseLinear(segs)
+        return _joined(segs, len(self.segments) - i)
 
     def pullback_doubling(self) -> "PiecewiseLinear":
-        """x -> f(2x mod 1)."""
+        """x -> f(2x mod 1); the two copies of f meet at 1/2."""
         segs = []
         half = Fraction(1, 2)
         for a, b, va, vb in self.segments:
             segs.append((a * half, b * half, va, vb))
         for a, b, va, vb in self.segments:
             segs.append((a * half + half, b * half + half, va, vb))
-        return PiecewiseLinear(segs)
+        return _joined(segs, len(self.segments))
 
     def transfer_doubling(self) -> "PiecewiseLinear":
         """Transfer operator of the doubling map w.r.t. Lebesgue:
@@ -272,6 +284,16 @@ def _lerp(a, b, va, vb, x):
 def _collinear(a, b, va, vb, c, vc) -> bool:
     # (a,va)-(b,vb) extended hits (c,vc)?
     return (vb - va) * (c - a) == (vc - va) * (b - a)
+
+
+def _joined(segs, j) -> PiecewiseLinear:
+    """segs, in normal form but maybe at the junction before segs[j]."""
+    if 0 < j < len(segs):
+        pa, pb, pva, pvb = segs[j - 1]
+        a, b, va, vb = segs[j]
+        if pvb == va and _collinear(pa, pb, pva, pvb, b, vb):
+            segs[j - 1:j + 1] = [(pa, b, pva, vb)]
+    return PiecewiseLinear._normal(segs)
 
 
 def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:
@@ -334,7 +356,8 @@ def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
 
     Every term adds its value and slope at 0, and its jump in value and
     in slope at each of its other breakpoints.  The breakpoints of all
-    terms are sorted once and the jumps accumulated from 0 to 1."""
+    terms are sorted once and the jumps accumulated from 0 to 1, ending a
+    segment only where the value or the slope changes (normal form)."""
     value = slope = Fraction(0)
     jumps = {}
     for f in fs:
@@ -346,14 +369,18 @@ def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
             jumps.setdefault(a, []).append((va - end, s - prev))
             end, prev = vb, s
     segs = []
-    x = Fraction(0)
-    for c in sorted(jumps) + [Fraction(1)]:
+    x = start = Fraction(0)
+    head = value
+    for c in sorted(jumps):
         end = value + slope * (c - x)
-        segs.append((x, c, value, end))
-        x, value = c, end
-        for dv, ds in jumps.get(c, ()):
+        x, value, before = c, end, slope
+        for dv, ds in jumps[c]:
             value, slope = value + dv, slope + ds
-    return PiecewiseLinear(segs)
+        if value != end or slope != before:
+            segs.append((start, c, head, end))
+            start, head = c, value
+    segs.append((start, Fraction(1), head, value + slope * (Fraction(1) - x)))
+    return PiecewiseLinear._normal(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +398,7 @@ class CylinderFn:
         if len(table) != 1 << depth:
             raise ValueError("table must have 2^depth entries")
         self.depth = depth
-        self.table = [Fraction(v) for v in table]
+        self.table = [v if type(v) is Fraction else Fraction(v) for v in table]
 
     @staticmethod
     def constant(c) -> "CylinderFn":

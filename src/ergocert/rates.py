@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_int, parse_rat, pow2
-from .errors import BudgetExceededError, InputError, UnsupportedPairError
+from .errors import (BudgetExceededError, ErgocertError, InputError,
+                     UnsupportedPairError)
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
                        l2_sq_enclosure, l_norm_birkhoff, parse_system,
                        rotation_sup_bound)
@@ -260,7 +261,8 @@ def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
         system = parse_system(cert.system_sel)
         f = observable_from_json(cert.observable)
         oracle = NormOracle(system, f)
-    except Exception as e:  # malformed payloads are verification failures
+    except (ErgocertError, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as e:  # a malformed payload fails verification
         return False, f"payload: {e}"
     if cert.kind in ("NORM_L1", "NORM_L2"):
         norm = cert.kind[-2:]

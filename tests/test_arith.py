@@ -132,6 +132,87 @@ class TestQuad:
         assert abs(q.approx(m) - ref) <= pow2(m) + pow2(78)
 
 
+def _oracle_sign(a, b):
+    """Sign of a + b*sqrt2, decided as a against -b*sqrt2: zero only when
+    a = b = 0; otherwise unequal signs decide, and equal signs compare
+    a^2 with 2b^2 on integers."""
+    if a == 0 and b == 0:
+        return 0
+    sa, sc = (a > 0) - (a < 0), (b < 0) - (b > 0)  # signs of a and -b*sqrt2
+    if sa != sc:
+        return 1 if sa > sc else -1
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    a_sq_bigger = p * p * s * s > 2 * r * r * q * q
+    return sa if a_sq_bigger else -sa
+
+
+def _pair(x):
+    return (x.a, x.b) if isinstance(x, Quad) else (F(x), F(0))
+
+
+def _quad_samples(rng):
+    pell = [Quad(F(99, 70), -1), Quad(F(-99, 70), 1), Quad(0, F(70, 99)),
+            Quad(F(1393, 985), -1), Quad(F(665857, 470832), -1),
+            Quad(-1, F(985, 1393)), SQRT2_MINUS_1, Quad(0, 1)]
+    out = pell + [Quad(0), Quad(F(3, 7)), Quad(0, F(-5, 3)), F(99, 70),
+                  F(-1393, 985), F(0), 0, 1, -2, 3]
+    for _ in range(25):
+        a, b = rand_frac(rng), rand_frac(rng)
+        out += [Quad(a, b), Quad(a), Quad(0, b), a, rng.randint(-9, 9)]
+    return out
+
+
+class TestQuadOracle:
+    """Quad against an exact pair model (a, b) of a + b*sqrt2."""
+
+    def test_ops_types_and_order(self):
+        rng = random.Random(2010)
+        xs = _quad_samples(rng)
+        for _ in range(4000):
+            x, y = rng.choice(xs), rng.choice(xs)
+            if not (isinstance(x, Quad) or isinstance(y, Quad)):
+                continue
+            (a, b), (c, d) = _pair(x), _pair(y)
+            sums = {"+": (a + c, b + d), "-": (a - c, b - d),
+                    "*": (a * c + 2 * b * d, a * d + b * c)}
+            for op, want in sums.items():
+                got = {"+": x + y, "-": x - y, "*": x * y}[op]
+                assert type(got) is Quad, (x, op, y)
+                assert (got.a, got.b) == want, (x, op, y)
+                assert type(got.a) is F and type(got.b) is F
+            n = c * c - 2 * d * d
+            if n == 0:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            else:
+                got = x / y
+                assert type(got) is Quad
+                assert (got.a, got.b) == ((a * c - 2 * b * d) / n,
+                                          (b * c - a * d) / n), (x, y)
+            sign = _oracle_sign(a - c, b - d)
+            assert (x < y, x <= y, x > y, x >= y) == (
+                sign < 0, sign <= 0, sign > 0, sign >= 0), (x, y)
+            assert (x == y) == (sign == 0) and (x != y) == (sign != 0)
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+        for x in xs:
+            if isinstance(x, Quad):
+                a, b = _pair(x)
+                assert x.sign() == _oracle_sign(a, b), x
+                neg = -x
+                assert type(neg) is Quad and (neg.a, neg.b) == (-a, -b)
+                got = abs(x)
+                want = (-a, -b) if _oracle_sign(a, b) < 0 else (a, b)
+                assert type(got) is Quad and (got.a, got.b) == want, x
+
+    def test_parts_stay_fractions(self):
+        # an int or a string part is converted; a Fraction part is kept
+        half = F(1, 2)
+        q = Quad(half, 3)
+        assert q.a is half and type(q.b) is F and q.b == 3
+        assert Quad("1/3", True).b == 1 and type(Quad("1/3").a) is F
+
+
 class TestFormatting:
     def test_roundtrip(self):
         # [TRIVIAL]

@@ -208,3 +208,27 @@ class TestExitCodes:
                                                         "space": "cantor"})))):
             art.write_text(json.dumps({**point, **change}))
             assert main(["replay", "--artifact", str(art)]) == EXIT_INPUT
+
+    def test_malformed_payload_is_a_failed_check(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # a zero denominator in the system selector and an unknown
+        # observable variant are verification failures, not crashes
+        from ergocert import rates
+        cert = json.loads((CORPUS / "cert_shift1-2_w01_as-bounded_1-4_1-2"
+                                    ".json").read_text())
+        art = tmp_path / "cert.json"
+        for change in ({"system": "shift:p=1/0"},
+                       {"observable": {"variant": "spline"}}):
+            art.write_text(json.dumps({**cert, **change}))
+            ok, msg = rates.check_certificate(
+                rates.RateCertificate.from_json({**cert, **change}))
+            assert not ok and msg.startswith("payload: "), msg
+            code, out = run(capsys, "replay", "--artifact", str(art))
+            assert code == EXIT_INPUT
+            assert not out["ok"] and out["detail"].startswith("payload: ")
+        # a programming error in the checker is not read as a bad payload
+        def broken(d):
+            raise AttributeError("a bug")
+        monkeypatch.setattr(rates, "observable_from_json", broken)
+        with pytest.raises(AttributeError):
+            rates.check_certificate(rates.RateCertificate.from_json(cert))

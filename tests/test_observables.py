@@ -118,6 +118,71 @@ class TestPiecewiseLinear:
                 assert pl_inner(f, g) == want
 
 
+def _random_pl(rng, pieces):
+    """A rational PL function with jumps, continuous kinks and continuous
+    collinear runs (which the constructor merges)."""
+    xs = sorted({F(rng.randint(1, 47), 48) for _ in range(pieces)})
+    segs, v, slope = [], F(rng.randint(-4, 4), 3), F(0)
+    for a, b in zip([F(0)] + xs, xs + [F(1)]):
+        roll = rng.random()
+        if roll < 0.3:
+            v = F(rng.randint(-4, 4), 3)  # a jump
+        if roll > 0.6:
+            slope = F(rng.randint(-6, 6), rng.randint(1, 4))  # a kink
+        segs.append((a, b, v, v + slope * (b - a)))
+        v = segs[-1][3]
+    return PiecewiseLinear(segs)
+
+
+def _assert_normal_form(f, what):
+    """The constructor's checks change nothing: no zero-length segment
+    and no continuous collinear neighbours, value by value and type by
+    type."""
+    again = PiecewiseLinear(f.segments).segments
+    assert again == f.segments, what
+    assert [tuple(map(type, s)) for s in again] == \
+        [tuple(map(type, s)) for s in f.segments], what
+
+
+class TestNormalForm:
+    def test_kernels_emit_normal_form(self):
+        rng = random.Random(8)
+        alpha = SQRT2_MINUS_1
+        h = PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 16))
+        # 1 on both sides of 0: the last and first segments are collinear
+        # across the wrap, so shifts and pullbacks must join them
+        h0 = PiecewiseLinear.hat(F(0), F(1, 8), F(1, 16))
+        fs = [_random_pl(rng, k) for k in (1, 2, 5, 9, 14)]
+        fs += [h, h0, PiecewiseLinear.identity(), PiecewiseLinear.constant(2)]
+        fs += [g.shift(alpha * k) for g in (h, h0) for k in (1, 2, 5)]
+        for f in fs:
+            cuts = [F(0), f.segments[-1][0], alpha * 3, F(-7, 5)]
+            outs = {"scale 0": f.scale(0), "scale": f.scale(F(-3, 2)),
+                    "add_const": f.add_const(F(5, 7)),
+                    "pullback_doubling": f.pullback_doubling(),
+                    "sum with -f": pl_sum([f, f.scale(-1)]),
+                    "sum with itself": pl_sum([f, f, f])}
+            outs.update((f"shift {c}", f.shift(c)) for c in cuts)
+            g = _random_pl(rng, 7)
+            # f + (g - f) = g: every breakpoint of f cancels
+            outs["sum g - f + f"] = pl_sum([f, g.add(f.scale(-1))])
+            outs["rotated sum"] = pl_sum([f.shift(alpha * k)
+                                          for k in range(4)])
+            for what, out in outs.items():
+                _assert_normal_form(out, (f, what))
+            assert len(outs["sum with -f"].segments) == 1
+            assert outs["sum g - f + f"].segments == g.segments
+        # the doubling and rotation chains of a Birkhoff sum
+        for f in (h0, h, fs[3]):
+            for step in (PiecewiseLinear.pullback_doubling,
+                         lambda u: u.shift(alpha)):
+                terms = [f]
+                for _ in range(5):
+                    terms.append(step(terms[-1]))
+                    _assert_normal_form(terms[-1], (f, "chain"))
+                _assert_normal_form(pl_sum(terms), (f, "chain sum"))
+
+
 class TestCylinderFn:
     def test_coordinate_and_indicator(self):
         # [TRIVIAL]
