@@ -33,6 +33,10 @@ from .spaces import (CantorPoint, EffectiveOpen, IdealBall, Membership, Space,
 CANDIDATE_BUDGET = 1 << 14
 #: extra depth explored below the minimum at each refinement step
 DEPTH_SLACK = 20
+#: exact windows per observable of a typical point
+TYPICAL_WINDOWS = 12
+#: replay evaluates a window's average to width 2^-EVAL_PRECISION
+EVAL_PRECISION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -70,82 +74,62 @@ class BCSequence:
 
 
 def bc_exact_windows(system: System, f: Observable,
-                     caps: Callable[[int], Fraction],
-                     deltas: Optional[Callable[[int], Fraction]] = None,
-                     count: int = 12,
-                     max_n: Optional[int] = None,
-                     start_n: int = 1) -> BCSequence:
+                     caps: Callable[[int], Fraction], count: int = 12,
+                     max_n: Optional[int] = None) -> BCSequence:
     """BC sequence of single-time deviation windows with exact errors.
 
-    Window j is U_j = {x : |A_{n_j}(f - integral f)(x)| < delta_j} for the
-    smallest feasible n_j (nondecreasing in j) whose exact complement
-    measure meets caps(j); when no n within budget meets the cap the window
-    degrades to the whole space with err 0 (a valid, vacuous window).
-    Windows beyond `count` are the whole space."""
-    floor = system.bc_delta_floor
-    deltas = deltas or (lambda j: max(floor, pow2(j)))
+    Window j is U_j = {x : |A_{n_j}(f - integral f)(x)| < delta_j}, with
+    delta_j = max(system.bc_delta_floor, 2^-j), for the smallest feasible
+    n_j (nondecreasing in j) whose exact complement measure 1 - mu(U_j)
+    meets caps(j); when no n within budget meets the cap the window
+    degrades to the whole space with err 0 (a valid, vacuous window).  The
+    `count` windows are computed once, in order; windows beyond `count` are
+    the whole space."""
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
-    windows: dict[int, dict] = {}
-    state = {"n": max(1, start_n)}
-    # per (n, delta): the cheap complement mass where the system has one,
-    # and the rational region with its exact complement mass
-    masses: dict[tuple, Optional[Fraction]] = {}
+    whole = {"trivial": True, "n": None, "delta": None, "err": Fraction(0),
+             "region": system.full_region(),
+             "open": EffectiveOpen.whole(system.space),
+             "observable": obs_json}
+    # per (n, delta): the rational region and its exact complement mass
     regions: dict[tuple, tuple] = {}
-
-    def _trivial(j: int) -> dict:
-        reg = system.full_region()
-        return {"trivial": True, "n": None, "delta": None,
-                "err": Fraction(0), "region": reg,
-                "open": EffectiveOpen.whole(system.space),
-                "observable": obs_json}
-
-    def _window(j: int) -> dict:
-        if j in windows:
-            return windows[j]
-        if j > count:
-            return _trivial(j)
+    windows: dict[int, dict] = {}
+    start = 1
+    for j in range(1, count + 1):
         cap = Fraction(caps(j))
-        delta = Fraction(deltas(j))
-        found = None
-        for n in range(state["n"], max_n + 1):
-            key = (n, delta)
-            try:
-                if key not in masses:
-                    masses[key] = system.exceed_mass(f, n, delta)
-                if masses[key] is not None and masses[key] > cap:
-                    continue
-                if key not in regions:
+        delta = max(system.bc_delta_floor, pow2(j))
+        windows[j] = whole
+        for n in range(start, max_n + 1):
+            if (n, delta) not in regions:
+                try:
                     reg, _ = system.rational_region(
                         deviation_region(system, f, n, delta))
-                    regions[key] = reg, 1 - region_measure(system.measure.tag,
-                                                           reg)
-            except BudgetExceededError:
-                break
-            reg, err = regions[key]
+                except BudgetExceededError:
+                    break
+                regions[n, delta] = reg, 1 - region_measure(
+                    system.measure.tag, reg)
+            reg, err = regions[n, delta]
             if err <= cap:
-                found = {"trivial": False, "n": n, "delta": delta,
-                         "err": err, "region": reg,
-                         "open": EffectiveOpen(
-                             system.space,
-                             exact_prefix=region_to_balls(system, reg)),
-                         "observable": obs_json}
-                state["n"] = n
+                windows[j] = {"trivial": False, "n": n, "delta": delta,
+                              "err": err, "region": reg,
+                              "open": EffectiveOpen(
+                                  system.space,
+                                  exact_prefix=region_to_balls(system, reg)),
+                              "observable": obs_json}
+                start = n
                 break
-        windows[j] = found if found is not None else _trivial(j)
-        return windows[j]
 
     def tail(u: int) -> Fraction:
-        return sum((_window(j)["err"] for j in range(max(1, u), count + 1)),
+        return sum((windows[j]["err"] for j in range(max(1, u), count + 1)),
                    Fraction(0))
 
     return BCSequence(
         space=system.space,
-        opens=lambda j: _window(j)["open"],
-        err=lambda j: _window(j)["err"],
+        opens=lambda j: windows.get(j, whole)["open"],
+        err=lambda j: windows.get(j, whole)["err"],
         tail=tail,
-        region=lambda j: _window(j)["region"],
-        info=lambda j: {k: _window(j)[k]
+        region=lambda j: windows.get(j, whole)["region"],
+        info=lambda j: {k: windows.get(j, whole)[k]
                         for k in ("trivial", "n", "delta", "err",
                                   "observable")},
         support_end=count)
@@ -318,14 +302,15 @@ class SynthPoint:
     def decimal(self, digits: int = 12) -> str:
         """Decimal (circle) or bit-prefix (Cantor) rendering.
 
-        Circle renderings are certified within 10^-digits: the enclosure
-        is taken at precision 2^-m with 2^-m <= 10^-digits / 2, and
-        rounding the midpoint adds at most another 10^-digits / 2."""
+        Circle renderings are certified within 10^-digits on the circle:
+        the enclosure is taken at precision 2^-m with 2^-m <= 10^-digits /
+        2, and rounding the midpoint adds at most another 10^-digits / 2
+        (a midpoint that rounds up to 1 renders as 0, the same point)."""
         if isinstance(self.point, CantorPoint):
             return self.point.prefix(digits)
         m = math.ceil(digits * math.log2(10)) + 4
         mid = self.point.enclosure(m).mid % 1
-        v = round(mid * 10**digits)
+        v = round(mid * 10**digits) % 10**digits
         return f"0.{v:0{digits}d}"
 
     def to_json(self) -> dict:
@@ -468,8 +453,8 @@ def _coerce_region(region):
 # Replay
 
 
-def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
-                 eval_precision: int = 6) -> dict:
+def replay_synth(system: System, sp: SynthPoint,
+                 check_eval: bool = False) -> dict:
     """Re-verify a synthesized point from its own audit trail.
 
     Checks the window claim (one certificate per window, in sequence from
@@ -477,7 +462,8 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
     that certificate t records stream ball t + 1 as its accepted ball,
     witness membership of every recorded window, containment of each
     witness in the recomputed deviation region, and (optionally) a direct
-    interval evaluation of each window's Birkhoff average at the point."""
+    interval evaluation of each window's Birkhoff average at the point,
+    to width 2^-EVAL_PRECISION."""
     space = system.space
     point = sp.point if sp.point is not None \
         else SynthPoint.from_json(sp.to_json()).point
@@ -520,7 +506,7 @@ def replay_synth(system: System, sp: SynthPoint, check_eval: bool = False,
             failures.append(f"window {j}: witness outside deviation region")
         if check_eval:
             mean = integral(system, obs)
-            box = birkhoff_eval(system, obs, point, n, eval_precision)
+            box = birkhoff_eval(system, obs, point, n, EVAL_PRECISION)
             if not (box.hi < mean + delta and box.lo > mean - delta):
                 failures.append(
                     f"window {j}: |A_{n} f - mean| not below {delta}")
@@ -539,22 +525,21 @@ def dense_sequence(system: System, bc: BCSequence, count: int,
             for ball in itertools.islice(_mass_balls(system), count)]
 
 
-def typical_point(system: System, members: int, windows: int = 8,
-                  deltas: Optional[Callable[[int], Fraction]] = None,
-                  window_count: int = 12,
-                  max_n: Optional[int] = None) -> SynthPoint:
+def typical_point(system: System, members: int,
+                  windows: int = 8) -> SynthPoint:
     """Point generic for the first `members` canonical observables at once.
 
-    Builds one exact-window BC sequence per observable with caps 2^-(i+j),
-    dovetails them, and synthesizes a member of the intersection; the digit
-    tail of the point keeps the running Birkhoff sums of all tracked
-    observables balanced beyond the certified windows."""
+    Builds one exact-window BC sequence of TYPICAL_WINDOWS windows per
+    observable with caps 2^-(i+j), dovetails them, and synthesizes a member
+    of the intersection; the digit tail of the point keeps the running
+    Birkhoff sums of all tracked observables balanced beyond the certified
+    windows."""
     if members < 1:
         raise InputError("need at least one observable")
     terms = enumerate_F(system.space, members)
     bcs = [bc_exact_windows(system, terms[i],
                             caps=lambda j, i=i: pow2(i + 1 + j),
-                            deltas=deltas, count=window_count, max_n=max_n)
+                            count=TYPICAL_WINDOWS)
            for i in range(members)]
     bc = bc_intersect(bcs)
     target = next(_mass_balls(system))

@@ -32,6 +32,8 @@ SEGMENT_BUDGET = 1 << 21
 CORRELATION_CUTOFF = 120
 #: largest octave that is searched linearly for the minimal p
 SCAN_CAP = 2048
+#: cap on the doubling p-search
+DEFAULT_P_BUDGET = 1 << 34
 #: digit window used when scoring partial orbit points of a digit tail
 BALANCE_WINDOW = 24
 #: denominators of the continued-fraction convergents of sqrt(2)-1
@@ -95,11 +97,6 @@ class System:
             self._slot = (key, n, state)
         return state
 
-    def exceed_mass(self, f: Observable, n: int, delta: Fraction):
-        """Exact mu{|A_n fbar| >= delta} when it is cheaper than the region
-        itself, else None."""
-        return None
-
     def rational_region(self, region):
         """(region with rational endpoints, exact bound on the mass lost)."""
         return region, Fraction(0)
@@ -120,18 +117,19 @@ class System:
             return "l1-exact"
         return "l2-upper"
 
-    def search_p(self, bound, threshold: Fraction, p_budget: int):
+    def search_p(self, bound, threshold: Fraction):
         """(p, w, method) with bound(p) = (w, method) and w < threshold:
-        a doubling schedule, then a linear scan of the winning octave when
-        it is small enough to examine exhaustively."""
+        a doubling schedule up to DEFAULT_P_BUDGET, then a linear scan of
+        the winning octave when it is small enough to examine exhaustively."""
         p = 1
         while True:
             w, method = bound(p)
             if w < threshold:
                 break
             p *= 2
-            if p > p_budget:
-                raise BudgetExceededError(f"p-search exceeded {p_budget}")
+            if p > DEFAULT_P_BUDGET:
+                raise BudgetExceededError(
+                    f"p-search exceeded {DEFAULT_P_BUDGET}")
         if p > 1 and (p - p // 2) <= SCAN_CAP:
             for q in range(p // 2 + 1, p):
                 wq, mq = bound(q)
@@ -212,16 +210,17 @@ class Shift(System):
     def l1_norm(self, g: CylinderFn) -> Fraction:
         return CylinderFn(g.depth, [abs(v) for v in g.table]).integral(self.p)
 
-    def sublevel(self, a: CylinderFn, delta: Fraction) -> CylSet:
-        return a.cylinders_below_abs(delta)
+    def sublevel(self, g: CylinderFn, n: int, delta: Fraction) -> CylSet:
+        # |S_n g| < n delta, decided on the integer table den S_n
+        if not g.depth:  # A_n g = g
+            return CylSet([""] if abs(g.table[0]) < delta else [])
+        den, table = self.birkhoff_sum(g, n)
+        d, lim = n + g.depth - 1, delta.numerator * den * n
+        return CylSet([format(w, f"0{d}b") for w, s in enumerate(table)
+                       if abs(s) * delta.denominator < lim])
 
     def region_balls(self, region: CylSet) -> list[IdealBall]:
         return [CANTOR.cylinder_ball(w) for w in region.prefixes]
-
-    def exceed_mass(self, f: Observable, n: int, delta: Fraction):
-        a = birkhoff_observable(self, centered(self, f), n)
-        return CylinderFn(a.depth, [abs(v) >= delta for v in a.table]
-                          ).integral(self.p)
 
     def ball_average(self, g: CylinderFn, ball: IdealBall, n: int) -> Interval:
         w = ball.cylinder_prefix
@@ -312,8 +311,8 @@ class CircleMap(System):
     def l1_norm(self, g: PiecewiseLinear):
         return g.abs_integral()
 
-    def sublevel(self, a: PiecewiseLinear, delta: Fraction) -> ArcSet:
-        return a.arcs_below_abs(delta)
+    def sublevel(self, g: PiecewiseLinear, n: int, delta: Fraction) -> ArcSet:
+        return birkhoff_observable(self, g, n).arcs_below_abs(delta)
 
     def region_balls(self, region: ArcSet) -> list[IdealBall]:
         # split every arc so each piece is shorter than 1/2 (a circle ball
@@ -475,7 +474,7 @@ class Rotation(CircleMap):
         # every norm by the sup norm of the exact average
         return "sup-exact"
 
-    def search_p(self, bound, threshold: Fraction, p_budget: int):
+    def search_p(self, bound, threshold: Fraction):
         """Probe the denominators of the continued-fraction convergents of
         the angle only: intermediate p are not competitive and each probe
         costs a full exact average."""
@@ -557,8 +556,8 @@ def apply_map(system: System, x, m: int):
     return system.step(x, m)
 
 
-def birkhoff_eval(system: System, f: Observable, x, n: int, m: int,
-                  budget: int = DEFAULT_STEP_BUDGET) -> Interval:
+def birkhoff_eval(system: System, f: Observable, x, n: int,
+                  m: int) -> Interval:
     """Certified enclosure of A_n f(x) of width <= 2^-m.
 
     Input precision starts at the system's structural requirement (n + m
@@ -571,7 +570,7 @@ def birkhoff_eval(system: System, f: Observable, x, n: int, m: int,
     target = pow2(m)
     m_in = system.input_bits(g, n, m)
     best = None
-    for _ in range(budget):
+    for _ in range(DEFAULT_STEP_BUDGET):
         out = system.orbit_enclosure(g, x, n, m_in)
         if best is None:
             best = out
@@ -707,8 +706,9 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    return system.sublevel(
-        birkhoff_observable(system, centered(system, f), n), delta)
+    if n < 1:
+        raise InputError("n must be >= 1")
+    return system.sublevel(centered(system, f), n, delta)
 
 
 def region_to_balls(system: System, region) -> list[IdealBall]:

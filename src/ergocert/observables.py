@@ -3,8 +3,9 @@
 Three variants: piecewise-linear functions on the circle (rational values,
 rational or Q[sqrt2] breakpoints), cylinder functions on Cantor space, and
 the closure of the Lipschitz bump family under max, min and rational linear
-combinations.  Everything integrates, clamps and takes sublevel sets in
-exact arithmetic; that is what makes rate certificates replayable.
+combinations.  Everything integrates and clamps in exact arithmetic, and
+circle functions give exact sublevel arcs; that is what makes rate
+certificates replayable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .arith import Interval, Quad, fmt_rat, mod1, parse_int, parse_rat
-from .regions import ArcSet, CylSet, cylinder_mass
+from .regions import ArcSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
                      space_named, unpair)
 
@@ -487,12 +488,6 @@ class CylinderFn:
         base = int(partial, 2) << free if partial else 0
         vals = [self.table[base + s] for s in range(1 << free)]
         return Interval(min(vals), max(vals))
-
-    def cylinders_below_abs(self, delta) -> CylSet:
-        """{x : |f(x)| < delta} as an exact cylinder set."""
-        return CylSet([format(w, f"0{self.depth}b") if self.depth else ""
-                       for w in range(1 << self.depth)
-                       if abs(self.table[w]) < delta])
 
     def integral(self, p) -> Fraction:
         """Exact expectation under Bernoulli(p).  A cylinder's mass depends

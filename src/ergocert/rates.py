@@ -22,19 +22,19 @@ from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
                        rotation_sup_bound)
 from .observables import observable_from_json, observable_to_json
 
-#: default cap on the doubling p-search
-DEFAULT_P_BUDGET = 1 << 34
+#: sqrt_upper rounds up to the grid of step 2^-SQRT_BITS
+SQRT_BITS = 48
 
 
-def sqrt_upper(q: Fraction, bits: int = 48) -> Fraction:
-    """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-bits."""
+def sqrt_upper(q: Fraction) -> Fraction:
+    """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-SQRT_BITS."""
     q = Fraction(q)
     if q < 0:
         raise InputError("negative radicand")
     if q == 0:
         return Fraction(0)
-    n = (q.numerator << (2 * bits)) // q.denominator
-    return Fraction(math.isqrt(n) + 1, 1 << bits)
+    n = (q.numerator << (2 * SQRT_BITS)) // q.denominator
+    return Fraction(math.isqrt(n) + 1, 1 << SQRT_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +77,12 @@ class NormOracle:
         return w
 
 
-def find_p(oracle: NormOracle, threshold: Fraction, norm: str,
-           p_budget: int = DEFAULT_P_BUDGET) -> tuple[int, Fraction, str]:
+def find_p(oracle: NormOracle, threshold: Fraction,
+           norm: str) -> tuple[int, Fraction, str]:
     """Deterministic p-search on the system's schedule
     (`System.search_p`): the smallest probed p whose bound clears the
     threshold."""
-    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold,
-                                  p_budget)
+    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +166,8 @@ def _ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def l_rate(system: System, f: Observable, epsilon: Fraction, norm: str = "L1",
-           p_budget: int = DEFAULT_P_BUDGET) -> RateCertificate:
+def l_rate(system: System, f: Observable, epsilon: Fraction,
+           norm: str = "L1") -> RateCertificate:
     """Certificate that ||A_m'(f - integral f)||_norm <= eps for all
     m' >= m, with m = n * p: p attains ||A_p|| < eps/2, and any m' >= m
     splits as m' = n'p + k with n' >= n >= 2||fbar||/eps, so the averaging
@@ -177,7 +176,7 @@ def l_rate(system: System, f: Observable, epsilon: Fraction, norm: str = "L1",
     if epsilon <= 0 or norm not in ("L1", "L2"):
         raise InputError("need eps > 0 and norm in {L1, L2}")
     oracle = NormOracle(system, f)
-    p, w, method = find_p(oracle, epsilon / 2, norm, p_budget)
+    p, w, method = find_p(oracle, epsilon / 2, norm)
     nf = oracle.fbar_norm_upper(norm)
     n = max(1, _ceil_frac(2 * nf / epsilon))
     m = n * p
@@ -187,8 +186,7 @@ def l_rate(system: System, f: Observable, epsilon: Fraction, norm: str = "L1",
 
 
 def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
-                    delta: Fraction,
-                    p_budget: int = DEFAULT_P_BUDGET) -> RateCertificate:
+                    delta: Fraction) -> RateCertificate:
     """Certificate that mu(sup_{n>=n0} |A_n(f - integral f)| > delta) <= eps.
 
     Chain: pick p with ||A_p fbar||_1 <= delta*eps/2; for n >= n0 the
@@ -201,7 +199,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
     if epsilon <= 0 or delta <= 0:
         raise InputError("need eps, delta > 0")
     oracle = NormOracle(system, f)
-    p, w, method = find_p(oracle, delta * epsilon / 2, "L1", p_budget)
+    p, w, method = find_p(oracle, delta * epsilon / 2, "L1")
     sup = oracle.fbar.sup_norm()
     n0 = max(1, _ceil_frac(Fraction(4 * (p - 1)) * sup / delta))
     return _certificate(system, f, kind="AS_BOUNDED", epsilon=epsilon,
@@ -215,8 +213,7 @@ def _tail_l1(system: System, g, M: Fraction) -> Fraction:
 
 
 def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
-               delta: Fraction,
-               p_budget: int = DEFAULT_P_BUDGET) -> RateCertificate:
+               delta: Fraction) -> RateCertificate:
     """Almost-sure rate via truncation, for observables known only in L1.
 
     Internally works at (eps/2, delta/2) so the emitted guarantee reads in
@@ -243,7 +240,7 @@ def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
             f"level budget exhausted: delta {fmt_rat(delta)} - tail "
             f"{fmt_rat(rho)} - tail level {fmt_rat(a)} = {fmt_rat(delta_sub)}")
     gm = g.clamp(M)
-    sub = as_rate_bounded(system, gm, epsilon / 2, delta_sub, p_budget)
+    sub = as_rate_bounded(system, gm, epsilon / 2, delta_sub)
     return _certificate(system, f, kind="AS_L1", epsilon=epsilon,
                         delta=delta, p=sub.p, norm_bound=sub.norm_bound,
                         norm_method=sub.norm_method, n0_or_m=sub.n0_or_m,
@@ -369,6 +366,8 @@ def validate_as(system: System, f: Observable, cert: RateCertificate,
     maximal-ergodic route)."""
     if cert.delta is None:
         raise InputError("only a.s. certificates validate against a horizon")
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     mode = system.exact_mode if mode is None else mode
     n0 = cert.n0_or_m
     if n0 > horizon:
@@ -427,10 +426,8 @@ class SummableSchedule:
     tail: Callable[[int], Fraction]  # upper bound on sum_{j>=u} eps_j
 
     @staticmethod
-    def geometric(shift: int = 0,
-                  delta: Optional[Callable[[int], Fraction]] = None
-                  ) -> "SummableSchedule":
-        """eps_j = 2^-(j+shift); default delta_j = 2^-j."""
+    def geometric(shift: int = 0) -> "SummableSchedule":
+        """eps_j = 2^-(j+shift) and delta_j = 2^-j."""
 
         def eps(j: int) -> Fraction:
             return pow2(j + shift)
@@ -444,5 +441,4 @@ class SummableSchedule:
                 u += 1
             return u
 
-        return SummableSchedule(eps, delta or (lambda j: pow2(j)), modulus,
-                                tail)
+        return SummableSchedule(eps, pow2, modulus, tail)

@@ -8,10 +8,11 @@ Q[sqrt2]) computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import Quad, mod1
+from .arith import mod1
 from .spaces import ball_arc
 
 
@@ -110,7 +111,7 @@ class ArcSet:
         a, b = ball_arc(ball)
         for lo, hi in self.components():
             for shift in (0, 1):
-                if _le(lo, a + shift) and _le(b + shift, hi):
+                if lo <= a + shift and b + shift <= hi:
                     return True
         return self.measure() == 1
 
@@ -134,22 +135,15 @@ class ArcSet:
         return f"ArcSet({self.arcs!r})"
 
 
-def _le(x, y) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x <= y
-    return (Quad.of(y) - Quad.of(x)).sign() >= 0
-
-
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:
     g = _floor_to_grid(x, grain)
-    return g + grain if Quad.of(g) < x else g
+    return g + grain if g < x else g
 
 
 def _floor_to_grid(x, grain: Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    n = (x / Quad.of(grain)).floor()
-    return grain * n
+    return grain * (x / grain).floor()
 
 
 # ---------------------------------------------------------------------------
@@ -157,28 +151,33 @@ def _floor_to_grid(x, grain: Fraction) -> Fraction:
 
 
 class CylSet:
-    """Finite union of cylinders of Cantor space, as an antichain of prefixes."""
+    """Finite union of cylinders of Cantor space, in canonical form.
+
+    `prefixes` holds the maximal cylinders inside the union, sorted by
+    (length, word): no kept word extends another and no two kept words are
+    siblings P+"0", P+"1".  The form is built in one pass over the words in
+    lexicographic order, where a word's extensions follow it directly: a
+    stack skips every word inside its top cylinder, and each push folds
+    sibling pairs on top into their parent for as long as they occur."""
 
     def __init__(self, prefixes: Iterable[str] = ()):
-        all_ps = set(prefixes)
-        kept = {w for w in all_ps
-                if not any(w[:i] in all_ps for i in range(len(w)))}
-        # merge sibling pairs bottom-up
-        for length in range(max(map(len, kept), default=0), 0, -1):
-            for w in [w for w in kept if len(w) == length and w[-1] == "0"]:
-                sib = w[:-1] + "1"
-                if sib in kept:
-                    kept.discard(w)
-                    kept.discard(sib)
-                    kept.add(w[:-1])
+        kept: list[str] = []
+        for w in sorted(prefixes):
+            if kept and w.startswith(kept[-1]):
+                continue
+            kept.append(w)
+            while len(kept) > 1 and kept[-1].endswith("1") \
+                    and kept[-2] == kept[-1][:-1] + "0":
+                kept[-2:] = [kept[-1][:-1]]
         self.prefixes = sorted(kept, key=lambda w: (len(w), w))
 
     def measure(self, p: Fraction) -> Fraction:
+        """Bernoulli(p) mass, one `cylinder_mass` per (length, count of 1s)
+        class of the kept words."""
         p = Fraction(p)
-        tot = Fraction(0)
-        for w in self.prefixes:
-            tot += cylinder_mass(w, p)
-        return tot
+        classes = Counter((len(w), w.count("1")) for w in self.prefixes)
+        return sum((count * cylinder_mass("1" * ones + "0" * (size - ones), p)
+                    for (size, ones), count in classes.items()), Fraction(0))
 
     def intersect(self, other: "CylSet") -> "CylSet":
         out = []

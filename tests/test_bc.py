@@ -1,5 +1,6 @@
 """Certified window sequences, their intersections, and point synthesis."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from ergocert.errors import InputError
 from ergocert.measures import open_measure_lower
 from ergocert.observables import CylinderFn, PiecewiseLinear
 from ergocert.rates import SummableSchedule
-from ergocert.spaces import CANTOR, EffectiveOpen, IdealBall
+from ergocert.spaces import CANTOR, CirclePoint, EffectiveOpen, IdealBall
 
 SHIFT = shift_system(F(1, 2))
 DBL = doubling_system()
@@ -35,6 +36,15 @@ class TestExactWindows:
         for j in range(1, 5):
             assert bc.err(j) <= pow2(j)
         assert bc.err(9) == 0  # beyond count: vacuous whole-space window
+        # the second member of test_intersection_tail_sound: coordinate 1
+        # at caps 2^-(2+j); the fourth window finds no n <= 18
+        bc = bc_exact_windows(SHIFT, CylinderFn.coordinate(1),
+                              caps=lambda j: pow2(2 + j), count=4)
+        got = [(bc.info(j)["n"], bc.info(j)["delta"], bc.err(j))
+               for j in range(1, 5)]
+        assert got == [(4, F(1, 2), F(1, 8)), (14, F(1, 4), F(235, 4096)),
+                       (18, F(1, 4), F(253, 8192)), (None, None, 0)]
+        assert bc.info(4)["trivial"] and not bc.info(3)["trivial"]
 
     def test_doubling_first_window(self):
         # [DERIVED: frozen exact arc mass of the first deviation window]
@@ -118,6 +128,10 @@ class TestSynthesis:
         assert rep["ok"], rep
         # the decimal rendering is certified to the printed digits
         assert len(sp.decimal(10).split(".")[1]) == 10
+        # a point just below 1 is within 10^-12 of 0 on the circle
+        near_one = replace(sp, point=CirclePoint.from_rational(1 - pow2(45)))
+        assert near_one.decimal(12) == "0.000000000000"
+        assert near_one.decimal(10) == "0.0000000000"
 
     def test_replay_detects_tampering(self):
         # [DERIVED: moving the final ball off the certified chain fails]

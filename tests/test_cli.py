@@ -60,6 +60,15 @@ class TestVerbs:
         assert out["horizon_validation"]["mode"] == "EXACT_ARC"
         assert out["horizon_validation"]["passed"]
         assert not out["horizon_validation"]["window_empty"]
+        # a horizon below 1 measures no window: an input error with a JSON
+        # diagnostic, never a vacuous pass
+        cert = CORPUS / "cert_shift1-2_w01_as-bounded_1-4_1-2.json"
+        for horizon in ("-3", "0"):
+            code = main(["validate", "--certificate", str(cert),
+                         "--horizon", horizon])
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err)["error"] == "input"
 
     def test_w1(self, capsys):
         mu = '[["1/4", "1"]]'

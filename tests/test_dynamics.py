@@ -98,6 +98,26 @@ class TestDeviationRegions:
         assert sorted(r.prefixes) == ["01", "10"]
         assert r.measure(F(1, 2)) == F(1, 2)
 
+    def test_shift_region_matches_table(self):
+        # [DERIVED: oracle = the exact average's own table, |A_n fbar| <
+        # delta word by word, strict at equality; biased p, depth 0]
+        for p in (F(1, 2), F(1, 3)):
+            system = shift_system(p)
+            for f in (FIRSTBIT, CylinderFn(2, [F(1), F(-2), F(1, 3), F(0)]),
+                      CylinderFn.constant(F(1, 2))):
+                for n in (1, 2, 3, 5):
+                    a = birkhoff_observable(system, centered(system, f), n)
+                    for delta in (F(1, 2), F(1, 4), F(2, 3)):
+                        r = deviation_region(system, f, n, delta)
+                        words = [format(w, f"0{a.depth}b") if a.depth
+                                 else "" for w in range(1 << a.depth)]
+                        inside = [abs(v) < delta for v in a.table]
+                        assert [r.contains_word_prefix(w)
+                                for w in words] == inside
+                        assert r.measure(p) == sum(
+                            cylinder_mass(w, p)
+                            for w, hit in zip(words, inside) if hit)
+
     def test_doubling_example(self):
         # [PAPER: |x - 1/2| < 1/8 is the arc (3/8, 5/8)]
         r = deviation_region(DBL, PiecewiseLinear.identity(), 1, F(1, 8))

@@ -106,6 +106,60 @@ class TestCylSet:
         assert cylinder_mass("01", F(1, 3)) == F(2, 9)
         assert cylinder_mass("", F(1, 3)) == 1
 
+    def test_canonical_form_oracle(self):
+        # [DERIVED: oracle = membership table at depth 8; the kept words
+        # are exactly the maximal cylinders inside the union, sorted by
+        # (length, word), and the mass is the table's mass]
+        depth = 8
+        rng = random.Random(17)
+        weights = {p: [cylinder_mass(format(x, f"0{depth}b"), p)
+                       for x in range(1 << depth)]
+                   for p in (F(1, 2), F(1, 3))}
+
+        def word(lo, hi):
+            return "".join(rng.choice("01")
+                           for _ in range(rng.randint(lo, hi)))
+
+        def block(w):  # the depth-8 words extending w
+            k = depth - len(w)
+            base = int(w, 2) << k if w else 0
+            return range(base, base + (1 << k))
+
+        for _ in range(300):
+            words = [word(0, depth) for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 3)):
+                # a complete sibling chain: every extension of a prefix
+                # to a given depth, which must fold back into the prefix
+                base = word(0, depth - 1)
+                k = rng.randint(1, depth - len(base))
+                words += [base + format(i, f"0{k}b")
+                          for i in range(1 << k)]
+            words += [w + word(1, 2) for w in rng.sample(words,
+                                                         len(words) // 3)
+                      if len(w) < depth - 1]  # nested prefixes
+            words += rng.sample(words, len(words) // 4)  # repeats
+            if rng.random() < 0.1:
+                words.append("")
+            rng.shuffle(words)
+            inside = [False] * (1 << depth)
+            for w in words:
+                for x in block(w):
+                    inside[x] = True
+
+            def full(w):
+                return all(inside[x] for x in block(w))
+
+            maximal = sorted((w for n in range(depth + 1)
+                              for w in (format(i, f"0{n}b") if n else ""
+                                        for i in range(1 << n))
+                              if full(w) and (not w or not full(w[:-1]))),
+                             key=lambda w: (len(w), w))
+            s = CylSet(words)
+            assert s.prefixes == maximal, words
+            for p, weight in weights.items():
+                mass = sum(m for m, hit in zip(weight, inside) if hit)
+                assert s.measure(p) == mass
+
     def test_large_same_depth_union_fast(self):
         # [DERIVED: construction must stay near-linear in the input size]
         words = [format(w, "016b") for w in range(0, 1 << 16, 3)]
