@@ -327,6 +327,9 @@ class SynthPoint:
     def from_json(d: dict) -> "SynthPoint":
         system = parse_system(d["system"])
         balls = [IdealBall.from_json(b) for b in d["balls"]]
+        if not balls:
+            raise ValueError("a synthesized point records at least its "
+                             "target ball")
         track = [system.as_concrete(observable_from_json(o))
                  for o in d["track"]]
         sp = SynthPoint(d["system"],
@@ -348,6 +351,8 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     the error tail of the unprocessed windows) stays positive, so the
     construction can always continue; running out of mass in the target
     raises NO_MASS."""
+    if windows < 0:
+        raise InputError(f"windows must be >= 0, got {windows}")
     if bc.region is None:
         raise UnsupportedInstanceError(
             "synthesis needs windows with exact region data")

@@ -19,7 +19,8 @@ from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .measures import (ComputableMeasure, bernoulli_measure, lebesgue_measure)
-from .observables import CylinderFn, FTerm, PiecewiseLinear, pl_inner, pl_sum
+from .observables import (CylinderFn, FTerm, PiecewiseLinear, pl_inner,
+                          pl_sum, table_integral)
 from .regions import ArcSet, CylSet
 from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, EffectiveOpen,
                      IdealBall, Space, ball_arc)
@@ -207,8 +208,11 @@ class Shift(System):
     def integral(self, g: CylinderFn) -> Fraction:
         return g.integral(self.p)
 
-    def l1_norm(self, g: CylinderFn) -> Fraction:
-        return CylinderFn(g.depth, [abs(v) for v in g.table]).integral(self.p)
+    def l1_norm(self, g: CylinderFn, n: int) -> Fraction:
+        if not g.depth:  # A_n g = g
+            return abs(g.table[0])
+        den, table = self.birkhoff_sum(g, n)
+        return table_integral([abs(s) for s in table], self.p) / (den * n)
 
     def sublevel(self, g: CylinderFn, n: int, delta: Fraction) -> CylSet:
         # |S_n g| < n delta, decided on the integer table den S_n
@@ -261,7 +265,7 @@ class Shift(System):
             hit = [hit[w >> up] or abs(s) * dd > lim
                    for w, s in enumerate(table)]
             depth += up
-        return CylinderFn(depth, hit).integral(self.p)
+        return table_integral(hit, self.p)
 
 
 class CircleMap(System):
@@ -308,11 +312,12 @@ class CircleMap(System):
     def integral(self, g: PiecewiseLinear):
         return g.integral()
 
-    def l1_norm(self, g: PiecewiseLinear):
-        return g.abs_integral()
+    def l1_norm(self, g: PiecewiseLinear, n: int):
+        return self.birkhoff_sum(g, n)[0].abs_integral() / n
 
     def sublevel(self, g: PiecewiseLinear, n: int, delta: Fraction) -> ArcSet:
-        return birkhoff_observable(self, g, n).arcs_below_abs(delta)
+        # |A_n g| < delta where |S_n g| < n delta
+        return self.birkhoff_sum(g, n)[0].arcs_below_abs(n * delta)
 
     def region_balls(self, region: ArcSet) -> list[IdealBall]:
         # split every arc so each piece is shorter than 1/2 (a circle ball
@@ -345,14 +350,15 @@ class CircleMap(System):
 
     def window_mass(self, g: PiecewiseLinear, window: range,
                     delta: Fraction) -> Fraction:
-        """Exact mu{max_{n in window} |A_n g| > delta} from the arcs where
-        the envelope of the averages exceeds delta (rounded up when the
-        arcs are irrational)."""
-        env = None
+        """Exact mu{max_{n in window} |A_n g| > delta}: the measure of the
+        arcs where S_n g > n delta or -S_n g > n delta for some n in the
+        window (rounded up when the arcs are irrational)."""
+        arcs = []
         for n in window:
-            a = birkhoff_observable(self, g, n).abs()
-            env = a if env is None else env.max_with(a)
-        mass = env.arcs_above(delta).measure()
+            s = self.birkhoff_sum(g, n)[0]
+            arcs += s.arcs_above(n * delta).arcs
+            arcs += s.scale(-1).arcs_above(n * delta).arcs
+        mass = ArcSet(arcs).measure()
         if not isinstance(mass, Fraction):
             mass = mass.approx(60) + pow2(60)
         return mass
@@ -511,6 +517,8 @@ def rotation_system(alpha: Optional[Quad] = None) -> System:
 
 
 def parse_system(selector: str) -> System:
+    if not isinstance(selector, str):
+        raise InputError(f"system must be a string, not {selector!r}")
     s = selector.strip()
     if s == "doubling":
         return doubling_system()
@@ -661,9 +669,8 @@ def l2_sq_enclosure(system: System, f: Observable, p: int,
 def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
     k = fbar.depth
     maskk = (1 << k) - 1
-    table = [fbar.table[w >> m] * fbar.table[w & maskk]
-             for w in range(1 << (k + m))]
-    return CylinderFn(k + m, table).integral(prob)
+    return table_integral([fbar.table[w >> m] * fbar.table[w & maskk]
+                           for w in range(1 << (k + m))], prob)
 
 
 def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
@@ -674,13 +681,15 @@ def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
     thresholds, which is lossless)."""
     if norm not in ("L1", "L2"):
         raise InputError("norm must be L1 or L2")
+    if p < 1:
+        raise InputError("p must be >= 1")
     if norm == "L2":
         box = l2_sq_enclosure(system, f, p)
         if box.width == 0:
             return box.lo
         raise BudgetExceededError("exact L2 norm out of range; "
                                   "use l2_sq_enclosure for a certified bound")
-    val = system.l1_norm(birkhoff_observable(system, centered(system, f), p))
+    val = system.l1_norm(centered(system, f), p)
     if isinstance(val, Quad):
         raise BudgetExceededError("rotation L1 norm is irrational; "
                                   "use rotation_sup_bound for a certificate")

@@ -74,6 +74,8 @@ class PiecewiseLinear:
         """Continuous circular interpolation through (x_i, v_i); xs
         increasing and within one turn.  Built unrolled from x_0, then
         shifted back by x_0."""
+        if len(xs) != len(vs):
+            raise ValueError(f"{len(xs)} breakpoints but {len(vs)} values")
         x0 = xs[0] if xs else 0
         starts = [x - x0 for x in xs]
         ends = starts[1:] + [Fraction(1)]
@@ -137,19 +139,15 @@ class PiecewiseLinear:
             tot = tot + (b - a) * (va + vb) / 2
         return tot
 
-    def abs(self) -> "PiecewiseLinear":
-        segs = []
+    def abs_integral(self):
+        """Exact integral of |f|; a sign change splits a segment in two."""
+        tot = 0
         for a, b, va, vb in self.segments:
             if (va < 0 < vb) or (vb < 0 < va):
-                c = a + (b - a) * (0 - va) / (vb - va)
-                segs.append((a, c, abs(va), 0 * va))
-                segs.append((c, b, 0 * va, abs(vb)))
+                tot = tot + (b - a) * (va * va + vb * vb) / (2 * abs(vb - va))
             else:
-                segs.append((a, b, abs(va), abs(vb)))
-        return PiecewiseLinear(segs)
-
-    def abs_integral(self):
-        return self.abs().integral()
+                tot = tot + (b - a) * (abs(va) + abs(vb)) / 2
+        return tot
 
     def square_integral(self):
         tot = 0
@@ -490,23 +488,28 @@ class CylinderFn:
         return Interval(min(vals), max(vals))
 
     def integral(self, p) -> Fraction:
-        """Exact expectation under Bernoulli(p).  A cylinder's mass depends
-        only on how many of its symbols are 1, so the table is summed per
-        count first.  Every expectation on the shift goes through here."""
-        p = Fraction(p)
-        d = self.depth
-        sums = [0] * (d + 1)
-        for w, v in enumerate(self.table):
-            if v:
-                sums[w.bit_count()] += v
-        tot = Fraction(0)
-        for ones, s in enumerate(sums):
-            if s:
-                tot += s * cylinder_mass("1" * ones + "0" * (d - ones), p)
-        return tot
+        """Exact expectation under Bernoulli(p)."""
+        return table_integral(self.table, p)
 
     def __repr__(self):
         return f"CylinderFn(depth={self.depth})"
+
+
+def table_integral(table, p) -> Fraction:
+    """Exact Bernoulli(p) expectation of a table like `CylinderFn.table`
+    (of ints, bools or Fractions).  A cylinder's mass depends only on how
+    many of its symbols are 1, so the table is summed per count first."""
+    p = Fraction(p)
+    d = len(table).bit_length() - 1
+    sums = [0] * (d + 1)
+    for w, v in enumerate(table):
+        if v:
+            sums[w.bit_count()] += v
+    tot = Fraction(0)
+    for ones, s in enumerate(sums):
+        if s:
+            tot += s * cylinder_mass("1" * ones + "0" * (d - ones), p)
+    return tot
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +671,8 @@ def _fterm_to_json(t: FTerm) -> dict:
 
 
 def observable_from_json(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError(f"observable must be an object, not {d!r}")
     v = d.get("variant")
     if v == "piecewise_linear":
         if "segments" in d:

@@ -42,24 +42,17 @@ def sqrt_upper(q: Fraction) -> Fraction:
 
 
 class NormOracle:
-    """Caches exact norm data for one (system, observable) pair and serves
-    certified upper bounds on ||A_p(f - integral f)|| for any p."""
+    """Certified upper bounds on ||A_p(f - integral f)|| for any p, for one
+    (system, observable) pair; fbar's correlation table is kept."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
         self.f = f
         self.fbar = centered(system, f)
-        self._cache: dict = {}
         self._corr = None  # the system's correlation table of fbar
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
-        key = (p, norm)
-        if key not in self._cache:
-            self._cache[key] = self._compute(p, norm)
-        return self._cache[key]
-
-    def _compute(self, p: int, norm: str):
         method = self.system.norm_method(self.fbar, p, norm)
         if method == "sup-exact":
             return rotation_sup_bound(self.system, self.f, p), method
@@ -73,8 +66,7 @@ class NormOracle:
 
     def fbar_norm_upper(self, norm: str) -> Fraction:
         """Certified upper bound on ||fbar||_norm (p = 1)."""
-        w, _ = self.bound(1, norm)
-        return w
+        return self.bound(1, norm)[0]
 
 
 def find_p(oracle: NormOracle, threshold: Fraction,
@@ -132,6 +124,11 @@ class RateCertificate:
         def opt(name):
             return parse_rat(d[name]) if name in d else None
 
+        if not isinstance(d["system"], str):
+            raise ValueError(f"system must be a string, not {d['system']!r}")
+        if not isinstance(d["observable"], dict):
+            raise ValueError(f"observable must be an object, not "
+                             f"{d['observable']!r}")
         return RateCertificate(
             kind=d["kind"], system_sel=d["system"], observable=d["observable"],
             epsilon=parse_rat(d["epsilon"]), delta=opt("delta"),
@@ -209,7 +206,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
 
 def _tail_l1(system: System, g, M: Fraction) -> Fraction:
     """Exact ||g - clamp(g, M)||_1."""
-    return system.l1_norm(g.add(g.clamp(M).scale(-1)))
+    return system.l1_norm(g.add(g.clamp(M).scale(-1)), 1)
 
 
 def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
@@ -252,6 +249,14 @@ def as_rate_l1(system: System, f: Observable, epsilon: Fraction,
 # Standalone certificate checker (replays witnesses, no re-search)
 
 
+#: the optional certificate fields each kind's check reads
+KIND_FIELDS = {"NORM_L1": ("n_factor", "fbar_norm"),
+               "NORM_L2": ("n_factor", "fbar_norm"),
+               "AS_BOUNDED": ("delta", "sup_bound"),
+               "AS_L1": ("delta", "sup_bound", "M", "rho", "tail_level",
+                         "delta_sub")}
+
+
 def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
     """Re-verify a certificate by exact arithmetic at the recorded p only."""
     try:
@@ -261,6 +266,10 @@ def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
     except (ErgocertError, ValueError, KeyError, TypeError,
             ZeroDivisionError) as e:  # a malformed payload fails verification
         return False, f"payload: {e}"
+    missing = [name for name in KIND_FIELDS.get(cert.kind, ())
+               if getattr(cert, name) is None]
+    if missing:
+        return False, f"{cert.kind} needs {', '.join(missing)}"
     if cert.kind in ("NORM_L1", "NORM_L2"):
         norm = cert.kind[-2:]
         w, method = oracle.bound(cert.p, norm)

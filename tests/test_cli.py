@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from ergocert.rates import RateCertificate, check_certificate
 
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
 HAT = ('{"variant": "piecewise_linear", "segments": '
@@ -140,10 +141,77 @@ class TestExitCodes:
                 # a depth that is not a JSON integer
                 *(("shift:p=1/2", '{"variant": "cylinder", "depth": %s, '
                                   '"table": ["0", "1"]}' % depth)
-                  for depth in ("1.9", '"1"', "true"))):
+                  for depth in ("1.9", '"1"', "true")),
+                # more values than breakpoints, and no JSON object at all
+                ("doubling", '{"variant": "piecewise_linear", "breakpoints":'
+                             ' ["0", "1/2"], "values": ["0", "1", "5"]}'),
+                ("doubling", '[1]')):
             code = main(["rate", "--system", system, "--kind", "norm-l2",
                          "--observable", obs, "--eps", "1/8"])
             assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name, change", [
+        # a certificate whose observable is not a JSON object, or whose
+        # system selector is not a string
+        *(("cert_shift1-2_w01_as-bounded_1-4_1-2.json", change)
+          for change in ({"observable": [1]}, {"observable": "x"},
+                         {"system": 5}, {"system": None})),
+        # a synthesized point with the same faults, or without even its
+        # target ball
+        *(("synth_shift1-2_w01.json", change)
+          for change in ({"system": 5}, {"system": None}, {"balls": []}))])
+    def test_malformed_artifact_is_an_input_error(self, capsys, tmp_path,
+                                                  name, change):
+        art = tmp_path / name
+        art.write_text(json.dumps({**json.loads((CORPUS / name).read_text()),
+                                   **change}))
+        verbs = [["replay", "--artifact", str(art)]]
+        if name.startswith("cert_"):
+            verbs.append(["validate", "--certificate", str(art)])
+        for argv in verbs:
+            code = main(argv)
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err)["error"] == "input"
+
+    @pytest.mark.parametrize("name, field", [
+        *(("cert_shift1-2_w01_as-bounded_1-4_1-2.json", field)
+          for field in ("sup_bound", "delta")),
+        *(("cert_shift1-2_w01_norm-l1_1-4.json", field)
+          for field in ("n_factor", "fbar_norm")),
+        *(("cert_shift1-2_w01_as-l1_1-4_1-4.json", field)
+          for field in ("M", "rho", "tail_level", "delta_sub"))])
+    def test_missing_field_is_a_failed_check(self, capsys, tmp_path, name,
+                                             field):
+        # a field the certificate's kind needs fails the check before any
+        # comparison reads it
+        data = json.loads((CORPUS / name).read_text())
+        del data[field]
+        ok, msg = check_certificate(RateCertificate.from_json(data))
+        assert not ok and field in msg, msg
+        art = tmp_path / name
+        art.write_text(json.dumps(data))
+        code, out = run(capsys, "replay", "--artifact", str(art))
+        assert code == EXIT_INPUT and not out["ok"]
+
+    def test_negative_windows(self, capsys, tmp_path):
+        # a negative window count is refused by both verbs; zero windows
+        # is a point that replays
+        synth = ["synthesize", "--system", "shift:p=1/2", "--observable",
+                 FIRSTBIT, "--target", '{"space": "cantor", "center": "1", '
+                 '"radius": "3/4"}', "--count", "4"]
+        for argv in ([*synth, "--windows", "-1"],
+                     ["typical", "--system", "shift:p=1/2", "--windows",
+                      "-2"]):
+            code = main(argv)
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err)["error"] == "input"
+        art = tmp_path / "point.json"
+        assert main([*synth, "--windows", "0", "--output", str(art)]) \
+            == EXIT_OK
+        code, out = run(capsys, "replay", "--artifact", str(art))
+        assert code == EXIT_OK and out["ok"] and out["roundtrip"]
 
     def test_non_binary_cantor_word(self, capsys):
         for word in ("2", "01x"):

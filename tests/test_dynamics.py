@@ -13,7 +13,7 @@ from ergocert.dynamics import (apply_map, birkhoff_eval, birkhoff_observable,
                                l2_sq_enclosure, l_norm_birkhoff, parse_system,
                                preimage_region, region_to_balls,
                                rotation_system, shift_system)
-from ergocert.errors import BudgetExceededError
+from ergocert.errors import BudgetExceededError, InputError
 from ergocert.observables import CylinderFn, PiecewiseLinear
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall
@@ -44,15 +44,20 @@ class TestNorms:
         assert l_norm_birkhoff(SHIFT, FIRSTBIT, 1, "L1") == F(1, 2)
 
     def test_shift_norm_oracle(self):
-        # [DERIVED: full-word enumeration oracle]
-        for f in (FIRSTBIT, CylinderFn.word_indicator("01")):
-            for p in range(1, 7):
-                assert l_norm_birkhoff(SHIFT, f, p, "L1") == \
-                    shift_l1_oracle(SHIFT, f, p)
-        biased = shift_system(F(1, 3))
-        for p in range(1, 5):
-            assert l_norm_birkhoff(biased, FIRSTBIT, p, "L1") == \
-                shift_l1_oracle(biased, FIRSTBIT, p)
+        # [DERIVED: full-word enumeration oracle, every p + k - 1 <= 12]
+        signed = CylinderFn(3, [F(v, 3) for v in (2, -1, 0, 4, -3, 1, 1, -2)])
+        for system in (SHIFT, shift_system(F(1, 3))):
+            for f in (FIRSTBIT, CylinderFn.word_indicator("01"), signed):
+                for p in range(1, 14 - f.depth):
+                    assert l_norm_birkhoff(system, f, p, "L1") == \
+                        shift_l1_oracle(system, f, p)
+
+    def test_p_below_one_rejected(self):
+        # [TRIVIAL]
+        for system, f in ((SHIFT, FIRSTBIT), (DBL, PiecewiseLinear.identity()),
+                          (ROT, PiecewiseLinear.identity())):
+            with pytest.raises(InputError):
+                l_norm_birkhoff(system, f, 0)
 
     def test_doubling_identity_example(self):
         # [PAPER: ||x - 1/2||_1 = 1/4]

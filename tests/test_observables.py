@@ -52,8 +52,22 @@ class TestPiecewiseLinear:
             assert f.max_with(g).eval_right(x) == max(fx, gx)
             assert f.scale(F(-2, 3)).eval_right(x) == F(-2, 3) * fx
             assert f.add_const(F(1, 5)).eval_right(x) == fx + F(1, 5)
-            assert f.add_const(F(-1, 2)).abs().eval_right(x) == abs(
-                fx - F(1, 2))
+
+    def test_abs_integral_matches_envelope(self):
+        # [DERIVED: oracle = the integral of the lattice envelope max(f, -f);
+        # random jumps, rational and Q[sqrt2] breakpoints, same value type]
+        rng = random.Random(29)
+        for _ in range(60):
+            xs = sorted({F(rng.randint(1, 63), 64)
+                         for _ in range(rng.randint(0, 5))})
+            cuts = [F(0), *xs, F(1)]
+            f = PiecewiseLinear([(a, b, F(rng.randint(-6, 6), 4),
+                                  F(rng.randint(-6, 6), 4))
+                                 for a, b in zip(cuts, cuts[1:])])
+            for g in (f, f.shift(SQRT2_MINUS_1)):
+                want = g.max_with(g.scale(-1)).integral()
+                got = g.abs_integral()
+                assert got == want and type(got) is type(want)
 
     def test_doubling_transfer_preserves_integral(self):
         # [DERIVED: averaging over the two branches keeps the mean]
@@ -281,3 +295,11 @@ class TestCodec:
             observable_from_json({"variant": "fterm", "expr": {
                 "op": "gen", "space": "torus", "s": "1/2", "r": "1/4",
                 "eps": "1/8"}})
+        # one value per breakpoint: zip would drop the extra value
+        with pytest.raises(ValueError, match="breakpoints"):
+            observable_from_json({"variant": "piecewise_linear",
+                                  "breakpoints": ["0", "1/2"],
+                                  "values": ["0", "1", "5"]})
+        for payload in ([1], "x"):
+            with pytest.raises(ValueError, match="an object"):
+                observable_from_json(payload)

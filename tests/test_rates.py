@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert.arith import Quad, pow2
 from ergocert.dynamics import (doubling_system, l_norm_birkhoff, integral,
                                birkhoff_observable, centered, l2_sq_enclosure,
                                rotation_system, shift_system)
@@ -124,6 +125,24 @@ class TestMaximalInequality:
             if max(abs(a.value_on_word(word)) for a in avgs) > delta:
                 mass += cylinder_mass(word, F(1, 2))
         assert SHIFT.window_mass(fbar, window, delta) == mass == F(23, 128)
+
+    def test_circle_window_mass_matches_envelope(self):
+        # [DERIVED: oracle = mu of the envelope max_n |A_n fbar| over the
+        # window, built from the averages by the lattice and rounded up
+        # to 2^-60 when its arcs are irrational]
+        for system, window, delta in ((DBL, range(2, 7), F(1, 8)),
+                                      (ROT, range(5, 30), F(1, 16))):
+            fbar = centered(system, HAT)
+            env = None
+            for n in window:
+                a = birkhoff_observable(system, fbar, n)
+                a = a.max_with(a.scale(-1))
+                env = a if env is None else env.max_with(a)
+            mass = env.arcs_above(delta).measure()
+            if isinstance(mass, Quad):
+                mass = mass.approx(60) + pow2(60)
+            assert 0 < mass < 1
+            assert system.window_mass(fbar, window, delta) == mass
 
 
 class TestValidation:
