@@ -4,7 +4,7 @@ Modules:
   arith        exact rationals, intervals, computable reals, Q[sqrt(2)]
   spaces       circle and Cantor space as computable metric spaces
   regions      exact region algebra (arc unions, cylinder unions)
-  measures     ideal measures, exact W1 transport, instance oracles
+  measures     ideal measures, exact W1 transport, exact measure oracles
   observables  piecewise-linear and cylinder observables, canonical family
   dynamics     built-in systems, Birkhoff averages, exact norms
   rates        convergence-rate certificates and their validators

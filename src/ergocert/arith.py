@@ -8,7 +8,6 @@ quadratic-field type (a + b*sqrt(2)) backs the default rotation angle.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,18 +105,6 @@ class Interval:
             return -self
         return Interval(Fraction(0), max(-self.lo, self.hi))
 
-    def min_with(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def max_with(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-    def hull(self, other) -> "Interval":
-        other = _as_interval(other)
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def intersect(self, other) -> "Interval | None":
         other = _as_interval(other)
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -130,28 +117,8 @@ def _as_interval(x) -> Interval:
     return Interval.point(Fraction(x))
 
 
-def imin(*xs: Interval) -> Interval:
-    out = _as_interval(xs[0])
-    for x in xs[1:]:
-        out = out.min_with(x)
-    return out
-
-
-def imax(*xs: Interval) -> Interval:
-    out = _as_interval(xs[0])
-    for x in xs[1:]:
-        out = out.max_with(x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Computable reals
-
-
-class Cmp(enum.Enum):
-    LT = "LT"
-    GT = "GT"
-    INDISTINGUISHABLE_AT_M = "INDISTINGUISHABLE_AT_M"
 
 
 class CReal:
@@ -201,36 +168,6 @@ class CReal:
         return f"CReal({self.name or '...'})"
 
 
-def creal_compare(x: CReal, y: CReal, m: int) -> Cmp:
-    """Precision-bounded ternary comparison.  LT/GT are certain; the
-    indistinguishable answer guarantees |x - y| <= 4 * 2^-m."""
-    ex, ey = x.enclosure(m), y.enclosure(m)
-    if ex.hi < ey.lo:
-        return Cmp.LT
-    if ex.lo > ey.hi:
-        return Cmp.GT
-    return Cmp.INDISTINGUISHABLE_AT_M
-
-
-def sqrt_creal(q, name: str = "") -> CReal:
-    """Computable square root of a nonnegative rational, via integer sqrt."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-
-    def oracle(m: int) -> Fraction:
-        # scale so that the integer sqrt has at least m+2 fractional bits
-        s = m + 2
-        n = (q.numerator << (2 * s)) // q.denominator
-        return Fraction(math.isqrt(n), 1 << s)
-
-    return CReal(oracle, name=name or f"sqrt({fmt_rat(q)})")
-
-
-def sqrt2_minus_one() -> CReal:
-    return sqrt_creal(2, name="sqrt(2)") - Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # Exact quadratic field Q[sqrt(2)]
 
@@ -256,11 +193,6 @@ class Quad:
     @staticmethod
     def of(x) -> "Quad":
         return x if isinstance(x, Quad) else Quad(x)
-
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("irrational Quad")
-        return self.a
 
     def approx(self, m: int) -> Fraction:
         if self.b == 0:

@@ -20,8 +20,7 @@ from .arith import fmt_rat, parse_int, parse_rat, pow2
 from .errors import (BudgetExceededError, InputError, NoMassError,
                      UnsupportedInstanceError)
 from .dynamics import (Observable, System, birkhoff_eval, centered,
-                       deviation_region, integral, parse_system,
-                       region_to_balls)
+                       deviation_region, integral, parse_system)
 from .measures import region_measure, support_hit
 from .observables import enumerate_F, observable_from_json, observable_to_json
 from .rates import SummableSchedule, as_rate_l1
@@ -106,15 +105,14 @@ def bc_exact_windows(system: System, f: Observable,
                         deviation_region(system, f, n, delta))
                 except BudgetExceededError:
                     break
-                regions[n, delta] = reg, 1 - region_measure(
-                    system.measure.tag, reg)
+                regions[n, delta] = reg, 1 - region_measure(system.tag, reg)
             reg, err = regions[n, delta]
             if err <= cap:
                 windows[j] = {"trivial": False, "n": n, "delta": delta,
                               "err": err, "region": reg,
                               "open": EffectiveOpen(
                                   system.space,
-                                  exact_prefix=region_to_balls(system, reg)),
+                                  exact_prefix=system.region_balls(reg)),
                               "observable": obs_json}
                 start = n
                 break
@@ -357,9 +355,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
         raise UnsupportedInstanceError(
             "synthesis needs windows with exact region data")
     space = system.space
-    tag = system.measure.tag
-    if tag is None:
-        raise UnsupportedInstanceError("synthesis needs an exact measure")
+    tag = system.tag
     remaining = tag.region([target])
     mass = region_measure(tag, remaining)
     if mass == 0:
@@ -437,7 +433,7 @@ def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,
     the residual budget past the support, or None if it is exhausted."""
     if support is None or m_inter <= lazy_tail:
         return None
-    tag = system.measure.tag
+    tag = system.tag
     cur = inter
     m_cur = m_inter
     for jj in range(j + 1, support + 1):
@@ -523,13 +519,6 @@ def replay_synth(system: System, sp: SynthPoint,
 # Derived constructions
 
 
-def dense_sequence(system: System, bc: BCSequence, count: int,
-                   windows: int = 6) -> list[SynthPoint]:
-    """Members of every positive-mass ideal ball, in canonical ball order."""
-    return [synthesize_point(system, bc, ball, windows)
-            for ball in itertools.islice(_mass_balls(system), count)]
-
-
 def typical_point(system: System, members: int,
                   windows: int = 8) -> SynthPoint:
     """Point generic for the first `members` canonical observables at once.
@@ -556,7 +545,7 @@ def _mass_balls(system: System):
     index order."""
     for idx in itertools.count():
         ball = IdealBall.from_index(system.space, idx)
-        if ball.radius <= 1 and support_hit(system.measure, ball):
+        if ball.radius <= 1 and support_hit(system.tag, ball):
             yield ball
 
 

@@ -77,7 +77,7 @@ def _cmd_systems(args) -> int:
     out = []
     for s in builtin_systems():
         out.append({"selector": s.selector(), "space": s.space.name,
-                    "map": s.name, "measure": s.measure.tag.label})
+                    "map": s.name, "measure": s.tag.label})
     _emit(args, {"systems": out})
     return EXIT_OK
 

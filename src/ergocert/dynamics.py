@@ -18,12 +18,12 @@ from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
                     mod1, parse_rat, pow2)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
-from .measures import (ComputableMeasure, bernoulli_measure, lebesgue_measure)
+from .measures import MeasureTag
 from .observables import (CylinderFn, FTerm, PiecewiseLinear, pl_inner,
                           pl_sum, table_integral)
 from .regions import ArcSet, CylSet
-from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, EffectiveOpen,
-                     IdealBall, Space, ball_arc)
+from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
+                     Space, ball_arc)
 
 #: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
 CYLINDER_BUDGET_LOG2 = 24
@@ -49,7 +49,7 @@ class System:
 
     Each subclass owns every choice that depends on the map or on the
     invariant measure: the concrete observable class and its integral, the
-    map step, the exact average A_n, the L2 route, preimages, the p-search
+    orbit enclosures, the exact average A_n, the L2 route, the p-search
     schedule, exact regions and their ball lists, the exact validation
     mode and the defaults of exact Borel-Cantelli windows.  The base class
     holds the route shared by the two mixing systems: ||A_p fbar||_2^2 from
@@ -57,7 +57,8 @@ class System:
 
     name: str
     space: Space
-    measure: ComputableMeasure
+    #: exact oracle of the invariant measure
+    tag: MeasureTag
     #: observable class the exact machinery works on
     concrete: type
     #: how error messages name the system family
@@ -104,7 +105,7 @@ class System:
 
     def full_region(self):
         """The whole space as an exact region."""
-        return self.measure.tag.region(self.space.cover())
+        return self.tag.region(self.space.cover())
 
     def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
         if corr is None:
@@ -150,14 +151,11 @@ class Shift(System):
     bc_max_n = 18
 
     def __init__(self, p: Fraction):
-        self.measure = bernoulli_measure(p)
+        self.tag = MeasureTag.bernoulli(p)
         self.p = p
 
     def selector(self) -> str:
         return f"shift:p={self.p.numerator}/{self.p.denominator}"
-
-    def step(self, x, m: int):
-        return x.prefix(m + 1)[1:]
 
     def orbit_enclosure(self, g: CylinderFn, x, n: int, m_in: int) -> Interval:
         # exact: the average reads no more than these symbols
@@ -200,10 +198,6 @@ class Shift(System):
 
     def l1_exact_feasible(self, fbar: CylinderFn, p: int) -> bool:
         return (p + fbar.depth - 1 if fbar.depth else 0) <= 16
-
-    def preimage(self, ball: IdealBall) -> CylSet:
-        w = ball.cylinder_prefix
-        return CylSet(["0" + w, "1" + w])
 
     def integral(self, g: CylinderFn) -> Fraction:
         return g.integral(self.p)
@@ -281,12 +275,7 @@ class CircleMap(System):
     bits_per_step = 0
 
     def __init__(self):
-        self.measure = lebesgue_measure()
-
-    def step(self, x, m: int) -> Interval:
-        box = self._step_box(x.enclosure(m + 1), m + 1)
-        shiftn = math.floor(box.mid)
-        return Interval(box.lo - shiftn, box.hi - shiftn)
+        self.tag = MeasureTag.lebesgue()
 
     def orbit_enclosure(self, g: PiecewiseLinear, x, n: int,
                         m_in: int) -> Interval:
@@ -305,9 +294,6 @@ class CircleMap(System):
 
     def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
         return self.birkhoff_sum(g, n)[0].scale(Fraction(1, n))
-
-    def preimage(self, ball: IdealBall) -> ArcSet:
-        return ArcSet.from_raw(self._preimage_arcs(*ball_arc(ball)))
 
     def integral(self, g: PiecewiseLinear):
         return g.integral()
@@ -371,9 +357,6 @@ class Doubling(CircleMap):
     bc_max_n = 14
     bits_per_step = 1
 
-    def _step_box(self, box: Interval, m: int) -> Interval:
-        return Interval(2 * box.lo, 2 * box.hi)
-
     def _image(self, lo, hi, i: int):
         sc = 1 << i
         return sc * lo, sc * hi
@@ -401,11 +384,8 @@ class Doubling(CircleMap):
                             fbar.abs_integral() * fbar.total_variation())
 
     def l1_exact_feasible(self, fbar: PiecewiseLinear, p: int) -> bool:
-        return max(len(fbar.segments), 1) << p <= (1 << 12)
-
-    def _preimage_arcs(self, a, b) -> list:
-        half = Fraction(1, 2)
-        return [(a * half, b * half), (a * half + half, b * half + half)]
+        # p first: a replayed certificate may record any p
+        return p <= 12 and max(len(fbar.segments), 1) << p <= 1 << 12
 
     def value_on_digits(self, g: PiecewiseLinear, bits: list[int]) -> Fraction:
         # the map shifts binary digits: probe the dyadic interval they fix
@@ -447,10 +427,6 @@ class Rotation(CircleMap):
         super().__init__()
         self.alpha = alpha
 
-    def _step_box(self, box: Interval, m: int) -> Interval:
-        a = self.alpha.approx(m + 1)
-        return box + Interval(a - pow2(m + 1), a + pow2(m + 1))
-
     def _image(self, lo, hi, i: int):
         sh = self.alpha * i
         return lo + sh, hi + sh
@@ -490,9 +466,6 @@ class Rotation(CircleMap):
                 return p, w, method
         raise BudgetExceededError(
             f"no convergent denominator attains norm < {threshold}")
-
-    def _preimage_arcs(self, a, b) -> list:
-        return [(a - self.alpha, b - self.alpha)]
 
     def rational_region(self, region: ArcSet):
         # the breakpoints b - i*alpha are irrational: shrink every arc
@@ -554,14 +527,6 @@ def centered(system: System, f: Observable):
 
 # ---------------------------------------------------------------------------
 # Orbit evaluation with certified enclosures
-
-
-def apply_map(system: System, x, m: int):
-    """One map step, to output precision 2^-m.
-
-    Circle systems return an Interval enclosing a representative of T(x);
-    the shift returns the m-symbol prefix of the shifted sequence."""
-    return system.step(x, m)
 
 
 def birkhoff_eval(system: System, f: Observable, x, n: int,
@@ -718,33 +683,6 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     if n < 1:
         raise InputError("n must be >= 1")
     return system.sublevel(centered(system, f), n, delta)
-
-
-def region_to_balls(system: System, region) -> list[IdealBall]:
-    """An exact region as a finite union of ideal balls (arcs are split
-    below the half-circle scale; cylinders map to canonical balls)."""
-    return system.region_balls(region)
-
-
-def deviation_open(system: System, f: Observable, n: int,
-                   delta: Fraction) -> EffectiveOpen:
-    """{x : |A_n(f - integral f)(x)| < delta} as an effective open with
-    exact_prefix.  Rotation regions are shrunk to rational endpoints; the
-    lost mass is recorded in measure_defect."""
-    region, defect = system.rational_region(
-        deviation_region(system, f, n, delta))
-    return EffectiveOpen(system.space,
-                         exact_prefix=region_to_balls(system, region),
-                         measure_defect=defect)
-
-
-# ---------------------------------------------------------------------------
-# Exact measure preservation (test oracle)
-
-
-def preimage_region(system: System, ball: IdealBall):
-    """T^{-1}(ball) as an exact region."""
-    return system.preimage(ball)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ class UnsupportedPairError(ErgocertError):
     """No exact oracle exists for this (system, observable) pair."""
 
 
-class InvalidNestingError(ErgocertError):
-    """A refinement ball is not contained in its predecessor."""
-
-
 class NoMassError(ErgocertError):
     """The target ball has measure zero."""
 

@@ -1,11 +1,12 @@
-"""Ideal and computable measures, exact W1 transport, instance oracles.
+"""Ideal measures, exact W1 transport, exact measure oracles.
 
 W1 between ideal measures is exact over the rationals: each space couples
 integer masses by its own closed form (`Space.transport`), a cut at a
 weighted median plus a monotone rearrangement on the circle, greedy
 bottom-up matching on the ultrametric Cantor space.  Lebesgue on the circle
-and Bernoulli(p) on Cantor space get exact measure oracles for finite
-unions of balls.
+and Bernoulli(p) on Cantor space, the invariant measures of the built-in
+systems, get exact measure oracles (`MeasureTag`) for finite unions of
+balls.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_rat
-from .errors import InputError, UnsupportedInstanceError
-from .regions import ArcSet, CylSet, cylinder_mass
-from .spaces import CANTOR, CIRCLE, EffectiveOpen, IdealBall, Space, ball_arc
+from .errors import InputError
+from .regions import ArcSet, CylSet
+from .spaces import IdealBall, Space, ball_arc
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
 
 
 # ---------------------------------------------------------------------------
-# Computable measures with exact instance oracles
+# Exact measure oracles of the built-in instances
 
 
 class MeasureTag:
@@ -143,64 +143,15 @@ class _Bernoulli(MeasureTag):
         return region.measure(self.p)
 
 
-@dataclass
-class ComputableMeasure:
-    """Fast-Cauchy sequence of ideal measures under W1, plus an optional
-    instance tag enabling exact oracles."""
-
-    space: Space
-    oracle: Callable[[int], IdealMeasure]
-    tag: Optional[MeasureTag] = None
-
-    def ideal_approx(self, m: int) -> IdealMeasure:
-        return self.oracle(m)
-
-
-def lebesgue_measure() -> ComputableMeasure:
-    def oracle(m: int) -> IdealMeasure:
-        n = 1 << m
-        w = Fraction(1, n)
-        atoms = tuple((Fraction(2 * j + 1, 2 * n), w) for j in range(n))
-        return IdealMeasure(CIRCLE, atoms)
-
-    return ComputableMeasure(CIRCLE, oracle, MeasureTag.lebesgue())
-
-
-def bernoulli_measure(p) -> ComputableMeasure:
-    p = Fraction(p)
-    tag = MeasureTag.bernoulli(p)
-
-    def oracle(m: int) -> IdealMeasure:
-        atoms = {}
-        for bits in range(1 << m):
-            w = format(bits, f"0{m}b") if m else ""
-            mass = cylinder_mass(w, p)
-            if mass > 0:
-                key = w.rstrip("0")
-                atoms[key] = atoms.get(key, Fraction(0)) + mass
-        return IdealMeasure(CANTOR, tuple(atoms.items()))
-
-    return ComputableMeasure(CANTOR, oracle, tag)
-
-
 def region_measure(tag: MeasureTag, region) -> Fraction:
     return tag.weigh(region)
 
 
-def measure_of_finite_union(tag: Optional[MeasureTag], balls: list[IdealBall]) -> Fraction:
+def measure_of_finite_union(tag: MeasureTag, balls: list[IdealBall]) -> Fraction:
     """Exact measure of a finite union of ideal balls."""
-    if tag is None:
-        raise UnsupportedInstanceError("no exact measure oracle for this instance")
     return region_measure(tag, tag.region(balls))
 
 
-def open_measure_lower(mu: ComputableMeasure, u: EffectiveOpen, prefix_len: int) -> Fraction:
-    """Exact measure of the union of the first `prefix_len` enumerated balls;
-    a nondecreasing lower bound for the measure of the whole open set."""
-    balls = [b for b in (u.ball(k) for k in range(prefix_len)) if b is not None]
-    return measure_of_finite_union(mu.tag, balls)
-
-
-def support_hit(mu: ComputableMeasure, ball: IdealBall) -> bool:
+def support_hit(tag: MeasureTag, ball: IdealBall) -> bool:
     """Decide exactly whether the ball carries positive mass."""
-    return measure_of_finite_union(mu.tag, [ball]) > 0
+    return measure_of_finite_union(tag, [ball]) > 0

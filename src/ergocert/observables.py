@@ -532,37 +532,6 @@ class FTerm:
     def generator(space: Space, s, r, eps) -> "FTerm":
         return FTerm("gen", (space, s, Fraction(r), Fraction(eps)))
 
-    def sup_norm_bound(self) -> Fraction:
-        """Valid upper bound on the sup norm via tree propagation
-        (generators are bounded by 1)."""
-        lo, hi = self._range_bound()
-        return max(abs(lo), abs(hi))
-
-    def _range_bound(self):
-        if self.kind == "one":
-            return Fraction(1), Fraction(1)
-        if self.kind == "gen":
-            return Fraction(0), Fraction(1)
-        if self.kind in ("max", "min"):
-            (l1, h1), (l2, h2) = self.args[0]._range_bound(), self.args[1]._range_bound()
-            if self.kind == "max":
-                return max(l1, l2), max(h1, h2)
-            return min(l1, l2), min(h1, h2)
-        lo = hi = Fraction(0)
-        for c, t in self.args:
-            tl, th = t._range_bound()
-            if c >= 0:
-                lo, hi = lo + c * tl, hi + c * th
-            else:
-                lo, hi = lo + c * th, hi + c * tl
-        return lo, hi
-
-    def to_piecewise_linear(self) -> PiecewiseLinear:
-        return self.concrete(PiecewiseLinear)
-
-    def to_cylinder(self) -> CylinderFn:
-        return self.concrete(CylinderFn)
-
     def concrete(self, cls):
         """The term as an exact `cls` observable; every generator must live
         on `cls.space`."""

@@ -14,10 +14,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .arith import CReal, Interval, fmt_rat, mod1, parse_rat, pow2
-from .errors import InvalidNestingError
+from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +139,10 @@ class Space:
 
     Each subclass owns every choice that depends on the metric or on how
     ideal points and balls are encoded: the numberings, the JSON form of a
-    point, ball membership and nesting, canonical refinements, limits of
-    nested ball streams, the scale of the bump generators and the optimal
-    coupling of two atomic measures (`transport`).  `dist` is defined here
-    only, so every distance goes through one method."""
+    point, ball membership and nesting, canonical refinements, the scale
+    of the bump generators and the optimal coupling of two atomic measures
+    (`transport`).  `dist` is defined here only, so every distance goes
+    through one method."""
 
     name: str
     #: cap on the radius and the width of a canonical bump generator
@@ -211,9 +210,6 @@ class CircleSpace(Space):
         for a in range(a0, a1 + 1):
             yield IdealBall(self, Fraction(2 * a + 1, 2 * two) % 1,
                             Fraction(1, 2 * two))
-
-    def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CirclePoint":
-        return CirclePoint(CReal(lambda m: Fraction(fetch(m).center)))
 
     def transport(self, src: list, snk: list) -> dict:
         """Optimal coupling of two atom lists [(point, integer mass)] of
@@ -314,10 +310,6 @@ class CantorSpace(Space):
         free = depth - len(w)
         for s in range(1 << free) if free >= 0 else ():
             yield self.cylinder_ball(w + (format(s, f"0{free}b") if free else ""))
-
-    def limit(self, fetch: Callable[[int], "IdealBall"]) -> "CantorPoint":
-        # radius <= 2^-(i+1) fixes at least i+1 coordinates
-        return CantorPoint(lambda i: int(fetch(i + 1).cylinder_prefix[i]))
 
     def transport(self, src: list, snk: list) -> dict:
         """Optimal coupling of two atom lists [(word, integer mass)] of
@@ -504,25 +496,18 @@ def ball_member(space: Space, ball: IdealBall, x, m: int) -> Membership:
     return space.member(ball, x, m)
 
 
-class OpenResult(enum.Enum):
-    IN = "IN"
-    UNKNOWN_AT_K_M = "UNKNOWN_AT_K_M"
-
-
 @dataclass
 class EffectiveOpen:
     """Lazily enumerated union of ideal balls.
 
     `enumerator(k)` may return None (no output at step k; an everywhere-None
     enumerator denotes the empty set).  When the open is exactly a finite
-    union, `exact_prefix` lists the balls; `measure_defect` bounds the mass
-    lost when an irrational-endpoint set was shrunk to rational balls.
+    union, `exact_prefix` lists the balls.
     """
 
     space: Space
     enumerator: Optional[Callable[[int], Optional[IdealBall]]] = None
     exact_prefix: Optional[list] = None
-    measure_defect: Fraction = Fraction(0)
 
     def ball(self, k: int) -> Optional[IdealBall]:
         if self.enumerator is not None:
@@ -532,54 +517,5 @@ class EffectiveOpen:
         return None
 
     @staticmethod
-    def empty(space: Space) -> "EffectiveOpen":
-        return EffectiveOpen(space, enumerator=lambda k: None, exact_prefix=[])
-
-    @staticmethod
     def whole(space: Space) -> "EffectiveOpen":
         return EffectiveOpen(space, exact_prefix=space.cover())
-
-    @staticmethod
-    def from_balls(space: Space, balls: list) -> "EffectiveOpen":
-        return EffectiveOpen(space, exact_prefix=list(balls))
-
-
-def open_contains(space: Space, u: EffectiveOpen, x, prefix_len: int, m: int):
-    """Semidecide membership using the first `prefix_len` enumerated balls.
-
-    Returns (OpenResult, witness ball index or None); IN is never a false
-    positive."""
-    for k in range(prefix_len):
-        b = u.ball(k)
-        if b is None:
-            continue
-        if ball_member(space, b, x, m) is Membership.IN:
-            return OpenResult.IN, k
-    return OpenResult.UNKNOWN_AT_K_M, None
-
-
-# ---------------------------------------------------------------------------
-# Limits of nested ball streams
-
-
-def refine_to_point(space: Space, balls: Iterable[IdealBall]):
-    """Limit point of a nested ball stream with radii <= 2^-m at step m.
-
-    Nesting (closure containment) is checked exactly on the rational data as
-    the stream is consumed; violations raise InvalidNestingError."""
-    it = iter(balls)
-    fetched: list[IdealBall] = []
-
-    def fetch(m: int) -> IdealBall:
-        while len(fetched) <= m:
-            b = next(it)
-            if b.radius > pow2(len(fetched)):
-                raise InvalidNestingError(
-                    f"ball {len(fetched)} has radius {b.radius} > 2^-{len(fetched)}")
-            if fetched and not space.inside(b, fetched[-1]):
-                raise InvalidNestingError(
-                    "closure not contained in predecessor")
-            fetched.append(b)
-        return fetched[m]
-
-    return space.limit(fetch)

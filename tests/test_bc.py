@@ -1,5 +1,7 @@
 """Certified window sequences, their intersections, and point synthesis."""
 
+import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,14 +9,16 @@ import pytest
 
 from ergocert.arith import pow2
 from ergocert.bc import (BCSequence, bc_exact_windows, bc_from_rate,
-                         bc_intersect, dense_sequence, horizon_tolerance,
-                         replay_synth, SynthPoint, synthesize_point,
-                         typical_point, window_sup_bound)
+                         bc_intersect, horizon_tolerance, replay_synth,
+                         SynthPoint, synthesize_point, typical_point,
+                         window_sup_bound)
+from ergocert.cli import EXIT_OK, main
 from ergocert.dynamics import (centered, doubling_system, rotation_system,
                                shift_system)
 from ergocert.errors import InputError
-from ergocert.measures import open_measure_lower
-from ergocert.observables import CylinderFn, PiecewiseLinear
+from ergocert.measures import measure_of_finite_union, support_hit
+from ergocert.observables import (CylinderFn, PiecewiseLinear,
+                                  observable_to_json)
 from ergocert.rates import SummableSchedule
 from ergocert.spaces import CANTOR, CirclePoint, EffectiveOpen, IdealBall
 
@@ -74,8 +78,8 @@ class TestExactWindows:
                               count=3)
         for j in range(1, 4):
             u = bc.opens(j)
-            k = len(u.exact_prefix)
-            assert open_measure_lower(SHIFT.measure, u, k) >= 1 - bc.err(j)
+            assert measure_of_finite_union(SHIFT.tag, u.exact_prefix) \
+                >= 1 - bc.err(j)
 
 
 class TestIntersect:
@@ -146,15 +150,27 @@ class TestSynthesis:
         rep = replay_synth(SHIFT, bad)
         assert not rep["ok"]
 
-    def test_dense_sequence(self):
-        # [DERIVED: one member per positive-mass canonical ball, nested in
-        # its own target]
-        bc = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j),
-                              count=4)
-        pts = dense_sequence(SHIFT, bc, count=2, windows=2)
-        assert len(pts) == 2
-        for sp in pts:
-            assert replay_synth(SHIFT, sp)["ok"]
+    def test_points_dense_in_support(self, capsys, tmp_path):
+        # [PAPER: pseudorandom points are dense in the support: the CLI
+        #  synthesizes one in each of the first positive-mass canonical
+        #  balls, and each replays and stays nested in its target]
+        balls = (IdealBall.from_index(CANTOR, i) for i in itertools.count())
+        mass_balls = (b for b in balls
+                      if b.radius <= 1 and support_hit(SHIFT.tag, b))
+        for k, target in enumerate(itertools.islice(mass_balls, 3)):
+            art = tmp_path / f"point{k}.json"
+            code = main(["synthesize", "--system", SHIFT.selector(),
+                         "--observable",
+                         json.dumps(observable_to_json(FIRSTBIT)),
+                         "--target", json.dumps(target.to_json()),
+                         "--windows", "2", "--count", "4",
+                         "--output", str(art)])
+            assert code == EXIT_OK
+            assert main(["replay", "--artifact", str(art)]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["ok"]
+            sp = SynthPoint.from_json(json.loads(art.read_text()))
+            assert sp.balls[0] == target
+            assert CANTOR.inside(sp.balls[-1], target)
 
 
 class TestFromRate:

@@ -1,22 +1,21 @@
 """Dynamics: exact Birkhoff averages, norms, deviation regions, measure
 preservation, certified orbit evaluation."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from ergocert.arith import mod1
-from ergocert.dynamics import (apply_map, birkhoff_eval, birkhoff_observable,
-                               builtin_systems, centered, deviation_open,
-                               deviation_region, doubling_system, integral,
-                               l2_sq_enclosure, l_norm_birkhoff, parse_system,
-                               preimage_region, region_to_balls,
-                               rotation_system, shift_system)
+from ergocert.dynamics import (birkhoff_eval, birkhoff_observable,
+                               builtin_systems, centered, deviation_region,
+                               doubling_system, integral, l2_sq_enclosure,
+                               l_norm_birkhoff, parse_system, rotation_system,
+                               shift_system)
 from ergocert.errors import BudgetExceededError, InputError
+from ergocert.measures import measure_of_finite_union
 from ergocert.observables import CylinderFn, PiecewiseLinear
-from ergocert.regions import ArcSet, CylSet, cylinder_mass
-from ergocert.spaces import CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall
+from ergocert.regions import cylinder_mass
+from ergocert.spaces import CantorPoint, CirclePoint
 
 FIRSTBIT = CylinderFn.coordinate(0)
 SHIFT = shift_system(F(1, 2))
@@ -143,54 +142,62 @@ class TestDeviationRegions:
                 if inside:
                     assert v <= F(1, 8)
 
-    def test_deviation_open_balls_cover_inner(self):
+    def test_region_balls_cover_region(self):
         # [DERIVED: ball decomposition reproduces the region measure]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
-        u = deviation_open(DBL, f, 2, F(1, 4))
-        balls = u.exact_prefix
-        total = sum(2 * b.radius for b in balls)
         r = deviation_region(DBL, f, 2, F(1, 4))
-        assert total == r.measure()
+        region, lost = DBL.rational_region(r)
+        assert lost == 0
+        balls = DBL.region_balls(region)
+        assert sum(2 * b.radius for b in balls) == r.measure()
 
     def test_rotation_rationalized(self):
-        # [DERIVED: irrational endpoints shrink inward with recorded defect]
+        # [DERIVED: irrational endpoints shrink inward; the mass lost is
+        #  exactly the difference of the two measures]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
-        u = deviation_open(ROT, f, 3, F(1, 4))
-        assert u.measure_defect >= 0
-        assert all(isinstance(b.center, F) for b in u.exact_prefix)
+        r = deviation_region(ROT, f, 3, F(1, 4))
+        region, lost = ROT.rational_region(r)
+        assert lost >= 0 and region.measure() + lost == r.measure()
+        balls = ROT.region_balls(region)
+        assert all(isinstance(b.center, F) for b in balls)
 
 
 class TestMeasurePreservation:
-    def test_preimage_measure_random_balls(self):
-        # [DERIVED: mu(T^{-1} B) = mu(B) for >= 100 random balls/system]
-        rng = random.Random(17)
-        for _ in range(120):
-            w = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
-            b = IdealBall(CANTOR, w, F(3, 1 << (len(w) + 1)))
-            for p in (F(1, 2), F(1, 3)):
-                sysb = shift_system(p)
-                assert preimage_region(sysb, b).measure(p) \
-                    == cylinder_mass(w, p)
-        for _ in range(120):
-            c = F(rng.randint(0, 255), 256)
-            r = F(rng.randint(1, 63), 256)
-            b = IdealBall(CIRCLE, c, r)
-            for system in (DBL, ROT):
-                assert preimage_region(system, b).measure() == 2 * r
+    def test_average_keeps_integral(self):
+        # [PAPER: mu is T-invariant, so integral(g o T^i) = integral(g) and
+        #  every Birkhoff average A_n g has the integral of g; exact on
+        #  every built-in system and on a biased shift]
+        hats = [PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 8)),
+                PiecewiseLinear.hat(F(2, 3), F(1, 5), F(1, 7)).add_const(-1)]
+        tables = [FIRSTBIT, CylinderFn(2, [F(1), F(-2), F(1, 3), F(0)]),
+                  CylinderFn.word_indicator("101")]
+        for system in builtin_systems() + [shift_system(F(1, 3))]:
+            obs = tables if system.concrete is CylinderFn else hats
+            for g in obs:
+                for n in (2, 3, 5):
+                    assert system.integral(system.average(g, n)) \
+                        == system.integral(g)
 
-    def test_rotation_preimage_is_translate(self):
-        # [TRIVIAL] translation preimages keep arc length exactly
-        b = IdealBall(CIRCLE, F(1, 2), F(1, 16))
-        r = preimage_region(ROT, b)
-        assert r.measure() == F(1, 8)
+    def test_system_tag_is_the_invariant_measure(self):
+        # [DERIVED: the tag a system holds weighs cylinders as its own
+        #  integral does, and gives the whole space mass 1]
+        for system in builtin_systems() + [shift_system(F(1, 3))]:
+            assert measure_of_finite_union(
+                system.tag, system.space.cover()) == 1
+            if system.concrete is CylinderFn:
+                p = system.p
+                assert system.tag.label == f"bernoulli({p.numerator}/" \
+                    f"{p.denominator})"
+                for word in ("0", "1", "101", "0110"):
+                    ball = system.space.cylinder_ball(word)
+                    assert measure_of_finite_union(system.tag, [ball]) \
+                        == system.integral(CylinderFn.word_indicator(word)) \
+                        == cylinder_mass(word, p)
+            else:
+                assert system.tag.label == "lebesgue"
 
 
 class TestOrbitEvaluation:
-    def test_shift_apply_map(self):
-        # [TRIVIAL]
-        x = CantorPoint.from_word("0110")
-        assert apply_map(SHIFT, x, 3) == "110"
-
     def test_doubling_rational_orbit_average(self):
         # [DERIVED: orbit of 1/3 is 2-periodic: 1/3 <-> 2/3]
         f = PiecewiseLinear.identity()

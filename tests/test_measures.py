@@ -9,10 +9,9 @@ from math import lcm
 import pytest
 
 from ergocert.errors import InputError
-from ergocert.measures import (ComputableMeasure, IdealMeasure, MeasureTag,
-                               bernoulli_measure, lebesgue_measure,
-                               measure_of_finite_union, open_measure_lower,
-                               support_hit, w1_ideal)
+from ergocert.measures import (IdealMeasure, MeasureTag,
+                               measure_of_finite_union, support_hit, w1_ideal)
+from ergocert.regions import cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, EffectiveOpen, IdealBall
 
 
@@ -326,6 +325,21 @@ def cantor_formula(mu1, mu2):
     return total + sum(points) / (1 << (depth + 1))
 
 
+def lebesgue_approx(m):
+    """Lebesgue as 2^m equal atoms at the centres of the dyadic arcs."""
+    n = 1 << m
+    return IdealMeasure(CIRCLE, tuple((F(2 * j + 1, 2 * n), F(1, n))
+                                      for j in range(n)))
+
+
+def bernoulli_approx(p, m):
+    """Bernoulli(p), 0 < p < 1, as the mass of each length-m cylinder
+    placed on the cylinder's word."""
+    words = (format(bits, f"0{m}b") for bits in range(1 << m))
+    return IdealMeasure(CANTOR, tuple((w, cylinder_mass(w, p))
+                                      for w in words))
+
+
 class TestInstanceOracles:
     def test_union_examples(self):
         # [PAPER: overlapping arcs merge exactly]
@@ -338,35 +352,34 @@ class TestInstanceOracles:
         assert measure_of_finite_union(
             tagb, [IdealBall(CANTOR, "1", F(3, 4))]) == F(1, 2)
 
-    def test_open_measure_lower(self):
-        # [PAPER: arc length of a single enumerated ball]
-        mu = lebesgue_measure()
-        u = EffectiveOpen.from_balls(
-            CIRCLE, [IdealBall(CIRCLE, F(1, 2), F(1, 8))])
-        assert open_measure_lower(mu, u, 1) == F(1, 4)
-        assert open_measure_lower(mu, u, 0) == 0
-        w = EffectiveOpen.whole(CIRCLE)
-        assert open_measure_lower(mu, w, 2) == 1
+    def test_whole_space_and_one_ball(self):
+        # [PAPER: arc length of a single ball; the cover is the whole space]
+        tag = MeasureTag.lebesgue()
+        ball = IdealBall(CIRCLE, F(1, 2), F(1, 8))
+        assert measure_of_finite_union(tag, [ball]) == F(1, 4)
+        for space, tag in ((CIRCLE, tag), (CANTOR, MeasureTag.bernoulli(1))):
+            whole = EffectiveOpen.whole(space).exact_prefix
+            assert measure_of_finite_union(tag, whole) == 1
 
     def test_support_hit(self):
         # [PAPER: Lebesgue and Bernoulli(1/2) have full support;
         #  Bernoulli(1) gives mass zero to cylinders starting with 0]
-        assert support_hit(lebesgue_measure(),
+        assert support_hit(MeasureTag.lebesgue(),
                            IdealBall(CIRCLE, F(1, 3), F(1, 100)))
-        assert support_hit(bernoulli_measure(F(1, 2)),
+        assert support_hit(MeasureTag.bernoulli(F(1, 2)),
                            IdealBall(CANTOR, "0101", F(3, 32)))
-        degenerate = bernoulli_measure(1)
+        degenerate = MeasureTag.bernoulli(1)
         assert not support_hit(degenerate, IdealBall(CANTOR, "01", F(3, 8)))
         assert support_hit(degenerate, IdealBall(CANTOR, "11", F(3, 8)))
 
     def test_ideal_approx_fast_cauchy(self):
-        # [DERIVED: W1 between successive dyadic discretizations <= 2^-m]
-        mu = lebesgue_measure()
+        # [PAPER: a computable measure is a fast-Cauchy sequence of ideal
+        #  measures in W1; here W1 between successive dyadic
+        #  discretizations is <= 2^-m]
         for m in range(1, 5):
-            d, _ = w1_ideal(CIRCLE, mu.ideal_approx(m), mu.ideal_approx(m + 1))
+            d, _ = w1_ideal(CIRCLE, lebesgue_approx(m),
+                            lebesgue_approx(m + 1))
             assert d <= F(1, 1 << m)
-        mub = bernoulli_measure(F(1, 3))
-        for m in range(1, 5):
-            d, _ = w1_ideal(CANTOR, mub.ideal_approx(m),
-                            mub.ideal_approx(m + 1))
+            d, _ = w1_ideal(CANTOR, bernoulli_approx(F(1, 3), m),
+                            bernoulli_approx(F(1, 3), m + 1))
             assert d <= F(1, 1 << m)

@@ -249,17 +249,10 @@ class TestFamilyF:
         for t in enumerate_F(CANTOR, 40):
             if t.kind != "gen":
                 continue
-            c = t.to_cylinder()
+            c = t.concrete(CylinderFn)
             vals = {c.value_on_word(format(w, f"0{c.depth}b"))
                     for w in range(1 << c.depth)}
             assert F(0) in vals and F(1) in vals
-
-    def test_sup_norm_bound_sound(self):
-        # [DERIVED: tree bound dominates the concrete sup norm]
-        for t in enumerate_F(CIRCLE, 30):
-            assert t.to_piecewise_linear().sup_norm() <= t.sup_norm_bound()
-        for t in enumerate_F(CANTOR, 30):
-            assert t.to_cylinder().sup_norm() <= t.sup_norm_bound()
 
     def test_concretizations_agree_with_tree(self):
         # [DERIVED: FTerm evaluation commutes with concretization on a
@@ -267,8 +260,8 @@ class TestFamilyF:
         g1 = FTerm.generator(CIRCLE, F(0), F(1, 8), F(1, 8))
         g2 = FTerm.generator(CIRCLE, F(1, 2), F(1, 8), F(1, 8))
         t = FTerm("lin", ((F(2), FTerm("max", (g1, g2))), (F(-1), g1)))
-        pl = t.to_piecewise_linear()
-        p1, p2 = g1.to_piecewise_linear(), g2.to_piecewise_linear()
+        pl = t.concrete(PiecewiseLinear)
+        p1, p2 = (g.concrete(PiecewiseLinear) for g in (g1, g2))
         for i in range(64):
             x = F(i, 64)
             want = 2 * max(p1.eval_right(x), p2.eval_right(x)) \

@@ -2,7 +2,10 @@
 validation, and summable schedules."""
 
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ DBL = doubling_system()
 ROT = rotation_system()
 FIRSTBIT = CylinderFn.coordinate(0)
 HAT = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def emit_all(eps=F(1, 4), delta=F(1, 4)):
@@ -80,6 +84,28 @@ class TestEmission:
             setattr(bad, field, value)
             ok, _ = check_certificate(bad)
             assert not ok, field
+
+    def test_recorded_p_checked_at_flat_memory(self):
+        # [DERIVED: the doubling map weighs p before it shifts by p, so a
+        #  recorded p of 10^8 fails without allocating 2^p bits; the
+        #  answer of the feasibility test is unchanged for every p >= 1]
+        for f in (HAT, PiecewiseLinear.identity(),
+                  PiecewiseLinear.constant(F(1, 3))):
+            segs = max(len(f.segments), 1)
+            for p in range(1, 40):
+                assert DBL.l1_exact_feasible(f, p) \
+                    == (segs << p <= 1 << 12)
+        data = json.loads(
+            (CORPUS / "cert_doubling_hat_a_norm-l1_1-4.json").read_text())
+        data["p"] = 10 ** 8
+        cert = RateCertificate.from_json(data)
+        tracemalloc.start()
+        try:
+            ok, _ = check_certificate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok and peak < 1 << 20
 
 
 class TestNormOracle:

@@ -1,5 +1,6 @@
-"""Computable metric spaces: numberings, metrics, balls, limits."""
+"""Computable metric spaces: numberings, metrics, balls."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,14 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.arith import CReal, pow2
-from ergocert.errors import InvalidNestingError
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
-                             EffectiveOpen, IdealBall, Membership, OpenResult,
-                             ball_member, cantor_dist, cantor_word,
-                             cantor_word_index, circle_dist, circle_index,
-                             circle_point, open_contains, pair, pos_rational,
-                             refine_to_point, unpair)
+                             EffectiveOpen, IdealBall, Membership, ball_member,
+                             cantor_dist, cantor_word, cantor_word_index,
+                             circle_dist, circle_index, circle_point, pair,
+                             pos_rational, space_named, unpair)
 
 
 class TestNumberings:
@@ -113,56 +111,73 @@ class TestBalls:
                            CantorPoint.from_word("11"), 0) is Membership.OUT
 
 
+class TestNesting:
+    def test_inside_circle_boundary(self):
+        # [DERIVED: closed nesting admits touching closures, strict nesting
+        #  does not; an arc whose closure escapes is never inside]
+        outer = IdealBall(CIRCLE, F(1, 2), F(1, 2))
+        assert CIRCLE.inside(IdealBall(CIRCLE, F(1, 2), F(1, 4)), outer,
+                             strict=True)
+        touch = IdealBall(CIRCLE, F(1, 4), F(1, 4))
+        assert CIRCLE.inside(touch, outer)
+        assert not CIRCLE.inside(touch, outer, strict=True)
+        assert not CIRCLE.inside(IdealBall(CIRCLE, F(0), F(1, 4)), outer)
+        # across 0: the arc (7/8, 1/8) nests in (3/4, 1/4)
+        assert CIRCLE.inside(IdealBall(CIRCLE, F(0), F(1, 8)),
+                             IdealBall(CIRCLE, F(0), F(1, 4)), strict=True)
+
+    def test_inside_cantor_prefix(self):
+        # [DERIVED: a cylinder nests in another iff it is at least as deep
+        #  and extends its word; clopen, so strict changes nothing]
+        outer = CANTOR.cylinder_ball("01")
+        for word, nested in (("01", True), ("010", True), ("0111", True),
+                             ("0", False), ("00", False), ("110", False)):
+            inner = CANTOR.cylinder_ball(word)
+            for strict in (False, True):
+                assert CANTOR.inside(inner, outer, strict=strict) is nested
+
+    def test_circle_refinements_are_the_nested_dyadic_arcs(self):
+        # [DERIVED: brute force over all 2^d dyadic arcs of depth d]
+        rng = random.Random(5)
+        for _ in range(200):
+            cur = IdealBall(CIRCLE, F(rng.randint(0, 63), 64),
+                            F(rng.randint(1, 31), 64))
+            for d in range(6):
+                two = 1 << d
+                want = {IdealBall(CIRCLE, F(2 * a + 1, 2 * two),
+                                  F(1, 2 * two)) for a in range(two)}
+                want = {b for b in want if CIRCLE.inside(b, cur)}
+                got = list(CIRCLE.refinements(cur, d))
+                assert len(got) == len(set(got)) and set(got) == want
+                assert all(CIRCLE.depth(b) == d + 1 for b in got)
+
+    def test_cantor_refinements_are_the_subcylinders(self):
+        # [DERIVED: the depth-d cylinders extending the word, in word order;
+        #  none above the word's own depth]
+        for word in ("", "1", "01", "110"):
+            cur = CANTOR.cylinder_ball(word)
+            for d in range(6):
+                got = [b.cylinder_prefix for b in CANTOR.refinements(cur, d)]
+                want = sorted(w for w in ("".join(t) for t in
+                                          itertools.product("01", repeat=d))
+                              if w.startswith(word))
+                assert got == want
+
+
+class TestSpaceNames:
+    def test_space_named(self):
+        # [TRIVIAL] the two JSON names and nothing else
+        assert space_named("circle") is CIRCLE
+        assert space_named("cantor") is CANTOR
+        for bad in ("torus", "Circle", "", None, ["circle"]):
+            with pytest.raises(ValueError, match="unknown space"):
+                space_named(bad)
+
+
 class TestEffectiveOpen:
-    def test_whole_and_empty(self):
-        # [TRIVIAL]
+    def test_whole(self):
+        # [TRIVIAL] the whole space lists its cover and nothing past it
         for space in (CIRCLE, CANTOR):
             w = EffectiveOpen.whole(space)
             assert w.ball(0) is not None
-            assert EffectiveOpen.empty(space).ball(0) is None
-
-    def test_open_contains_no_false_positive(self):
-        # [DERIVED: IN answers must come with a containing witness ball]
-        u = EffectiveOpen.from_balls(
-            CIRCLE, [IdealBall(CIRCLE, F(1, 4), F(1, 8))])
-        res, w = open_contains(CIRCLE, u,
-                               CirclePoint.from_rational(F(1, 4)), 1, 8)
-        assert res is OpenResult.IN and w == 0
-        res, _ = open_contains(CIRCLE, u,
-                               CirclePoint.from_rational(F(3, 4)), 1, 8)
-        assert res is OpenResult.UNKNOWN_AT_K_M
-
-
-class TestRefineToPoint:
-    def test_circle_limit(self):
-        # [DERIVED: nested dyadic arcs around 1/3 converge to 1/3]
-        balls = []
-        for m in range(40):
-            c = F(round(F(1, 3) * (1 << (m + 3))), 1 << (m + 3))
-            balls.append(IdealBall(CIRCLE, c, pow2(m + 2)))
-        x = refine_to_point(CIRCLE, iter(balls))
-        assert abs(x.enclosure(20).mid - F(1, 3)) < pow2(18)
-
-    def test_cantor_limit(self):
-        # [TRIVIAL] deepening cylinders spell out the bits; position m
-        # needs depth >= m+1 so the radius is below 2^-m
-        word = "01101001"
-        balls = [IdealBall(CANTOR, word[:m + 1], F(3, 1 << (m + 2)))
-                 for m in range(len(word))]
-        x = refine_to_point(CANTOR, iter(balls))
-        assert x.prefix(6) == word[:6]
-
-    def test_nesting_violation_raises(self):
-        # [DERIVED: closure containment is checked exactly]
-        good = IdealBall(CIRCLE, F(1, 2), F(1, 2))
-        bad = IdealBall(CIRCLE, F(0), F(1, 4))  # closure escapes B(1/2,1/2)
-        x = refine_to_point(CIRCLE, iter([good, bad]))
-        with pytest.raises(InvalidNestingError):
-            x.enclosure(2)
-
-    def test_radius_schedule_violation_raises(self):
-        # [TRIVIAL] radius must be <= 2^-m at stream position m
-        balls = [IdealBall(CIRCLE, F(1, 2), F(1, 2))] * 5
-        x = refine_to_point(CIRCLE, iter(balls))
-        with pytest.raises(InvalidNestingError):
-            x.enclosure(3)
+            assert w.ball(len(w.exact_prefix)) is None
