@@ -150,20 +150,6 @@ class CReal:
         q = Fraction(q)
         return CReal(lambda m: q, name=fmt_rat(q))
 
-    def __add__(self, other):
-        if isinstance(other, CReal):
-            return CReal(lambda m: self.approx(m + 1) + other.approx(m + 1))
-        q = Fraction(other)
-        return CReal(lambda m: self.approx(m) + q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CReal(lambda m: -self.approx(m))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CReal) else -Fraction(other))
-
     def __repr__(self):
         return f"CReal({self.name or '...'})"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
@@ -264,7 +265,8 @@ class Shift(System):
 
 class CircleMap(System):
     """A Lebesgue-preserving map of the circle; subclasses give the image
-    of a real-line interval under T^i and the terms of the average."""
+    of a real-line interval under T^i, the terms of the average and the
+    segment count `_segment_count` that bounds S_n."""
 
     space = CIRCLE
     concrete = PiecewiseLinear
@@ -338,7 +340,14 @@ class CircleMap(System):
                     delta: Fraction) -> Fraction:
         """Exact mu{max_{n in window} |A_n g| > delta}: the measure of the
         arcs where S_n g > n delta or -S_n g > n delta for some n in the
-        window (rounded up when the arcs are irrational)."""
+        window (rounded up when the arcs are irrational).  Priced before
+        it runs: the segment counts `_extend` checks, summed over the
+        window, must stay within SEGMENT_BUDGET."""
+        if any(t > SEGMENT_BUDGET for t in
+               accumulate(self._segment_count(g, n) for n in window)):
+            raise BudgetExceededError(
+                f"validation over n in [{window.start}, {window.stop - 1}] "
+                f"needs more than {SEGMENT_BUDGET} segments")
         arcs = []
         for n in window:
             s = self.birkhoff_sum(g, n)[0]
@@ -364,13 +373,16 @@ class Doubling(CircleMap):
     def _orbit_point(self, x: Fraction, i: int) -> Fraction:
         return (x * (1 << i)) % 1
 
+    def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
+        return max(len(g.segments), 1) << n
+
     def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
         # (S_n, g o T^(n-1)): one sweep over S_m and g o T^i, m <= i < n,
         # pulling back from the last term kept
-        per = max(len(g.segments), 1)
-        if per << n > SEGMENT_BUDGET:
+        size = self._segment_count(g, n)
+        if size > SEGMENT_BUDGET:
             raise BudgetExceededError(
-                f"A_{n} on the doubling map needs ~{per << n} segments")
+                f"A_{n} on the doubling map needs ~{size} segments")
         terms, last = ([state[0]], state[1]) if state else ([], g)
         for i in range(m, n):
             last = last.pullback_doubling() if i else g
@@ -434,9 +446,12 @@ class Rotation(CircleMap):
     def _orbit_point(self, x: Fraction, i: int) -> Quad:
         return (x + self.alpha * i).mod1()
 
+    def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
+        return max(len(g.segments), 1) * n
+
     def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
         # (S_n, None): one sweep over S_m and g o R^i, m <= i < n
-        if max(len(g.segments), 1) * n > SEGMENT_BUDGET:
+        if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
         head = [state[0]] if state else []
         return pl_sum(head + [g.shift(self.alpha * i) if i else g
@@ -582,40 +597,75 @@ def birkhoff_observable(system: System, f: Observable, n: int):
 
 def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
     """C(m) = integral of fbar * (fbar composed with T^m) d Leb, for
-    m < count, via the transfer operator (exact; the iterate keeps a
-    bounded number of segments)."""
+    m < count, read as <fbar, g_m> with g_m = L^m fbar, L the transfer
+    operator (exact; the iterates keep a bounded number of segments).
+
+    The table stops transferring once an iterate repeats up to a scalar:
+    g_j = c g_i (i < j) gives C(j + k) = c C(i + k) for every k by
+    linearity, so the rest of the table follows exactly.  A zero iterate
+    is the case c = 0."""
     out = []
+    seen = {}  # breakpoints of g_i -> [(i, g_i)]
     g = fbar
-    for _ in range(count):
+    for j in range(count):
+        if g.segments == _ZERO:
+            return out + [Fraction(0)] * (count - j)
+        earlier = seen.setdefault(tuple(s[0] for s in g.segments), [])
+        for i, h in earlier:
+            c = _multiple(g, h)
+            if c is not None:
+                for m in range(j, count):
+                    out.append(c * out[m - (j - i)])
+                return out
+        earlier.append((j, g))
         out.append(pl_inner(fbar, g))
         g = g.transfer_doubling()
     return out
 
 
+#: the segments of the zero function in normal form
+_ZERO = [(0, 1, 0, 0)]
+
+
+def _multiple(g: PiecewiseLinear, h: PiecewiseLinear) -> Optional[Fraction]:
+    """c with g = c h, or None; g and h share their breakpoints and h is
+    not zero."""
+    v = [x for s in g.segments for x in s[2:]]
+    u = [x for s in h.segments for x in s[2:]]
+    k = next(k for k, x in enumerate(u) if x)
+    c = v[k] / u[k]
+    return c if all(a == c * b for a, b in zip(v, u)) else None
+
+
 class Correlations:
-    """C(0), ..., C(len-1) of a centered observable, kept as prefix sums of
-    C(m) and m C(m) so that any p combines in O(1), with a constant `decay`
-    such that |C(m)| <= decay * 2^-m for every m >= len."""
+    """C(0), ..., C(len-1) of a centered observable, kept as integers over
+    one denominator `den`: den C(0) and the prefix sums of den C(m) and
+    den m C(m), so that any p combines in integers and builds each end of
+    its enclosure with one Fraction.  `decay` is a constant such that
+    |C(m)| <= decay * 2^-m for every m >= len."""
 
     def __init__(self, c: list, decay):
-        self.c0 = c[0]
-        self.sums = [Fraction(0)]
-        self.msums = [Fraction(0)]
-        for m in range(1, len(c)):
-            self.sums.append(self.sums[-1] + c[m])
-            self.msums.append(self.msums[-1] + m * c[m])
+        self.den = math.lcm(*[x.denominator for x in c])
+        nums = [x.numerator * (self.den // x.denominator) for x in c]
+        self.c0 = nums[0]
+        self.sums = list(accumulate(nums[1:], initial=0))
+        self.msums = list(accumulate((m * x for m, x in
+                                      enumerate(nums[1:], 1)), initial=0))
         self.decay = decay
 
     def l2_sq(self, p: int) -> Interval:
         """(1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)], with the terms
-        past the table bounded by the geometric tail."""
+        past the table bounded by the geometric tail
+        (2/p) decay 2^-(len-1)."""
         cut = min(p, len(self.sums))
         tot = p * self.c0 + 2 * (p * self.sums[cut - 1] - self.msums[cut - 1])
-        val = tot / Fraction(p * p)
-        if cut == p:
+        if cut == p or not self.decay:
+            val = Fraction(tot, self.den * p * p)
             return Interval(val, val)
-        tail = Fraction(2, p) * self.decay * pow2(cut - 1)
-        return Interval(val - tail, val + tail)
+        # both ends over one denominator den p^2 td, td = decay.den 2^(cut-1)
+        tn, td = self.decay.numerator, self.decay.denominator << (cut - 1)
+        mid, tail, den = tot * td, 2 * tn * self.den * p, self.den * p * p * td
+        return Interval(Fraction(mid - tail, den), Fraction(mid + tail, den))
 
 
 def l2_sq_enclosure(system: System, f: Observable, p: int,
@@ -627,7 +677,10 @@ def l2_sq_enclosure(system: System, f: Observable, p: int,
     on the doubling map and the shift; the rotation, whose correlations do
     not decay, square-integrates its exact average.  A caller that probes
     many p passes the system's correlation table of fbar as `corr` once
-    computed; f is then not re-centered."""
+    computed; f is then not re-centered.  On the doubling map the table
+    stops transferring at the first iterate that repeats up to a scalar
+    (`doubling_correlations`), and each p combines the table's integer
+    prefix sums into one Fraction per end (`Correlations`)."""
     return system.l2_sq(f, p, corr)
 
 

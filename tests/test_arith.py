@@ -62,11 +62,6 @@ class TestCReal:
         for m in range(0, 40, 7):
             assert abs(x.approx(m) - F(1, 3)) <= pow2(m)
 
-    def test_arithmetic(self):
-        # [DERIVED: rational arithmetic oracle]
-        x = CReal.from_rational(F(1, 3)) + CReal.from_rational(F(1, 6))
-        assert abs(x.approx(30) - F(1, 2)) <= pow2(29)
-
 
 class TestQuad:
     def test_sqrt2_minus_one_value(self):

@@ -61,6 +61,12 @@ class TestVerbs:
         assert out["horizon_validation"]["mode"] == "EXACT_ARC"
         assert out["horizon_validation"]["passed"]
         assert not out["horizon_validation"]["window_empty"]
+        # a window over the segment budget is refused before it runs
+        code = main(["validate", "--certificate", str(rot),
+                     "--horizon", "100000"])
+        assert code == EXIT_BUDGET
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "budget_exceeded"
         # a horizon below 1 measures no window: an input error with a JSON
         # diagnostic, never a vacuous pass
         cert = CORPUS / "cert_shift1-2_w01_as-bounded_1-4_1-2.json"

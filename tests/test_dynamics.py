@@ -1,19 +1,21 @@
 """Dynamics: exact Birkhoff averages, norms, deviation regions, measure
 preservation, certified orbit evaluation."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ergocert.arith import mod1
-from ergocert.dynamics import (birkhoff_eval, birkhoff_observable,
-                               builtin_systems, centered, deviation_region,
+from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
+                               birkhoff_observable, builtin_systems, centered,
+                               deviation_region, doubling_correlations,
                                doubling_system, integral, l2_sq_enclosure,
                                l_norm_birkhoff, parse_system, rotation_system,
                                shift_system)
 from ergocert.errors import BudgetExceededError, InputError
 from ergocert.measures import measure_of_finite_union
-from ergocert.observables import CylinderFn, PiecewiseLinear
+from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner
 from ergocert.regions import cylinder_mass
 from ergocert.spaces import CantorPoint, CirclePoint
 
@@ -307,3 +309,67 @@ class TestRunningSum:
         assert system._slot is kept
         for n in (8, 3, 9):
             check(h, n)
+
+
+def _random_pl(rng, q):
+    """A random piecewise-linear function with breakpoints on the 1/q grid
+    and a jump, in general, at every breakpoint."""
+    xs = [F(0)] + [F(k, q) for k in sorted(rng.sample(range(1, q),
+                                                      rng.randint(1, 4)))]
+    vals = [F(rng.randint(-q, q), rng.randint(1, q))
+            for _ in range(2 * len(xs))]
+    return PiecewiseLinear(list(zip(xs, xs[1:] + [F(1)], vals[::2],
+                                    vals[1::2])))
+
+
+def _plain_correlations(fbar, count):
+    """C(m) = <fbar, L^m fbar> by count transfers, with no early stop."""
+    out, g = [], fbar
+    for _ in range(count):
+        out.append(pl_inner(fbar, g))
+        g = g.transfer_doubling()
+    return out
+
+
+class TestCorrelations:
+    POOL = {"hat_a": PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8)),
+            "identity": PiecewiseLinear.identity(),
+            "hat_b": PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 16))}
+
+    def test_table_matches_plain_transfers(self):
+        # [DERIVED: oracle = 120 plain transfer steps; the early stop on a
+        # repeat up to a scalar must give the same exact table]
+        rng = random.Random(1009)
+        fs = list(self.POOL.values()) + [
+            PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 8)),
+            PiecewiseLinear.hat(F(2, 5), F(1, 16), F(1, 8)),
+            PiecewiseLinear.hat(F(1, 1009), F(1, 1009), F(1, 1009))]
+        fs += [_random_pl(rng, rng.randint(7, 16)) for _ in range(30)]
+        for f in fs:
+            fbar = centered(DBL, f)
+            assert doubling_correlations(fbar, CORRELATION_CUTOFF) \
+                == _plain_correlations(fbar, CORRELATION_CUTOFF)
+        # a zero observable and a short table
+        zero = centered(DBL, PiecewiseLinear.constant(F(3, 7)))
+        assert doubling_correlations(zero, 5) == [0] * 5
+        hat = centered(DBL, self.POOL["hat_b"])
+        assert doubling_correlations(hat, 2) == _plain_correlations(hat, 2)
+
+    def test_l2_sq_matches_fraction_formula(self):
+        # [DERIVED: (1/p^2)[p C(0) + 2 sum_{m=1}^{cut-1} (p-m) C(m)] in
+        # Fractions, widened by (2/p) decay 2^-(cut-1) past the table]
+        cases = [(SHIFT, FIRSTBIT, [F(1, 4)], 0)]
+        for f in (self.POOL["hat_a"], self.POOL["identity"]):
+            fbar = centered(DBL, f)
+            c = _plain_correlations(fbar, CORRELATION_CUTOFF)
+            cases.append((DBL, f, c,
+                          fbar.abs_integral() * fbar.total_variation()))
+        for system, f, c, decay in cases:
+            corr = system.correlations(centered(system, f), CORRELATION_CUTOFF)
+            for p in list(range(1, 131)) + [500, 4096, 1 << 34]:
+                cut = min(p, len(c))
+                val = (p * c[0] + 2 * sum((p - m) * c[m]
+                                          for m in range(1, cut))) / F(p * p)
+                tail = F(2, p) * decay / 2 ** (cut - 1) if cut < p else 0
+                box = corr.l2_sq(p)
+                assert (box.lo, box.hi) == (val - tail, val + tail)
