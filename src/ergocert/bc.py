@@ -377,6 +377,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                 f"window {j} has no exact ball list")
         accepted = None
         examined = 0
+        witness = space.witness_lookup(u.exact_prefix)
         for d in range(max(depth + 1, step + 1),
                        max(depth + 1, step + 1) + DEPTH_SLACK):
             for cand in space.refinements(cur, d):
@@ -384,9 +385,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                 if examined > CANDIDATE_BUDGET:
                     raise BudgetExceededError(
                         f"no admissible refinement for window {j}")
-                widx = next((w for w, b in enumerate(u.exact_prefix)
-                             if space.inside(cand, b, strict=True)),
-                            None)
+                widx = witness(cand)
                 if widx is None:
                     continue
                 inter = remaining.intersect(tag.region([cand]))

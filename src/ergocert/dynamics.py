@@ -88,9 +88,12 @@ class System:
         return f
 
     def birkhoff_sum(self, g, n: int):
-        """S_n g = sum_{i<n} g o T^i in the system's form.  The last sum is
-        kept, keyed on g's data (`centered` builds a new g on every call):
-        the same g at n >= the kept m extends S_m, else S_0 is extended."""
+        """S_n g = sum_{i<n} g o T^i in the system's form: (den, den S_n)
+        on the shift's cylinders, a PiecewiseLinear on the circle (on the
+        doubling map in integer form, from n = 2 on, for rational g).  The
+        last sum is kept, keyed on g's data (`centered` builds a new g on
+        every call): the same g at n >= the kept m extends S_m, else S_0
+        is extended."""
         key = g.table if isinstance(g, CylinderFn) else g.segments
         held, m, state = self._slot or (None, 0, None)
         if held != key or m > n:
@@ -295,17 +298,17 @@ class CircleMap(System):
         return (g.eval_right(self._orbit_point(x, i)) for i in range(count))
 
     def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
-        return self.birkhoff_sum(g, n)[0].scale(Fraction(1, n))
+        return self.birkhoff_sum(g, n).scale(Fraction(1, n))
 
     def integral(self, g: PiecewiseLinear):
         return g.integral()
 
     def l1_norm(self, g: PiecewiseLinear, n: int):
-        return self.birkhoff_sum(g, n)[0].abs_integral() / n
+        return self.birkhoff_sum(g, n).abs_integral() / n
 
     def sublevel(self, g: PiecewiseLinear, n: int, delta: Fraction) -> ArcSet:
         # |A_n g| < delta where |S_n g| < n delta
-        return self.birkhoff_sum(g, n)[0].arcs_below_abs(n * delta)
+        return self.birkhoff_sum(g, n).arcs_below_abs(n * delta)
 
     def region_balls(self, region: ArcSet) -> list[IdealBall]:
         # split every arc so each piece is shorter than 1/2 (a circle ball
@@ -339,10 +342,11 @@ class CircleMap(System):
     def window_mass(self, g: PiecewiseLinear, window: range,
                     delta: Fraction) -> Fraction:
         """Exact mu{max_{n in window} |A_n g| > delta}: the measure of the
-        arcs where S_n g > n delta or -S_n g > n delta for some n in the
-        window (rounded up when the arcs are irrational).  Priced before
-        it runs: the segment counts `_extend` checks, summed over the
-        window, must stay within SEGMENT_BUDGET."""
+        arcs where S_n g > n delta or S_n g < -n delta for some n in the
+        window (rounded up when the arcs are irrational), both tails read
+        from S_n itself (in integers on the doubling map's grid).  Priced
+        before it runs: the segment counts `_extend` checks, summed over
+        the window, must stay within SEGMENT_BUDGET."""
         if any(t > SEGMENT_BUDGET for t in
                accumulate(self._segment_count(g, n) for n in window)):
             raise BudgetExceededError(
@@ -350,9 +354,9 @@ class CircleMap(System):
                 f"needs more than {SEGMENT_BUDGET} segments")
         arcs = []
         for n in window:
-            s = self.birkhoff_sum(g, n)[0]
-            arcs += s.arcs_above(n * delta).arcs
-            arcs += s.scale(-1).arcs_above(n * delta).arcs
+            s, level = self.birkhoff_sum(g, n), n * delta
+            arcs += s.arcs_above(level).arcs
+            arcs += s.arcs_below(-level).arcs
         mass = ArcSet(arcs).measure()
         if not isinstance(mass, Fraction):
             mass = mass.approx(60) + pow2(60)
@@ -376,18 +380,18 @@ class Doubling(CircleMap):
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         return max(len(g.segments), 1) << n
 
-    def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
-        # (S_n, g o T^(n-1)): one sweep over S_m and g o T^i, m <= i < n,
-        # pulling back from the last term kept
+    def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
+        # S_(i+1) = g + S_i o T.  For rational g, S_i o T is S_i's integer
+        # form with the starts copied to x + q on the grid 2q (q = D 2^(i-1),
+        # D the lcm of g's breakpoint denominators), and g adds on its few
+        # breakpoints; see PiecewiseLinear
         size = self._segment_count(g, n)
         if size > SEGMENT_BUDGET:
             raise BudgetExceededError(
                 f"A_{n} on the doubling map needs ~{size} segments")
-        terms, last = ([state[0]], state[1]) if state else ([], g)
         for i in range(m, n):
-            last = last.pullback_doubling() if i else g
-            terms.append(last)
-        return pl_sum(terms), last
+            s = s.pullback_doubling().add(g) if i else g
+        return s
 
     def correlations(self, fbar: PiecewiseLinear, count: int) -> Correlations:
         # the transfer operator halves variation and a zero-mean function
@@ -449,13 +453,13 @@ class Rotation(CircleMap):
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         return max(len(g.segments), 1) * n
 
-    def _extend(self, g: PiecewiseLinear, state, m: int, n: int):
-        # (S_n, None): one sweep over S_m and g o R^i, m <= i < n
+    def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
+        # S_n: one sweep over S_m and g o R^i, m <= i < n
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
-        head = [state[0]] if state else []
+        head = [] if s is None else [s]
         return pl_sum(head + [g.shift(self.alpha * i) if i else g
-                              for i in range(m, n)]), None
+                              for i in range(m, n)])
 
     def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
         # no decay of correlations: square-integrate the exact average

@@ -10,7 +10,8 @@ certificates replayable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -29,9 +30,22 @@ class PiecewiseLinear:
     allowed (f(x)=x as a circle map jumps at 0).  Normal form: no segment
     has zero length and no two neighbours are continuous and collinear.
     The constructor establishes it; `pl_sum`, `scale` (c != 0), `add_const`,
-    `shift` and `pullback_doubling` emit it and skip the checks."""
+    `shift` and `pullback_doubling` emit it and skip the checks.
 
-    __slots__ = ("segments",)
+    Integer form: a function with rational data may instead hold `grid` =
+    (q, e, xs, vs, ds), all ints, in the same normal form.  Segment k
+    starts at xs[k]/q, has value vs[k]/e there and changes by ds[k]/e per
+    grid step 1/q.  `pullback_doubling` writes it (from any rational
+    function: the two copies are the starts x and x + q on the grid 2q,
+    with values and increments unchanged), `add` keeps it (a merge walk
+    against the breakpoints of the other term, which must lie on the
+    grid; e grows only when the other term's values or slopes need it),
+    and `abs_integral` and the sublevel arcs read it without building a
+    Fraction per segment.  The Fraction `segments` of such a function are
+    built on first read.  Functions with Q[sqrt2] data keep the Fraction
+    kernels."""
+
+    __slots__ = ("segments", "grid")
     space = CIRCLE
 
     def __init__(self, segments):
@@ -50,13 +64,30 @@ class PiecewiseLinear:
             else:
                 merged.append((a, b, va, vb))
         self.segments = merged
+        self.grid = None
 
     @staticmethod
     def _normal(segments) -> "PiecewiseLinear":
         """Wrap segments that are already in normal form, unchecked."""
         f = object.__new__(PiecewiseLinear)
         f.segments = segments
+        f.grid = None
         return f
+
+    @staticmethod
+    def _on_grid(grid) -> "PiecewiseLinear":
+        """Wrap an integer form that is already in normal form."""
+        f = object.__new__(PiecewiseLinear)
+        f.grid = grid
+        return f
+
+    def __getattr__(self, name):
+        # only reached while the slot is empty: an integer-form function
+        # builds its Fraction segments on first read
+        if name != "segments" or self.grid is None:
+            raise AttributeError(name)
+        self.segments = segs = _grid_segments(*self.grid)
+        return segs
 
     # -- constructors ------------------------------------------------------
 
@@ -141,6 +172,8 @@ class PiecewiseLinear:
 
     def abs_integral(self):
         """Exact integral of |f|; a sign change splits a segment in two."""
+        if self.grid is not None:
+            return _grid_abs_integral(*self.grid)
         tot = 0
         for a, b, va, vb in self.segments:
             if (va < 0 < vb) or (vb < 0 < va):
@@ -185,6 +218,10 @@ class PiecewiseLinear:
             [(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
+        if self.grid is not None:
+            grid = _grid_plus(*self.grid, other.segments)
+            if grid is not None:
+                return PiecewiseLinear._on_grid(grid)
         return pl_sum([self, other])
 
     def min_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -220,7 +257,11 @@ class PiecewiseLinear:
         return _joined(segs, len(self.segments) - i)
 
     def pullback_doubling(self) -> "PiecewiseLinear":
-        """x -> f(2x mod 1); the two copies of f meet at 1/2."""
+        """x -> f(2x mod 1); the two copies of f meet at 1/2.  Rational
+        data is pulled back in its integer form."""
+        grid = self.grid if self.grid is not None else _grid_of(self.segments)
+        if grid is not None:
+            return PiecewiseLinear._on_grid(_grid_pullback(*grid))
         segs = []
         half = Fraction(1, 2)
         for a, b, va, vb in self.segments:
@@ -248,15 +289,25 @@ class PiecewiseLinear:
         points)."""
         return self._arcs_between(level, None)
 
+    def arcs_below(self, level) -> ArcSet:
+        """{x : f(x) < level} as an exact arc set (up to finitely many
+        points)."""
+        return self._arcs_between(None, level)
+
     def _arcs_between(self, lo, hi) -> ArcSet:
-        """{x : lo < f(x) < hi}, unbounded above when hi is None."""
+        """{x : lo < f(x) < hi}, unbounded below when lo is None and above
+        when hi is None."""
+        if self.grid is not None and all(type(t) in (int, Fraction)
+                                         for t in (lo, hi) if t is not None):
+            return _grid_arcs(*self.grid, lo, hi)
         arcs = []
         for a, b, va, vb in self.segments:
             small, big = (va, vb) if va < vb else (vb, va)
-            if small > lo and (hi is None or big < hi):
+            if (lo is None or small > lo) and (hi is None or big < hi):
                 arcs.append((a, b))
                 continue
-            if big <= lo or (hi is not None and small >= hi):
+            if (lo is not None and big <= lo) or \
+                    (hi is not None and small >= hi):
                 continue
             # the segment meets a level, so it is not constant
             slope = (vb - va) / (b - a)
@@ -264,7 +315,7 @@ class PiecewiseLinear:
                                   if lvl is not None and small < lvl < big])
             for u, v in zip(xs, xs[1:]):
                 mid = va + slope * ((u + v) / 2 - a)
-                if lo < mid and (hi is None or mid < hi):
+                if (lo is None or lo < mid) and (hi is None or mid < hi):
                     arcs.append((u, v))
         return ArcSet(arcs)
 
@@ -293,6 +344,166 @@ def _joined(segs, j) -> PiecewiseLinear:
         if pvb == va and _collinear(pa, pb, pva, pvb, b, vb):
             segs[j - 1:j + 1] = [(pa, b, pva, vb)]
     return PiecewiseLinear._normal(segs)
+
+
+# -- the integer form (q, e, xs, vs, ds) of PiecewiseLinear ----------------
+
+
+def _grid_of(segs):
+    """The integer form of segments whose data are all Fractions, as 0 + f
+    on the grid of the lcm of their breakpoint denominators; None
+    otherwise."""
+    if any(type(s[0]) is not Fraction for s in segs):
+        return None
+    q = math.lcm(*[a.denominator for a, _, _, _ in segs])
+    return _grid_plus(q, 1, [0], [0], [0], segs)
+
+
+def _over(x: Fraction, den: int) -> int:
+    """x den, for a den that x's denominator divides."""
+    return x.numerator * (den // x.denominator)
+
+
+def _grid_segments(q, e, xs, vs, ds) -> list:
+    """The Fraction segments of an integer form."""
+    ends = xs[1:] + [q]
+    ws = [v + d * (b - x) for x, b, v, d in zip(xs, ends, vs, ds)]
+    pts = [Fraction(x, q) for x in xs] + [Fraction(1)]
+    heads = [Fraction(v, e) for v in vs]
+    # a continuous breakpoint shares its value between the two segments
+    tails = [h if w == v else Fraction(w, e)
+             for w, v, h in zip(ws, vs[1:] + [None], heads[1:] + [None])]
+    return list(zip(pts, pts[1:], heads, tails))
+
+
+def _grid_pullback(q, e, xs, vs, ds):
+    """x -> f(2x mod 1) on the grid 2q: the starts x and x + q carry the
+    same values and increments; the copies are joined at 1/2 when f is
+    continuous and collinear across 0."""
+    k = len(xs)
+    xs, vs, ds = xs + [x + q for x in xs], vs + vs, ds + ds
+    if ds[k - 1] == ds[0] and vs[k - 1] + ds[k - 1] * (q - xs[k - 1]) == vs[0]:
+        del xs[k], vs[k], ds[k]
+    return 2 * q, e, xs, vs, ds
+
+
+def _grid_plus(q, e, xs, vs, ds, segs):
+    """The integer form of f + g, f in integer form and g given by its
+    segments; None when a datum of g is not a Fraction or a breakpoint of
+    g is off the grid."""
+    if any(type(t) is not Fraction for s in segs for t in s):
+        return None
+    starts = [a * q for a, _, _, _ in segs]
+    if any(x.denominator != 1 for x in starts):
+        return None
+    starts = [x.numerator for x in starts]
+    incs = [(vb - va) / ((b - a) * q) for a, b, va, vb in segs]
+    e2 = math.lcm(e, *[va.denominator for _, _, va, _ in segs],
+                  *[d.denominator for d in incs])
+    if e2 != e:
+        k = e2 // e
+        vs, ds = [v * k for v in vs], [d * k for d in ds]
+    out_x, out_v, out_d = [], [], []
+    for x0, x1, (_, _, va, _), inc in zip(starts, starts[1:] + [q], segs,
+                                          incs):
+        v0, d0 = _over(va, e2), _over(inc, e2)
+        lo = bisect_left(xs, x0)
+        hi = bisect_left(xs, x1, lo)
+        if lo < len(xs) and xs[lo] == x0:
+            hv, hd = vs[lo] + v0, ds[lo] + d0
+            lo += 1
+        else:  # x0 cuts f's segment lo - 1
+            k = lo - 1
+            hv, hd = vs[k] + ds[k] * (x0 - xs[k]) + v0, ds[k] + d0
+        # a breakpoint of g where the sum is continuous and collinear goes
+        if not (out_x and out_d[-1] == hd
+                and out_v[-1] + out_d[-1] * (x0 - out_x[-1]) == hv):
+            out_x.append(x0)
+            out_v.append(hv)
+            out_d.append(hd)
+        # on the rest of g's segment f's breakpoints stay, and g adds
+        # v0 + d0 (x - x0) at each
+        c = v0 - d0 * x0
+        run = xs[lo:hi]
+        out_x += run
+        out_v += [v + c + d0 * x for v, x in zip(vs[lo:hi], run)]
+        out_d += [d + d0 for d in ds[lo:hi]] if d0 else ds[lo:hi]
+    return q, e2, out_x, out_v, out_d
+
+
+def _grid_abs_integral(q, e, xs, vs, ds) -> Fraction:
+    """Integral of |f|: one integer sum over the segments that keep their
+    sign, and one Fraction per |increment| of the segments crossing 0,
+    where a segment adds (v^2 + w^2) / (2 q e |d|)."""
+    flat = 0
+    cross = {}
+    for x, b, v, d in zip(xs, xs[1:] + [q], vs, ds):
+        w = v + d * (b - x)
+        if (v < 0 < w) or (w < 0 < v):
+            d = abs(d)
+            cross[d] = cross.get(d, 0) + v * v + w * w
+        else:
+            flat += (b - x) * (abs(v) + abs(w))
+    tot = Fraction(flat, 2 * q * e)
+    for d, s in cross.items():
+        tot += Fraction(s, 2 * q * e * d)
+    return tot
+
+
+def _grid_arcs(q, e, xs, vs, ds, lo, hi) -> ArcSet:
+    """{x : lo < f(x) < hi} (a missing level is unbounded) in ArcSet's
+    canonical form.  Values are compared as integers; a Fraction is built
+    only at a level crossing and at the ends of each maximal arc.  On a
+    segment the set is one open interval; it starts at the segment's start
+    or at a crossing, and it joins the arc before it exactly when it starts
+    at the segment's start and that arc reached it."""
+    ends = xs[1:] + [q]
+    ws = [v + d * (b - x) for x, b, v, d in zip(xs, ends, vs, ds)]
+    # v > lo e iff v > lo_f, v >= lo e iff v >= lo_c; hi alike, and a
+    # missing level lies beyond every value
+    if lo is None or hi is None:
+        far = max(map(abs, vs)) + max(map(abs, ws)) + 1
+    lo_f, lo_c = (-far, -far) if lo is None else \
+        (math.floor(lo * e), math.ceil(lo * e))
+    hi_f, hi_c = (far, far) if hi is None else \
+        (math.floor(hi * e), math.ceil(hi * e))
+    arcs = []
+    start = None  # start of the arc that reaches the current grid point
+    for x, b, v, d, w in zip(xs, ends, vs, ds, ws):
+        if d > 0:
+            inside = w > lo_f and v < hi_c
+            at_x, at_b = v >= lo_c, w <= hi_f
+            cut_in, cut_out = lo, hi
+        elif d < 0:
+            inside = v > lo_f and w < hi_c
+            at_x, at_b = v <= hi_f, w >= lo_c
+            cut_in, cut_out = hi, lo
+        else:
+            inside = at_x = at_b = lo_f < v < hi_c
+        if not inside:
+            if start is not None:
+                arcs.append((start, Fraction(x, q)))
+                start = None
+            continue
+        if not at_x:
+            if start is not None:
+                arcs.append((start, Fraction(x, q)))
+            start = _crossing(q, e, x, v, d, cut_in)
+        elif start is None:
+            start = Fraction(x, q)
+        if not at_b:
+            arcs.append((start, _crossing(q, e, x, v, d, cut_out)))
+            start = None
+    if start is not None:
+        arcs.append((start, Fraction(1)))
+    return ArcSet._canonical(arcs)
+
+
+def _crossing(q, e, x, v, d, level) -> Fraction:
+    """Where the segment starting at grid point x meets `level`:
+    (x + (level e - v) / d) / q."""
+    n, m = level.numerator, level.denominator
+    return Fraction(x * d * m + n * e - v * m, q * d * m)
 
 
 def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:

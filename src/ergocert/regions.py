@@ -41,6 +41,14 @@ class ArcSet:
         self.arcs = merged
 
     @staticmethod
+    def _canonical(arcs: list) -> "ArcSet":
+        """Wrap arcs that are already sorted, disjoint and apart (no arc
+        starts where the one before it ends), unchecked."""
+        s = object.__new__(ArcSet)
+        s.arcs = arcs
+        return s
+
+    @staticmethod
     def from_raw(arcs: Iterable[tuple]) -> "ArcSet":
         """Build from arcs given on the real line (reduced mod 1, split at 0)."""
         out = []

@@ -151,6 +151,12 @@ class Space:
     def dist(self, a, b) -> Fraction:
         return self._metric(a, b)
 
+    def witness_lookup(self, balls: list) -> Callable:
+        """cand -> index of the first ball of `balls` that holds cand
+        strictly (`inside`), or None; here a scan of the list."""
+        return lambda cand: next((w for w, b in enumerate(balls)
+                                  if self.inside(cand, b, strict=True)), None)
+
 
 class CircleSpace(Space):
     """The unit circle [0,1) with the arc metric; ideal points are the
@@ -304,6 +310,21 @@ class CantorSpace(Space):
 
     def depth(self, ball: "IdealBall") -> int:
         return ball.cylinder_depth
+
+    def witness_lookup(self, balls: list) -> Callable:
+        # a cylinder holds cand iff its word is a prefix of cand's word:
+        # map each word to its first index once, then look up cand's
+        # prefixes and take the smallest index found
+        first: dict = {}
+        for w, b in enumerate(balls):
+            first.setdefault(b.cylinder_prefix, w)
+
+        def lookup(cand: "IdealBall") -> Optional[int]:
+            word = cand.cylinder_prefix
+            return min((w for w in map(first.get, (word[:k] for k in
+                                                   range(len(word) + 1)))
+                        if w is not None), default=None)
+        return lookup
 
     def refinements(self, cur: "IdealBall", depth: int):
         w = cur.cylinder_prefix

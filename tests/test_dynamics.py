@@ -15,9 +15,10 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                shift_system)
 from ergocert.errors import BudgetExceededError, InputError
 from ergocert.measures import measure_of_finite_union
-from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner
-from ergocert.regions import cylinder_mass
+from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner, pl_sum
+from ergocert.regions import ArcSet, cylinder_mass
 from ergocert.spaces import CantorPoint, CirclePoint
+from test_observables import _assert_normal_form
 
 FIRSTBIT = CylinderFn.coordinate(0)
 SHIFT = shift_system(F(1, 2))
@@ -373,3 +374,71 @@ class TestCorrelations:
                 tail = F(2, p) * decay / 2 ** (cut - 1) if cut < p else 0
                 box = corr.l2_sq(p)
                 assert (box.lo, box.hi) == (val - tail, val + tail)
+
+
+def _fraction_pullback(f):
+    """x -> f(2x mod 1) in plain Fraction arithmetic: the segments halved,
+    twice, and joined by the checking constructor."""
+    half = F(1, 2)
+    return PiecewiseLinear(
+        [(a * half + h, b * half + h, va, vb)
+         for h in (F(0), half) for a, b, va, vb in f.segments])
+
+
+def _oracle_sums(g, count):
+    """S_1, ..., S_count of g on the doubling map: S_n = pl_sum of S_(n-1)
+    and g o T^(n-1), each term pulled back from the last in Fractions."""
+    term, sums = g, [g]
+    for _ in range(count - 1):
+        term = _fraction_pullback(term)
+        sums.append(pl_sum([sums[-1], term]))
+    return sums
+
+
+class TestIntegerRunningSum:
+    # [DERIVED: oracle = Fraction pl_sums of Fraction pullbacks; the
+    # integer form must give the same normal form, value by value and type
+    # by type, and the same L1 norm, sublevel arcs and window masses]
+    DELTAS = (F(1, 2), F(1, 4), F(1, 8))
+
+    def _check(self, f, count, deltas=DELTAS):
+        system = doubling_system()
+        g = centered(system, f)
+        tails = {delta: [] for delta in deltas}  # per n: |S_n| > n delta
+        for n, want in enumerate(_oracle_sums(g, count), 1):
+            got = system.birkhoff_sum(g, n)
+            assert got.abs_integral() == want.abs_integral(), (f, n)
+            for delta in deltas:
+                level = n * delta
+                assert got.arcs_below_abs(level).arcs \
+                    == want.arcs_below_abs(level).arcs, (f, n, delta)
+                above = want.arcs_above(level).arcs
+                assert got.arcs_above(level).arcs == above, (f, n, delta)
+                tails[delta].append(above
+                                    + want.scale(-1).arcs_above(level).arcs)
+            assert got.segments == want.segments, (f, n)
+            _assert_normal_form(got, (f, n))
+            assert [tuple(map(type, s)) for s in got.segments] == \
+                [tuple(map(type, s)) for s in want.segments], (f, n)
+        window = range(count - 2, count + 1)
+        for delta, per_n in tails.items():
+            arcs = [arc for n in window for arc in per_n[n - 1]]
+            assert system.window_mass(g, window, delta) \
+                == ArcSet(arcs).measure(), (f, delta)
+
+    @pytest.mark.parametrize("name", TestCorrelations.POOL)
+    def test_pool(self, name):
+        self._check(TestCorrelations.POOL[name], 12)
+
+    def test_hats_and_random_functions(self):
+        rng = random.Random(7)
+        fs = [PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 8)),
+              PiecewiseLinear.hat(F(2, 5), F(1, 16), F(1, 8)),
+              PiecewiseLinear.hat(F(1, 1009), F(1, 1009), F(1, 1009))]
+        for f in fs:
+            self._check(f, 10)
+        # the Fraction oracle's arcs dominate the cost: each random
+        # function reads its arcs at one delta, the three in turn
+        for i in range(30):
+            f = _random_pl(rng, rng.randint(7, 16))
+            self._check(f, 10, self.DELTAS[i % 3:i % 3 + 1])

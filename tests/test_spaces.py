@@ -136,6 +136,22 @@ class TestNesting:
             for strict in (False, True):
                 assert CANTOR.inside(inner, outer, strict=strict) is nested
 
+    def test_cantor_witness_lookup_is_the_first_holder(self):
+        # [DERIVED: oracle = the scan for the first ball holding the
+        #  candidate; lists with repeats and nested words, and misses]
+        rng = random.Random(24)
+        words = ["".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+                 for _ in range(300)]
+        for _ in range(60):
+            balls = [CANTOR.cylinder_ball(w)
+                     for w in rng.sample(words, rng.randint(0, 12))]
+            lookup = CANTOR.witness_lookup(balls)
+            for w in words[:80]:
+                cand = CANTOR.cylinder_ball(w)
+                want = next((i for i, b in enumerate(balls)
+                             if CANTOR.inside(cand, b, strict=True)), None)
+                assert lookup(cand) == want
+
     def test_circle_refinements_are_the_nested_dyadic_arcs(self):
         # [DERIVED: brute force over all 2^d dyadic arcs of depth d]
         rng = random.Random(5)
