@@ -84,6 +84,8 @@ def bc_exact_windows(system: System, f: Observable,
     degrades to the whole space with err 0 (a valid, vacuous window).  The
     `count` windows are computed once, in order; windows beyond `count` are
     the whole space."""
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     whole = {"trivial": True, "n": None, "delta": None, "err": Fraction(0),
@@ -293,7 +295,6 @@ class SynthPoint:
     windows: int
     balls: list
     certs: list
-    tail_rule: str
     track: list  # serialized observables steering the digit tail
     point: object = field(default=None, repr=False, compare=False)
 
@@ -318,7 +319,7 @@ class SynthPoint:
                 "windows": self.windows,
                 "decimal": self.decimal(12),
                 "balls": [b.to_json() for b in self.balls],
-                "certs": self.certs, "tail_rule": self.tail_rule,
+                "certs": self.certs, "tail_rule": "balanced",
                 "track": self.track}
 
     @staticmethod
@@ -328,19 +329,22 @@ class SynthPoint:
         if not balls:
             raise ValueError("a synthesized point records at least its "
                              "target ball")
+        if any(b.space is not system.space for b in balls):
+            raise ValueError(f"a stream ball off {system.space.name}")
+        if d["tail_rule"] != "balanced":
+            raise ValueError(f"unknown tail_rule {d['tail_rule']!r}")
         track = [system.as_concrete(observable_from_json(o))
                  for o in d["track"]]
         sp = SynthPoint(d["system"],
                         parse_int(d["start_index"], "start_index"),
                         parse_int(d["windows"], "windows"), balls,
-                        d["certs"], d["tail_rule"], d["track"])
-        sp.point = system.point_in(balls[-1], sp.tail_rule, track)
+                        d["certs"], d["track"])
+        sp.point = system.point_in(balls[-1], track)
         return sp
 
 
 def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
-                     windows: int, tail_rule: str = "balanced",
-                     track: Optional[list] = None) -> SynthPoint:
+                     windows: int, track: Optional[list] = None) -> SynthPoint:
     """Point in `target` belonging to U_j for j = k, ..., k + windows - 1.
 
     k is the summability modulus at half the slack lambda_0 = mu(target)/2.
@@ -351,10 +355,12 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     raises NO_MASS."""
     if windows < 0:
         raise InputError(f"windows must be >= 0, got {windows}")
+    space = system.space
+    if target.space is not space:
+        raise InputError(f"a {target.space.name} target on {space.name}")
     if bc.region is None:
         raise UnsupportedInstanceError(
             "synthesis needs windows with exact region data")
-    space = system.space
     tag = system.tag
     remaining = tag.region([target])
     mass = region_measure(tag, remaining)
@@ -418,9 +424,9 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     # centered, so a nonzero observable is a nonconstant one
     concrete = [system.as_concrete(centered(system, t)) for t in (track or [])]
     concrete = [g for g in concrete if g.sup_norm() != 0]
-    sp = SynthPoint(system.selector(), k, windows, stream, certs, tail_rule,
+    sp = SynthPoint(system.selector(), k, windows, stream, certs,
                     [observable_to_json(g) for g in concrete])
-    sp.point = system.point_in(cur, tail_rule, concrete)
+    sp.point = system.point_in(cur, concrete)
     return sp
 
 
@@ -486,6 +492,8 @@ def replay_synth(system: System, sp: SynthPoint,
                             f"{sp.start_index + t} at position {t + 1}")
         witness = IdealBall.from_json(cert["witness"])
         ball = IdealBall.from_json(cert["ball"])
+        if witness.space is not space or ball.space is not space:
+            raise ValueError(f"window {j}: a ball off {space.name}")
         if t + 1 < len(balls) and ball != balls[t + 1]:
             failures.append(f"window {j}: accepted ball is not stream "
                             f"ball {t + 1}")

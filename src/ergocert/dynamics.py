@@ -218,8 +218,8 @@ class Shift(System):
             return CylSet([""] if abs(g.table[0]) < delta else [])
         den, table = self.birkhoff_sum(g, n)
         d, lim = n + g.depth - 1, delta.numerator * den * n
-        return CylSet([format(w, f"0{d}b") for w, s in enumerate(table)
-                       if abs(s) * delta.denominator < lim])
+        return CylSet.from_ints(d, (w for w, s in enumerate(table)
+                                    if abs(s) * delta.denominator < lim))
 
     def region_balls(self, region: CylSet) -> list[IdealBall]:
         return [CANTOR.cylinder_ball(w) for w in region.prefixes]
@@ -237,8 +237,8 @@ class Shift(System):
     def value_on_digits(self, g: CylinderFn, bits: list[int]) -> Fraction:
         return g.value_on_word("".join(map(str, bits)))
 
-    def point_in(self, final: IdealBall, tail_rule: str, track: list):
-        # the digit tail always steers; tail_rule only matters on circles
+    def point_in(self, final: IdealBall, track: list):
+        # the ball's word gives the first digits; the digit tail the rest
         window = max((g.depth for g in track), default=1)
         tail = _DigitTail([int(c) for c in final.cylinder_prefix], track,
                           window, self.value_on_digits)
@@ -336,7 +336,7 @@ class CircleMap(System):
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)
 
-    def point_in(self, final: IdealBall, tail_rule: str, track: list):
+    def point_in(self, final: IdealBall, track: list):
         return CirclePoint.from_rational(final.center)
 
     def window_mass(self, g: PiecewiseLinear, window: range,
@@ -408,17 +408,17 @@ class Doubling(CircleMap):
         return g.eval_right(Fraction(2 * int("".join(map(str, bits)), 2) + 1,
                                      1 << (len(bits) + 1)))
 
-    def point_in(self, final: IdealBall, tail_rule: str, track: list):
+    def point_in(self, final: IdealBall, track: list):
         """The left endpoint's binary digits, continued by a digit tail
         that keeps the tracked orbit sums balanced (the centre when the
-        ball is not a dyadic arc, under tail_rule "left", or untracked)."""
+        ball is not a dyadic arc or nothing is tracked)."""
         r = final.radius
         depth = r.denominator.bit_length() - 2
         left = (final.center - r) % 1 * (1 << max(depth, 0))
-        if tail_rule == "left" or not track or r.numerator != 1 \
+        if not track or r.numerator != 1 \
                 or r.denominator & (r.denominator - 1) or depth < 0 \
                 or left.denominator != 1:
-            return super().point_in(final, tail_rule, track)
+            return super().point_in(final, track)
         base = [int(c) for c in format(int(left), f"0{depth}b")] \
             if depth else []
         tail = _DigitTail(base, track, BALANCE_WINDOW, self.value_on_digits)
@@ -732,8 +732,9 @@ def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:
 
 
 def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
-    """Exact region {x : |A_n(f - integral f)(x)| < delta} as an ArcSet or
-    CylSet (rotation regions may have Quad endpoints)."""
+    """Exact region {x : |A_n(f - integral f)(x)| < delta}: an ArcSet on
+    the circle (rotation regions may have Quad endpoints), a CylSet of
+    runs over the words A_n reads on Cantor space."""
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")

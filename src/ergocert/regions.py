@@ -2,12 +2,15 @@
 
 These are the normal forms behind the exact measure oracles: every
 finite union of ideal balls in the built-in instances reduces to one of
-them, so measures, intersections and complements are exact rational (or
-Q[sqrt2]) computations.
+them, so measures and intersections are exact rational (or Q[sqrt2])
+computations.  Both forms are sorted lists of disjoint intervals, arcs
+of the circle or runs of same-length words read as binary numbers, and
+share one merge and one intersection walk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable
@@ -25,20 +28,7 @@ class ArcSet:
     to finitely many points)."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
-        cleaned = []
-        for a, b in arcs:
-            if b <= a:
-                continue
-            cleaned.append((a, b))
-        cleaned.sort(key=lambda ab: (ab[0], ab[1]))
-        merged: list[tuple] = []
-        for a, b in cleaned:
-            if merged and a <= merged[-1][1]:
-                la, lb = merged[-1]
-                merged[-1] = (la, max(lb, b))
-            else:
-                merged.append((a, b))
-        self.arcs = merged
+        self.arcs = _merged(sorted((a, b) for a, b in arcs if a < b))
 
     @staticmethod
     def _canonical(arcs: list) -> "ArcSet":
@@ -56,7 +46,7 @@ class ArcSet:
             if b <= a:
                 continue
             if b - a >= 1:
-                return ArcSet.full()
+                return ArcSet([(Fraction(0), Fraction(1))])
             a0 = mod1(a)
             b0 = a0 + (b - a)
             if b0 <= 1:
@@ -66,44 +56,11 @@ class ArcSet:
                 out.append((Fraction(0), b0 - 1))
         return ArcSet(out)
 
-    @staticmethod
-    def full() -> "ArcSet":
-        return ArcSet([(Fraction(0), Fraction(1))])
-
     def measure(self):
-        tot = Fraction(0)
-        for a, b in self.arcs:
-            tot = tot + (b - a)
-        return tot
+        return sum((b - a for a, b in self.arcs), Fraction(0))
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        out = []
-        i = j = 0
-        a1, a2 = self.arcs, other.arcs
-        while i < len(a1) and j < len(a2):
-            lo = max(a1[i][0], a2[j][0])
-            hi = min(a1[i][1], a2[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a1[i][1] <= a2[j][1]:
-                i += 1
-            else:
-                j += 1
-        return ArcSet(out)
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(self.arcs + other.arcs)
-
-    def complement(self) -> "ArcSet":
-        out = []
-        prev = Fraction(0)
-        for a, b in self.arcs:
-            if a > prev:
-                out.append((prev, a))
-            prev = b
-        if prev < 1:
-            out.append((prev, Fraction(1)))
-        return ArcSet(out)
+        return ArcSet._canonical(_overlaps(self.arcs, other.arcs))
 
     def components(self) -> list[tuple]:
         """Arcs with the wrap across 0 glued (returned arc may end > 1)."""
@@ -154,63 +111,103 @@ def _floor_to_grid(x, grain: Fraction) -> Fraction:
     return grain * (x / grain).floor()
 
 
+def _merged(intervals: Iterable[tuple]) -> list[tuple]:
+    """Join intervals (a, b), sorted by a, that overlap or touch: the
+    result is sorted, disjoint and apart."""
+    out: list[tuple] = []
+    for a, b in intervals:
+        if out and a <= out[-1][1]:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
+
+
+def _overlaps(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
+    """Intersection of two sorted, disjoint and apart interval lists, in
+    one walk.  Two pieces of the result lie in different intervals of at
+    least one side, so the result is sorted, disjoint and apart too."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        lo = max(xs[i][0], ys[j][0])
+        hi = min(xs[i][1], ys[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if xs[i][1] <= ys[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cylinder sets
 
 
 class CylSet:
-    """Finite union of cylinders of Cantor space, in canonical form.
+    """Finite union of cylinders of Cantor space, as integer runs.
 
-    `prefixes` holds the maximal cylinders inside the union, sorted by
-    (length, word): no kept word extends another and no two kept words are
-    siblings P+"0", P+"1".  The form is built in one pass over the words in
-    lexicographic order, where a word's extensions follow it directly: a
-    stack skips every word inside its top cylinder, and each push folds
-    sibling pairs on top into their parent for as long as they occur."""
+    A word of length `depth` is read as a binary number, and `runs` holds
+    the union's words of that length as sorted, disjoint and apart ranges
+    (a, b), a <= word < b; a shorter word w is the run of its extensions,
+    [w 2^k, (w + 1) 2^k) with k = depth - len(w).  `prefixes` lists the
+    maximal cylinders inside the union, sorted by (length, word): each run
+    split into its maximal aligned dyadic blocks."""
 
-    def __init__(self, prefixes: Iterable[str] = ()):
-        kept: list[str] = []
-        for w in sorted(prefixes):
-            if kept and w.startswith(kept[-1]):
-                continue
-            kept.append(w)
-            while len(kept) > 1 and kept[-1].endswith("1") \
-                    and kept[-2] == kept[-1][:-1] + "0":
-                kept[-2:] = [kept[-1][:-1]]
-        self.prefixes = sorted(kept, key=lambda w: (len(w), w))
+    def __init__(self, words: Iterable[str] = ()):
+        words = list(words)
+        self.depth = max(map(len, words), default=0)
+        self.runs = _merged(sorted(_run(w, self.depth) for w in words))
+
+    @staticmethod
+    def from_ints(depth: int, words: Iterable[int]) -> "CylSet":
+        """The union of the words of length `depth` given, as sorted ints."""
+        return CylSet._canonical(depth, _merged((v, v + 1) for v in words))
+
+    @staticmethod
+    def _canonical(depth: int, runs: list) -> "CylSet":
+        """Wrap runs that are already sorted, disjoint and apart."""
+        s = object.__new__(CylSet)
+        s.depth, s.runs = depth, runs
+        return s
+
+    def _blocks(self):
+        """(length, word) of the maximal cylinders: from the start of a
+        run, the largest aligned block that fits, until the run ends."""
+        for a, b in self.runs:
+            while a < b:
+                k = min((a & -a).bit_length() - 1 if a else self.depth,
+                        (b - a).bit_length() - 1)
+                yield self.depth - k, a >> k
+                a += 1 << k
+
+    @property
+    def prefixes(self) -> list[str]:
+        return [format(v, f"0{n}b") if n else ""
+                for n, v in sorted(self._blocks())]
 
     def measure(self, p: Fraction) -> Fraction:
-        """Bernoulli(p) mass, one `cylinder_mass` per (length, count of 1s)
-        class of the kept words."""
+        """Bernoulli(p) mass, one product per (length, count of 1s) class
+        of the maximal cylinders."""
         p = Fraction(p)
-        classes = Counter((len(w), w.count("1")) for w in self.prefixes)
-        return sum((count * cylinder_mass("1" * ones + "0" * (size - ones), p)
-                    for (size, ones), count in classes.items()), Fraction(0))
+        classes = Counter((n, v.bit_count()) for n, v in self._blocks())
+        return sum((count * p ** ones * (1 - p) ** (n - ones)
+                    for (n, ones), count in classes.items()), Fraction(0))
 
     def intersect(self, other: "CylSet") -> "CylSet":
-        out = []
-        for u in self.prefixes:
-            for v in other.prefixes:
-                if u.startswith(v):
-                    out.append(u)
-                elif v.startswith(u):
-                    out.append(v)
-        return CylSet(out)
-
-    def union(self, other: "CylSet") -> "CylSet":
-        return CylSet(self.prefixes + other.prefixes)
-
-    def complement(self) -> "CylSet":
-        result = [""]
-        for w in self.prefixes:
-            new_result = []
-            for v in result:
-                new_result.extend(_cyl_minus(v, w))
-            result = new_result
-        return CylSet(result)
+        # both sides as runs over the words of the deeper side
+        d = max(self.depth, other.depth)
+        a, b = ([(x << d - s.depth, y << d - s.depth) for x, y in s.runs]
+                for s in (self, other))
+        return CylSet._canonical(d, _overlaps(a, b))
 
     def contains_word_prefix(self, word: str) -> bool:
-        return any(word.startswith(w) for w in self.prefixes)
+        """Does the union contain the cylinder of `word`?"""
+        lo, hi = _run(word[:self.depth], self.depth)
+        i = bisect_right(self.runs, lo, key=lambda r: r[0])
+        return bool(i) and hi <= self.runs[i - 1][1]
 
     def contains_ball(self, ball) -> bool:
         return self.contains_word_prefix(ball.cylinder_prefix)
@@ -219,24 +216,16 @@ class CylSet:
         return f"CylSet({self.prefixes!r})"
 
 
+def _run(word: str, depth: int) -> tuple:
+    """The words of length `depth` that extend `word`, as a run."""
+    k = depth - len(word)
+    v = int(word, 2) if word else 0
+    return v << k, (v + 1) << k
+
+
 def cylinder_mass(w: str, p: Fraction) -> Fraction:
     """Bernoulli(p) mass of the cylinder fixing prefix w (p = prob of 1)."""
     m = Fraction(1)
     for c in w:
         m *= p if c == "1" else (1 - p)
     return m
-
-
-def _cyl_minus(v: str, w: str) -> list[str]:
-    """Cylinder v minus cylinder w, as a prefix list."""
-    if v.startswith(w):
-        return []
-    if not w.startswith(v):
-        return [v]
-    # w strictly extends v: peel off siblings along the path
-    out = []
-    cur = v
-    for c in w[len(v):]:
-        out.append(cur + ("1" if c == "0" else "0"))
-        cur += c
-    return out

@@ -162,10 +162,14 @@ class TestExitCodes:
         *(("cert_shift1-2_w01_as-bounded_1-4_1-2.json", change)
           for change in ({"observable": [1]}, {"observable": "x"},
                          {"system": 5}, {"system": None})),
-        # a synthesized point with the same faults, or without even its
-        # target ball
+        # a synthesized point with the same faults, without even its
+        # target ball, with a stream ball on the circle, or with a tail
+        # rule other than "balanced"
         *(("synth_shift1-2_w01.json", change)
-          for change in ({"system": 5}, {"system": None}, {"balls": []}))])
+          for change in ({"system": 5}, {"system": None}, {"balls": []},
+                         {"balls": [{"space": "circle", "center": "1/2",
+                                     "radius": "3/16"}]},
+                         {"tail_rule": "left"}, {"tail_rule": 7}))])
     def test_malformed_artifact_is_an_input_error(self, capsys, tmp_path,
                                                   name, change):
         art = tmp_path / name
@@ -201,12 +205,14 @@ class TestExitCodes:
         assert code == EXIT_INPUT and not out["ok"]
 
     def test_negative_windows(self, capsys, tmp_path):
-        # a negative window count is refused by both verbs; zero windows
-        # is a point that replays
+        # a negative window count is refused by both verbs, and so is a
+        # negative count of BC windows; zero windows is a point that
+        # replays
         synth = ["synthesize", "--system", "shift:p=1/2", "--observable",
                  FIRSTBIT, "--target", '{"space": "cantor", "center": "1", '
                  '"radius": "3/4"}', "--count", "4"]
         for argv in ([*synth, "--windows", "-1"],
+                     [*synth, "--windows", "2", "--count", "-1"],
                      ["typical", "--system", "shift:p=1/2", "--windows",
                       "-2"]):
             code = main(argv)
@@ -218,6 +224,34 @@ class TestExitCodes:
             == EXIT_OK
         code, out = run(capsys, "replay", "--artifact", str(art))
         assert code == EXIT_OK and out["ok"] and out["roundtrip"]
+
+    def test_ball_on_the_wrong_space(self, capsys, tmp_path):
+        # a target, or a replayed certificate's ball, on the other space
+        # than the system's is an input error that names the space
+        for system, obs, target in (
+                ("shift:p=1/2", FIRSTBIT,
+                 {"space": "circle", "center": "1/2", "radius": "1/4"}),
+                ("doubling", HAT,
+                 {"space": "cantor", "center": "1", "radius": "3/4"})):
+            code = main(["synthesize", "--system", system, "--observable",
+                         obs, "--target", json.dumps(target), "--windows",
+                         "2", "--count", "4"])
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            err = json.loads(streams.err)
+            assert err["error"] == "input"
+            assert target["space"] in err["detail"], err
+        data = json.loads((CORPUS / "synth_shift1-2_w01.json").read_text())
+        for key in ("witness", "ball"):
+            bad = json.loads(json.dumps(data))
+            bad["certs"][0][key] = {"space": "circle", "center": "5/8",
+                                    "radius": "3/16"}
+            art = tmp_path / f"{key}.json"
+            art.write_text(json.dumps(bad))
+            code = main(["replay", "--artifact", str(art)])
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err)["error"] == "input"
 
     def test_non_binary_cantor_word(self, capsys):
         for word in ("2", "01x"):

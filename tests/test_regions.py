@@ -39,14 +39,9 @@ class TestArcSet:
         for _ in range(300):
             s, t = rand_arcset(rng), rand_arcset(rng)
             si, ti = arc_indicator(s), arc_indicator(t)
-            assert arc_indicator(s.intersect(t)) == [a and b
-                                                     for a, b in zip(si, ti)]
-            assert arc_indicator(s.union(t)) == [a or b
-                                                 for a, b in zip(si, ti)]
-            assert arc_indicator(s.complement()) == [not a for a in si]
-            assert s.measure() + s.complement().measure() == 1
-            assert s.intersect(t).measure() + s.union(t).measure() \
-                == s.measure() + t.measure()
+            both = [a and b for a, b in zip(si, ti)]
+            assert arc_indicator(s.intersect(t)) == both
+            assert s.intersect(t).measure() == F(sum(both), 256)
 
     def test_components_glue_wrap(self):
         # [TRIVIAL]
@@ -89,17 +84,8 @@ class TestCylSet:
             si, ti = cyl_indicator(s), cyl_indicator(t)
             assert cyl_indicator(s.intersect(t)) == [a and b
                                                      for a, b in zip(si, ti)]
-            assert cyl_indicator(s.union(t)) == [a or b
-                                                 for a, b in zip(si, ti)]
-            assert cyl_indicator(s.complement()) == [not a for a in si]
             p = F(1, 2)
             assert s.measure(p) == F(sum(si), 256)
-
-    def test_bernoulli_measure_additive(self):
-        # [DERIVED: complement masses sum to 1 for a biased parameter]
-        s = CylSet(["01", "1"])
-        for p in (F(1, 2), F(1, 3), F(4, 5)):
-            assert s.measure(p) + s.complement().measure(p) == 1
 
     def test_cylinder_mass(self):
         # [PAPER: Bernoulli(p) gives each fixed symbol its own factor]
@@ -109,7 +95,9 @@ class TestCylSet:
     def test_canonical_form_oracle(self):
         # [DERIVED: oracle = membership table at depth 8; the kept words
         # are exactly the maximal cylinders inside the union, sorted by
-        # (length, word), and the mass is the table's mass]
+        # (length, word), the mass is the table's mass, a word's cylinder
+        # is contained iff its whole block is, and the same union given
+        # as the ints of its depth-8 words has the same form and mass]
         depth = 8
         rng = random.Random(17)
         weights = {p: [cylinder_mass(format(x, f"0{depth}b"), p)
@@ -149,16 +137,22 @@ class TestCylSet:
             def full(w):
                 return all(inside[x] for x in block(w))
 
-            maximal = sorted((w for n in range(depth + 1)
-                              for w in (format(i, f"0{n}b") if n else ""
-                                        for i in range(1 << n))
+            every = [format(i, f"0{n}b") if n else ""
+                     for n in range(depth + 1) for i in range(1 << n)]
+            maximal = sorted((w for w in every
                               if full(w) and (not w or not full(w[:-1]))),
                              key=lambda w: (len(w), w))
             s = CylSet(words)
+            t = CylSet.from_ints(depth, (x for x, hit in enumerate(inside)
+                                         if hit))
             assert s.prefixes == maximal, words
+            assert t.prefixes == maximal, words
+            assert [s.contains_word_prefix(w) for w in every] \
+                == [full(w) for w in every], words
             for p, weight in weights.items():
                 mass = sum(m for m, hit in zip(weight, inside) if hit)
                 assert s.measure(p) == mass
+                assert t.measure(p) == mass
 
     def test_large_same_depth_union_fast(self):
         # [DERIVED: construction must stay near-linear in the input size]

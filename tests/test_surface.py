@@ -26,11 +26,6 @@ KEPT = (
     "arith.Interval.contains",
     "measures.IdealMeasure.dirac",
     "spaces.CantorPoint.from_word",
-    # the region algebra stays whole until CylSet moves to integer blocks
-    "regions.ArcSet.union",
-    "regions.ArcSet.complement",
-    "regions.CylSet.union",
-    "regions.CylSet.complement",
 )
 
 
