@@ -238,13 +238,8 @@ class Quad:
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        an, bn = a.numerator, b.numerator
-        sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
-        if sa * sb >= 0:  # the same sign, or one part is zero
-            return sa or sb
-        # opposite signs: the sign of a wins iff a^2 > 2 b^2 (never equal)
-        big_a = an * an * b.denominator ** 2 > 2 * bn * bn * a.denominator ** 2
-        return sa if big_a else sb
+        return sign_root2(a.numerator * b.denominator,
+                          b.numerator * a.denominator)
 
     def __eq__(self, o):
         if isinstance(o, Quad):
@@ -288,6 +283,41 @@ class Quad:
         if self.b == 0:
             return fmt_rat(self.a)
         return f"({fmt_rat(self.a)}+{fmt_rat(self.b)}*sqrt2)"
+
+
+def sign_root2(a: int, b: int) -> int:
+    """The sign of a + b sqrt(2) for integers a, b."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:  # the same sign, or one part is zero
+        return sa or sb
+    # opposite signs: the sign of a wins iff a^2 > 2 b^2 (never equal)
+    return sa if a * a > 2 * b * b else sb
+
+
+def floor_root2(t: int) -> int:
+    """floor(t sqrt(2)) for an integer t (irrational unless t = 0)."""
+    r = math.isqrt(2 * t * t)
+    return r if t >= 0 else -r - 1
+
+
+def exact_keys(xs) -> list[int]:
+    """Integer sort keys of rationals and Quads: ordered as the numbers
+    are, and equal only where the numbers are.  Each x is written
+    (a + b sqrt(2))/d in integers.  Integers p, q not both 0 have
+    |p + q sqrt(2)| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so two
+    different numbers differ by at least 1/C with C = 2 D^3 (A + 2B),
+    over the largest |a|, |b| and d; the key is floor(M x) for a power of
+    two M > C, one isqrt per number."""
+    trips = [(x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator,
+              x.a.denominator * x.b.denominator) if isinstance(x, Quad)
+             else (x.numerator, 0, x.denominator) for x in xs]
+    if not trips:
+        return []
+    big_a = max(abs(a) for a, _, _ in trips)
+    big_b = max(abs(b) for _, b, _ in trips)
+    big_d = max(d for _, _, d in trips)
+    m = 1 << (2 * big_d ** 3 * (big_a + 2 * big_b)).bit_length()
+    return [(m * a + floor_root2(m * b)) // d for a, b, d in trips]
 
 
 def mod1(x):

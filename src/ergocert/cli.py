@@ -1,13 +1,15 @@
 """Command-line front end: certificates, validation, synthesis, W1, demos.
 
 All artifacts are JSON; rationals cross the boundary as "num/den" strings,
-never floats.  Exit codes: 0 success, 1 input error or failed check,
-2 budget exceeded (with partial progress reported when available).
+never floats.  Exit codes: 0 success, 1 input error (a malformed command
+line included) or failed check, 2 budget exceeded (with partial progress
+reported when available).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -167,11 +169,14 @@ def _cmd_demo_float(args) -> int:
     # The one place binary floating point is allowed: show the collapse.
     x0 = parse_rat(args.x0)
     steps = args.steps
+    if steps < 0:
+        raise InputError(f"steps must be >= 0, got {steps}")
     xf = float(x0)
     hit_zero = None
-    float_orbit = []
+    float_orbit = []  # the first iterates, which are printed
     for i in range(steps):
-        float_orbit.append(xf)
+        if i < 8:
+            float_orbit.append(xf)
         if xf == 0.0 and hit_zero is None:
             hit_zero = i
         xf = (2.0 * xf) % 1.0
@@ -194,7 +199,7 @@ def _cmd_demo_float(args) -> int:
     _emit(args, {
         "x0": fmt_rat(x0),
         "steps": steps,
-        "float_orbit_first": [repr(v) for v in float_orbit[:8]],
+        "float_orbit_first": [repr(v) for v in float_orbit],
         "float_hits_zero_at": hit_zero,
         "exact_orbit_period": period,
         "exact_orbit_preperiod": preperiod,
@@ -207,7 +212,12 @@ def _cmd_demo_float(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every parse starts from a new
+    namespace, so calls share no state.  A malformed command line is an
+    input error (exit 1 with a typed JSON error), not argparse's exit 2,
+    which means a budget here."""
     ap = argparse.ArgumentParser(
         prog="ergodic-certify",
         description="Certified Birkhoff-average rates and pseudorandom "
@@ -271,12 +281,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--output", help="write the artifact to this path")
+    for parser in (ap, *sub.choices.values()):
+        parser.error = functools.partial(_usage_error, parser.prog)
     return ap
 
 
+def _usage_error(prog: str, message: str):
+    raise InputError(f"{prog}: {message}")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (InputError, ValueError, KeyError, TypeError,
             ZeroDivisionError) as e:

@@ -344,7 +344,9 @@ class CircleMap(System):
         """Exact mu{max_{n in window} |A_n g| > delta}: the measure of the
         arcs where S_n g > n delta or S_n g < -n delta for some n in the
         window (rounded up when the arcs are irrational), both tails read
-        from S_n itself (in integers on the doubling map's grid).  Priced
+        from S_n itself (in integers on the doubling map's grid and, on
+        the rotation, over Z[sqrt2]) and every n's arcs merged on exact
+        integer keys (`ArcSet.union`).  Priced
         before it runs: the segment counts `_extend` checks, summed over
         the window, must stay within SEGMENT_BUDGET."""
         if any(t > SEGMENT_BUDGET for t in
@@ -352,12 +354,11 @@ class CircleMap(System):
             raise BudgetExceededError(
                 f"validation over n in [{window.start}, {window.stop - 1}] "
                 f"needs more than {SEGMENT_BUDGET} segments")
-        arcs = []
+        sets = []
         for n in window:
             s, level = self.birkhoff_sum(g, n), n * delta
-            arcs += s.arcs_above(level).arcs
-            arcs += s.arcs_below(-level).arcs
-        mass = ArcSet(arcs).measure()
+            sets += [s.arcs_above(level), s.arcs_below(-level)]
+        mass = ArcSet.union(sets).measure()
         if not isinstance(mass, Fraction):
             mass = mass.approx(60) + pow2(60)
         return mass
@@ -454,7 +455,10 @@ class Rotation(CircleMap):
         return max(len(g.segments), 1) * n
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
-        # S_n: one sweep over S_m and g o R^i, m <= i < n
+        # S_n: one sweep over S_m and g o R^i, m <= i < n.  For rational g
+        # each g o R^i is written over Z[sqrt2] (breakpoints
+        # (a + b sqrt2)/N, values (u + w sqrt2)/E, N and E fixed by g and
+        # alpha) and the sweep runs in integers; see PiecewiseLinear
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
         head = [] if s is None else [s]

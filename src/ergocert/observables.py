@@ -14,9 +14,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
-from .arith import Interval, Quad, fmt_rat, mod1, parse_int, parse_rat
+from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
+                    parse_rat, sign_root2)
 from .regions import ArcSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
                      space_named, unpair)
@@ -42,10 +45,23 @@ class PiecewiseLinear:
     grid; e grows only when the other term's values or slopes need it),
     and `abs_integral` and the sublevel arcs read it without building a
     Fraction per segment.  The Fraction `segments` of such a function are
-    built on first read.  Functions with Q[sqrt2] data keep the Fraction
-    kernels."""
+    built on first read.
 
-    __slots__ = ("segments", "grid")
+    Integer form over Z[sqrt2]: a rational function shifted by an
+    irrational c in Q[sqrt2] (a rotation term g o R^i) instead holds
+    `quad`, a `_QuadForm`: segment k starts at (xa[k] + xb[k] sqrt2)/n,
+    has value (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per
+    step 1/n.  `shift` writes it, `pl_sum` sweeps such terms (and rational
+    ones) in integers, ordering the breakpoints by exact integer keys
+    floor(M (a + b sqrt2)), and returns the sum in the same form;
+    `scale`, `sup_norm` and the sublevel arcs read it, building a Quad
+    only for what they return.  Its `segments` are built on first read,
+    with the types the Fraction kernels give: a position is a Fraction
+    exactly when it is rational, and every value of a sum is a Quad,
+    while a shifted term has Quad values only at 0 and 1 (the cut at c).
+    Other Q[sqrt2] data keep the Fraction kernels."""
+
+    __slots__ = ("segments", "grid", "quad")
     space = CIRCLE
 
     def __init__(self, segments):
@@ -64,29 +80,37 @@ class PiecewiseLinear:
             else:
                 merged.append((a, b, va, vb))
         self.segments = merged
-        self.grid = None
+        self.grid = self.quad = None
 
     @staticmethod
     def _normal(segments) -> "PiecewiseLinear":
         """Wrap segments that are already in normal form, unchecked."""
         f = object.__new__(PiecewiseLinear)
         f.segments = segments
-        f.grid = None
+        f.grid = f.quad = None
         return f
 
     @staticmethod
     def _on_grid(grid) -> "PiecewiseLinear":
         """Wrap an integer form that is already in normal form."""
         f = object.__new__(PiecewiseLinear)
-        f.grid = grid
+        f.grid, f.quad = grid, None
+        return f
+
+    @staticmethod
+    def _on_quad(quad: "_QuadForm") -> "PiecewiseLinear":
+        """Wrap an integer form over Z[sqrt2] in normal form."""
+        f = object.__new__(PiecewiseLinear)
+        f.grid, f.quad = None, quad
         return f
 
     def __getattr__(self, name):
         # only reached while the slot is empty: an integer-form function
         # builds its Fraction segments on first read
-        if name != "segments" or self.grid is None:
+        if name != "segments" or (self.grid is None and self.quad is None):
             raise AttributeError(name)
-        self.segments = segs = _grid_segments(*self.grid)
+        self.segments = segs = _grid_segments(*self.grid) \
+            if self.grid is not None else _quad_segments(*self.quad)
         return segs
 
     # -- constructors ------------------------------------------------------
@@ -189,6 +213,8 @@ class PiecewiseLinear:
         return tot
 
     def sup_norm(self) -> Fraction:
+        if self.quad is not None and self.quad.allq:
+            return _quad_sup(*self.quad)
         vals = [abs(va) for _, _, va, _ in self.segments]
         vals += [abs(vb) for _, _, _, vb in self.segments]
         return max(vals)
@@ -209,6 +235,8 @@ class PiecewiseLinear:
 
     def scale(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
+        if self.quad is not None and c:
+            return PiecewiseLinear._on_quad(_quad_scale(*self.quad, c))
         segs = [(a, b, c * va, c * vb) for a, b, va, vb in self.segments]
         return PiecewiseLinear._normal(segs) if c else PiecewiseLinear(segs)
 
@@ -243,8 +271,14 @@ class PiecewiseLinear:
     def shift(self, c) -> "PiecewiseLinear":
         """Pullback under rotation: x -> f(x + c mod 1).  The segments keep
         their circular order: cut the one holding c mod 1 and wrap the
-        segments before it to the end."""
+        segments before it to the end.  Rational data shifted by an
+        irrational c is written in the integer form over Z[sqrt2]."""
         c = mod1(c)
+        if isinstance(c, Quad) and c.b:
+            grid = self.grid if self.grid is not None \
+                else _grid_of(self.segments)
+            if grid is not None:
+                return PiecewiseLinear._on_quad(_quad_shift(*grid, c))
         i = self._index_at(c)
         segs = [(a - c, b - c, va, vb) for a, b, va, vb in self.segments[i:]]
         segs += [(a + 1 - c, b + 1 - c, va, vb)
@@ -297,9 +331,12 @@ class PiecewiseLinear:
     def _arcs_between(self, lo, hi) -> ArcSet:
         """{x : lo < f(x) < hi}, unbounded below when lo is None and above
         when hi is None."""
-        if self.grid is not None and all(type(t) in (int, Fraction)
-                                         for t in (lo, hi) if t is not None):
+        rational = all(type(t) in (int, Fraction)
+                       for t in (lo, hi) if t is not None)
+        if self.grid is not None and rational:
             return _grid_arcs(*self.grid, lo, hi)
+        if self.quad is not None and rational:
+            return _quad_arcs(*self.quad, lo, hi)
         arcs = []
         for a, b, va, vb in self.segments:
             small, big = (va, vb) if va < vb else (vb, va)
@@ -317,7 +354,7 @@ class PiecewiseLinear:
                 mid = va + slope * ((u + v) / 2 - a)
                 if (lo is None or lo < mid) and (hi is None or mid < hi):
                     arcs.append((u, v))
-        return ArcSet(arcs)
+        return ArcSet._sorted(arcs)
 
     def __repr__(self):
         return f"PiecewiseLinear({len(self.segments)} segments)"
@@ -452,51 +489,20 @@ def _grid_abs_integral(q, e, xs, vs, ds) -> Fraction:
 
 def _grid_arcs(q, e, xs, vs, ds, lo, hi) -> ArcSet:
     """{x : lo < f(x) < hi} (a missing level is unbounded) in ArcSet's
-    canonical form.  Values are compared as integers; a Fraction is built
-    only at a level crossing and at the ends of each maximal arc.  On a
-    segment the set is one open interval; it starts at the segment's start
-    or at a crossing, and it joins the arc before it exactly when it starts
-    at the segment's start and that arc reached it."""
+    canonical form.  Values are compared with the levels as integers: v
+    exceeds lo e iff v > floor(lo e) and falls below it iff
+    v < ceil(lo e)."""
     ends = xs[1:] + [q]
     ws = [v + d * (b - x) for x, b, v, d in zip(xs, ends, vs, ds)]
-    # v > lo e iff v > lo_f, v >= lo e iff v >= lo_c; hi alike, and a
-    # missing level lies beyond every value
-    if lo is None or hi is None:
-        far = max(map(abs, vs)) + max(map(abs, ws)) + 1
-    lo_f, lo_c = (-far, -far) if lo is None else \
-        (math.floor(lo * e), math.ceil(lo * e))
-    hi_f, hi_c = (far, far) if hi is None else \
-        (math.floor(hi * e), math.ceil(hi * e))
-    arcs = []
-    start = None  # start of the arc that reaches the current grid point
-    for x, b, v, d, w in zip(xs, ends, vs, ds, ws):
-        if d > 0:
-            inside = w > lo_f and v < hi_c
-            at_x, at_b = v >= lo_c, w <= hi_f
-            cut_in, cut_out = lo, hi
-        elif d < 0:
-            inside = v > lo_f and w < hi_c
-            at_x, at_b = v <= hi_f, w >= lo_c
-            cut_in, cut_out = hi, lo
-        else:
-            inside = at_x = at_b = lo_f < v < hi_c
-        if not inside:
-            if start is not None:
-                arcs.append((start, Fraction(x, q)))
-                start = None
-            continue
-        if not at_x:
-            if start is not None:
-                arcs.append((start, Fraction(x, q)))
-            start = _crossing(q, e, x, v, d, cut_in)
-        elif start is None:
-            start = Fraction(x, q)
-        if not at_b:
-            arcs.append((start, _crossing(q, e, x, v, d, cut_out)))
-            start = None
-    if start is not None:
-        arcs.append((start, Fraction(1)))
-    return ArcSet._canonical(arcs)
+
+    def signs(level):
+        f, c = math.floor(level * e), math.ceil(level * e)
+        return ([(v > f) - (v < c) for v in vs],
+                [(w > f) - (w < c) for w in ws])
+
+    return _walk_arcs(ds, signs, lo, hi, lambda k: Fraction(xs[k], q),
+                      lambda k, level: _crossing(q, e, xs[k], vs[k], ds[k],
+                                                 level))
 
 
 def _crossing(q, e, x, v, d, level) -> Fraction:
@@ -504,6 +510,238 @@ def _crossing(q, e, x, v, d, level) -> Fraction:
     (x + (level e - v) / d) / q."""
     n, m = level.numerator, level.denominator
     return Fraction(x * d * m + n * e - v * m, q * d * m)
+
+
+def _walk_arcs(ds, signs, lo, hi, point, crossing) -> ArcSet:
+    """{x : lo < f(x) < hi} in ArcSet's canonical form.  `signs(level)`
+    gives the sign of f - level at the start and at the end of every
+    segment, and ds the direction of each.  On a segment the set is one
+    open interval; it starts at the segment's start (`point(k)`) or at a
+    level crossing (`crossing(k, level)`), and it joins the arc before it
+    exactly when it starts at the segment's start and that arc reached
+    it.  A number is built only at a crossing and at the ends of each
+    maximal arc."""
+    # a missing level lies beyond every value
+    head_lo, tail_lo = signs(lo) if lo is not None else ([1] * len(ds),) * 2
+    head_hi, tail_hi = signs(hi) if hi is not None else ([-1] * len(ds),) * 2
+    arcs = []
+    start = None  # start of the arc that reaches the current segment
+    for k, d in enumerate(ds):
+        if d > 0:
+            inside = tail_lo[k] > 0 and head_hi[k] < 0
+            at_x, at_b = head_lo[k] >= 0, tail_hi[k] <= 0
+            cut_in, cut_out = lo, hi
+        elif d < 0:
+            inside = head_lo[k] > 0 and tail_hi[k] < 0
+            at_x, at_b = head_hi[k] <= 0, tail_lo[k] >= 0
+            cut_in, cut_out = hi, lo
+        else:
+            inside = at_x = at_b = head_lo[k] > 0 and head_hi[k] < 0
+        if not inside:
+            if start is not None:
+                arcs.append((start, point(k)))
+                start = None
+            continue
+        if not at_x:
+            if start is not None:
+                arcs.append((start, point(k)))
+            start = crossing(k, cut_in)
+        elif start is None:
+            start = point(k)
+        if not at_b:
+            arcs.append((start, crossing(k, cut_out)))
+            start = None
+    if start is not None:
+        arcs.append((start, Fraction(1)))
+    return ArcSet._canonical(arcs)
+
+
+# -- the integer form over Z[sqrt2] of PiecewiseLinear ---------------------
+
+
+class _QuadForm(NamedTuple):
+    """Segment k starts at (xa[k] + xb[k] sqrt2)/n, has value
+    (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per step 1/n;
+    all ints, in normal form (see PiecewiseLinear)."""
+
+    n: int
+    e: int
+    xa: list
+    xb: list
+    vu: list
+    vw: list
+    ds: list
+    #: every value reads as a Quad (a sum), else only the cut value at 0
+    #: and at 1 (a shifted term)
+    allq: bool
+
+
+def _root2(a: int, b: int, d: int):
+    """(a + b sqrt2)/d: a Quad, or a Fraction when b = 0."""
+    return Quad(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d)
+
+
+def _quad_shift(q, e, xs, vs, ds, c: Quad) -> _QuadForm:
+    """x -> f(x + c) for f in the integer form (q, e, xs, vs, ds) and an
+    irrational c in (0, 1), on the steps 1/n, n the lcm of q and the
+    denominators of c: each breakpoint x moves to x - c (plus 1 before c)
+    with its value and increment, and the segment holding c is cut there,
+    its right part starting at 0 and its left part ending at 1."""
+    n = math.lcm(q, c.a.denominator, c.b.denominator)
+    k = n // q
+    xs, vs = [x * k for x in xs], [v * k for v in vs]
+    ca, cb = _over(c.a, n), _over(c.b, n)
+    # segment i holds c, as it holds floor(n c) = ca + floor(cb sqrt2)
+    i = bisect_right(xs, ca + floor_root2(cb)) - 1
+    order = list(range(i + 1, len(xs))) + list(range(i))
+    xa = [0] + [xs[j] - ca + (n if j < i else 0) for j in order] \
+        + [xs[i] + n - ca]
+    xb = [0] + [-cb] * (len(order) + 1)
+    vu = [vs[i] + ds[i] * (ca - xs[i])] + [vs[j] for j in order] + [vs[i]]
+    vw = [ds[i] * cb] + [0] * (len(order) + 1)
+    dd = [ds[i]] + [ds[j] for j in order] + [ds[i]]
+    # f's start, now at index len(xs) - i, goes where f is continuous and
+    # collinear across 0
+    last = len(xs) - 1
+    if ds[last] == ds[0] and vs[last] + ds[last] * (n - xs[last]) == vs[0]:
+        for col in (xa, xb, vu, vw, dd):
+            del col[len(xs) - i]
+    return _QuadForm(n, e * k, xa, xb, vu, vw, dd, False)
+
+
+def _quad_ends(n, xa, xb, vu, vw, ds):
+    """The value at the end of each segment, as (us, ws)."""
+    ea, eb = xa[1:] + [n], xb[1:] + [0]
+    return ([u + d * (b - a) for u, d, a, b in zip(vu, ds, xa, ea)],
+            [w + d * (b - a) for w, d, a, b in zip(vw, ds, xb, eb)])
+
+
+def _quad_segments(n, e, xa, xb, vu, vw, ds, allq) -> list:
+    """The segments of an integer form over Z[sqrt2]."""
+    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
+    pts = [_root2(a, b, n) for a, b in zip(xa, xb)] + [Fraction(1)]
+    if allq:
+        heads = [Quad(Fraction(u, e), Fraction(w, e)) for u, w in zip(vu, vw)]
+        tails = [Quad(Fraction(u, e), Fraction(w, e)) for u, w in zip(tu, tw)]
+    else:
+        heads = [Quad(Fraction(vu[0], e), Fraction(vw[0], e))] \
+            + [Fraction(u, e) for u in vu[1:]]
+        tails = [Fraction(u, e) for u in tu[:-1]] \
+            + [Quad(Fraction(tu[-1], e), Fraction(tw[-1], e))]
+    return list(zip(pts, pts[1:], heads, tails))
+
+
+def _quad_of(f: PiecewiseLinear):
+    """f's integer form over Z[sqrt2] (a rational f on its grid), or None
+    when f has other Q[sqrt2] data."""
+    if f.quad is not None:
+        return f.quad
+    grid = f.grid if f.grid is not None else _grid_of(f.segments)
+    if grid is None:
+        return None
+    q, e, xs, vs, ds = grid
+    return _QuadForm(q, e, xs, [0] * len(xs), vs, [0] * len(xs), ds, False)
+
+
+def _quad_rescaled(f: _QuadForm, n: int, e: int) -> _QuadForm:
+    """f on the steps 1/n over e, for n a multiple of f.n and e one of
+    f.e n / f.n."""
+    k = n // f.n
+    c = e // (f.e * k)
+    if k == c == 1:
+        return f
+    return _QuadForm(n, e, [a * k for a in f.xa], [b * k for b in f.xb],
+                     [u * c * k for u in f.vu], [w * c * k for w in f.vw],
+                     [d * c for d in f.ds], f.allq)
+
+
+def _quad_sum(forms: list) -> _QuadForm:
+    """The sum of integer forms over Z[sqrt2] in one sweep, as `pl_sum`
+    does it: the terms go on common steps 1/n over one e, and the jumps
+    in value and increment at each breakpoint are filed under the exact
+    key floor(m (a + b sqrt2)) of its position (a + b sqrt2)/n.  With m a
+    power of two above 2 max|a| + 4 max|b| the keys of different
+    positions differ (see `exact_keys`); one isqrt per distinct b."""
+    n = math.lcm(*[f.n for f in forms])
+    e = math.lcm(*[f.e * (n // f.n) for f in forms])
+    forms = [_quad_rescaled(f, n, e) for f in forms]
+    m = 1 << (2 * max(abs(a) for f in forms for a in f.xa)
+              + 4 * max(abs(b) for f in forms for b in f.xb)).bit_length()
+    roots = {}  # b -> floor(m b sqrt2)
+    jumps = {}  # key -> [a, b, jump in vu, in vw, in ds]
+    u = w = d = 0
+    for f in forms:
+        u, w, d = u + f.vu[0], w + f.vw[0], d + f.ds[0]
+        for a0, b0, u0, w0, d0, a, b, u1, w1, d1 in zip(
+                f.xa, f.xb, f.vu, f.vw, f.ds,
+                f.xa[1:], f.xb[1:], f.vu[1:], f.vw[1:], f.ds[1:]):
+            r = roots.get(b)
+            if r is None:
+                r = roots[b] = floor_root2(m * b)
+            du, dw = u1 - u0 - d0 * (a - a0), w1 - w0 - d0 * (b - b0)
+            key = m * a + r
+            held = jumps.get(key)
+            if held is None:
+                jumps[key] = [a, b, du, dw, d1 - d0]
+            else:
+                held[2] += du
+                held[3] += dw
+                held[4] += d1 - d0
+    xa, xb, vu, vw, ds = [0], [0], [u], [w], [d]
+    pa = pb = 0
+    for key in sorted(jumps):
+        a, b, du, dw, dd = jumps[key]
+        u, w, pa, pb = u + d * (a - pa), w + d * (b - pb), a, b
+        if du or dw or dd:  # the value or the slope changes
+            u, w, d = u + du, w + dw, d + dd
+            xa.append(a)
+            xb.append(b)
+            vu.append(u)
+            vw.append(w)
+            ds.append(d)
+    return _QuadForm(n, e, xa, xb, vu, vw, ds, True)
+
+
+def _quad_scale(n, e, xa, xb, vu, vw, ds, allq, c: Fraction) -> _QuadForm:
+    p, q = c.numerator, c.denominator
+    return _QuadForm(n, e * q, xa, xb, [u * p for u in vu],
+                     [w * p for w in vw], [d * p for d in ds], allq)
+
+
+def _quad_sup(n, e, xa, xb, vu, vw, ds, allq) -> Quad:
+    """sup |f| over the ends of every segment, compared exactly in
+    integers; a Quad, as the Fraction kernel gives it for a sum."""
+    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
+    bu = bw = 0
+    for u, w in chain(zip(vu, vw), zip(tu, tw)):
+        if sign_root2(u, w) < 0:
+            u, w = -u, -w
+        if sign_root2(u - bu, w - bw) > 0:
+            bu, bw = u, w
+    return Quad(Fraction(bu, e), Fraction(bw, e))
+
+
+def _quad_arcs(n, e, xa, xb, vu, vw, ds, allq, lo, hi) -> ArcSet:
+    """{x : lo < f(x) < hi} (a missing level is unbounded) in ArcSet's
+    canonical form: each value is compared with a rational level p/q by
+    the exact sign of (u q - p e) + w q sqrt2.  A crossing is a Quad, as
+    the Fraction kernel gives it."""
+    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
+
+    def signs(level):
+        p, q = level.numerator, level.denominator
+        return ([sign_root2(u * q - p * e, w * q) for u, w in zip(vu, vw)],
+                [sign_root2(u * q - p * e, w * q) for u, w in zip(tu, tw)])
+
+    def crossing(k, level):
+        # n x = a + b sqrt2 + (level e - u - w sqrt2) / d
+        p, q = level.numerator, level.denominator
+        a, b, u, w, d = xa[k], xb[k], vu[k], vw[k], ds[k]
+        return Quad(Fraction(a * d * q + p * e - u * q, n * d * q),
+                    Fraction(b * d - w, n * d))
+
+    return _walk_arcs(ds, signs, lo, hi, lambda k: _root2(xa[k], xb[k], n),
+                      crossing)
 
 
 def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:
@@ -567,7 +805,13 @@ def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
     Every term adds its value and slope at 0, and its jump in value and
     in slope at each of its other breakpoints.  The breakpoints of all
     terms are sorted once and the jumps accumulated from 0 to 1, ending a
-    segment only where the value or the slope changes (normal form)."""
+    segment only where the value or the slope changes (normal form).
+    Terms in the integer form over Z[sqrt2], with rational ones, are
+    summed in integers (`_quad_sum`)."""
+    if any(f.quad is not None for f in fs):
+        forms = [_quad_of(f) for f in fs]
+        if None not in forms:
+            return PiecewiseLinear._on_quad(_quad_sum(forms))
     value = slope = Fraction(0)
     jumps = {}
     for f in fs:

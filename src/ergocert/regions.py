@@ -13,9 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
-from .arith import mod1
+from .arith import exact_keys, mod1
 from .spaces import ball_arc
 
 
@@ -37,6 +38,32 @@ class ArcSet:
         s = object.__new__(ArcSet)
         s.arcs = arcs
         return s
+
+    @staticmethod
+    def _sorted(arcs: list) -> "ArcSet":
+        """Wrap arcs that are already sorted and disjoint, joining those
+        that touch."""
+        return ArcSet._canonical(_merged(arcs))
+
+    @staticmethod
+    def union(sets: Iterable["ArcSet"]) -> "ArcSet":
+        """The union of arc sets, as `ArcSet` of all their arcs gives it:
+        the sorted lists are merged on exact integer keys of the endpoints
+        (`exact_keys`; the sort finds each list as one run), so no two
+        endpoints are compared as Fractions or Quads, and arcs that
+        overlap or touch are joined."""
+        arcs = [arc for s in sets for arc in s.arcs]
+        keys = exact_keys([x for arc in arcs for x in arc])
+        out, end = [], None
+        for ka, kb, (a, b) in sorted(zip(keys[::2], keys[1::2], arcs),
+                                     key=itemgetter(0, 1)):
+            if out and ka <= end:
+                if kb > end:
+                    out[-1], end = (out[-1][0], b), kb
+            else:
+                out.append((a, b))
+                end = kb
+        return ArcSet._canonical(out)
 
     @staticmethod
     def from_raw(arcs: Iterable[tuple]) -> "ArcSet":

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.arith import (CReal, Interval, Quad, SQRT2_MINUS_1, fmt_rat,
-                            parse_int, parse_rat, pow2)
+from ergocert.arith import (CReal, Interval, Quad, SQRT2_MINUS_1, exact_keys,
+                            floor_root2, fmt_rat, parse_int, parse_rat, pow2,
+                            sign_root2)
 
 
 def rand_frac(rng, scale=100):
@@ -190,6 +191,24 @@ class TestQuadOracle:
                 got = abs(x)
                 want = (-a, -b) if _oracle_sign(a, b) < 0 else (a, b)
                 assert type(got) is Quad and (got.a, got.b) == want, x
+
+    def test_integer_keys_and_signs(self):
+        # [DERIVED: the pair model's sign orders the keys of exact_keys,
+        # Pell near-ties included, and decides sign_root2 and floor_root2]
+        xs = _quad_samples(random.Random(15))
+        keys = exact_keys(xs)
+        for x, kx in zip(xs, keys):
+            for y, ky in zip(xs, keys):
+                (a, b), (c, d) = _pair(x), _pair(y)
+                assert (kx > ky) - (kx < ky) == _oracle_sign(a - c, b - d)
+        ints = [(99, -70), (-99, 70), (1393, -985), (-2, 1), (0, 0), (5, 0),
+                (0, -3)] + [(t, 1 - t) for t in range(-20, 21)]
+        for a, b in ints:
+            assert sign_root2(a, b) == _oracle_sign(F(a), F(b)), (a, b)
+        for t in list(range(-40, 41)) + [985, -1393, 470832]:
+            r = floor_root2(t)
+            assert _oracle_sign(F(-r), F(t)) >= 0 > _oracle_sign(F(-r - 1),
+                                                                 F(t)), t
 
     def test_parts_stay_fractions(self):
         # an int or a string part is converted; a Fraction part is kept

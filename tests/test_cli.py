@@ -103,6 +103,28 @@ class TestVerbs:
         assert not out["exact_orbit_hits_zero"]
         assert 4 % out["exact_orbit_period"] == 0
 
+    def test_demo_float_prints_the_first_iterates(self, capsys):
+        # only the first 8 float iterates are kept, and fewer steps print
+        # fewer
+        for steps, want in ((64, 8), (3, 3), (0, 0)):
+            code, out = run(capsys, "demo-float", "--x0", "1/10",
+                            "--steps", str(steps))
+            assert code == EXIT_OK
+            assert out["float_orbit_first"] == \
+                ["0.1", "0.2", "0.4", "0.8", "0.6000000000000001",
+                 "0.20000000000000018", "0.40000000000000036",
+                 "0.8000000000000007"][:want]
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        # the parser is built once per process: an --output of one call
+        # must not carry over into the next
+        art = tmp_path / "systems.json"
+        assert main(["systems", "--output", str(art)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        code, out = run(capsys, "systems")
+        assert code == EXIT_OK
+        assert out == json.loads(art.read_text())
+
 
 class TestCorpus:
     def test_stored_artifacts_replay(self, capsys):
@@ -274,6 +296,19 @@ class TestExitCodes:
                      '"1", "radius": "3/4"}', "--windows", "3", "--count",
                      "4"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--kind", "bogus", "--system", "doubling", "--observable",
+         "x", "--eps", "1"],
+        ["validate", "--certificate", "x", "--horizon", "abc"],
+        ["demo-float", "--steps", "-3"]])
+    def test_usage_errors_are_input_errors(self, capsys, argv):
+        # exit 2 means a computation budget; a malformed command line is
+        # an input error with a typed JSON diagnostic
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert json.loads(err)["error"] == "input"
 
     def test_unreadable_artifact(self, capsys):
         code = main(["replay", "--artifact", "/nonexistent/a.json"])

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ergocert.arith import mod1
+from ergocert.arith import Quad, mod1, pow2
 from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                birkhoff_observable, builtin_systems, centered,
                                deviation_region, doubling_correlations,
@@ -442,3 +442,113 @@ class TestIntegerRunningSum:
         for i in range(30):
             f = _random_pl(rng, rng.randint(7, 16))
             self._check(f, 10, self.DELTAS[i % 3:i % 3 + 1])
+
+
+def _lerp(a, b, va, vb, x):
+    """The value at x of the segment (a, b, va, vb), exact at its ends."""
+    if x == a:
+        return va
+    if x == b:
+        return vb
+    return va + (vb - va) * (x - a) / (b - a)
+
+
+def _quad_shift_oracle(g, c):
+    """x -> g(x + c) for c in (0, 1) in plain Quad arithmetic: the cells
+    between 0, the points a - c mod 1 and 1, each read by _lerp on the
+    segment of g that its midpoint moves into, joined by the checking
+    constructor."""
+    xs = sorted({F(0)} | {mod1(a - c) for a, _, _, _ in g.segments})
+    segs = []
+    for x0, x1 in zip(xs, xs[1:] + [F(1)]):
+        h = (x1 - x0) / 2
+        y = mod1(x0 + h + c)
+        seg = next(s for s in g.segments if s[0] <= y < s[1])
+        segs.append((x0, x1, _lerp(*seg, y - h), _lerp(*seg, y + h)))
+    return PiecewiseLinear(segs)
+
+
+def _plus_oracle(f, g):
+    """f + g: a merge walk over the breakpoints of both, each read by
+    _lerp, joined by the checking constructor."""
+    segs, i, j, a = [], 0, 0, F(0)
+    while i < len(f.segments):
+        fs, gs = f.segments[i], g.segments[j]
+        b = min(fs[1], gs[1])
+        segs.append((a, b, _lerp(*fs, a) + _lerp(*gs, a),
+                     _lerp(*fs, b) + _lerp(*gs, b)))
+        i, j, a = i + (fs[1] == b), j + (gs[1] == b), b
+    return PiecewiseLinear(segs)
+
+
+def _types(pairs):
+    return [tuple(map(type, p)) for p in pairs]
+
+
+class TestRootTwoRunningSum:
+    # [DERIVED: oracle = each term g o R^i cut and read in plain Quad
+    # arithmetic, added by a merge walk and joined by the checking
+    # constructor; the integer form over Z[sqrt2] must give the same terms
+    # and sums, value by value and type by type, and the same sup norm,
+    # sublevel arcs and window masses]
+    DELTAS = (F(1, 8), F(1, 32), F(1, 128))
+    HATS = [PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8)),
+            PiecewiseLinear.hat(F(0), F(1, 8), F(1, 8)),
+            PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))]
+
+    def _check(self, system, f, count, deltas=DELTAS):
+        # the Fraction oracle's arcs dominate the cost: each n reads its
+        # arcs at one delta, the deltas in turn, and the last three n at
+        # every delta for the window mass
+        g = centered(system, f)
+        want, last = g, []
+        for n in range(1, count + 1):
+            if n > 1:
+                c = system.alpha * (n - 1)
+                term, got_term = _quad_shift_oracle(g, mod1(c)), g.shift(c)
+                assert got_term.segments == term.segments, (f, n)
+                assert _types(got_term.segments) == _types(term.segments)
+                arcs = got_term.arcs_below_abs(deltas[n % len(deltas)]).arcs
+                oracle = term.arcs_below_abs(deltas[n % len(deltas)]).arcs
+                assert arcs == oracle and _types(arcs) == _types(oracle)
+                want = _plus_oracle(want, term)
+            got = system.birkhoff_sum(g, n)
+            assert got.segments == want.segments, (f, n)
+            assert _types(got.segments) == _types(want.segments), (f, n)
+            _assert_normal_form(got, (f, n))
+            sup = want.sup_norm()
+            assert got.sup_norm() == sup and type(got.sup_norm()) is type(sup)
+            level = n * deltas[n % len(deltas)]
+            for arcs, oracle in (
+                    (got.arcs_below_abs(level), want.arcs_below_abs(level)),
+                    (got.arcs_above(level), want.arcs_above(level)),
+                    (got.arcs_below(-level), want.arcs_below(-level))):
+                assert arcs.arcs == oracle.arcs, (f, n, level)
+                assert _types(arcs.arcs) == _types(oracle.arcs)
+            last = last[-2:] + [(n, want)]
+        window = range(count - 2, count + 1)
+        for delta in deltas:
+            mass = ArcSet([arc for n, s in last for arc in
+                           s.arcs_above(n * delta).arcs
+                           + s.arcs_below(-n * delta).arcs]).measure()
+            if isinstance(mass, Quad):
+                mass = mass.approx(60) + pow2(60)
+            got = system.window_mass(g, window, delta)
+            assert got == mass and type(got) is type(mass), (f, delta)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_pool_hats(self, index):
+        self._check(rotation_system(), self.HATS[index], 70)
+
+    def test_random_functions_with_jumps(self):
+        rng = random.Random(15)
+        for i in range(30):
+            f = _random_pl(rng, rng.randint(7, 16))
+            self._check(ROT, f, 12, self.DELTAS[i % 3:i % 3 + 1])
+
+    @pytest.mark.parametrize("alpha", [Quad(F(1, 5), F(1, 3)),
+                                       Quad(F(3, 7), F(-1, 4))])
+    def test_other_angles(self, alpha):
+        system = rotation_system(alpha)
+        for f in self.HATS:
+            self._check(system, f, 20)
