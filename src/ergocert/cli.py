@@ -112,7 +112,7 @@ def _cmd_validate(args) -> int:
         f = observable_from_json(cert.observable)
         vr = validate_as(system, f, cert, args.horizon, args.mode)
         report["horizon_validation"] = vr.to_json()
-        if vr.passed is False:
+        if not vr.passed:
             code = EXIT_INPUT
     _emit(args, report)
     return code
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "optionally measure it against a horizon)")
     p.add_argument("--certificate", required=True)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--mode", choices=["EXACT_CYLINDER", "EXACT_ARC", "SAMPLED"],
+    p.add_argument("--mode", choices=["EXACT_CYLINDER", "EXACT_ARC"],
                    help="default: the exact mode of the certificate's system")
     p.set_defaults(fn=_cmd_validate)
 

@@ -89,8 +89,8 @@ class System:
 
     def birkhoff_sum(self, g, n: int):
         """S_n g = sum_{i<n} g o T^i in the system's form: (den, den S_n)
-        on the shift's cylinders, a PiecewiseLinear on the circle (on the
-        doubling map in integer form, from n = 2 on, for rational g).  The
+        on the shift's cylinders, a PiecewiseLinear on the circle (in its
+        one integer form, from n = 2 on, for rational g).  The
         last sum is kept, keyed on g's data (`centered` builds a new g on
         every call): the same g at n >= the kept m extends S_m, else S_0
         is extended."""
@@ -165,12 +165,6 @@ class Shift(System):
         # exact: the average reads no more than these symbols
         word = x.prefix(n + g.depth - 1 if g.depth else n)
         return self.ball_average(g, CANTOR.cylinder_ball(word), n)
-
-    def orbit_values(self, g: CylinderFn, x: Fraction, count: int):
-        # the sample's binary expansion is the symbol sequence
-        word = "".join(str((x * (1 << (i + 1))).__floor__() % 2)
-                       for i in range(count + g.depth + 1))
-        return (g.value_on_word(word[i:]) for i in range(count))
 
     def average(self, g: CylinderFn, n: int) -> CylinderFn:
         if not g.depth:
@@ -294,9 +288,6 @@ class CircleMap(System):
             total = total + g.range_on(*self._image(lo, hi, i))
         return Interval(total.lo / n, total.hi / n)
 
-    def orbit_values(self, g: PiecewiseLinear, x: Fraction, count: int):
-        return (g.eval_right(self._orbit_point(x, i)) for i in range(count))
-
     def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
         return self.birkhoff_sum(g, n).scale(Fraction(1, n))
 
@@ -344,9 +335,9 @@ class CircleMap(System):
         """Exact mu{max_{n in window} |A_n g| > delta}: the measure of the
         arcs where S_n g > n delta or S_n g < -n delta for some n in the
         window (rounded up when the arcs are irrational), both tails read
-        from S_n itself (in integers on the doubling map's grid and, on
-        the rotation, over Z[sqrt2]) and every n's arcs merged on exact
-        integer keys (`ArcSet.union`).  Priced
+        from S_n itself (in integers on its integer form, over Z[sqrt2] on
+        the rotation) and every n's arcs merged on exact integer keys
+        (`ArcSet.union`).  Priced
         before it runs: the segment counts `_extend` checks, summed over
         the window, must stay within SEGMENT_BUDGET."""
         if any(t > SEGMENT_BUDGET for t in
@@ -375,17 +366,14 @@ class Doubling(CircleMap):
         sc = 1 << i
         return sc * lo, sc * hi
 
-    def _orbit_point(self, x: Fraction, i: int) -> Fraction:
-        return (x * (1 << i)) % 1
-
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         return max(len(g.segments), 1) << n
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
-        # S_(i+1) = g + S_i o T.  For rational g, S_i o T is S_i's integer
-        # form with the starts copied to x + q on the grid 2q (q = D 2^(i-1),
-        # D the lcm of g's breakpoint denominators), and g adds on its few
-        # breakpoints; see PiecewiseLinear
+        # S_(i+1) = g + S_i o T.  For rational g, S_i o T is S_i's rational
+        # integer form with the starts copied to x + q on the grid 2q
+        # (q = D 2^(i-1), D the lcm of g's breakpoint denominators), and g,
+        # converted once, adds on its few breakpoints; see PiecewiseLinear
         size = self._segment_count(g, n)
         if size > SEGMENT_BUDGET:
             raise BudgetExceededError(
@@ -448,17 +436,14 @@ class Rotation(CircleMap):
         sh = self.alpha * i
         return lo + sh, hi + sh
 
-    def _orbit_point(self, x: Fraction, i: int) -> Quad:
-        return (x + self.alpha * i).mod1()
-
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         return max(len(g.segments), 1) * n
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
         # S_n: one sweep over S_m and g o R^i, m <= i < n.  For rational g
-        # each g o R^i is written over Z[sqrt2] (breakpoints
-        # (a + b sqrt2)/N, values (u + w sqrt2)/E, N and E fixed by g and
-        # alpha) and the sweep runs in integers; see PiecewiseLinear
+        # each g o R^i is cut from g's integer form, converted once, with
+        # breakpoints (a + b sqrt2)/N and values (u + w sqrt2)/E (N and E
+        # fixed by g and alpha), and the sweep runs in integers
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
         head = [] if s is None else [s]

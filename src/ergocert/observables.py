@@ -35,33 +35,26 @@ class PiecewiseLinear:
     The constructor establishes it; `pl_sum`, `scale` (c != 0), `add_const`,
     `shift` and `pullback_doubling` emit it and skip the checks.
 
-    Integer form: a function with rational data may instead hold `grid` =
-    (q, e, xs, vs, ds), all ints, in the same normal form.  Segment k
-    starts at xs[k]/q, has value vs[k]/e there and changes by ds[k]/e per
-    grid step 1/q.  `pullback_doubling` writes it (from any rational
-    function: the two copies are the starts x and x + q on the grid 2q,
-    with values and increments unchanged), `add` keeps it (a merge walk
-    against the breakpoints of the other term, which must lie on the
-    grid; e grows only when the other term's values or slopes need it),
-    and `abs_integral` and the sublevel arcs read it without building a
-    Fraction per segment.  The Fraction `segments` of such a function are
-    built on first read.
+    Integer form: a function may instead, or also, hold `form`, a `_Form`
+    of ints in the same normal form: segment k starts at
+    (xa[k] + xb[k] sqrt2)/n, has value (vu[k] + vw[k] sqrt2)/e there and
+    changes by ds[k]/e per step 1/n.  A function whose data are all
+    Fractions is converted once, with xb = vw = 0, when `shift`,
+    `pullback_doubling`, `add` or `pl_sum` first needs it, and keeps it.
+    `pullback_doubling` and `add` keep a rational form rational (the
+    doubling map's S_n), `shift` by an irrational c writes a shifted term
+    g o R^i, and `pl_sum` sweeps shifted terms with any others in
+    integers, ordering the breakpoints by exact integer keys (the
+    rotation's S_n).  `abs_integral`, `sup_norm`, `scale` and the
+    sublevel arcs read a form only when the function holds one.  The
+    `segments` of a form are built on first read, with the types that
+    its `kind` records and the Fraction kernels give: a position is a
+    Fraction exactly when it is rational, and every value of a rational
+    form is a Fraction and every value of a sum a Quad, while a shifted
+    term has Quad values only at 0 and 1 (the cut at c).  Other Q[sqrt2]
+    data keep the Fraction kernels."""
 
-    Integer form over Z[sqrt2]: a rational function shifted by an
-    irrational c in Q[sqrt2] (a rotation term g o R^i) instead holds
-    `quad`, a `_QuadForm`: segment k starts at (xa[k] + xb[k] sqrt2)/n,
-    has value (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per
-    step 1/n.  `shift` writes it, `pl_sum` sweeps such terms (and rational
-    ones) in integers, ordering the breakpoints by exact integer keys
-    floor(M (a + b sqrt2)), and returns the sum in the same form;
-    `scale`, `sup_norm` and the sublevel arcs read it, building a Quad
-    only for what they return.  Its `segments` are built on first read,
-    with the types the Fraction kernels give: a position is a Fraction
-    exactly when it is rational, and every value of a sum is a Quad,
-    while a shifted term has Quad values only at 0 and 1 (the cut at c).
-    Other Q[sqrt2] data keep the Fraction kernels."""
-
-    __slots__ = ("segments", "grid", "quad")
+    __slots__ = ("segments", "form")
     space = CIRCLE
 
     def __init__(self, segments):
@@ -80,37 +73,29 @@ class PiecewiseLinear:
             else:
                 merged.append((a, b, va, vb))
         self.segments = merged
-        self.grid = self.quad = None
+        self.form = None
 
     @staticmethod
     def _normal(segments) -> "PiecewiseLinear":
         """Wrap segments that are already in normal form, unchecked."""
         f = object.__new__(PiecewiseLinear)
         f.segments = segments
-        f.grid = f.quad = None
+        f.form = None
         return f
 
     @staticmethod
-    def _on_grid(grid) -> "PiecewiseLinear":
+    def _of(form: "_Form") -> "PiecewiseLinear":
         """Wrap an integer form that is already in normal form."""
         f = object.__new__(PiecewiseLinear)
-        f.grid, f.quad = grid, None
-        return f
-
-    @staticmethod
-    def _on_quad(quad: "_QuadForm") -> "PiecewiseLinear":
-        """Wrap an integer form over Z[sqrt2] in normal form."""
-        f = object.__new__(PiecewiseLinear)
-        f.grid, f.quad = None, quad
+        f.form = form
         return f
 
     def __getattr__(self, name):
-        # only reached while the slot is empty: an integer-form function
-        # builds its Fraction segments on first read
-        if name != "segments" or (self.grid is None and self.quad is None):
+        # only reached while the slot is empty: a function given by its
+        # integer form builds its segments on first read
+        if name != "segments" or self.form is None:
             raise AttributeError(name)
-        self.segments = segs = _grid_segments(*self.grid) \
-            if self.grid is not None else _quad_segments(*self.quad)
+        self.segments = segs = _segments(self.form)
         return segs
 
     # -- constructors ------------------------------------------------------
@@ -196,8 +181,8 @@ class PiecewiseLinear:
 
     def abs_integral(self):
         """Exact integral of |f|; a sign change splits a segment in two."""
-        if self.grid is not None:
-            return _grid_abs_integral(*self.grid)
+        if self.form is not None and self.form.kind == _RATIONAL:
+            return _abs_integral(self.form)
         tot = 0
         for a, b, va, vb in self.segments:
             if (va < 0 < vb) or (vb < 0 < va):
@@ -213,8 +198,8 @@ class PiecewiseLinear:
         return tot
 
     def sup_norm(self) -> Fraction:
-        if self.quad is not None and self.quad.allq:
-            return _quad_sup(*self.quad)
+        if self.form is not None and self.form.kind == _SUM:
+            return _sup(self.form)
         vals = [abs(va) for _, _, va, _ in self.segments]
         vals += [abs(vb) for _, _, _, vb in self.segments]
         return max(vals)
@@ -235,8 +220,11 @@ class PiecewiseLinear:
 
     def scale(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
-        if self.quad is not None and c:
-            return PiecewiseLinear._on_quad(_quad_scale(*self.quad, c))
+        if self.form is not None and c:
+            f, p = self.form, c.numerator
+            return PiecewiseLinear._of(f._replace(
+                e=f.e * c.denominator, vu=_times(f.vu, p),
+                vw=_times(f.vw, p), ds=_times(f.ds, p)))
         segs = [(a, b, c * va, c * vb) for a, b, va, vb in self.segments]
         return PiecewiseLinear._normal(segs) if c else PiecewiseLinear(segs)
 
@@ -246,10 +234,10 @@ class PiecewiseLinear:
             [(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if self.grid is not None:
-            grid = _grid_plus(*self.grid, other.segments)
-            if grid is not None:
-                return PiecewiseLinear._on_grid(grid)
+        if self.form is not None and self.form.kind == _RATIONAL:
+            g = _form(other)
+            if g is not None and g.kind == _RATIONAL:
+                return PiecewiseLinear._of(_form_plus(self.form, g))
         return pl_sum([self, other])
 
     def min_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -275,10 +263,9 @@ class PiecewiseLinear:
         irrational c is written in the integer form over Z[sqrt2]."""
         c = mod1(c)
         if isinstance(c, Quad) and c.b:
-            grid = self.grid if self.grid is not None \
-                else _grid_of(self.segments)
-            if grid is not None:
-                return PiecewiseLinear._on_quad(_quad_shift(*grid, c))
+            f = _form(self)
+            if f is not None and f.kind == _RATIONAL:
+                return PiecewiseLinear._of(_shift(f, c))
         i = self._index_at(c)
         segs = [(a - c, b - c, va, vb) for a, b, va, vb in self.segments[i:]]
         segs += [(a + 1 - c, b + 1 - c, va, vb)
@@ -293,9 +280,9 @@ class PiecewiseLinear:
     def pullback_doubling(self) -> "PiecewiseLinear":
         """x -> f(2x mod 1); the two copies of f meet at 1/2.  Rational
         data is pulled back in its integer form."""
-        grid = self.grid if self.grid is not None else _grid_of(self.segments)
-        if grid is not None:
-            return PiecewiseLinear._on_grid(_grid_pullback(*grid))
+        f = _form(self)
+        if f is not None and f.kind == _RATIONAL:
+            return PiecewiseLinear._of(_pullback(f))
         segs = []
         half = Fraction(1, 2)
         for a, b, va, vb in self.segments:
@@ -331,12 +318,9 @@ class PiecewiseLinear:
     def _arcs_between(self, lo, hi) -> ArcSet:
         """{x : lo < f(x) < hi}, unbounded below when lo is None and above
         when hi is None."""
-        rational = all(type(t) in (int, Fraction)
-                       for t in (lo, hi) if t is not None)
-        if self.grid is not None and rational:
-            return _grid_arcs(*self.grid, lo, hi)
-        if self.quad is not None and rational:
-            return _quad_arcs(*self.quad, lo, hi)
+        if self.form is not None and all(
+                type(t) in (int, Fraction) for t in (lo, hi) if t is not None):
+            return _arcs(self.form, lo, hi)
         arcs = []
         for a, b, va, vb in self.segments:
             small, big = (va, vb) if va < vb else (vb, va)
@@ -383,17 +367,45 @@ def _joined(segs, j) -> PiecewiseLinear:
     return PiecewiseLinear._normal(segs)
 
 
-# -- the integer form (q, e, xs, vs, ds) of PiecewiseLinear ----------------
+# -- the integer form of PiecewiseLinear ------------------------------------
+
+#: the value types of a form's segments (see PiecewiseLinear)
+_RATIONAL, _SHIFTED, _SUM = "rational", "shifted", "sum"
 
 
-def _grid_of(segs):
-    """The integer form of segments whose data are all Fractions, as 0 + f
-    on the grid of the lcm of their breakpoint denominators; None
-    otherwise."""
-    if any(type(s[0]) is not Fraction for s in segs):
-        return None
-    q = math.lcm(*[a.denominator for a, _, _, _ in segs])
-    return _grid_plus(q, 1, [0], [0], [0], segs)
+class _Form(NamedTuple):
+    """Segment k starts at (xa[k] + xb[k] sqrt2)/n, has value
+    (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per step 1/n;
+    all ints, in normal form, never changed in place, and xb = vw = 0
+    when `kind` is _RATIONAL (see PiecewiseLinear)."""
+
+    n: int
+    e: int
+    xa: list
+    xb: list
+    vu: list
+    vw: list
+    ds: list
+    kind: str
+
+
+def _form(f: PiecewiseLinear):
+    """f's integer form, or None when f has other Q[sqrt2] data.  A
+    function whose data are all Fractions is converted once, on the grid
+    of the lcm of its breakpoint denominators, and keeps the form."""
+    if f.form is None:
+        segs = f.segments
+        if any(type(t) is not Fraction for s in segs for t in s):
+            return None
+        n = math.lcm(*[a.denominator for a, _, _, _ in segs])
+        incs = [(vb - va) / ((b - a) * n) for a, b, va, vb in segs]
+        e = math.lcm(*[va.denominator for _, _, va, _ in segs],
+                     *[d.denominator for d in incs])
+        zeros = [0] * len(segs)
+        f.form = _Form(n, e, [_over(a, n) for a, _, _, _ in segs], zeros,
+                       [_over(va, e) for _, _, va, _ in segs], zeros,
+                       [_over(d, e) for d in incs], _RATIONAL)
+    return f.form
 
 
 def _over(x: Fraction, den: int) -> int:
@@ -401,49 +413,89 @@ def _over(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _grid_segments(q, e, xs, vs, ds) -> list:
-    """The Fraction segments of an integer form."""
-    ends = xs[1:] + [q]
-    ws = [v + d * (b - x) for x, b, v, d in zip(xs, ends, vs, ds)]
-    pts = [Fraction(x, q) for x in xs] + [Fraction(1)]
-    heads = [Fraction(v, e) for v in vs]
-    # a continuous breakpoint shares its value between the two segments
-    tails = [h if w == v else Fraction(w, e)
-             for w, v, h in zip(ws, vs[1:] + [None], heads[1:] + [None])]
+def _root2(a: int, b: int, d: int):
+    """(a + b sqrt2)/d: a Quad, or a Fraction when b = 0."""
+    return Quad(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d)
+
+
+def _ends(f: _Form):
+    """The value at the end of each segment, as (us, ws)."""
+    us = [u + d * (b - a)
+          for u, d, a, b in zip(f.vu, f.ds, f.xa, f.xa[1:] + [f.n])]
+    if f.kind == _RATIONAL:
+        return us, f.vw
+    return us, [w + d * (b - a)
+                for w, d, a, b in zip(f.vw, f.ds, f.xb, f.xb[1:] + [0])]
+
+
+def _segments(f: _Form) -> list:
+    """The segments of an integer form, with the types of its kind."""
+    n, e = f.n, f.e
+    tu, tw = _ends(f)
+    pts = [_root2(a, b, n) for a, b in zip(f.xa, f.xb)] + [Fraction(1)]
+    if f.kind == _SUM:
+        heads = [Quad(Fraction(u, e), Fraction(w, e))
+                 for u, w in zip(f.vu, f.vw)]
+        tails = [Quad(Fraction(u, e), Fraction(w, e)) for u, w in zip(tu, tw)]
+    else:
+        heads = [Fraction(u, e) for u in f.vu]
+        # a continuous breakpoint shares its value between two segments
+        tails = [h if t == u else Fraction(t, e) for t, u, h in
+                 zip(tu, f.vu[1:] + [None], heads[1:] + [None])]
+        if f.kind == _SHIFTED:  # the cut value at 0 and at 1
+            heads[0] = Quad(heads[0], Fraction(f.vw[0], e))
+            tails[-1] = Quad(tails[-1], Fraction(tw[-1], e))
     return list(zip(pts, pts[1:], heads, tails))
 
 
-def _grid_pullback(q, e, xs, vs, ds):
-    """x -> f(2x mod 1) on the grid 2q: the starts x and x + q carry the
-    same values and increments; the copies are joined at 1/2 when f is
-    continuous and collinear across 0."""
-    k = len(xs)
-    xs, vs, ds = xs + [x + q for x in xs], vs + vs, ds + ds
-    if ds[k - 1] == ds[0] and vs[k - 1] + ds[k - 1] * (q - xs[k - 1]) == vs[0]:
+def _common(forms: list) -> list:
+    """The forms on common steps 1/n, n the lcm of their n, over the least
+    e that their e divide and that makes every increment per step 1/n an
+    integer.  A rational form keeps its zero columns."""
+    n = math.lcm(*[f.n for f in forms])
+
+    def least(f):
+        k = n // f.n
+        return f.e if k == 1 else \
+            math.lcm(f.e, f.e * k // math.gcd(f.e * k, *f.ds))
+
+    e = math.lcm(*map(least, forms))
+    out = []
+    for f in forms:
+        k, c = n // f.n, e // f.e
+        b, w = (1, 1) if f.kind == _RATIONAL else (k, c)
+        out.append(f if k == c == 1 else _Form(
+            n, e, _times(f.xa, k), _times(f.xb, b), _times(f.vu, c),
+            _times(f.vw, w), _times(f.ds, c) if k == 1
+            else [d * e // (f.e * k) for d in f.ds], f.kind))
+    return out
+
+
+def _times(col: list, k: int) -> list:
+    """The column col times k, col itself when k is 1."""
+    return col if k == 1 else [x * k for x in col]
+
+
+def _pullback(f: _Form) -> _Form:
+    """x -> f(2x mod 1) for a rational form, on the steps 1/2n: the starts
+    x and x + n carry the same values and increments; the copies are
+    joined at 1/2 when f is continuous and collinear across 0."""
+    n, k = f.n, len(f.xa)
+    xs, vs, ds = f.xa + [x + n for x in f.xa], f.vu + f.vu, f.ds + f.ds
+    if ds[k - 1] == ds[0] and vs[k - 1] + ds[k - 1] * (n - xs[k - 1]) == vs[0]:
         del xs[k], vs[k], ds[k]
-    return 2 * q, e, xs, vs, ds
+    zeros = [0] * len(xs)
+    return _Form(2 * n, f.e, xs, zeros, vs, zeros, ds, _RATIONAL)
 
 
-def _grid_plus(q, e, xs, vs, ds, segs):
-    """The integer form of f + g, f in integer form and g given by its
-    segments; None when a datum of g is not a Fraction or a breakpoint of
-    g is off the grid."""
-    if any(type(t) is not Fraction for s in segs for t in s):
-        return None
-    starts = [a * q for a, _, _, _ in segs]
-    if any(x.denominator != 1 for x in starts):
-        return None
-    starts = [x.numerator for x in starts]
-    incs = [(vb - va) / ((b - a) * q) for a, b, va, vb in segs]
-    e2 = math.lcm(e, *[va.denominator for _, _, va, _ in segs],
-                  *[d.denominator for d in incs])
-    if e2 != e:
-        k = e2 // e
-        vs, ds = [v * k for v in vs], [d * k for d in ds]
+def _form_plus(f: _Form, g: _Form) -> _Form:
+    """f + g for rational forms on their common steps (`_common`): a
+    merge walk over g's segments that bisects f's breakpoints, so a g
+    with few breakpoints costs one pass over f."""
+    f, g = _common([f, g])
+    n, xs, vs, ds = f.n, f.xa, f.vu, f.ds
     out_x, out_v, out_d = [], [], []
-    for x0, x1, (_, _, va, _), inc in zip(starts, starts[1:] + [q], segs,
-                                          incs):
-        v0, d0 = _over(va, e2), _over(inc, e2)
+    for x0, x1, v0, d0 in zip(g.xa, g.xa[1:] + [n], g.vu, g.ds):
         lo = bisect_left(xs, x0)
         hi = bisect_left(xs, x1, lo)
         if lo < len(xs) and xs[lo] == x0:
@@ -465,131 +517,19 @@ def _grid_plus(q, e, xs, vs, ds, segs):
         out_x += run
         out_v += [v + c + d0 * x for v, x in zip(vs[lo:hi], run)]
         out_d += [d + d0 for d in ds[lo:hi]] if d0 else ds[lo:hi]
-    return q, e2, out_x, out_v, out_d
+    zeros = [0] * len(out_x)
+    return _Form(n, f.e, out_x, zeros, out_v, zeros, out_d, _RATIONAL)
 
 
-def _grid_abs_integral(q, e, xs, vs, ds) -> Fraction:
-    """Integral of |f|: one integer sum over the segments that keep their
-    sign, and one Fraction per |increment| of the segments crossing 0,
-    where a segment adds (v^2 + w^2) / (2 q e |d|)."""
-    flat = 0
-    cross = {}
-    for x, b, v, d in zip(xs, xs[1:] + [q], vs, ds):
-        w = v + d * (b - x)
-        if (v < 0 < w) or (w < 0 < v):
-            d = abs(d)
-            cross[d] = cross.get(d, 0) + v * v + w * w
-        else:
-            flat += (b - x) * (abs(v) + abs(w))
-    tot = Fraction(flat, 2 * q * e)
-    for d, s in cross.items():
-        tot += Fraction(s, 2 * q * e * d)
-    return tot
-
-
-def _grid_arcs(q, e, xs, vs, ds, lo, hi) -> ArcSet:
-    """{x : lo < f(x) < hi} (a missing level is unbounded) in ArcSet's
-    canonical form.  Values are compared with the levels as integers: v
-    exceeds lo e iff v > floor(lo e) and falls below it iff
-    v < ceil(lo e)."""
-    ends = xs[1:] + [q]
-    ws = [v + d * (b - x) for x, b, v, d in zip(xs, ends, vs, ds)]
-
-    def signs(level):
-        f, c = math.floor(level * e), math.ceil(level * e)
-        return ([(v > f) - (v < c) for v in vs],
-                [(w > f) - (w < c) for w in ws])
-
-    return _walk_arcs(ds, signs, lo, hi, lambda k: Fraction(xs[k], q),
-                      lambda k, level: _crossing(q, e, xs[k], vs[k], ds[k],
-                                                 level))
-
-
-def _crossing(q, e, x, v, d, level) -> Fraction:
-    """Where the segment starting at grid point x meets `level`:
-    (x + (level e - v) / d) / q."""
-    n, m = level.numerator, level.denominator
-    return Fraction(x * d * m + n * e - v * m, q * d * m)
-
-
-def _walk_arcs(ds, signs, lo, hi, point, crossing) -> ArcSet:
-    """{x : lo < f(x) < hi} in ArcSet's canonical form.  `signs(level)`
-    gives the sign of f - level at the start and at the end of every
-    segment, and ds the direction of each.  On a segment the set is one
-    open interval; it starts at the segment's start (`point(k)`) or at a
-    level crossing (`crossing(k, level)`), and it joins the arc before it
-    exactly when it starts at the segment's start and that arc reached
-    it.  A number is built only at a crossing and at the ends of each
-    maximal arc."""
-    # a missing level lies beyond every value
-    head_lo, tail_lo = signs(lo) if lo is not None else ([1] * len(ds),) * 2
-    head_hi, tail_hi = signs(hi) if hi is not None else ([-1] * len(ds),) * 2
-    arcs = []
-    start = None  # start of the arc that reaches the current segment
-    for k, d in enumerate(ds):
-        if d > 0:
-            inside = tail_lo[k] > 0 and head_hi[k] < 0
-            at_x, at_b = head_lo[k] >= 0, tail_hi[k] <= 0
-            cut_in, cut_out = lo, hi
-        elif d < 0:
-            inside = head_lo[k] > 0 and tail_hi[k] < 0
-            at_x, at_b = head_hi[k] <= 0, tail_lo[k] >= 0
-            cut_in, cut_out = hi, lo
-        else:
-            inside = at_x = at_b = head_lo[k] > 0 and head_hi[k] < 0
-        if not inside:
-            if start is not None:
-                arcs.append((start, point(k)))
-                start = None
-            continue
-        if not at_x:
-            if start is not None:
-                arcs.append((start, point(k)))
-            start = crossing(k, cut_in)
-        elif start is None:
-            start = point(k)
-        if not at_b:
-            arcs.append((start, crossing(k, cut_out)))
-            start = None
-    if start is not None:
-        arcs.append((start, Fraction(1)))
-    return ArcSet._canonical(arcs)
-
-
-# -- the integer form over Z[sqrt2] of PiecewiseLinear ---------------------
-
-
-class _QuadForm(NamedTuple):
-    """Segment k starts at (xa[k] + xb[k] sqrt2)/n, has value
-    (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per step 1/n;
-    all ints, in normal form (see PiecewiseLinear)."""
-
-    n: int
-    e: int
-    xa: list
-    xb: list
-    vu: list
-    vw: list
-    ds: list
-    #: every value reads as a Quad (a sum), else only the cut value at 0
-    #: and at 1 (a shifted term)
-    allq: bool
-
-
-def _root2(a: int, b: int, d: int):
-    """(a + b sqrt2)/d: a Quad, or a Fraction when b = 0."""
-    return Quad(Fraction(a, d), Fraction(b, d)) if b else Fraction(a, d)
-
-
-def _quad_shift(q, e, xs, vs, ds, c: Quad) -> _QuadForm:
-    """x -> f(x + c) for f in the integer form (q, e, xs, vs, ds) and an
-    irrational c in (0, 1), on the steps 1/n, n the lcm of q and the
-    denominators of c: each breakpoint x moves to x - c (plus 1 before c)
-    with its value and increment, and the segment holding c is cut there,
-    its right part starting at 0 and its left part ending at 1."""
-    n = math.lcm(q, c.a.denominator, c.b.denominator)
-    k = n // q
-    xs, vs = [x * k for x in xs], [v * k for v in vs]
+def _shift(f: _Form, c: Quad) -> _Form:
+    """x -> f(x + c) for a rational form and an irrational c in (0, 1), on
+    the steps 1/n, n the lcm of f.n and the denominators of c: each
+    breakpoint x moves to x - c (plus 1 before c) with its value and
+    increment, and the segment holding c is cut there, its right part
+    starting at 0 and its left part ending at 1."""
+    n = math.lcm(f.n, c.a.denominator, c.b.denominator)
+    k = n // f.n
+    xs, vs, ds = [x * k for x in f.xa], [v * k for v in f.vu], f.ds
     ca, cb = _over(c.a, n), _over(c.b, n)
     # segment i holds c, as it holds floor(n c) = ca + floor(cb sqrt2)
     i = bisect_right(xs, ca + floor_root2(cb)) - 1
@@ -606,65 +546,19 @@ def _quad_shift(q, e, xs, vs, ds, c: Quad) -> _QuadForm:
     if ds[last] == ds[0] and vs[last] + ds[last] * (n - xs[last]) == vs[0]:
         for col in (xa, xb, vu, vw, dd):
             del col[len(xs) - i]
-    return _QuadForm(n, e * k, xa, xb, vu, vw, dd, False)
+    return _Form(n, f.e * k, xa, xb, vu, vw, dd, _SHIFTED)
 
 
-def _quad_ends(n, xa, xb, vu, vw, ds):
-    """The value at the end of each segment, as (us, ws)."""
-    ea, eb = xa[1:] + [n], xb[1:] + [0]
-    return ([u + d * (b - a) for u, d, a, b in zip(vu, ds, xa, ea)],
-            [w + d * (b - a) for w, d, a, b in zip(vw, ds, xb, eb)])
-
-
-def _quad_segments(n, e, xa, xb, vu, vw, ds, allq) -> list:
-    """The segments of an integer form over Z[sqrt2]."""
-    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
-    pts = [_root2(a, b, n) for a, b in zip(xa, xb)] + [Fraction(1)]
-    if allq:
-        heads = [Quad(Fraction(u, e), Fraction(w, e)) for u, w in zip(vu, vw)]
-        tails = [Quad(Fraction(u, e), Fraction(w, e)) for u, w in zip(tu, tw)]
-    else:
-        heads = [Quad(Fraction(vu[0], e), Fraction(vw[0], e))] \
-            + [Fraction(u, e) for u in vu[1:]]
-        tails = [Fraction(u, e) for u in tu[:-1]] \
-            + [Quad(Fraction(tu[-1], e), Fraction(tw[-1], e))]
-    return list(zip(pts, pts[1:], heads, tails))
-
-
-def _quad_of(f: PiecewiseLinear):
-    """f's integer form over Z[sqrt2] (a rational f on its grid), or None
-    when f has other Q[sqrt2] data."""
-    if f.quad is not None:
-        return f.quad
-    grid = f.grid if f.grid is not None else _grid_of(f.segments)
-    if grid is None:
-        return None
-    q, e, xs, vs, ds = grid
-    return _QuadForm(q, e, xs, [0] * len(xs), vs, [0] * len(xs), ds, False)
-
-
-def _quad_rescaled(f: _QuadForm, n: int, e: int) -> _QuadForm:
-    """f on the steps 1/n over e, for n a multiple of f.n and e one of
-    f.e n / f.n."""
-    k = n // f.n
-    c = e // (f.e * k)
-    if k == c == 1:
-        return f
-    return _QuadForm(n, e, [a * k for a in f.xa], [b * k for b in f.xb],
-                     [u * c * k for u in f.vu], [w * c * k for w in f.vw],
-                     [d * c for d in f.ds], f.allq)
-
-
-def _quad_sum(forms: list) -> _QuadForm:
-    """The sum of integer forms over Z[sqrt2] in one sweep, as `pl_sum`
-    does it: the terms go on common steps 1/n over one e, and the jumps
-    in value and increment at each breakpoint are filed under the exact
-    key floor(m (a + b sqrt2)) of its position (a + b sqrt2)/n.  With m a
-    power of two above 2 max|a| + 4 max|b| the keys of different
-    positions differ (see `exact_keys`); one isqrt per distinct b."""
-    n = math.lcm(*[f.n for f in forms])
-    e = math.lcm(*[f.e * (n // f.n) for f in forms])
-    forms = [_quad_rescaled(f, n, e) for f in forms]
+def _form_sum(forms: list) -> _Form:
+    """The sum of integer forms, at least one of them irrational, in one
+    sweep, as `pl_sum` does it: the terms go on common steps (`_common`),
+    and the jumps in value and increment at each breakpoint are filed
+    under the exact key floor(m (a + b sqrt2)) of its position
+    (a + b sqrt2)/n.  With m a power of two above 2 max|a| + 4 max|b| the
+    keys of different positions differ (see `exact_keys`); one isqrt per
+    distinct b."""
+    forms = _common(forms)
+    n, e = forms[0].n, forms[0].e
     m = 1 << (2 * max(abs(a) for f in forms for a in f.xa)
               + 4 * max(abs(b) for f in forms for b in f.xb)).bit_length()
     roots = {}  # b -> floor(m b sqrt2)
@@ -699,36 +593,67 @@ def _quad_sum(forms: list) -> _QuadForm:
             vu.append(u)
             vw.append(w)
             ds.append(d)
-    return _QuadForm(n, e, xa, xb, vu, vw, ds, True)
+    return _Form(n, e, xa, xb, vu, vw, ds, _SUM)
 
 
-def _quad_scale(n, e, xa, xb, vu, vw, ds, allq, c: Fraction) -> _QuadForm:
-    p, q = c.numerator, c.denominator
-    return _QuadForm(n, e * q, xa, xb, [u * p for u in vu],
-                     [w * p for w in vw], [d * p for d in ds], allq)
+def _abs_integral(f: _Form) -> Fraction:
+    """Integral of |f| for a rational form: one integer sum over the
+    segments that keep their sign, and one Fraction per |increment| of
+    the segments crossing 0, where a segment adds
+    (v^2 + w^2) / (2 n e |d|)."""
+    n, e = f.n, f.e
+    flat = 0
+    cross = {}
+    for x, b, v, d in zip(f.xa, f.xa[1:] + [n], f.vu, f.ds):
+        w = v + d * (b - x)
+        if (v < 0 < w) or (w < 0 < v):
+            d = abs(d)
+            cross[d] = cross.get(d, 0) + v * v + w * w
+        else:
+            flat += (b - x) * (abs(v) + abs(w))
+    tot = Fraction(flat, 2 * n * e)
+    for d, s in cross.items():
+        tot += Fraction(s, 2 * n * e * d)
+    return tot
 
 
-def _quad_sup(n, e, xa, xb, vu, vw, ds, allq) -> Quad:
-    """sup |f| over the ends of every segment, compared exactly in
-    integers; a Quad, as the Fraction kernel gives it for a sum."""
-    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
+def _sup(f: _Form) -> Quad:
+    """sup |f| over the ends of every segment of a sum, compared exactly
+    in integers; a Quad, as the Fraction kernel gives it."""
+    tu, tw = _ends(f)
     bu = bw = 0
-    for u, w in chain(zip(vu, vw), zip(tu, tw)):
+    for u, w in chain(zip(f.vu, f.vw), zip(tu, tw)):
         if sign_root2(u, w) < 0:
             u, w = -u, -w
         if sign_root2(u - bu, w - bw) > 0:
             bu, bw = u, w
-    return Quad(Fraction(bu, e), Fraction(bw, e))
+    return Quad(Fraction(bu, f.e), Fraction(bw, f.e))
 
 
-def _quad_arcs(n, e, xa, xb, vu, vw, ds, allq, lo, hi) -> ArcSet:
-    """{x : lo < f(x) < hi} (a missing level is unbounded) in ArcSet's
-    canonical form: each value is compared with a rational level p/q by
-    the exact sign of (u q - p e) + w q sqrt2.  A crossing is a Quad, as
-    the Fraction kernel gives it."""
-    tu, tw = _quad_ends(n, xa, xb, vu, vw, ds)
+def _arcs(f: _Form, lo, hi) -> ArcSet:
+    """{x : lo < f(x) < hi} for rational levels (a missing level is
+    unbounded) in ArcSet's canonical form.  A rational form compares its
+    values with a level in integers: v exceeds lo e iff v > floor(lo e)
+    and falls below it iff v < ceil(lo e); any other form compares
+    (u + w sqrt2)/e with p/q by the exact sign of (u q - p e) + w q sqrt2.
+    On a segment the set is one open interval; it starts at the segment's
+    start or at a level crossing, and it joins the arc before it exactly
+    when it starts at the segment's start and that arc reached it.  A
+    number is built only at a crossing and at the ends of each maximal
+    arc; a crossing is a Quad unless the form is rational, as the
+    Fraction kernel gives it."""
+    n, e, xa, xb, vu, vw, ds, kind = f
+    tu, tw = _ends(f)
 
-    def signs(level):
+    def signs(level, beyond):
+        # the sign of f - level at the start and at the end of every
+        # segment; a missing level lies beyond every value
+        if level is None:
+            return ([beyond] * len(ds),) * 2
+        if kind == _RATIONAL:
+            fl, cl = math.floor(level * e), math.ceil(level * e)
+            return ([(v > fl) - (v < cl) for v in vu],
+                    [(w > fl) - (w < cl) for w in tu])
         p, q = level.numerator, level.denominator
         return ([sign_root2(u * q - p * e, w * q) for u, w in zip(vu, vw)],
                 [sign_root2(u * q - p * e, w * q) for u, w in zip(tu, tw)])
@@ -736,12 +661,43 @@ def _quad_arcs(n, e, xa, xb, vu, vw, ds, allq, lo, hi) -> ArcSet:
     def crossing(k, level):
         # n x = a + b sqrt2 + (level e - u - w sqrt2) / d
         p, q = level.numerator, level.denominator
-        a, b, u, w, d = xa[k], xb[k], vu[k], vw[k], ds[k]
-        return Quad(Fraction(a * d * q + p * e - u * q, n * d * q),
-                    Fraction(b * d - w, n * d))
+        d = ds[k]
+        x = Fraction(xa[k] * d * q + p * e - vu[k] * q, n * d * q)
+        return x if kind == _RATIONAL else \
+            Quad(x, Fraction(xb[k] * d - vw[k], n * d))
 
-    return _walk_arcs(ds, signs, lo, hi, lambda k: _root2(xa[k], xb[k], n),
-                      crossing)
+    head_lo, tail_lo = signs(lo, 1)
+    head_hi, tail_hi = signs(hi, -1)
+    arcs = []
+    start = None  # start of the arc that reaches the current segment
+    for k, d in enumerate(ds):
+        if d > 0:
+            inside = tail_lo[k] > 0 and head_hi[k] < 0
+            at_x, at_b = head_lo[k] >= 0, tail_hi[k] <= 0
+            cut_in, cut_out = lo, hi
+        elif d < 0:
+            inside = head_lo[k] > 0 and tail_hi[k] < 0
+            at_x, at_b = head_hi[k] <= 0, tail_lo[k] >= 0
+            cut_in, cut_out = hi, lo
+        else:
+            inside = at_x = at_b = head_lo[k] > 0 and head_hi[k] < 0
+        if not inside:
+            if start is not None:
+                arcs.append((start, _root2(xa[k], xb[k], n)))
+                start = None
+            continue
+        if not at_x:
+            if start is not None:
+                arcs.append((start, _root2(xa[k], xb[k], n)))
+            start = crossing(k, cut_in)
+        elif start is None:
+            start = _root2(xa[k], xb[k], n)
+        if not at_b:
+            arcs.append((start, crossing(k, cut_out)))
+            start = None
+    if start is not None:
+        arcs.append((start, Fraction(1)))
+    return ArcSet._canonical(arcs)
 
 
 def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:
@@ -806,12 +762,12 @@ def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
     in slope at each of its other breakpoints.  The breakpoints of all
     terms are sorted once and the jumps accumulated from 0 to 1, ending a
     segment only where the value or the slope changes (normal form).
-    Terms in the integer form over Z[sqrt2], with rational ones, are
-    summed in integers (`_quad_sum`)."""
-    if any(f.quad is not None for f in fs):
-        forms = [_quad_of(f) for f in fs]
+    When a term holds an irrational integer form (a shifted term or a
+    sum), the terms are summed in integers (`_form_sum`)."""
+    if any(f.form is not None and f.form.kind != _RATIONAL for f in fs):
+        forms = [_form(f) for f in fs]
         if None not in forms:
-            return PiecewiseLinear._on_quad(_quad_sum(forms))
+            return PiecewiseLinear._of(_form_sum(forms))
     value = slope = Fraction(0)
     jumps = {}
     for f in fs:

@@ -332,7 +332,7 @@ def _check_recorded(cert: RateCertificate, method: str) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# Exact / sampled validation of a.s. certificates
+# Exact validation of a.s. certificates
 
 
 @dataclass
@@ -340,22 +340,19 @@ class ValidationReport:
     mode: str
     horizon: int
     n_start: int
-    measured_mass: Fraction  # exact in EXACT modes, an estimate in SAMPLED
+    measured_mass: Fraction
     epsilon: Fraction
     delta: Fraction
-    passed: Optional[bool]  # None in SAMPLED mode (estimate only)
+    passed: bool
     window_empty: bool = False
-    samples: Optional[int] = None
 
     def to_json(self) -> dict:
-        d = {"mode": self.mode, "horizon": self.horizon,
-             "n_start": self.n_start,
-             "measured_mass": fmt_rat(self.measured_mass),
-             "epsilon": fmt_rat(self.epsilon), "delta": fmt_rat(self.delta),
-             "passed": self.passed, "window_empty": self.window_empty}
-        if self.samples is not None:
-            d["samples"] = self.samples
-        return d
+        return {"mode": self.mode, "horizon": self.horizon,
+                "n_start": self.n_start,
+                "measured_mass": fmt_rat(self.measured_mass),
+                "epsilon": fmt_rat(self.epsilon),
+                "delta": fmt_rat(self.delta), "passed": self.passed,
+                "window_empty": self.window_empty}
 
 
 #: exact validation modes, with the systems that support them
@@ -367,57 +364,30 @@ def validate_as(system: System, f: Observable, cert: RateCertificate,
     """Measure mu{x : max_{n_start <= n <= horizon} |A_n(f-int f)(x)| > delta}
     and compare against the certified eps.
 
-    `mode` defaults to the system's exact mode.  n_start is max(1, n0);
-    when n0 exceeds the horizon the certified event does not restrict the
-    window at all, so the window is empty and the measured mass is 0
-    (reported with window_empty set, instead of rejecting the call:
-    desk-scale horizons are routinely far below the pessimistic n0 of the
-    maximal-ergodic route)."""
+    `mode` defaults to the system's exact mode; a mode the system does
+    not support is refused first, also over an empty window.  n_start is
+    max(1, n0); when n0 exceeds the horizon the certified event does not
+    restrict the window at all, so the window is empty and the measured
+    mass is 0 (reported with window_empty set, instead of rejecting the
+    call: desk-scale horizons are routinely far below the pessimistic n0
+    of the maximal-ergodic route)."""
     if cert.delta is None:
         raise InputError("only a.s. certificates validate against a horizon")
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     mode = system.exact_mode if mode is None else mode
+    if mode not in EXACT_MODES:
+        raise InputError(f"unknown validation mode {mode!r}")
+    if mode != system.exact_mode:
+        raise UnsupportedPairError(f"{mode} needs {EXACT_MODES[mode]}")
     n0 = cert.n0_or_m
     if n0 > horizon:
         return ValidationReport(mode, horizon, n0, Fraction(0), cert.epsilon,
                                 cert.delta, True, window_empty=True)
     window = range(max(1, n0), horizon + 1)
-    g = centered(system, f)
-    if mode in EXACT_MODES:
-        if mode != system.exact_mode:
-            raise UnsupportedPairError(f"{mode} needs {EXACT_MODES[mode]}")
-        mass = system.window_mass(g, window, cert.delta)
-        return ValidationReport(mode, horizon, window.start, mass,
-                                cert.epsilon, cert.delta, mass <= cert.epsilon)
-    if mode == "SAMPLED":
-        count = 256
-        hits = 0
-        for t in range(count):
-            x = Fraction(_bit_reverse(t, 16), 1 << 16)
-            if _sample_exceeds(system, g, window, cert.delta, x):
-                hits += 1
-        return ValidationReport(mode, horizon, window.start,
-                                Fraction(hits, count), cert.epsilon,
-                                cert.delta, None, samples=count)
-    raise InputError(f"unknown validation mode {mode!r}")
-
-
-def _sample_exceeds(system: System, g, window: range, delta, x: Fraction) -> bool:
-    total = 0
-    for n, v in enumerate(system.orbit_values(g, x, window.stop - 1), 1):
-        total = total + v
-        if n in window and abs(total) > delta * n:
-            return True
-    return False
-
-
-def _bit_reverse(t: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (t & 1)
-        t >>= 1
-    return out
+    mass = system.window_mass(centered(system, f), window, cert.delta)
+    return ValidationReport(mode, horizon, window.start, mass, cert.epsilon,
+                            cert.delta, mass <= cert.epsilon)
 
 
 # ---------------------------------------------------------------------------

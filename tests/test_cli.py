@@ -301,7 +301,11 @@ class TestExitCodes:
         ["rate", "--kind", "bogus", "--system", "doubling", "--observable",
          "x", "--eps", "1"],
         ["validate", "--certificate", "x", "--horizon", "abc"],
-        ["demo-float", "--steps", "-3"]])
+        ["demo-float", "--steps", "-3"],
+        # the sampled estimate is gone: no such mode
+        ["validate", "--certificate",
+         str(CORPUS / "cert_rotation_hat_a_as-l1_1-4_1-4.json"),
+         "--horizon", "8", "--mode", "SAMPLED"]])
     def test_usage_errors_are_input_errors(self, capsys, argv):
         # exit 2 means a computation budget; a malformed command line is
         # an input error with a typed JSON diagnostic
@@ -309,6 +313,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert json.loads(err)["error"] == "input"
+
+    def test_unsupported_mode_exits_1_on_any_window(self, capsys):
+        # n0 = 280: the shift's mode on a rotation certificate is refused
+        # over the empty window below n0 as it is past n0
+        cert = CORPUS / "cert_rotation_hat_a_as-l1_1-4_1-4.json"
+        for horizon in ("8", "300"):
+            code = main(["validate", "--certificate", str(cert), "--horizon",
+                         horizon, "--mode", "EXACT_CYLINDER"])
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out, horizon
+            assert json.loads(streams.err)["error"] == "UnsupportedPairError"
 
     def test_unreadable_artifact(self, capsys):
         code = main(["replay", "--artifact", "/nonexistent/a.json"])

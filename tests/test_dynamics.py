@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert import observables
 from ergocert.arith import Quad, mod1, pow2
 from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                birkhoff_observable, builtin_systems, centered,
@@ -552,3 +553,32 @@ class TestRootTwoRunningSum:
         system = rotation_system(alpha)
         for f in self.HATS:
             self._check(system, f, 20)
+
+
+class TestOneIntegerForm:
+    def test_rotation_converts_g_once(self, monkeypatch):
+        # [DERIVED: every term g o R^i is cut from g's one integer form,
+        # so S_70 converts g once, not once per term]
+        conversions = []
+        convert = observables._form
+
+        def spy(f):
+            conversions.append(f.form is None)
+            return convert(f)
+
+        monkeypatch.setattr(observables, "_form", spy)
+        system = rotation_system()
+        g = centered(system, TestRootTwoRunningSum.HATS[2])
+        system.birkhoff_sum(g, 70)
+        assert sum(conversions) == 1 and len(conversions) > 70
+
+    def test_add_off_the_grid(self):
+        # [DERIVED: oracle = _plus_oracle; g's breakpoints (grid 12) are
+        # off the integer form's grid 16, so both go on the grid 48]
+        f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8)).pullback_doubling()
+        g = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
+        got = f.add(g)
+        assert got.form is not None
+        assert got.segments == _plus_oracle(f, g).segments
+        _assert_normal_form(got, "off-grid add")
+        assert all(type(t) is F for s in got.segments for t in s)

@@ -201,13 +201,6 @@ class TestValidation:
         assert default.mode == "EXACT_ARC"
         assert default.measured_mass == rep.measured_mass
 
-    def test_sampled_mode_reports_estimate(self):
-        # [TRIVIAL] sampling never claims pass/fail
-        cert = as_rate_l1(SHIFT, FIRSTBIT, F(1, 2), F(1, 2))
-        cert.n0_or_m = 4
-        rep = validate_as(SHIFT, FIRSTBIT, cert, 8, "SAMPLED")
-        assert rep.passed is None and rep.samples
-
     def test_norm_cert_rejected_for_horizon(self):
         # [TRIVIAL]
         cert = l_rate(SHIFT, FIRSTBIT, F(1, 4))
