@@ -1,32 +1,30 @@
 """Effective Borel-Cantelli sequences and point synthesis.
 
-A BC sequence is a sequence of effective opens U_j with summable measure
-bounds err(j); a point avoiding all but finitely many complements satisfies
-every tail guarantee.  Sequences built here carry exact region data, so a
-member point can be *synthesized* digit by digit: at every step an exact
-positive-mass budget certifies that the remaining region is nonempty, and
-each refinement records a machine-checkable membership witness.
+A BC sequence is a sequence of opens U_j with summable complement masses
+err(j); a point avoiding all but finitely many complements satisfies
+every tail guarantee.  The sequences built here are finite lists of exact
+windows (rational regions with their ideal balls and exact complement
+masses), so a member point can be *synthesized* digit by digit: at every
+step an exact positive-mass budget certifies that the remaining region is
+nonempty, and each refinement records a machine-checkable membership
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .arith import fmt_rat, parse_int, parse_rat, pow2
-from .errors import (BudgetExceededError, InputError, NoMassError,
-                     UnsupportedInstanceError)
+from .errors import BudgetExceededError, InputError, NoMassError
 from .dynamics import (Observable, System, birkhoff_eval, centered,
                        deviation_region, integral, parse_system)
 from .measures import region_measure, support_hit
 from .observables import enumerate_F, observable_from_json, observable_to_json
-from .rates import SummableSchedule, as_rate_l1
-from .regions import ArcSet, CylSet
-from .spaces import (CantorPoint, EffectiveOpen, IdealBall, Membership, Space,
-                     ball_member, unpair)
+from .spaces import CantorPoint, IdealBall, Membership, Space, ball_member
 
 #: cap on candidate balls examined per refinement step
 CANDIDATE_BUDGET = 1 << 14
@@ -42,34 +40,60 @@ EVAL_PRECISION = 6
 # BC sequences
 
 
+@dataclass(frozen=True)
+class Window:
+    """One exact window: its rational region (`ArcSet` or `CylSet`), the
+    ideal balls whose union it is, its exact complement mass `err`, and the
+    metadata a synthesis certificate records (`info`)."""
+
+    err: Fraction
+    region: object
+    balls: list
+    info: dict
+
+
 @dataclass
 class BCSequence:
-    """U_j (j >= 1) with certified complement-measure bounds err(j).
+    """U_1, ..., U_J as a list of exact windows; every U_j past the list is
+    the whole space with err 0.
 
-    `tail(u)` is an exact upper bound on sum_{j >= u} err(j); `region` and
-    `info`, when present, expose exact region data and window metadata
-    (needed for synthesis).  `support_end` marks the last index with a
-    possibly nonzero err."""
+    `tails[u - 1]` is the exact sum of err(j) over j >= u, for u <= J + 1.
+    Past the list a base sequence repeats `past[0]`; a `dovetailed` one
+    (an intersection) takes window t to be `past[i - 1]`, member i's whole
+    space, tagged like its listed windows with the dovetail pair (i, j) of
+    t."""
 
     space: Space
-    opens: Callable[[int], EffectiveOpen]
-    err: Callable[[int], Fraction]
-    tail: Callable[[int], Fraction]
-    region: Optional[Callable[[int], object]] = None
-    info: Optional[Callable[[int], dict]] = None
-    support_end: Optional[int] = None
+    windows: list
+    past: list
+    dovetailed: bool = False
+    tails: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        errs = [w.err for w in reversed(self.windows)]
+        tails = itertools.accumulate(errs, initial=Fraction(0))
+        self.tails = list(tails)[::-1]
+
+    def window(self, j: int) -> Window:
+        """U_j, for j >= 1."""
+        if j <= len(self.windows):
+            return self.windows[j - 1]
+        if not self.dovetailed:
+            return self.past[0]
+        i, k = next(itertools.islice(_pair_stream(len(self.past)), j - 1,
+                                     None))
+        return _tagged(self.past[i - 1], i, k)
+
+    def tail(self, u: int) -> Fraction:
+        """Exact sum of err(j) over j >= u, for u >= 1."""
+        return self.tails[min(u, len(self.tails)) - 1]
 
     def modulus(self, e: Fraction) -> int:
         """Smallest u with tail(u) < e."""
         e = Fraction(e)
         if e <= 0:
             raise InputError("modulus needs a positive threshold")
-        u = 1
-        while self.tail(u) >= e:
-            u += 1
-            if u > 100000:
-                raise BudgetExceededError("summability modulus out of reach")
-        return u
+        return next(u for u, t in enumerate(self.tails, 1) if t < e)
 
 
 def bc_exact_windows(system: System, f: Observable,
@@ -88,18 +112,17 @@ def bc_exact_windows(system: System, f: Observable,
         raise InputError(f"count must be >= 0, got {count}")
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
-    whole = {"trivial": True, "n": None, "delta": None, "err": Fraction(0),
-             "region": system.full_region(),
-             "open": EffectiveOpen.whole(system.space),
-             "observable": obs_json}
+    whole = Window(Fraction(0), system.full_region(), system.space.cover(),
+                   {"trivial": True, "n": None, "delta": None,
+                    "err": Fraction(0), "observable": obs_json})
     # per (n, delta): the rational region and its exact complement mass
     regions: dict[tuple, tuple] = {}
-    windows: dict[int, dict] = {}
+    windows = []
     start = 1
     for j in range(1, count + 1):
         cap = Fraction(caps(j))
         delta = max(system.bc_delta_floor, pow2(j))
-        windows[j] = whole
+        window = whole
         for n in range(start, max_n + 1):
             if (n, delta) not in regions:
                 try:
@@ -110,85 +133,13 @@ def bc_exact_windows(system: System, f: Observable,
                 regions[n, delta] = reg, 1 - region_measure(system.tag, reg)
             reg, err = regions[n, delta]
             if err <= cap:
-                windows[j] = {"trivial": False, "n": n, "delta": delta,
-                              "err": err, "region": reg,
-                              "open": EffectiveOpen(
-                                  system.space,
-                                  exact_prefix=system.region_balls(reg)),
-                              "observable": obs_json}
+                window = Window(err, reg, system.region_balls(reg),
+                                {"trivial": False, "n": n, "delta": delta,
+                                 "err": err, "observable": obs_json})
                 start = n
                 break
-
-    def tail(u: int) -> Fraction:
-        return sum((windows[j]["err"] for j in range(max(1, u), count + 1)),
-                   Fraction(0))
-
-    return BCSequence(
-        space=system.space,
-        opens=lambda j: windows.get(j, whole)["open"],
-        err=lambda j: windows.get(j, whole)["err"],
-        tail=tail,
-        region=lambda j: windows.get(j, whole)["region"],
-        info=lambda j: {k: windows.get(j, whole)[k]
-                        for k in ("trivial", "n", "delta", "err",
-                                  "observable")},
-        support_end=count)
-
-
-# ---------------------------------------------------------------------------
-# Literal windows from almost-sure rate certificates
-
-
-def window_sup_bound(system: System, fbar, n: int, ball: IdealBall):
-    """Certified upper bound on sup over the closed ball of |A_n fbar|."""
-    box = system.ball_average(fbar, ball, n)
-    return max(abs(box.lo), abs(box.hi))
-
-
-def bc_from_rate(system: System, f: Observable,
-                 schedule: SummableSchedule) -> BCSequence:
-    """BC sequence straight from almost-sure rate certificates.
-
-    U_j = {x : |A_n fbar(x)| < delta_j for all n in [N_j, N_{j+1})} with
-    N_j the (monotone) certificate thresholds; mu(U_j^c) <= eps_j by the
-    certificates.  The opens are enumerated lazily and soundly: a ball is
-    emitted only once interval arithmetic certifies it inside the window,
-    with per-step work capped by the enumeration index, so every answer is
-    finite-time.  No exact region oracle is attached (the thresholds are
-    far beyond exhaustive-region budgets)."""
-    fbar = system.as_concrete(centered(system, f))
-    certs: dict[int, object] = {}
-
-    def cert(j: int):
-        if j not in certs:
-            certs[j] = as_rate_l1(system, f, schedule.eps(j),
-                                  schedule.delta(j))
-        return certs[j]
-
-    def N(j: int) -> int:
-        return max([1] + [cert(i).n0_or_m for i in range(1, j + 1)])
-
-    def opens(j: int) -> EffectiveOpen:
-        lo = N(j)
-        hi = max(N(j + 1), lo + 1)
-        delta = Fraction(schedule.delta(j))
-
-        def enumerator(t: int) -> Optional[IdealBall]:
-            c, effort = unpair(t)
-            if hi - lo > effort:
-                return None
-            ball = IdealBall.from_index(system.space, c)
-            if system.coarse_ball_ranges and ball.radius > pow2(min(hi, 60)):
-                return None  # defer until the ball is small
-            for n in range(lo, hi):
-                if window_sup_bound(system, fbar, n, ball) >= delta:
-                    return None
-            return ball
-
-        return EffectiveOpen(system.space, enumerator=enumerator)
-
-    return BCSequence(space=system.space, opens=opens, err=schedule.eps,
-                      tail=schedule.tail, support_end=None)
+        windows.append(window)
+    return BCSequence(system.space, windows, [whole])
 
 
 # ---------------------------------------------------------------------------
@@ -202,79 +153,35 @@ def _pair_stream(g: int):
             yield i, s - i
 
 
+def _tagged(window: Window, i: int, j: int) -> Window:
+    return replace(window, info={**window.info, "member": i,
+                                 "member_window": j})
+
+
 def bc_intersect(members: list[BCSequence]) -> BCSequence:
-    """Single BC sequence covering every member: pair (i, j) is scheduled at
-    dovetail position t with the cap 2^-(i+j); member errors must meet
-    their caps (checked on access).  Reported errors are the members' own
-    (exact) bounds, which are at most the caps."""
+    """Single BC sequence covering every member: window t is member i's
+    window j for the pair (i, j) at dovetail position t, tagged with
+    `member` and `member_window`.  The list runs through the last pair
+    whose window is on its member's list, and each listed error must meet
+    its cap 2^-(i+j).  Reported errors are the members' own (exact) ones,
+    which are at most the caps."""
     if not members:
         raise InputError("need at least one member")
-    g = len(members)
     space = members[0].space
-    if any(m.space is not space for m in members):
-        raise InputError("members must share a space")
-    pairs: list[tuple[int, int]] = []
-    gen = _pair_stream(g)
-
-    def pair_at(t: int) -> tuple[int, int]:
-        while len(pairs) < t:
-            pairs.append(next(gen))
-        return pairs[t - 1]
-
-    def err(t: int) -> Fraction:
-        i, j = pair_at(t)
-        e = members[i - 1].err(j)
-        if e > pow2(i + j):
+    if any(m.space is not space or m.dovetailed for m in members):
+        raise InputError("members must be base sequences on one space")
+    smax = max(i + len(m.windows) for i, m in enumerate(members, 1))
+    windows = []
+    for i, j in _pair_stream(len(members)):
+        if i + j > smax:
+            break
+        w = members[i - 1].window(j)
+        if w.err > pow2(i + j):
             raise InputError(
-                f"member {i} window {j} has err {e} > 2^-{i + j}")
-        return e
-
-    finite = all(m.support_end is not None for m in members)
-    if finite:
-        smax = max(i + 1 + members[i].support_end for i in range(g))
-        support_end = sum(min(g, s - 1) for s in range(2, smax + 1))
-    else:
-        support_end = None
-
-    def tail(u: int) -> Fraction:
-        u = max(1, u)
-        if finite:
-            tot = Fraction(0)
-            t = u
-            while True:
-                i, j = pair_at(t)
-                if i + j > smax:
-                    return tot
-                tot += err(t)
-                t += 1
-        s0 = sum(pair_at(u))
-        horizon = s0 + 2
-        tot = Fraction(0)
-        t = u
-        while sum(pair_at(t)) <= horizon:
-            i, j = pair_at(t)
-            tot += pow2(i + j)
-            t += 1
-        return tot + (horizon + 1) * pow2(horizon)
-
-    has_regions = all(m.region is not None for m in members)
-
-    def region(t: int):
-        i, j = pair_at(t)
-        return members[i - 1].region(j)
-
-    def info(t: int) -> dict:
-        i, j = pair_at(t)
-        d = dict(members[i - 1].info(j)) if members[i - 1].info else {}
-        d.update({"member": i, "member_window": j})
-        return d
-
-    return BCSequence(
-        space=space,
-        opens=lambda t: members[pair_at(t)[0] - 1].opens(pair_at(t)[1]),
-        err=err, tail=tail,
-        region=region if has_regions else None,
-        info=info, support_end=support_end)
+                f"member {i} window {j} has err {w.err} > 2^-{i + j}")
+        windows.append(_tagged(w, i, j))
+    return BCSequence(space, windows, [m.past[0] for m in members],
+                      dovetailed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,32 +265,24 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     space = system.space
     if target.space is not space:
         raise InputError(f"a {target.space.name} target on {space.name}")
-    if bc.region is None:
-        raise UnsupportedInstanceError(
-            "synthesis needs windows with exact region data")
     tag = system.tag
     remaining = tag.region([target])
     mass = region_measure(tag, remaining)
     if mass == 0:
         raise NoMassError("target ball carries no mass")
     k = bc.modulus(mass / 4)  # tail(k) < lambda_0 / 2, lambda_0 = mass / 2
-    support = bc.support_end
-    lazy_tail = bc.tail(support + 1) if support is not None else None
     certs = []
     stream = [target]
     cur = target
     depth = space.depth(cur)
     for step in range(1, windows + 1):
         j = k + step - 1
-        remaining = remaining.intersect(_coerce_region(bc.region(j)))
+        win = bc.window(j)
+        remaining = remaining.intersect(win.region)
         t_next = bc.tail(j + 1)
-        u = bc.opens(j)
-        if u.exact_prefix is None:
-            raise UnsupportedInstanceError(
-                f"window {j} has no exact ball list")
         accepted = None
         examined = 0
-        witness = space.witness_lookup(u.exact_prefix)
+        witness = space.witness_lookup(win.balls)
         for d in range(max(depth + 1, step + 1),
                        max(depth + 1, step + 1) + DEPTH_SLACK):
             for cand in space.refinements(cur, d):
@@ -398,8 +297,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                 m_inter = region_measure(tag, inter)
                 lam = m_inter - t_next
                 if lam <= 0:
-                    lam = _forward_feasible(system, bc, inter, m_inter, j,
-                                            support, lazy_tail)
+                    lam = _forward_feasible(tag, bc, inter, m_inter, j)
                     if lam is None:
                         continue
                 accepted = (cand, widx, d, inter, lam)
@@ -410,14 +308,12 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
             raise NoMassError(
                 f"no refinement with positive budget for window {j}")
         cand, widx, depth, remaining, lam = accepted
-        cert = {"index": j, "witness": u.exact_prefix[widx].to_json(),
+        cert = {"index": j, "witness": win.balls[widx].to_json(),
                 "witness_pos": widx, "ball": cand.to_json(),
                 "position": step, "precision": depth + 2,
                 "lambda": fmt_rat(lam)}
-        if bc.info is not None:
-            inf = bc.info(j)
-            cert.update({kk: (fmt_rat(v) if isinstance(v, Fraction) else v)
-                         for kk, v in inf.items()})
+        cert.update({kk: (fmt_rat(v) if isinstance(v, Fraction) else v)
+                     for kk, v in win.info.items()})
         certs.append(cert)
         stream.append(cand)
         cur = cand
@@ -430,29 +326,18 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     return sp
 
 
-def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,
-                      j: int, support: Optional[int],
-                      lazy_tail: Optional[Fraction]) -> Optional[Fraction]:
-    """Exact fallback when the generic tail bound is too coarse: intersect
-    the candidate region with every remaining window directly and return
-    the residual budget past the support, or None if it is exhausted."""
-    if support is None or m_inter <= lazy_tail:
-        return None
-    tag = system.tag
-    cur = inter
-    m_cur = m_inter
-    for jj in range(j + 1, support + 1):
-        cur = cur.intersect(_coerce_region(bc.region(jj)))
-        m_cur = region_measure(tag, cur)
-        if m_cur <= lazy_tail:
+def _forward_feasible(tag, bc: BCSequence, inter, m_inter,
+                      j: int) -> Optional[Fraction]:
+    """Exact fallback when the tail bound is too coarse: intersect the
+    candidate region with every listed window past j directly and return
+    the mass left, or None if none is (the windows past the list are the
+    whole space)."""
+    for w in bc.windows[j:]:
+        if m_inter <= 0:
             return None
-    return m_cur - lazy_tail
-
-
-def _coerce_region(region):
-    if isinstance(region, (ArcSet, CylSet)):
-        return region
-    raise UnsupportedInstanceError("window region is not an exact region")
+        inter = inter.intersect(w.region)
+        m_inter = region_measure(tag, inter)
+    return m_inter if m_inter > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +384,13 @@ def replay_synth(system: System, sp: SynthPoint,
                             f"ball {t + 1}")
         if not space.inside(ball, witness, strict=True):
             failures.append(f"window {j}: accepted ball escapes witness")
+        # synthesis records depth + 1 (circle) or + 2 (Cantor space); a
+        # point costs more to evaluate the finer the precision
         precision = parse_int(cert["precision"], "precision")
+        if precision > space.depth(ball) + 2:
+            failures.append(f"window {j}: precision {precision} above the "
+                            f"accepted ball's depth + 2")
+            continue
         if ball_member(space, witness, point, precision) \
                 is not Membership.IN:
             failures.append(f"window {j}: point not certified in witness")

@@ -20,14 +20,12 @@ from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .measures import MeasureTag
-from .observables import (CylinderFn, FTerm, PiecewiseLinear, pl_inner,
-                          pl_sum, table_integral)
+from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
+                          PiecewiseLinear, pl_inner, pl_sum, table_integral)
 from .regions import ArcSet, CylSet
 from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
-                     Space, ball_arc)
+                     Space)
 
-#: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
-CYLINDER_BUDGET_LOG2 = 24
 #: hard cap on piecewise-linear segment counts in exact constructions
 SEGMENT_BUDGET = 1 << 21
 #: correlation terms computed exactly before the geometric tail bound kicks in
@@ -70,8 +68,6 @@ class System:
     bc_delta_floor = Fraction(1, 4)
     #: largest n of the default exact BC windows
     bc_max_n: int
-    #: ranges over a ball only sharpen as the ball shrinks
-    coarse_ball_ranges = False
     #: (g's data, n, state) of the last running sum built
     _slot = None
 
@@ -164,7 +160,10 @@ class Shift(System):
     def orbit_enclosure(self, g: CylinderFn, x, n: int, m_in: int) -> Interval:
         # exact: the average reads no more than these symbols
         word = x.prefix(n + g.depth - 1 if g.depth else n)
-        return self.ball_average(g, CANTOR.cylinder_ball(word), n)
+        tot = Interval.point(0)
+        for i in range(n):
+            tot = tot + g.range_on_prefix(word[i:])
+        return Interval(tot.lo / n, tot.hi / n)
 
     def average(self, g: CylinderFn, n: int) -> CylinderFn:
         if not g.depth:
@@ -218,13 +217,6 @@ class Shift(System):
     def region_balls(self, region: CylSet) -> list[IdealBall]:
         return [CANTOR.cylinder_ball(w) for w in region.prefixes]
 
-    def ball_average(self, g: CylinderFn, ball: IdealBall, n: int) -> Interval:
-        w = ball.cylinder_prefix
-        tot = Interval.point(0)
-        for i in range(n):
-            tot = tot + g.range_on_prefix(w[i:])
-        return Interval(tot.lo / n, tot.hi / n)
-
     def input_bits(self, g: CylinderFn, n: int, m: int) -> int:
         return 0  # cylinder averages read their symbols exactly
 
@@ -269,7 +261,6 @@ class CircleMap(System):
     concrete = PiecewiseLinear
     where = "a circle system"
     exact_mode = "EXACT_ARC"
-    coarse_ball_ranges = True
     #: input bits each map step costs (log2 of the map's expansion)
     bits_per_step = 0
 
@@ -278,14 +269,11 @@ class CircleMap(System):
 
     def orbit_enclosure(self, g: PiecewiseLinear, x, n: int,
                         m_in: int) -> Interval:
+        # A_n g over the real-line interval enclosing x
         box = x.enclosure(m_in)
-        return self.box_average(g, box.lo, box.hi, n)
-
-    def box_average(self, g: PiecewiseLinear, lo, hi, n: int) -> Interval:
-        """Enclosure of A_n g over the real-line interval [lo, hi]."""
         total = Interval.point(0)
         for i in range(n):
-            total = total + g.range_on(*self._image(lo, hi, i))
+            total = total + g.range_on(*self._image(box.lo, box.hi, i))
         return Interval(total.lo / n, total.hi / n)
 
     def average(self, g: PiecewiseLinear, n: int) -> PiecewiseLinear:
@@ -319,10 +307,6 @@ class CircleMap(System):
                         "ball conversion needs rational arcs")
                 balls.append(IdealBall(CIRCLE, c, (hi - lo) / 2))
         return balls
-
-    def ball_average(self, g: PiecewiseLinear, ball: IdealBall,
-                     n: int) -> Interval:
-        return self.box_average(g, *ball_arc(ball), n)
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)
@@ -367,17 +351,18 @@ class Doubling(CircleMap):
         return sc * lo, sc * hi
 
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
-        return max(len(g.segments), 1) << n
+        # n capped first: a replayed window may record any n, and past the
+        # budget's bit length the count is over budget whatever g is
+        return max(len(g.segments), 1) << min(n, SEGMENT_BUDGET.bit_length())
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
         # S_(i+1) = g + S_i o T.  For rational g, S_i o T is S_i's rational
         # integer form with the starts copied to x + q on the grid 2q
         # (q = D 2^(i-1), D the lcm of g's breakpoint denominators), and g,
         # converted once, adds on its few breakpoints; see PiecewiseLinear
-        size = self._segment_count(g, n)
-        if size > SEGMENT_BUDGET:
-            raise BudgetExceededError(
-                f"A_{n} on the doubling map needs ~{size} segments")
+        if self._segment_count(g, n) > SEGMENT_BUDGET:
+            raise BudgetExceededError(f"A_{n} on the doubling map needs "
+                                      f"more than {SEGMENT_BUDGET} segments")
         for i in range(m, n):
             s = s.pullback_doubling().add(g) if i else g
         return s

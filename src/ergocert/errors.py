@@ -17,10 +17,6 @@ class PrecisionStallError(ErgocertError):
     """An enclosure straddles a discontinuity and cannot be refined further."""
 
 
-class UnsupportedInstanceError(ErgocertError):
-    """No exact measure oracle exists for the requested instance."""
-
-
 class UnsupportedPairError(ErgocertError):
     """No exact oracle exists for this (system, observable) pair."""
 

@@ -20,9 +20,13 @@ from typing import NamedTuple
 
 from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
                     parse_rat, sign_root2)
+from .errors import BudgetExceededError
 from .regions import ArcSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
                      space_named, unpair)
+
+#: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
+CYLINDER_BUDGET_LOG2 = 24
 
 
 class PiecewiseLinear:
@@ -805,7 +809,10 @@ class CylinderFn:
     space = CANTOR
 
     def __init__(self, depth: int, table):
-        if len(table) != 1 << depth:
+        # read the depth off the table's length: a claimed depth is never
+        # shifted by, so no depth costs memory
+        size = len(table)
+        if size < 1 or size & (size - 1) or size.bit_length() != depth + 1:
             raise ValueError("table must have 2^depth entries")
         self.depth = depth
         self.table = [v if type(v) is Fraction else Fraction(v) for v in table]
@@ -837,8 +844,12 @@ class CylinderFn:
         with s on all its symbols lies within 2^-depth <= r of s, where the
         bump is 1)."""
         depth = max(len(s), 1)
-        while Fraction(1, 1 << depth) > r:
+        while depth <= CYLINDER_BUDGET_LOG2 and Fraction(1, 1 << depth) > r:
             depth += 1
+        if depth > CYLINDER_BUDGET_LOG2:  # priced before the table is built
+            raise BudgetExceededError(f"a bump of radius {r} needs more "
+                                      f"than 2^{CYLINDER_BUDGET_LOG2} "
+                                      "cylinders")
         table = []
         for w in range(1 << depth):
             d = cantor_dist(format(w, f"0{depth}b"), s)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .arith import fmt_rat, parse_int, parse_rat, pow2
+from .arith import fmt_rat, parse_int, parse_rat
 from .errors import (BudgetExceededError, ErgocertError, InputError,
                      UnsupportedPairError)
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
@@ -389,35 +389,3 @@ def validate_as(system: System, f: Observable, cert: RateCertificate,
     return ValidationReport(mode, horizon, window.start, mass, cert.epsilon,
                             cert.delta, mass <= cert.epsilon)
 
-
-# ---------------------------------------------------------------------------
-# Summable schedules (drive the Borel-Cantelli constructions)
-
-
-@dataclass
-class SummableSchedule:
-    """eps_j, delta_j for j >= 1, with an explicit summability modulus:
-    sum_{j >= modulus(e)} eps_j < e, and an exact tail bound."""
-
-    eps: Callable[[int], Fraction]
-    delta: Callable[[int], Fraction]
-    modulus: Callable[[Fraction], int]
-    tail: Callable[[int], Fraction]  # upper bound on sum_{j>=u} eps_j
-
-    @staticmethod
-    def geometric(shift: int = 0) -> "SummableSchedule":
-        """eps_j = 2^-(j+shift) and delta_j = 2^-j."""
-
-        def eps(j: int) -> Fraction:
-            return pow2(j + shift)
-
-        def tail(u: int) -> Fraction:
-            return pow2(max(u, 1) + shift - 1)
-
-        def modulus(e: Fraction) -> int:
-            u = 1
-            while tail(u) >= e:
-                u += 1
-            return u
-
-        return SummableSchedule(eps, pow2, modulus, tail)

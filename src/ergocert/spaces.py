@@ -516,27 +516,3 @@ def _hits_mod1(c: Fraction, lo: Fraction, hi: Fraction) -> bool:
 def ball_member(space: Space, ball: IdealBall, x, m: int) -> Membership:
     return space.member(ball, x, m)
 
-
-@dataclass
-class EffectiveOpen:
-    """Lazily enumerated union of ideal balls.
-
-    `enumerator(k)` may return None (no output at step k; an everywhere-None
-    enumerator denotes the empty set).  When the open is exactly a finite
-    union, `exact_prefix` lists the balls.
-    """
-
-    space: Space
-    enumerator: Optional[Callable[[int], Optional[IdealBall]]] = None
-    exact_prefix: Optional[list] = None
-
-    def ball(self, k: int) -> Optional[IdealBall]:
-        if self.enumerator is not None:
-            return self.enumerator(k)
-        if self.exact_prefix is not None and k < len(self.exact_prefix):
-            return self.exact_prefix[k]
-        return None
-
-    @staticmethod
-    def whole(space: Space) -> "EffectiveOpen":
-        return EffectiveOpen(space, exact_prefix=space.cover())

@@ -232,10 +232,10 @@ def test_borel_cantelli_machinery(capsys):
     for k in range(1, 4):
         inter = None
         for j in range(k, J + 1):
-            r = bc.region(j)
+            r = bc.window(j).region
             inter = r if inter is None else inter.intersect(r)
         mass = inter.measure(F(1, 2))
-        tail = sum(bc.err(j) for j in range(k, J + 1))
+        tail = sum(bc.window(j).err for j in range(k, J + 1))
         ok = ok and mass >= 1 - tail
     report(capsys, ok, "Borel-Cantelli machinery",
            "exact tail-intersection masses dominate 1 - summed errors "

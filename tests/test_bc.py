@@ -8,19 +8,16 @@ from fractions import Fraction as F
 import pytest
 
 from ergocert.arith import pow2
-from ergocert.bc import (BCSequence, bc_exact_windows, bc_from_rate,
-                         bc_intersect, horizon_tolerance, replay_synth,
-                         SynthPoint, synthesize_point, typical_point,
-                         window_sup_bound)
+from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
+                         horizon_tolerance, replay_synth, SynthPoint,
+                         synthesize_point, typical_point, Window)
 from ergocert.cli import EXIT_OK, main
-from ergocert.dynamics import (centered, doubling_system, rotation_system,
-                               shift_system)
+from ergocert.dynamics import doubling_system, rotation_system, shift_system
 from ergocert.errors import InputError
 from ergocert.measures import measure_of_finite_union, support_hit
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_to_json)
-from ergocert.rates import SummableSchedule
-from ergocert.spaces import CANTOR, CirclePoint, EffectiveOpen, IdealBall
+from ergocert.spaces import CANTOR, CirclePoint, IdealBall
 
 SHIFT = shift_system(F(1, 2))
 DBL = doubling_system()
@@ -34,28 +31,29 @@ class TestExactWindows:
         # [DERIVED: frozen exact complement masses for geometric caps]
         bc = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j),
                               count=4)
-        got = [(bc.info(j)["n"], bc.err(j)) for j in range(1, 5)]
+        got = [(w.info["n"], w.err) for w in map(bc.window, range(1, 5))]
         assert got == [(2, F(1, 2)), (3, F(1, 4)), (7, F(1, 8)),
                        (14, F(235, 4096))]
         for j in range(1, 5):
-            assert bc.err(j) <= pow2(j)
-        assert bc.err(9) == 0  # beyond count: vacuous whole-space window
+            assert bc.window(j).err <= pow2(j)
+        assert bc.window(9).err == 0  # beyond count: the whole space
         # the second member of test_intersection_tail_sound: coordinate 1
         # at caps 2^-(2+j); the fourth window finds no n <= 18
         bc = bc_exact_windows(SHIFT, CylinderFn.coordinate(1),
                               caps=lambda j: pow2(2 + j), count=4)
-        got = [(bc.info(j)["n"], bc.info(j)["delta"], bc.err(j))
-               for j in range(1, 5)]
+        got = [(w.info["n"], w.info["delta"], w.err)
+               for w in map(bc.window, range(1, 5))]
         assert got == [(4, F(1, 2), F(1, 8)), (14, F(1, 4), F(235, 4096)),
                        (18, F(1, 4), F(253, 8192)), (None, None, 0)]
-        assert bc.info(4)["trivial"] and not bc.info(3)["trivial"]
+        assert bc.window(4).info["trivial"]
+        assert not bc.window(3).info["trivial"]
 
     def test_doubling_first_window(self):
         # [DERIVED: frozen exact arc mass of the first deviation window]
         bc = bc_exact_windows(DBL, HAT, caps=lambda j: pow2(j), count=3)
-        assert bc.info(1)["n"] == 1 and bc.err(1) == F(9, 32)
+        assert bc.window(1).info["n"] == 1 and bc.window(1).err == F(9, 32)
         for j in range(1, 4):
-            assert bc.err(j) <= pow2(j)
+            assert bc.window(j).err <= pow2(j)
 
     def test_rotation_caps_met(self):
         # [DERIVED: rationalized rotation windows still meet their caps]
@@ -63,35 +61,31 @@ class TestExactWindows:
                                                        F(1, 8)),
                               caps=lambda j: pow2(j), count=3)
         for j in range(1, 4):
-            assert bc.err(j) <= pow2(j)
+            assert bc.window(j).err <= pow2(j)
 
     def test_tail_dominates_errs(self):
         # [DERIVED: tail(u) >= sum of remaining certified errors]
         bc = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j),
                               count=4)
         for u in range(1, 6):
-            assert sum(bc.err(j) for j in range(u, 12)) <= bc.tail(u)
+            assert sum(bc.window(j).err for j in range(u, 12)) <= bc.tail(u)
 
     def test_opens_have_certified_mass(self):
         # [DERIVED: mu(U_j) >= 1 - err(j), measured from the exact prefix]
         bc = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j),
                               count=3)
         for j in range(1, 4):
-            u = bc.opens(j)
-            assert measure_of_finite_union(SHIFT.tag, u.exact_prefix) \
-                >= 1 - bc.err(j)
+            w = bc.window(j)
+            assert measure_of_finite_union(SHIFT.tag, w.balls) >= 1 - w.err
 
 
 class TestIntersect:
     def test_cap_violation_rejected(self):
         # [DERIVED: a member whose error misses its dovetail cap must raise]
-        fat = BCSequence(space=CANTOR,
-                         opens=lambda j: EffectiveOpen.whole(CANTOR),
-                         err=lambda j: F(1, 2),
-                         tail=lambda u: F(1))
-        inter = bc_intersect([fat, fat])
+        half = Window(F(1, 2), SHIFT.full_region(), CANTOR.cover(), {})
+        fat = BCSequence(CANTOR, [half] * 4, [half])
         with pytest.raises(InputError):
-            inter.err(5)
+            bc_intersect([fat, fat])
 
     def test_intersection_tail_sound(self):
         # [DERIVED: reported errors never exceed the dovetail caps and the
@@ -100,12 +94,35 @@ class TestIntersect:
                                 caps=lambda j, i=i: pow2(i + 1 + j), count=4)
                for i, f in enumerate([FIRSTBIT, CylinderFn.coordinate(1)])]
         inter = bc_intersect(bcs)
-        errs = [inter.err(t) for t in range(1, 9)]
+        errs = [inter.window(t).err for t in range(1, 9)]
         assert all(e >= 0 for e in errs)
         for u in range(1, 6):
-            assert sum(inter.err(t)
-                       for t in range(u, inter.support_end + 1)) \
+            assert sum(inter.window(t).err
+                       for t in range(u, len(inter.windows) + 1)) \
                 <= inter.tail(u)
+
+    def test_past_the_list_is_the_tagged_whole_space(self):
+        # [DERIVED: past its list an intersection's window t is the whole
+        #  space with err 0, still recording the member and member window
+        #  of the dovetail pair at t, as the listed windows do]
+        bcs = [bc_exact_windows(SHIFT, f,
+                                caps=lambda j, i=i: pow2(i + 1 + j), count=2)
+               for i, f in enumerate([FIRSTBIT, CylinderFn.coordinate(1)])]
+        inter = bc_intersect(bcs)
+        # pairs (i, j) with i + j <= 4: (1,1) (1,2) (2,1) (1,3) (2,2)
+        assert len(inter.windows) == 5
+        assert [(w.info["member"], w.info["member_window"])
+                for w in map(inter.window, range(1, 9))] \
+            == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3),
+                (1, 5)]
+        for t in (6, 7, 8):
+            w = inter.window(t)
+            assert w.err == 0 and w.info["trivial"]
+            assert w.balls == CANTOR.cover()
+            assert w.info["observable"] == \
+                bcs[w.info["member"] - 1].window(9).info["observable"]
+        assert inter.tail(6) == inter.tail(100) == 0
+        assert inter.modulus(F(1, 1 << 40)) == 6
 
 
 class TestSynthesis:
@@ -150,6 +167,25 @@ class TestSynthesis:
         rep = replay_synth(SHIFT, bad)
         assert not rep["ok"]
 
+    def test_replay_bounds_the_recorded_precision(self):
+        # [DERIVED: a window's precision may reach the accepted ball's
+        #  depth + 2, what synthesis records on Cantor space, and no more]
+        bc = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j),
+                              count=4)
+        sp = synthesize_point(SHIFT, bc, IdealBall(CANTOR, "1", F(3, 4)),
+                              windows=2)
+        d = sp.to_json()
+        first = d["certs"][0]
+        depth = CANTOR.depth(IdealBall.from_json(first["ball"]))
+        assert first["precision"] == depth + 2
+        assert replay_synth(SHIFT, SynthPoint.from_json(d))["ok"]
+        first["precision"] = depth + 3
+        rep = replay_synth(SHIFT, SynthPoint.from_json(d))
+        assert not rep["ok"]
+        assert rep["failures"] == [f"window {first['index']}: precision "
+                                   f"{depth + 3} above the accepted ball's "
+                                   "depth + 2"]
+
     def test_points_dense_in_support(self, capsys, tmp_path):
         # [PAPER: pseudorandom points are dense in the support: the CLI
         #  synthesizes one in each of the first positive-mass canonical
@@ -171,37 +207,6 @@ class TestSynthesis:
             sp = SynthPoint.from_json(json.loads(art.read_text()))
             assert sp.balls[0] == target
             assert CANTOR.inside(sp.balls[-1], target)
-
-
-class TestFromRate:
-    def test_lazy_opens_sound(self):
-        # [DERIVED: every ball the lazy enumerator emits is certified
-        # inside its window by interval arithmetic]
-        # constant observable: certification is immediate, so the
-        # effort-capped enumerator must emit witnesses quickly
-        const = CylinderFn.constant(F(1, 2))
-        bc = bc_from_rate(SHIFT, const, SummableSchedule.geometric())
-        u = bc.opens(1)
-        fbar = centered(SHIFT, const)
-        s = SummableSchedule.geometric()
-        found = 0
-        for t in range(400):
-            b = u.ball(t)
-            if b is None:
-                continue
-            found += 1
-            for n in (1, 2, 5):
-                assert window_sup_bound(SHIFT, fbar, n, b) < s.delta(1)
-            if found >= 3:
-                break
-        assert found >= 1
-
-    def test_errors_follow_schedule(self):
-        # [TRIVIAL]
-        s = SummableSchedule.geometric()
-        bc = bc_from_rate(SHIFT, FIRSTBIT, s)
-        for j in range(1, 4):
-            assert bc.err(j) <= s.eps(j)
 
 
 class TestTypical:

@@ -1,6 +1,10 @@
 """CLI verbs, exit codes, artifact round-trips."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ HAT = ('{"variant": "piecewise_linear", "segments": '
        ' ["1/4", "3/4", "1", "1"], ["3/4", "7/8", "1", "0"],'
        ' ["7/8", "1", "0", "0"]]}')
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -399,3 +404,62 @@ class TestExitCodes:
         monkeypatch.setattr(rates, "observable_from_json", broken)
         with pytest.raises(AttributeError):
             rates.check_certificate(rates.RateCertificate.from_json(cert))
+
+
+def capped(*argv):
+    """(exit code, stdout, stderr) of the CLI run in a subprocess under a
+    1 GB address-space cap and a 30 s timeout."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ergocert.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap, env={**os.environ,
+                                               "PYTHONPATH": path})
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestPricedBeforeBuilt:
+    """Sizes read from the input are priced before anything that size is
+    built: each case ends in its exit code and a JSON answer, never a
+    MemoryError traceback or a run past the timeout."""
+
+    def test_huge_cylinder_depth(self):
+        code, out, err = capped(
+            "rate", "--system", "shift:p=1/2", "--eps", "1/4",
+            "--observable", '{"variant": "cylinder", '
+                            '"depth": 100000000000, "table": ["0"]}')
+        assert code == EXIT_INPUT and "Traceback" not in err
+        assert json.loads(err)["error"] == "input"
+
+    def test_deep_cantor_bump(self):
+        # radius 2^-26: a table of 2^26 cylinders
+        code, out, err = capped(
+            "rate", "--system", "shift:p=1/2", "--kind", "norm-l1",
+            "--eps", "1/4", "--observable",
+            '{"variant": "fterm", "expr": {"op": "gen", "space": "cantor",'
+            ' "s": "", "r": "1/67108864", "eps": "1/4"}}')
+        assert code == EXIT_BUDGET and "Traceback" not in err
+        assert json.loads(err)["error"] == "budget_exceeded"
+
+    def test_huge_window_n(self, tmp_path):
+        point = json.loads((CORPUS / "synth_doubling_hat_a.json").read_text())
+        point["certs"][0]["n"] = 10 ** 11
+        art = tmp_path / "point.json"
+        art.write_text(json.dumps(point))
+        code, out, err = capped("replay", "--fast", "--artifact", str(art))
+        assert code == EXIT_BUDGET and "Traceback" not in err
+        assert json.loads(err)["error"] == "budget_exceeded"
+
+    def test_huge_precision(self, tmp_path):
+        # a failed window, reported in the replay's own JSON
+        point = json.loads((CORPUS / "synth_doubling_hat_a.json").read_text())
+        point["certs"][0]["precision"] = 10 ** 6
+        art = tmp_path / "point.json"
+        art.write_text(json.dumps(point))
+        code, out, err = capped("replay", "--artifact", str(art))
+        assert code == EXIT_INPUT and "Traceback" not in err
+        report = json.loads(out)
+        assert not report["ok"]
+        assert any("precision 1000000" in f for f in report["failures"])

@@ -12,7 +12,7 @@ from ergocert.errors import InputError
 from ergocert.measures import (IdealMeasure, MeasureTag,
                                measure_of_finite_union, support_hit, w1_ideal)
 from ergocert.regions import cylinder_mass
-from ergocert.spaces import CANTOR, CIRCLE, EffectiveOpen, IdealBall
+from ergocert.spaces import CANTOR, CIRCLE, IdealBall
 
 
 def rand_measure(rng, space, max_atoms=4):
@@ -358,8 +358,7 @@ class TestInstanceOracles:
         ball = IdealBall(CIRCLE, F(1, 2), F(1, 8))
         assert measure_of_finite_union(tag, [ball]) == F(1, 4)
         for space, tag in ((CIRCLE, tag), (CANTOR, MeasureTag.bernoulli(1))):
-            whole = EffectiveOpen.whole(space).exact_prefix
-            assert measure_of_finite_union(tag, whole) == 1
+            assert measure_of_finite_union(tag, space.cover()) == 1
 
     def test_support_hit(self):
         # [PAPER: Lebesgue and Bernoulli(1/2) have full support;

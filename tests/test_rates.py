@@ -15,9 +15,9 @@ from ergocert.dynamics import (doubling_system, l_norm_birkhoff, integral,
                                rotation_system, shift_system)
 from ergocert.errors import InputError
 from ergocert.observables import CylinderFn, PiecewiseLinear
-from ergocert.rates import (NormOracle, RateCertificate, SummableSchedule,
-                            as_rate_bounded, as_rate_l1, check_certificate,
-                            l_rate, sqrt_upper, validate_as)
+from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
+                            as_rate_l1, check_certificate, l_rate,
+                            sqrt_upper, validate_as)
 from ergocert.regions import cylinder_mass
 
 SHIFT = shift_system(F(1, 2))
@@ -206,21 +206,3 @@ class TestValidation:
         cert = l_rate(SHIFT, FIRSTBIT, F(1, 4))
         with pytest.raises(InputError):
             validate_as(SHIFT, FIRSTBIT, cert, 8)
-
-
-class TestSummableSchedule:
-    def test_geometric_tail_sound(self):
-        # [DERIVED: tail(u) dominates the exact geometric tail sum]
-        s = SummableSchedule.geometric()
-        for u in range(1, 10):
-            exact = sum(s.eps(j) for j in range(u, u + 60)) + F(1, 1 << 59)
-            assert exact <= s.tail(u) or abs(exact - s.tail(u)) < F(1, 1 << 50)
-            assert sum(s.eps(j) for j in range(u, u + 200)) < s.tail(u) \
-                + F(1, 1 << 100)
-
-    def test_modulus_contract(self):
-        # [DERIVED: sum_{j >= modulus(e)} eps_j < e]
-        s = SummableSchedule.geometric(shift=2)
-        for e in (F(1, 2), F(1, 16), F(1, 100)):
-            u = s.modulus(e)
-            assert s.tail(u) < e

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
-                             EffectiveOpen, IdealBall, Membership, ball_member,
-                             cantor_dist, cantor_word, cantor_word_index,
-                             circle_dist, circle_index, circle_point, pair,
-                             pos_rational, space_named, unpair)
+                             IdealBall, Membership, ball_member, cantor_dist,
+                             cantor_word, cantor_word_index, circle_dist,
+                             circle_index, circle_point, pair, pos_rational,
+                             space_named, unpair)
 
 
 class TestNumberings:
@@ -188,12 +188,3 @@ class TestSpaceNames:
         for bad in ("torus", "Circle", "", None, ["circle"]):
             with pytest.raises(ValueError, match="unknown space"):
                 space_named(bad)
-
-
-class TestEffectiveOpen:
-    def test_whole(self):
-        # [TRIVIAL] the whole space lists its cover and nothing past it
-        for space in (CIRCLE, CANTOR):
-            w = EffectiveOpen.whole(space)
-            assert w.ball(0) is not None
-            assert w.ball(len(w.exact_prefix)) is None

@@ -16,11 +16,6 @@ PERFBENCH = ROOT / "perfbench"
 KEPT = (
     # tests/test_acceptance.py imports it to read a point's carried tolerance
     "bc.horizon_tolerance",
-    # with window_sup_bound and SummableSchedule: synthesis from rate
-    # certificates, the paper's own route, which the CLI does not use yet
-    "bc.bc_from_rate",
-    "rates.SummableSchedule.geometric",
-    "spaces.EffectiveOpen.ball",
     # fixtures of the tests of live code; deleting them would only move
     # the same code into the tests
     "arith.Interval.contains",
