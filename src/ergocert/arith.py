@@ -81,30 +81,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        c = [self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi]
-        return Interval(min(c), max(c))
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
     def intersect(self, other) -> "Interval | None":
         other = _as_interval(other)
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)

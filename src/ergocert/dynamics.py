@@ -160,10 +160,8 @@ class Shift(System):
     def orbit_enclosure(self, g: CylinderFn, x, n: int, m_in: int) -> Interval:
         # exact: the average reads no more than these symbols
         word = x.prefix(n + g.depth - 1 if g.depth else n)
-        tot = Interval.point(0)
-        for i in range(n):
-            tot = tot + g.range_on_prefix(word[i:])
-        return Interval(tot.lo / n, tot.hi / n)
+        return Interval.point(sum(g.value_on_word(word[i:])
+                                  for i in range(n)) / n)
 
     def average(self, g: CylinderFn, n: int) -> CylinderFn:
         if not g.depth:
@@ -435,15 +433,6 @@ class Rotation(CircleMap):
         return pl_sum(head + [g.shift(self.alpha * i) if i else g
                               for i in range(m, n)])
 
-    def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
-        # no decay of correlations: square-integrate the exact average
-        abar = birkhoff_observable(self, f, p).add_const(-integral(self, f))
-        sq = abar.square_integral()
-        if isinstance(sq, Quad):
-            lo = sq.approx(60)
-            return Interval(lo - pow2(60), lo + pow2(60))
-        return Interval(sq, sq)
-
     def norm_method(self, fbar, p: int, norm: str) -> str:
         # the L1 norm is irrational and correlations do not decay: bound
         # every norm by the sup norm of the exact average
@@ -652,44 +641,42 @@ def l2_sq_enclosure(system: System, f: Observable, p: int,
     all correlations are computed, tail-bounded otherwise.
 
     Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)]
-    on the doubling map and the shift; the rotation, whose correlations do
-    not decay, square-integrates its exact average.  A caller that probes
-    many p passes the system's correlation table of fbar as `corr` once
-    computed; f is then not re-centered.  On the doubling map the table
-    stops transferring at the first iterate that repeats up to a scalar
+    on the doubling map and the shift.  A caller that probes many p passes
+    the system's correlation table of fbar as `corr` once computed; f is
+    then not re-centered.  On the doubling map the table stops transferring
+    at the first iterate that repeats up to a scalar
     (`doubling_correlations`), and each p combines the table's integer
     prefix sums into one Fraction per end (`Correlations`)."""
     return system.l2_sq(f, p, corr)
 
 
 def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
-    k = fbar.depth
-    maskk = (1 << k) - 1
-    return table_integral([fbar.table[w >> m] * fbar.table[w & maskk]
-                           for w in range(1 << (k + m))], prob)
+    """C(m) = E[fbar . fbar o sigma^m] for m < depth k, in integers.  The
+    k + m symbols both factors read split as u v w with |u| = |w| = m, so
+    C(m) = sum_v mu(v) A(v) B(v) with A(v) = sum_u mu(u) fbar(uv) and
+    B(v) = sum_w mu(w) fbar(vw): 2^(k+1) products, not 2^(k+m)."""
+    k, a, b = fbar.depth, prob.numerator, prob.denominator
+    den = math.lcm(*[x.denominator for x in fbar.table])
+    nums = [x.numerator * (den // x.denominator) for x in fbar.table]
+
+    def mu(n):  # b^n mu(word) for every word of n symbols
+        return [a ** w.bit_count() * (b - a) ** (n - w.bit_count())
+                for w in range(1 << n)]
+
+    mu_m, run = mu(m), 1 << (k - m)
+    A = [sum(c * nums[(u << (k - m)) + v] for u, c in enumerate(mu_m))
+         for v in range(run)]
+    B = [sum(c * x for c, x in zip(mu_m, nums[v << m:(v + 1) << m]))
+         for v in range(run)]
+    return Fraction(sum(c * x * y for c, x, y in zip(mu(k - m), A, B)),
+                    b ** (k + m) * den * den)
 
 
-def l_norm_birkhoff(system: System, f: Observable, p: int, norm: str = "L1"):
-    """Exact norm of A_p(f - integral f).
-
-    L1 returns the exact value.  L2 returns the exact *squared* value (the
-    true norm is generally irrational; callers compare against squared
-    thresholds, which is lossless)."""
-    if norm not in ("L1", "L2"):
-        raise InputError("norm must be L1 or L2")
+def l_norm_birkhoff(system: System, f: Observable, p: int):
+    """Exact L1 norm of A_p(f - integral f)."""
     if p < 1:
         raise InputError("p must be >= 1")
-    if norm == "L2":
-        box = l2_sq_enclosure(system, f, p)
-        if box.width == 0:
-            return box.lo
-        raise BudgetExceededError("exact L2 norm out of range; "
-                                  "use l2_sq_enclosure for a certified bound")
-    val = system.l1_norm(centered(system, f), p)
-    if isinstance(val, Quad):
-        raise BudgetExceededError("rotation L1 norm is irrational; "
-                                  "use rotation_sup_bound for a certificate")
-    return val
+    return system.l1_norm(centered(system, f), p)
 
 
 def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:

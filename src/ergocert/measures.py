@@ -45,9 +45,6 @@ class IdealMeasure:
     def dirac(space: Space, point) -> "IdealMeasure":
         return IdealMeasure(space, ((point, Fraction(1)),))
 
-    def to_json(self) -> list:
-        return [[self.space.point_to_json(p), fmt_rat(w)] for p, w in self.atoms]
-
     @staticmethod
     def from_json(space: Space, data: list) -> "IdealMeasure":
         return IdealMeasure(space, tuple((space.point_from_json(p), parse_rat(w))

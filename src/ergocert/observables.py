@@ -22,7 +22,7 @@ from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
                     parse_rat, sign_root2)
 from .errors import BudgetExceededError
 from .regions import ArcSet, cylinder_mass
-from .spaces import (CANTOR, CIRCLE, Space, cantor_dist, pos_rational,
+from .spaces import (CANTOR, CIRCLE, Space, pos_rational,
                      space_named, unpair)
 
 #: hard cap on exact cylinder enumeration (2^(p+k) cylinders)
@@ -850,11 +850,18 @@ class CylinderFn:
             raise BudgetExceededError(f"a bump of radius {r} needs more "
                                       f"than 2^{CYLINDER_BUDGET_LOG2} "
                                       "cylinders")
-        table = []
-        for w in range(1 << depth):
-            d = cantor_dist(format(w, f"0{depth}b"), s)
+        def bump(d):
             v = 1 - max(d - r, Fraction(0)) / eps
-            table.append(max(Fraction(0), min(Fraction(1), v)))
+            return max(Fraction(0), min(Fraction(1), v))
+
+        # the words that first differ from s at index i are one run of
+        # 2^(depth-i-1) entries, all at distance 2^-i
+        t = int(s.ljust(depth, "0"), 2)
+        table = [bump(Fraction(0))] * (1 << depth)
+        for i in range(depth):
+            run = 1 << (depth - i - 1)
+            start = ((t >> (depth - i - 1)) ^ 1) * run
+            table[start:start + run] = [bump(Fraction(1, 1 << i))] * run
         return CylinderFn(depth, table)
 
     def value_on_word(self, w: str) -> Fraction:
@@ -897,17 +904,6 @@ class CylinderFn:
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.table)
-
-    def range_on_prefix(self, partial: str) -> Interval:
-        """Range of the function over all infinite words extending
-        `partial`."""
-        k = self.depth
-        if len(partial) >= k:
-            return Interval.point(self.value_on_word(partial))
-        free = k - len(partial)
-        base = int(partial, 2) << free if partial else 0
-        vals = [self.table[base + s] for s in range(1 << free)]
-        return Interval(min(vals), max(vals))
 
     def integral(self, p) -> Fraction:
         """Exact expectation under Bernoulli(p)."""

@@ -57,7 +57,7 @@ class NormOracle:
         if method == "sup-exact":
             return rotation_sup_bound(self.system, self.f, p), method
         if method == "l1-exact":
-            return l_norm_birkhoff(self.system, self.f, p, "L1"), method
+            return l_norm_birkhoff(self.system, self.f, p), method
         if self._corr is None:
             self._corr = self.system.correlations(self.fbar,
                                                   CORRELATION_CUTOFF)

@@ -1,9 +1,9 @@
 """Computable metric spaces: the unit circle and Cantor space.
 
-Ideal points are numbered effectively in both directions; ideal balls are
-numbered by pairing the point and radius numberings.  Cantor-space radii are
-restricted to 3*2^-(k+1) so every ball is exactly the clopen cylinder fixing
-the first k coordinates.
+Ideal points are numbered effectively; the n-th ideal ball pairs the point
+and radius numberings at `unpair(n)`.  Cantor-space radii are restricted to
+3*2^-(k+1) so every ball is exactly the clopen cylinder fixing the first k
+coordinates.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
 
 # ---------------------------------------------------------------------------
 # Effective numberings
-
-
-def pair(a: int, b: int) -> int:
-    """Cantor pairing."""
-    return (a + b) * (a + b + 1) // 2 + b
 
 
 def unpair(n: int) -> tuple[int, int]:
@@ -60,33 +55,14 @@ def _nth(pairs, i: int) -> Fraction:
     return Fraction(*next(itertools.islice(pairs, i, None)))
 
 
-def _index(pairs, x: Fraction) -> int:
-    key = (x.numerator, x.denominator)
-    return next(i for i, pq in enumerate(pairs) if pq == key)
-
-
 def circle_point(i: int) -> Fraction:
     """i-th rational in [0,1), ordered by denominator then numerator."""
     return _nth(_unit_rationals(), i)
 
 
-def circle_index(x) -> int:
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("not in [0,1)")
-    return _index(_unit_rationals(), x)
-
-
 def pos_rational(j: int) -> Fraction:
     """j-th positive rational, by anti-diagonals of reduced p/q."""
     return _nth(_pos_rationals(), j)
-
-
-def pos_rational_index(r) -> int:
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("not positive")
-    return _index(_pos_rationals(), r)
 
 
 def cantor_word(i: int) -> str:
@@ -101,16 +77,6 @@ def cantor_word(i: int) -> str:
         length += 1
     bits = format(j, f"0{length - 1}b") if length > 1 else ""
     return bits + "1"
-
-
-def cantor_word_index(w: str) -> int:
-    w = w.rstrip("0")
-    if w == "":
-        return 0
-    length = len(w)
-    base = 1 + sum(1 << (l - 1) for l in range(1, length))
-    j = int(w[:-1], 2) if length > 1 else 0
-    return base + j
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +143,6 @@ class CircleSpace(Space):
         if not 0 <= c < 1:
             raise ValueError("circle center must lie in [0,1)")
         return c
-
-    def ball_index(self, ball: "IdealBall") -> int:
-        return pair(circle_index(ball.center), pos_rational_index(ball.radius))
 
     def ball_at(self, a: int, b: int) -> "IdealBall":
         return IdealBall(self, circle_point(a), pos_rational(b))
@@ -280,9 +243,6 @@ class CantorSpace(Space):
         if ball.cylinder_depth is None:
             raise ValueError("cantor radius must be 3*2^-(k+1)")
         return str(ball.center).rstrip("0")
-
-    def ball_index(self, ball: "IdealBall") -> int:
-        return pair(cantor_word_index(ball.center), ball.cylinder_depth)
 
     def ball_at(self, a: int, b: int) -> "IdealBall":
         return self.cylinder_ball(cantor_word(a), b)
@@ -411,9 +371,6 @@ class IdealBall:
     def cylinder_prefix(self) -> str:
         k = self.cylinder_depth
         return self.center.ljust(k, "0")[:k]
-
-    def index(self) -> int:
-        return self.space.ball_index(self)
 
     @staticmethod
     def from_index(space: Space, n: int) -> "IdealBall":

@@ -91,7 +91,7 @@ def test_maximal_ergodic_inequality(capsys):
     depth = horizon + fbar.depth - 1
     avgs = [birkhoff_observable(SHIFT, fbar, n).lift(depth)
             for n in range(1, horizon + 1)]
-    l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1, "L1")
+    l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1)
     ok = True
     for delta in (F(1, 4), F(1, 2), F(3, 4)):
         mass = F(0)
@@ -112,12 +112,12 @@ def test_inequality_chain(capsys):
     ok = True
     checked = 0
     for system, f in ((SHIFT, FIRSTBIT), (DBL, PiecewiseLinear.identity())):
-        fbar_l1 = l_norm_birkhoff(system, f, 1, "L1")
+        fbar_l1 = l_norm_birkhoff(system, f, 1)
         cache: dict = {}
 
         def norm(m):
             if m not in cache:
-                cache[m] = l_norm_birkhoff(system, f, m, "L1")
+                cache[m] = l_norm_birkhoff(system, f, m)
             return cache[m]
 
         for p in range(1, 5):

@@ -4,6 +4,7 @@ import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ DBL = doubling_system()
 ROT = rotation_system()
 FIRSTBIT = CylinderFn.coordinate(0)
 HAT = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 class TestExactWindows:
@@ -185,6 +187,25 @@ class TestSynthesis:
         assert rep["failures"] == [f"window {first['index']}: precision "
                                    f"{depth + 3} above the accepted ball's "
                                    "depth + 2"]
+
+    @pytest.mark.parametrize("where, field, value, details", [
+        ("balls", "radius", "3/4", ["ball 1: radius above 2^-1"]),
+        ("certs", "witness", {"space": "cantor", "center": "0",
+                              "radius": "3/4"},
+         ["window 4: accepted ball escapes witness"]),
+        # A_7 f is 2/7 at the point, 1/28 from the mean 1/4
+        ("certs", "delta", "1/32",
+         ["window 4: witness outside deviation region",
+          "window 4: |A_7 f - mean| not below 1/32"])])
+    def test_replay_rejects_a_weakened_field(self, where, field, value,
+                                             details):
+        # [DERIVED: one field of the first ball or certificate after the
+        #  target, weakened by hand, fails with that check's detail]
+        d = json.loads((CORPUS / "synth_shift1-2_w01.json").read_text())
+        d[where][1 if where == "balls" else 0][field] = value
+        rep = replay_synth(SHIFT, SynthPoint.from_json(d), check_eval=True)
+        assert not rep["ok"]
+        assert all(x in rep["failures"] for x in details), rep["failures"]
 
     def test_points_dense_in_support(self, capsys, tmp_path):
         # [PAPER: pseudorandom points are dense in the support: the CLI

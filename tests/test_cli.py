@@ -310,7 +310,14 @@ class TestExitCodes:
         # the sampled estimate is gone: no such mode
         ["validate", "--certificate",
          str(CORPUS / "cert_rotation_hat_a_as-l1_1-4_1-4.json"),
-         "--horizon", "8", "--mode", "SAMPLED"]])
+         "--horizon", "8", "--mode", "SAMPLED"],
+        # a Bernoulli parameter outside (0, 1)
+        ["rate", "--system", "shift:p=3/2", "--observable", FIRSTBIT,
+         "--eps", "1/4"],
+        # a negative number of windows to construct
+        ["synthesize", "--system", "shift:p=1/2", "--observable", FIRSTBIT,
+         "--target", '{"space": "cantor", "center": "1", "radius": "3/4"}',
+         "--count", "-1"]])
     def test_usage_errors_are_input_errors(self, capsys, argv):
         # exit 2 means a computation budget; a malformed command line is
         # an input error with a typed JSON diagnostic

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ergocert import observables
+from ergocert import dynamics, observables
 from ergocert.arith import Quad, mod1, pow2
 from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                birkhoff_observable, builtin_systems, centered,
@@ -43,8 +43,8 @@ def shift_l1_oracle(system, f, p):
 class TestNorms:
     def test_shift_firstbit_examples(self):
         # [PAPER: ||A_2(f - 1/2)||_1 = 1/4 for the first-bit observable]
-        assert l_norm_birkhoff(SHIFT, FIRSTBIT, 2, "L1") == F(1, 4)
-        assert l_norm_birkhoff(SHIFT, FIRSTBIT, 1, "L1") == F(1, 2)
+        assert l_norm_birkhoff(SHIFT, FIRSTBIT, 2) == F(1, 4)
+        assert l_norm_birkhoff(SHIFT, FIRSTBIT, 1) == F(1, 2)
 
     def test_shift_norm_oracle(self):
         # [DERIVED: full-word enumeration oracle, every p + k - 1 <= 12]
@@ -52,7 +52,7 @@ class TestNorms:
         for system in (SHIFT, shift_system(F(1, 3))):
             for f in (FIRSTBIT, CylinderFn.word_indicator("01"), signed):
                 for p in range(1, 14 - f.depth):
-                    assert l_norm_birkhoff(system, f, p, "L1") == \
+                    assert l_norm_birkhoff(system, f, p) == \
                         shift_l1_oracle(system, f, p)
 
     def test_p_below_one_rejected(self):
@@ -64,7 +64,7 @@ class TestNorms:
 
     def test_doubling_identity_example(self):
         # [PAPER: ||x - 1/2||_1 = 1/4]
-        assert l_norm_birkhoff(DBL, PiecewiseLinear.identity(), 1, "L1") \
+        assert l_norm_birkhoff(DBL, PiecewiseLinear.identity(), 1) \
             == F(1, 4)
 
     def test_shift_l2_iid_closed_form(self):
@@ -88,14 +88,14 @@ class TestNorms:
 
     def test_subadditive_chain_small(self):
         # [DERIVED: ||A_{np+k}||_1 <= ||A_p||_1 + ||f||_1 / n, small cases]
-        fbar_l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1, "L1")
+        fbar_l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1)
         for p in (1, 2, 3):
-            base = l_norm_birkhoff(SHIFT, FIRSTBIT, p, "L1")
+            base = l_norm_birkhoff(SHIFT, FIRSTBIT, p)
             for n in (1, 2, 3):
                 for k in range(p):
                     if n * p + k < 1:
                         continue
-                    lhs = l_norm_birkhoff(SHIFT, FIRSTBIT, n * p + k, "L1")
+                    lhs = l_norm_birkhoff(SHIFT, FIRSTBIT, n * p + k)
                     assert lhs <= base + fbar_l1 / n
 
 
@@ -356,6 +356,24 @@ class TestCorrelations:
         assert doubling_correlations(zero, 5) == [0] * 5
         hat = centered(DBL, self.POOL["hat_b"])
         assert doubling_correlations(hat, 2) == _plain_correlations(hat, 2)
+
+    def test_shift_correlations_match_word_enumeration(self):
+        # [DERIVED: oracle = C(m) = E[fbar . fbar o sigma^m] summed over
+        #  all 2^(k+m) words of the k + m symbols both factors read]
+        rng = random.Random(2027)
+        for prob in (F(1, 2), F(1, 3)):
+            system = shift_system(prob)
+            for k in range(1, 7):
+                f = CylinderFn(k, [F(rng.randint(-5, 5), rng.randint(1, 4))
+                                   for _ in range(1 << k)])
+                fbar = centered(system, f)
+                for m in range(k):
+                    want = F(0)
+                    for w in range(1 << (k + m)):
+                        mass = cylinder_mass(format(w, f"0{k + m}b"), prob)
+                        want += (mass * fbar.table[w >> m]
+                                 * fbar.table[w & ((1 << k) - 1)])
+                    assert dynamics._shift_correlation(fbar, m, prob) == want
 
     def test_l2_sq_matches_fraction_formula(self):
         # [DERIVED: (1/p^2)[p C(0) + 2 sum_{m=1}^{cut-1} (p-m) C(m)] in

@@ -10,7 +10,7 @@ from ergocert.arith import SQRT2_MINUS_1
 from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear,
                                   enumerate_F, observable_from_json,
                                   observable_to_json, pl_inner, pl_sum)
-from ergocert.spaces import CANTOR, CIRCLE
+from ergocert.spaces import CANTOR, CIRCLE, cantor_dist
 
 
 class TestPiecewiseLinear:
@@ -228,6 +228,21 @@ class TestCylinderFn:
             assert a.scale(F(5, 2)).value_on_word(word) == F(5, 2) * av
             assert a.clamp(F(1, 3)).value_on_word(word) == max(
                 -F(1, 3), min(F(1, 3), av))
+
+    def test_hat_matches_per_word_bump(self):
+        # [DERIVED: oracle = the bump 1 - max(d - r, 0)/eps, clamped to
+        #  [0, 1], at the Cantor distance d of each word to s]
+        for s, r, eps in (("", F(1, 4), F(1, 4)), ("1", F(1, 2), F(1, 8)),
+                          ("0110", F(1, 64), F(1, 16)),
+                          ("10100", F(3, 40), F(1, 3)),
+                          ("001", F(1, 1024), F(1, 2)),
+                          ("11", F(1, 16), F(5, 2))):
+            h = CylinderFn.hat(s, r, eps)
+            assert h.depth >= len(s) and F(1, 1 << h.depth) <= r
+            for w in range(1 << h.depth):
+                d = cantor_dist(format(w, f"0{h.depth}b"), s)
+                v = 1 - max(d - r, F(0)) / eps
+                assert h.table[w] == max(F(0), min(F(1), v))
 
     def test_integral_additive_in_p(self):
         # [DERIVED: coordinate i integrates to the symbol-1 probability]

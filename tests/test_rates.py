@@ -43,7 +43,7 @@ class TestEmission:
         m = cert.n0_or_m
         assert m <= 12  # keep the exact re-measurement enumerable
         for extra in (0, 1, 3):
-            assert l_norm_birkhoff(SHIFT, FIRSTBIT, m + extra, "L1") \
+            assert l_norm_birkhoff(SHIFT, FIRSTBIT, m + extra) \
                 <= cert.epsilon
 
     def test_all_certificates_check(self):
@@ -108,6 +108,57 @@ class TestEmission:
         assert not ok and peak < 1 << 20
 
 
+#: a spike of height 8(16 + 1/64)/7 on the cylinder 111: its centered
+#: value 16 + 1/64 exceeds M = 16, so the certificate's truncation tail
+#: rho = 1/512 is positive
+SPIKE = CylinderFn(3, [F(0)] * 7 + [8 * (16 + F(1, 64)) / 7])
+
+
+class TestCheckerRejections:
+    """Each check of `check_certificate` on one field weakened by hand."""
+
+    @pytest.mark.parametrize("name, field, value, detail", [
+        ("shift1-2_first_bit_norm-l1_1-4", "norm_bound", "1/16",
+         "recomputed ||A_p|| bound 63/512 > recorded 1/16"),
+        ("shift1-2_first_bit_norm-l1_1-4", "norm_bound", "1/8",
+         "recorded bound does not clear eps/2"),
+        ("shift1-2_first_bit_norm-l1_1-4", "fbar_norm", "1/4",
+         "recomputed ||fbar|| exceeds recorded value"),
+        ("shift1-2_first_bit_norm-l1_1-4", "n_factor", 3,
+         "n does not satisfy n >= 2||fbar||/eps"),
+        ("shift1-2_first_bit_norm-l1_1-4", "kind", "NORM_L3",
+         "unknown kind NORM_L3"),
+        ("shift1-2_first_bit_as-bounded_1-4_1-2", "norm_bound", "1/32",
+         "recomputed ||A_p||_1 bound 17456337014905/281474976710656 > "
+         "recorded"),
+        ("shift1-2_first_bit_as-bounded_1-4_1-2", "norm_bound", "1/16",
+         "recorded bound does not clear delta*eps/2"),
+        ("shift1-2_first_bit_as-bounded_1-4_1-2", "sup_bound", "1/4",
+         "recomputed sup bound exceeds recorded value")])
+    def test_corpus_certificate_weakened(self, name, field, value, detail):
+        # [DERIVED: the checker recomputes each recorded quantity, so a
+        #  single weakened field fails with that check's detail]
+        d = json.loads((CORPUS / f"cert_{name}.json").read_text())
+        assert check_certificate(RateCertificate.from_json(d)) == (True, "ok")
+        d[field] = value
+        assert check_certificate(RateCertificate.from_json(d)) \
+            == (False, detail)
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("rho", "1/1024", "recomputed truncation tail differs"),
+        ("delta", "1/64", "truncation tail too large"),
+        ("tail_level", "1/64", "tail level mismatch"),
+        ("delta_sub", "0", "level budget does not add up")])
+    def test_truncation_weakened(self, field, value, detail):
+        # [DERIVED: rho = 1/512 > delta eps/8 once delta = 1/64; the tail
+        #  level is rho/(eps/2) = 1/128]
+        d = as_rate_l1(SHIFT, SPIKE, F(1, 2), F(1, 2)).to_json()
+        assert (d["rho"], d["M"], d["tail_level"]) == ("1/512", "16", "1/128")
+        d[field] = value
+        assert check_certificate(RateCertificate.from_json(d)) \
+            == (False, detail)
+
+
 class TestNormOracle:
     def test_doubling_l2_matches_enclosure(self):
         # [DERIVED: the p-search reuses one correlation table for every p;
@@ -127,7 +178,7 @@ class TestMaximalInequality:
         d_max = horizon + fbar.depth - 1
         avgs = [birkhoff_observable(SHIFT, fbar, n).lift(d_max)
                 for n in range(1, horizon + 1)]
-        l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1, "L1")
+        l1 = l_norm_birkhoff(SHIFT, FIRSTBIT, 1)
         for delta in (F(1, 4), F(1, 2), F(3, 4)):
             mass = F(0)
             for w in range(1 << d_max):

@@ -10,33 +10,37 @@ from hypothesis import strategies as st
 
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall, Membership, ball_member, cantor_dist,
-                             cantor_word, cantor_word_index, circle_dist,
-                             circle_index, circle_point, pair, pos_rational,
-                             space_named, unpair)
+                             cantor_word, circle_dist, circle_point,
+                             pos_rational, space_named, unpair)
 
 
 class TestNumberings:
-    def test_pairing_bijective(self):
-        # [TRIVIAL] Cantor pairing round-trips
-        for n in range(500):
-            a, b = unpair(n)
-            assert pair(a, b) == n
+    def test_unpairing_bijective(self):
+        # [TRIVIAL] the first s(s+1)/2 indices hit each (a, b) with
+        #  a + b < s exactly once
+        s = 30
+        pairs = [unpair(n) for n in range(s * (s + 1) // 2)]
+        assert sorted(pairs) == sorted((a, b) for a in range(s)
+                                       for b in range(s - a))
 
-    def test_circle_points_injective_and_inverse(self):
-        # [DERIVED: first indices follow the denominator-ordered listing]
+    def test_circle_points_injective_and_covering(self):
+        # [DERIVED: first indices follow the denominator-ordered listing,
+        #  so the rationals of denominator <= 8 come first]
         pts = [circle_point(i) for i in range(60)]
         assert len(set(pts)) == 60
         assert pts[0] == 0 and F(1, 2) in pts[:3]
-        for i, p in enumerate(pts):
-            assert circle_index(p) == i
+        small = {F(p, q) for q in range(1, 9) for p in range(q)}
+        assert set(pts[:len(small)]) == small
 
     def test_cantor_words_injective_no_trailing_zeros(self):
         # [DERIVED: padding-insensitive numbering needs canonical forms]
         ws = [cantor_word(i) for i in range(200)]
         assert len(set(ws)) == 200
         assert all(w == "" or w.endswith("1") for w in ws)
-        for i, w in enumerate(ws):
-            assert cantor_word_index(w) == i
+        # the first 2^7 words are the canonical forms of every word of
+        # length <= 7
+        assert set(ws[:1 << 7]) == {format(v, f"0{n}b").rstrip("0")
+                                    for n in range(8) for v in range(1 << n)}
 
     def test_pos_rational_positive_injective(self):
         # [TRIVIAL]
@@ -84,12 +88,22 @@ class TestBalls:
             IdealBall.from_json({"space": "torus", "center": "01",
                                  "radius": "3/8"})
 
-    def test_ball_index_roundtrip(self):
-        # [DERIVED: effective numbering of balls is bijective where defined]
+    def test_ball_numbering_injective_and_covering(self):
+        # [DERIVED: the n-th ball pairs the a-th point with the b-th radius
+        #  for (a, b) = unpair(n), so the first s(s+1)/2 balls are distinct
+        #  and hold every such pair with a + b < s]
+        s = 12
+        ball_at = {
+            CIRCLE: lambda a, b: IdealBall(CIRCLE, circle_point(a),
+                                           pos_rational(b)),
+            CANTOR: lambda a, b: CANTOR.cylinder_ball(cantor_word(a), b)}
         for space in (CIRCLE, CANTOR):
-            for n in range(80):
-                b = IdealBall.from_index(space, n)
-                assert b.index() == n
+            balls = [IdealBall.from_index(space, n)
+                     for n in range(s * (s + 1) // 2)]
+            assert len(set(balls)) == len(balls)
+            assert set(balls) == {ball_at[space](a, b) for a in range(s)
+                                  for b in range(s - a)}
+            for b in balls:
                 assert IdealBall.from_json(b.to_json()) == b
 
     def test_membership_circle(self):

@@ -21,6 +21,8 @@ KEPT = (
     "arith.Interval.contains",
     "measures.IdealMeasure.dirac",
     "spaces.CantorPoint.from_word",
+    # the tests' exact L2 reference for the piecewise-linear kernels
+    "observables.PiecewiseLinear.square_integral",
 )
 
 
@@ -38,13 +40,18 @@ def _refs(node, attributes_only=False) -> Counter:
 
 
 def _bench_refs(perfbench: Path) -> set:
-    """Names perfbench/ reads in code, or names as a dotted target string
-    such as "spaces.ball_member"; prose in comments and docstrings does
-    not count."""
+    """Names perfbench/ reads in code as an attribute or as a bare name it
+    imports from ergocert, or names as a dotted target string such as
+    "spaces.ball_member"; a local of the same spelling and prose in
+    comments and docstrings do not count."""
     out = set()
     for path in perfbench.glob("*.py"):
         tree = ast.parse(path.read_text())
-        out |= set(_refs(tree))
+        out |= set(_refs(tree, attributes_only=True))
+        out |= {a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)
+                and (n.module or "").split(".")[0] == "ergocert"
+                for a in n.names}
         out |= {part for n in ast.walk(tree)
                 if isinstance(n, ast.Constant) and isinstance(n.value, str)
                 and all(w.isidentifier() for w in n.value.split("."))
@@ -156,3 +163,19 @@ def test_guard_counts_aliases_and_bench_targets(tmp_path):
                "import a\nt = a.timed\n",
     })
     assert found == {"a.noted"}
+
+
+def test_guard_ignores_a_bench_local_of_the_same_name(tmp_path):
+    # [DERIVED: a bare name in perfbench reads a package name only when
+    #  perfbench imports it from ergocert; a local variable of the same
+    #  spelling keeps no method alive]
+    found = _tree(tmp_path, {
+        "a": "class Ball:\n"
+             "    def index(self):\n        return 0\n"
+             "def imported():\n    return 1\n"
+             "b = Ball()\n",
+    }, bench={
+        "run": "from ergocert.a import imported\n"
+               "index = [0]\nindex[0] += imported()\n",
+    })
+    assert found == {"a.Ball.index"}
