@@ -30,7 +30,8 @@ from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
 SEGMENT_BUDGET = 1 << 21
 #: correlation terms computed exactly before the geometric tail bound kicks in
 CORRELATION_CUTOFF = 120
-#: largest octave that is searched linearly for the minimal p
+#: largest octave searched for the minimal p (scanned, then bisected where
+#: the bound is l2-upper and nonincreasing)
 SCAN_CAP = 2048
 #: cap on the doubling p-search
 DEFAULT_P_BUDGET = 1 << 34
@@ -52,7 +53,9 @@ class System:
     schedule, exact regions and their ball lists, the exact validation
     mode and the defaults of exact Borel-Cantelli windows.  The base class
     holds the route shared by the two mixing systems: ||A_p fbar||_2^2 from
-    the correlations C(m) of fbar, and a doubling-then-scan p-search."""
+    the correlations C(m) of fbar, and a doubling p-search that scans the
+    winning octave and bisects it where the L2 bound is proved
+    nonincreasing."""
 
     name: str
     space: Space
@@ -119,10 +122,13 @@ class System:
             return "l1-exact"
         return "l2-upper"
 
-    def search_p(self, bound, threshold: Fraction):
+    def search_p(self, bound, threshold: Fraction, settled):
         """(p, w, method) with bound(p) = (w, method) and w < threshold:
-        a doubling schedule up to DEFAULT_P_BUDGET, then a linear scan of
-        the winning octave when it is small enough to examine exhaustively."""
+        a doubling schedule up to DEFAULT_P_BUDGET, then the least q of a
+        winning octave at most SCAN_CAP wide.  The octave is scanned up to
+        the first failing `l2-upper` q with settled(q), then bisected: later
+        probes stay `l2-upper` and their bound is nonincreasing, so the
+        bisection finds the q the scan would."""
         p = 1
         while True:
             w, method = bound(p)
@@ -132,11 +138,16 @@ class System:
             if p > DEFAULT_P_BUDGET:
                 raise BudgetExceededError(
                     f"p-search exceeded {DEFAULT_P_BUDGET}")
-        if p > 1 and (p - p // 2) <= SCAN_CAP:
-            for q in range(p // 2 + 1, p):
+        if p - p // 2 <= SCAN_CAP:
+            lo, bisect = p // 2, False  # bound(lo) fails, bound(p) clears
+            while p - lo > 1:
+                q = (lo + p) // 2 if bisect else lo + 1
                 wq, mq = bound(q)
                 if wq < threshold:
-                    return q, wq, mq
+                    p, w, method = q, wq, mq
+                else:
+                    lo = q
+                    bisect = bisect or (mq == "l2-upper" and settled(q))
         return p, w, method
 
 
@@ -167,8 +178,8 @@ class Shift(System):
         if not g.depth:
             return g
         den, table = self.birkhoff_sum(g, n)
-        return CylinderFn(n + g.depth - 1, [Fraction(s, den * n)
-                                            for s in table])
+        return CylinderFn._of(n + g.depth - 1, [Fraction(s, den * n)
+                                                for s in table])
 
     def _extend(self, g: CylinderFn, state, m: int, n: int):
         # (den, den S_n) on the n + k - 1 symbols S_n reads; appending b to
@@ -186,10 +197,15 @@ class Shift(System):
         return den, table
 
     def correlations(self, fbar: CylinderFn, count: int) -> Correlations:
-        # C(m) = 0 for m >= depth (independence), so the list is exact
+        # C(m) = 0 for m >= depth (independence), so the list is exact;
+        # each term costs about 2^(k+1) integer products, priced first
         k = fbar.depth
+        terms = min(k, count) or 1
+        if terms << (k + 1) > 1 << CYLINDER_BUDGET_LOG2:
+            raise BudgetExceededError(f"{terms} correlations of depth {k} "
+                                      f"need over 2^{CYLINDER_BUDGET_LOG2}")
         return Correlations([_shift_correlation(fbar, m, self.p)
-                             for m in range(min(k, count) or 1)], 0)
+                             for m in range(terms)], 0)
 
     def l1_exact_feasible(self, fbar: CylinderFn, p: int) -> bool:
         return (p + fbar.depth - 1 if fbar.depth else 0) <= 16
@@ -438,7 +454,7 @@ class Rotation(CircleMap):
         # every norm by the sup norm of the exact average
         return "sup-exact"
 
-    def search_p(self, bound, threshold: Fraction):
+    def search_p(self, bound, threshold: Fraction, settled):
         """Probe the denominators of the continued-fraction convergents of
         the angle only: intermediate p are not competitive and each probe
         costs a full exact average."""
@@ -633,6 +649,19 @@ class Correlations:
         tn, td = self.decay.numerator, self.decay.denominator << (cut - 1)
         mid, tail, den = tot * td, 2 * tn * self.den * p, self.den * p * p * td
         return Interval(Fraction(mid - tail, den), Fraction(mid + tail, den))
+
+    def nonincreasing_from(self) -> Optional[int]:
+        """A p from which l2_sq(p).hi is nonincreasing, or None: past the
+        table it is (A p - B)/(den td p^2), tn/td the tail constant (0/1
+        without one), whose derivative has the sign of 2B - A p."""
+        size = len(self.sums)
+        tn, td = ((self.decay.numerator, self.decay.denominator << (size - 1))
+                  if self.decay else (0, 1))
+        a = (self.c0 + 2 * self.sums[-1]) * td + 2 * tn * self.den
+        b = 2 * self.msums[-1] * td
+        if a > 0:
+            return max(size + 1, -(-2 * b // a))
+        return size + 1 if a == 0 and b <= 0 else None
 
 
 def l2_sq_enclosure(system: System, f: Observable, p: int,

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -818,6 +818,14 @@ class CylinderFn:
         self.table = [v if type(v) is Fraction else Fraction(v) for v in table]
 
     @staticmethod
+    def _of(depth: int, table: list) -> "CylinderFn":
+        """Wrap a fresh list of 2^depth Fractions, unchecked and uncopied."""
+        f = object.__new__(CylinderFn)
+        f.depth = depth
+        f.table = table
+        return f
+
+    @staticmethod
     def constant(c) -> "CylinderFn":
         return CylinderFn(0, [Fraction(c)])
 
@@ -825,7 +833,8 @@ class CylinderFn:
     def coordinate(i: int) -> "CylinderFn":
         """Indicator of symbol 1 at position i."""
         d = i + 1
-        return CylinderFn(d, [Fraction((w >> (d - 1 - i)) & 1) for w in range(1 << d)])
+        return CylinderFn._of(d, [Fraction((w >> (d - 1 - i)) & 1)
+                                  for w in range(1 << d)])
 
     @staticmethod
     def word_indicator(word: str) -> "CylinderFn":
@@ -833,7 +842,7 @@ class CylinderFn:
         idx = int(word, 2) if word else 0
         table = [Fraction(0)] * (1 << d)
         table[idx] = Fraction(1)
-        return CylinderFn(d, table)
+        return CylinderFn._of(d, table)
 
     @staticmethod
     def hat(s: str, r: Fraction, eps: Fraction) -> "CylinderFn":
@@ -855,14 +864,17 @@ class CylinderFn:
             return max(Fraction(0), min(Fraction(1), v))
 
         # the words that first differ from s at index i are one run of
-        # 2^(depth-i-1) entries, all at distance 2^-i
+        # 2^(depth-i-1) entries at distance 2^-i, appended in order
         t = int(s.ljust(depth, "0"), 2)
-        table = [bump(Fraction(0))] * (1 << depth)
+        runs = [(t, 1, bump(Fraction(0)))]
         for i in range(depth):
             run = 1 << (depth - i - 1)
-            start = ((t >> (depth - i - 1)) ^ 1) * run
-            table[start:start + run] = [bump(Fraction(1, 1 << i))] * run
-        return CylinderFn(depth, table)
+            runs.append((((t >> (depth - i - 1)) ^ 1) * run, run,
+                         bump(Fraction(1, 1 << i))))
+        table = []
+        for _, run, v in sorted(runs):
+            table.extend(repeat(v, run))
+        return CylinderFn._of(depth, table)
 
     def value_on_word(self, w: str) -> Fraction:
         if len(w) < self.depth:
@@ -874,12 +886,13 @@ class CylinderFn:
         if depth < self.depth:
             raise ValueError("cannot drop depth")
         reps = 1 << (depth - self.depth)
-        return CylinderFn(depth, [v for v in self.table for _ in range(reps)])
+        return CylinderFn._of(depth,
+                              [v for v in self.table for _ in range(reps)])
 
     def _zip(self, other: "CylinderFn", op) -> "CylinderFn":
         d = max(self.depth, other.depth)
         a, b = self.lift(d), other.lift(d)
-        return CylinderFn(d, [op(x, y) for x, y in zip(a.table, b.table)])
+        return CylinderFn._of(d, [op(x, y) for x, y in zip(a.table, b.table)])
 
     def add(self, other):
         return self._zip(other, lambda x, y: x + y)
@@ -892,15 +905,16 @@ class CylinderFn:
 
     def scale(self, c):
         c = Fraction(c)
-        return CylinderFn(self.depth, [c * v for v in self.table])
+        return CylinderFn._of(self.depth, [c * v for v in self.table])
 
     def add_const(self, c):
         c = Fraction(c)
-        return CylinderFn(self.depth, [v + c for v in self.table])
+        return CylinderFn._of(self.depth, [v + c for v in self.table])
 
     def clamp(self, m):
         m = Fraction(m)
-        return CylinderFn(self.depth, [max(-m, min(m, v)) for v in self.table])
+        return CylinderFn._of(self.depth,
+                              [max(-m, min(m, v)) for v in self.table])
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.table)

@@ -64,6 +64,11 @@ class NormOracle:
         sq = l2_sq_enclosure(self.system, self.f, p, self._corr)
         return sqrt_upper(sq.hi), method
 
+    def l2_settled(self, p: int) -> bool:
+        """The L2 bound is nonincreasing from p on (after an L2 bound)."""
+        start = self._corr.nonincreasing_from()
+        return start is not None and p >= start
+
     def fbar_norm_upper(self, norm: str) -> Fraction:
         """Certified upper bound on ||fbar||_norm (p = 1)."""
         return self.bound(1, norm)[0]
@@ -74,7 +79,8 @@ def find_p(oracle: NormOracle, threshold: Fraction,
     """Deterministic p-search on the system's schedule
     (`System.search_p`): the smallest probed p whose bound clears the
     threshold."""
-    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold)
+    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold,
+                                  oracle.l2_settled)
 
 
 # ---------------------------------------------------------------------------

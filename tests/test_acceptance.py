@@ -16,7 +16,7 @@ from ergocert.bc import (bc_exact_windows, horizon_tolerance, replay_synth,
 from ergocert.dynamics import (birkhoff_eval, birkhoff_observable, centered,
                                doubling_system, integral, l_norm_birkhoff,
                                rotation_system, shift_system)
-from ergocert.measures import IdealMeasure, w1_ideal
+from ergocert.measures import w1_ideal
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_from_json)
 from ergocert.rates import as_rate_l1, check_certificate, validate_as

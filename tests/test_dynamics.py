@@ -357,6 +357,45 @@ class TestCorrelations:
         hat = centered(DBL, self.POOL["hat_b"])
         assert doubling_correlations(hat, 2) == _plain_correlations(hat, 2)
 
+    def test_shift_correlations_priced_first(self):
+        # [DERIVED: k correlations of depth k cost k 2^(k+1) products:
+        #  depth 18 is within 2^24, depth 19 is refused before any]
+        deep = CylinderFn.hat("01", F(1, 1 << 19), F(1, 4))
+        assert deep.depth == 19
+        with pytest.raises(BudgetExceededError, match="depth 19"):
+            SHIFT.correlations(deep, CORRELATION_CUTOFF)
+
+    def test_l2_upper_nonincreasing_from_its_point(self):
+        # [DERIVED: oracle = l2_sq(p).hi itself at every p from the point
+        #  to 500 past it, on tables with a tail (the doubling map) and
+        #  complete ones (the shift)]
+        rng = random.Random(31)
+        cases = [(DBL, f) for f in self.POOL.values()]
+        cases += [(DBL, _random_pl(rng, rng.randint(7, 16)))
+                  for _ in range(3)]
+        for prob in (F(1, 2), F(1, 3), F(2, 5)):
+            for k in (1, 3, 6):
+                cases.append((shift_system(prob), CylinderFn(
+                    k, [F(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in range(1 << k)])))
+        # the coboundary x_0 - x_1: C(0) + 2 sum C(m) = 0, so the upper
+        # end is -B/p^2 with B < 0
+        cob = CylinderFn(2, [F(w >> 1) - F(w & 1) for w in range(4)])
+        cases.append((SHIFT, cob))
+        for system, f in cases:
+            corr = system.correlations(centered(system, f),
+                                       CORRELATION_CUTOFF)
+            start = corr.nonincreasing_from()
+            assert start is not None and start > len(corr.sums)
+            his = [corr.l2_sq(p).hi for p in range(start, start + 501)]
+            assert all(a >= b for a, b in zip(his, his[1:]))
+        corr = SHIFT.correlations(cob, CORRELATION_CUTOFF)
+        assert corr.nonincreasing_from() == len(corr.sums) + 1
+        # C(0) + 2 C(1) < 0: the upper end (2 - p)/p^2 rises towards 0
+        corr = dynamics.Correlations([F(1), F(-1)], 0)
+        assert corr.nonincreasing_from() is None
+        assert corr.l2_sq(4).hi < corr.l2_sq(5).hi
+
     def test_shift_correlations_match_word_enumeration(self):
         # [DERIVED: oracle = C(m) = E[fbar . fbar o sigma^m] summed over
         #  all 2^(k+m) words of the k + m symbols both factors read]

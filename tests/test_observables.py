@@ -244,6 +244,24 @@ class TestCylinderFn:
                 v = 1 - max(d - r, F(0)) / eps
                 assert h.table[w] == max(F(0), min(F(1), v))
 
+    def test_built_tables_match_the_checked_constructor(self):
+        # [DERIVED: oracle = the checking constructor on the same table:
+        #  the unchecked builds hold 2^depth Fractions, nothing to convert]
+        def same(f):
+            checked = CylinderFn(f.depth, list(f.table))
+            assert checked.table == f.table
+            assert all(type(v) is F for v in f.table)
+
+        for s, r, eps in (("", F(1, 4), F(1, 4)), ("0110", F(1, 64), F(1, 16)),
+                          ("10100", F(3, 40), F(1, 3)),
+                          ("001", F(1, 1024), F(1, 2))):
+            h = CylinderFn.hat(s, r, eps)
+            c = CylinderFn.coordinate(len(s))
+            for f in (h, c, CylinderFn.word_indicator(s), h.lift(h.depth + 2),
+                      h.add(c), h.min_with(c), h.max_with(c), h.scale(-3),
+                      h.add_const(F(-1, 3)), h.clamp(F(1, 2))):
+                same(f)
+
     def test_integral_additive_in_p(self):
         # [DERIVED: coordinate i integrates to the symbol-1 probability]
         for p in (F(1, 2), F(1, 5), F(9, 10)):

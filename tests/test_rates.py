@@ -1,8 +1,8 @@
 """Rate certificates: emission, standalone re-checking, horizon
 validation, and summable schedules."""
 
-import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,15 +10,17 @@ from pathlib import Path
 import pytest
 
 from ergocert.arith import Quad, pow2
-from ergocert.dynamics import (doubling_system, l_norm_birkhoff, integral,
+from ergocert.dynamics import (SCAN_CAP, doubling_system, l_norm_birkhoff,
                                birkhoff_observable, centered, l2_sq_enclosure,
                                rotation_system, shift_system)
 from ergocert.errors import InputError
-from ergocert.observables import CylinderFn, PiecewiseLinear
+from ergocert.observables import (CylinderFn, PiecewiseLinear,
+                                  observable_from_json)
 from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
-                            as_rate_l1, check_certificate, l_rate,
+                            as_rate_l1, check_certificate, find_p, l_rate,
                             sqrt_upper, validate_as)
 from ergocert.regions import cylinder_mass
+from test_dynamics import _random_pl
 
 SHIFT = shift_system(F(1, 2))
 DBL = doubling_system()
@@ -167,6 +169,113 @@ class TestNormOracle:
         for p in (1, 2, 5, 119, 120, 121, 200):
             expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p).hi)
             assert oracle.bound(p, "L2") == (expect, "l2-upper")
+
+
+def _scan_p(oracle, threshold, norm):
+    """The p-search as a plain linear scan: the doubling schedule, then
+    every q of a winning octave of at most SCAN_CAP in turn."""
+    p = 1
+    while True:
+        w, method = oracle.bound(p, norm)
+        if w < threshold:
+            break
+        p *= 2
+    if p > 1 and p - p // 2 <= SCAN_CAP:
+        for q in range(p // 2 + 1, p):
+            wq, mq = oracle.bound(q, norm)
+            if wq < threshold:
+                return q, wq, mq
+    return p, w, method
+
+
+def _counted(oracle):
+    """The oracle, counting its bound calls in the returned list."""
+    calls, bound = [0], oracle.bound
+
+    def counting(p, norm):
+        calls[0] += 1
+        return bound(p, norm)
+
+    oracle.bound = counting
+    return calls
+
+
+class TestSearch:
+    def test_matches_linear_scan(self):
+        # [DERIVED: oracle = an in-test copy of the linear octave scan, on
+        #  seeded observables and thresholds on the doubling map and three
+        #  shifts under both norms; the bisection must be reached]
+        rng = random.Random(2010)
+        cases = []
+        for _ in range(10):
+            cases.append((DBL, _random_pl(rng, rng.randint(7, 16))))
+            for prob in (F(1, 2), F(1, 3), F(2, 5)):
+                k = rng.randint(1, 5)
+                cases.append((shift_system(prob), CylinderFn(
+                    k, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(1 << k)])))
+        saved = 0
+        for system, f in cases:
+            if not centered(system, f).sup_norm():
+                continue  # no positive threshold to clear
+            oracle = NormOracle(system, f)
+            calls = _counted(oracle)
+            for norm in ("L1", "L2"):
+                top = oracle.fbar_norm_upper(norm)
+                for _ in range(4):
+                    threshold = top / rng.randint(2, 40)
+                    calls[0] = 0
+                    want = _scan_p(oracle, threshold, norm)
+                    scanned, calls[0] = calls[0], 0
+                    assert find_p(oracle, threshold, norm) == want
+                    saved += scanned - calls[0]
+        assert saved > 10000
+
+    def test_octaves_where_the_method_switches(self):
+        # [DERIVED: oracle = the linear scan on L1 octaves that cross the
+        #  switch from l1-exact to l2-upper (past p = 12 on the doubling
+        #  map for one segment, past 17 - depth on the shift), at thresholds
+        #  equal to and just above each bound of the octave (8, 16]]
+        fs = [(DBL, PiecewiseLinear.identity()), (DBL, HAT),
+              (DBL, PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 16))),
+              (SHIFT, FIRSTBIT), (shift_system(F(1, 3)), SPIKE),
+              (shift_system(F(2, 5)), CylinderFn.coordinate(1))]
+        methods = set()
+        for system, f in fs:
+            oracle = NormOracle(system, f)
+            for q in range(8, 17):
+                w, method = oracle.bound(q, "L1")
+                methods.add(method)
+                for threshold in (w, w + pow2(100)):
+                    assert find_p(oracle, threshold, "L1") \
+                        == _scan_p(oracle, threshold, "L1")
+        assert methods == {"l1-exact", "l2-upper"}
+
+    def test_corpus_certificate_inputs(self):
+        # [DERIVED: the certificate a plain bisection got wrong: p = 9 by
+        #  l1-exact, found again by the search and by the scan]
+        data = json.loads(
+            (CORPUS / "cert_doubling_hat_b_norm-l1_1-4.json").read_text())
+        oracle = NormOracle(DBL, observable_from_json(data["observable"]))
+        threshold = F(data["epsilon"]) / 2
+        want = (data["p"], F(data["norm_bound"]), data["norm_method"])
+        assert _scan_p(oracle, threshold, "L1") == want
+        assert find_p(oracle, threshold, "L1") == want
+
+    def test_wide_octave_returns_its_power_of_two(self):
+        # [DERIVED: 1/p first clears 1/5000 at 5001, in the octave
+        #  (4096, 8192], wider than SCAN_CAP: the search keeps 8192]
+        def bound(p):
+            return F(1, p), "l2-upper"
+
+        assert 8192 - 4096 > SCAN_CAP
+        assert DBL.search_p(bound, F(1, 5000), lambda q: True) \
+            == (8192, F(1, 8192), "l2-upper")
+        oracle = NormOracle(DBL, HAT)
+        threshold = oracle.bound(5000, "L2")[0]
+        assert find_p(oracle, threshold, "L2") \
+            == _scan_p(oracle, threshold, "L2") \
+            == (8192, *oracle.bound(8192, "L2"))
 
 
 class TestMaximalInequality:

@@ -5,8 +5,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall, Membership, ball_member, cantor_dist,
