@@ -112,6 +112,7 @@ def bc_exact_windows(system: System, f: Observable,
         raise InputError(f"count must be >= 0, got {count}")
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
+    fbar = centered(system, f)  # once: deviation_region keeps it as it is
     whole = Window(Fraction(0), system.full_region(), system.space.cover(),
                    {"trivial": True, "n": None, "delta": None,
                     "err": Fraction(0), "observable": obs_json})
@@ -127,7 +128,7 @@ def bc_exact_windows(system: System, f: Observable,
             if (n, delta) not in regions:
                 try:
                     reg, _ = system.rational_region(
-                        deviation_region(system, f, n, delta))
+                        deviation_region(system, fbar, n, delta))
                 except BudgetExceededError:
                     break
                 regions[n, delta] = reg, 1 - region_measure(system.tag, reg)

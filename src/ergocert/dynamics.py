@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
                     mod1, parse_rat, pow2)
@@ -112,13 +112,13 @@ class System:
 
     def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
         if corr is None:
-            corr = self.correlations(centered(self, f),
+            corr = self.correlations(self.as_concrete(f),
                                      min(p, CORRELATION_CUTOFF))
         return corr.l2_sq(p)
 
-    def norm_method(self, fbar, p: int, norm: str) -> str:
-        """How ||A_p fbar||_norm is bounded (a certificate norm_method)."""
-        if norm == "L1" and self.l1_exact_feasible(fbar, p):
+    def norm_method(self, g, p: int, norm: str) -> str:
+        """How ||A_p fbar||_norm is bounded; g has fbar's depth, segments."""
+        if norm == "L1" and self.l1_exact_feasible(g, p):
             return "l1-exact"
         return "l2-upper"
 
@@ -196,19 +196,20 @@ class Shift(System):
                      for v in range(len(table) << 1)]
         return den, table
 
-    def correlations(self, fbar: CylinderFn, count: int) -> Correlations:
+    def correlations(self, g: CylinderFn, count: int) -> Correlations:
         # C(m) = 0 for m >= depth (independence), so the list is exact;
-        # each term costs about 2^(k+1) integer products, priced first
-        k = fbar.depth
+        # each term costs about 2^(k+1) products, priced before centering
+        k = g.depth
         terms = min(k, count) or 1
         if terms << (k + 1) > 1 << CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"{terms} correlations of depth {k} "
                                       f"need over 2^{CYLINDER_BUDGET_LOG2}")
+        fbar = centered(self, g)
         return Correlations([_shift_correlation(fbar, m, self.p)
                              for m in range(terms)], 0)
 
-    def l1_exact_feasible(self, fbar: CylinderFn, p: int) -> bool:
-        return (p + fbar.depth - 1 if fbar.depth else 0) <= 16
+    def l1_exact_feasible(self, g: CylinderFn, p: int) -> bool:
+        return (p + g.depth - 1 if g.depth else 0) <= 16
 
     def integral(self, g: CylinderFn) -> Fraction:
         return g.integral(self.p)
@@ -220,13 +221,14 @@ class Shift(System):
         return table_integral([abs(s) for s in table], self.p) / (den * n)
 
     def sublevel(self, g: CylinderFn, n: int, delta: Fraction) -> CylSet:
-        # |S_n g| < n delta, decided on the integer table den S_n
+        # |A_n g| < delta on s = den S_n: |s| dd < dn den n iff |s| <= c
         if not g.depth:  # A_n g = g
             return CylSet([""] if abs(g.table[0]) < delta else [])
         den, table = self.birkhoff_sum(g, n)
-        d, lim = n + g.depth - 1, delta.numerator * den * n
-        return CylSet.from_ints(d, (w for w, s in enumerate(table)
-                                    if abs(s) * delta.denominator < lim))
+        dn, dd = delta.numerator, delta.denominator
+        c = (dn * den * n - 1) // dd
+        return CylSet.from_flags(n + g.depth - 1,
+                                 bytes(map(c.__ge__, map(abs, table))))
 
     def region_balls(self, region: CylSet) -> list[IdealBall]:
         return [CANTOR.cylinder_ball(w) for w in region.prefixes]
@@ -234,14 +236,10 @@ class Shift(System):
     def input_bits(self, g: CylinderFn, n: int, m: int) -> int:
         return 0  # cylinder averages read their symbols exactly
 
-    def value_on_digits(self, g: CylinderFn, bits: list[int]) -> Fraction:
-        return g.value_on_word("".join(map(str, bits)))
-
     def point_in(self, final: IdealBall, track: list):
         # the ball's word gives the first digits; the digit tail the rest
         window = max((g.depth for g in track), default=1)
-        tail = _DigitTail([int(c) for c in final.cylinder_prefix], track,
-                          window, self.value_on_digits)
+        tail = _DigitTail(map(int, final.cylinder_prefix), track, window)
         return CantorPoint(tail.bit)
 
     def window_mass(self, g: CylinderFn, window: range,
@@ -304,22 +302,17 @@ class CircleMap(System):
         return self.birkhoff_sum(g, n).arcs_below_abs(n * delta)
 
     def region_balls(self, region: ArcSet) -> list[IdealBall]:
-        # split every arc so each piece is shorter than 1/2 (a circle ball
-        # of radius >= 1/2 is the whole space, not an arc)
+        # split every arc into its fewest equal parts shorter than 1/2,
+        # floor(2 width) + 1 (a ball of radius >= 1/2 is not an arc)
         balls = []
         for a, b in region.components():
-            width = b - a
-            parts = 1
-            while width / parts >= Fraction(1, 2):
-                parts += 1
-            step = width / parts
-            for i in range(parts):
-                lo, hi = a + step * i, a + step * (i + 1)
-                c = mod1((lo + hi) / 2)
-                if not isinstance(c, Fraction):
-                    raise UnsupportedPairError(
-                        "ball conversion needs rational arcs")
-                balls.append(IdealBall(CIRCLE, c, (hi - lo) / 2))
+            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+                raise UnsupportedPairError(
+                    "ball conversion needs rational arcs")
+            parts = math.floor(2 * (b - a)) + 1
+            r = (b - a) / (2 * parts)
+            balls += [IdealBall._of(CIRCLE, mod1(a + r * (2 * i + 1)), r)
+                      for i in range(parts)]
         return balls
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
@@ -381,20 +374,16 @@ class Doubling(CircleMap):
             s = s.pullback_doubling().add(g) if i else g
         return s
 
-    def correlations(self, fbar: PiecewiseLinear, count: int) -> Correlations:
+    def correlations(self, g: PiecewiseLinear, count: int) -> Correlations:
         # the transfer operator halves variation and a zero-mean function
         # is bounded by its variation: |C(m)| <= ||fbar||_1 Var(fbar) 2^-m
+        fbar = centered(self, g)
         return Correlations(doubling_correlations(fbar, count),
                             fbar.abs_integral() * fbar.total_variation())
 
-    def l1_exact_feasible(self, fbar: PiecewiseLinear, p: int) -> bool:
+    def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
         # p first: a replayed certificate may record any p
-        return p <= 12 and max(len(fbar.segments), 1) << p <= 1 << 12
-
-    def value_on_digits(self, g: PiecewiseLinear, bits: list[int]) -> Fraction:
-        # the map shifts binary digits: probe the dyadic interval they fix
-        return g.eval_right(Fraction(2 * int("".join(map(str, bits)), 2) + 1,
-                                     1 << (len(bits) + 1)))
+        return p <= 12 and max(len(g.segments), 1) << p <= 1 << 12
 
     def point_in(self, final: IdealBall, track: list):
         """The left endpoint's binary digits, continued by a digit tail
@@ -409,7 +398,7 @@ class Doubling(CircleMap):
             return super().point_in(final, track)
         base = [int(c) for c in format(int(left), f"0{depth}b")] \
             if depth else []
-        tail = _DigitTail(base, track, BALANCE_WINDOW, self.value_on_digits)
+        tail = _DigitTail(base, track, BALANCE_WINDOW)
 
         def approx(m: int) -> Fraction:
             d = m + 2
@@ -449,7 +438,7 @@ class Rotation(CircleMap):
         return pl_sum(head + [g.shift(self.alpha * i) if i else g
                               for i in range(m, n)])
 
-    def norm_method(self, fbar, p: int, norm: str) -> str:
+    def norm_method(self, g, p: int, norm: str) -> str:
         # the L1 norm is irrational and correlations do not decay: bound
         # every norm by the sup norm of the exact average
         return "sup-exact"
@@ -518,9 +507,10 @@ def integral(system: System, f: Observable) -> Fraction:
 
 
 def centered(system: System, f: Observable):
-    """f - integral(f), in concrete form."""
+    """f - integral(f), in concrete form; f's own when integral(f) = 0."""
     g = system.as_concrete(f)
-    return g.add_const(-system.integral(g))
+    m = system.integral(g)
+    return g if m == 0 else g.add_const(-m)
 
 
 # ---------------------------------------------------------------------------
@@ -741,30 +731,32 @@ class _DigitTail:
     """Extends a fixed bit prefix one digit at a time.
 
     With tracked observables the next digit is chosen to keep the running
-    orbit sums small (each settled window of `window` digits fixes one
-    orbit point up to 2^-window, and `value(g, bits)` reads g there);
-    otherwise digits are 0."""
+    orbit sums small: each settled window of `window` digits fixes one
+    orbit point up to 2^-window, and g's `window_reader` reads g there as
+    an integer over its own denominator.  The sums stay integers, and the
+    two digits' scores compare over their lcm.  Otherwise digits are 0."""
 
-    def __init__(self, base: list[int], track: list, window: int,
-                 value: Callable[[object, list[int]], Fraction]):
-        self.bits = list(base)
-        self.track = track
+    def __init__(self, base, track: list, window: int):
+        self.bits, self.word = [], 0  # word: the last window - 1 digits
         self.window = max(1, window)
-        self.value = value
-        self.sums = [Fraction(0)] * len(track)
-        # settle orbit points already fixed by the base prefix
-        self._settled = 0
-        while self._settled + self.window <= len(self.bits):
-            self._add(self._values(self._settled, None))
-            self._settled += 1
+        readers = [g.window_reader(self.window) for g in track]
+        top = math.lcm(*[den for den, _ in readers])
+        self.reads = [(top // den, read) for den, read in readers]
+        self.sums = [0] * len(readers)
+        for b in base:  # settle the orbit points the base digits fix
+            self._push(b, self._values(b))
 
-    def _values(self, i: int, extra: Optional[int]) -> list[Fraction]:
-        bits = self.bits[i:i + self.window] if extra is None \
-            else self.bits[i:] + [extra]
-        return [self.value(g, bits) for g in self.track]
+    def _values(self, b: int) -> list[int]:
+        """The tracked values at the window digit b completes, if any."""
+        word = self.word << 1 | b
+        return [read(word) for _, read in self.reads] \
+            if len(self.bits) + 1 >= self.window else []
 
-    def _add(self, vals: list[Fraction]):
-        self.sums = [s + v for s, v in zip(self.sums, vals)]
+    def _push(self, b: int, vals: list[int]):
+        if vals:
+            self.sums = [s + v for s, v in zip(self.sums, vals)]
+        self.bits.append(b)
+        self.word = (self.word << 1 | b) & ((1 << (self.window - 1)) - 1)
 
     def bit(self, i: int) -> int:
         while len(self.bits) <= i:
@@ -772,17 +764,9 @@ class _DigitTail:
         return self.bits[i]
 
     def _choose(self):
-        t = len(self.bits)
-        i = t + 1 - self.window
-        if not self.track or i < 0:
-            self.bits.append(0)
-            return
-        best, best_score = 0, None
-        for b in (0, 1):
-            score = sum(abs(s + v)
-                        for s, v in zip(self.sums, self._values(i, b)))
-            if best_score is None or score < best_score:
-                best, best_score = b, score
-        self._add(self._values(i, best))
-        self.bits.append(best)
-        self._settled = i + 1
+        vals, b = [self._values(b) for b in (0, 1)], 0
+        if vals[0]:
+            s0, s1 = (sum(w * abs(s + v) for (w, _), s, v in
+                          zip(self.reads, self.sums, vs)) for vs in vals)
+            b = int(s1 < s0)
+        self._push(b, vals[b])

@@ -145,6 +145,18 @@ class PiecewiseLinear:
         """f(x) with the right-continuous convention; x in [0,1)."""
         return _lerp(*self.segments[self._index_at(x)], x)
 
+    def window_reader(self, k: int):
+        """(den, read) for a rational f: read(w) = den f((2w + 1)/2^(k+1)),
+        mid-way on the arc of the k-digit word w, from f's integer form."""
+        f, m = _form(self), 1 << (k + 1)
+        starts, heads = [a * m for a in f.xa], [u * m for u in f.vu]
+
+        def read(w: int) -> int:
+            x = (2 * w + 1) * f.n
+            i = bisect_right(starts, x) - 1
+            return heads[i] + f.ds[i] * (x - starts[i])
+        return f.e * m, read
+
     def _index_at(self, x) -> int:
         """Index of the segment [a, b) holding x in [0,1)."""
         return bisect_right(self.segments, x, key=itemgetter(0)) - 1
@@ -881,6 +893,13 @@ class CylinderFn:
             raise ValueError("word too short")
         idx = int(w[:self.depth], 2) if self.depth else 0
         return self.table[idx]
+
+    def window_reader(self, k: int):
+        """(den, read): read(w) = den f on the words that begin with the
+        word w of k >= depth symbols, an integer."""
+        den = math.lcm(*[v.denominator for v in self.table])
+        nums = [v.numerator * (den // v.denominator) for v in self.table]
+        return den, lambda w: nums[w >> (k - self.depth)]
 
     def lift(self, depth: int) -> "CylinderFn":
         if depth < self.depth:

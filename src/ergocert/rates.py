@@ -43,25 +43,24 @@ def sqrt_upper(q: Fraction) -> Fraction:
 
 class NormOracle:
     """Certified upper bounds on ||A_p(f - integral f)|| for any p, for one
-    (system, observable) pair; fbar's correlation table is kept."""
+    (system, observable) pair; fbar's correlation table is kept.  f itself
+    is kept uncentered, so the correlations are priced before centering."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
-        self.f = f
-        self.fbar = centered(system, f)
+        self.g = system.as_concrete(f)
         self._corr = None  # the system's correlation table of fbar
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
-        method = self.system.norm_method(self.fbar, p, norm)
+        method = self.system.norm_method(self.g, p, norm)
         if method == "sup-exact":
-            return rotation_sup_bound(self.system, self.f, p), method
+            return rotation_sup_bound(self.system, self.g, p), method
         if method == "l1-exact":
-            return l_norm_birkhoff(self.system, self.f, p), method
+            return l_norm_birkhoff(self.system, self.g, p), method
         if self._corr is None:
-            self._corr = self.system.correlations(self.fbar,
-                                                  CORRELATION_CUTOFF)
-        sq = l2_sq_enclosure(self.system, self.f, p, self._corr)
+            self._corr = self.system.correlations(self.g, CORRELATION_CUTOFF)
+        sq = l2_sq_enclosure(self.system, self.g, p, self._corr)
         return sqrt_upper(sq.hi), method
 
     def l2_settled(self, p: int) -> bool:
@@ -203,7 +202,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
         raise InputError("need eps, delta > 0")
     oracle = NormOracle(system, f)
     p, w, method = find_p(oracle, delta * epsilon / 2, "L1")
-    sup = oracle.fbar.sup_norm()
+    sup = centered(system, oracle.g).sup_norm()
     n0 = max(1, _ceil_frac(Fraction(4 * (p - 1)) * sup / delta))
     return _certificate(system, f, kind="AS_BOUNDED", epsilon=epsilon,
                         delta=delta, p=p, norm_bound=w, norm_method=method,
@@ -294,7 +293,7 @@ def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
     if cert.kind == "AS_BOUNDED":
         return _check_as_bounded(oracle, cert, cert.delta, cert.epsilon)
     if cert.kind == "AS_L1":
-        g = oracle.fbar
+        g = centered(oracle.system, oracle.g)
         rho = _tail_l1(oracle.system, g, cert.M)
         if rho != cert.rho:
             return False, "recomputed truncation tail differs"
@@ -319,7 +318,7 @@ def _check_as_bounded(oracle: NormOracle, cert: RateCertificate,
         return False, f"recomputed ||A_p||_1 bound {w} > recorded"
     if not cert.norm_bound < delta * epsilon / 2:
         return False, "recorded bound does not clear delta*eps/2"
-    sup = oracle.fbar.sup_norm()
+    sup = centered(oracle.system, oracle.g).sup_norm()
     if sup > cert.sup_bound:
         return False, "recomputed sup bound exceeds recorded value"
     need = max(1, _ceil_frac(Fraction(4 * (cert.p - 1)) * cert.sup_bound / delta))

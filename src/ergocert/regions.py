@@ -10,6 +10,7 @@ share one merge and one intersection walk.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -178,10 +179,11 @@ class CylSet:
 
     A word of length `depth` is read as a binary number, and `runs` holds
     the union's words of that length as sorted, disjoint and apart ranges
-    (a, b), a <= word < b; a shorter word w is the run of its extensions,
-    [w 2^k, (w + 1) 2^k) with k = depth - len(w).  `prefixes` lists the
-    maximal cylinders inside the union, sorted by (length, word): each run
-    split into its maximal aligned dyadic blocks."""
+    (a, b), a <= word < b (`from_flags` scans them from one byte per word);
+    a shorter word w is the run [w 2^k, (w + 1) 2^k), k = depth - len(w).
+    `prefixes` lists the maximal cylinders inside the union, sorted by
+    (length, word): each run split into its maximal aligned dyadic blocks,
+    which `measure` weighs in integers."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -189,9 +191,11 @@ class CylSet:
         self.runs = _merged(sorted(_run(w, self.depth) for w in words))
 
     @staticmethod
-    def from_ints(depth: int, words: Iterable[int]) -> "CylSet":
-        """The union of the words of length `depth` given, as sorted ints."""
-        return CylSet._canonical(depth, _merged((v, v + 1) for v in words))
+    def from_flags(depth: int, flags: bytes) -> "CylSet":
+        """The union of the words w of length `depth` with flags[w] == 1:
+        its runs are the maximal runs of 1 bytes, found in one scan."""
+        return CylSet._canonical(depth, [m.span() for m in
+                                         re.finditer(rb"\x01+", flags)])
 
     @staticmethod
     def _canonical(depth: int, runs: list) -> "CylSet":
@@ -216,12 +220,15 @@ class CylSet:
                 for n, v in sorted(self._blocks())]
 
     def measure(self, p: Fraction) -> Fraction:
-        """Bernoulli(p) mass, one product per (length, count of 1s) class
-        of the maximal cylinders."""
-        p = Fraction(p)
+        """Bernoulli(p) mass, one integer sum over b^depth for p = a/b: per
+        (n, ones) class of the maximal cylinders, each weighs
+        a^ones (b - a)^(n - ones) b^(depth - n)."""
+        a, b = Fraction(p).as_integer_ratio()
+        d = self.depth
         classes = Counter((n, v.bit_count()) for n, v in self._blocks())
-        return sum((count * p ** ones * (1 - p) ** (n - ones)
-                    for (n, ones), count in classes.items()), Fraction(0))
+        return Fraction(sum(count * a ** ones * (b - a) ** (n - ones)
+                            * b ** (d - n)
+                            for (n, ones), count in classes.items()), b ** d)
 
     def intersect(self, other: "CylSet") -> "CylSet":
         # both sides as runs over the words of the deeper side

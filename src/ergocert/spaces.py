@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Callable, Optional
 
 from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
@@ -117,12 +118,6 @@ class Space:
     def dist(self, a, b) -> Fraction:
         return self._metric(a, b)
 
-    def witness_lookup(self, balls: list) -> Callable:
-        """cand -> index of the first ball of `balls` that holds cand
-        strictly (`inside`), or None; here a scan of the list."""
-        return lambda cand: next((w for w, b in enumerate(balls)
-                                  if self.inside(cand, b, strict=True)), None)
-
 
 class CircleSpace(Space):
     """The unit circle [0,1) with the arc metric; ideal points are the
@@ -170,6 +165,33 @@ class CircleSpace(Space):
     def depth(self, ball: "IdealBall") -> int:
         r = ball.radius
         return max(0, (r.denominator // r.numerator).bit_length() - 1)
+
+    def witness_lookup(self, balls: list) -> Callable:
+        """cand -> index of the first ball of `balls` that holds cand
+        strictly (`inside`), or None.  A holder covers the points just right
+        of cand's centre, so the circle is cut at every arc end (integers
+        over the lcm d of the balls' denominators), each piece lists the
+        balls over it in order, and only cand's piece is tested."""
+        d = lcm(*[x.denominator for b in balls for x in (b.center, b.radius)])
+        arcs = [((c - r) % d, 2 * r) for c, r in
+                ((b.center.numerator * (d // b.center.denominator),
+                  b.radius.numerator * (d // b.radius.denominator))
+                 for b in balls)]
+        cuts = sorted({0} | {x % d for lo, w in arcs for x in (lo, lo + w)})
+        at, n = {x: k for k, x in enumerate(cuts)}, len(cuts)
+        pieces = [[] for _ in cuts]
+        for w, (lo, width) in enumerate(arcs):
+            # the pieces from lo on, across 0 when the arc wraps
+            i = at[lo]
+            j = i + n if width >= d else at[(lo + width) % d]
+            for k in range(i, j if j > i else j + n):
+                pieces[k % n].append(w)
+
+        def lookup(cand: "IdealBall") -> Optional[int]:
+            x = cand.center.numerator * d // cand.center.denominator
+            return next((w for w in pieces[bisect_right(cuts, x) - 1]
+                         if self.inside(cand, balls[w], strict=True)), None)
+        return lookup
 
     def refinements(self, cur: "IdealBall", depth: int):
         two = 1 << depth
@@ -251,7 +273,7 @@ class CantorSpace(Space):
         """The canonical ball of the cylinder fixing `word`, zero-padded to
         `depth` symbols (default: the length of the word)."""
         k = len(word) if depth is None else depth
-        return IdealBall(self, word, Fraction(3, 1 << (k + 1)))
+        return IdealBall._of(self, word.rstrip("0"), Fraction(3, 1 << (k + 1)))
 
     def cover(self) -> list:
         return [self.cylinder_ball("")]
@@ -355,6 +377,13 @@ class IdealBall:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", self.space.ball_center(self))
+
+    @staticmethod
+    def _of(space: Space, center, radius: Fraction) -> "IdealBall":
+        """Wrap a canonical center and a Fraction radius > 0, unchecked."""
+        b = object.__new__(IdealBall)
+        b.__dict__.update(space=space, center=center, radius=radius)
+        return b
 
     @property
     def cylinder_depth(self) -> Optional[int]:

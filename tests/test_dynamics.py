@@ -18,7 +18,8 @@ from ergocert.errors import BudgetExceededError, InputError
 from ergocert.measures import measure_of_finite_union
 from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner, pl_sum
 from ergocert.regions import ArcSet, cylinder_mass
-from ergocert.spaces import CantorPoint, CirclePoint
+from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
+                             IdealBall)
 from test_observables import _assert_normal_form
 
 FIRSTBIT = CylinderFn.coordinate(0)
@@ -154,6 +155,58 @@ class TestDeviationRegions:
         assert lost == 0
         balls = DBL.region_balls(region)
         assert sum(2 * b.radius for b in balls) == r.measure()
+
+    def test_shift_sublevel_is_the_per_word_filter(self):
+        # [DERIVED: oracle = the words of the integer table den S_n kept
+        #  one by one where |S_n| < n delta den; each (g, n) also takes a
+        #  delta at a table value, |S_n| = n delta, which must stay out]
+        rng = random.Random(41)
+        on_boundary = 0
+        for p in (F(1, 2), F(1, 3)):
+            system = shift_system(p)
+            for _ in range(15):
+                k = rng.randint(1, 5)
+                g = centered(system, CylinderFn(k, [
+                    F(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(1 << k)]))
+                for n in (1, 2, 4, 7):
+                    den, table = system.birkhoff_sum(g, n)
+                    s = rng.choice([v for v in table if v] or [1])
+                    for delta in (F(abs(s), den * n), F(1, 4),
+                                  F(rng.randint(1, 9), rng.randint(1, 9))):
+                        want = [w for w, v in enumerate(table)
+                                if abs(v) < n * delta * den]
+                        on_boundary += s in table and \
+                            table.index(s) not in want
+                        got = system.sublevel(g, n, delta)
+                        assert got.depth == n + k - 1
+                        assert [w for a, b in got.runs
+                                for w in range(a, b)] == want, (g, n, delta)
+        assert on_boundary >= 100
+
+    def test_circle_region_balls_are_checked_balls(self):
+        # [DERIVED: oracle = the decomposition of each arc into the fewest
+        #  equal parts shorter than 1/2, found by counting parts up, with
+        #  checked balls; equal in ==, hash and JSON, arcs across 0 and
+        #  arcs of width 1/2 and above included]
+        rng = random.Random(43)
+        for _ in range(200):
+            starts = [F(rng.randint(0, 31), 32)
+                      for _ in range(rng.randint(1, 3))]
+            region = ArcSet.from_raw([(a, a + F(rng.randint(1, 40), 32))
+                                      for a in starts])
+            want = []
+            for a, b in region.components():
+                parts = 1
+                while (b - a) / parts >= F(1, 2):
+                    parts += 1
+                step = (b - a) / parts
+                want += [IdealBall(CIRCLE, mod1(a + step * i + step / 2),
+                                   step / 2) for i in range(parts)]
+            got = DBL.region_balls(region)
+            assert got == want and list(map(hash, got)) == \
+                list(map(hash, want))
+            assert [b.to_json() for b in got] == [b.to_json() for b in want]
 
     def test_rotation_rationalized(self):
         # [DERIVED: irrational endpoints shrink inward; the mass lost is
@@ -639,3 +692,117 @@ class TestOneIntegerForm:
         assert got.segments == _plus_oracle(f, g).segments
         _assert_normal_form(got, "off-grid add")
         assert all(type(t) is F for s in got.segments for t in s)
+
+
+class _FractionTail:
+    """The digit tail in Fractions, as it was first written: every settled
+    window reads each tracked g through value(g, bits), and the two
+    digits' scores are Fraction sums."""
+
+    def __init__(self, base, track, window, value):
+        self.bits, self.track, self.value = list(base), track, value
+        self.window = max(1, window)
+        self.sums = [F(0)] * len(track)
+        i = 0
+        while i + self.window <= len(self.bits):
+            self._add(self._values(i, None))
+            i += 1
+
+    def _values(self, i, extra):
+        bits = self.bits[i:i + self.window] if extra is None \
+            else self.bits[i:] + [extra]
+        return [self.value(g, bits) for g in self.track]
+
+    def _add(self, vals):
+        self.sums = [s + v for s, v in zip(self.sums, vals)]
+
+    def bit(self, i):
+        while len(self.bits) <= i:
+            t = len(self.bits)
+            j = t + 1 - self.window
+            if not self.track or j < 0:
+                self.bits.append(0)
+                continue
+            best, best_score = 0, None
+            for b in (0, 1):
+                score = sum(abs(s + v)
+                            for s, v in zip(self.sums, self._values(j, b)))
+                if best_score is None or score < best_score:
+                    best, best_score = b, score
+            self._add(self._values(j, best))
+            self.bits.append(best)
+        return self.bits[i]
+
+
+def _word(bits):
+    return "".join(map(str, bits))
+
+
+class TestDigitTail:
+    # [DERIVED: oracle = _FractionTail, reading g at the middle of the
+    #  window's dyadic arc with eval_right on the doubling map and on the
+    #  window's word with value_on_word on the shift; 200 digits after
+    #  seeded bases shorter and longer than the window]
+
+    def test_window_readers_are_the_fraction_values(self):
+        # [DERIVED: oracle = den g at the window in Fractions, through
+        #  eval_right at the middle of the window's dyadic arc and through
+        #  value_on_word; windows of 1 to 24 digits, both ends included]
+        rng = random.Random(50)
+        for _ in range(20):
+            g = _random_pl(rng, rng.randint(3, 12))
+            k = rng.randint(1, 24)
+            den, read = g.window_reader(k)
+            for w in [0, (1 << k) - 1] + [rng.randrange(1 << k)
+                                          for _ in range(30)]:
+                assert read(w) == den * g.eval_right(
+                    F(2 * w + 1, 1 << (k + 1)))
+            depth = rng.randint(0, 5)
+            c = CylinderFn(depth, [F(rng.randint(-6, 6), rng.randint(1, 5))
+                                   for _ in range(1 << depth)])
+            k = depth + rng.randint(0, 4)
+            den, read = c.window_reader(k)
+            for w in range(1 << k):
+                assert read(w) == den * c.value_on_word(
+                    format(w, f"0{k}b") if k else "")
+
+    def test_doubling_tail_matches_the_fraction_tail(self):
+        rng = random.Random(51)
+
+        def value(g, bits):
+            return g.eval_right(F(2 * int(_word(bits), 2) + 1,
+                                  1 << (len(bits) + 1)))
+
+        for _ in range(8):
+            fs = [PiecewiseLinear.hat(F(rng.randint(0, 15), 16),
+                                      F(1, rng.randint(4, 40)),
+                                      F(1, rng.randint(4, 40))),
+                  _random_pl(rng, rng.randint(5, 12)),
+                  PiecewiseLinear.identity()]
+            track = [centered(DBL, f)
+                     for f in rng.sample(fs, rng.randint(0, 3))]
+            base = [rng.randint(0, 1) for _ in range(rng.randint(0, 40))]
+            tail = dynamics._DigitTail(base, track, dynamics.BALANCE_WINDOW)
+            want = _FractionTail(base, track, dynamics.BALANCE_WINDOW, value)
+            assert [tail.bit(i) for i in range(200)] \
+                == [want.bit(i) for i in range(200)]
+
+    def test_shift_tail_matches_the_fraction_tail(self):
+        rng = random.Random(52)
+        for p in (F(1, 2), F(1, 3)):
+            system = shift_system(p)
+            for _ in range(8):
+                track = [centered(system, CylinderFn(k, [
+                    F(rng.randint(-6, 6), rng.randint(1, 5))
+                    for _ in range(1 << k)]))
+                    for k in rng.sample(range(1, 7), rng.randint(0, 3))]
+                track = [g for g in track if g.sup_norm()]
+                base = [rng.randint(0, 1) for _ in range(rng.randint(0, 12))]
+                window = max((g.depth for g in track), default=1)
+                point = system.point_in(CANTOR.cylinder_ball(_word(base)),
+                                        track)
+                want = _FractionTail(
+                    base, track, window,
+                    lambda g, bits: g.value_on_word(_word(bits)))
+                assert point.prefix(200) \
+                    == _word(want.bit(i) for i in range(200))

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from ergocert import dynamics, rates
 from ergocert.arith import Quad, pow2
 from ergocert.dynamics import (SCAN_CAP, doubling_system, l_norm_birkhoff,
                                birkhoff_observable, centered, l2_sq_enclosure,
                                rotation_system, shift_system)
-from ergocert.errors import InputError
+from ergocert.errors import BudgetExceededError, InputError
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_from_json)
 from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
@@ -169,6 +170,22 @@ class TestNormOracle:
         for p in (1, 2, 5, 119, 120, 121, 200):
             expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p).hi)
             assert oracle.bound(p, "L2") == (expect, "l2-upper")
+
+
+    def test_deep_shift_observable_refused_before_centering(self,
+                                                            monkeypatch):
+        # [DERIVED: a depth-20 observable needs 20 correlations of 2^21
+        #  products each, over 2^24: every bound is refused with
+        #  BUDGET_EXCEEDED before anything centers it (2^20 Fraction sums)]
+        deep = CylinderFn.hat("01", F(1, 1 << 20), F(1, 4))
+        calls = []
+        for module in (dynamics, rates):
+            monkeypatch.setattr(module, "centered",
+                                lambda *args: calls.append(args))
+        for norm in ("L1", "L2"):
+            with pytest.raises(BudgetExceededError, match="depth 20"):
+                NormOracle(SHIFT, deep).bound(1, norm)
+        assert not calls
 
 
 def _scan_p(oracle, threshold, norm):

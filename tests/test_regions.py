@@ -118,7 +118,7 @@ class TestCylSet:
         # are exactly the maximal cylinders inside the union, sorted by
         # (length, word), the mass is the table's mass, a word's cylinder
         # is contained iff its whole block is, and the same union given
-        # as the ints of its depth-8 words has the same form and mass]
+        # as one flag byte per depth-8 word has the same form and mass]
         depth = 8
         rng = random.Random(17)
         weights = {p: [cylinder_mass(format(x, f"0{depth}b"), p)
@@ -164,8 +164,7 @@ class TestCylSet:
                               if full(w) and (not w or not full(w[:-1]))),
                              key=lambda w: (len(w), w))
             s = CylSet(words)
-            t = CylSet.from_ints(depth, (x for x, hit in enumerate(inside)
-                                         if hit))
+            t = CylSet.from_flags(depth, bytes(inside))
             assert s.prefixes == maximal, words
             assert t.prefixes == maximal, words
             assert [s.contains_word_prefix(w) for w in every] \
@@ -174,6 +173,20 @@ class TestCylSet:
                 mass = sum(m for m, hit in zip(weight, inside) if hit)
                 assert s.measure(p) == mass
                 assert t.measure(p) == mass
+
+    def test_measure_is_the_cylinder_mass_sum(self):
+        # [DERIVED: oracle = cylinder_mass summed over the maximal
+        #  cylinders, one Fraction product each; mixed depths, biased and
+        #  degenerate p]
+        rng = random.Random(20)
+        for _ in range(200):
+            words = ["".join(rng.choice("01")
+                             for _ in range(rng.randint(0, 9)))
+                     for _ in range(rng.randint(0, 8))]
+            s = CylSet(words)
+            for p in (F(1, 2), F(1, 3), F(2, 7), F(0), F(1)):
+                assert s.measure(p) == sum(
+                    (cylinder_mass(w, p) for w in s.prefixes), F(0))
 
     def test_large_same_depth_union_fast(self):
         # [DERIVED: construction must stay near-linear in the input size]

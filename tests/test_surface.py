@@ -23,6 +23,9 @@ KEPT = (
     "spaces.CantorPoint.from_word",
     # the tests' exact L2 reference for the piecewise-linear kernels
     "observables.PiecewiseLinear.square_integral",
+    # the tests' pointwise reference for the same kernels (the digit tail,
+    # its last caller in the program, reads the integer form instead)
+    "observables.PiecewiseLinear.eval_right",
 )
 
 
