@@ -4,9 +4,9 @@ Modules:
   arith        exact rationals, intervals, computable reals, Q[sqrt(2)]
   spaces       circle and Cantor space as computable metric spaces
   regions      exact region algebra (arc unions, cylinder unions)
-  measures     ideal measures, exact W1 transport, exact measure oracles
+  measures     ideal measures, exact W1 transport, measures of ball unions
   observables  piecewise-linear and cylinder observables, canonical family
-  dynamics     built-in systems, Birkhoff averages, exact norms
+  dynamics     built-in systems (map and measure), Birkhoff averages, norms
   rates        convergence-rate certificates and their validators
   bc           Borel-Cantelli sequences and point synthesis
 """

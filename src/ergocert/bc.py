@@ -131,7 +131,7 @@ def bc_exact_windows(system: System, f: Observable,
                         deviation_region(system, fbar, n, delta))
                 except BudgetExceededError:
                     break
-                regions[n, delta] = reg, 1 - region_measure(system.tag, reg)
+                regions[n, delta] = reg, 1 - region_measure(system, reg)
             reg, err = regions[n, delta]
             if err <= cap:
                 window = Window(err, reg, system.region_balls(reg),
@@ -266,9 +266,8 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     space = system.space
     if target.space is not space:
         raise InputError(f"a {target.space.name} target on {space.name}")
-    tag = system.tag
-    remaining = tag.region([target])
-    mass = region_measure(tag, remaining)
+    remaining = system.region([target])
+    mass = region_measure(system, remaining)
     if mass == 0:
         raise NoMassError("target ball carries no mass")
     k = bc.modulus(mass / 4)  # tail(k) < lambda_0 / 2, lambda_0 = mass / 2
@@ -294,11 +293,11 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                 widx = witness(cand)
                 if widx is None:
                     continue
-                inter = remaining.intersect(tag.region([cand]))
-                m_inter = region_measure(tag, inter)
+                inter = remaining.intersect(system.region([cand]))
+                m_inter = region_measure(system, inter)
                 lam = m_inter - t_next
                 if lam <= 0:
-                    lam = _forward_feasible(tag, bc, inter, m_inter, j)
+                    lam = _forward_feasible(system, bc, inter, m_inter, j)
                     if lam is None:
                         continue
                 accepted = (cand, widx, d, inter, lam)
@@ -327,7 +326,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     return sp
 
 
-def _forward_feasible(tag, bc: BCSequence, inter, m_inter,
+def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,
                       j: int) -> Optional[Fraction]:
     """Exact fallback when the tail bound is too coarse: intersect the
     candidate region with every listed window past j directly and return
@@ -337,7 +336,7 @@ def _forward_feasible(tag, bc: BCSequence, inter, m_inter,
         if m_inter <= 0:
             return None
         inter = inter.intersect(w.region)
-        m_inter = region_measure(tag, inter)
+        m_inter = region_measure(system, inter)
     return m_inter if m_inter > 0 else None
 
 
@@ -444,7 +443,7 @@ def _mass_balls(system: System):
     index order."""
     for idx in itertools.count():
         ball = IdealBall.from_index(system.space, idx)
-        if ball.radius <= 1 and support_hit(system.tag, ball):
+        if ball.radius <= 1 and support_hit(system, ball):
             yield ball
 
 

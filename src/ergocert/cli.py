@@ -79,7 +79,7 @@ def _cmd_systems(args) -> int:
     out = []
     for s in builtin_systems():
         out.append({"selector": s.selector(), "space": s.space.name,
-                    "map": s.name, "measure": s.tag.label})
+                    "map": s.name, "measure": s.label})
     _emit(args, {"systems": out})
     return EXIT_OK
 

@@ -16,15 +16,14 @@ from itertools import accumulate
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
-                    mod1, parse_rat, pow2)
+                    fmt_rat, mod1, parse_rat, pow2)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
-from .measures import MeasureTag
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
                           PiecewiseLinear, pl_inner, pl_sum, table_integral)
 from .regions import ArcSet, CylSet
 from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
-                     Space)
+                     Space, ball_arc)
 
 #: hard cap on piecewise-linear segment counts in exact constructions
 SEGMENT_BUDGET = 1 << 21
@@ -45,22 +44,23 @@ Observable = Union[PiecewiseLinear, CylinderFn, FTerm]
 
 
 class System:
-    """A built-in measure-preserving system.
+    """A built-in measure-preserving system (T, mu).
 
     Each subclass owns every choice that depends on the map or on the
     invariant measure: the concrete observable class and its integral, the
     orbit enclosures, the exact average A_n, the L2 route, the p-search
-    schedule, exact regions and their ball lists, the exact validation
-    mode and the defaults of exact Borel-Cantelli windows.  The base class
-    holds the route shared by the two mixing systems: ||A_p fbar||_2^2 from
-    the correlations C(m) of fbar, and a doubling p-search that scans the
-    winning octave and bisects it where the L2 bound is proved
-    nonincreasing."""
+    schedule, exact regions, both conversions between a region and its ideal
+    balls (`region_balls`, `region`), the measure of a region (`weigh`), the
+    exact validation mode and the defaults of exact Borel-Cantelli windows.
+    The base class holds the route shared by the two mixing systems:
+    ||A_p fbar||_2^2 from the correlations C(m) of fbar, and a doubling
+    p-search that scans the winning octave and bisects it where the L2
+    bound is proved nonincreasing."""
 
     name: str
     space: Space
-    #: exact oracle of the invariant measure
-    tag: MeasureTag
+    #: how the invariant measure is named
+    label: str
     #: observable class the exact machinery works on
     concrete: type
     #: how error messages name the system family
@@ -108,13 +108,7 @@ class System:
 
     def full_region(self):
         """The whole space as an exact region."""
-        return self.tag.region(self.space.cover())
-
-    def l2_sq(self, f: Observable, p: int, corr=None) -> Interval:
-        if corr is None:
-            corr = self.correlations(self.as_concrete(f),
-                                     min(p, CORRELATION_CUTOFF))
-        return corr.l2_sq(p)
+        return self.region(self.space.cover())
 
     def norm_method(self, g, p: int, norm: str) -> str:
         """How ||A_p fbar||_norm is bounded; g has fbar's depth, segments."""
@@ -162,8 +156,8 @@ class Shift(System):
     bc_max_n = 18
 
     def __init__(self, p: Fraction):
-        self.tag = MeasureTag.bernoulli(p)
         self.p = p
+        self.label = f"bernoulli({fmt_rat(p)})"
 
     def selector(self) -> str:
         return f"shift:p={self.p.numerator}/{self.p.denominator}"
@@ -233,6 +227,12 @@ class Shift(System):
     def region_balls(self, region: CylSet) -> list[IdealBall]:
         return [CANTOR.cylinder_ball(w) for w in region.prefixes]
 
+    def region(self, balls: list[IdealBall]) -> CylSet:
+        return CylSet([b.cylinder_prefix for b in balls])
+
+    def weigh(self, region: CylSet) -> Fraction:
+        return region.measure(self.p)
+
     def input_bits(self, g: CylinderFn, n: int, m: int) -> int:
         return 0  # cylinder averages read their symbols exactly
 
@@ -270,14 +270,12 @@ class CircleMap(System):
     segment count `_segment_count` that bounds S_n."""
 
     space = CIRCLE
+    label = "lebesgue"
     concrete = PiecewiseLinear
     where = "a circle system"
     exact_mode = "EXACT_ARC"
     #: input bits each map step costs (log2 of the map's expansion)
     bits_per_step = 0
-
-    def __init__(self):
-        self.tag = MeasureTag.lebesgue()
 
     def orbit_enclosure(self, g: PiecewiseLinear, x, n: int,
                         m_in: int) -> Interval:
@@ -314,6 +312,12 @@ class CircleMap(System):
             balls += [IdealBall._of(CIRCLE, mod1(a + r * (2 * i + 1)), r)
                       for i in range(parts)]
         return balls
+
+    def region(self, balls: list[IdealBall]) -> ArcSet:
+        return ArcSet.from_raw([ball_arc(b) for b in balls])
+
+    def weigh(self, region: ArcSet) -> Fraction:
+        return region.measure()
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)
@@ -417,7 +421,6 @@ class Rotation(CircleMap):
     bc_max_n = 200
 
     def __init__(self, alpha: Quad):
-        super().__init__()
         self.alpha = alpha
 
     def _image(self, lo, hi, i: int):
@@ -666,7 +669,12 @@ def l2_sq_enclosure(system: System, f: Observable, p: int,
     at the first iterate that repeats up to a scalar
     (`doubling_correlations`), and each p combines the table's integer
     prefix sums into one Fraction per end (`Correlations`)."""
-    return system.l2_sq(f, p, corr)
+    if p < 1:
+        raise InputError("p must be >= 1")
+    if corr is None:
+        corr = system.correlations(system.as_concrete(f),
+                                   min(p, CORRELATION_CUTOFF))
+    return corr.l2_sq(p)
 
 
 def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:

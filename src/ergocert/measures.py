@@ -1,12 +1,11 @@
-"""Ideal measures, exact W1 transport, exact measure oracles.
+"""Ideal measures, exact W1 transport, exact measures of ball unions.
 
 W1 between ideal measures is exact over the rationals: each space couples
 integer masses by its own closed form (`Space.transport`), a cut at a
 weighted median plus a monotone rearrangement on the circle, greedy
-bottom-up matching on the ultrametric Cantor space.  Lebesgue on the circle
-and Bernoulli(p) on Cantor space, the invariant measures of the built-in
-systems, get exact measure oracles (`MeasureTag`) for finite unions of
-balls.
+bottom-up matching on the ultrametric Cantor space.  A finite union of
+ideal balls is weighed exactly under a built-in system's invariant measure
+by the system itself (`System.region`, then `System.weigh`).
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import fmt_rat, parse_rat
+from .arith import fmt_rat
+from .dynamics import System
 from .errors import InputError
-from .regions import ArcSet, CylSet
-from .spaces import IdealBall, Space, ball_arc
+from .spaces import IdealBall, Space
 
 
 @dataclass(frozen=True)
@@ -29,17 +28,15 @@ class IdealMeasure:
     atoms: tuple  # ((point, weight), ...)
 
     def __post_init__(self):
-        pts = [p for p, _ in self.atoms]
-        if len(set(map(str, pts))) != len(pts):
+        atoms = tuple((self.space.point(p), Fraction(w))
+                      for p, w in self.atoms)
+        if len({str(p) for p, _ in atoms}) != len(atoms):
             raise ValueError("atom points must be pairwise distinct")
-        ws = [Fraction(w) for _, w in self.atoms]
-        if any(w <= 0 for w in ws):
+        if any(w <= 0 for _, w in atoms):
             raise ValueError("weights must be positive")
-        if sum(ws) != 1:
+        if sum(w for _, w in atoms) != 1:
             raise ValueError("weights must sum to 1")
-        object.__setattr__(
-            self, "atoms",
-            tuple((self.space.point(p), w) for (p, _), w in zip(self.atoms, ws)))
+        object.__setattr__(self, "atoms", atoms)
 
     @staticmethod
     def dirac(space: Space, point) -> "IdealMeasure":
@@ -47,8 +44,11 @@ class IdealMeasure:
 
     @staticmethod
     def from_json(space: Space, data: list) -> "IdealMeasure":
-        return IdealMeasure(space, tuple((space.point_from_json(p), parse_rat(w))
-                                         for p, w in data))
+        """Atoms from [point, weight] strings; JSON numbers are refused."""
+        atoms = tuple((p, w) for p, w in data)
+        if not all(isinstance(x, str) for atom in atoms for x in atom):
+            raise ValueError("atom points and weights must be strings")
+        return IdealMeasure(space, atoms)
 
 
 @dataclass(frozen=True)
@@ -96,59 +96,19 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
 
 
 # ---------------------------------------------------------------------------
-# Exact measure oracles of the built-in instances
+# Exact measures of regions under a system's invariant measure
 
 
-class MeasureTag:
-    """Exact measure oracle of a built-in instance: it turns a finite union
-    of ideal balls into an exact region and weighs regions exactly."""
-
-    @staticmethod
-    def lebesgue() -> "MeasureTag":
-        return _Lebesgue()
-
-    @staticmethod
-    def bernoulli(p) -> "MeasureTag":
-        p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise ValueError("p must lie in [0,1]")
-        return _Bernoulli(p)
+def region_measure(system: System, region) -> Fraction:
+    return system.weigh(region)
 
 
-class _Lebesgue(MeasureTag):
-    label = "lebesgue"
-
-    def region(self, balls: list[IdealBall]) -> ArcSet:
-        return ArcSet.from_raw([ball_arc(b) for b in balls])
-
-    def weigh(self, region: ArcSet) -> Fraction:
-        return region.measure()
-
-
-@dataclass(frozen=True)
-class _Bernoulli(MeasureTag):
-    p: Fraction  # probability of symbol 1
-
-    @property
-    def label(self) -> str:
-        return f"bernoulli({fmt_rat(self.p)})"
-
-    def region(self, balls: list[IdealBall]) -> CylSet:
-        return CylSet([b.cylinder_prefix for b in balls])
-
-    def weigh(self, region: CylSet) -> Fraction:
-        return region.measure(self.p)
-
-
-def region_measure(tag: MeasureTag, region) -> Fraction:
-    return tag.weigh(region)
-
-
-def measure_of_finite_union(tag: MeasureTag, balls: list[IdealBall]) -> Fraction:
+def measure_of_finite_union(system: System,
+                            balls: list[IdealBall]) -> Fraction:
     """Exact measure of a finite union of ideal balls."""
-    return region_measure(tag, tag.region(balls))
+    return region_measure(system, system.region(balls))
 
 
-def support_hit(tag: MeasureTag, ball: IdealBall) -> bool:
+def support_hit(system: System, ball: IdealBall) -> bool:
     """Decide exactly whether the ball carries positive mass."""
-    return measure_of_finite_union(tag, [ball]) > 0
+    return measure_of_finite_union(system, [ball]) > 0

@@ -78,7 +78,7 @@ class TestExactWindows:
                               count=3)
         for j in range(1, 4):
             w = bc.window(j)
-            assert measure_of_finite_union(SHIFT.tag, w.balls) >= 1 - w.err
+            assert measure_of_finite_union(SHIFT, w.balls) >= 1 - w.err
 
 
 class TestIntersect:
@@ -213,7 +213,7 @@ class TestSynthesis:
         #  balls, and each replays and stays nested in its target]
         balls = (IdealBall.from_index(CANTOR, i) for i in itertools.count())
         mass_balls = (b for b in balls
-                      if b.radius <= 1 and support_hit(SHIFT.tag, b))
+                      if b.radius <= 1 and support_hit(SHIFT, b))
         for k, target in enumerate(itertools.islice(mass_balls, 3)):
             art = tmp_path / f"point{k}.json"
             code = main(["synthesize", "--system", SHIFT.selector(),

@@ -211,6 +211,24 @@ class TestExitCodes:
             assert code == EXIT_INPUT and not streams.out
             assert json.loads(streams.err)["error"] == "input"
 
+    @pytest.mark.parametrize("name", [
+        "cert_shift1-2_coord1_norm-l2_1-8.json",
+        "cert_doubling_hat_a_norm-l2_1-8.json"])
+    @pytest.mark.parametrize("p", [0, -3, -200])
+    def test_l2_certificate_with_p_below_1(self, capsys, tmp_path, name, p):
+        # the L2 route refuses p < 1 as the L1 route does, before any
+        # index into the correlation table or any square root
+        art = tmp_path / name
+        art.write_text(json.dumps({**json.loads((CORPUS / name).read_text()),
+                                   "p": p}))
+        for argv in (["replay", "--artifact", str(art)],
+                     ["validate", "--certificate", str(art)]):
+            code = main(argv)
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err) == {"error": "input",
+                                               "detail": "p must be >= 1"}
+
     @pytest.mark.parametrize("name, field", [
         *(("cert_shift1-2_w01_as-bounded_1-4_1-2.json", field)
           for field in ("sup_bound", "delta")),

@@ -235,23 +235,23 @@ class TestMeasurePreservation:
                     assert system.integral(system.average(g, n)) \
                         == system.integral(g)
 
-    def test_system_tag_is_the_invariant_measure(self):
-        # [DERIVED: the tag a system holds weighs cylinders as its own
-        #  integral does, and gives the whole space mass 1]
+    def test_system_weighs_by_its_invariant_measure(self):
+        # [DERIVED: a system weighs cylinders as its own integral does,
+        #  and gives the whole space mass 1]
         for system in builtin_systems() + [shift_system(F(1, 3))]:
             assert measure_of_finite_union(
-                system.tag, system.space.cover()) == 1
+                system, system.space.cover()) == 1
             if system.concrete is CylinderFn:
                 p = system.p
-                assert system.tag.label == f"bernoulli({p.numerator}/" \
+                assert system.label == f"bernoulli({p.numerator}/" \
                     f"{p.denominator})"
                 for word in ("0", "1", "101", "0110"):
                     ball = system.space.cylinder_ball(word)
-                    assert measure_of_finite_union(system.tag, [ball]) \
+                    assert measure_of_finite_union(system, [ball]) \
                         == system.integral(CylinderFn.word_indicator(word)) \
                         == cylinder_mass(word, p)
             else:
-                assert system.tag.label == "lebesgue"
+                assert system.label == "lebesgue"
 
 
 class TestOrbitEvaluation:

@@ -8,9 +8,11 @@ from math import lcm
 
 import pytest
 
+from ergocert import measures
+from ergocert.dynamics import Shift, doubling_system, shift_system
 from ergocert.errors import InputError
-from ergocert.measures import (IdealMeasure, MeasureTag,
-                               measure_of_finite_union, support_hit, w1_ideal)
+from ergocert.measures import (IdealMeasure, measure_of_finite_union,
+                               support_hit, w1_ideal)
 from ergocert.regions import cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, IdealBall
 
@@ -168,6 +170,31 @@ class TestW1Examples:
         for mu1, mu2 in ((one, half), (half, one)):
             with pytest.raises(InputError):
                 w1_ideal(CIRCLE, mu1, mu2)
+
+    def test_from_json_converts_each_atom_once(self, monkeypatch):
+        # [DERIVED: a measure read from JSON converts every point and
+        #  every weight once, not once when read and again when built]
+        points, weights = [], []
+        for space in (CIRCLE, CANTOR):
+            for name in ("point", "point_from_json"):
+                def spy(p, convert=getattr(space, name)):
+                    points.append(p)
+                    return convert(p)
+                monkeypatch.setattr(space, name, spy)
+
+        def fraction(*args):
+            weights.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(measures, "Fraction", fraction)
+        for space, data in (
+                (CIRCLE, [["1/4", "1/3"], ["5/4", "1/6"], ["2/3", "1/2"]]),
+                (CANTOR, [["1", "1/3"], ["10", "1/6"], ["", "1/2"]])):
+            del points[:], weights[:]
+            mu = IdealMeasure.from_json(space, data)
+            assert len(points) == len(weights) == len(data)
+            assert [p for p, _ in mu.atoms] == [space.point(p)
+                                                for p, _ in data]
 
 
 class TestW1Oracles:
@@ -343,31 +370,33 @@ def bernoulli_approx(p, m):
 class TestInstanceOracles:
     def test_union_examples(self):
         # [PAPER: overlapping arcs merge exactly]
-        tag = MeasureTag.lebesgue()
+        circle = doubling_system()
         balls = [IdealBall(CIRCLE, F(1, 5), F(1, 10)),
                  IdealBall(CIRCLE, F(1, 4), F(1, 10))]
-        assert measure_of_finite_union(tag, balls) == F(1, 4)
-        assert measure_of_finite_union(tag, []) == 0
-        tagb = MeasureTag.bernoulli(F(1, 2))
+        assert measure_of_finite_union(circle, balls) == F(1, 4)
+        assert measure_of_finite_union(circle, []) == 0
+        shift = shift_system(F(1, 2))
         assert measure_of_finite_union(
-            tagb, [IdealBall(CANTOR, "1", F(3, 4))]) == F(1, 2)
+            shift, [IdealBall(CANTOR, "1", F(3, 4))]) == F(1, 2)
 
     def test_whole_space_and_one_ball(self):
         # [PAPER: arc length of a single ball; the cover is the whole space]
-        tag = MeasureTag.lebesgue()
+        circle = doubling_system()
         ball = IdealBall(CIRCLE, F(1, 2), F(1, 8))
-        assert measure_of_finite_union(tag, [ball]) == F(1, 4)
-        for space, tag in ((CIRCLE, tag), (CANTOR, MeasureTag.bernoulli(1))):
-            assert measure_of_finite_union(tag, space.cover()) == 1
+        assert measure_of_finite_union(circle, [ball]) == F(1, 4)
+        for system in (circle, Shift(F(1))):
+            assert measure_of_finite_union(system,
+                                           system.space.cover()) == 1
 
     def test_support_hit(self):
         # [PAPER: Lebesgue and Bernoulli(1/2) have full support;
         #  Bernoulli(1) gives mass zero to cylinders starting with 0]
-        assert support_hit(MeasureTag.lebesgue(),
+        assert support_hit(doubling_system(),
                            IdealBall(CIRCLE, F(1, 3), F(1, 100)))
-        assert support_hit(MeasureTag.bernoulli(F(1, 2)),
+        assert support_hit(shift_system(F(1, 2)),
                            IdealBall(CANTOR, "0101", F(3, 32)))
-        degenerate = MeasureTag.bernoulli(1)
+        # shift_system refuses p = 1; the class weighs it all the same
+        degenerate = Shift(F(1))
         assert not support_hit(degenerate, IdealBall(CANTOR, "01", F(3, 8)))
         assert support_hit(degenerate, IdealBall(CANTOR, "11", F(3, 8)))
 
