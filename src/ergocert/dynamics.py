@@ -88,12 +88,11 @@ class System:
 
     def birkhoff_sum(self, g, n: int):
         """S_n g = sum_{i<n} g o T^i in the system's form: (den, den S_n)
-        on the shift's cylinders, a PiecewiseLinear on the circle (in its
-        one integer form, from n = 2 on, for rational g).  The
-        last sum is kept, keyed on g's data (`centered` builds a new g on
-        every call): the same g at n >= the kept m extends S_m, else S_0
-        is extended."""
-        key = g.table if isinstance(g, CylinderFn) else g.segments
+        on the shift's cylinders, a PiecewiseLinear (one integer form) on
+        the circle.  The last sum is kept, keyed on g's table or integer
+        form (`centered` builds a new g on every call): the same g at
+        n >= the kept m extends S_m, else S_0 is extended."""
+        key = g.table if isinstance(g, CylinderFn) else g.form
         held, m, state = self._slot or (None, 0, None)
         if held != key or m > n:
             m, state = 0, None
@@ -364,13 +363,13 @@ class Doubling(CircleMap):
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         # n capped first: a replayed window may record any n, and past the
         # budget's bit length the count is over budget whatever g is
-        return max(len(g.segments), 1) << min(n, SEGMENT_BUDGET.bit_length())
+        return len(g.form.xa) << min(n, SEGMENT_BUDGET.bit_length())
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
-        # S_(i+1) = g + S_i o T.  For rational g, S_i o T is S_i's rational
-        # integer form with the starts copied to x + q on the grid 2q
-        # (q = D 2^(i-1), D the lcm of g's breakpoint denominators), and g,
-        # converted once, adds on its few breakpoints; see PiecewiseLinear
+        # S_(i+1) = g + S_i o T: S_i o T is S_i's rational integer form
+        # with the starts copied to x + q on the grid 2q (q = D 2^(i-1), D
+        # the lcm of g's breakpoint denominators), and g's form adds on its
+        # few breakpoints; see PiecewiseLinear
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} on the doubling map needs "
                                       f"more than {SEGMENT_BUDGET} segments")
@@ -387,7 +386,7 @@ class Doubling(CircleMap):
 
     def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
         # p first: a replayed certificate may record any p
-        return p <= 12 and max(len(g.segments), 1) << p <= 1 << 12
+        return p <= 12 and len(g.form.xa) << p <= 1 << 12
 
     def point_in(self, final: IdealBall, track: list):
         """The left endpoint's binary digits, continued by a digit tail
@@ -428,13 +427,13 @@ class Rotation(CircleMap):
         return lo + sh, hi + sh
 
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
-        return max(len(g.segments), 1) * n
+        return len(g.form.xa) * n
 
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
-        # S_n: one sweep over S_m and g o R^i, m <= i < n.  For rational g
-        # each g o R^i is cut from g's integer form, converted once, with
-        # breakpoints (a + b sqrt2)/N and values (u + w sqrt2)/E (N and E
-        # fixed by g and alpha), and the sweep runs in integers
+        # S_n: one sweep over S_m and g o R^i, m <= i < n.  Each g o R^i is
+        # cut from g's rational integer form, with breakpoints
+        # (a + b sqrt2)/N and values (u + w sqrt2)/E (N and E fixed by g
+        # and alpha), and the sweep runs in integers
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
         head = [] if s is None else [s]
@@ -579,38 +578,35 @@ def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
     The table stops transferring once an iterate repeats up to a scalar:
     g_j = c g_i (i < j) gives C(j + k) = c C(i + k) for every k by
     linearity, so the rest of the table follows exactly.  A zero iterate
-    is the case c = 0."""
+    is the case c = 0.  The transfer keeps the steps 1/n of fbar's integer
+    form, so a repeat shows on equal starts and proportional value and
+    increment columns."""
     out = []
-    seen = {}  # breakpoints of g_i -> [(i, g_i)]
+    seen = {}  # starts of g_i -> [(i, form of g_i)]
     g = fbar
     for j in range(count):
-        if g.segments == _ZERO:
-            return out + [Fraction(0)] * (count - j)
-        earlier = seen.setdefault(tuple(s[0] for s in g.segments), [])
+        earlier = seen.setdefault(tuple(g.form.xa), [])
         for i, h in earlier:
-            c = _multiple(g, h)
+            c = _multiple(g.form, h)
             if c is not None:
                 for m in range(j, count):
                     out.append(c * out[m - (j - i)])
                 return out
-        earlier.append((j, g))
+        earlier.append((j, g.form))
         out.append(pl_inner(fbar, g))
         g = g.transfer_doubling()
     return out
 
 
-#: the segments of the zero function in normal form
-_ZERO = [(0, 1, 0, 0)]
-
-
-def _multiple(g: PiecewiseLinear, h: PiecewiseLinear) -> Optional[Fraction]:
-    """c with g = c h, or None; g and h share their breakpoints and h is
-    not zero."""
-    v = [x for s in g.segments for x in s[2:]]
-    u = [x for s in h.segments for x in s[2:]]
-    k = next(k for k, x in enumerate(u) if x)
-    c = v[k] / u[k]
-    return c if all(a == c * b for a, b in zip(v, u)) else None
+def _multiple(g, h) -> Optional[Fraction]:
+    """c with g = c h, or None, for integer forms on the same starts: c is
+    the ratio of their value and increment columns, each over its own e;
+    c = 0 when g is zero."""
+    gs, hs = g.vu + g.ds, h.vu + h.ds
+    p, q = next(((a, b) for a, b in zip(gs, hs) if b), (0, 1))
+    c = Fraction(p * h.e, q * g.e)
+    return c if all(a * h.e * c.denominator == c.numerator * b * g.e
+                    for a, b in zip(gs, hs)) else None
 
 
 class Correlations:

@@ -1,11 +1,12 @@
 """Observable classes with exact integration.
 
-Three variants: piecewise-linear functions on the circle (rational values,
-rational or Q[sqrt2] breakpoints), cylinder functions on Cantor space, and
-the closure of the Lipschitz bump family under max, min and rational linear
-combinations.  Everything integrates and clamps in exact arithmetic, and
-circle functions give exact sublevel arcs; that is what makes rate
-certificates replayable.
+Three variants: piecewise-linear functions on the circle (one integer form
+each: rational data, or Q[sqrt2] data for the rotation's shifted terms and
+sums), cylinder functions on Cantor space, and the closure of the
+Lipschitz bump family under max, min and rational linear combinations.
+Everything integrates and clamps in exact arithmetic, and circle functions
+give exact sublevel arcs; that is what makes rate certificates
+replayable.
 """
 
 from __future__ import annotations
@@ -30,38 +31,38 @@ CYLINDER_BUDGET_LOG2 = 24
 
 
 class PiecewiseLinear:
-    """Piecewise-linear function on the circle [0,1).
-
-    Stored as contiguous segments (a, b, va, vb): linear from va at a to vb
-    at b, right-continuous at segment starts.  Jumps between segments are
-    allowed (f(x)=x as a circle map jumps at 0).  Normal form: no segment
-    has zero length and no two neighbours are continuous and collinear.
-    The constructor establishes it; `pl_sum`, `scale` (c != 0), `add_const`,
-    `shift` and `pullback_doubling` emit it and skip the checks.
-
-    Integer form: a function may instead, or also, hold `form`, a `_Form`
-    of ints in the same normal form: segment k starts at
+    """Piecewise-linear function on the circle [0,1), held as one integer
+    form `form` (a `_Form` of ints): segment k starts at
     (xa[k] + xb[k] sqrt2)/n, has value (vu[k] + vw[k] sqrt2)/e there and
-    changes by ds[k]/e per step 1/n.  A function whose data are all
-    Fractions is converted once, with xb = vw = 0, when `shift`,
-    `pullback_doubling`, `add` or `pl_sum` first needs it, and keeps it.
-    `pullback_doubling` and `add` keep a rational form rational (the
-    doubling map's S_n), `shift` by an irrational c writes a shifted term
-    g o R^i, and `pl_sum` sweeps shifted terms with any others in
-    integers, ordering the breakpoints by exact integer keys (the
-    rotation's S_n).  `abs_integral`, `sup_norm`, `scale` and the
-    sublevel arcs read a form only when the function holds one.  The
-    `segments` of a form are built on first read, with the types that
-    its `kind` records and the Fraction kernels give: a position is a
-    Fraction exactly when it is rational, and every value of a rational
-    form is a Fraction and every value of a sum a Quad, while a shifted
-    term has Quad values only at 0 and 1 (the cut at c).  Other Q[sqrt2]
-    data keep the Fraction kernels."""
+    changes by ds[k]/e per step 1/n.  Right-continuous at segment starts;
+    jumps between segments are allowed (f(x)=x as a circle map jumps at
+    0).  Normal form: no segment has zero length and no two neighbours
+    are continuous and collinear.  The checking constructor takes rational
+    segments (a, b, va, vb), linear from va at a to vb at b, establishes
+    the normal form and converts them once; every kernel emits it.
+
+    `kind` records what a form holds: a rational form has xb = vw = 0; a
+    shifted term g o R^i (`shift` by an irrational c) has Q[sqrt2]
+    breakpoints and Q[sqrt2] values only at 0 and 1 (the cut at c); a sum
+    (`pl_sum` of terms not all rational, the rotation's S_n) may hold
+    Q[sqrt2] anywhere.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`
+    and the sublevel arcs take every kind.  The lattice, `shift`,
+    `pullback_doubling`, `transfer_doubling`, `pl_inner`, `abs_integral`
+    and `window_reader` read xa, vu and ds only: they take rational forms
+    and raise ValueError on the others.
+
+    `segments`, the view that JSON output, `range_on` and the evaluations
+    read, is built on first read with the types of the form's kind: a
+    position is a Fraction exactly when it is rational, every value of a
+    rational form is a Fraction and every value of a sum a Quad, and a
+    shifted term has Quad values only at 0 and 1."""
 
     __slots__ = ("segments", "form")
     space = CIRCLE
 
     def __init__(self, segments):
+        if any(type(t) not in (int, Fraction) for s in segments for t in s):
+            raise ValueError("piecewise-linear data must be rational")
         segs = [s for s in segments if s[0] < s[1]]
         if not segs or segs[0][0] != 0 or segs[-1][1] != 1:
             raise ValueError("segments must tile [0,1]")
@@ -72,20 +73,19 @@ class PiecewiseLinear:
         merged = [segs[0]]
         for a, b, va, vb in segs[1:]:
             pa, pb, pva, pvb = merged[-1]
-            if pvb == va and _collinear(pa, pb, pva, pvb, b, vb):
+            if pvb == va and (pvb - pva) * (b - pa) == (vb - pva) * (pb - pa):
                 merged[-1] = (pa, b, pva, vb)
             else:
                 merged.append((a, b, va, vb))
-        self.segments = merged
-        self.form = None
-
-    @staticmethod
-    def _normal(segments) -> "PiecewiseLinear":
-        """Wrap segments that are already in normal form, unchecked."""
-        f = object.__new__(PiecewiseLinear)
-        f.segments = segments
-        f.form = None
-        return f
+        # on the steps 1/n of the lcm of the breakpoint denominators
+        n = math.lcm(*[a.denominator for a, _, _, _ in merged])
+        incs = [Fraction(vb - va) / ((b - a) * n) for a, b, va, vb in merged]
+        e = math.lcm(*[va.denominator for _, _, va, _ in merged],
+                     *[d.denominator for d in incs])
+        zeros = [0] * len(merged)
+        self.form = _Form(n, e, [_over(a, n) for a, _, _, _ in merged], zeros,
+                          [_over(va, e) for _, _, va, _ in merged], zeros,
+                          [_over(d, e) for d in incs], _RATIONAL)
 
     @staticmethod
     def _of(form: "_Form") -> "PiecewiseLinear":
@@ -95,9 +95,9 @@ class PiecewiseLinear:
         return f
 
     def __getattr__(self, name):
-        # only reached while the slot is empty: a function given by its
-        # integer form builds its segments on first read
-        if name != "segments" or self.form is None:
+        # only reached while the slot is empty: the segments view is built
+        # on first read
+        if name != "segments":
             raise AttributeError(name)
         self.segments = segs = _segments(self.form)
         return segs
@@ -143,12 +143,13 @@ class PiecewiseLinear:
 
     def eval_right(self, x):
         """f(x) with the right-continuous convention; x in [0,1)."""
-        return _lerp(*self.segments[self._index_at(x)], x)
+        segs = self.segments
+        return _lerp(*segs[bisect_right(segs, x, key=itemgetter(0)) - 1], x)
 
     def window_reader(self, k: int):
         """(den, read) for a rational f: read(w) = den f((2w + 1)/2^(k+1)),
         mid-way on the arc of the k-digit word w, from f's integer form."""
-        f, m = _form(self), 1 << (k + 1)
+        f, m = _rational(self), 1 << (k + 1)
         starts, heads = [a * m for a in f.xa], [u * m for u in f.vu]
 
         def read(w: int) -> int:
@@ -156,10 +157,6 @@ class PiecewiseLinear:
             i = bisect_right(starts, x) - 1
             return heads[i] + f.ds[i] * (x - starts[i])
         return f.e * m, read
-
-    def _index_at(self, x) -> int:
-        """Index of the segment [a, b) holding x in [0,1)."""
-        return bisect_right(self.segments, x, key=itemgetter(0)) - 1
 
     def range_on(self, lo, hi) -> Interval:
         """Exact hull of f over the real-line interval [lo, hi] mod 1."""
@@ -195,17 +192,9 @@ class PiecewiseLinear:
             tot = tot + (b - a) * (va + vb) / 2
         return tot
 
-    def abs_integral(self):
+    def abs_integral(self) -> Fraction:
         """Exact integral of |f|; a sign change splits a segment in two."""
-        if self.form is not None and self.form.kind == _RATIONAL:
-            return _abs_integral(self.form)
-        tot = 0
-        for a, b, va, vb in self.segments:
-            if (va < 0 < vb) or (vb < 0 < va):
-                tot = tot + (b - a) * (va * va + vb * vb) / (2 * abs(vb - va))
-            else:
-                tot = tot + (b - a) * (abs(va) + abs(vb)) / 2
-        return tot
+        return _abs_integral(_rational(self))
 
     def square_integral(self):
         tot = 0
@@ -213,12 +202,12 @@ class PiecewiseLinear:
             tot = tot + (b - a) * (va * va + va * vb + vb * vb) / 3
         return tot
 
-    def sup_norm(self) -> Fraction:
-        if self.form is not None and self.form.kind == _SUM:
-            return _sup(self.form)
-        vals = [abs(va) for _, _, va, _ in self.segments]
-        vals += [abs(vb) for _, _, _, vb in self.segments]
-        return max(vals)
+    def sup_norm(self):
+        """sup |f|: a Fraction for a rational form, else a Quad."""
+        f = self.form
+        if f.kind == _RATIONAL:
+            return Fraction(max(map(abs, chain(f.vu, _ends(f)[0]))), f.e)
+        return _sup(f)
 
     def total_variation(self) -> Fraction:
         """Total variation around the circle, jumps included."""
@@ -235,32 +224,34 @@ class PiecewiseLinear:
     # -- algebra -----------------------------------------------------------
 
     def scale(self, c) -> "PiecewiseLinear":
-        c = Fraction(c)
-        if self.form is not None and c:
-            f, p = self.form, c.numerator
-            return PiecewiseLinear._of(f._replace(
-                e=f.e * c.denominator, vu=_times(f.vu, p),
-                vw=_times(f.vw, p), ds=_times(f.ds, p)))
-        segs = [(a, b, c * va, c * vb) for a, b, va, vb in self.segments]
-        return PiecewiseLinear._normal(segs) if c else PiecewiseLinear(segs)
+        c, f = Fraction(c), self.form
+        if not c:  # zero, with the value types of f's kind
+            return PiecewiseLinear._of(_Form(1, 1, [0], [0], [0], [0], [0],
+                                             f.kind))
+        p = c.numerator
+        return PiecewiseLinear._of(f._replace(
+            e=f.e * c.denominator, vu=_times(f.vu, p),
+            vw=_times(f.vw, p), ds=_times(f.ds, p)))
 
     def add_const(self, c) -> "PiecewiseLinear":
         c = Fraction(c)
-        return PiecewiseLinear._normal(
-            [(a, b, va + c, vb + c) for a, b, va, vb in self.segments])
+        f = self.form
+        e = math.lcm(f.e, c.denominator)
+        k, t = e // f.e, _over(c, e)
+        return PiecewiseLinear._of(f._replace(
+            e=e, vu=[u * k + t for u in f.vu], vw=_times(f.vw, k),
+            ds=_times(f.ds, k)))
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if self.form is not None and self.form.kind == _RATIONAL:
-            g = _form(other)
-            if g is not None and g.kind == _RATIONAL:
-                return PiecewiseLinear._of(_form_plus(self.form, g))
+        if self.form.kind == other.form.kind == _RATIONAL:
+            return PiecewiseLinear._of(_form_plus(self.form, other.form))
         return pl_sum([self, other])
 
     def min_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _lattice(self, other, min)
+        return PiecewiseLinear._of(_lattice(self, other, False))
 
     def max_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _lattice(self, other, max)
+        return PiecewiseLinear._of(_lattice(self, other, True))
 
     def min_const(self, c) -> "PiecewiseLinear":
         return self.min_with(PiecewiseLinear.constant(c))
@@ -273,91 +264,39 @@ class PiecewiseLinear:
         return self.min_const(m).max_const(-m)
 
     def shift(self, c) -> "PiecewiseLinear":
-        """Pullback under rotation: x -> f(x + c mod 1).  The segments keep
-        their circular order: cut the one holding c mod 1 and wrap the
-        segments before it to the end.  Rational data shifted by an
-        irrational c is written in the integer form over Z[sqrt2]."""
-        c = mod1(c)
-        if isinstance(c, Quad) and c.b:
-            f = _form(self)
-            if f is not None and f.kind == _RATIONAL:
-                return PiecewiseLinear._of(_shift(f, c))
-        i = self._index_at(c)
-        segs = [(a - c, b - c, va, vb) for a, b, va, vb in self.segments[i:]]
-        segs += [(a + 1 - c, b + 1 - c, va, vb)
-                 for a, b, va, vb in self.segments[:i]]
-        a, b, va, vb = self.segments[i]
-        if a < c:
-            cut = _lerp(a, b, va, vb, c)
-            segs[0] = (Fraction(0), b - c, cut, vb)
-            segs.append((a + 1 - c, Fraction(1), va, cut))
-        return _joined(segs, len(self.segments) - i)
+        """Pullback under rotation: x -> f(x + c mod 1), for rational f and
+        c rational or in Q[sqrt2] (`_shift`); f itself when c = 0 mod 1."""
+        f, c = _rational(self), mod1(c)
+        return self if c == 0 else PiecewiseLinear._of(_shift(f, c))
 
     def pullback_doubling(self) -> "PiecewiseLinear":
-        """x -> f(2x mod 1); the two copies of f meet at 1/2.  Rational
-        data is pulled back in its integer form."""
-        f = _form(self)
-        if f is not None and f.kind == _RATIONAL:
-            return PiecewiseLinear._of(_pullback(f))
-        segs = []
-        half = Fraction(1, 2)
-        for a, b, va, vb in self.segments:
-            segs.append((a * half, b * half, va, vb))
-        for a, b, va, vb in self.segments:
-            segs.append((a * half + half, b * half + half, va, vb))
-        return _joined(segs, len(self.segments))
+        """x -> f(2x mod 1); the two copies of f meet at 1/2."""
+        return PiecewiseLinear._of(_pullback(_rational(self)))
 
     def transfer_doubling(self) -> "PiecewiseLinear":
         """Transfer operator of the doubling map w.r.t. Lebesgue:
         (Lf)(x) = (f(x/2) + f(x/2 + 1/2)) / 2."""
-        lo = _stretch(self, Fraction(0), Fraction(1, 2))
-        hi = _stretch(self, Fraction(1, 2), Fraction(1))
-        return lo.add(hi).scale(Fraction(1, 2))
+        return PiecewiseLinear._of(_transfer(_rational(self)))
 
     # -- sublevel sets -----------------------------------------------------
 
     def arcs_below_abs(self, delta) -> ArcSet:
         """{x : |f(x)| < delta} as an exact arc set (up to finitely many
         points, which carry no measure)."""
-        return self._arcs_between(-delta, delta)
+        return _arcs(self.form, -delta, delta)
 
     def arcs_above(self, level) -> ArcSet:
         """{x : f(x) > level} as an exact arc set (up to finitely many
         points)."""
-        return self._arcs_between(level, None)
+        return _arcs(self.form, level, None)
 
     def arcs_below(self, level) -> ArcSet:
         """{x : f(x) < level} as an exact arc set (up to finitely many
         points)."""
-        return self._arcs_between(None, level)
-
-    def _arcs_between(self, lo, hi) -> ArcSet:
-        """{x : lo < f(x) < hi}, unbounded below when lo is None and above
-        when hi is None."""
-        if self.form is not None and all(
-                type(t) in (int, Fraction) for t in (lo, hi) if t is not None):
-            return _arcs(self.form, lo, hi)
-        arcs = []
-        for a, b, va, vb in self.segments:
-            small, big = (va, vb) if va < vb else (vb, va)
-            if (lo is None or small > lo) and (hi is None or big < hi):
-                arcs.append((a, b))
-                continue
-            if (lo is not None and big <= lo) or \
-                    (hi is not None and small >= hi):
-                continue
-            # the segment meets a level, so it is not constant
-            slope = (vb - va) / (b - a)
-            xs = sorted([a, b] + [a + (lvl - va) / slope for lvl in (lo, hi)
-                                  if lvl is not None and small < lvl < big])
-            for u, v in zip(xs, xs[1:]):
-                mid = va + slope * ((u + v) / 2 - a)
-                if (lo is None or lo < mid) and (hi is None or mid < hi):
-                    arcs.append((u, v))
-        return ArcSet._sorted(arcs)
+        return _arcs(self.form, None, level)
 
     def __repr__(self):
-        return f"PiecewiseLinear({len(self.segments)} segments)"
+        return f"PiecewiseLinear({len(self.form.xa)} segments)"
 
 
 def _lerp(a, b, va, vb, x):
@@ -366,21 +305,6 @@ def _lerp(a, b, va, vb, x):
     if x == b:
         return vb
     return va + (vb - va) * (x - a) / (b - a)
-
-
-def _collinear(a, b, va, vb, c, vc) -> bool:
-    # (a,va)-(b,vb) extended hits (c,vc)?
-    return (vb - va) * (c - a) == (vc - va) * (b - a)
-
-
-def _joined(segs, j) -> PiecewiseLinear:
-    """segs, in normal form but maybe at the junction before segs[j]."""
-    if 0 < j < len(segs):
-        pa, pb, pva, pvb = segs[j - 1]
-        a, b, va, vb = segs[j]
-        if pvb == va and _collinear(pa, pb, pva, pvb, b, vb):
-            segs[j - 1:j + 1] = [(pa, b, pva, vb)]
-    return PiecewiseLinear._normal(segs)
 
 
 # -- the integer form of PiecewiseLinear ------------------------------------
@@ -405,22 +329,13 @@ class _Form(NamedTuple):
     kind: str
 
 
-def _form(f: PiecewiseLinear):
-    """f's integer form, or None when f has other Q[sqrt2] data.  A
-    function whose data are all Fractions is converted once, on the grid
-    of the lcm of its breakpoint denominators, and keeps the form."""
-    if f.form is None:
-        segs = f.segments
-        if any(type(t) is not Fraction for s in segs for t in s):
-            return None
-        n = math.lcm(*[a.denominator for a, _, _, _ in segs])
-        incs = [(vb - va) / ((b - a) * n) for a, b, va, vb in segs]
-        e = math.lcm(*[va.denominator for _, _, va, _ in segs],
-                     *[d.denominator for d in incs])
-        zeros = [0] * len(segs)
-        f.form = _Form(n, e, [_over(a, n) for a, _, _, _ in segs], zeros,
-                       [_over(va, e) for _, _, va, _ in segs], zeros,
-                       [_over(d, e) for d in incs], _RATIONAL)
+def _rational(f: PiecewiseLinear) -> _Form:
+    """f's form, refused with ValueError unless it is rational: a kernel
+    that reads only xa, vu and ds would drop the sqrt2 parts of any
+    other."""
+    if f.form.kind != _RATIONAL:
+        raise ValueError("needs rational piecewise-linear data, "
+                         f"not a {f.form.kind} form")
     return f.form
 
 
@@ -492,6 +407,70 @@ def _times(col: list, k: int) -> list:
     return col if k == 1 else [x * k for x in col]
 
 
+def _cells(f: _Form, g: _Form) -> list:
+    """The cells [x, y) between the merged breakpoints of two rational
+    forms on common steps, as (x, y, u, du, v, dv): f = u + du (s - x) and
+    g = v + dv (s - x) over e for s in [x, y)."""
+    fx, gx = f.xa + [f.n], g.xa + [g.n]
+    out = []
+    i = j = x = 0
+    while x < f.n:
+        y = min(fx[i + 1], gx[j + 1])
+        out.append((x, y, f.vu[i] + f.ds[i] * (x - fx[i]), f.ds[i],
+                    g.vu[j] + g.ds[j] * (x - gx[j]), g.ds[j]))
+        i += fx[i + 1] == y
+        j += gx[j + 1] == y
+        x = y
+    return out
+
+
+def _lattice(f: PiecewiseLinear, g: PiecewiseLinear, top: bool) -> _Form:
+    """max (top) or min of rational f and g.  Each cell of their common
+    steps (`_cells`) where f - g changes sign is cut at x0 + d0/(dv - du)
+    steps, d0 = f - g at its start x0; the pieces go on the steps
+    1/(n m) over e m, m the lcm of the cut denominators (a slope per
+    step stays as it is), and continuous collinear neighbours merge."""
+    f, g = _common([_rational(f), _rational(g)])
+    pieces = []  # (x, t, u, d): u + d (s - x) over e from s = x + t on
+    m = 1
+    for x, y, u, du, v, dv in _cells(f, g):
+        d0 = u - v
+        d1 = d0 + (du - dv) * (y - x)
+        if d0 * d1 < 0:
+            t = Fraction(d0, dv - du)
+            m = math.lcm(m, t.denominator)
+            first, second = ((u, du), (v, dv)) if (d0 > 0) == top \
+                else ((v, dv), (u, du))
+            pieces += [(x, 0, *first), (x, t, *second)]
+        else:
+            s = d0 + d1
+            pieces.append((x, 0, u, du) if s == 0 or (s > 0) == top
+                          else (x, 0, v, dv))
+    xs, vs, ds = [], [], []
+    for x, t, u, d in pieces:
+        off = _over(t, m)
+        p, val = x * m + off, u * m + d * off
+        if not (ds and ds[-1] == d and vs[-1] + d * (p - xs[-1]) == val):
+            xs.append(p)
+            vs.append(val)
+            ds.append(d)
+    zeros = [0] * len(xs)
+    return _Form(f.n * m, f.e * m, xs, zeros, vs, zeros, ds, _RATIONAL)
+
+
+def pl_inner(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
+    """Exact integral of the product f*g over the circle, for rational f
+    and g: a cell [x, y) of their common steps 1/n (`_cells`), with the
+    values u0, u1 of f and v0, v1 of g at its ends over e, adds
+    (y - x)(2 u0 v0 + u0 v1 + u1 v0 + 2 u1 v1) over 6 n e^2."""
+    f, g = _common([_rational(f), _rational(g)])
+    tot = 0
+    for x, y, u0, du, v0, dv in _cells(f, g):
+        u1, v1 = u0 + du * (y - x), v0 + dv * (y - x)
+        tot += (y - x) * (2 * u0 * v0 + u0 * v1 + u1 * v0 + 2 * u1 * v1)
+    return Fraction(tot, 6 * f.n * f.e * f.e)
+
+
 def _pullback(f: _Form) -> _Form:
     """x -> f(2x mod 1) for a rational form, on the steps 1/2n: the starts
     x and x + n carry the same values and increments; the copies are
@@ -502,6 +481,25 @@ def _pullback(f: _Form) -> _Form:
         del xs[k], vs[k], ds[k]
     zeros = [0] * len(xs)
     return _Form(2 * n, f.e, xs, zeros, vs, zeros, ds, _RATIONAL)
+
+
+def _transfer(f: _Form) -> _Form:
+    """(Lf)(x) = (f(x/2) + f(x/2 + 1/2))/2 for a rational form, on f's own
+    steps 1/n: x/2 moves by half a step of f per step of x, so each half
+    of f, read from its start, is a form on the steps 1/n over 2e, with
+    f's increments; the halves add (`_form_plus`) and the sum is halved
+    over 4e."""
+    n, x2 = f.n, [2 * x for x in f.xa]
+    lo = bisect_left(x2, n)  # the segments starting before 1/2
+    h = bisect_right(x2, n) - 1  # the segment holding 1/2
+    up = [0] + [x - n for x in x2[h + 1:]]
+    zl, zu = [0] * lo, [0] * len(up)
+    s = _form_plus(
+        _Form(n, 2 * f.e, x2[:lo], zl, [2 * u for u in f.vu[:lo]], zl,
+              f.ds[:lo], _RATIONAL),
+        _Form(n, 2 * f.e, up, zu, [2 * f.vu[h] + f.ds[h] * (n - x2[h])]
+              + [2 * u for u in f.vu[h + 1:]], zu, f.ds[h:], _RATIONAL))
+    return s._replace(e=4 * f.e)
 
 
 def _form_plus(f: _Form, g: _Form) -> _Form:
@@ -537,16 +535,19 @@ def _form_plus(f: _Form, g: _Form) -> _Form:
     return _Form(n, f.e, out_x, zeros, out_v, zeros, out_d, _RATIONAL)
 
 
-def _shift(f: _Form, c: Quad) -> _Form:
-    """x -> f(x + c) for a rational form and an irrational c in (0, 1), on
-    the steps 1/n, n the lcm of f.n and the denominators of c: each
-    breakpoint x moves to x - c (plus 1 before c) with its value and
-    increment, and the segment holding c is cut there, its right part
-    starting at 0 and its left part ending at 1."""
-    n = math.lcm(f.n, c.a.denominator, c.b.denominator)
+def _shift(f: _Form, c) -> _Form:
+    """x -> f(x + c) for a rational form and c in (0, 1), rational or in
+    Q[sqrt2], on the steps 1/n, n the lcm of f.n and the denominators of
+    c: each breakpoint x moves to x - c (plus 1 before c) with its value
+    and increment, and the segment holding c is cut there, its right
+    part starting at 0 and its left part ending at 1.  A rational c that
+    is a breakpoint cuts nothing, and the form stays rational; an
+    irrational c gives a shifted term."""
+    a, b = (c.a, c.b) if isinstance(c, Quad) else (c, 0)
+    n = math.lcm(f.n, a.denominator, b.denominator)
     k = n // f.n
     xs, vs, ds = [x * k for x in f.xa], [v * k for v in f.vu], f.ds
-    ca, cb = _over(c.a, n), _over(c.b, n)
+    ca, cb = _over(a, n), _over(b, n)
     # segment i holds c, as it holds floor(n c) = ca + floor(cb sqrt2)
     i = bisect_right(xs, ca + floor_root2(cb)) - 1
     order = list(range(i + 1, len(xs))) + list(range(i))
@@ -556,23 +557,29 @@ def _shift(f: _Form, c: Quad) -> _Form:
     vu = [vs[i] + ds[i] * (ca - xs[i])] + [vs[j] for j in order] + [vs[i]]
     vw = [ds[i] * cb] + [0] * (len(order) + 1)
     dd = [ds[i]] + [ds[j] for j in order] + [ds[i]]
+    cols = (xa, xb, vu, vw, dd)
+    if xs[i] == ca and not cb:  # c is segment i's start: no left part
+        for col in cols:
+            col.pop()
     # f's start, now at index len(xs) - i, goes where f is continuous and
     # collinear across 0
     last = len(xs) - 1
     if ds[last] == ds[0] and vs[last] + ds[last] * (n - xs[last]) == vs[0]:
-        for col in (xa, xb, vu, vw, dd):
+        for col in cols:
             del col[len(xs) - i]
-    return _Form(n, f.e * k, xa, xb, vu, vw, dd, _SHIFTED)
+    return _Form(n, f.e * k, *cols, _SHIFTED if cb else _RATIONAL)
 
 
 def _form_sum(forms: list) -> _Form:
-    """The sum of integer forms, at least one of them irrational, in one
-    sweep, as `pl_sum` does it: the terms go on common steps (`_common`),
-    and the jumps in value and increment at each breakpoint are filed
+    """The sum of integer forms in one sweep: the terms go on common steps
+    (`_common`); every term adds its value and increment at 0, and its
+    jumps in value and increment at each of its other breakpoints, filed
     under the exact key floor(m (a + b sqrt2)) of its position
     (a + b sqrt2)/n.  With m a power of two above 2 max|a| + 4 max|b| the
     keys of different positions differ (see `exact_keys`); one isqrt per
-    distinct b."""
+    distinct b.  The keys are swept in order, ending a segment only where
+    the value or the increment changes (normal form).  The sum is
+    rational when every term is."""
     forms = _common(forms)
     n, e = forms[0].n, forms[0].e
     m = 1 << (2 * max(abs(a) for f in forms for a in f.xa)
@@ -609,7 +616,8 @@ def _form_sum(forms: list) -> _Form:
             vu.append(u)
             vw.append(w)
             ds.append(d)
-    return _Form(n, e, xa, xb, vu, vw, ds, _SUM)
+    kind = _RATIONAL if all(f.kind == _RATIONAL for f in forms) else _SUM
+    return _Form(n, e, xa, xb, vu, vw, ds, kind)
 
 
 def _abs_integral(f: _Form) -> Fraction:
@@ -634,8 +642,8 @@ def _abs_integral(f: _Form) -> Fraction:
 
 
 def _sup(f: _Form) -> Quad:
-    """sup |f| over the ends of every segment of a sum, compared exactly
-    in integers; a Quad, as the Fraction kernel gives it."""
+    """sup |f| over the ends of every segment of an irrational form,
+    compared exactly in integers, as a Quad."""
     tu, tw = _ends(f)
     bu = bw = 0
     for u, w in chain(zip(f.vu, f.vw), zip(tu, tw)):
@@ -656,8 +664,7 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
     start or at a level crossing, and it joins the arc before it exactly
     when it starts at the segment's start and that arc reached it.  A
     number is built only at a crossing and at the ends of each maximal
-    arc; a crossing is a Quad unless the form is rational, as the
-    Fraction kernel gives it."""
+    arc; a crossing is a Quad unless the form is rational."""
     n, e, xa, xb, vu, vw, ds, kind = f
     tu, tw = _ends(f)
 
@@ -716,97 +723,10 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
     return ArcSet._canonical(arcs)
 
 
-def _stretch(f: PiecewiseLinear, lo, hi) -> PiecewiseLinear:
-    """The function x -> f(lo + x*(hi-lo)) on [0,1]."""
-    w = hi - lo
-    segs = []
-    for a, b, va, vb in f.segments:
-        s, t = max(a, lo), min(b, hi)
-        if s >= t:
-            continue
-        segs.append(((s - lo) / w, (t - lo) / w,
-                     _lerp(a, b, va, vb, s), _lerp(a, b, va, vb, t)))
-    return PiecewiseLinear(segs)
-
-
-def _cells(f: PiecewiseLinear, g: PiecewiseLinear):
-    """Walk the merged breakpoint grid of f and g: yields (a, b, fa, fb,
-    ga, gb) for each cell [a, b] on which both are linear, with the values
-    at a (right limits) and at b (left limits)."""
-    fs, gs = f.segments, g.segments
-    i = j = 0
-    a = fs[0][0]
-    while i < len(fs):
-        fseg, gseg = fs[i], gs[j]
-        b = min(fseg[1], gseg[1])
-        yield (a, b, _lerp(*fseg, a), _lerp(*fseg, b),
-               _lerp(*gseg, a), _lerp(*gseg, b))
-        if fseg[1] == b:
-            i += 1
-        if gseg[1] == b:
-            j += 1
-        a = b
-
-
-def _lattice(f: PiecewiseLinear, g: PiecewiseLinear, pick) -> PiecewiseLinear:
-    """Pointwise pick (min or max) of f and g, with exact crossings."""
-    segs = []
-    for a, b, fa, fb, ga, gb in _cells(f, g):
-        da, db = fa - ga, fb - gb
-        if (da < 0 < db) or (db < 0 < da):
-            x = a + (b - a) * (0 - da) / (db - da)
-            fx = _lerp(a, b, fa, fb, x)
-            segs.append((a, x, pick(fa, ga), fx))
-            segs.append((x, b, fx, pick(fb, gb)))
-        else:
-            segs.append((a, b, pick(fa, ga), pick(fb, gb)))
-    return PiecewiseLinear(segs)
-
-
-def pl_inner(f: PiecewiseLinear, g: PiecewiseLinear):
-    """Exact integral of the product f*g over the circle."""
-    tot = 0
-    for a, b, fa, fb, ga, gb in _cells(f, g):
-        tot = tot + (b - a) * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb) / 6
-    return tot
-
-
 def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
-    """Pointwise sum of fs in one sweep.
-
-    Every term adds its value and slope at 0, and its jump in value and
-    in slope at each of its other breakpoints.  The breakpoints of all
-    terms are sorted once and the jumps accumulated from 0 to 1, ending a
-    segment only where the value or the slope changes (normal form).
-    When a term holds an irrational integer form (a shifted term or a
-    sum), the terms are summed in integers (`_form_sum`)."""
-    if any(f.form is not None and f.form.kind != _RATIONAL for f in fs):
-        forms = [_form(f) for f in fs]
-        if None not in forms:
-            return PiecewiseLinear._of(_form_sum(forms))
-    value = slope = Fraction(0)
-    jumps = {}
-    for f in fs:
-        (a, b, va, vb), *rest = f.segments
-        prev = (vb - va) / (b - a)
-        value, slope, end = value + va, slope + prev, vb
-        for a, b, va, vb in rest:
-            s = (vb - va) / (b - a)
-            jumps.setdefault(a, []).append((va - end, s - prev))
-            end, prev = vb, s
-    segs = []
-    x = start = Fraction(0)
-    head = value
-    for c in sorted(jumps):
-        end = value + slope * (c - x)
-        x, value, before = c, end, slope
-        for dv, ds in jumps[c]:
-            value, slope = value + dv, slope + ds
-        if value != end or slope != before:
-            segs.append((start, c, head, end))
-            start, head = c, value
-    segs.append((start, Fraction(1), head, value + slope * (Fraction(1) - x)))
-    return PiecewiseLinear._normal(segs)
+    """Pointwise sum of fs in one sweep over their integer forms
+    (`_form_sum`)."""
+    return PiecewiseLinear._of(_form_sum([f.form for f in fs]))
 
 
 # ---------------------------------------------------------------------------

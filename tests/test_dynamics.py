@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ergocert import dynamics, observables
+from ergocert import dynamics
 from ergocert.arith import Quad, mod1, pow2
 from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                birkhoff_observable, builtin_systems, centered,
@@ -16,10 +16,11 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                shift_system)
 from ergocert.errors import BudgetExceededError, InputError
 from ergocert.measures import measure_of_finite_union
-from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner, pl_sum
+from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner
 from ergocert.regions import ArcSet, cylinder_mass
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall)
+import pl_reference as ref
 from test_observables import _assert_normal_form
 
 FIRSTBIT = CylinderFn.coordinate(0)
@@ -487,29 +488,21 @@ class TestCorrelations:
                 assert (box.lo, box.hi) == (val - tail, val + tail)
 
 
-def _fraction_pullback(f):
-    """x -> f(2x mod 1) in plain Fraction arithmetic: the segments halved,
-    twice, and joined by the checking constructor."""
-    half = F(1, 2)
-    return PiecewiseLinear(
-        [(a * half + h, b * half + h, va, vb)
-         for h in (F(0), half) for a, b, va, vb in f.segments])
-
-
 def _oracle_sums(g, count):
-    """S_1, ..., S_count of g on the doubling map: S_n = pl_sum of S_(n-1)
-    and g o T^(n-1), each term pulled back from the last in Fractions."""
-    term, sums = g, [g]
+    """S_1, ..., S_count of g on the doubling map, as segment lists: S_n is
+    S_(n-1) plus g o T^(n-1), each term pulled back from the last."""
+    term, sums = g.segments, [g.segments]
     for _ in range(count - 1):
-        term = _fraction_pullback(term)
-        sums.append(pl_sum([sums[-1], term]))
+        term = ref.pullback(term)
+        sums.append(ref.plus(sums[-1], term))
     return sums
 
 
 class TestIntegerRunningSum:
-    # [DERIVED: oracle = Fraction pl_sums of Fraction pullbacks; the
-    # integer form must give the same normal form, value by value and type
-    # by type, and the same L1 norm, sublevel arcs and window masses]
+    # [DERIVED: oracle = Fraction sums of Fraction pullbacks, as segment
+    # lists (pl_reference); the integer form must give the same normal
+    # form, value by value and type by type, and the same L1 norm,
+    # sublevel arcs and window masses]
     DELTAS = (F(1, 2), F(1, 4), F(1, 8))
 
     def _check(self, f, count, deltas=DELTAS):
@@ -518,19 +511,17 @@ class TestIntegerRunningSum:
         tails = {delta: [] for delta in deltas}  # per n: |S_n| > n delta
         for n, want in enumerate(_oracle_sums(g, count), 1):
             got = system.birkhoff_sum(g, n)
-            assert got.abs_integral() == want.abs_integral(), (f, n)
+            assert got.abs_integral() == ref.abs_integral(want), (f, n)
             for delta in deltas:
                 level = n * delta
                 assert got.arcs_below_abs(level).arcs \
-                    == want.arcs_below_abs(level).arcs, (f, n, delta)
-                above = want.arcs_above(level).arcs
+                    == ref.arcs(want, -level, level), (f, n, delta)
+                above = ref.arcs(want, level, None)
                 assert got.arcs_above(level).arcs == above, (f, n, delta)
-                tails[delta].append(above
-                                    + want.scale(-1).arcs_above(level).arcs)
-            assert got.segments == want.segments, (f, n)
-            _assert_normal_form(got, (f, n))
-            assert [tuple(map(type, s)) for s in got.segments] == \
-                [tuple(map(type, s)) for s in want.segments], (f, n)
+                tails[delta].append(above + ref.arcs(want, None, -level))
+            assert got.segments == want, (f, n)
+            _assert_normal_form(got.segments, (f, n))
+            assert ref.types(got.segments) == ref.types(want), (f, n)
         window = range(count - 2, count + 1)
         for delta, per_n in tails.items():
             arcs = [arc for n in window for arc in per_n[n - 1]]
@@ -555,53 +546,12 @@ class TestIntegerRunningSum:
             self._check(f, 10, self.DELTAS[i % 3:i % 3 + 1])
 
 
-def _lerp(a, b, va, vb, x):
-    """The value at x of the segment (a, b, va, vb), exact at its ends."""
-    if x == a:
-        return va
-    if x == b:
-        return vb
-    return va + (vb - va) * (x - a) / (b - a)
-
-
-def _quad_shift_oracle(g, c):
-    """x -> g(x + c) for c in (0, 1) in plain Quad arithmetic: the cells
-    between 0, the points a - c mod 1 and 1, each read by _lerp on the
-    segment of g that its midpoint moves into, joined by the checking
-    constructor."""
-    xs = sorted({F(0)} | {mod1(a - c) for a, _, _, _ in g.segments})
-    segs = []
-    for x0, x1 in zip(xs, xs[1:] + [F(1)]):
-        h = (x1 - x0) / 2
-        y = mod1(x0 + h + c)
-        seg = next(s for s in g.segments if s[0] <= y < s[1])
-        segs.append((x0, x1, _lerp(*seg, y - h), _lerp(*seg, y + h)))
-    return PiecewiseLinear(segs)
-
-
-def _plus_oracle(f, g):
-    """f + g: a merge walk over the breakpoints of both, each read by
-    _lerp, joined by the checking constructor."""
-    segs, i, j, a = [], 0, 0, F(0)
-    while i < len(f.segments):
-        fs, gs = f.segments[i], g.segments[j]
-        b = min(fs[1], gs[1])
-        segs.append((a, b, _lerp(*fs, a) + _lerp(*gs, a),
-                     _lerp(*fs, b) + _lerp(*gs, b)))
-        i, j, a = i + (fs[1] == b), j + (gs[1] == b), b
-    return PiecewiseLinear(segs)
-
-
-def _types(pairs):
-    return [tuple(map(type, p)) for p in pairs]
-
-
 class TestRootTwoRunningSum:
     # [DERIVED: oracle = each term g o R^i cut and read in plain Quad
-    # arithmetic, added by a merge walk and joined by the checking
-    # constructor; the integer form over Z[sqrt2] must give the same terms
-    # and sums, value by value and type by type, and the same sup norm,
-    # sublevel arcs and window masses]
+    # arithmetic, added by a merge walk and joined into normal form, as
+    # segment lists (pl_reference); the integer form over Z[sqrt2] must
+    # give the same terms and sums, value by value and type by type, and
+    # the same sup norm, sublevel arcs and window masses]
     DELTAS = (F(1, 8), F(1, 32), F(1, 128))
     HATS = [PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8)),
             PiecewiseLinear.hat(F(0), F(1, 8), F(1, 8)),
@@ -612,36 +562,39 @@ class TestRootTwoRunningSum:
         # arcs at one delta, the deltas in turn, and the last three n at
         # every delta for the window mass
         g = centered(system, f)
-        want, last = g, []
+        want, last = g.segments, []
         for n in range(1, count + 1):
             if n > 1:
                 c = system.alpha * (n - 1)
-                term, got_term = _quad_shift_oracle(g, mod1(c)), g.shift(c)
-                assert got_term.segments == term.segments, (f, n)
-                assert _types(got_term.segments) == _types(term.segments)
-                arcs = got_term.arcs_below_abs(deltas[n % len(deltas)]).arcs
-                oracle = term.arcs_below_abs(deltas[n % len(deltas)]).arcs
-                assert arcs == oracle and _types(arcs) == _types(oracle)
-                want = _plus_oracle(want, term)
+                term, got_term = ref.shift(g.segments, mod1(c)), g.shift(c)
+                assert got_term.segments == term, (f, n)
+                assert ref.types(got_term.segments) == ref.types(term)
+                delta = deltas[n % len(deltas)]
+                arcs = got_term.arcs_below_abs(delta).arcs
+                oracle = ref.arcs(term, -delta, delta)
+                assert arcs == oracle
+                assert ref.types(arcs) == ref.types(oracle)
+                want = ref.plus(want, term)
             got = system.birkhoff_sum(g, n)
-            assert got.segments == want.segments, (f, n)
-            assert _types(got.segments) == _types(want.segments), (f, n)
-            _assert_normal_form(got, (f, n))
-            sup = want.sup_norm()
+            assert got.segments == want, (f, n)
+            assert ref.types(got.segments) == ref.types(want), (f, n)
+            _assert_normal_form(got.segments, (f, n))
+            sup = ref.sup(want)
             assert got.sup_norm() == sup and type(got.sup_norm()) is type(sup)
             level = n * deltas[n % len(deltas)]
             for arcs, oracle in (
-                    (got.arcs_below_abs(level), want.arcs_below_abs(level)),
-                    (got.arcs_above(level), want.arcs_above(level)),
-                    (got.arcs_below(-level), want.arcs_below(-level))):
-                assert arcs.arcs == oracle.arcs, (f, n, level)
-                assert _types(arcs.arcs) == _types(oracle.arcs)
+                    (got.arcs_below_abs(level),
+                     ref.arcs(want, -level, level)),
+                    (got.arcs_above(level), ref.arcs(want, level, None)),
+                    (got.arcs_below(-level), ref.arcs(want, None, -level))):
+                assert arcs.arcs == oracle, (f, n, level)
+                assert ref.types(arcs.arcs) == ref.types(oracle)
             last = last[-2:] + [(n, want)]
         window = range(count - 2, count + 1)
         for delta in deltas:
             mass = ArcSet([arc for n, s in last for arc in
-                           s.arcs_above(n * delta).arcs
-                           + s.arcs_below(-n * delta).arcs]).measure()
+                           ref.arcs(s, n * delta, None)
+                           + ref.arcs(s, None, -n * delta)]).measure()
             if isinstance(mass, Quad):
                 mass = mass.approx(60) + pow2(60)
             got = system.window_mass(g, window, delta)
@@ -666,31 +619,15 @@ class TestRootTwoRunningSum:
 
 
 class TestOneIntegerForm:
-    def test_rotation_converts_g_once(self, monkeypatch):
-        # [DERIVED: every term g o R^i is cut from g's one integer form,
-        # so S_70 converts g once, not once per term]
-        conversions = []
-        convert = observables._form
-
-        def spy(f):
-            conversions.append(f.form is None)
-            return convert(f)
-
-        monkeypatch.setattr(observables, "_form", spy)
-        system = rotation_system()
-        g = centered(system, TestRootTwoRunningSum.HATS[2])
-        system.birkhoff_sum(g, 70)
-        assert sum(conversions) == 1 and len(conversions) > 70
-
     def test_add_off_the_grid(self):
-        # [DERIVED: oracle = _plus_oracle; g's breakpoints (grid 12) are
-        # off the integer form's grid 16, so both go on the grid 48]
+        # [DERIVED: oracle = pl_reference.plus; g's breakpoints (grid 12)
+        # are off the integer form's grid 16, so both go on the grid 48]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8)).pullback_doubling()
         g = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
         got = f.add(g)
         assert got.form is not None
-        assert got.segments == _plus_oracle(f, g).segments
-        _assert_normal_form(got, "off-grid add")
+        assert got.segments == ref.plus(f.segments, g.segments)
+        _assert_normal_form(got.segments, "off-grid add")
         assert all(type(t) is F for s in got.segments for t in s)
 
 

@@ -12,6 +12,8 @@ from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear,
                                   observable_to_json, pl_inner, pl_sum)
 from ergocert.spaces import CANTOR, CIRCLE, cantor_dist
 
+import pl_reference as ref
+
 
 class TestPiecewiseLinear:
     def test_hat_integral(self):
@@ -55,7 +57,7 @@ class TestPiecewiseLinear:
 
     def test_abs_integral_matches_envelope(self):
         # [DERIVED: oracle = the integral of the lattice envelope max(f, -f);
-        # random jumps, rational and Q[sqrt2] breakpoints, same value type]
+        # random jumps, same value type]
         rng = random.Random(29)
         for _ in range(60):
             xs = sorted({F(rng.randint(1, 63), 64)
@@ -64,10 +66,9 @@ class TestPiecewiseLinear:
             f = PiecewiseLinear([(a, b, F(rng.randint(-6, 6), 4),
                                   F(rng.randint(-6, 6), 4))
                                  for a, b in zip(cuts, cuts[1:])])
-            for g in (f, f.shift(SQRT2_MINUS_1)):
-                want = g.max_with(g.scale(-1)).integral()
-                got = g.abs_integral()
-                assert got == want and type(got) is type(want)
+            want = f.max_with(f.scale(-1)).integral()
+            got = f.abs_integral()
+            assert got == want and type(got) is type(want)
 
     def test_doubling_transfer_preserves_integral(self):
         # [DERIVED: averaging over the two branches keeps the mean]
@@ -124,7 +125,7 @@ class TestPiecewiseLinear:
         # [DERIVED: <f,g> = (||f+g||^2 - ||f-g||^2) / 4]
         h = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
         fs = [h, PiecewiseLinear.identity(), h.pullback_doubling(),
-              h.shift(SQRT2_MINUS_1), PiecewiseLinear.constant(F(2, 3))]
+              h.shift(F(2, 7)), PiecewiseLinear.constant(F(2, 3))]
         for f in fs:
             for g in fs:
                 want = (f.add(g).square_integral()
@@ -132,10 +133,11 @@ class TestPiecewiseLinear:
                 assert pl_inner(f, g) == want
 
 
-def _random_pl(rng, pieces):
-    """A rational PL function with jumps, continuous kinks and continuous
-    collinear runs (which the constructor merges)."""
-    xs = sorted({F(rng.randint(1, 47), 48) for _ in range(pieces)})
+def _random_pl(rng, pieces, q=48):
+    """A rational PL function with breakpoints on the 1/q grid, with jumps,
+    continuous kinks and continuous collinear runs (which the constructor
+    merges)."""
+    xs = sorted({F(rng.randint(1, q - 1), q) for _ in range(pieces)})
     segs, v, slope = [], F(rng.randint(-4, 4), 3), F(0)
     for a, b in zip([F(0)] + xs, xs + [F(1)]):
         roll = rng.random()
@@ -148,14 +150,13 @@ def _random_pl(rng, pieces):
     return PiecewiseLinear(segs)
 
 
-def _assert_normal_form(f, what):
-    """The constructor's checks change nothing: no zero-length segment
-    and no continuous collinear neighbours, value by value and type by
-    type."""
-    again = PiecewiseLinear(f.segments).segments
-    assert again == f.segments, what
-    assert [tuple(map(type, s)) for s in again] == \
-        [tuple(map(type, s)) for s in f.segments], what
+def _assert_normal_form(segs, what):
+    """The normal form changes nothing in the segment list segs: no
+    zero-length segment and no continuous collinear neighbours, value by
+    value and type by type."""
+    again = ref.normal(segs)
+    assert again == segs, what
+    assert ref.types(again) == ref.types(segs), what
 
 
 class TestNormalForm:
@@ -168,33 +169,147 @@ class TestNormalForm:
         h0 = PiecewiseLinear.hat(F(0), F(1, 8), F(1, 16))
         fs = [_random_pl(rng, k) for k in (1, 2, 5, 9, 14)]
         fs += [h, h0, PiecewiseLinear.identity(), PiecewiseLinear.constant(2)]
-        fs += [g.shift(alpha * k) for g in (h, h0) for k in (1, 2, 5)]
-        for f in fs:
-            cuts = [F(0), f.segments[-1][0], alpha * 3, F(-7, 5)]
+        # shifted terms g o R^i take only the kernels that accept them
+        shifted = [g.shift(alpha * k) for g in (h, h0) for k in (1, 2, 5)]
+        for f in fs + shifted:
             outs = {"scale 0": f.scale(0), "scale": f.scale(F(-3, 2)),
                     "add_const": f.add_const(F(5, 7)),
-                    "pullback_doubling": f.pullback_doubling(),
                     "sum with -f": pl_sum([f, f.scale(-1)]),
                     "sum with itself": pl_sum([f, f, f])}
-            outs.update((f"shift {c}", f.shift(c)) for c in cuts)
             g = _random_pl(rng, 7)
             # f + (g - f) = g: every breakpoint of f cancels
             outs["sum g - f + f"] = pl_sum([f, g.add(f.scale(-1))])
-            outs["rotated sum"] = pl_sum([f.shift(alpha * k)
-                                          for k in range(4)])
+            if f in fs:
+                cuts = [F(0), f.segments[-1][0], alpha * 3, F(-7, 5)]
+                outs["pullback_doubling"] = f.pullback_doubling()
+                outs.update((f"shift {c}", f.shift(c)) for c in cuts)
+                outs["rotated sum"] = pl_sum([f.shift(alpha * k)
+                                              for k in range(4)])
             for what, out in outs.items():
-                _assert_normal_form(out, (f, what))
+                _assert_normal_form(out.segments, (f, what))
             assert len(outs["sum with -f"].segments) == 1
             assert outs["sum g - f + f"].segments == g.segments
-        # the doubling and rotation chains of a Birkhoff sum
+        # the doubling and rotation chains of a Birkhoff sum: the rotation
+        # shifts f by alpha k, as its running sum does
         for f in (h0, h, fs[3]):
-            for step in (PiecewiseLinear.pullback_doubling,
-                         lambda u: u.shift(alpha)):
-                terms = [f]
-                for _ in range(5):
-                    terms.append(step(terms[-1]))
-                    _assert_normal_form(terms[-1], (f, "chain"))
-                _assert_normal_form(pl_sum(terms), (f, "chain sum"))
+            pulled = [f]
+            for _ in range(5):
+                pulled.append(pulled[-1].pullback_doubling())
+            rotated = [f] + [f.shift(alpha * k) for k in range(1, 6)]
+            for terms in (pulled, rotated):
+                for t in terms[1:]:
+                    _assert_normal_form(t.segments, (f, "chain"))
+                _assert_normal_form(pl_sum(terms).segments, (f, "chain sum"))
+
+
+def _const(c):
+    return [(F(0), F(1), c, c)]
+
+
+#: each rational integer kernel beside its segment-list reference:
+#: (f, g, c) -> (got, want) for rational f and g and a rational c
+KERNELS = {
+    "min": lambda f, g, c: (f.min_with(g).segments,
+                            ref.lattice(f.segments, g.segments, min)),
+    "max": lambda f, g, c: (f.max_with(g).segments,
+                            ref.lattice(f.segments, g.segments, max)),
+    "clamp": lambda f, g, c: (f.clamp(abs(c)).segments, ref.lattice(
+        ref.lattice(f.segments, _const(abs(c)), min), _const(-abs(c)), max)),
+    "transfer": lambda f, g, c: (f.transfer_doubling().segments,
+                                 ref.transfer(f.segments)),
+    "transfer 3": lambda f, g, c: (
+        f.transfer_doubling().transfer_doubling().transfer_doubling().segments,
+        ref.transfer(ref.transfer(ref.transfer(f.segments)))),
+    "inner": lambda f, g, c: (pl_inner(f, g),
+                              ref.inner(f.segments, g.segments)),
+    "inner with Lf": lambda f, g, c: (
+        pl_inner(f, f.transfer_doubling()),
+        ref.inner(f.segments, ref.transfer(f.segments))),
+    "shift": lambda f, g, c: (f.shift(c % 1).segments,
+                              ref.shift(f.segments, c % 1)),
+    "shift at a breakpoint": lambda f, g, c: (
+        f.shift(f.segments[-1][0]).segments,
+        ref.shift(f.segments, f.segments[-1][0])),
+    "shift by 0": lambda f, g, c: (f.shift(0).segments,
+                                   ref.shift(f.segments, F(0))),
+    "shift by a negative c": lambda f, g, c: (
+        f.shift(-abs(c)).segments, ref.shift(f.segments, -abs(c) % 1)),
+    "add_const": lambda f, g, c: (
+        f.add_const(c).segments,
+        [(a, b, va + c, vb + c) for a, b, va, vb in f.segments]),
+    "add": lambda f, g, c: (f.add(g).segments,
+                            ref.plus(f.segments, g.segments)),
+    "pl_sum": lambda f, g, c: (
+        pl_sum([f, g, f]).segments,
+        ref.total([f.segments, g.segments, f.segments])),
+    "pullback": lambda f, g, c: (f.pullback_doubling().segments,
+                                 ref.pullback(f.segments)),
+    "abs_integral": lambda f, g, c: (f.abs_integral(),
+                                     ref.abs_integral(f.segments)),
+    "sup": lambda f, g, c: (f.sup_norm(), ref.sup(f.segments)),
+    "arcs below abs": lambda f, g, c: (
+        f.arcs_below_abs(abs(c)).arcs, ref.arcs(f.segments, -abs(c), abs(c))),
+    "arcs above": lambda f, g, c: (f.arcs_above(c).arcs,
+                                   ref.arcs(f.segments, c, None)),
+    "arcs below": lambda f, g, c: (f.arcs_below(c).arcs,
+                                   ref.arcs(f.segments, None, c)),
+}
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_segment_reference(self, kernel):
+        # [DERIVED: oracle = the kernel in plain Fraction arithmetic on
+        # segment lists (pl_reference); equal value by value and type by
+        # type, on random functions with jumps on the steps 1/q]
+        rng = random.Random(4242)
+        for q in (12, 35, 48, 64):
+            for _ in range(8):
+                f = _random_pl(rng, rng.randint(1, 9), q)
+                g = _random_pl(rng, rng.randint(1, 9), q)
+                c = F(rng.randint(-40, 40), rng.randint(1, 12))
+                got, want = KERNELS[kernel](f, g, c)
+                assert got == want, (kernel, q, f.segments, g.segments, c)
+                if isinstance(want, list):
+                    assert ref.types(got) == ref.types(want)
+                else:
+                    assert type(got) is type(want)
+
+
+H = PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 16))
+#: the kernels that read only xa, vu and ds of an integer form
+RATIONAL_ONLY = {
+    "min_with": lambda f: f.min_with(H),
+    "max_with as argument": lambda f: H.max_with(f),
+    "transfer_doubling": lambda f: f.transfer_doubling(),
+    "pl_inner": lambda f: pl_inner(H, f),
+    "pullback_doubling": lambda f: f.pullback_doubling(),
+    "shift": lambda f: f.shift(F(1, 3)),
+    "abs_integral": lambda f: f.abs_integral(),
+    "window_reader": lambda f: f.window_reader(3),
+}
+
+
+class TestRefusals:
+    def test_constructor_refuses_irrational_data(self):
+        # [DERIVED: a position or value in Q[sqrt2], or a binary float,
+        # is not rational data]
+        for bad in (SQRT2_MINUS_1, 0.5):
+            at_value = [(F(0), F(1, 2), bad, F(0)),
+                        (F(1, 2), F(1), F(0), F(0))]
+            at_position = [(F(0), bad, F(0), F(1)), (bad, F(1), F(1), F(0))]
+            for segs in (at_value, at_position):
+                with pytest.raises(ValueError, match="rational"):
+                    PiecewiseLinear(segs)
+
+    @pytest.mark.parametrize("kernel", RATIONAL_ONLY)
+    def test_rational_kernels_refuse_shifted_and_summed_forms(self, kernel):
+        # [DERIVED: these kernels would drop the sqrt2 parts of a shifted
+        # term or a sum, so they refuse both]
+        shifted = H.shift(SQRT2_MINUS_1)
+        for f in (shifted, pl_sum([H, shifted])):
+            with pytest.raises(ValueError, match="rational"):
+                RATIONAL_ONLY[kernel](f)
 
 
 class TestCylinderFn:

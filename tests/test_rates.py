@@ -20,7 +20,8 @@ from ergocert.observables import (CylinderFn, PiecewiseLinear,
 from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
                             as_rate_l1, check_certificate, find_p, l_rate,
                             sqrt_upper, validate_as)
-from ergocert.regions import cylinder_mass
+from ergocert.regions import ArcSet, cylinder_mass
+import pl_reference as ref
 from test_dynamics import _random_pl
 
 SHIFT = shift_system(F(1, 2))
@@ -331,17 +332,18 @@ class TestMaximalInequality:
 
     def test_circle_window_mass_matches_envelope(self):
         # [DERIVED: oracle = mu of the envelope max_n |A_n fbar| over the
-        # window, built from the averages by the lattice and rounded up
-        # to 2^-60 when its arcs are irrational]
+        # window, built from the averages by the segment-list lattice
+        # (pl_reference) and rounded up to 2^-60 when its arcs are
+        # irrational]
         for system, window, delta in ((DBL, range(2, 7), F(1, 8)),
                                       (ROT, range(5, 30), F(1, 16))):
             fbar = centered(system, HAT)
             env = None
             for n in window:
-                a = birkhoff_observable(system, fbar, n)
-                a = a.max_with(a.scale(-1))
-                env = a if env is None else env.max_with(a)
-            mass = env.arcs_above(delta).measure()
+                a = birkhoff_observable(system, fbar, n).segments
+                a = ref.lattice(a, ref.scale(a, -1), max)
+                env = a if env is None else ref.lattice(env, a, max)
+            mass = ArcSet(ref.arcs(env, delta, None)).measure()
             if isinstance(mass, Quad):
                 mass = mass.approx(60) + pow2(60)
             assert 0 < mass < 1
