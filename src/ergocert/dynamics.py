@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, cycle
+from operator import add, mul
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
@@ -20,7 +21,8 @@ from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
-                          PiecewiseLinear, pl_inner, pl_sum, table_integral)
+                          PiecewiseLinear, bernoulli_fold, pl_inner, pl_sum,
+                          table_integral)
 from .regions import ArcSet, CylSet
 from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
                      Space, ball_arc)
@@ -89,10 +91,10 @@ class System:
     def birkhoff_sum(self, g, n: int):
         """S_n g = sum_{i<n} g o T^i in the system's form: (den, den S_n)
         on the shift's cylinders, a PiecewiseLinear (one integer form) on
-        the circle.  The last sum is kept, keyed on g's table or integer
-        form (`centered` builds a new g on every call): the same g at
-        n >= the kept m extends S_m, else S_0 is extended."""
-        key = g.table if isinstance(g, CylinderFn) else g.form
+        the circle.  The last sum is kept, keyed on g's integers (den and
+        nums, or its form; `centered` builds a new g on every call): the
+        same g at n >= the kept m extends S_m, else S_0 is extended."""
+        key = (g.den, g.nums) if isinstance(g, CylinderFn) else g.form
         held, m, state = self._slot or (None, 0, None)
         if held != key or m > n:
             m, state = 0, None
@@ -171,22 +173,19 @@ class Shift(System):
         if not g.depth:
             return g
         den, table = self.birkhoff_sum(g, n)
-        return CylinderFn._of(n + g.depth - 1, [Fraction(s, den * n)
-                                                for s in table])
+        return CylinderFn._of(n + g.depth - 1, den * n, table)
 
     def _extend(self, g: CylinderFn, state, m: int, n: int):
         # (den, den S_n) on the n + k - 1 symbols S_n reads; appending b to
         # word w adds g on its last k: S_{n+1}[2w+b] = S_n[w] + g[(2w+b) % 2^k]
+        # (each entry of S_n twice, plus g's nums over and over)
         k, d = g.depth, n + g.depth - 1
         if d > CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-        den, table = state or (math.lcm(*[v.denominator for v in g.table]),
-                               [0] * (1 << (k - 1)))
-        nums = [int(v * den) for v in g.table]
-        mask = (1 << k) - 1
+        den, table = state or (g.den, [0] * (1 << (k - 1)))
         for _ in range(m, n):
-            table = [table[v >> 1] + nums[v & mask]
-                     for v in range(len(table) << 1)]
+            table = list(map(add, chain.from_iterable(zip(table, table)),
+                             cycle(g.nums)))
         return den, table
 
     def correlations(self, g: CylinderFn, count: int) -> Correlations:
@@ -209,14 +208,14 @@ class Shift(System):
 
     def l1_norm(self, g: CylinderFn, n: int) -> Fraction:
         if not g.depth:  # A_n g = g
-            return abs(g.table[0])
+            return g.sup_norm()
         den, table = self.birkhoff_sum(g, n)
-        return table_integral([abs(s) for s in table], self.p) / (den * n)
+        return table_integral(list(map(abs, table)), self.p) / (den * n)
 
     def sublevel(self, g: CylinderFn, n: int, delta: Fraction) -> CylSet:
         # |A_n g| < delta on s = den S_n: |s| dd < dn den n iff |s| <= c
         if not g.depth:  # A_n g = g
-            return CylSet([""] if abs(g.table[0]) < delta else [])
+            return CylSet([""] if g.sup_norm() < delta else [])
         den, table = self.birkhoff_sum(g, n)
         dn, dd = delta.numerator, delta.denominator
         c = (dn * den * n - 1) // dd
@@ -251,7 +250,7 @@ class Shift(System):
         if d > CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"validation needs 2^{d} cylinders")
         if not k:  # A_n g = g
-            return Fraction(int(bool(window) and abs(g.table[0]) > delta))
+            return Fraction(int(bool(window) and g.sup_norm() > delta))
         dn, dd = delta.numerator, delta.denominator
         hit, depth = [False], 0
         for n in window:
@@ -676,23 +675,13 @@ def l2_sq_enclosure(system: System, f: Observable, p: int,
 def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
     """C(m) = E[fbar . fbar o sigma^m] for m < depth k, in integers.  The
     k + m symbols both factors read split as u v w with |u| = |w| = m, so
-    C(m) = sum_v mu(v) A(v) B(v) with A(v) = sum_u mu(u) fbar(uv) and
-    B(v) = sum_w mu(w) fbar(vw): 2^(k+1) products, not 2^(k+m)."""
-    k, a, b = fbar.depth, prob.numerator, prob.denominator
-    den = math.lcm(*[x.denominator for x in fbar.table])
-    nums = [x.numerator * (den // x.denominator) for x in fbar.table]
-
-    def mu(n):  # b^n mu(word) for every word of n symbols
-        return [a ** w.bit_count() * (b - a) ** (n - w.bit_count())
-                for w in range(1 << n)]
-
-    mu_m, run = mu(m), 1 << (k - m)
-    A = [sum(c * nums[(u << (k - m)) + v] for u, c in enumerate(mu_m))
-         for v in range(run)]
-    B = [sum(c * x for c, x in zip(mu_m, nums[v << m:(v + 1) << m]))
-         for v in range(run)]
-    return Fraction(sum(c * x * y for c, x, y in zip(mu(k - m), A, B)),
-                    b ** (k + m) * den * den)
+    C(m) = E_v[A(v) B(v)] with A(v) = E_u fbar(uv) and B(v) = E_w fbar(vw):
+    A folds the first m symbols of fbar's table away, B the last m
+    (`bernoulli_fold`, each b^m den times its expectation for p = a/b)."""
+    A, B = (bernoulli_fold(fbar.nums, prob, m, first)
+            for first in (True, False))
+    return table_integral(list(map(mul, A, B)), prob) \
+        / (prob.denominator ** (2 * m) * fbar.den ** 2)
 
 
 def l_norm_birkhoff(system: System, f: Observable, p: int):

@@ -11,12 +11,13 @@ replayable.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
@@ -45,11 +46,11 @@ class PiecewiseLinear:
     shifted term g o R^i (`shift` by an irrational c) has Q[sqrt2]
     breakpoints and Q[sqrt2] values only at 0 and 1 (the cut at c); a sum
     (`pl_sum` of terms not all rational, the rotation's S_n) may hold
-    Q[sqrt2] anywhere.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`
-    and the sublevel arcs take every kind.  The lattice, `shift`,
-    `pullback_doubling`, `transfer_doubling`, `pl_inner`, `abs_integral`
-    and `window_reader` read xa, vu and ds only: they take rational forms
-    and raise ValueError on the others.
+    Q[sqrt2] anywhere.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`,
+    `integral` and the sublevel arcs take every kind.  The lattice,
+    `shift`, `pullback_doubling`, `transfer_doubling`, `pl_inner`,
+    `abs_integral` and `window_reader` read xa, vu and ds only: they take
+    rational forms and raise ValueError on the others.
 
     `segments`, the view that JSON output, `range_on` and the evaluations
     read, is built on first read with the types of the form's kind: a
@@ -187,10 +188,18 @@ class PiecewiseLinear:
     # -- exact integrals and norms ----------------------------------------
 
     def integral(self):
-        tot = 0
-        for a, b, va, vb in self.segments:
-            tot = tot + (b - a) * (va + vb) / 2
-        return tot
+        """Exact integral, in Z[sqrt2]: segment k, la + lb sqrt2 steps 1/n
+        long, adds (la + lb sqrt2)(ra + rb sqrt2) over 2 n e, where
+        ra = 2 vu[k] + ds[k] la and rb = 2 vw[k] + ds[k] lb; a Fraction
+        when the sqrt2 part is 0."""
+        f = self.form
+        ta = tb = 0
+        for a, b, a1, b1, u, w, d in zip(f.xa, f.xb, f.xa[1:] + [f.n],
+                                         f.xb[1:] + [0], f.vu, f.vw, f.ds):
+            la, lb = a1 - a, b1 - b
+            ra, rb = 2 * u + d * la, 2 * w + d * lb
+            ta, tb = ta + la * ra + 2 * lb * rb, tb + la * rb + lb * ra
+        return _root2(ta, tb, 2 * f.n * f.e)
 
     def abs_integral(self) -> Fraction:
         """Exact integral of |f|; a sign change splits a segment in two."""
@@ -735,9 +744,14 @@ def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
 
 class CylinderFn:
     """Locally constant function on Cantor space: depends on the first
-    `depth` symbols; table indexed by the word read as a binary number."""
+    `depth` symbols, and is nums[w]/den on the cylinder of the word w read
+    as a binary number.  `nums` holds 2^depth ints, never changed in
+    place, and `den` is their least common denominator (gcd(den, *nums) =
+    1), which every kernel restores with one gcd (`_of`).  The checking
+    constructor takes a table of rationals and converts it once; `table`
+    is their view as Fractions, which JSON output reads."""
 
-    __slots__ = ("depth", "table")
+    __slots__ = ("depth", "den", "nums")
     space = CANTOR
 
     def __init__(self, depth: int, table):
@@ -746,16 +760,24 @@ class CylinderFn:
         size = len(table)
         if size < 1 or size & (size - 1) or size.bit_length() != depth + 1:
             raise ValueError("table must have 2^depth entries")
+        vals = [v if type(v) is Fraction else Fraction(v) for v in table]
         self.depth = depth
-        self.table = [v if type(v) is Fraction else Fraction(v) for v in table]
+        self.den = den = math.lcm(*[v.denominator for v in vals])
+        self.nums = [_over(v, den) for v in vals]
 
     @staticmethod
-    def _of(depth: int, table: list) -> "CylinderFn":
-        """Wrap a fresh list of 2^depth Fractions, unchecked and uncopied."""
+    def _of(depth: int, den: int, nums: list) -> "CylinderFn":
+        """Wrap a fresh list of 2^depth ints over den > 0, unchecked and
+        uncopied, on the least denominator."""
         f = object.__new__(CylinderFn)
-        f.depth = depth
-        f.table = table
+        g = math.gcd(den, *nums)
+        f.depth, f.den = depth, den // g
+        f.nums = nums if g == 1 else [x // g for x in nums]
         return f
+
+    @property
+    def table(self) -> list:
+        return [Fraction(x, self.den) for x in self.nums]
 
     @staticmethod
     def constant(c) -> "CylinderFn":
@@ -765,16 +787,15 @@ class CylinderFn:
     def coordinate(i: int) -> "CylinderFn":
         """Indicator of symbol 1 at position i."""
         d = i + 1
-        return CylinderFn._of(d, [Fraction((w >> (d - 1 - i)) & 1)
-                                  for w in range(1 << d)])
+        return CylinderFn._of(d, 1, [(w >> (d - 1 - i)) & 1
+                                     for w in range(1 << d)])
 
     @staticmethod
     def word_indicator(word: str) -> "CylinderFn":
         d = len(word)
-        idx = int(word, 2) if word else 0
-        table = [Fraction(0)] * (1 << d)
-        table[idx] = Fraction(1)
-        return CylinderFn._of(d, table)
+        nums = [0] * (1 << d)
+        nums[int(word, 2) if word else 0] = 1
+        return CylinderFn._of(d, 1, nums)
 
     @staticmethod
     def hat(s: str, r: Fraction, eps: Fraction) -> "CylinderFn":
@@ -803,38 +824,37 @@ class CylinderFn:
             run = 1 << (depth - i - 1)
             runs.append((((t >> (depth - i - 1)) ^ 1) * run, run,
                          bump(Fraction(1, 1 << i))))
-        table = []
-        for _, run, v in sorted(runs):
-            table.extend(repeat(v, run))
-        return CylinderFn._of(depth, table)
+        den = math.lcm(*[v.denominator for _, _, v in runs])
+        return CylinderFn._of(depth, den, list(chain.from_iterable(
+            repeat(_over(v, den), run) for _, run, v in sorted(runs))))
 
     def value_on_word(self, w: str) -> Fraction:
         if len(w) < self.depth:
             raise ValueError("word too short")
         idx = int(w[:self.depth], 2) if self.depth else 0
-        return self.table[idx]
+        return Fraction(self.nums[idx], self.den)
 
     def window_reader(self, k: int):
         """(den, read): read(w) = den f on the words that begin with the
         word w of k >= depth symbols, an integer."""
-        den = math.lcm(*[v.denominator for v in self.table])
-        nums = [v.numerator * (den // v.denominator) for v in self.table]
-        return den, lambda w: nums[w >> (k - self.depth)]
+        nums, cut = self.nums, k - self.depth
+        return self.den, lambda w: nums[w >> cut]
 
     def lift(self, depth: int) -> "CylinderFn":
         if depth < self.depth:
             raise ValueError("cannot drop depth")
         reps = 1 << (depth - self.depth)
-        return CylinderFn._of(depth,
-                              [v for v in self.table for _ in range(reps)])
+        return self if reps == 1 else CylinderFn._of(depth, self.den, list(
+            chain.from_iterable(map(repeat, self.nums, repeat(reps)))))
 
     def _zip(self, other: "CylinderFn", op) -> "CylinderFn":
-        d = max(self.depth, other.depth)
-        a, b = self.lift(d), other.lift(d)
-        return CylinderFn._of(d, [op(x, y) for x, y in zip(a.table, b.table)])
+        # both tables at the common depth, over the common denominator
+        d, den = max(self.depth, other.depth), math.lcm(self.den, other.den)
+        a, b = (_times(f.lift(d).nums, den // f.den) for f in (self, other))
+        return CylinderFn._of(d, den, list(map(op, a, b)))
 
     def add(self, other):
-        return self._zip(other, lambda x, y: x + y)
+        return self._zip(other, add)
 
     def min_with(self, other):
         return self._zip(other, min)
@@ -844,43 +864,53 @@ class CylinderFn:
 
     def scale(self, c):
         c = Fraction(c)
-        return CylinderFn._of(self.depth, [c * v for v in self.table])
+        return CylinderFn._of(self.depth, self.den * c.denominator,
+                              _times(self.nums, c.numerator))
 
     def add_const(self, c):
         c = Fraction(c)
-        return CylinderFn._of(self.depth, [v + c for v in self.table])
+        den = math.lcm(self.den, c.denominator)
+        k, t = den // self.den, _over(c, den)
+        return CylinderFn._of(self.depth, den, [x * k + t for x in self.nums])
 
     def clamp(self, m):
         m = Fraction(m)
-        return CylinderFn._of(self.depth,
-                              [max(-m, min(m, v)) for v in self.table])
+        den = math.lcm(self.den, m.denominator)
+        hi = _over(m, den)
+        return CylinderFn._of(self.depth, den, [
+            max(-hi, min(hi, x)) for x in _times(self.nums, den // self.den)])
 
     def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.table)
+        return Fraction(max(map(abs, self.nums)), self.den)
 
     def integral(self, p) -> Fraction:
         """Exact expectation under Bernoulli(p)."""
-        return table_integral(self.table, p)
+        return table_integral(self.nums, p) / self.den
 
     def __repr__(self):
         return f"CylinderFn(depth={self.depth})"
 
 
-def table_integral(table, p) -> Fraction:
-    """Exact Bernoulli(p) expectation of a table like `CylinderFn.table`
-    (of ints, bools or Fractions).  A cylinder's mass depends only on how
-    many of its symbols are 1, so the table is summed per count first."""
-    p = Fraction(p)
+def bernoulli_fold(table: list, p, count: int, first=False) -> list:
+    """A table of 2^d ints, bools or Fractions indexed like
+    `CylinderFn.nums`, with the last (or the first) `count` symbols of its
+    words folded away.  For p = a/b the one-symbol cylinders weigh
+    (b - a)/b and a/b, so a fold t'[u] = (b - a) t[u0] + a t[u1] leaves b
+    times the Bernoulli(p) expectation over the folded symbol."""
+    w1, b = cylinder_mass("1", p).as_integer_ratio()
+    w0, t = b - w1, table
+    for _ in range(count):
+        h = len(t) >> 1
+        t = list(map(add, map(mul, repeat(w0), t[:h] if first else t[::2]),
+                     map(mul, repeat(w1), t[h:] if first else t[1::2])))
+    return t
+
+
+def table_integral(table: list, p) -> Fraction:
+    """Exact Bernoulli(p) expectation of a table like `CylinderFn.nums`:
+    its d symbols folded away (`bernoulli_fold`), over b^d for p = a/b."""
     d = len(table).bit_length() - 1
-    sums = [0] * (d + 1)
-    for w, v in enumerate(table):
-        if v:
-            sums[w.bit_count()] += v
-    tot = Fraction(0)
-    for ones, s in enumerate(sums):
-        if s:
-            tot += s * cylinder_mass("1" * ones + "0" * (d - ones), p)
-    return tot
+    return Fraction(bernoulli_fold(table, p, d)[0]) / p.denominator ** d
 
 
 # ---------------------------------------------------------------------------
@@ -932,34 +962,21 @@ def enumerate_F(space: Space, count: int) -> list[FTerm]:
     return [_decode_fterm(space, n) for n in range(count)]
 
 
-_FTERM_CACHE: dict = {}
-
-
+@functools.cache
 def _decode_fterm(space: Space, n: int) -> FTerm:
-    key = (space, n)
-    if key in _FTERM_CACHE:
-        return _FTERM_CACHE[key]
+    """The term at index n of `enumerate_F`, decoded once."""
     if n == 0:
-        out = FTerm.one()
-    else:
-        tag = (n - 1) % 4
-        rest = (n - 1) // 4
-        if tag == 0:
-            out = _decode_generator(space, rest)
-        elif tag in (1, 2):
-            a, b = unpair(rest)
-            out = FTerm("max" if tag == 1 else "min",
-                        (_decode_fterm(space, a % max(n, 1)), _decode_fterm(space, b % max(n, 1))))
-        else:
-            ci, ti = unpair(rest)
-            c1i, c2i = unpair(ci)
-            t1i, t2i = unpair(ti)
-            c1 = _signed_rational(c1i)
-            c2 = _signed_rational(c2i)
-            out = FTerm("lin", ((c1, _decode_fterm(space, t1i % max(n, 1))),
-                                (c2, _decode_fterm(space, t2i % max(n, 1)))))
-    _FTERM_CACHE[key] = out
-    return out
+        return FTerm.one()
+    tag, rest = (n - 1) % 4, (n - 1) // 4
+    if tag == 0:
+        return _decode_generator(space, rest)
+    if tag in (1, 2):
+        args = tuple(_decode_fterm(space, i % n) for i in unpair(rest))
+        return FTerm("max" if tag == 1 else "min", args)
+    cs, ts = map(unpair, unpair(rest))
+    return FTerm("lin", tuple(
+        (_signed_rational(c), _decode_fterm(space, t % n))
+        for c, t in zip(cs, ts)))
 
 
 def _decode_generator(space: Space, idx: int) -> FTerm:

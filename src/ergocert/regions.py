@@ -41,12 +41,6 @@ class ArcSet:
         return s
 
     @staticmethod
-    def _sorted(arcs: list) -> "ArcSet":
-        """Wrap arcs that are already sorted and disjoint, joining those
-        that touch."""
-        return ArcSet._canonical(_merged(arcs))
-
-    @staticmethod
     def union(sets: Iterable["ArcSet"]) -> "ArcSet":
         """The union of arc sets, as `ArcSet` of all their arcs gives it:
         the sorted lists are merged on exact integer keys of the endpoints

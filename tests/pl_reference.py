@@ -180,3 +180,11 @@ def abs_integral(segs):
         else:
             tot = tot + (b - a) * (abs(va) + abs(vb)) / 2
     return tot
+
+
+def integral(segs):
+    """The integral, by the trapezoid on every segment."""
+    tot = 0
+    for a, b, va, vb in segs:
+        tot = tot + (b - a) * (va + vb) / 2
+    return tot

@@ -1,17 +1,21 @@
 """Observables: piecewise-linear lattice, cylinder functions, the
 generated family F, and the JSON codec."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from ergocert.arith import SQRT2_MINUS_1
-from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear,
+from ergocert.arith import SQRT2_MINUS_1, Quad
+from ergocert.dynamics import shift_system
+from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear, _Form,
                                   enumerate_F, observable_from_json,
-                                  observable_to_json, pl_inner, pl_sum)
+                                  observable_to_json, pl_inner, pl_sum,
+                                  table_integral)
 from ergocert.spaces import CANTOR, CIRCLE, cantor_dist
 
+import cyl_reference as cref
 import pl_reference as ref
 
 
@@ -244,6 +248,7 @@ KERNELS = {
         ref.total([f.segments, g.segments, f.segments])),
     "pullback": lambda f, g, c: (f.pullback_doubling().segments,
                                  ref.pullback(f.segments)),
+    "integral": lambda f, g, c: (f.integral(), ref.integral(f.segments)),
     "abs_integral": lambda f, g, c: (f.abs_integral(),
                                      ref.abs_integral(f.segments)),
     "sup": lambda f, g, c: (f.sup_norm(), ref.sup(f.segments)),
@@ -274,6 +279,26 @@ class TestIntegerKernels:
                     assert ref.types(got) == ref.types(want)
                 else:
                     assert type(got) is type(want)
+
+    def test_integral_of_every_kind(self):
+        # [DERIVED: oracle = the trapezoid sum over the segments view, in
+        #  Q[sqrt2] arithmetic (pl_reference); a shifted term and a sum
+        #  integrate in integers too, and the rotation keeps the integral,
+        #  so each is a Fraction]
+        rng = random.Random(77)
+        for _ in range(12):
+            f = _random_pl(rng, rng.randint(1, 9), 35)
+            terms = [f] + [f.shift(SQRT2_MINUS_1 * k) for k in (1, 3)]
+            for g, copies in ((f, 1), (terms[1], 1), (pl_sum(terms), 3)):
+                got = g.integral()
+                assert got == ref.integral(g.segments) == copies * f.integral()
+                assert type(got) is F
+        # a sum form with Q[sqrt2] data throughout, breaking at
+        # (-4 + 3 sqrt2)/4, integrates to a Quad
+        g = PiecewiseLinear._of(_Form(4, 5, [0, -4], [0, 3], [1, 2], [1, -1],
+                                      [3, -2], "sum"))
+        got = g.integral()
+        assert got == ref.integral(g.segments) and type(got) is Quad
 
 
 H = PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 16))
@@ -361,9 +386,11 @@ class TestCylinderFn:
 
     def test_built_tables_match_the_checked_constructor(self):
         # [DERIVED: oracle = the checking constructor on the same table:
-        #  the unchecked builds hold 2^depth Fractions, nothing to convert]
+        #  the unchecked builds hold the same ints over the same least
+        #  denominator, and their view holds 2^depth Fractions]
         def same(f):
             checked = CylinderFn(f.depth, list(f.table))
+            assert (checked.den, checked.nums) == (f.den, f.nums)
             assert checked.table == f.table
             assert all(type(v) is F for v in f.table)
 
@@ -381,6 +408,107 @@ class TestCylinderFn:
         # [DERIVED: coordinate i integrates to the symbol-1 probability]
         for p in (F(1, 2), F(1, 5), F(9, 10)):
             assert CylinderFn.coordinate(2).integral(p) == p
+
+
+def _view(h):
+    """The table view of a built CylinderFn, after checking its integer
+    form: 2^depth ints over the least positive denominator."""
+    assert len(h.nums) == 1 << h.depth
+    assert all(type(x) is int for x in h.nums) and type(h.den) is int
+    assert h.den > 0 and math.gcd(h.den, *h.nums) == 1
+    return h.table
+
+
+def _sums(f, t, p):
+    """S_n f in the order 1, 3, 2, 4 on one system (the kept sum extends,
+    restarts, extends), as Fractions, beside the per-word sums."""
+    system, got, want = shift_system(p), [], []
+    for n in (1, 3, 2, 4):
+        den, table = system.birkhoff_sum(f, n)
+        got += [F(s, den) for s in table]
+        want += cref.running_sum(t, n)
+    return got, want
+
+
+def _read(f, k):
+    den, read = f.window_reader(k)
+    return den, [read(w) for w in range(1 << k)]
+
+
+#: each integer cylinder kernel beside its Fraction-table reference:
+#: (f, t, g, u, c, p) -> (got, want) for f and g built by the checking
+#: constructor from the tables t and u, a rational c > 0 and p
+CYL_KERNELS = {
+    "constructor": lambda f, t, g, u, c, p: (_view(f), t),
+    "integral": lambda f, t, g, u, c, p: (f.integral(p), cref.integral(t, p)),
+    "table_integral of ints": lambda f, t, g, u, c, p: (
+        table_integral(cref.window_read(t, f.depth)[1], p),
+        cref.integral([F(x) for x in cref.window_read(t, f.depth)[1]], p)),
+    "table_integral of bools": lambda f, t, g, u, c, p: (
+        table_integral([v > 0 for v in t], p),
+        cref.integral([F(int(v > 0)) for v in t], p)),
+    "table_integral of Fractions": lambda f, t, g, u, c, p: (
+        table_integral(t, p), cref.integral(t, p)),
+    "add_const": lambda f, t, g, u, c, p: (
+        _view(f.add_const(-c)), [v - c for v in t]),
+    "scale": lambda f, t, g, u, c, p: (_view(f.scale(c)), [c * v for v in t]),
+    "scale by 0": lambda f, t, g, u, c, p: (_view(f.scale(0)),
+                                            [F(0)] * len(t)),
+    "scale by a negative c": lambda f, t, g, u, c, p: (
+        _view(f.scale(-c)), [-c * v for v in t]),
+    "clamp": lambda f, t, g, u, c, p: (_view(f.clamp(c)), cref.clamp(t, c)),
+    "add": lambda f, t, g, u, c, p: (
+        _view(f.add(g)), cref.pointwise(t, u, lambda x, y: x + y)),
+    "min_with": lambda f, t, g, u, c, p: (_view(f.min_with(g)),
+                                          cref.pointwise(t, u, min)),
+    "max_with": lambda f, t, g, u, c, p: (_view(f.max_with(g)),
+                                          cref.pointwise(t, u, max)),
+    "lift": lambda f, t, g, u, c, p: (_view(f.lift(f.depth + 2)),
+                                      cref.lift(t, f.depth + 2)),
+    "sup_norm": lambda f, t, g, u, c, p: (f.sup_norm(), cref.sup(t)),
+    "value_on_word": lambda f, t, g, u, c, p: (
+        [f.value_on_word(w + "1") for w in cref.words(f.depth)],
+        [cref.at(t, w) for w in cref.words(f.depth)]),
+    "window_reader": lambda f, t, g, u, c, p: (
+        _read(f, f.depth + 2), cref.window_read(t, f.depth + 2)),
+    "Shift.average": lambda f, t, g, u, c, p: (
+        [v for n in (1, 2, 3) for v in cref.lift(
+            _view(shift_system(p).average(f, n)), n + f.depth - 1)],
+        [v for n in (1, 2, 3) for v in cref.average(t, n)]),
+    "running sum": lambda f, t, g, u, c, p: (
+        _sums(f, t, p) if f.depth else ([], [])),
+}
+
+
+def _random_table(rng, d):
+    """2^d rationals over denominators 1 to 1 + d % 9, the integral ones
+    as ints."""
+    vals = [F(rng.randint(-9, 9), rng.randint(1, 1 + d % 9))
+            for _ in range(1 << d)]
+    return [v.numerator if v.denominator == 1 else v for v in vals]
+
+
+class TestIntegerCylinderKernels:
+    @pytest.mark.parametrize("kernel", CYL_KERNELS)
+    def test_matches_table_reference(self, kernel):
+        # [DERIVED: oracle = the kernel word by word in plain Fraction
+        #  arithmetic on tables (cyl_reference); equal value by value and
+        #  type by type, at depths 0 to 10 over denominators 1 to 9]
+        rng = random.Random(2323)
+        for d in range(11):
+            raw = _random_table(rng, d)
+            f, t = CylinderFn(d, raw), [F(v) for v in raw]
+            e = (7 * d + 3) % 11  # g's depth, below and above f's
+            u = [F(v) for v in _random_table(rng, e)]
+            g = CylinderFn(e, u)
+            c = F(rng.randint(1, 20), rng.randint(1, 9))
+            for p in (F(1, 2), F(1, 3), F(2, 5)):
+                got, want = CYL_KERNELS[kernel](f, t, g, u, c, p)
+                assert got == want, (kernel, d, p)
+                if isinstance(want, list):
+                    assert cref.types(got) == cref.types(want)
+                else:
+                    assert type(got) is type(want)
 
 
 class TestFamilyF:

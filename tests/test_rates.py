@@ -330,6 +330,39 @@ class TestMaximalInequality:
                 mass += cylinder_mass(word, F(1, 2))
         assert SHIFT.window_mass(fbar, window, delta) == mass == F(23, 128)
 
+    def test_exact_window_mass_and_l1_at_biased_p(self):
+        # [DERIVED: oracle = per-word enumeration, weighted by
+        #  cylinder_mass, of the averages summed from fbar's own table; at
+        #  p != 1/2 the two symbols weigh differently, so a swapped weight
+        #  in the kernels' folds shows]
+        rng = random.Random(31)
+        table = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(8)]
+        window = range(3, 9)
+        for prob in (F(1, 3), F(2, 5)):
+            system = shift_system(prob)
+            for f, delta in ((CylinderFn.word_indicator("01"), F(1, 8)),
+                             (CylinderFn(3, table), F(3, 4))):
+                fbar = centered(system, f)
+                k = fbar.depth
+                d_max = window.stop - 1 + k - 1
+                mass = F(0)
+                for w in range(1 << d_max):
+                    word = format(w, f"0{d_max}b")
+                    avgs = [sum(fbar.table[int(word[i:i + k], 2)]
+                                for i in range(n)) / n for n in window]
+                    if max(map(abs, avgs)) > delta:
+                        mass += cylinder_mass(word, prob)
+                assert 0 < mass < 1
+                assert system.window_mass(fbar, window, delta) == mass
+                for n in window:
+                    d = n + k - 1
+                    l1 = sum(cylinder_mass(word, prob) * abs(sum(
+                        fbar.table[int(word[i:i + k], 2)]
+                        for i in range(n))) / n
+                        for word in (format(w, f"0{d}b")
+                                     for w in range(1 << d)))
+                    assert system.l1_norm(fbar, n) == l1
+
     def test_circle_window_mass_matches_envelope(self):
         # [DERIVED: oracle = mu of the envelope max_n |A_n fbar| over the
         # window, built from the averages by the segment-list lattice
