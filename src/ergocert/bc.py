@@ -3,11 +3,11 @@
 A BC sequence is a sequence of opens U_j with summable complement masses
 err(j); a point avoiding all but finitely many complements satisfies
 every tail guarantee.  The sequences built here are finite lists of exact
-windows (rational regions with their ideal balls and exact complement
-masses), so a member point can be *synthesized* digit by digit: at every
-step an exact positive-mass budget certifies that the remaining region is
-nonempty, and each refinement records a machine-checkable membership
-witness.
+windows (rational regions with their exact complement masses), so a
+member point can be *synthesized* digit by digit: at every step an exact
+positive-mass budget certifies that the remaining region is nonempty, and
+each refinement records a machine-checkable membership witness, an ideal
+ball of the window found from its region.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -42,13 +43,13 @@ EVAL_PRECISION = 6
 
 @dataclass(frozen=True)
 class Window:
-    """One exact window: its rational region (`ArcSet` or `CylSet`), the
-    ideal balls whose union it is, its exact complement mass `err`, and the
-    metadata a synthesis certificate records (`info`)."""
+    """One exact window: its rational region (`ArcSet` or `CylSet`), its
+    exact complement mass `err`, and the metadata a synthesis certificate
+    records (`info`).  Its witnesses are found in the region on demand
+    (`window_witness`)."""
 
     err: Fraction
     region: object
-    balls: list
     info: dict
 
 
@@ -113,7 +114,7 @@ def bc_exact_windows(system: System, f: Observable,
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     fbar = centered(system, f)  # once: deviation_region keeps it as it is
-    whole = Window(Fraction(0), system.full_region(), system.space.cover(),
+    whole = Window(Fraction(0), system.full_region(),
                    {"trivial": True, "n": None, "delta": None,
                     "err": Fraction(0), "observable": obs_json})
     # per (n, delta): the rational region and its exact complement mass
@@ -134,9 +135,9 @@ def bc_exact_windows(system: System, f: Observable,
                 regions[n, delta] = reg, 1 - region_measure(system, reg)
             reg, err = regions[n, delta]
             if err <= cap:
-                window = Window(err, reg, system.region_balls(reg),
-                                {"trivial": False, "n": n, "delta": delta,
-                                 "err": err, "observable": obs_json})
+                window = Window(err, reg, {"trivial": False, "n": n,
+                                           "delta": delta, "err": err,
+                                           "observable": obs_json})
                 start = n
                 break
         windows.append(window)
@@ -282,7 +283,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
         t_next = bc.tail(j + 1)
         accepted = None
         examined = 0
-        witness = space.witness_lookup(win.balls)
+        witness = window_witness(system, win)
         for d in range(max(depth + 1, step + 1),
                        max(depth + 1, step + 1) + DEPTH_SLACK):
             for cand in space.refinements(cur, d):
@@ -290,8 +291,8 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                 if examined > CANDIDATE_BUDGET:
                     raise BudgetExceededError(
                         f"no admissible refinement for window {j}")
-                widx = witness(cand)
-                if widx is None:
+                found = witness(cand)
+                if found is None:
                     continue
                 inter = remaining.intersect(system.region([cand]))
                 m_inter = region_measure(system, inter)
@@ -300,16 +301,16 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                     lam = _forward_feasible(system, bc, inter, m_inter, j)
                     if lam is None:
                         continue
-                accepted = (cand, widx, d, inter, lam)
+                accepted = (cand, found, d, inter, lam)
                 break
             if accepted:
                 break
         if accepted is None:
             raise NoMassError(
                 f"no refinement with positive budget for window {j}")
-        cand, widx, depth, remaining, lam = accepted
-        cert = {"index": j, "witness": win.balls[widx].to_json(),
-                "witness_pos": widx, "ball": cand.to_json(),
+        cand, (pos, ball), depth, remaining, lam = accepted
+        cert = {"index": j, "witness": ball.to_json(),
+                "witness_pos": pos, "ball": cand.to_json(),
                 "position": step, "precision": depth + 2,
                 "lambda": fmt_rat(lam)}
         cert.update({kk: (fmt_rat(v) if isinstance(v, Fraction) else v)
@@ -324,6 +325,18 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
                     [observable_to_json(g) for g in concrete])
     sp.point = system.point_in(cur, concrete)
     return sp
+
+
+def window_witness(system: System, win: Window) -> Callable:
+    """cand -> (position, ball) of the ideal ball of `win` that holds cand
+    strictly, or None: found in the region (`System.witness`), or on a
+    whole-space window by a first-holder scan over the space's cover
+    (whose two circle balls overlap)."""
+    if not win.info["trivial"]:
+        return partial(system.witness, win.region)
+    space, cover = system.space, system.space.cover()
+    return lambda cand: next(((k, b) for k, b in enumerate(cover)
+                              if space.inside(cand, b, strict=True)), None)
 
 
 def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,

@@ -11,9 +11,10 @@ exact norms and sublevel sets, read from one running sum S_n per system.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, cycle
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
@@ -51,9 +52,10 @@ class System:
     Each subclass owns every choice that depends on the map or on the
     invariant measure: the concrete observable class and its integral, the
     orbit enclosures, the exact average A_n, the L2 route, the p-search
-    schedule, exact regions, both conversions between a region and its ideal
-    balls (`region_balls`, `region`), the measure of a region (`weigh`), the
-    exact validation mode and the defaults of exact Borel-Cantelli windows.
+    schedule, exact regions, the region of a list of ideal balls (`region`),
+    the ideal ball of a region that holds a candidate ball (`witness`), the
+    measure of a region (`weigh`), the exact validation mode and the
+    defaults of exact Borel-Cantelli windows.
     The base class holds the route shared by the two mixing systems:
     ||A_p fbar||_2^2 from the correlations C(m) of fbar, and a doubling
     p-search that scans the winning octave and bisects it where the L2
@@ -222,8 +224,9 @@ class Shift(System):
         return CylSet.from_flags(n + g.depth - 1,
                                  bytes(map(c.__ge__, map(abs, table))))
 
-    def region_balls(self, region: CylSet) -> list[IdealBall]:
-        return [CANTOR.cylinder_ball(w) for w in region.prefixes]
+    def witness(self, region: CylSet, cand: IdealBall) -> Optional[tuple]:
+        found = region.holder(cand.cylinder_prefix)
+        return found and (found[0], CANTOR.cylinder_ball(found[1]))
 
     def region(self, balls: list[IdealBall]) -> CylSet:
         return CylSet([b.cylinder_prefix for b in balls])
@@ -297,19 +300,29 @@ class CircleMap(System):
         # |A_n g| < delta where |S_n g| < n delta
         return self.birkhoff_sum(g, n).arcs_below_abs(n * delta)
 
-    def region_balls(self, region: ArcSet) -> list[IdealBall]:
-        # split every arc into its fewest equal parts shorter than 1/2,
-        # floor(2 width) + 1 (a ball of radius >= 1/2 is not an arc)
-        balls = []
-        for a, b in region.components():
-            if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-                raise UnsupportedPairError(
-                    "ball conversion needs rational arcs")
-            parts = math.floor(2 * (b - a)) + 1
-            r = (b - a) / (2 * parts)
-            balls += [IdealBall._of(CIRCLE, mod1(a + r * (2 * i + 1)), r)
-                      for i in range(parts)]
-        return balls
+    def witness(self, region: ArcSet, cand: IdealBall) -> Optional[tuple]:
+        # every arc is split into its fewest equal parts shorter than 1/2,
+        # floor(2 width) + 1 (a ball of radius >= 1/2 is not an arc); the
+        # parts are disjoint, so only the one over cand's centre can hold
+        # it, and each arc before it adds its parts to the position
+        comps = region.components()
+        for y in (cand.center, cand.center + 1):
+            i = bisect_right(comps, y, key=itemgetter(0)) - 1
+            if i >= 0 and y < comps[i][1]:
+                break
+        else:
+            return None
+        a, b = comps[i]
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            raise UnsupportedPairError("ball conversion needs rational arcs")
+        parts = math.floor(2 * (b - a)) + 1
+        r = (b - a) / (2 * parts)
+        k = (y - a) // (2 * r)
+        ball = IdealBall._of(CIRCLE, mod1(a + r * (2 * k + 1)), r)
+        if not CIRCLE.inside(cand, ball, strict=True):
+            return None
+        return i + k + sum(math.floor(2 * (hi - lo)) for lo, hi in comps[:i]
+                           if 2 * (hi - lo) >= 1), ball
 
     def region(self, balls: list[IdealBall]) -> ArcSet:
         return ArcSet.from_raw([ball_arc(b) for b in balls])

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .arith import exact_keys, mod1
 from .spaces import ball_arc
@@ -175,9 +175,10 @@ class CylSet:
     the union's words of that length as sorted, disjoint and apart ranges
     (a, b), a <= word < b (`from_flags` scans them from one byte per word);
     a shorter word w is the run [w 2^k, (w + 1) 2^k), k = depth - len(w).
-    `prefixes` lists the maximal cylinders inside the union, sorted by
-    (length, word): each run split into its maximal aligned dyadic blocks,
-    which `measure` weighs in integers."""
+    The maximal cylinders inside the union are each run split into its
+    maximal aligned dyadic blocks: `measure` weighs them in integers,
+    `holder` finds the one over a word, and `prefixes` (the repr) lists
+    them sorted by (length, word)."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -198,10 +199,11 @@ class CylSet:
         s.depth, s.runs = depth, runs
         return s
 
-    def _blocks(self):
-        """(length, word) of the maximal cylinders: from the start of a
-        run, the largest aligned block that fits, until the run ends."""
-        for a, b in self.runs:
+    def _blocks(self, runs=None):
+        """(length, word) of the maximal cylinders of `runs` (default: all
+        of them): from the start of a run, the largest aligned block that
+        fits, until the run ends."""
+        for a, b in self.runs if runs is None else runs:
             while a < b:
                 k = min((a & -a).bit_length() - 1 if a else self.depth,
                         (b - a).bit_length() - 1)
@@ -236,6 +238,21 @@ class CylSet:
         lo, hi = _run(word[:self.depth], self.depth)
         i = bisect_right(self.runs, lo, key=lambda r: r[0])
         return bool(i) and hi <= self.runs[i - 1][1]
+
+    def holder(self, word: str) -> Optional[tuple]:
+        """(position, word) of the maximal cylinder that holds the cylinder
+        of `word`, or None if the union does not contain it.  The maximal
+        cylinders are disjoint, so it is the block of the run over `word`
+        that holds its first word; its position is the count of maximal
+        cylinders before it in (length, word) order."""
+        if not self.contains_word_prefix(word):
+            return None
+        lo = _run(word[:self.depth], self.depth)[0]
+        run = self.runs[bisect_right(self.runs, lo, key=lambda r: r[0]) - 1]
+        n, v = blk = next((n, v) for n, v in self._blocks([run])
+                          if (v + 1) << (self.depth - n) > lo)
+        return (sum(b < blk for b in self._blocks()),
+                format(v, f"0{n}b") if n else "")
 
     def contains_ball(self, ball) -> bool:
         return self.contains_word_prefix(ball.cylinder_prefix)

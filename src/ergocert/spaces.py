@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from typing import Callable, Optional
 
 from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
@@ -166,33 +165,6 @@ class CircleSpace(Space):
         r = ball.radius
         return max(0, (r.denominator // r.numerator).bit_length() - 1)
 
-    def witness_lookup(self, balls: list) -> Callable:
-        """cand -> index of the first ball of `balls` that holds cand
-        strictly (`inside`), or None.  A holder covers the points just right
-        of cand's centre, so the circle is cut at every arc end (integers
-        over the lcm d of the balls' denominators), each piece lists the
-        balls over it in order, and only cand's piece is tested."""
-        d = lcm(*[x.denominator for b in balls for x in (b.center, b.radius)])
-        arcs = [((c - r) % d, 2 * r) for c, r in
-                ((b.center.numerator * (d // b.center.denominator),
-                  b.radius.numerator * (d // b.radius.denominator))
-                 for b in balls)]
-        cuts = sorted({0} | {x % d for lo, w in arcs for x in (lo, lo + w)})
-        at, n = {x: k for k, x in enumerate(cuts)}, len(cuts)
-        pieces = [[] for _ in cuts]
-        for w, (lo, width) in enumerate(arcs):
-            # the pieces from lo on, across 0 when the arc wraps
-            i = at[lo]
-            j = i + n if width >= d else at[(lo + width) % d]
-            for k in range(i, j if j > i else j + n):
-                pieces[k % n].append(w)
-
-        def lookup(cand: "IdealBall") -> Optional[int]:
-            x = cand.center.numerator * d // cand.center.denominator
-            return next((w for w in pieces[bisect_right(cuts, x) - 1]
-                         if self.inside(cand, balls[w], strict=True)), None)
-        return lookup
-
     def refinements(self, cur: "IdealBall", depth: int):
         two = 1 << depth
         lo, hi = ball_arc(cur)
@@ -292,21 +264,6 @@ class CantorSpace(Space):
 
     def depth(self, ball: "IdealBall") -> int:
         return ball.cylinder_depth
-
-    def witness_lookup(self, balls: list) -> Callable:
-        # a cylinder holds cand iff its word is a prefix of cand's word:
-        # map each word to its first index once, then look up cand's
-        # prefixes and take the smallest index found
-        first: dict = {}
-        for w, b in enumerate(balls):
-            first.setdefault(b.cylinder_prefix, w)
-
-        def lookup(cand: "IdealBall") -> Optional[int]:
-            word = cand.cylinder_prefix
-            return min((w for w in map(first.get, (word[:k] for k in
-                                                   range(len(word) + 1)))
-                        if w is not None), default=None)
-        return lookup
 
     def refinements(self, cur: "IdealBall", depth: int):
         w = cur.cylinder_prefix

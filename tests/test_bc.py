@@ -11,14 +11,16 @@ import pytest
 from ergocert.arith import pow2
 from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
                          horizon_tolerance, replay_synth, SynthPoint,
-                         synthesize_point, typical_point, Window)
+                         synthesize_point, typical_point, Window,
+                         window_witness)
 from ergocert.cli import EXIT_OK, main
 from ergocert.dynamics import doubling_system, rotation_system, shift_system
 from ergocert.errors import InputError
 from ergocert.measures import measure_of_finite_union, support_hit
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_to_json)
-from ergocert.spaces import CANTOR, CirclePoint, IdealBall
+from ergocert.spaces import CANTOR, CIRCLE, CirclePoint, IdealBall
+import ball_reference as bref
 
 SHIFT = shift_system(F(1, 2))
 DBL = doubling_system()
@@ -78,13 +80,14 @@ class TestExactWindows:
                               count=3)
         for j in range(1, 4):
             w = bc.window(j)
-            assert measure_of_finite_union(SHIFT, w.balls) >= 1 - w.err
+            assert measure_of_finite_union(
+                SHIFT, bref.region_balls(w.region)) >= 1 - w.err
 
 
 class TestIntersect:
     def test_cap_violation_rejected(self):
         # [DERIVED: a member whose error misses its dovetail cap must raise]
-        half = Window(F(1, 2), SHIFT.full_region(), CANTOR.cover(), {})
+        half = Window(F(1, 2), SHIFT.full_region(), {})
         fat = BCSequence(CANTOR, [half] * 4, [half])
         with pytest.raises(InputError):
             bc_intersect([fat, fat])
@@ -120,7 +123,10 @@ class TestIntersect:
         for t in (6, 7, 8):
             w = inter.window(t)
             assert w.err == 0 and w.info["trivial"]
-            assert w.balls == CANTOR.cover()
+            witness = window_witness(SHIFT, w)
+            for word in ("", "0", "1", "0110", "1111111"):
+                assert witness(CANTOR.cylinder_ball(word)) \
+                    == (0, CANTOR.cover()[0])
             assert w.info["observable"] == \
                 bcs[w.info["member"] - 1].window(9).info["observable"]
         assert inter.tail(6) == inter.tail(100) == 0
@@ -155,6 +161,48 @@ class TestSynthesis:
         near_one = replace(sp, point=CirclePoint.from_rational(1 - pow2(45)))
         assert near_one.decimal(12) == "0.000000000000"
         assert near_one.decimal(10) == "0.0000000000"
+
+    def test_whole_circle_window_records_the_three_part_split(self, capsys,
+                                                              tmp_path):
+        # [DERIVED: the rotation hat scaled by 1/100 deviates from its mean
+        #  by less than every delta at n = 1, so each window's region is
+        #  the whole circle, non-trivial with err 0; its witness comes from
+        #  the full circle's split into three parts of radius 1/6, not from
+        #  the two overlapping balls of the cover, and the output replays]
+        hat = ('{"variant": "piecewise_linear", "segments": '
+               '[["0", "1/8", "0", "0"], ["1/8", "1/4", "0", "1/100"], '
+               '["1/4", "3/4", "1/100", "1/100"], '
+               '["3/4", "7/8", "1/100", "0"], ["7/8", "1", "0", "0"]]}')
+        code = main(["synthesize", "--system", "rotation", "--observable",
+                     hat, "--target",
+                     '{"space":"circle","center":"3/4","radius":"1/8"}',
+                     "--count", "6", "--windows", "4"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        certs = json.loads(out)["certs"]
+        assert len(certs) == 4
+        for cert in certs:
+            assert not cert["trivial"] and cert["err"] == "0"
+            assert cert["witness"] == {"space": "circle", "center": "5/6",
+                                       "radius": "1/6"}
+            assert cert["witness_pos"] == 2
+        art = tmp_path / "point.json"
+        art.write_text(out)
+        assert main(["replay", "--artifact", str(art)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_whole_window_takes_the_first_cover_ball(self):
+        # [DERIVED: the circle's two cover balls overlap on (1/6, 1/3); a
+        #  whole-space window records the first that holds the candidate,
+        #  ball 0, for every refinement of a target inside the overlap]
+        bc = bc_exact_windows(DBL, HAT, caps=lambda j: pow2(j), count=0)
+        target = IdealBall(CIRCLE, F(1, 4), F(1, 16))
+        sp = synthesize_point(DBL, bc, target, windows=3)
+        assert len(sp.certs) == 3
+        for cert in sp.certs:
+            assert cert["trivial"] and cert["witness_pos"] == 0
+            assert cert["witness"] == CIRCLE.cover()[0].to_json()
+        assert replay_synth(DBL, sp)["ok"]
 
     def test_replay_detects_tampering(self):
         # [DERIVED: moving the final ball off the certified chain fails]

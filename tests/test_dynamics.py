@@ -14,12 +14,14 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                doubling_system, integral, l2_sq_enclosure,
                                l_norm_birkhoff, parse_system, rotation_system,
                                shift_system)
-from ergocert.errors import BudgetExceededError, InputError
+from ergocert.errors import (BudgetExceededError, InputError,
+                             UnsupportedPairError)
 from ergocert.measures import measure_of_finite_union
 from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner
-from ergocert.regions import ArcSet, cylinder_mass
+from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall)
+import ball_reference as bref
 import pl_reference as ref
 from test_observables import _assert_normal_form
 
@@ -148,14 +150,18 @@ class TestDeviationRegions:
                 if inside:
                     assert v <= F(1, 8)
 
-    def test_region_balls_cover_region(self):
-        # [DERIVED: ball decomposition reproduces the region measure]
+    def test_witnesses_cover_region(self):
+        # [DERIVED: the witnesses of balls at the reference parts' centres
+        #  are every part, in order, and reproduce the region measure]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
         r = deviation_region(DBL, f, 2, F(1, 4))
         region, lost = DBL.rational_region(r)
         assert lost == 0
-        balls = DBL.region_balls(region)
-        assert sum(2 * b.radius for b in balls) == r.measure()
+        parts = bref.arc_balls(region)
+        found = [DBL.witness(region, IdealBall(CIRCLE, b.center, b.radius / 2))
+                 for b in parts]
+        assert found == list(enumerate(parts))
+        assert sum(2 * b.radius for _, b in found) == r.measure()
 
     def test_shift_sublevel_is_the_per_word_filter(self):
         # [DERIVED: oracle = the words of the integer table den S_n kept
@@ -185,29 +191,22 @@ class TestDeviationRegions:
                                 for w in range(a, b)] == want, (g, n, delta)
         assert on_boundary >= 100
 
-    def test_circle_region_balls_are_checked_balls(self):
+    def test_circle_witnesses_are_checked_balls(self):
         # [DERIVED: oracle = the decomposition of each arc into the fewest
         #  equal parts shorter than 1/2, found by counting parts up, with
-        #  checked balls; equal in ==, hash and JSON, arcs across 0 and
-        #  arcs of width 1/2 and above included]
+        #  checked balls (ball_reference); a ball at each part's centre has
+        #  that part and its position as witness, equal in ==, hash and
+        #  JSON, arcs across 0 and arcs of width 1/2 and above included]
         rng = random.Random(43)
         for _ in range(200):
             starts = [F(rng.randint(0, 31), 32)
                       for _ in range(rng.randint(1, 3))]
             region = ArcSet.from_raw([(a, a + F(rng.randint(1, 40), 32))
                                       for a in starts])
-            want = []
-            for a, b in region.components():
-                parts = 1
-                while (b - a) / parts >= F(1, 2):
-                    parts += 1
-                step = (b - a) / parts
-                want += [IdealBall(CIRCLE, mod1(a + step * i + step / 2),
-                                   step / 2) for i in range(parts)]
-            got = DBL.region_balls(region)
-            assert got == want and list(map(hash, got)) == \
-                list(map(hash, want))
-            assert [b.to_json() for b in got] == [b.to_json() for b in want]
+            for k, b in enumerate(bref.arc_balls(region)):
+                _assert_same_witness(
+                    DBL.witness(region, IdealBall(CIRCLE, b.center,
+                                                  b.radius / 3)), (k, b))
 
     def test_rotation_rationalized(self):
         # [DERIVED: irrational endpoints shrink inward; the mass lost is
@@ -216,8 +215,96 @@ class TestDeviationRegions:
         r = deviation_region(ROT, f, 3, F(1, 4))
         region, lost = ROT.rational_region(r)
         assert lost >= 0 and region.measure() + lost == r.measure()
-        balls = ROT.region_balls(region)
-        assert all(isinstance(b.center, F) for b in balls)
+        for b in bref.arc_balls(region):
+            cand = IdealBall(CIRCLE, b.center, b.radius / 2)
+            _, ball = ROT.witness(region, cand)
+            assert isinstance(ball.center, F) and isinstance(ball.radius, F)
+            # the region before rounding has irrational arc ends
+            with pytest.raises(UnsupportedPairError):
+                ROT.witness(r, cand)
+
+
+def _assert_same_witness(got, want):
+    """(position, ball) pairs equal in ==, and their balls in hash and
+    JSON."""
+    assert got == want
+    if want is not None:
+        assert hash(got[1]) == hash(want[1])
+        assert got[1].to_json() == want[1].to_json()
+
+
+class TestWitness:
+    def test_cantor_witness_is_the_first_holder(self):
+        # [DERIVED: oracle = the first-holder scan over the reference
+        #  maximal cylinders (ball_reference); unions of depth 0-9, empty
+        #  and full among them, at p = 1/2 and 1/3; candidates on every
+        #  maximal cylinder, shallower than it (across its ends) and
+        #  deeper than the union, and random words; equal in ==, hash and
+        #  JSON]
+        rng = random.Random(44)
+
+        def word(n):
+            return format(rng.randrange(1 << n), f"0{n}b") if n else ""
+
+        found = missed = 0
+        for p in (F(1, 2), F(1, 3)):
+            system = shift_system(p)
+            regions = [CylSet(), CylSet([""]), CylSet(["0", "1"]),
+                       CylSet([word(9)])]
+            for _ in range(120):
+                d = rng.randint(0, 9)
+                regions.append(CylSet(word(rng.randint(0, d))
+                                      for _ in range(rng.randint(0, 12))))
+            for region in regions:
+                parts = bref.cylinder_balls(region)
+                words = {b.cylinder_prefix for b in parts}
+                cands = {w + x for w in words for x in ("", "1", "011")}
+                cands |= {w[:-1] for w in words if w}
+                cands |= {word(rng.randint(0, region.depth + 3))
+                          for _ in range(12)}
+                for w in sorted(cands):
+                    cand = CANTOR.cylinder_ball(w)
+                    want = bref.first_holder(CANTOR, parts, cand)
+                    _assert_same_witness(system.witness(region, cand), want)
+                    found += want is not None
+                    missed += want is None
+        assert found > 2000 and missed > 500, (found, missed)
+
+    def test_circle_witness_is_the_first_holder(self):
+        # [DERIVED: oracle = the first-holder scan over the reference
+        #  equal parts (ball_reference); arcs across 0, arcs 1/2 wide and
+        #  more (2-3 parts), the full circle as a region; candidates
+        #  centred on part ends (arc ends among them) and on part centres,
+        #  narrower and wider than the part, and random ones; equal in ==,
+        #  hash and JSON]
+        rng = random.Random(45)
+        regions = [ArcSet(), ArcSet([(F(0), F(1))]),
+                   ArcSet.from_raw([(F(3, 4), F(5, 4))]),
+                   ArcSet.from_raw([(F(7, 8), F(13, 8))])]
+        for _ in range(150):
+            q = rng.choice([8, 12, 30, 32])
+            regions.append(ArcSet.from_raw(
+                [(a, a + F(rng.randint(1, 2 * q), 2 * q))
+                 for a in (F(rng.randrange(q), q)
+                           for _ in range(rng.randint(1, 3)))]))
+        found = missed = split = 0
+        for region in regions:
+            parts = bref.arc_balls(region)
+            split += len(parts) > len(region.components())
+            centres = {mod1(b.center + s * b.radius)
+                       for b in parts for s in (-1, 0, 1)}
+            centres |= {F(rng.randrange(96), 96) for _ in range(4)}
+            radii = {b.radius * t for b in parts[:2]
+                     for t in (F(1, 4), F(1, 1), F(2))} | {F(1, 1024)}
+            for x in sorted(centres):
+                for r in sorted(radii):
+                    cand = IdealBall(CIRCLE, x, r)
+                    want = bref.first_holder(CIRCLE, parts, cand)
+                    _assert_same_witness(DBL.witness(region, cand), want)
+                    found += want is not None
+                    missed += want is None
+        assert split > 20 and found > 1000 and missed > 1000, \
+            (split, found, missed)
 
 
 class TestMeasurePreservation:

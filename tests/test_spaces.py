@@ -148,47 +148,6 @@ class TestNesting:
             for strict in (False, True):
                 assert CANTOR.inside(inner, outer, strict=strict) is nested
 
-    def test_cantor_witness_lookup_is_the_first_holder(self):
-        # [DERIVED: oracle = the scan for the first ball holding the
-        #  candidate; lists with repeats and nested words, and misses]
-        rng = random.Random(24)
-        words = ["".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
-                 for _ in range(300)]
-        for _ in range(60):
-            balls = [CANTOR.cylinder_ball(w)
-                     for w in rng.sample(words, rng.randint(0, 12))]
-            lookup = CANTOR.witness_lookup(balls)
-            for w in words[:80]:
-                cand = CANTOR.cylinder_ball(w)
-                want = next((i for i, b in enumerate(balls)
-                             if CANTOR.inside(cand, b, strict=True)), None)
-                assert lookup(cand) == want
-
-    def test_circle_witness_lookup_is_the_first_holder(self):
-        # [DERIVED: oracle = the scan for the first ball holding the
-        #  candidate; cover(), arcs across 0, balls of radius >= 1/2,
-        #  overlaps, repeats, candidates centred on arc ends, and misses]
-        rng = random.Random(25)
-        pool = [IdealBall(CIRCLE, F(rng.randint(0, 31), 32),
-                          F(rng.randint(1, 12), 64)) for _ in range(60)]
-        pool += [IdealBall(CIRCLE, F(1, 4), F(1, 2)),
-                 IdealBall(CIRCLE, F(3, 4), F(5, 8))]
-        cands = [IdealBall(CIRCLE, F(rng.randint(0, 127), 128),
-                           F(rng.randint(1, 8), 128)) for _ in range(80)]
-        lists = [[], CIRCLE.cover(), CIRCLE.cover()[::-1],
-                 CIRCLE.cover() + pool[:6], pool[-2:], pool[::-1]]
-        lists += [rng.choices(pool, k=rng.randint(1, 8)) for _ in range(60)]
-        found = missed = 0
-        for balls in lists:
-            lookup = CIRCLE.witness_lookup(balls)
-            for cand in cands:
-                want = next((i for i, b in enumerate(balls)
-                             if CIRCLE.inside(cand, b, strict=True)), None)
-                assert lookup(cand) == want, (balls, cand)
-                found += want is not None
-                missed += want is None
-        assert found > 1000 and missed > 1000, (found, missed)
-
     def test_trusted_cylinder_balls_equal_checked_ones(self):
         # [DERIVED: oracle = the checking constructor on the same word and
         #  radius; equal in ==, hash and JSON, padded words included]
