@@ -107,7 +107,7 @@ def _cmd_validate(args) -> int:
     ok, msg = check_certificate(cert)
     report = {"certificate_check": {"ok": ok, "detail": msg}}
     code = EXIT_OK if ok else EXIT_INPUT
-    if ok and args.horizon is not None and cert.delta is not None:
+    if ok and args.horizon is not None:
         system = parse_system(cert.system_sel)
         f = observable_from_json(cert.observable)
         vr = validate_as(system, f, cert, args.horizon, args.mode)

@@ -249,6 +249,54 @@ class TestExitCodes:
         code, out = run(capsys, "replay", "--artifact", str(art))
         assert code == EXIT_INPUT and not out["ok"]
 
+    def test_norm_certificate_with_an_as_claim_fails(self, capsys,
+                                                     tmp_path):
+        # a norm certificate given a delta and an a.s. guarantee text: its
+        # kind, not the delta, decides the guarantee, so the text differs
+        # from it and both verbs fail the certificate
+        name = "cert_shift1-2_first_bit_norm-l1_1-4.json"
+        art = tmp_path / name
+        art.write_text(json.dumps({
+            **json.loads((CORPUS / name).read_text()), "delta": "1/4",
+            "guarantee": "mu(sup_(n>=40) |A_n(f-int f)| > 1/4) <= 1/4"}))
+        code, out = run(capsys, "replay", "--artifact", str(art))
+        assert code == EXIT_INPUT and not out["ok"] and not out["roundtrip"]
+        code, out = run(capsys, "validate", "--certificate", str(art),
+                        "--horizon", "16")
+        assert code == EXIT_INPUT
+        assert out == {"certificate_check": {
+            "ok": False,
+            "detail": "guarantee text differs from the certified parameters"}}
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("cert_shift1-2_first_bit_norm-l1_1-4.json", "sup_bound", "1/2"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "delta", "1/4"),
+        ("cert_shift1-2_w01_as-bounded_1-4_1-2.json", "M", "1"),
+        ("cert_shift1-2_w01_as-l1_1-4_1-4.json", "fbar_norm", "1/2")])
+    def test_field_of_another_kind_fails_the_round_trip(self, capsys,
+                                                        tmp_path, name,
+                                                        field, value):
+        # a certificate reads and re-emits only the fields of its kind: the
+        # check passes on them, and the added field fails the round trip
+        art = tmp_path / name
+        art.write_text(json.dumps({**json.loads((CORPUS / name).read_text()),
+                                   field: value}))
+        code, out = run(capsys, "replay", "--artifact", str(art))
+        assert code == EXIT_INPUT
+        assert out == {"ok": True, "detail": "ok", "roundtrip": False}
+
+    def test_norm_certificate_refuses_a_horizon(self, capsys):
+        # a horizon measures an a.s. guarantee only: on a norm certificate
+        # it is an input error, not a check that drops the horizon
+        code = main(["validate", "--certificate",
+                     str(CORPUS / "cert_shift1-2_w01_norm-l2_1-8.json"),
+                     "--horizon", "16"])
+        streams = capsys.readouterr()
+        assert code == EXIT_INPUT and not streams.out
+        assert json.loads(streams.err) == {
+            "error": "input",
+            "detail": "only a.s. certificates validate against a horizon"}
+
     def test_negative_windows(self, capsys, tmp_path):
         # a negative window count is refused by both verbs, and so is a
         # negative count of BC windows; zero windows is a point that

@@ -1,6 +1,7 @@
 """Rate certificates: emission, standalone re-checking, horizon
 validation, and summable schedules."""
 
+import ast
 import json
 import random
 import tracemalloc
@@ -163,6 +164,58 @@ class TestCheckerRejections:
             == (False, detail)
 
 
+    def test_norm_certificate_with_an_as_claim(self):
+        # [DERIVED: a norm certificate given a delta and an a.s. guarantee
+        #  text still states its kind's norm guarantee, which the text no
+        #  longer matches]
+        d = json.loads(
+            (CORPUS / "cert_shift1-2_first_bit_norm-l1_1-4.json").read_text())
+        d.update(delta="1/4",
+                 guarantee="mu(sup_(n>=40) |A_n(f-int f)| > 1/4) <= 1/4")
+        cert = RateCertificate.from_json(d)
+        assert cert.delta is None
+        assert check_certificate(cert) == (
+            False, "guarantee text differs from the certified parameters")
+
+
+#: names of the p-search, which the checker must not reach
+SEARCH_NAMES = {"find_p", "NormOracle", "search_p", "l2_settled",
+                "nonincreasing_from", "Correlations"}
+
+
+class TestCheckerIndependence:
+    def test_checker_reaches_no_search_code(self):
+        # [DERIVED: from check_certificate, norm_bound and every class of
+        #  the kind table, follow each module-level name of rates.py they
+        #  read; no name or attribute read on the way is search code, so a
+        #  bug in the search cannot certify itself]
+        tree = ast.parse(Path(rates.__file__).read_text())
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node) for t in node.targets
+                            if isinstance(t, ast.Name))
+        todo = ["check_certificate", "norm_bound",
+                *(cls.__name__ for cls in rates.KINDS.values())]
+        seen, read = set(), set()
+        while todo:
+            name = todo.pop()
+            if name in seen or name not in defs:
+                continue
+            seen.add(name)
+            for n in ast.walk(defs[name]):
+                if isinstance(n, ast.Name):
+                    read.add(n.id)
+                    todo.append(n.id)
+                elif isinstance(n, ast.Attribute):
+                    read.add(n.attr)
+        assert {"RateCertificate", "KINDS", "AsL1Certificate",
+                "_tail_l1"} <= seen
+        assert not read & SEARCH_NAMES, read & SEARCH_NAMES
+
+
 class TestNormOracle:
     def test_doubling_l2_matches_enclosure(self):
         # [DERIVED: the p-search reuses one correlation table for every p;
@@ -239,7 +292,7 @@ class TestSearch:
             oracle = NormOracle(system, f)
             calls = _counted(oracle)
             for norm in ("L1", "L2"):
-                top = oracle.fbar_norm_upper(norm)
+                top = oracle.bound(1, norm)[0]
                 for _ in range(4):
                     threshold = top / rng.randint(2, 40)
                     calls[0] = 0
