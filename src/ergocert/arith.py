@@ -32,7 +32,8 @@ def parse_int(v, what: str) -> int:
 
 
 def fmt_rat(q: Fraction) -> str:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 

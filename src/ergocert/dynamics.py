@@ -304,8 +304,9 @@ class CircleMap(System):
         # every arc is split into its fewest equal parts shorter than 1/2,
         # floor(2 width) + 1 (a ball of radius >= 1/2 is not an arc); the
         # parts are disjoint, so only the one over cand's centre can hold
-        # it, and each arc before it adds its parts to the position
-        comps = region.components()
+        # it, and the arcs before it add their parts to the position
+        # (`ArcSet.parts`, counted once per region)
+        comps, first = region.parts
         for y in (cand.center, cand.center + 1):
             i = bisect_right(comps, y, key=itemgetter(0)) - 1
             if i >= 0 and y < comps[i][1]:
@@ -313,16 +314,12 @@ class CircleMap(System):
         else:
             return None
         a, b = comps[i]
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-            raise UnsupportedPairError("ball conversion needs rational arcs")
-        parts = math.floor(2 * (b - a)) + 1
-        r = (b - a) / (2 * parts)
+        r = (b - a) / (2 * (first[i + 1] - first[i]))
         k = (y - a) // (2 * r)
         ball = IdealBall._of(CIRCLE, mod1(a + r * (2 * k + 1)), r)
         if not CIRCLE.inside(cand, ball, strict=True):
             return None
-        return i + k + sum(math.floor(2 * (hi - lo)) for lo, hi in comps[:i]
-                           if 2 * (hi - lo) >= 1), ball
+        return first[i] + k, ball
 
     def region(self, balls: list[IdealBall]) -> ArcSet:
         return ArcSet.from_raw([ball_arc(b) for b in balls])
@@ -666,22 +663,19 @@ class Correlations:
 
 
 def l2_sq_enclosure(system: System, f: Observable, p: int,
-                    corr: Optional[Correlations] = None) -> Interval:
+                    corr: Correlations) -> Interval:
     """Enclosure of ||A_p(f - integral f)||_2^2, exact (width 0) whenever
     all correlations are computed, tail-bounded otherwise.
 
     Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)]
-    on the doubling map and the shift.  A caller that probes many p passes
-    the system's correlation table of fbar as `corr` once computed; f is
-    then not re-centered.  On the doubling map the table stops transferring
-    at the first iterate that repeats up to a scalar
-    (`doubling_correlations`), and each p combines the table's integer
-    prefix sums into one Fraction per end (`Correlations`)."""
+    on the doubling map and the shift, from `corr`, the system's
+    correlation table of fbar (`System.correlations`), so f is not
+    re-centered.  On the doubling map the table stops transferring at the
+    first iterate that repeats up to a scalar (`doubling_correlations`),
+    and each p combines the table's integer prefix sums into one Fraction
+    per end (`Correlations`)."""
     if p < 1:
         raise InputError("p must be >= 1")
-    if corr is None:
-        corr = system.correlations(system.as_concrete(f),
-                                   min(p, CORRELATION_CUTOFF))
     return corr.l2_sq(p)
 
 

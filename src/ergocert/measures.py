@@ -3,13 +3,18 @@
 W1 between ideal measures is exact over the rationals: each space couples
 integer masses by its own closed form (`Space.transport`), a cut at a
 weighted median plus a monotone rearrangement on the circle, greedy
-bottom-up matching on the ultrametric Cantor space.  A finite union of
-ideal balls is weighed exactly under a built-in system's invariant measure
-by the system itself (`System.region`, then `System.weigh`).
+bottom-up matching on the ultrametric Cantor space.  Both work on integers
+up to the final value: circle points as integer positions over the lcm of
+their denominators, Cantor words sorted once as integers and walked with a
+stack of the nodes where they branch.  The value is the plan's cost under
+`Space.dist`, summed in integers per distance denominator.  A finite union
+of ideal balls is weighed exactly under a built-in system's invariant
+measure by the system itself (`System.region`, then `System.weigh`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,7 +39,8 @@ class IdealMeasure:
             raise ValueError("atom points must be pairwise distinct")
         if any(w <= 0 for _, w in atoms):
             raise ValueError("weights must be positive")
-        if sum(w for _, w in atoms) != 1:
+        lw = lcm(*(w.denominator for _, w in atoms))
+        if sum(w.numerator * (lw // w.denominator) for _, w in atoms) != lw:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
 
@@ -79,9 +85,12 @@ class TransportPlan:
 def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
     """Exact W1 distance and an optimal transport plan.
 
-    The masses become integers over the lcm of the weight denominators and
-    the space's closed form couples them; the value is the cost of that plan
-    under `Space.dist`, so value and plan agree by construction."""
+    The masses become integers over the lcm lw of the weight denominators
+    and the space's closed form couples them; the value is the cost of that
+    plan under `Space.dist`, so value and plan agree by construction.  The
+    cost is summed in integers: each integer flow times the numerator of
+    its distance, grouped by the distance's denominator, and one Fraction
+    per denominator."""
     if mu1.space is not space or mu2.space is not space:
         raise ValueError("measures must live on the given space")
     lw = lcm(*(w.denominator for _, w in mu1.atoms + mu2.atoms))
@@ -89,10 +98,14 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
                 for mu in (mu1, mu2))
     if sum(w for _, w in src) != sum(w for _, w in snk):
         raise InputError("the two measures must have equal total mass")
-    plan = TransportPlan(tuple((i, j, Fraction(a, lw)) for (i, j), a
-                               in sorted(space.transport(src, snk).items())))
-    return sum(a * space.dist(src[i][0], snk[j][0])
-               for i, j, a in plan.flows), plan
+    flows = sorted(space.transport(src, snk).items())
+    cost = Counter()
+    for (i, j), a in flows:
+        d = space.dist(src[i][0], snk[j][0])
+        cost[d.denominator] += a * d.numerator
+    value = sum(Fraction(c, den * lw) for den, c in cost.items())
+    return value, TransportPlan(tuple((i, j, Fraction(a, lw))
+                                      for (i, j), a in flows))
 
 
 # ---------------------------------------------------------------------------

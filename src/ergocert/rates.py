@@ -129,6 +129,10 @@ class RateCertificate:
     n0_or_m: int
     guarantee: str = ""
     missing = ()  # the fields of its kind that a parsed payload lacks
+    #: (field, least value, whether the least value is out too) of each
+    #: parameter with a domain, refused before anything is recomputed
+    domain = (("epsilon", 0, True), ("p", 1, False), ("n0_or_m", 1, False),
+              ("norm_bound", 0, False))
     to_json = _to_json
 
     @staticmethod
@@ -149,6 +153,14 @@ class RateCertificate:
             return False, f"{self.kind} needs {', '.join(self.missing)}"
         return False, f"unknown kind {self.kind}"
 
+    def _refuse_out_of_domain(self) -> None:
+        """InputError on the first recorded parameter out of its domain."""
+        for name, least, strict in self.domain:
+            v = getattr(self, name)
+            if v < least or strict and v == least:
+                raise InputError(
+                    f"{name} must be {'>' if strict else '>='} {least}")
+
     def _recorded(self, method: str) -> tuple[bool, str]:
         """The recorded method and guarantee text match the recomputation."""
         if method != self.norm_method:
@@ -166,12 +178,15 @@ class NormCertificate(RateCertificate):
     n_factor: int
     fbar_norm: Fraction  # certified upper bound on ||fbar||
     delta = None  # a norm guarantee has no deviation level
+    domain = RateCertificate.domain + (("n_factor", 1, False),
+                                       ("fbar_norm", 0, False))
 
     def statement(self) -> str:
         return (f"||A_m'(f-int f)||_{self.kind[-2:]} <= "
                 f"{fmt_rat(self.epsilon)} for all m' >= {self.n0_or_m}")
 
     def check(self, system: System, g) -> tuple[bool, str]:
+        self._refuse_out_of_domain()
         norm = self.kind[-2:]
         corr = cache(lambda: system.correlations(g, CORRELATION_CUTOFF))
         w, method = norm_bound(system, g, self.p, norm, corr)
@@ -195,12 +210,15 @@ class AsBoundedCertificate(RateCertificate):
 
     delta: Fraction
     sup_bound: Fraction  # certified upper bound on ||fbar||_inf
+    domain = RateCertificate.domain + (("delta", 0, True),
+                                       ("sup_bound", 0, False))
 
     def statement(self) -> str:
         return (f"mu(sup_(n>={self.n0_or_m}) |A_n(f-int f)| > "
                 f"{fmt_rat(self.delta)}) <= {fmt_rat(self.epsilon)}")
 
     def check(self, system: System, g) -> tuple[bool, str]:
+        self._refuse_out_of_domain()
         return self._check_bounded(system, g, self.delta, self.epsilon)
 
     def _check_bounded(self, system, g, delta, epsilon) -> tuple[bool, str]:
@@ -227,8 +245,11 @@ class AsL1Certificate(AsBoundedCertificate):
     rho: Fraction  # exact ||fbar - clamp(fbar, M)||_1
     tail_level: Fraction  # rho/(eps/2), checked multiplied out: eps may be 0
     delta_sub: Fraction  # level of the bounded part
+    domain = AsBoundedCertificate.domain + (
+        ("M", 0, True), ("rho", 0, False), ("tail_level", 0, False))
 
     def check(self, system: System, g) -> tuple[bool, str]:
+        self._refuse_out_of_domain()
         fbar = centered(system, g)
         rho = _tail_l1(system, fbar, self.M)
         if rho != self.rho:
@@ -249,7 +270,8 @@ KINDS = {"NORM_L1": NormCertificate, "NORM_L2": NormCertificate,
 
 
 def check_certificate(cert: RateCertificate) -> tuple[bool, str]:
-    """Re-verify a certificate by exact arithmetic at the recorded p only."""
+    """Re-verify a certificate by exact arithmetic at the recorded p only;
+    a recorded parameter out of its domain raises InputError first."""
     try:
         system = parse_system(cert.system_sel)
         g = system.as_concrete(observable_from_json(cert.observable))

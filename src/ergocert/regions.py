@@ -14,10 +14,13 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .arith import exact_keys, mod1
+from .errors import UnsupportedPairError
 from .spaces import ball_arc
 
 
@@ -92,6 +95,21 @@ class ArcSet:
             last = arcs.pop()
             arcs.append((last[0], first[1] + 1))
         return arcs
+
+    @cached_property
+    def parts(self) -> tuple[list, list]:
+        """(components, first): every component splits into its fewest
+        equal parts shorter than 1/2, floor(2 width) + 1, and the i-th
+        holds the parts first[i] to first[i + 1] - 1 in circle order.  The
+        split needs rational endpoints."""
+        comps = self.components()
+        if not all(isinstance(x, Fraction) for arc in comps for x in arc):
+            raise UnsupportedPairError("ball conversion needs rational arcs")
+        # floor(2 (b - a)) + 1 in integers, a = an/ad and b = bn/bd
+        return comps, list(accumulate(
+            (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
+             // (a.denominator * b.denominator) + 1 for a, b in comps),
+            initial=0))
 
     def contains_ball(self, ball) -> bool:
         """Does the set contain the closed arc of a circle ball?"""
@@ -199,11 +217,10 @@ class CylSet:
         s.depth, s.runs = depth, runs
         return s
 
-    def _blocks(self, runs=None):
-        """(length, word) of the maximal cylinders of `runs` (default: all
-        of them): from the start of a run, the largest aligned block that
-        fits, until the run ends."""
-        for a, b in self.runs if runs is None else runs:
+    def _blocks(self):
+        """(length, word) of the maximal cylinders: from the start of a
+        run, the largest aligned block that fits, until the run ends."""
+        for a, b in self.runs:
             while a < b:
                 k = min((a & -a).bit_length() - 1 if a else self.depth,
                         (b - a).bit_length() - 1)
@@ -214,6 +231,20 @@ class CylSet:
     def prefixes(self) -> list[str]:
         return [format(v, f"0{n}b") if n else ""
                 for n, v in sorted(self._blocks())]
+
+    @cached_property
+    def _sizes(self) -> list:
+        """(m, up, down) of each run (a, b), once per set: m is b cut
+        below the highest bit where a and b differ, and the maximal
+        cylinders of the run grow from a to m and shrink from m to b, so
+        their sizes are the set bits of up = m - a, in order, then those of
+        down = b - m, in reverse order."""
+        out = []
+        for a, b in self.runs:
+            h = (a ^ b).bit_length() - 1
+            m = b >> h << h
+            out.append((m, m - a, b - m))
+        return out
 
     def measure(self, p: Fraction) -> Fraction:
         """Bernoulli(p) mass, one integer sum over b^depth for p = a/b: per
@@ -243,16 +274,28 @@ class CylSet:
         """(position, word) of the maximal cylinder that holds the cylinder
         of `word`, or None if the union does not contain it.  The maximal
         cylinders are disjoint, so it is the block of the run over `word`
-        that holds its first word; its position is the count of maximal
-        cylinders before it in (length, word) order."""
+        that holds its first word x; its position is the count of maximal
+        cylinders before it in (length, word) order, counted from the
+        block sizes of each run (`_sizes`): the larger blocks of every
+        run, and those of its size in the runs before and in its own."""
         if not self.contains_word_prefix(word):
             return None
-        lo = _run(word[:self.depth], self.depth)[0]
-        run = self.runs[bisect_right(self.runs, lo, key=lambda r: r[0]) - 1]
-        n, v = blk = next((n, v) for n, v in self._blocks([run])
-                          if (v + 1) << (self.depth - n) > lo)
-        return (sum(b < blk for b in self._blocks()),
-                format(v, f"0{n}b") if n else "")
+        d = self.depth
+        x = _run(word[:d], d)[0]
+        i = bisect_right(self.runs, x, key=itemgetter(0)) - 1
+        sizes = self._sizes
+        m, up, down = sizes[i]
+        if x < m:  # the growing blocks, read down from m: up's bits
+            k = ((m - 1 - x) ^ up).bit_length() - 1
+            start, before = m - (up >> k << k), 0
+        else:  # the shrinking blocks, read up from m: down's bits
+            k = ((x - m) ^ down).bit_length() - 1
+            start, before = m + (down >> k + 1 << k + 1), up >> k & 1
+        before += sum((u >> k & 1) + (w >> k & 1) for _, u, w in sizes[:i])
+        before += sum((u >> k + 1).bit_count() + (w >> k + 1).bit_count()
+                      for _, u, w in sizes)
+        n = d - k
+        return before, format(start >> k, f"0{n}b") if n else ""
 
     def contains_ball(self, ball) -> bool:
         return self.contains_word_prefix(ball.cylinder_prefix)

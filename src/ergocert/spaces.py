@@ -13,7 +13,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from typing import Callable, Optional
 
 from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
@@ -90,14 +90,12 @@ def circle_dist(x, y):
 
 
 def cantor_dist(u: str, v: str) -> Fraction:
-    """2^-(first differing index) on zero-padded words."""
+    """2^-(first differing index) on zero-padded words: the words padded to
+    one length n and read as binary numbers differ first at index
+    n - (u ^ v).bit_length()."""
     n = max(len(u), len(v))
-    u = u.ljust(n, "0")
-    v = v.ljust(n, "0")
-    for i in range(n):
-        if u[i] != v[i]:
-            return Fraction(1, 1 << i)
-    return Fraction(0)
+    x = int(u.ljust(n, "0") or "0", 2) ^ int(v.ljust(n, "0") or "0", 2)
+    return Fraction(1, 1 << (n - x.bit_length())) if x else Fraction(0)
 
 
 class Space:
@@ -130,7 +128,10 @@ class CircleSpace(Space):
     point_from_json = staticmethod(parse_rat)
 
     def _metric(self, a, b) -> Fraction:
-        return circle_dist(Fraction(a), Fraction(b))
+        # the arc metric over the product of the two denominators
+        den = a.denominator * b.denominator
+        t = (a.numerator * b.denominator - b.numerator * a.denominator) % den
+        return Fraction(min(t, den - t), den)
 
     def ball_center(self, ball: "IdealBall") -> Fraction:
         c = Fraction(ball.center)
@@ -183,18 +184,23 @@ class CircleSpace(Space):
         weighted median of its step values (the lowest one on a tie).  The
         plan is the monotone rearrangement: each atom gets its quantile
         interval in circle order, the snk ones turned by alpha, and
-        flow(i, j) is their overlap (Rabin, Delon & Gousseau, JMIV 2011)."""
-        pts = sorted((x % 1, s, k, w) for s, atoms in enumerate((src, snk))
+        flow(i, j) is their overlap (Rabin, Delon & Gousseau, JMIV 2011).
+        A point n/d sits at the integer position n (L // d) mod L over L,
+        the lcm of the point denominators, so the sort, the step lengths,
+        the median search and the cuts are integer work."""
+        L = lcm(*(x.denominator for atoms in (src, snk) for x, _ in atoms))
+        pts = sorted((x.numerator * (L // x.denominator) % L, s, k, w)
+                     for s, atoms in enumerate((src, snk))
                      for k, (x, w) in enumerate(atoms))
         xs = [x for x, *_ in pts]
         steps, f = [], 0
-        for (x, s, _, w), nxt in zip(pts, xs[1:] + [xs[0] + 1]):
+        for (x, s, _, w), nxt in zip(pts, xs[1:] + [xs[0] + L]):
             f += -w if s else w
             steps.append((f, nxt - x))
         acc = 0
         for alpha, length in sorted(steps):
             acc += length
-            if 2 * acc >= 1:
+            if 2 * acc >= L:
                 break
         total = sum(w for _, w in src)
         starts, cuts = [0, alpha], []
@@ -277,31 +283,44 @@ class CantorSpace(Space):
 
         The metric is an ultrametric, so greedy matching inside the deepest
         common cylinder first is optimal (the tree earth mover's distance;
-        Evans & Matsen, JRSS-B 2012): walk the trie of the zero-padded
+        Evans & Matsen, JRSS-B 2012): settle the trie of the zero-padded
         words bottom-up, pair the src and snk remainders of each node in
-        word order, and pass what is left up to the parent."""
+        word order, and pass what is left up to the parent.  Only the nodes
+        where the words branch can pair anything, so the padded words are
+        sorted once as integers and walked with a stack of those nodes:
+        sorted neighbours u, v branch at depth depth - (u ^ v).bit_length().
+        A node is settled each time it is popped to take in the remainders
+        of its next child; FIFO pairing in stages pairs the same units as
+        in one go.  Words equal after padding ("1", "10") share a leaf."""
         depth = max(len(w) for w, _ in src + snk)
-        nodes = {}
+        leaves = {}
         for s, atoms in enumerate((src, snk)):
             for k, (w, m) in enumerate(atoms):
-                nodes.setdefault(w.ljust(depth, "0"),
-                                 (deque(), deque()))[s].append([k, m])
-        nodes = dict(sorted(nodes.items()))
+                leaves.setdefault(int(w or "0", 2) << (depth - len(w)),
+                                  (deque(), deque()))[s].append([k, m])
         flows = {}
-        for d in range(depth, -1, -1):
-            up = {}
-            for key, (a, b) in nodes.items():
-                while a and b:
-                    t = min(a[0][1], b[0][1])
-                    flows[a[0][0], b[0][0]] = t
-                    for r in (a, b):
-                        r[0][1] -= t
-                        if not r[0][1]:
-                            r.popleft()
-                rest = up.setdefault(key[:d - 1], (deque(), deque()))
-                rest[0].extend(a)
-                rest[1].extend(b)
-            nodes = up
+
+        def settle(a, b):
+            while a and b:
+                t = min(a[0][1], b[0][1])
+                flows[a[0][0], b[0][0]] = t
+                for r in (a, b):
+                    r[0][1] -= t
+                    if not r[0][1]:
+                        r.popleft()
+            return a, b
+
+        keys = sorted(leaves)
+        stack = []  # (depth, src rest, snk rest) of open nodes, deepest last
+        for u, v in zip(keys, keys[1:] + [None]):
+            a, b = settle(*leaves[u])
+            h = -1 if v is None else depth - (u ^ v).bit_length()
+            while stack and stack[-1][0] >= h:
+                _, pa, pb = stack.pop()
+                pa.extend(a)
+                pb.extend(b)
+                a, b = settle(pa, pb)
+            stack.append((h, a, b))
         return flows
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from ergocert import rates
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from ergocert.errors import InputError
 from ergocert.rates import RateCertificate, check_certificate
 
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
@@ -267,6 +269,59 @@ class TestExitCodes:
         assert out == {"certificate_check": {
             "ok": False,
             "detail": "guarantee text differs from the certified parameters"}}
+
+    def test_negative_levels_fail_both_verbs(self, capsys, tmp_path):
+        # a certificate whose eps and delta are negative, n0 1 and text
+        # rewritten to match: its bound chain holds vacuously, so only the
+        # domain of its parameters refuses it, as an input error on both
+        # verbs, as p < 1 is
+        name = "cert_shift1-2_w01_as-bounded_1-4_1-2.json"
+        data = {**json.loads((CORPUS / name).read_text()),
+                "epsilon": "-1/4", "delta": "-1/2", "n0_or_m": 1}
+        data["guarantee"] = RateCertificate.from_json(data).statement()
+        assert data["guarantee"] \
+            == "mu(sup_(n>=1) |A_n(f-int f)| > -1/2) <= -1/4"
+        art = tmp_path / name
+        art.write_text(json.dumps(data))
+        for argv in (["replay", "--artifact", str(art)],
+                     ["validate", "--certificate", str(art), "--horizon",
+                      "4"]):
+            code = main(argv)
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            assert json.loads(streams.err) == {
+                "error": "input", "detail": "epsilon must be > 0"}
+
+    @pytest.mark.parametrize("name, field, value, detail", [
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "epsilon", "0", "> 0"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "p", 0, ">= 1"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "n0_or_m", 0, ">= 1"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "norm_bound", "-1/8",
+         ">= 0"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "n_factor", -2, ">= 1"),
+        ("cert_shift1-2_coord1_norm-l2_1-8.json", "fbar_norm", "-1", ">= 0"),
+        ("cert_shift1-2_w01_as-bounded_1-4_1-2.json", "delta", "0", "> 0"),
+        ("cert_shift1-2_w01_as-bounded_1-4_1-2.json", "sup_bound", "-1",
+         ">= 0"),
+        ("cert_shift1-2_w01_as-l1_1-4_1-4.json", "epsilon", "-1/4", "> 0"),
+        ("cert_shift1-2_w01_as-l1_1-4_1-4.json", "M", "0", "> 0"),
+        ("cert_shift1-2_w01_as-l1_1-4_1-4.json", "rho", "-1/64", ">= 0"),
+        ("cert_shift1-2_w01_as-l1_1-4_1-4.json", "tail_level", "-1",
+         ">= 0")])
+    def test_parameter_out_of_domain_is_refused_first(self, monkeypatch,
+                                                      name, field, value,
+                                                      detail):
+        # every kind refuses each parameter out of its domain before it
+        # recomputes anything, and names it
+        def recompute(*args):
+            raise AssertionError("recomputed before the domain check")
+
+        for step in ("norm_bound", "centered", "_tail_l1"):
+            monkeypatch.setattr(rates, step, recompute)
+        data = {**json.loads((CORPUS / name).read_text()), field: value}
+        with pytest.raises(InputError) as err:
+            check_certificate(RateCertificate.from_json(data))
+        assert str(err.value) == f"{field} must be {detail}"
 
     @pytest.mark.parametrize("name, field, value", [
         ("cert_shift1-2_first_bit_norm-l1_1-4.json", "sup_bound", "1/2"),

@@ -16,6 +16,8 @@ from ergocert.measures import (IdealMeasure, measure_of_finite_union,
 from ergocert.regions import cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, IdealBall
 
+import w1_reference as w1ref
+
 
 def rand_measure(rng, space, max_atoms=4):
     n = rng.randint(1, max_atoms)
@@ -308,6 +310,88 @@ class TestW1Oracles:
                 a * space.dist(mu1.atoms[i][0], mu2.atoms[j][0])
                 for i, j, a in plan.flows)
             assert value == vertex_minimum(space, mu1, mu2)
+
+
+class TestW1Reference:
+    """The integer kernels (integer positions on the circle, the stack walk
+    on Cantor space, the cost summed per distance denominator) against the
+    Fraction sweep and the level-by-level trie walk of w1_reference: the
+    same value and the same plan, byte for byte."""
+
+    @staticmethod
+    def _same(space, a, b):
+        mu1, mu2 = (IdealMeasure.from_json(space, [list(x) for x in m])
+                    for m in (a, b))
+        value, plan = w1_ideal(space, mu1, mu2)
+        want_value, want_plan = w1ref.w1(space.name, mu1, mu2)
+        assert type(value) is F and value == want_value
+        assert plan.to_json() == want_plan
+        return value
+
+    @staticmethod
+    def _random(rng, pool, size):
+        ws = [rng.randint(1, 20) for _ in range(size)]
+        total = sum(ws)
+        return [(p, str(F(w, total))) for p, w in
+                zip(rng.sample(pool, size), ws)]
+
+    def test_random_pairs(self):
+        # [DERIVED: up to 2,000 atoms a measure; circle points over mixed
+        #  denominators on and off [0,1), Cantor words from the empty one
+        #  to 30 letters with trailing zeros; pools small enough that the
+        #  two measures share points and the steps tie]
+        rng = random.Random(2611)
+        circle_pools = [sorted(map(str, set(pool))) for pool in (
+            [F(k, 8) for k in range(-8, 16)],
+            [F(k, q) for q in (3, 5, 12, 64) for k in range(-q, 2 * q)],
+            [F(k, 1 << 20) for k in rng.sample(range(-(1 << 20), 2 << 20),
+                                               5000)])]
+        cantor_pools = [
+            sorted({format(v, f"0{n}b") if n else "" for n in range(4)
+                    for v in range(1 << n)}),
+            sorted({"".join(rng.choice("01") for _ in range(n))
+                    for n in range(13) for _ in range(300)}),
+            sorted({"".join(rng.choice("01") for _ in range(n))
+                    for n in range(31) for _ in range(200)})]
+        checked = 0
+        for space, pools in ((CIRCLE, circle_pools), (CANTOR, cantor_pools)):
+            for pool in pools:
+                n = min(len(pool), 2000)
+                sizes = [(rng.randint(1, 6), rng.randint(1, 6))
+                         for _ in range(40)] + [(n // 3, n // 2), (n, n - 1)]
+                for size in sizes:
+                    self._same(space, *(self._random(rng, pool, k)
+                                        for k in size))
+                    checked += 1
+        assert checked == 252
+
+    def test_edge_cases(self):
+        # [DERIVED: points off [0,1) that meet points of the other measure
+        #  mod 1, one point carrying both measures, "1" and "10" in one
+        #  measure (one leaf), the empty word, one-atom measures]
+        half, third = "1/2", "1/3"
+        cases = [
+            (CIRCLE, [("5/4", half), ("-3/4", half)], [("1/4", "1")]),
+            (CIRCLE, [("-3/2", third), ("7/3", third), ("0", third)],
+             [("1/2", half), ("1/3", "1/4"), ("2", "1/4")]),
+            (CIRCLE, [("3/7", "1")], [("3/7", "1")]),
+            (CIRCLE, [("3/7", "1")], [("-4/7", "1")]),
+            (CIRCLE, [("1/5", "1")], [("7/10", "1")]),
+            (CIRCLE, [("0", "1")], [("1/4", third), ("1/2", third),
+                                    ("3/4", third)]),
+            (CANTOR, [("1", half), ("10", half)], [("100", "1")]),
+            (CANTOR, [("1", third), ("10", third), ("", third)],
+             [("", half), ("0000", "1/4"), ("1", "1/4")]),
+            (CANTOR, [("", "1")], [("", "1")]),
+            (CANTOR, [("", "1")], [("0", "1")]),
+            (CANTOR, [("", "1")], [("1", "1")]),
+            (CANTOR, [("0101", "1")], [("", third), ("01", third),
+                                       ("011", third)]),
+        ]
+        values = [self._same(space, a, b) for space, a, b in cases]
+        assert values[0] == values[2] == values[3] == values[8] \
+            == values[9] == 0
+        assert values[4] == F(1, 2) and values[10] == 1
 
 
 def big_measure(rng, space, pool, size):

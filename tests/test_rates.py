@@ -12,7 +12,8 @@ import pytest
 
 from ergocert import dynamics, rates
 from ergocert.arith import Quad, pow2
-from ergocert.dynamics import (SCAN_CAP, doubling_system, l_norm_birkhoff,
+from ergocert.dynamics import (CORRELATION_CUTOFF, SCAN_CAP,
+                               doubling_system, l_norm_birkhoff,
                                birkhoff_observable, centered, l2_sq_enclosure,
                                rotation_system, shift_system)
 from ergocert.errors import BudgetExceededError, InputError
@@ -222,7 +223,8 @@ class TestNormOracle:
         # it must agree with a fresh enclosure on both sides of the cutoff]
         oracle = NormOracle(DBL, HAT)
         for p in (1, 2, 5, 119, 120, 121, 200):
-            expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p).hi)
+            fresh = DBL.correlations(HAT, min(p, CORRELATION_CUTOFF))
+            expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p, fresh).hi)
             assert oracle.bound(p, "L2") == (expect, "l2-upper")
 
 

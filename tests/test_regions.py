@@ -117,8 +117,10 @@ class TestCylSet:
         # [DERIVED: oracle = membership table at depth 8; the kept words
         # are exactly the maximal cylinders inside the union, sorted by
         # (length, word), the mass is the table's mass, a word's cylinder
-        # is contained iff its whole block is, and the same union given
-        # as one flag byte per depth-8 word has the same form and mass]
+        # is contained iff its whole block is, its holder is the kept word
+        # that prefixes it, at that word's place in the sorted list, and
+        # the same union given as one flag byte per depth-8 word has the
+        # same form, holders and mass]
         depth = 8
         rng = random.Random(17)
         weights = {p: [cylinder_mass(format(x, f"0{depth}b"), p)
@@ -167,8 +169,16 @@ class TestCylSet:
             t = CylSet.from_flags(depth, bytes(inside))
             assert s.prefixes == maximal, words
             assert t.prefixes == maximal, words
+            kept = {w: full(w) for w in every}
             assert [s.contains_word_prefix(w) for w in every] \
-                == [full(w) for w in every], words
+                == list(kept.values()), words
+            # a contained word's holder is its shortest contained prefix
+            place = {u: k for k, u in enumerate(maximal)}
+            holders = [next((place[w[:i]], w[:i]) for i in range(len(w) + 1)
+                            if kept[w[:i]]) if kept[w] else None
+                       for w in every]
+            assert [s.holder(w) for w in every] == holders, words
+            assert [t.holder(w) for w in every] == holders, words
             for p, weight in weights.items():
                 mass = sum(m for m, hit in zip(weight, inside) if hit)
                 assert s.measure(p) == mass
