@@ -1,9 +1,8 @@
-"""Exact arithmetic substrate: rationals, intervals, computable reals.
+"""Exact arithmetic substrate: rationals, intervals, Q[sqrt(2)].
 
 Rationals are `fractions.Fraction` (always canonical).  Intervals carry exact
-rational endpoints.  A computable real is an approximation oracle: precision
-m maps to a rational within 2^-m of the represented number.  A small exact
-quadratic-field type (a + b*sqrt(2)) backs the default rotation angle.
+rational endpoints.  A small exact quadratic-field type (a + b*sqrt(2))
+backs the default rotation angle.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 #: default cap on refinement rounds in precision-driven loops
 DEFAULT_STEP_BUDGET = 64
@@ -95,43 +93,6 @@ def _as_interval(x) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Computable reals
-
-
-class CReal:
-    """A computable real as a deterministic approximation oracle.
-
-    `oracle(m)` must return a rational within 2^-m of the represented number;
-    results are memoized so repeated queries are reproducible and cheap.
-    """
-
-    def __init__(self, oracle: Callable[[int], Fraction], name: str = ""):
-        self._oracle = oracle
-        self._memo: dict[int, Fraction] = {}
-        self.name = name
-
-    def approx(self, m: int) -> Fraction:
-        if m < 0:
-            raise ValueError("precision must be >= 0")
-        if m not in self._memo:
-            self._memo[m] = Fraction(self._oracle(m))
-        return self._memo[m]
-
-    def enclosure(self, m: int) -> Interval:
-        a = self.approx(m)
-        e = pow2(m)
-        return Interval(a - e, a + e)
-
-    @staticmethod
-    def from_rational(q) -> "CReal":
-        q = Fraction(q)
-        return CReal(lambda m: q, name=fmt_rat(q))
-
-    def __repr__(self):
-        return f"CReal({self.name or '...'})"
-
-
-# ---------------------------------------------------------------------------
 # Exact quadratic field Q[sqrt(2)]
 
 _RATIONAL = (int, Fraction)
@@ -140,8 +101,9 @@ _RATIONAL = (int, Fraction)
 class Quad:
     """Exact number a + b*sqrt(2) with rational a, b.
 
-    Supports field arithmetic and exact total order; used for rotation-map
-    internals where orbit points and PL breakpoints live in Q[sqrt(2)].
+    Supports +, -, *, division by a rational and exact total order; used
+    for rotation-map internals where orbit points and PL breakpoints live
+    in Q[sqrt(2)].
     Both parts are `Fraction`s, kept as given when they already are; int and
     Fraction operands join without a lift to Quad.  Comparisons read the
     `sign` of one difference, which decides a^2 against 2b^2 on integers.
@@ -152,10 +114,6 @@ class Quad:
     def __init__(self, a, b=0):
         self.a = a if type(a) is Fraction else Fraction(a)
         self.b = b if type(b) is Fraction else Fraction(b)
-
-    @staticmethod
-    def of(x) -> "Quad":
-        return x if isinstance(x, Quad) else Quad(x)
 
     def approx(self, m: int) -> Fraction:
         if self.b == 0:
@@ -172,9 +130,6 @@ class Quad:
         return self + Quad(o)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Quad(-self.a, -self.b)
 
     def __sub__(self, o):
         if isinstance(o, Quad):
@@ -198,20 +153,7 @@ class Quad:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, _RATIONAL):
-            return Quad(self.a / o, self.b / o)
-        o = Quad.of(o)
-        n = o.a * o.a - 2 * o.b * o.b  # zero only for o = 0
-        return self * Quad(o.a / n, -o.b / n)
-
-    def __rtruediv__(self, o):
-        if not isinstance(o, _RATIONAL):
-            return Quad(o) / self
-        n = self.a * self.a - 2 * self.b * self.b
-        return Quad(o * self.a / n, -o * self.b / n)
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return Quad(self.a / o, self.b / o)
 
     def sign(self) -> int:
         a, b = self.a, self.b
@@ -255,11 +197,6 @@ class Quad:
 
     def mod1(self) -> "Quad":
         return self - self.floor()
-
-    def __repr__(self):
-        if self.b == 0:
-            return fmt_rat(self.a)
-        return f"({fmt_rat(self.a)}+{fmt_rat(self.b)}*sqrt2)"
 
 
 def sign_root2(a: int, b: int) -> int:

@@ -25,7 +25,7 @@ from .dynamics import (Observable, System, birkhoff_eval, centered,
                        deviation_region, integral, parse_system)
 from .measures import region_measure, support_hit
 from .observables import enumerate_F, observable_from_json, observable_to_json
-from .spaces import CantorPoint, IdealBall, Membership, Space, ball_member
+from .spaces import CantorPoint, IdealBall, Space, ball_member
 
 #: cap on candidate balls examined per refinement step
 CANDIDATE_BUDGET = 1 << 14
@@ -364,9 +364,13 @@ def replay_synth(system: System, sp: SynthPoint,
     Checks the window claim (one certificate per window, in sequence from
     `start_index`, and windows + 1 stream balls), exact stream nesting,
     that certificate t records stream ball t + 1 as its accepted ball,
-    witness membership of every recorded window, containment of each
-    witness in the recomputed deviation region, and (optionally) a direct
-    interval evaluation of each window's Birkhoff average at the point,
+    witness membership of every recorded window, a positive `lambda`, and
+    err 0 on a whole-space window.  On every other window the deviation
+    region is recomputed: the witness must lie in it, `err` must be 1 - mu
+    of its rational region, and (`witness_pos`, `witness`) that region's
+    ball that holds the accepted ball.  `lambda` itself is not
+    re-derived: it needs the error tail past the recorded windows.
+    Optionally each window's Birkhoff average is evaluated at the point,
     to width 2^-EVAL_PRECISION."""
     space = system.space
     point = sp.point if sp.point is not None \
@@ -404,10 +408,15 @@ def replay_synth(system: System, sp: SynthPoint,
             failures.append(f"window {j}: precision {precision} above the "
                             f"accepted ball's depth + 2")
             continue
-        if ball_member(space, witness, point, precision) \
-                is not Membership.IN:
+        if not ball_member(space, witness, point, precision):
             failures.append(f"window {j}: point not certified in witness")
+        err = parse_rat(cert["err"])
+        if parse_rat(cert["lambda"]) <= 0:
+            failures.append(f"window {j}: lambda not positive")
         if cert.get("trivial", True):
+            if err != 0:
+                failures.append(f"window {j}: err of a whole-space window "
+                                f"is not 0")
             checked += 1
             continue
         obs = observable_from_json(cert["observable"])
@@ -416,6 +425,15 @@ def replay_synth(system: System, sp: SynthPoint,
         region = deviation_region(system, obs, n, delta)
         if not region.contains_ball(witness):
             failures.append(f"window {j}: witness outside deviation region")
+        # the region synthesis drew from: its mass gives err, and its
+        # ball that holds the accepted one is the recorded witness
+        rational, _ = system.rational_region(region)
+        if err != 1 - region_measure(system, rational):
+            failures.append(f"window {j}: err is not 1 - mu(region)")
+        pos = parse_int(cert["witness_pos"], "witness_pos")
+        if system.witness(rational, ball) != (pos, witness):
+            failures.append(f"window {j}: witness is not the region's ball "
+                            f"that holds the accepted ball")
         if check_eval:
             mean = integral(system, obs)
             box = birkhoff_eval(system, obs, point, n, EVAL_PRECISION)

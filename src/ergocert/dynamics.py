@@ -17,7 +17,7 @@ from itertools import accumulate, chain, cycle
 from operator import add, itemgetter, mul
 from typing import Optional, Union
 
-from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, CReal, Interval, Quad,
+from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
                     fmt_rat, mod1, parse_rat, pow2)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
@@ -418,7 +418,7 @@ class Doubling(CircleMap):
                          1 << d)
             return v + pow2(d + 1)  # midpoint of the remaining digit interval
 
-        return CirclePoint(CReal(approx))
+        return CirclePoint(approx)
 
 
 class Rotation(CircleMap):
@@ -662,10 +662,10 @@ class Correlations:
         return size + 1 if a == 0 and b <= 0 else None
 
 
-def l2_sq_enclosure(system: System, f: Observable, p: int,
-                    corr: Correlations) -> Interval:
-    """Enclosure of ||A_p(f - integral f)||_2^2, exact (width 0) whenever
-    all correlations are computed, tail-bounded otherwise.
+def l2_sq_enclosure(p: int, corr: Correlations) -> Interval:
+    """Enclosure of ||A_p fbar||_2^2 for fbar = f - integral f, exact
+    (width 0) whenever all correlations are computed, tail-bounded
+    otherwise.
 
     Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)]
     on the doubling map and the shift, from `corr`, the system's

@@ -63,18 +63,13 @@ class TransportPlan:
 
     flows: tuple  # ((i, j, amount), ...) sparse
 
-    def flow_matrix(self, n: int, m: int) -> list[list[Fraction]]:
-        mat = [[Fraction(0)] * m for _ in range(n)]
-        for i, j, a in self.flows:
-            mat[i][j] += a
-        return mat
-
     def check_marginals(self, mu1: IdealMeasure, mu2: IdealMeasure) -> bool:
-        n, m = len(mu1.atoms), len(mu2.atoms)
-        mat = self.flow_matrix(n, m)
-        rows = [sum(mat[i]) for i in range(n)]
-        cols = [sum(mat[i][j] for i in range(n)) for j in range(m)]
-        return (all(a >= 0 for row in mat for a in row)
+        rows = [Fraction(0)] * len(mu1.atoms)
+        cols = [Fraction(0)] * len(mu2.atoms)
+        for i, j, a in self.flows:
+            rows[i] += a
+            cols[j] += a
+        return (all(a >= 0 for _, _, a in self.flows)
                 and rows == [w for _, w in mu1.atoms]
                 and cols == [w for _, w in mu2.atoms])
 

@@ -161,8 +161,6 @@ class PiecewiseLinear:
 
     def range_on(self, lo, hi) -> Interval:
         """Exact hull of f over the real-line interval [lo, hi] mod 1."""
-        if hi - lo >= 1:
-            return self.global_range()
         lo0 = mod1(lo)
         hi0 = lo0 + (hi - lo)
         vals = []
@@ -180,10 +178,6 @@ class PiecewiseLinear:
         if isinstance(hi_v, Quad):
             hi_v = hi_v.approx(64) + Fraction(1, 1 << 64)
         return Interval(lo_v, hi_v)
-
-    def global_range(self) -> Interval:
-        vals = [v for _, _, va, vb in self.segments for v in (va, vb)]
-        return Interval(min(vals), max(vals))
 
     # -- exact integrals and norms ----------------------------------------
 
@@ -303,9 +297,6 @@ class PiecewiseLinear:
         """{x : f(x) < level} as an exact arc set (up to finitely many
         points)."""
         return _arcs(self.form, None, level)
-
-    def __repr__(self):
-        return f"PiecewiseLinear({len(self.form.xa)} segments)"
 
 
 def _lerp(a, b, va, vb, x):
@@ -886,9 +877,6 @@ class CylinderFn:
     def integral(self, p) -> Fraction:
         """Exact expectation under Bernoulli(p)."""
         return table_integral(self.nums, p) / self.den
-
-    def __repr__(self):
-        return f"CylinderFn(depth={self.depth})"
 
 
 def bernoulli_fold(table: list, p, count: int, first=False) -> list:

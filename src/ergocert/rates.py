@@ -52,7 +52,7 @@ def norm_bound(system: System, g, p: int, norm: str,
     if method == "l1-exact":
         return l_norm_birkhoff(system, g, p), method
     table = corr() if corr else system.correlations(g, CORRELATION_CUTOFF)
-    return sqrt_upper(l2_sq_enclosure(system, g, p, table).hi), method
+    return sqrt_upper(l2_sq_enclosure(p, table).hi), method
 
 
 class NormOracle:

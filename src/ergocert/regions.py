@@ -136,9 +136,6 @@ class ArcSet:
                 lost += b - a
         return ArcSet(out), lost
 
-    def __repr__(self):
-        return f"ArcSet({self.arcs!r})"
-
 
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:
     g = _floor_to_grid(x, grain)
@@ -195,8 +192,8 @@ class CylSet:
     a shorter word w is the run [w 2^k, (w + 1) 2^k), k = depth - len(w).
     The maximal cylinders inside the union are each run split into its
     maximal aligned dyadic blocks: `measure` weighs them in integers,
-    `holder` finds the one over a word, and `prefixes` (the repr) lists
-    them sorted by (length, word)."""
+    `holder` finds the one over a word, and `prefixes` lists them sorted
+    by (length, word)."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -299,9 +296,6 @@ class CylSet:
 
     def contains_ball(self, ball) -> bool:
         return self.contains_word_prefix(ball.cylinder_prefix)
-
-    def __repr__(self):
-        return f"CylSet({self.prefixes!r})"
 
 
 def _run(word: str, depth: int) -> tuple:

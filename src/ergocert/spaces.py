@@ -8,7 +8,6 @@ coordinates.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Callable, Optional
 
-from .arith import CReal, Interval, fmt_rat, mod1, parse_rat
+from .arith import Interval, fmt_rat, mod1, parse_rat, pow2
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +145,13 @@ class CircleSpace(Space):
         return [IdealBall(self, Fraction(0), Fraction(1, 3)),
                 IdealBall(self, Fraction(1, 2), Fraction(1, 3))]
 
-    def member(self, ball: "IdealBall", x, m: int) -> "Membership":
-        d = _circle_dist_interval(ball.center, x.enclosure(m))
-        if d.hi < ball.radius:
-            return Membership.IN
-        if d.lo > ball.radius:
-            return Membership.OUT
-        return Membership.BOUNDARY_AT_M
+    def member(self, ball: "IdealBall", x, m: int) -> bool:
+        """Does x's enclosure [lo, lo + w] at precision m lie in the open
+        arc (c - r, c + r) mod 1?  A radius above 1/2 covers the circle;
+        else t = lo - (c - r) mod 1 must clear both ends of the arc."""
+        r, box = ball.radius, x.enclosure(m)
+        t = (box.lo - ball.center + r) % 1
+        return 2 * r > 1 or (0 < t and t + box.width < 2 * r)
 
     def inside(self, inner: "IdealBall", outer: "IdealBall",
                strict: bool = False) -> bool:
@@ -256,10 +255,8 @@ class CantorSpace(Space):
     def cover(self) -> list:
         return [self.cylinder_ball("")]
 
-    def member(self, ball: "IdealBall", x, m: int) -> "Membership":
-        if x.prefix(ball.cylinder_depth) == ball.cylinder_prefix:
-            return Membership.IN
-        return Membership.OUT
+    def member(self, ball: "IdealBall", x, m: int) -> bool:
+        return x.prefix(ball.cylinder_depth) == ball.cylinder_prefix
 
     def inside(self, inner: "IdealBall", outer: "IdealBall",
                strict: bool = False) -> bool:
@@ -404,20 +401,26 @@ def ball_arc(ball: IdealBall) -> tuple[Fraction, Fraction]:
 
 
 class CirclePoint:
-    """A point of the circle represented by a CReal (reduced mod 1 lazily)."""
+    """A point of the circle as a memoized approximation oracle: `oracle(m)`
+    returns a rational within 2^-m of the point (on the real line; readers
+    reduce mod 1), so enclosures are reproducible and each costs one call."""
 
-    def __init__(self, x: CReal):
-        self.creal = x
+    def __init__(self, oracle: Callable[[int], Fraction]):
+        self._oracle = oracle
+        self._memo: dict[int, Interval] = {}
 
     @staticmethod
     def from_rational(q) -> "CirclePoint":
-        return CirclePoint(CReal.from_rational(Fraction(q) % 1))
+        q = Fraction(q) % 1
+        return CirclePoint(lambda m: q)
 
     def enclosure(self, m: int) -> Interval:
-        return self.creal.enclosure(m)
-
-    def __repr__(self):
-        return f"CirclePoint({self.creal!r})"
+        if m < 0:
+            raise ValueError("precision must be >= 0")
+        if m not in self._memo:
+            a, e = Fraction(self._oracle(m)), pow2(m)
+            self._memo[m] = Interval(a - e, a + e)
+        return self._memo[m]
 
 
 class CantorPoint:
@@ -442,39 +445,10 @@ class CantorPoint:
     def prefix(self, n: int) -> str:
         return "".join(str(self.bit(i)) for i in range(n))
 
-    def __repr__(self):
-        return f"CantorPoint({self.prefix(8)}...)"
 
-
-class Membership(enum.Enum):
-    IN = "IN"
-    OUT = "OUT"
-    BOUNDARY_AT_M = "BOUNDARY_AT_M"
-
-
-def _circle_dist_interval(c: Fraction, box: Interval) -> Interval:
-    """Exact range of t -> circle_dist(c, t) over a real-line interval."""
-    if box.width >= 1:
-        return Interval(Fraction(0), Fraction(1, 2))
-    lo = box.lo % 1
-    hi = lo + box.width
-    d_lo = circle_dist(c, lo % 1)
-    d_hi = circle_dist(c, hi % 1)
-    vmin = min(d_lo, d_hi)
-    vmax = max(d_lo, d_hi)
-    if _hits_mod1(c, lo, hi):
-        vmin = Fraction(0)
-    if _hits_mod1(c + Fraction(1, 2), lo, hi):
-        vmax = Fraction(1, 2)
-    return Interval(vmin, vmax)
-
-
-def _hits_mod1(c: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Is c congruent mod 1 to some t in [lo, hi]?"""
-    k = ceil(lo - c)
-    return c + k <= hi
-
-
-def ball_member(space: Space, ball: IdealBall, x, m: int) -> Membership:
+def ball_member(space: Space, ball: IdealBall, x, m: int) -> bool:
+    """Is x certified inside the open ball at precision m?  For a
+    computable point this is semi-decidable: False means "not certified",
+    not "outside"."""
     return space.member(ball, x, m)
 

@@ -1,5 +1,6 @@
 """Reference decompositions of exact regions into disjoint ideal balls,
-and the first-holder scan over a ball list.
+the first-holder scan over a ball list, and the exact distance range that
+decides circle ball membership.
 
 A cylinder union is cut into its maximal cylinders, found by checking
 every word up to the union's depth against the union's words and listed
@@ -10,10 +11,11 @@ so the tests compare the program's `witness` with code that shares none
 of its logic."""
 
 from fractions import Fraction
+from math import ceil
 
-from ergocert.arith import mod1
+from ergocert.arith import Interval, mod1
 from ergocert.regions import ArcSet
-from ergocert.spaces import CANTOR, CIRCLE, IdealBall
+from ergocert.spaces import CANTOR, CIRCLE, IdealBall, circle_dist
 
 
 def cylinder_balls(region):
@@ -61,3 +63,32 @@ def first_holder(space, balls, cand):
     None."""
     return next(((k, b) for k, b in enumerate(balls)
                  if space.inside(cand, b, strict=True)), None)
+
+
+def circle_dist_interval(c: Fraction, box: Interval) -> Interval:
+    """Exact range of t -> circle_dist(c, t) over a real-line interval."""
+    if box.width >= 1:
+        return Interval(Fraction(0), Fraction(1, 2))
+    lo = box.lo % 1
+    hi = lo + box.width
+    d_lo = circle_dist(c, lo % 1)
+    d_hi = circle_dist(c, hi % 1)
+    vmin = min(d_lo, d_hi)
+    vmax = max(d_lo, d_hi)
+    if _hits_mod1(c, lo, hi):
+        vmin = Fraction(0)
+    if _hits_mod1(c + Fraction(1, 2), lo, hi):
+        vmax = Fraction(1, 2)
+    return Interval(vmin, vmax)
+
+
+def _hits_mod1(c: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """Is c congruent mod 1 to some t in [lo, hi]?"""
+    k = ceil(lo - c)
+    return c + k <= hi
+
+
+def circle_member(ball, box: Interval) -> bool:
+    """Every point of the box lies at circle distance < r from the
+    centre."""
+    return circle_dist_interval(ball.center, box).hi < ball.radius

@@ -4,14 +4,30 @@ A function here is a list of segments (a, b, va, vb): linear from va at a
 to vb at b, right-continuous at a, tiling [0, 1] in order.  The data may
 be Fractions or Quads, and every function works on them directly in
 their own arithmetic, cell by cell, so that the tests compare the
-program's integer kernels with code that shares none of their logic."""
+program's integer kernels with code that shares none of their logic.
+The program's Quad divides by rationals only and has no negation or
+abs; `div` and `mag` supply them here."""
 
 from fractions import Fraction
 from functools import reduce
 
-from ergocert.arith import mod1
+from ergocert.arith import Quad, mod1
 
 HALF = Fraction(1, 2)
+
+
+def div(x, y):
+    """x / y, exact: a Quad divisor a + b sqrt2 by its inverse
+    (a - b sqrt2) / (a^2 - 2 b^2)."""
+    if isinstance(y, Quad):
+        n = y.a * y.a - 2 * y.b * y.b  # zero only for y = 0
+        return x * Quad(y.a / n, -y.b / n)
+    return x / y
+
+
+def mag(x):
+    """|x| for a rational or a Quad."""
+    return x if x >= 0 else 0 - x
 
 
 def lerp(a, b, va, vb, x):
@@ -20,7 +36,7 @@ def lerp(a, b, va, vb, x):
         return va
     if x == b:
         return vb
-    return va + (vb - va) * (x - a) / (b - a)
+    return va + div((vb - va) * (x - a), b - a)
 
 
 def types(pairs):
@@ -80,7 +96,7 @@ def lattice(fs, gs, pick):
     for a, b, fa, fb, ga, gb in cells(fs, gs):
         da, db = fa - ga, fb - gb
         if (da < 0 < db) or (db < 0 < da):
-            x = a + (b - a) * (0 - da) / (db - da)
+            x = a + div((b - a) * (0 - da), db - da)
             fx = lerp(a, b, fa, fb, x)
             out += [(a, x, pick(fa, ga), fx), (x, b, fx, pick(fb, gb))]
         else:
@@ -104,7 +120,7 @@ def stretch(segs, lo, hi):
     for a, b, va, vb in segs:
         s, t = max(a, lo), min(b, hi)
         if s < t:
-            out.append(((s - lo) / w, (t - lo) / w,
+            out.append((div(s - lo, w), div(t - lo, w),
                         lerp(a, b, va, vb, s), lerp(a, b, va, vb, t)))
     return normal(out)
 
@@ -155,8 +171,8 @@ def arcs(segs, lo, hi):
         if (lo is not None and big <= lo) or (hi is not None and small >= hi):
             continue
         # the segment meets a level, so it is not constant
-        slope = (vb - va) / (b - a)
-        xs = sorted([a, b] + [a + (lvl - va) / slope for lvl in (lo, hi)
+        slope = div(vb - va, b - a)
+        xs = sorted([a, b] + [a + div(lvl - va, slope) for lvl in (lo, hi)
                               if lvl is not None and small < lvl < big])
         for u, v in zip(xs, xs[1:]):
             mid = va + slope * ((u + v) / 2 - a)
@@ -167,8 +183,8 @@ def arcs(segs, lo, hi):
 
 def sup(segs):
     """sup |f|, read at every segment's start, then at every end."""
-    return max([abs(va) for _, _, va, _ in segs]
-               + [abs(vb) for _, _, _, vb in segs])
+    return max([mag(va) for _, _, va, _ in segs]
+               + [mag(vb) for _, _, _, vb in segs])
 
 
 def abs_integral(segs):
@@ -176,9 +192,9 @@ def abs_integral(segs):
     tot = 0
     for a, b, va, vb in segs:
         if (va < 0 < vb) or (vb < 0 < va):
-            tot = tot + (b - a) * (va * va + vb * vb) / (2 * abs(vb - va))
+            tot = tot + div((b - a) * (va * va + vb * vb), 2 * mag(vb - va))
         else:
-            tot = tot + (b - a) * (abs(va) + abs(vb)) / 2
+            tot = tot + (b - a) * (mag(va) + mag(vb)) / 2
     return tot
 
 

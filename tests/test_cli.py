@@ -292,6 +292,42 @@ class TestExitCodes:
             assert json.loads(streams.err) == {
                 "error": "input", "detail": "epsilon must be > 0"}
 
+    @pytest.mark.parametrize("name, field, value, windows, detail", [
+        ("synth_doubling_hat_a.json", "err", "1/2", "region",
+         "err is not 1 - mu(region)"),
+        ("synth_doubling_hat_a.json", "err", "-1", "region",
+         "err is not 1 - mu(region)"),
+        ("synth_shift1-3_first_bit.json", "err", "0", "region",
+         "err is not 1 - mu(region)"),
+        ("synth_doubling_hat_a.json", "err", "1/4", "whole",
+         "err of a whole-space window is not 0"),
+        ("synth_doubling_hat_a.json", "lambda", "-5", "all",
+         "lambda not positive"),
+        ("synth_rotation_hat_a.json", "lambda", "0", "all",
+         "lambda not positive"),
+        ("synth_doubling_hat_a.json", "witness_pos", 999, "all",
+         "witness is not the region's ball"),
+        ("synth_shift1-3_first_bit.json", "witness_pos", 1, "region",
+         "witness is not the region's ball"),
+    ])
+    def test_synth_point_with_a_false_record_fails(self, capsys, tmp_path,
+                                                   name, field, value,
+                                                   windows, detail):
+        # a synthesized point whose recorded err, lambda or witness
+        # position is false on every window of a class (those with a
+        # region, the whole-space ones, or all) fails replay
+        data = json.loads((CORPUS / name).read_text())
+        hit = [c for c in data["certs"] if windows == "all"
+               or c["trivial"] == (windows == "whole")]
+        assert hit and any(c[field] != value for c in hit)
+        for c in hit:
+            c[field] = value
+        art = tmp_path / name
+        art.write_text(json.dumps(data))
+        code, out = run(capsys, "replay", "--artifact", str(art))
+        assert code == EXIT_INPUT and not out["ok"]
+        assert any(detail in f for f in out["failures"]), out["failures"]
+
     @pytest.mark.parametrize("name, field, value, detail", [
         ("cert_shift1-2_coord1_norm-l2_1-8.json", "epsilon", "0", "> 0"),
         ("cert_shift1-2_coord1_norm-l2_1-8.json", "p", 0, ">= 1"),

@@ -74,8 +74,7 @@ class TestNorms:
     def test_shift_l2_iid_closed_form(self):
         # [DERIVED: iid variance scaling Var(A_p) = Var(f)/p, here 1/(4p)]
         for p in range(1, 8):
-            box = l2_sq_enclosure(SHIFT, FIRSTBIT, p,
-                                  SHIFT.correlations(FIRSTBIT, p))
+            box = l2_sq_enclosure(p, SHIFT.correlations(FIRSTBIT, p))
             assert box.lo == box.hi == F(1, 4 * p)
 
     def test_doubling_l2_direct(self):
@@ -83,7 +82,7 @@ class TestNorms:
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
         for p in (1, 2, 3, 5):
             a = birkhoff_observable(DBL, centered(DBL, f), p)
-            box = l2_sq_enclosure(DBL, f, p, DBL.correlations(f, p))
+            box = l2_sq_enclosure(p, DBL.correlations(f, p))
             assert box.contains(a.square_integral())
 
     def test_budget_guard(self):

@@ -224,7 +224,7 @@ class TestNormOracle:
         oracle = NormOracle(DBL, HAT)
         for p in (1, 2, 5, 119, 120, 121, 200):
             fresh = DBL.correlations(HAT, min(p, CORRELATION_CUTOFF))
-            expect = sqrt_upper(l2_sq_enclosure(DBL, HAT, p, fresh).hi)
+            expect = sqrt_upper(l2_sq_enclosure(p, fresh).hi)
             assert oracle.bound(p, "L2") == (expect, "l2-upper")
 
 

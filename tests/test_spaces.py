@@ -6,10 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from ergocert.arith import Interval, pow2
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
-                             IdealBall, Membership, ball_member, cantor_dist,
+                             IdealBall, ball_member, cantor_dist,
                              cantor_word, circle_dist, circle_point,
                              pos_rational, space_named, unpair)
+
+from ball_reference import circle_member
 
 
 class TestNumberings:
@@ -105,22 +108,113 @@ class TestBalls:
                 assert IdealBall.from_json(b.to_json()) == b
 
     def test_membership_circle(self):
-        # [TRIVIAL] clear-in, clear-out, boundary-at-precision
+        # [TRIVIAL] certified in; out, and not certified at precision m
         b = IdealBall(CIRCLE, F(1, 2), F(1, 4))
         x = CirclePoint.from_rational(F(1, 2))
-        assert ball_member(CIRCLE, b, x, 6) is Membership.IN
+        assert ball_member(CIRCLE, b, x, 6) is True
         y = CirclePoint.from_rational(F(0))
-        assert ball_member(CIRCLE, b, y, 6) is Membership.OUT
+        assert ball_member(CIRCLE, b, y, 6) is False
         z = CirclePoint.from_rational(F(1, 4))
-        assert ball_member(CIRCLE, b, z, 3) is Membership.BOUNDARY_AT_M
+        assert ball_member(CIRCLE, b, z, 3) is False
 
     def test_membership_cantor(self):
         # [TRIVIAL]
         b = IdealBall(CANTOR, "10", F(3, 8))
-        assert ball_member(CANTOR, b,
-                           CantorPoint.from_word("101"), 0) is Membership.IN
-        assert ball_member(CANTOR, b,
-                           CantorPoint.from_word("11"), 0) is Membership.OUT
+        assert ball_member(CANTOR, b, CantorPoint.from_word("101"), 0) is True
+        assert ball_member(CANTOR, b, CantorPoint.from_word("11"), 0) is False
+
+
+class _Box:
+    """A point whose enclosure at every precision is one given interval."""
+
+    def __init__(self, lo, hi):
+        self.box = Interval(lo, hi)
+
+    def enclosure(self, m):
+        return self.box
+
+
+def _radius(rng, kind):
+    if kind == "half":
+        return F(1, 2)
+    den = rng.randint(1, 40)
+    if kind == "below":
+        return F(rng.randint(1, (den - 1) // 2), den) if den > 2 \
+            else F(1, 3)
+    return F(rng.randint(den // 2 + 1, 2 * den), den)  # above 1/2
+
+
+def _box(rng, c, r, kind):
+    """An enclosure of zero width, of width >= 1, touching an end of the
+    arc (c - r, c + r) from inside or outside, or anywhere, shifted by a
+    whole turn or two."""
+    k = rng.randint(-2, 2)
+    w = F(rng.randint(0, 40), rng.randint(1, 40))
+    if kind == "point":
+        w = F(0)
+    elif kind == "wide":
+        w = 1 + F(rng.randint(0, 40), rng.randint(1, 40))
+    if kind == "touch":
+        end = rng.choice((c - r, c + r))
+        lo = end if rng.random() < 0.5 else end - w
+    else:
+        lo = F(rng.randint(-40, 80), rng.randint(1, 40))
+    return _Box(lo + k, lo + k + w)
+
+
+class TestMembershipReference:
+    def test_circle_matches_exact_distance(self):
+        # [DERIVED: oracle = the exact range of the circle distance to the
+        #  centre over the enclosure (tests/ball_reference.py); membership
+        #  certified iff its top lies below the radius]
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(20000):
+            rk = rng.choice(("below", "half", "above"))
+            bk = rng.choice(("point", "wide", "touch", "any"))
+            c = F(rng.randint(0, 39), 40) if rng.random() < 0.5 \
+                else F(rng.randint(0, 6), 7)
+            ball = IdealBall(CIRCLE, c, _radius(rng, rk))
+            x = _box(rng, c, ball.radius, bk)
+            want = circle_member(ball, x.box)
+            assert ball_member(CIRCLE, ball, x, 0) is want, (ball, x.box)
+            seen.add((rk, bk, want))
+        # both answers in every class that has two: a radius above 1/2
+        # holds every enclosure; an enclosure of width >= 1 or touching an
+        # end of the arc lies in no arc of radius <= 1/2
+        two = {(rk, bk, a) for rk in ("below", "half")
+               for bk in ("point", "any") for a in (True, False)}
+        one = {(rk, bk, False) for rk in ("below", "half")
+               for bk in ("wide", "touch")} \
+            | {("above", bk, True) for bk in ("point", "wide", "touch", "any")}
+        assert seen == two | one
+
+
+class TestCirclePoint:
+    def test_enclosure_is_memoized(self):
+        # [DERIVED: the oracle runs once per precision; the enclosure is
+        #  the approximation +- 2^-m]
+        calls = []
+
+        def oracle(m):
+            calls.append(m)
+            return F(1, 3)
+
+        x = CirclePoint(oracle)
+        for m in (0, 7, 7, 40, 0):
+            box = x.enclosure(m)
+            assert box.lo == F(1, 3) - pow2(m) and box.hi == F(1, 3) + pow2(m)
+        assert calls == [0, 7, 40]
+        assert x.enclosure(7) is x.enclosure(7)
+
+    def test_from_rational_reduces_mod_1(self):
+        # [TRIVIAL]
+        assert CirclePoint.from_rational(F(7, 3)).enclosure(5).mid == F(1, 3)
+
+    def test_negative_precision_refused(self):
+        # [TRIVIAL] precision m means radius 2^-m, m >= 0
+        with pytest.raises(ValueError, match="precision"):
+            CirclePoint.from_rational(F(1, 3)).enclosure(-1)
 
 
 class TestNesting:
