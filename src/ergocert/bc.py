@@ -23,7 +23,7 @@ from .arith import fmt_rat, parse_int, parse_rat, pow2
 from .errors import BudgetExceededError, InputError, NoMassError
 from .dynamics import (Observable, System, birkhoff_eval, centered,
                        deviation_region, integral, parse_system)
-from .measures import region_measure, support_hit
+from .measures import region_measure
 from .observables import enumerate_F, observable_from_json, observable_to_json
 from .spaces import CantorPoint, IdealBall, Space, ball_member
 
@@ -43,10 +43,10 @@ EVAL_PRECISION = 6
 
 @dataclass(frozen=True)
 class Window:
-    """One exact window: its rational region (`ArcSet` or `CylSet`), its
-    exact complement mass `err`, and the metadata a synthesis certificate
-    records (`info`).  Its witnesses are found in the region on demand
-    (`window_witness`)."""
+    """One exact window: its region as `deviation_region` builds it (the
+    rotation's rounded inward to rational ends), its exact complement mass
+    `err`, and the metadata a synthesis certificate records (`info`).  Its
+    witnesses are found in the region on demand (`window_witness`)."""
 
     err: Fraction
     region: object
@@ -114,10 +114,10 @@ def bc_exact_windows(system: System, f: Observable,
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     fbar = centered(system, f)  # once: deviation_region keeps it as it is
-    whole = Window(Fraction(0), system.full_region(),
+    whole = Window(Fraction(0), system.region(system.space.cover()),
                    {"trivial": True, "n": None, "delta": None,
                     "err": Fraction(0), "observable": obs_json})
-    # per (n, delta): the rational region and its exact complement mass
+    # per (n, delta): the region and its exact complement mass
     regions: dict[tuple, tuple] = {}
     windows = []
     start = 1
@@ -128,8 +128,7 @@ def bc_exact_windows(system: System, f: Observable,
         for n in range(start, max_n + 1):
             if (n, delta) not in regions:
                 try:
-                    reg, _ = system.rational_region(
-                        deviation_region(system, fbar, n, delta))
+                    reg = deviation_region(system, fbar, n, delta)
                 except BudgetExceededError:
                     break
                 regions[n, delta] = reg, 1 - region_measure(system, reg)
@@ -366,8 +365,8 @@ def replay_synth(system: System, sp: SynthPoint,
     that certificate t records stream ball t + 1 as its accepted ball,
     witness membership of every recorded window, a positive `lambda`, and
     err 0 on a whole-space window.  On every other window the deviation
-    region is recomputed: the witness must lie in it, `err` must be 1 - mu
-    of its rational region, and (`witness_pos`, `witness`) that region's
+    region is rebuilt as synthesis drew from it: the witness must lie in
+    it, `err` must be 1 - mu of it, and (`witness_pos`, `witness`) its
     ball that holds the accepted ball.  `lambda` itself is not
     re-derived: it needs the error tail past the recorded windows.
     Optionally each window's Birkhoff average is evaluated at the point,
@@ -422,16 +421,15 @@ def replay_synth(system: System, sp: SynthPoint,
         obs = observable_from_json(cert["observable"])
         n = parse_int(cert["n"], "n")
         delta = parse_rat(cert["delta"])
+        # the region synthesis drew from: its mass gives err, and its
+        # ball that holds the accepted one is the recorded witness
         region = deviation_region(system, obs, n, delta)
         if not region.contains_ball(witness):
             failures.append(f"window {j}: witness outside deviation region")
-        # the region synthesis drew from: its mass gives err, and its
-        # ball that holds the accepted one is the recorded witness
-        rational, _ = system.rational_region(region)
-        if err != 1 - region_measure(system, rational):
+        if err != 1 - region_measure(system, region):
             failures.append(f"window {j}: err is not 1 - mu(region)")
         pos = parse_int(cert["witness_pos"], "witness_pos")
-        if system.witness(rational, ball) != (pos, witness):
+        if system.witness(region, ball) != (pos, witness):
             failures.append(f"window {j}: witness is not the region's ball "
                             f"that holds the accepted ball")
         if check_eval:
@@ -459,6 +457,8 @@ def typical_point(system: System, members: int,
     windows."""
     if members < 1:
         raise InputError("need at least one observable")
+    if windows < 0:  # before any member's windows are built
+        raise InputError(f"windows must be >= 0, got {windows}")
     terms = enumerate_F(system.space, members)
     bcs = [bc_exact_windows(system, terms[i],
                             caps=lambda j, i=i: pow2(i + 1 + j),
@@ -474,7 +474,7 @@ def _mass_balls(system: System):
     index order."""
     for idx in itertools.count():
         ball = IdealBall.from_index(system.space, idx)
-        if ball.radius <= 1 and support_hit(system, ball):
+        if ball.radius <= 1 and region_measure(system, system.region([ball])):
             yield ball
 
 

@@ -2,8 +2,8 @@
 
 All artifacts are JSON; rationals cross the boundary as "num/den" strings,
 never floats.  Exit codes: 0 success, 1 input error (a malformed command
-line included) or failed check, 2 budget exceeded (with partial progress
-reported when available).
+line or an unwritable output path included) or failed check, 2 budget
+exceeded (with partial progress reported when available).
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ def _cmd_synthesize(args) -> int:
     system = parse_system(args.system)
     f = _load_observable(args.observable)
     target = IdealBall.from_json(_load_json_arg(args.target, "target ball"))
+    if args.windows < 0:  # before any window is built
+        raise InputError(f"windows must be >= 0, got {args.windows}")
+    if target.space is not system.space:
+        raise InputError(f"a {target.space.name} target on {args.system}")
     bc = bc_exact_windows(system, f, caps=lambda j: pow2(j), count=args.count)
     sp = synthesize_point(system, bc, target, windows=args.windows,
                           track=[f])
@@ -295,7 +299,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (InputError, ValueError, KeyError, TypeError,
-            ZeroDivisionError) as e:
+            ZeroDivisionError, OSError) as e:
         print(json.dumps({"error": "input", "detail": str(e)}),
               file=sys.stderr)
         return EXIT_INPUT

@@ -105,14 +105,6 @@ class System:
             self._slot = (key, n, state)
         return state
 
-    def rational_region(self, region):
-        """(region with rational endpoints, exact bound on the mass lost)."""
-        return region, Fraction(0)
-
-    def full_region(self):
-        """The whole space as an exact region."""
-        return self.region(self.space.cover())
-
     def norm_method(self, g, p: int, norm: str) -> str:
         """How ||A_p fbar||_norm is bounded; g has fbar's depth, segments."""
         if norm == "L1" and self.l1_exact_feasible(g, p):
@@ -449,6 +441,11 @@ class Rotation(CircleMap):
         return pl_sum(head + [g.shift(self.alpha * i) if i else g
                               for i in range(m, n)])
 
+    def sublevel(self, g: PiecewiseLinear, n: int, delta: Fraction) -> ArcSet:
+        # the breakpoints b - i alpha are irrational: every arc shrinks
+        # inward to the 2^-48 grid, so the region has rational ends
+        return super().sublevel(g, n, delta).to_rational_inner(pow2(48))
+
     def norm_method(self, g, p: int, norm: str) -> str:
         # the L1 norm is irrational and correlations do not decay: bound
         # every norm by the sup norm of the exact average
@@ -464,11 +461,6 @@ class Rotation(CircleMap):
                 return p, w, method
         raise BudgetExceededError(
             f"no convergent denominator attains norm < {threshold}")
-
-    def rational_region(self, region: ArcSet):
-        # the breakpoints b - i*alpha are irrational: shrink every arc
-        # inward to the 2^-48 grid
-        return region.to_rational_inner(pow2(48))
 
 
 def doubling_system() -> System:
@@ -557,10 +549,7 @@ def birkhoff_eval(system: System, f: Observable, x, n: int,
 
 
 def _slope_bits(g: PiecewiseLinear) -> int:
-    s = g.max_slope()
-    if isinstance(s, Quad):
-        s = s.approx(8) + pow2(8)
-    return max(0, math.ceil(s).bit_length()) + 2
+    return max(0, math.ceil(g.max_slope()).bit_length()) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +701,9 @@ def rotation_sup_bound(system: System, f: Observable, p: int) -> Fraction:
 
 
 def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
-    """Exact region {x : |A_n(f - integral f)(x)| < delta}: an ArcSet on
-    the circle (rotation regions may have Quad endpoints), a CylSet of
-    runs over the words A_n reads on Cantor space."""
+    """Region {x : |A_n(f - integral f)(x)| < delta} with rational ends: a
+    CylSet of runs over the words A_n reads on Cantor space, an ArcSet on
+    the circle (the rotation's rounded inward to the 2^-48 grid)."""
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")

@@ -22,7 +22,7 @@ from math import lcm
 from .arith import fmt_rat
 from .dynamics import System
 from .errors import InputError
-from .spaces import IdealBall, Space
+from .spaces import Space
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,3 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
 
 def region_measure(system: System, region) -> Fraction:
     return system.weigh(region)
-
-
-def measure_of_finite_union(system: System,
-                            balls: list[IdealBall]) -> Fraction:
-    """Exact measure of a finite union of ideal balls."""
-    return region_measure(system, system.region(balls))
-
-
-def support_hit(system: System, ball: IdealBall) -> bool:
-    """Decide exactly whether the ball carries positive mass."""
-    return measure_of_finite_union(system, [ball]) > 0

@@ -20,7 +20,6 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .arith import exact_keys, mod1
-from .errors import UnsupportedPairError
 from .spaces import ball_arc
 
 
@@ -103,8 +102,6 @@ class ArcSet:
         holds the parts first[i] to first[i + 1] - 1 in circle order.  The
         split needs rational endpoints."""
         comps = self.components()
-        if not all(isinstance(x, Fraction) for arc in comps for x in arc):
-            raise UnsupportedPairError("ball conversion needs rational arcs")
         # floor(2 (b - a)) + 1 in integers, a = an/ad and b = bn/bd
         return comps, list(accumulate(
             (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
@@ -120,21 +117,17 @@ class ArcSet:
                     return True
         return self.measure() == 1
 
-    def to_rational_inner(self, grain: Fraction) -> tuple["ArcSet", Fraction]:
-        """Shrink each arc to rational endpoints on the grid of step `grain`.
-
-        Returns (inner set, exact bound on the measure lost)."""
+    def to_rational_inner(self, grain: Fraction) -> "ArcSet":
+        """Shrink each arc to rational endpoints on the grid of step
+        `grain` (a rational endpoint stays): every arc loses less than
+        2 grain of its length, and one that short may drop out."""
         out = []
-        lost = Fraction(0)
         for a, b in self.arcs:
             a2 = _ceil_to_grid(a, grain)
             b2 = _floor_to_grid(b, grain)
             if a2 < b2:
                 out.append((a2, b2))
-                lost += (b - a) - (b2 - a2)
-            else:
-                lost += b - a
-        return ArcSet(out), lost
+        return ArcSet(out)
 
 
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:

@@ -16,7 +16,7 @@ from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
 from ergocert.cli import EXIT_OK, main
 from ergocert.dynamics import doubling_system, rotation_system, shift_system
 from ergocert.errors import InputError
-from ergocert.measures import measure_of_finite_union, support_hit
+from ergocert.measures import region_measure
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_to_json)
 from ergocert.spaces import CANTOR, CIRCLE, CirclePoint, IdealBall
@@ -80,14 +80,14 @@ class TestExactWindows:
                               count=3)
         for j in range(1, 4):
             w = bc.window(j)
-            assert measure_of_finite_union(
-                SHIFT, bref.region_balls(w.region)) >= 1 - w.err
+            assert region_measure(SHIFT, SHIFT.region(
+                bref.region_balls(w.region))) >= 1 - w.err
 
 
 class TestIntersect:
     def test_cap_violation_rejected(self):
         # [DERIVED: a member whose error misses its dovetail cap must raise]
-        half = Window(F(1, 2), SHIFT.full_region(), {})
+        half = Window(F(1, 2), SHIFT.region(CANTOR.cover()), {})
         fat = BCSequence(CANTOR, [half] * 4, [half])
         with pytest.raises(InputError):
             bc_intersect([fat, fat])
@@ -261,7 +261,8 @@ class TestSynthesis:
         #  balls, and each replays and stays nested in its target]
         balls = (IdealBall.from_index(CANTOR, i) for i in itertools.count())
         mass_balls = (b for b in balls
-                      if b.radius <= 1 and support_hit(SHIFT, b))
+                      if b.radius <= 1
+                      and region_measure(SHIFT, SHIFT.region([b])) > 0)
         for k, target in enumerate(itertools.islice(mass_balls, 3)):
             art = tmp_path / f"point{k}.json"
             code = main(["synthesize", "--system", SHIFT.selector(),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ergocert import rates
+from ergocert import bc, cli, rates
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from ergocert.errors import InputError
 from ergocert.rates import RateCertificate, check_certificate
@@ -408,6 +408,36 @@ class TestExitCodes:
             == EXIT_OK
         code, out = run(capsys, "replay", "--artifact", str(art))
         assert code == EXIT_OK and out["ok"] and out["roundtrip"]
+
+    def test_refused_before_any_window_is_built(self, capsys, monkeypatch):
+        # a negative window count, or a target on the other space, is
+        # refused before the BC windows are built: the builder never runs
+        def build(*args, **kwargs):
+            raise AssertionError("windows built before the refusal")
+
+        monkeypatch.setattr(cli, "bc_exact_windows", build)
+        monkeypatch.setattr(bc, "bc_exact_windows", build)
+        synth = ["synthesize", "--system", "shift:p=1/2", "--observable",
+                 FIRSTBIT, "--target"]
+        cantor = '{"space": "cantor", "center": "1", "radius": "3/4"}'
+        circle = '{"space": "circle", "center": "1/2", "radius": "1/4"}'
+        for argv in ([*synth, cantor, "--windows", "-1"],
+                     [*synth, circle, "--windows", "2"],
+                     ["typical", "--system", "doubling", "--windows", "-1"]):
+            code = main(argv)
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out, argv
+            assert json.loads(streams.err)["error"] == "input"
+
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        # an --output path that cannot be written (a missing directory, or
+        # a directory) ends in exit 1 with a JSON error, not a traceback
+        for path in (tmp_path / "missing" / "x.json", tmp_path):
+            code = main(["systems", "--output", str(path)])
+            streams = capsys.readouterr()
+            assert code == EXIT_INPUT and not streams.out
+            err = json.loads(streams.err)
+            assert err["error"] == "input" and str(path) in err["detail"]
 
     def test_ball_on_the_wrong_space(self, capsys, tmp_path):
         # a target, or a replayed certificate's ball, on the other space

@@ -1,8 +1,10 @@
 """Dynamics: exact Birkhoff averages, norms, deviation regions, measure
 preservation, certified orbit evaluation."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +16,15 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                doubling_system, integral, l2_sq_enclosure,
                                l_norm_birkhoff, parse_system, rotation_system,
                                shift_system)
-from ergocert.errors import (BudgetExceededError, InputError,
-                             UnsupportedPairError)
-from ergocert.measures import measure_of_finite_union
-from ergocert.observables import CylinderFn, PiecewiseLinear, pl_inner
+from ergocert.errors import BudgetExceededError, InputError
+from ergocert.measures import region_measure
+from ergocert.observables import (CylinderFn, PiecewiseLinear,
+                                  observable_from_json, pl_inner)
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall)
 import ball_reference as bref
+import cyl_reference as cref
 import pl_reference as ref
 from test_observables import _assert_normal_form
 
@@ -29,6 +32,7 @@ FIRSTBIT = CylinderFn.coordinate(0)
 SHIFT = shift_system(F(1, 2))
 DBL = doubling_system()
 ROT = rotation_system()
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def shift_l1_oracle(system, f, p):
@@ -154,14 +158,13 @@ class TestDeviationRegions:
         # [DERIVED: the witnesses of balls at the reference parts' centres
         #  are every part, in order, and reproduce the region measure]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
-        r = deviation_region(DBL, f, 2, F(1, 4))
-        region, lost = DBL.rational_region(r)
-        assert lost == 0
+        region = deviation_region(DBL, f, 2, F(1, 4))
+        assert all(type(x) is F for arc in region.arcs for x in arc)
         parts = bref.arc_balls(region)
         found = [DBL.witness(region, IdealBall(CIRCLE, b.center, b.radius / 2))
                  for b in parts]
         assert found == list(enumerate(parts))
-        assert sum(2 * b.radius for _, b in found) == r.measure()
+        assert sum(2 * b.radius for _, b in found) == region.measure()
 
     def test_shift_sublevel_is_the_per_word_filter(self):
         # [DERIVED: oracle = the words of the integer table den S_n kept
@@ -208,20 +211,102 @@ class TestDeviationRegions:
                     DBL.witness(region, IdealBall(CIRCLE, b.center,
                                                   b.radius / 3)), (k, b))
 
-    def test_rotation_rationalized(self):
-        # [DERIVED: irrational endpoints shrink inward; the mass lost is
-        #  exactly the difference of the two measures]
-        f = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
-        r = deviation_region(ROT, f, 3, F(1, 4))
-        region, lost = ROT.rational_region(r)
-        assert lost >= 0 and region.measure() + lost == r.measure()
-        for b in bref.arc_balls(region):
-            cand = IdealBall(CIRCLE, b.center, b.radius / 2)
-            _, ball = ROT.witness(region, cand)
-            assert isinstance(ball.center, F) and isinstance(ball.radius, F)
-            # the region before rounding has irrational arc ends
-            with pytest.raises(UnsupportedPairError):
-                ROT.witness(r, cand)
+
+def _corpus_windows(kind):
+    """(system, f, n, delta) of every non-trivial window, each once, that
+    the corpus's synthesized and typical points on a `kind` system record;
+    f is the recorded observable in the system's concrete class."""
+    out = {}
+    for path in sorted(CORPUS.glob("synth_*.json")) \
+            + sorted(CORPUS.glob("typical_*.json")):
+        d = json.loads(path.read_text())
+        system = parse_system(d["system"])
+        if not isinstance(system, kind):
+            continue
+        for c in d["certs"]:
+            if not c["trivial"]:
+                key = d["system"], json.dumps(c["observable"]), c["n"], \
+                    c["delta"]
+                out[key] = (system, system.as_concrete(
+                    observable_from_json(c["observable"])), c["n"],
+                    F(c["delta"]))
+    assert out
+    return list(out.values())
+
+
+def _ref_average(segs, orbit):
+    """The mean of segs - integral(segs), a segment list (pl_reference),
+    over the points of `orbit`, each read on the segment that holds it."""
+    mean = ref.integral(segs)
+    return sum((ref.lerp(*next(s for s in segs if s[0] <= y < s[1]), y)
+                - mean for y in orbit), F(0)) / len(orbit)
+
+
+def _ref_region_test(system, f, n, delta, x) -> bool:
+    """|A_n(f - integral f)(x)| < delta, along the orbit of x taken
+    point by point."""
+    if isinstance(system, dynamics.Rotation):
+        orbit = [mod1(x + system.alpha * i) for i in range(n)]
+    else:
+        orbit = [mod1(x * 2 ** i) for i in range(n)]
+    return ref.mag(_ref_average(f.segments, orbit)) < delta
+
+
+class TestCorpusDeviationRegions:
+    # [DERIVED: oracle = independent references (cyl_reference,
+    #  pl_reference) over every non-trivial window of the corpus's
+    #  synthesized and typical points: the region that synthesis draws
+    #  from and replay rebuilds is the deviation set, exactly on the shift
+    #  and the doubling map, rounded inward on the rotation]
+
+    def test_shift_region_is_the_per_word_filter(self):
+        for system, f, n, delta in _corpus_windows(dynamics.Shift):
+            t = f.table
+            mean = cref.integral(t, system.p)
+            sums = cref.running_sum([v - mean for v in t], n)
+            assert len(sums) <= 1 << 16
+            words = cref.words(cref.depth(sums))
+            r = deviation_region(system, f, n, delta)
+            assert [r.contains_word_prefix(w) for w in words] \
+                == [abs(s) < n * delta for s in sums], (f, n, delta)
+
+    def test_doubling_arcs_in_and_gaps_out(self):
+        for system, f, n, delta in _corpus_windows(dynamics.Doubling):
+            arcs = deviation_region(system, f, n, delta).arcs
+            assert all(type(x) is F for arc in arcs for x in arc)
+            # from each arc's end to the next arc's start, around the circle
+            starts = [a for a, _ in arcs[1:]] + [a + 1 for a, _ in arcs[:1]]
+            gaps = list(zip([b for _, b in arcs], starts)) or [(F(0), F(1))]
+            for a, b in arcs:
+                assert _ref_region_test(system, f, n, delta, (a + b) / 2)
+            for a, b in gaps:
+                if a < b:
+                    assert not _ref_region_test(system, f, n, delta,
+                                                mod1((a + b) / 2))
+
+    def test_rotation_region_rounds_the_exact_arcs_inward(self):
+        # the exact arcs end at Q[sqrt2] points (at rational ones for
+        # n = 1); each keeps all but less than 2 * 2^-48 of itself, and
+        # the region's balls have rational witnesses
+        irrational = 0
+        for system, f, n, delta in _corpus_windows(dynamics.Rotation):
+            region = deviation_region(system, f, n, delta)
+            exact = system.birkhoff_sum(centered(system, f), n) \
+                .arcs_below_abs(n * delta).arcs
+            irrational += any(isinstance(x, Quad) for arc in exact
+                              for x in arc)
+            assert all(type(x) is F for arc in region.arcs for x in arc)
+            for a, b in region.arcs:
+                assert _ref_region_test(system, f, n, delta, (a + b) / 2)
+                assert sum(lo <= a and b <= hi for lo, hi in exact) == 1
+            for lo, hi in exact:
+                kept = sum((b - a for a, b in region.arcs
+                            if lo <= a and b <= hi), F(0))
+                assert hi - lo - kept < 2 * pow2(48), (f, n, delta)
+            for k, b in enumerate(bref.arc_balls(region)):
+                assert system.witness(region, IdealBall(
+                    CIRCLE, b.center, b.radius / 2)) == (k, b)
+        assert irrational  # some window is rounded
 
 
 def _assert_same_witness(got, want):
@@ -327,15 +412,15 @@ class TestMeasurePreservation:
         # [DERIVED: a system weighs cylinders as its own integral does,
         #  and gives the whole space mass 1]
         for system in builtin_systems() + [shift_system(F(1, 3))]:
-            assert measure_of_finite_union(
-                system, system.space.cover()) == 1
+            assert region_measure(
+                system, system.region(system.space.cover())) == 1
             if system.concrete is CylinderFn:
                 p = system.p
                 assert system.label == f"bernoulli({p.numerator}/" \
                     f"{p.denominator})"
                 for word in ("0", "1", "101", "0110"):
                     ball = system.space.cylinder_ball(word)
-                    assert measure_of_finite_union(system, [ball]) \
+                    assert region_measure(system, system.region([ball])) \
                         == system.integral(CylinderFn.word_indicator(word)) \
                         == cylinder_mass(word, p)
             else:

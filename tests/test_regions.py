@@ -71,13 +71,19 @@ class TestArcSet:
         assert len(comps) == 1 and comps[0][1] - comps[0][0] == F(1, 4)
 
     def test_rational_inner_defect(self):
-        # [DERIVED: shrinking to the grid loses exactly the cut-off mass]
+        # [DERIVED: shrinking to the grid keeps a rational end, moves an
+        #  irrational one inward by less than the grain, and loses less
+        #  than the grain]
         a = Quad(0, F(1, 4))  # sqrt2/4, irrational
         s = ArcSet([(a, F(1, 2))])
-        inner, lost = s.to_rational_inner(pow2(20))
+        inner = s.to_rational_inner(pow2(20))
         assert all(isinstance(e, F) for arc in inner.arcs for e in arc)
-        assert inner.measure() + lost == s.measure()
-        assert 0 <= lost <= pow2(19)
+        [(lo, hi)] = inner.arcs
+        assert hi == F(1, 2) and a < lo < a + pow2(20)
+        assert 0 <= s.measure() - inner.measure() < pow2(20)
+        # an arc shorter than the grain holds no two grid points
+        assert ArcSet([(a, a + pow2(21))]).to_rational_inner(pow2(20)) \
+            .arcs == []
 
 
 def cyl_indicator(s: CylSet, depth=8):

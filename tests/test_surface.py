@@ -46,6 +46,8 @@ KEPT = {
     "arith.Quad.__hash__":
         "a Quad defines ==, so without it a Quad is unhashable; it must "
         "hash like the Fraction it equals",
+    "arith.Quad.__rsub__":
+        "tests/pl_reference.py subtracts Quads from rationals",
 }
 
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
@@ -206,6 +208,7 @@ LINES = [
     (1, ["replay", "--artifact", "{tmp}/negative.json"]),
     (1, ["replay", "--artifact", '{"x": 1}']),
     (1, ["replay", "--artifact", "{tmp}/missing.json"]),
+    (1, ["systems", "--output", "{tmp}/missing/x.json"]),
     (1, ["synthesize", "--system", "shift:p=1/2", "--observable", FIRSTBIT,
          "--target", CANTOR_TARGET, "--windows", "-1"]),
     (1, ["synthesize", "--system", "shift:p=1/2", "--observable", FIRSTBIT,
