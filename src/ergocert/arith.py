@@ -105,8 +105,10 @@ class Quad:
     for rotation-map internals where orbit points and PL breakpoints live
     in Q[sqrt(2)].
     Both parts are `Fraction`s, kept as given when they already are; int and
-    Fraction operands join without a lift to Quad.  Comparisons read the
-    `sign` of one difference, which decides a^2 against 2b^2 on integers.
+    Fraction operands join without a lift to Quad, and any other operand
+    (a float, a string) is `NotImplemented`, so no binary float enters.
+    Comparisons read the `sign` of one difference, which decides a^2
+    against 2b^2 on integers.
     """
 
     __slots__ = ("a", "b")
@@ -127,7 +129,7 @@ class Quad:
             return Quad(self.a + o.a, self.b + o.b)
         if isinstance(o, _RATIONAL):
             return Quad(self.a + o, self.b)
-        return self + Quad(o)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -136,24 +138,26 @@ class Quad:
             return Quad(self.a - o.a, self.b - o.b)
         if isinstance(o, _RATIONAL):
             return Quad(self.a - o, self.b)
-        return self - Quad(o)
+        return NotImplemented
 
     def __rsub__(self, o):
         if isinstance(o, _RATIONAL):
             return Quad(o - self.a, -self.b)
-        return Quad(o) - self
+        return NotImplemented
 
     def __mul__(self, o):
         if isinstance(o, Quad):
             return Quad(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
         if isinstance(o, _RATIONAL):
             return Quad(self.a * o, self.b * o)
-        return self * Quad(o)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        return Quad(self.a / o, self.b / o)
+        if isinstance(o, _RATIONAL):
+            return Quad(self.a / o, self.b / o)
+        return NotImplemented
 
     def sign(self) -> int:
         a, b = self.a, self.b
@@ -165,7 +169,7 @@ class Quad:
             return self.a == o.a and self.b == o.b
         if isinstance(o, _RATIONAL):
             return self.a == o and not self.b
-        return self == Quad(o)
+        return NotImplemented
 
     def __lt__(self, o):
         return (self - o).sign() < 0
@@ -212,26 +216,6 @@ def floor_root2(t: int) -> int:
     """floor(t sqrt(2)) for an integer t (irrational unless t = 0)."""
     r = math.isqrt(2 * t * t)
     return r if t >= 0 else -r - 1
-
-
-def exact_keys(xs) -> list[int]:
-    """Integer sort keys of rationals and Quads: ordered as the numbers
-    are, and equal only where the numbers are.  Each x is written
-    (a + b sqrt(2))/d in integers.  Integers p, q not both 0 have
-    |p + q sqrt(2)| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so two
-    different numbers differ by at least 1/C with C = 2 D^3 (A + 2B),
-    over the largest |a|, |b| and d; the key is floor(M x) for a power of
-    two M > C, one isqrt per number."""
-    trips = [(x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator,
-              x.a.denominator * x.b.denominator) if isinstance(x, Quad)
-             else (x.numerator, 0, x.denominator) for x in xs]
-    if not trips:
-        return []
-    big_a = max(abs(a) for a, _, _ in trips)
-    big_b = max(abs(b) for _, b, _ in trips)
-    big_d = max(d for _, _, d in trips)
-    m = 1 << (2 * big_d ** 3 * (big_a + 2 * big_b)).bit_length()
-    return [(m * a + floor_root2(m * b)) // d for a, b, d in trips]
 
 
 def mod1(x):

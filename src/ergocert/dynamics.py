@@ -331,20 +331,20 @@ class CircleMap(System):
         arcs where S_n g > n delta or S_n g < -n delta for some n in the
         window (rounded up when the arcs are irrational), both tails read
         from S_n itself (in integers on its integer form, over Z[sqrt2] on
-        the rotation) and every n's arcs merged on exact integer keys
-        (`ArcSet.union`).  Priced
-        before it runs: the segment counts `_extend` checks, summed over
-        the window, must stay within SEGMENT_BUDGET."""
+        the rotation) and every n's arcs merged by one `ArcSet` of them
+        all, which sorts them by exact Fraction and Quad comparisons.
+        Priced before it runs: the segment counts `_extend` checks, summed
+        over the window, must stay within SEGMENT_BUDGET."""
         if any(t > SEGMENT_BUDGET for t in
                accumulate(self._segment_count(g, n) for n in window)):
             raise BudgetExceededError(
                 f"validation over n in [{window.start}, {window.stop - 1}] "
                 f"needs more than {SEGMENT_BUDGET} segments")
-        sets = []
+        arcs = []
         for n in window:
             s, level = self.birkhoff_sum(g, n), n * delta
-            sets += [s.arcs_above(level), s.arcs_below(-level)]
-        mass = ArcSet.union(sets).measure()
+            arcs += s.arcs_above(level).arcs + s.arcs_below(-level).arcs
+        mass = ArcSet(arcs).measure()
         if not isinstance(mass, Fraction):
             mass = mass.approx(60) + pow2(60)
         return mass

@@ -576,7 +576,9 @@ def _form_sum(forms: list) -> _Form:
     jumps in value and increment at each of its other breakpoints, filed
     under the exact key floor(m (a + b sqrt2)) of its position
     (a + b sqrt2)/n.  With m a power of two above 2 max|a| + 4 max|b| the
-    keys of different positions differ (see `exact_keys`); one isqrt per
+    keys of different positions differ: integers p, q not both 0 have
+    |p + q sqrt2| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so two
+    positions differ by more than 1/m in a + b sqrt2; one isqrt per
     distinct b.  The keys are swept in order, ending a segment only where
     the value or the increment changes (normal form).  The sum is
     rational when every term is."""

@@ -5,7 +5,8 @@ finite union of ideal balls in the built-in instances reduces to one of
 them, so measures and intersections are exact rational (or Q[sqrt2])
 computations.  Both forms are sorted lists of disjoint intervals, arcs
 of the circle or runs of same-length words read as binary numbers, and
-share one merge and one intersection walk.
+share one merge (`_merged`, run by each constructor and nowhere else) and
+one intersection walk.
 """
 
 from __future__ import annotations
@@ -19,17 +20,20 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .arith import exact_keys, mod1
+from .arith import Quad, mod1
+from .errors import UnsupportedPairError
 from .spaces import ball_arc
 
 
 class ArcSet:
     """Finite union of open arcs on the circle, kept sorted and disjoint.
 
-    Arcs are stored as (a, b) with 0 <= a < b <= 1; an input arc crossing 0
-    is split.  Endpoints may be Fraction or Quad.  Measure-theoretic
-    operations ignore endpoints (all sets here are finite unions of arcs up
-    to finitely many points)."""
+    Arcs are stored as (a, b) with 0 <= a < b <= 1 (`from_raw` splits an
+    arc crossing 0).  Endpoints may be Fraction or Quad.  The constructor
+    drops empty arcs, sorts the rest and joins those that overlap or
+    touch, so a union of arc sets is `ArcSet` of all their arcs;
+    `_canonical` wraps arcs that are already in that form.  Measure-theoretic operations ignore endpoints (all sets
+    here are finite unions of arcs up to finitely many points)."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
         self.arcs = _merged(sorted((a, b) for a, b in arcs if a < b))
@@ -41,26 +45,6 @@ class ArcSet:
         s = object.__new__(ArcSet)
         s.arcs = arcs
         return s
-
-    @staticmethod
-    def union(sets: Iterable["ArcSet"]) -> "ArcSet":
-        """The union of arc sets, as `ArcSet` of all their arcs gives it:
-        the sorted lists are merged on exact integer keys of the endpoints
-        (`exact_keys`; the sort finds each list as one run), so no two
-        endpoints are compared as Fractions or Quads, and arcs that
-        overlap or touch are joined."""
-        arcs = [arc for s in sets for arc in s.arcs]
-        keys = exact_keys([x for arc in arcs for x in arc])
-        out, end = [], None
-        for ka, kb, (a, b) in sorted(zip(keys[::2], keys[1::2], arcs),
-                                     key=itemgetter(0, 1)):
-            if out and ka <= end:
-                if kb > end:
-                    out[-1], end = (out[-1][0], b), kb
-            else:
-                out.append((a, b))
-                end = kb
-        return ArcSet._canonical(out)
 
     @staticmethod
     def from_raw(arcs: Iterable[tuple]) -> "ArcSet":
@@ -100,8 +84,11 @@ class ArcSet:
         """(components, first): every component splits into its fewest
         equal parts shorter than 1/2, floor(2 width) + 1, and the i-th
         holds the parts first[i] to first[i + 1] - 1 in circle order.  The
-        split needs rational endpoints."""
+        split needs rational endpoints: a Q[sqrt2] end raises
+        UnsupportedPairError."""
         comps = self.components()
+        if any(isinstance(x, Quad) for arc in comps for x in arc):
+            raise UnsupportedPairError("ball conversion needs rational arcs")
         # floor(2 (b - a)) + 1 in integers, a = an/ad and b = bn/bd
         return comps, list(accumulate(
             (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
@@ -127,7 +114,8 @@ class ArcSet:
             b2 = _floor_to_grid(b, grain)
             if a2 < b2:
                 out.append((a2, b2))
-        return ArcSet(out)
+        # rounding inward keeps the arcs sorted, disjoint and apart
+        return ArcSet._canonical(out)
 
 
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:

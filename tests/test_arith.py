@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.arith import (Interval, Quad, SQRT2_MINUS_1, exact_keys,
-                            floor_root2, fmt_rat, parse_int, parse_rat, pow2,
-                            sign_root2)
+from ergocert.arith import (Interval, Quad, SQRT2_MINUS_1, floor_root2,
+                            fmt_rat, parse_int, parse_rat, pow2, sign_root2)
 
 
 def rand_frac(rng, scale=100):
@@ -176,14 +175,8 @@ class TestQuadOracle:
                 assert x.sign() == _oracle_sign(a, b), x
 
     def test_integer_keys_and_signs(self):
-        # [DERIVED: the pair model's sign orders the keys of exact_keys,
-        # Pell near-ties included, and decides sign_root2 and floor_root2]
-        xs = _quad_samples(random.Random(15))
-        keys = exact_keys(xs)
-        for x, kx in zip(xs, keys):
-            for y, ky in zip(xs, keys):
-                (a, b), (c, d) = _pair(x), _pair(y)
-                assert (kx > ky) - (kx < ky) == _oracle_sign(a - c, b - d)
+        # [DERIVED: the pair model's sign decides sign_root2 and
+        # floor_root2, Pell near-ties included]
         ints = [(99, -70), (-99, 70), (1393, -985), (-2, 1), (0, 0), (5, 0),
                 (0, -3)] + [(t, 1 - t) for t in range(-20, 21)]
         for a, b in ints:
@@ -199,6 +192,19 @@ class TestQuadOracle:
         q = Quad(half, 3)
         assert q.a is half and type(q.b) is F and q.b == 3
         assert Quad("1/3", True).b == 1 and type(Quad("1/3").a) is F
+
+    def test_float_and_string_operands_refused(self):
+        # [DERIVED: only int, Fraction and Quad operands enter Q[sqrt2]
+        # arithmetic; a float or a string is refused, never converted]
+        q = Quad(1, 1)
+        for o in (0.5, "1/2"):
+            for op in (lambda: q + o, lambda: o + q, lambda: q - o,
+                       lambda: o - q, lambda: q * o, lambda: o * q,
+                       lambda: q / o, lambda: q < o, lambda: o < q):
+                with pytest.raises(TypeError):
+                    op()
+            assert q != o
+        assert q + F(1, 2) == Quad(F(3, 2), 1) and 2 * q == Quad(2, 2)
 
 
 class TestFormatting:

@@ -19,6 +19,9 @@ HAT = ('{"variant": "piecewise_linear", "segments": '
        '[["0", "1/8", "0", "0"], ["1/8", "1/4", "0", "1"],'
        ' ["1/4", "3/4", "1", "1"], ["3/4", "7/8", "1", "0"],'
        ' ["7/8", "1", "0", "0"]]}')
+NARROW = ('{"variant": "piecewise_linear", "segments": '
+          '[["0", "31/64", "0", "0"], ["31/64", "1/2", "0", "1"],'
+          ' ["1/2", "33/64", "1", "0"], ["33/64", "1", "0", "0"]]}')
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,6 +86,23 @@ class TestVerbs:
             streams = capsys.readouterr()
             assert code == EXIT_INPUT and not streams.out
             assert json.loads(streams.err)["error"] == "input"
+
+    def test_validate_merges_arcs_of_many_n(self, capsys, tmp_path):
+        # a narrow hat on the doubling map certified from n0 = 1: over the
+        # window n = 1..12 the 11 exceed arcs of n = 1, 2, 3 overlap and
+        # merge into 7, weighed exactly
+        art = tmp_path / "narrow.json"
+        code = main(["rate", "--kind", "as-bounded", "--eps", "1",
+                     "--delta", "1/4", "--system", "doubling",
+                     "--observable", NARROW, "--output", str(art)])
+        cert = json.loads(art.read_text())
+        assert code == EXIT_OK and cert["p"] == cert["n0_or_m"] == 1
+        code, out = run(capsys, "validate", "--certificate", str(art),
+                        "--horizon", "12")
+        assert code == EXIT_OK and out["certificate_check"]["ok"]
+        rep = out["horizon_validation"]
+        assert rep["passed"] and not rep["window_empty"]
+        assert rep["measured_mass"] == "45/1024"
 
     def test_w1(self, capsys):
         mu = '[["1/4", "1"]]'

@@ -16,7 +16,8 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                doubling_system, integral, l2_sq_enclosure,
                                l_norm_birkhoff, parse_system, rotation_system,
                                shift_system)
-from ergocert.errors import BudgetExceededError, InputError
+from ergocert.errors import (BudgetExceededError, InputError,
+                             UnsupportedPairError)
 from ergocert.measures import region_measure
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_from_json, pl_inner)
@@ -88,6 +89,27 @@ class TestNorms:
             a = birkhoff_observable(DBL, centered(DBL, f), p)
             box = l2_sq_enclosure(p, DBL.correlations(f, p))
             assert box.contains(a.square_integral())
+
+    def test_l1_l2_sup_cross_check(self):
+        # [PAPER: ||g||_1 <= ||g||_2 <= ||g||_inf on a probability space,
+        #  for g = A_p fbar read by three independent kernels: the exact L1
+        #  norm, the correlation enclosure of the squared L2 norm and the
+        #  sup of the built average; the pool observables of the shifts
+        #  and the doubling map, every p <= 12]
+        shift_pool = [FIRSTBIT, CylinderFn.word_indicator("01"),
+                      CylinderFn.coordinate(1)]
+        cases = [(SHIFT, shift_pool), (shift_system(F(1, 3)), shift_pool),
+                 (DBL, list(TestCorrelations.POOL.values()))]
+        for system, pool in cases:
+            for f in pool:
+                corr = system.correlations(f, CORRELATION_CUTOFF)
+                fbar = centered(system, f)
+                for p in range(1, 13):
+                    box = l2_sq_enclosure(p, corr)
+                    sup = birkhoff_observable(system, fbar, p).sup_norm()
+                    assert l_norm_birkhoff(system, f, p) ** 2 <= box.hi, \
+                        (system.name, f, p)
+                    assert box.lo <= sup ** 2, (system.name, f, p)
 
     def test_budget_guard(self):
         # [DERIVED: segment count doubles per step and must be capped]
@@ -390,6 +412,17 @@ class TestWitness:
                     missed += want is None
         assert split > 20 and found > 1000 and missed > 1000, \
             (split, found, missed)
+
+    def test_circle_witness_refuses_irrational_ends(self):
+        # [DERIVED: a region with Q[sqrt2] ends has no equal rational
+        #  parts, so asking it for a witness is refused with a typed error
+        #  (never an AttributeError from a Quad without a numerator)]
+        hat = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
+        region = ROT.birkhoff_sum(centered(ROT, hat), 3) \
+            .arcs_below_abs(F(3, 4))
+        assert any(isinstance(x, Quad) for arc in region.arcs for x in arc)
+        with pytest.raises(UnsupportedPairError):
+            ROT.witness(region, IdealBall(CIRCLE, F(1, 2), F(1, 64)))
 
 
 class TestMeasurePreservation:

@@ -422,20 +422,38 @@ class TestMaximalInequality:
         # [DERIVED: oracle = mu of the envelope max_n |A_n fbar| over the
         # window, built from the averages by the segment-list lattice
         # (pl_reference) and rounded up to 2^-60 when its arcs are
-        # irrational]
-        for system, window, delta in ((DBL, range(2, 7), F(1, 8)),
-                                      (ROT, range(5, 30), F(1, 16))):
-            fbar = centered(system, HAT)
-            env = None
+        # irrational; the hat and seeded random piecewise-linear functions
+        # with jumps on both circle maps (doubling at small n), at a delta
+        # of a quarter of sup |fbar|; on the rotation some window has arcs
+        # of different n that overlap, and arcs of different n that touch
+        # at a Q[sqrt2] end, so the merge must join them]
+        rng = random.Random(26)
+        cases = [(DBL, centered(DBL, HAT), range(2, 7), F(1, 8)),
+                 (ROT, centered(ROT, HAT), range(5, 30), F(1, 16))]
+        for _ in range(3):
+            for system, window in ((DBL, range(1, 6)), (ROT, range(2, 9))):
+                fbar = centered(system, _random_pl(rng, rng.choice([6, 8,
+                                                                    12])))
+                cases.append((system, fbar, window, fbar.sup_norm() / 4))
+        joined = 0
+        for system, fbar, window, delta in cases:
+            env, arcs = None, []
             for n in window:
                 a = birkhoff_observable(system, fbar, n).segments
                 a = ref.lattice(a, ref.scale(a, -1), max)
+                arcs += [(n, arc) for arc in ref.arcs(a, delta, None)]
                 env = a if env is None else ref.lattice(env, a, max)
             mass = ArcSet(ref.arcs(env, delta, None)).measure()
             if isinstance(mass, Quad):
                 mass = mass.approx(60) + pow2(60)
             assert 0 < mass < 1
             assert system.window_mass(fbar, window, delta) == mass
+            overlap = any(m != n and a < c < b
+                          for n, (a, b) in arcs for m, (c, _) in arcs)
+            touch = any(m != n and b == c and isinstance(b, Quad) and b.b
+                        for n, (_, b) in arcs for m, (c, _) in arcs)
+            joined += system is ROT and overlap and touch
+        assert joined
 
 
 class TestValidation:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 
-from ergocert.arith import Quad, mod1, pow2
+from ergocert.arith import Quad, pow2
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 
 
@@ -42,27 +42,6 @@ class TestArcSet:
             both = [a and b for a, b in zip(si, ti)]
             assert arc_indicator(s.intersect(t)) == both
             assert s.intersect(t).measure() == F(sum(both), 256)
-
-    def test_union_is_arcset_of_all_arcs(self):
-        # [DERIVED: oracle = ArcSet of every arc, sorted by Quad and
-        # Fraction comparisons; where a rational endpoint comes both as a
-        # Fraction and as a Quad, the union keeps the one ArcSet keeps]
-        rng = random.Random(36)
-
-        def point():
-            k = F(rng.randint(0, 32), 32)
-            return [k, Quad(k), mod1(k + Quad(0, F(rng.randint(1, 5), 7)))][
-                rng.randint(0, 2)]
-
-        for _ in range(300):
-            sets = [ArcSet(sorted([point(), point()])
-                           for _ in range(rng.randint(0, 4)))
-                    for _ in range(rng.randint(0, 4))]
-            want = ArcSet([arc for s in sets for arc in s.arcs]).arcs
-            got = ArcSet.union(sets).arcs
-            assert got == want
-            assert [tuple(map(type, a)) for a in got] == \
-                [tuple(map(type, a)) for a in want]
 
     def test_components_glue_wrap(self):
         # [TRIVIAL]
