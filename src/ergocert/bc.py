@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -43,14 +43,21 @@ EVAL_PRECISION = 6
 
 @dataclass(frozen=True)
 class Window:
-    """One exact window: its region as `deviation_region` builds it (the
-    rotation's rounded inward to rational ends), its exact complement mass
-    `err`, and the metadata a synthesis certificate records (`info`).  Its
-    witnesses are found in the region on demand (`window_witness`)."""
+    """One exact window: its exact complement mass `err`, the metadata a
+    synthesis certificate records (`info`), and its region as
+    `deviation_region` builds it (the rotation's rounded inward to
+    rational ends).  The region is built on first read by `build`, a
+    cached builder that tagged copies share, so a window that synthesis
+    never reaches is never built.  Its witnesses are found in the region
+    on demand (`window_witness`)."""
 
     err: Fraction
-    region: object
+    build: Callable
     info: dict
+
+    @property
+    def region(self):
+        return self.build()
 
 
 @dataclass
@@ -108,16 +115,20 @@ def bc_exact_windows(system: System, f: Observable,
     meets caps(j); when no n within budget meets the cap the window
     degrades to the whole space with err 0 (a valid, vacuous window).  The
     `count` windows are computed once, in order; windows beyond `count` are
-    the whole space."""
+    the whole space.  Each candidate's err is read once per (n, delta),
+    by the system's `deviation_mass`: on the shift from the partial-sum
+    law, with the region built only if synthesis reads it, on the circle
+    as 1 - mu of the region, built at once."""
     if count < 0:
         raise InputError(f"count must be >= 0, got {count}")
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     fbar = centered(system, f)  # once: deviation_region keeps it as it is
-    whole = Window(Fraction(0), system.region(system.space.cover()),
+    cover = system.region(system.space.cover())
+    whole = Window(Fraction(0), lambda: cover,
                    {"trivial": True, "n": None, "delta": None,
                     "err": Fraction(0), "observable": obs_json})
-    # per (n, delta): the region and its exact complement mass
+    # per (n, delta): the exact complement mass and the region's builder
     regions: dict[tuple, tuple] = {}
     windows = []
     start = 1
@@ -127,16 +138,18 @@ def bc_exact_windows(system: System, f: Observable,
         window = whole
         for n in range(start, max_n + 1):
             if (n, delta) not in regions:
+                build = cache(partial(deviation_region, system, fbar, n,
+                                      delta))
                 try:
-                    reg = deviation_region(system, fbar, n, delta)
+                    err = system.deviation_mass(fbar, n, delta, build)
                 except BudgetExceededError:
                     break
-                regions[n, delta] = reg, 1 - region_measure(system, reg)
-            reg, err = regions[n, delta]
+                regions[n, delta] = err, build
+            err, build = regions[n, delta]
             if err <= cap:
-                window = Window(err, reg, {"trivial": False, "n": n,
-                                           "delta": delta, "err": err,
-                                           "observable": obs_json})
+                window = Window(err, build, {"trivial": False, "n": n,
+                                             "delta": delta, "err": err,
+                                             "observable": obs_json})
                 start = n
                 break
         windows.append(window)

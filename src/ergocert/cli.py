@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .arith import fmt_rat, parse_rat, pow2
@@ -31,8 +32,38 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    dicts with string keys, lists, tuples, strings, ints, bools and None
+    (anything else goes to json.dumps), written by one recursive walk:
+    json runs its pure-Python encoder whenever an indent is given.  `pad`
+    is the newline and indent that close the value."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _escape(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     if getattr(args, "output", None):
         Path(args.output).write_text(text + "\n")
     else:

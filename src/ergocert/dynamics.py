@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, cycle, repeat
 from operator import add, itemgetter, mul
 from typing import Optional, Union
 
@@ -39,6 +39,9 @@ SCAN_CAP = 2048
 DEFAULT_P_BUDGET = 1 << 34
 #: digit window used when scoring partial orbit points of a digit tail
 BALANCE_WINDOW = 24
+#: cap on the states of the shift's partial-sum law, summed over every n
+#: it is pushed to (`Shift._priced`)
+LAW_BUDGET = 1 << 26
 #: denominators of the continued-fraction convergents of sqrt(2)-1
 PELL_DENOMINATORS = [1, 2, 5, 12, 29, 70, 169, 408, 985, 2378, 5741, 13860,
                      33461, 80782, 195025]
@@ -54,7 +57,8 @@ class System:
     orbit enclosures, the exact average A_n, the L2 route, the p-search
     schedule, exact regions, the region of a list of ideal balls (`region`),
     the ideal ball of a region that holds a candidate ball (`witness`), the
-    measure of a region (`weigh`), the exact validation mode and the
+    measure of a region (`weigh`) and of a deviation window
+    (`deviation_mass`, `window_mass`), the exact validation mode and the
     defaults of exact Borel-Cantelli windows.
     The base class holds the route shared by the two mixing systems:
     ||A_p fbar||_2^2 from the correlations C(m) of fbar, and a doubling
@@ -93,16 +97,22 @@ class System:
     def birkhoff_sum(self, g, n: int):
         """S_n g = sum_{i<n} g o T^i in the system's form: (den, den S_n)
         on the shift's cylinders, a PiecewiseLinear (one integer form) on
-        the circle.  The last sum is kept, keyed on g's integers (den and
-        nums, or its form; `centered` builds a new g on every call): the
-        same g at n >= the kept m extends S_m, else S_0 is extended."""
+        the circle, kept in `_slot` (`_kept`)."""
         key = (g.den, g.nums) if isinstance(g, CylinderFn) else g.form
-        held, m, state = self._slot or (None, 0, None)
+        return self._kept("_slot", key, n,
+                          lambda state, m: self._extend(g, state, m, n))
+
+    def _kept(self, slot: str, key, n: int, extend):
+        """The state at n of what `slot` keeps, keyed on g's integers (den
+        and nums, or its form; `centered` builds a new g on every call):
+        the same key at n >= the kept m extends the state at m, else the
+        state at 0 is extended (extend(state, m) with state None at 0)."""
+        held, m, state = getattr(self, slot) or (None, 0, None)
         if held != key or m > n:
             m, state = 0, None
         if m < n:
-            state = self._extend(g, state, m, n)
-            self._slot = (key, n, state)
+            state = extend(state, m)
+            setattr(self, slot, (key, n, state))
         return state
 
     def norm_method(self, g, p: int, norm: str) -> str:
@@ -141,7 +151,17 @@ class System:
 
 
 class Shift(System):
-    """One-sided Bernoulli(p) shift on Cantor space (p = prob of 1)."""
+    """One-sided Bernoulli(p) shift on Cantor space (p = prob of 1).
+
+    Two kernels read a depth-k g = nums/den.  The running sum S_n on all
+    2^(n+k-1) words (`birkhoff_sum`) gives averages and regions.  The law
+    of den S_n under Bernoulli(a/b) (`_law`) gives L1 norms and deviation
+    masses: for each word u of the last k - 1 symbols, the integer weights
+    a^ones (b - a)^zeros of the words of n + k - 1 symbols that end in u,
+    summed by their partial sum s = den S_n.  It is pushed forward one
+    symbol at a time (the forward recursion of Baum, Petrie, Soules and
+    Weiss, 1970) and holds at most min(2^(k-1) (n (max nums - min nums)
+    + 1), 2^(n+k-1)) states, which `_priced` sums before it runs."""
 
     name = "shift"
     space = CANTOR
@@ -149,6 +169,8 @@ class Shift(System):
     where = "the shift"
     exact_mode = "EXACT_CYLINDER"
     bc_max_n = 18
+    #: (g's nums, n, law) of the last partial-sum law built
+    _law_slot = None
 
     def __init__(self, p: Fraction):
         self.p = p
@@ -173,14 +195,75 @@ class Shift(System):
         # (den, den S_n) on the n + k - 1 symbols S_n reads; appending b to
         # word w adds g on its last k: S_{n+1}[2w+b] = S_n[w] + g[(2w+b) % 2^k]
         # (each entry of S_n twice, plus g's nums over and over)
-        k, d = g.depth, n + g.depth - 1
-        if d > CYLINDER_BUDGET_LOG2:
-            raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-        den, table = state or (g.den, [0] * (1 << (k - 1)))
+        _refuse_words(g, n)
+        den, table = state or (g.den, [0] * (1 << (g.depth - 1)))
         for _ in range(m, n):
             table = list(map(add, chain.from_iterable(zip(table, table)),
                              cycle(g.nums)))
         return den, table
+
+    def _law(self, g: CylinderFn, n: int) -> list:
+        """The law of den S_n g, g of depth k >= 1, kept in `_law_slot`:
+        per suffix u, (offset, {key: weight}) with s = key + offset."""
+        self._priced(g, n)
+        return self._kept("_law_slot", g.nums, n, lambda law, m: self._push(
+            g, law or [(0, {0: w}) for w in _suffix_weights(g, self.p)],
+            m, n))
+
+    def _push(self, g: CylinderFn, law: list, m: int, n: int) -> list:
+        # the word x = 2u + c of k symbols appends c to suffix u, adds
+        # nums[x] to the sum and ends in suffix x mod 2^(k-1).  The two x
+        # that end in suffix t, t and t + 2^(k-1), merge on the first one's
+        # offset, every weight times the mass of c over b (b - a or a): a
+        # copy of the first row, into which the second adds key by key
+        # through dict operations (no Python loop per state)
+        nums, half = g.nums, len(law)
+        a, b = self.p.numerator, self.p.denominator
+        mass = (b - a, a)
+        for _ in range(m, n):
+            out = []
+            for t in range(half):
+                (o0, d0), (o1, d1) = law[t >> 1], law[(t + half) >> 1]
+                base, w0, w1 = o0 + nums[t], mass[t & 1], mass[(t + half) & 1]
+                merged = dict(zip(d0, _weights(d0, w0)))
+                keys = list(map(add, d1, repeat(o1 + nums[t + half] - base)))
+                held = map(merged.get, keys, repeat(0))
+                merged.update(zip(keys, map(add, held, _weights(d1, w1))))
+                out.append((base, merged))
+            law = out
+        return law
+
+    def _priced(self, g: CylinderFn, horizon: int) -> None:
+        """Refuse a law pushed to `horizon` before it runs: each n up to it
+        holds at most h min(2^n, n r + 1) states (h = 2^(k-1) suffixes,
+        r = max nums - min nums), and the sum must stay within LAW_BUDGET.
+        Once 2^n >= n r + 1 it stays so, and the rest sums in closed
+        form.  r counts as 1 at least: a weight gains log2 b bits per
+        symbol, so a constant g, whose law keeps h states, still costs
+        in proportion to n at each step (at r = 0 the budget would admit
+        a horizon of 2^26 steps on weights of as many bits)."""
+        h, r = 1 << (g.depth - 1), max(max(g.nums) - min(g.nums), 1)
+        total, n = 0, 1
+        while n <= horizon and 1 << n < n * r + 1:
+            total, n = total + (h << n), n + 1
+        if n <= horizon:  # h (i r + 1) for n <= i <= horizon
+            total += h * (r * (horizon * (horizon + 1) - n * (n - 1)) // 2
+                          + horizon - n + 1)
+        if total > LAW_BUDGET:
+            raise BudgetExceededError(f"the partial-sum law up to n = "
+                                      f"{horizon} needs over {LAW_BUDGET} "
+                                      "states")
+
+    @staticmethod
+    def _split(law: list, c: int) -> tuple:
+        """(weight of the states with |s| > c, the law of the others)."""
+        beyond, out = 0, []
+        for off, d in law:
+            lo, hi = -c - off, c - off
+            within = {s: v for s, v in d.items() if lo <= s <= hi}
+            beyond += sum(d.values()) - sum(within.values())
+            out.append((off, within))
+        return beyond, out
 
     def correlations(self, g: CylinderFn, count: int) -> Correlations:
         # C(m) = 0 for m >= depth (independence), so the list is exact;
@@ -201,10 +284,12 @@ class Shift(System):
         return g.integral(self.p)
 
     def l1_norm(self, g: CylinderFn, n: int) -> Fraction:
-        if not g.depth:  # A_n g = g
-            return g.sup_norm()
-        den, table = self.birkhoff_sum(g, n)
-        return table_integral(list(map(abs, table)), self.p) / (den * n)
+        """||A_n g||_1: sum of |s| times weight over den n b^(n+k-1)."""
+        g = g.lift(max(g.depth, 1))
+        total = sum(abs(s + off) * v
+                    for off, d in self._law(g, n) for s, v in d.items())
+        return Fraction(total, g.den * n
+                        * self.p.denominator ** (n + g.depth - 1))
 
     def sublevel(self, g: CylinderFn, n: int, delta: Fraction) -> CylSet:
         # |A_n g| < delta on s = den S_n: |s| dd < dn den n iff |s| <= c
@@ -215,6 +300,19 @@ class Shift(System):
         c = (dn * den * n - 1) // dd
         return CylSet.from_flags(n + g.depth - 1,
                                  bytes(map(c.__ge__, map(abs, table))))
+
+    def deviation_mass(self, g: CylinderFn, n: int, delta: Fraction,
+                       region) -> Fraction:
+        """mu{|A_n g| >= delta}, 1 - mu of `sublevel`, read from the law:
+        `region` (its builder) is not called.  A region over
+        2^CYLINDER_BUDGET_LOG2 cylinders is refused first, so a window is
+        accepted only where its region can be built."""
+        if g.depth:
+            _refuse_words(g, n)
+        g = g.lift(max(g.depth, 1))
+        beyond, _ = self._split(self._law(g, n), (delta.numerator * g.den * n
+                                                  - 1) // delta.denominator)
+        return Fraction(beyond, self.p.denominator ** (n + g.depth - 1))
 
     def witness(self, region: CylSet, cand: IdealBall) -> Optional[tuple]:
         found = region.holder(cand.cylinder_prefix)
@@ -237,24 +335,43 @@ class Shift(System):
 
     def window_mass(self, g: CylinderFn, window: range,
                     delta: Fraction) -> Fraction:
-        """Exact mu{max_{n in window} |A_n g| > delta}: one flag per cylinder
-        of each S_n, ORed down into the cylinders of the next."""
-        k = g.depth
-        horizon = window.stop - 1
-        d = horizon + k - 1 if k else 1
-        if d > CYLINDER_BUDGET_LOG2:
-            raise BudgetExceededError(f"validation needs 2^{d} cylinders")
-        if not k:  # A_n g = g
-            return Fraction(int(bool(window) and g.sup_norm() > delta))
-        dn, dd = delta.numerator, delta.denominator
-        hit, depth = [False], 0
+        """Exact mu{max_{n in window} |A_n g| > delta}: the law at the
+        window's start, pushed through the window, gives up at each n the
+        states with |A_n g| > delta; their weight is carried on, times b
+        per symbol.  Priced before it runs: the law's states up to the
+        window's end (`_priced`)."""
+        if not window:
+            return Fraction(0)
+        g = g.lift(max(g.depth, 1))
+        self._priced(g, window[-1])
+        b, dn, dd = self.p.denominator, delta.numerator, delta.denominator
+        hit, law, m = 0, self._law(g, window.start), window.start
         for n in window:
-            den, table = self.birkhoff_sum(g, n)
-            up, lim = n + k - 1 - depth, dn * den * n
-            hit = [hit[w >> up] or abs(s) * dd > lim
-                   for w, s in enumerate(table)]
-            depth += up
-        return table_integral(hit, self.p)
+            law, hit = self._push(g, law, m, n), hit * b ** (n - m)
+            beyond, law = self._split(law, dn * g.den * n // dd)
+            hit, m = hit + beyond, n
+        return Fraction(hit, b ** (m + g.depth - 1))
+
+
+def _refuse_words(g: CylinderFn, n: int) -> None:
+    """Refuse S_n on more than 2^CYLINDER_BUDGET_LOG2 words."""
+    d = n + g.depth - 1
+    if d > CYLINDER_BUDGET_LOG2:
+        raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
+
+
+def _weights(d: dict, w: int):
+    """The weights of a law's row, times w."""
+    return d.values() if w == 1 else map(mul, d.values(), repeat(w))
+
+
+def _suffix_weights(g: CylinderFn, p: Fraction) -> list:
+    """a^ones (b - a)^zeros of every word of k - 1 symbols, in table order,
+    for p = a/b."""
+    a, b = p.numerator, p.denominator
+    k = g.depth - 1
+    return [a ** u.bit_count() * (b - a) ** (k - u.bit_count())
+            for u in range(1 << k)]
 
 
 class CircleMap(System):
@@ -318,6 +435,12 @@ class CircleMap(System):
 
     def weigh(self, region: ArcSet) -> Fraction:
         return region.measure()
+
+    def deviation_mass(self, g: PiecewiseLinear, n: int, delta: Fraction,
+                       region) -> Fraction:
+        """mu{|A_n g| >= delta}, 1 - mu of the region {|A_n g| < delta}
+        that `region()` builds."""
+        return 1 - self.weigh(region())
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)

@@ -399,8 +399,11 @@ def validate_as(system: System, f: Observable, cert: RateCertificate,
     max(1, n0); when n0 exceeds the horizon the certified event does not
     restrict the window at all, so the window is empty and the measured
     mass is 0 (reported with window_empty set, instead of rejecting the
-    call: desk-scale horizons are routinely far below the pessimistic n0
-    of the maximal-ergodic route)."""
+    call: horizons are often below the pessimistic n0 of the
+    maximal-ergodic route).  The system weighs the window
+    (`window_mass`): the circle maps from the arcs of every S_n, the
+    shift from the law of its partial sums, priced before it runs, which
+    reaches past n0 (the word "01" at delta = eps = 1/4: n0 = 3084)."""
     if cert.delta is None:
         raise InputError("only a.s. certificates validate against a horizon")
     if horizon < 1:

@@ -81,3 +81,19 @@ def running_sum(t, n):
 def average(t, n):
     """A_n t = S_n t / n, word by word."""
     return [s / n for s in running_sum(t, n)]
+
+
+def window_mass(t, p, window, delta):
+    """mu{max over n in window of |A_n t| > delta}: one flag per word of
+    each running sum, ORed down into the words of the next, and the
+    flagged words of the last weighed one by one (the enumeration the
+    shift's window masses ran before its partial-sum law)."""
+    hit, d = [False], 0
+    for n in window:
+        sums = running_sum(t, n)
+        up = depth(sums) - d
+        hit = [hit[w >> up] or abs(s) > n * delta
+               for w, s in enumerate(sums)]
+        d += up
+    return sum((mass(w, p) for w, h in zip(words(d), hit) if h),
+               Fraction(0))

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from ergocert import bc
 from ergocert.arith import pow2
 from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
                          horizon_tolerance, replay_synth, SynthPoint,
                          synthesize_point, typical_point, Window,
                          window_witness)
 from ergocert.cli import EXIT_OK, main
-from ergocert.dynamics import doubling_system, rotation_system, shift_system
+from ergocert.dynamics import (deviation_region, doubling_system,
+                               rotation_system, shift_system)
 from ergocert.errors import InputError
 from ergocert.measures import region_measure
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
@@ -84,10 +86,43 @@ class TestExactWindows:
                 bref.region_balls(w.region))) >= 1 - w.err
 
 
+    def test_shift_regions_built_only_when_read(self, monkeypatch):
+        # [DERIVED: on the shift every candidate's err comes from the
+        # partial-sum law, so no region is built until one is read; a read
+        # builds it once per (n, delta), tagged copies share it, and its
+        # 1 - mu is the recorded err (replay's route)]
+        built = []
+
+        def counted(system, f, n, delta):
+            built.append((n, delta))
+            return deviation_region(system, f, n, delta)
+
+        monkeypatch.setattr(bc, "deviation_region", counted)
+        # a cap of 1/2 takes the same (n, delta) for several j
+        loose = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: F(1, 2),
+                                 count=6)
+        capped = bc_exact_windows(SHIFT, FIRSTBIT, caps=lambda j: pow2(j + 1),
+                                  count=4)
+        assert not built
+        keys = 0
+        for seq in (loose, capped):
+            listed = [w for w in seq.windows if not w.info["trivial"]]
+            for w in listed:
+                assert w.err == 1 - region_measure(SHIFT, w.region)
+            keys += len({(w.info["n"], w.info["delta"]) for w in listed})
+        assert len(built) == keys < len(loose.windows) + len(capped.windows)
+        before = len(built)
+        tagged = bc_intersect([capped])
+        assert all(t.region is w.region
+                   for t, w in zip(tagged.windows, capped.windows))
+        assert len(built) == before
+
+
 class TestIntersect:
     def test_cap_violation_rejected(self):
         # [DERIVED: a member whose error misses its dovetail cap must raise]
-        half = Window(F(1, 2), SHIFT.region(CANTOR.cover()), {})
+        cover = SHIFT.region(CANTOR.cover())
+        half = Window(F(1, 2), lambda: cover, {})
         fat = BCSequence(CANTOR, [half] * 4, [half])
         with pytest.raises(InputError):
             bc_intersect([fat, fat])

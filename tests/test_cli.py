@@ -5,9 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergocert import bc, cli, rates
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
@@ -74,6 +77,20 @@ class TestVerbs:
         # a window over the segment budget is refused before it runs
         code = main(["validate", "--certificate", str(rot),
                      "--horizon", "100000"])
+        assert code == EXIT_BUDGET
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "budget_exceeded"
+        # on the shift the window is weighed by the partial-sum law: n0 =
+        # 299 measured to 319, past 2^24 cylinders, and a horizon of 10^8
+        # priced past the law's budget and refused before it runs
+        shift = CORPUS / "cert_shift1-3_first_bit_as-bounded_1-4_1-2.json"
+        code, out = run(capsys, "validate", "--certificate", str(shift),
+                        "--horizon", "319")
+        rep = out["horizon_validation"]
+        assert code == EXIT_OK and rep["n_start"] == 299
+        assert 0 < Fraction(rep["measured_mass"]) <= Fraction(1, 4)
+        code = main(["validate", "--certificate", str(shift),
+                     "--horizon", "100000000"])
         assert code == EXIT_BUDGET
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "budget_exceeded"
@@ -164,6 +181,34 @@ class TestCorpus:
                   != EXIT_OK]
         capsys.readouterr()
         assert not failed
+
+
+#: JSON-shaped values: non-ASCII strings, ints, bools and None, nested in
+#: dicts, lists and tuples (which json writes as lists)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24)
+
+
+class TestEmitter:
+    # [DERIVED: oracle = json.dumps(indent=2, sort_keys=True), the bytes
+    # every verb wrote before its direct emitter]
+
+    def test_every_corpus_file_reemitted(self):
+        paths = sorted(CORPUS.glob("*.json"))
+        assert paths
+        for path in paths:
+            data = json.loads(path.read_text())
+            assert cli._dumps(data) \
+                == json.dumps(data, indent=2, sort_keys=True), path.name
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) \
+            == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestExitCodes:

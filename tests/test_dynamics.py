@@ -572,6 +572,81 @@ class TestRunningSum:
             check(h, n)
 
 
+class TestPartialSumLaw:
+    # [DERIVED: oracle = word-by-word enumeration (cyl_reference) for
+    # n + k <= 13, at p = 1/2, 1/3 and 2/5, on the shift pool observables,
+    # a constant and seeded random depth-3 tables: every deviation mass
+    # is 1 - mu of the region synthesis builds (and is read without
+    # building it), every L1 norm the per-word integral, and every window
+    # mass the flags of each running sum ORed down into the next]
+    DELTAS = (F(1, 8), F(1, 4), F(1, 2))
+
+    @staticmethod
+    def _observables():
+        rng = random.Random(30)
+        return [CylinderFn.coordinate(0), CylinderFn.word_indicator("01"),
+                CylinderFn.coordinate(1), CylinderFn.constant(F(1, 3))] + [
+            CylinderFn(3, [F(rng.randint(-6, 6), rng.randint(1, 5))
+                           for _ in range(8)]) for _ in range(3)]
+
+    @pytest.mark.parametrize("prob", [F(1, 2), F(1, 3), F(2, 5)])
+    def test_matches_enumeration(self, prob):
+        system = shift_system(prob)
+
+        def unbuilt():
+            pytest.fail("the shift built a region to weigh it")
+
+        for i, f in enumerate(self._observables()):
+            g = centered(system, f)
+            t, top = g.table, 13 - max(g.depth, 1)
+            for n in range(1, top + 1):
+                avg = cref.average(t, n)
+                assert system.l1_norm(g, n) \
+                    == cref.integral(list(map(abs, avg)), prob), (f, n)
+                for delta in self.DELTAS:
+                    mass = system.deviation_mass(g, n, delta, unbuilt)
+                    assert mass == 1 - system.sublevel(g, n, delta) \
+                        .measure(prob), (f, n, delta)
+            # the oracle's running sums dominate the cost: one delta per
+            # observable, the three in turn
+            delta, window = self.DELTAS[i % 3], range(top - 3, top + 1)
+            assert system.window_mass(g, window, delta) \
+                == cref.window_mass(t, prob, window, delta), (f, delta)
+
+    def test_priced_before_it_runs(self, monkeypatch):
+        # [DERIVED: the price of a law pushed to h is the sum over n <= h
+        # of min(2^(k-1) (n r + 1), 2^(n+k-1)), r = max nums - min nums
+        # and at least 1 (the constant's weights still grow), summed term
+        # by term here; one state over the budget refuses the law before
+        # any is built, and the kept law stays]
+        system = shift_system(F(1, 3))
+        for f in self._observables():
+            g = centered(system, f).lift(max(f.depth, 1))
+            k, r = g.depth, max(max(g.nums) - min(g.nums), 1)
+            for h in (1, 2, 5, 17, 40):
+                price = sum(min((1 << (k - 1)) * (n * r + 1), 1 << (n + k - 1))
+                            for n in range(1, h + 1))
+                monkeypatch.setattr(dynamics, "LAW_BUDGET", price)
+                system._priced(g, h)
+                monkeypatch.setattr(dynamics, "LAW_BUDGET", price - 1)
+                kept = system._law_slot
+                with pytest.raises(BudgetExceededError):
+                    system.window_mass(g, range(1, h + 1), F(1, 4))
+                with pytest.raises(BudgetExceededError):
+                    system.l1_norm(g, h)
+                assert system._law_slot is kept
+
+    def test_region_budget_refused_before_any_mass(self):
+        # [DERIVED: synthesis takes only windows whose region it can
+        # build, n + k - 1 <= 24, so the law refuses past it first]
+        g = centered(SHIFT, CylinderFn.word_indicator("0101"))
+        assert SHIFT.deviation_mass(g, 21, F(1, 4), None) > 0
+        kept = SHIFT._law_slot
+        with pytest.raises(BudgetExceededError, match="2\\^25 cylinders"):
+            SHIFT.deviation_mass(g, 22, F(1, 4), None)
+        assert SHIFT._law_slot is kept
+
+
 def _random_pl(rng, q):
     """A random piecewise-linear function with breakpoints on the 1/q grid
     and a jump, in general, at every breakpoint."""

@@ -464,6 +464,20 @@ class TestValidation:
         rep = validate_as(SHIFT, FIRSTBIT, cert, 16, "EXACT_CYLINDER")
         assert rep.window_empty and rep.passed and rep.measured_mass == 0
 
+    def test_exact_validation_past_n0(self):
+        # [DERIVED: the "01" AS_L1 certificate at delta = eps = 1/4 states
+        # n0 = 3084.  Over [3084, 3086], |A_n fbar| > 1/4 asks for more
+        # than n/2 occurrences of "01" among n, which only the alternating
+        # word 0101...01 of 3086 symbols has (at n = 3085): the measured
+        # mass is exactly 2^-3086, positive and within eps]
+        f = CylinderFn.word_indicator("01")
+        cert = as_rate_l1(SHIFT, f, F(1, 4), F(1, 4))
+        assert cert.n0_or_m == 3084
+        rep = validate_as(SHIFT, f, cert, 3086, "EXACT_CYLINDER")
+        assert rep.n_start == 3084 and not rep.window_empty
+        assert 0 < rep.measured_mass == pow2(3086) <= cert.epsilon
+        assert rep.passed
+
     def test_exact_cylinder_mass_within_eps(self):
         # [DERIVED: forcing the window open by shrinking n0 still respects
         # the maximal-inequality budget at this small depth]

@@ -136,6 +136,12 @@ LINES = [
          "--system", "shift:p=1/3", "--observable", "{tmp}/cyl12.json"]),
     (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
          "shift:p=1/2", "--observable", FTERM_CANTOR]),
+    (0, ["validate", "--certificate",
+         "{corpus}/cert_shift1-3_first_bit_as-bounded_1-4_1-2.json",
+         "--horizon", "319"]),
+    (2, ["validate", "--certificate",
+         "{corpus}/cert_shift1-3_first_bit_as-bounded_1-4_1-2.json",
+         "--horizon", "100000000"]),
     (0, ["w1", "--space", "circle", "--mu1", "{tmp}/w1_circle1.json",
          "--mu2", "{tmp}/w1_circle2.json"]),
     (0, ["w1", "--space", "cantor", "--mu1", "{tmp}/w1_cantor1.json",
