@@ -377,11 +377,14 @@ def replay_synth(system: System, sp: SynthPoint,
     `start_index`, and windows + 1 stream balls), exact stream nesting,
     that certificate t records stream ball t + 1 as its accepted ball,
     witness membership of every recorded window, a positive `lambda`, and
-    err 0 on a whole-space window.  On every other window the deviation
-    region is rebuilt as synthesis drew from it: the witness must lie in
-    it, `err` must be 1 - mu of it, and (`witness_pos`, `witness`) its
-    ball that holds the accepted ball.  `lambda` itself is not
-    re-derived: it needs the error tail past the recorded windows.
+    err 0 on a whole-space window.  Every other window is the deviation
+    region synthesis drew from, and the system checks it by its own route
+    (`System.replay_window`): the witness must lie in it, `err` must be 1
+    - mu of it, and (`witness_pos`, `witness`) its ball that holds the
+    accepted ball.  The circle maps rebuild the region; the shift reads
+    all three on the partial-sum law's states, weighed backward, and
+    builds no word table.  `lambda` itself is not re-derived: it needs
+    the error tail past the recorded windows.
     Optionally each window's Birkhoff average is evaluated at the point,
     to width 2^-EVAL_PRECISION."""
     space = system.space
@@ -434,15 +437,17 @@ def replay_synth(system: System, sp: SynthPoint,
         obs = observable_from_json(cert["observable"])
         n = parse_int(cert["n"], "n")
         delta = parse_rat(cert["delta"])
-        # the region synthesis drew from: its mass gives err, and its
-        # ball that holds the accepted one is the recorded witness
-        region = deviation_region(system, obs, n, delta)
-        if not region.contains_ball(witness):
+        # the window synthesis drew from, as the system checks it: its
+        # mass gives err, and its ball that holds the accepted one is the
+        # recorded witness
+        mass, inside, holder = system.replay_window(obs, n, delta, witness,
+                                                    ball)
+        if not inside:
             failures.append(f"window {j}: witness outside deviation region")
-        if err != 1 - region_measure(system, region):
+        if err != mass:
             failures.append(f"window {j}: err is not 1 - mu(region)")
         pos = parse_int(cert["witness_pos"], "witness_pos")
-        if system.witness(region, ball) != (pos, witness):
+        if holder != (pos, witness):
             failures.append(f"window {j}: witness is not the region's ball "
                             f"that holds the accepted ball")
         if check_eval:

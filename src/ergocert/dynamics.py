@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, cycle, repeat
-from operator import add, itemgetter, mul
+from functools import cache
+from itertools import accumulate, chain, compress, cycle, repeat
+from operator import add, itemgetter, mul, not_
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
@@ -58,8 +59,11 @@ class System:
     schedule, exact regions, the region of a list of ideal balls (`region`),
     the ideal ball of a region that holds a candidate ball (`witness`), the
     measure of a region (`weigh`) and of a deviation window
-    (`deviation_mass`, `window_mass`), the exact validation mode and the
-    defaults of exact Borel-Cantelli windows.
+    (`deviation_mass`, `window_mass`), replay's check of a window
+    (`replay_window`: its err, whether it holds a witness ball, and its
+    ball that holds an accepted one, each by the checker's own route),
+    the exact validation mode and the defaults of exact Borel-Cantelli
+    windows.
     The base class holds the route shared by the two mixing systems:
     ||A_p fbar||_2^2 from the correlations C(m) of fbar, and a doubling
     p-search that scans the winning octave and bisects it where the L2
@@ -154,14 +158,17 @@ class Shift(System):
     """One-sided Bernoulli(p) shift on Cantor space (p = prob of 1).
 
     Two kernels read a depth-k g = nums/den.  The running sum S_n on all
-    2^(n+k-1) words (`birkhoff_sum`) gives averages and regions.  The law
-    of den S_n under Bernoulli(a/b) (`_law`) gives L1 norms and deviation
-    masses: for each word u of the last k - 1 symbols, the integer weights
-    a^ones (b - a)^zeros of the words of n + k - 1 symbols that end in u,
-    summed by their partial sum s = den S_n.  It is pushed forward one
-    symbol at a time (the forward recursion of Baum, Petrie, Soules and
-    Weiss, 1970) and holds at most min(2^(k-1) (n (max nums - min nums)
-    + 1), 2^(n+k-1)) states, which `_priced` sums before it runs."""
+    2^(n+k-1) words (`birkhoff_sum`) gives averages and the regions that
+    synthesis draws from.  The law of den S_n under Bernoulli(a/b)
+    (`_law`) gives L1 norms and deviation masses: for each word u of the
+    last k - 1 symbols, the integer weights a^ones (b - a)^zeros of the
+    words of n + k - 1 symbols that end in u, summed by their partial sum
+    s = den S_n.  It is pushed forward one symbol at a time (the forward
+    recursion of Baum, Petrie, Soules and Weiss, 1970) and holds at most
+    min(2^(k-1) (n (max nums - min nums) + 1), 2^(n+k-1)) states, which
+    `_priced` sums before it runs.  Replay checks a window on the same
+    states, weighed backward (`_backward`, `law_window`), and builds no
+    word table."""
 
     name = "shift"
     space = CANTOR
@@ -207,31 +214,68 @@ class Shift(System):
         per suffix u, (offset, {key: weight}) with s = key + offset."""
         self._priced(g, n)
         return self._kept("_law_slot", g.nums, n, lambda law, m: self._push(
-            g, law or [(0, {0: w}) for w in _suffix_weights(g, self.p)],
+            g.nums, law or [(0, {0: w}) for w in _suffix_weights(g, self.p)],
             m, n))
 
-    def _push(self, g: CylinderFn, law: list, m: int, n: int) -> list:
+    def _push(self, nums: list, law: list, m: int, n: int,
+              mass: Optional[tuple] = None) -> list:
         # the word x = 2u + c of k symbols appends c to suffix u, adds
         # nums[x] to the sum and ends in suffix x mod 2^(k-1).  The two x
         # that end in suffix t, t and t + 2^(k-1), merge on the first one's
-        # offset, every weight times the mass of c over b (b - a or a): a
-        # copy of the first row, into which the second adds key by key
-        # through dict operations (no Python loop per state)
-        nums, half = g.nums, len(law)
+        # offset, every weight times the mass of c over b (b - a or a, or
+        # `mass`[c]): a copy of the first row, into which the second adds
+        # key by key through dict operations (no Python loop per state)
+        half = len(law)
         a, b = self.p.numerator, self.p.denominator
-        mass = (b - a, a)
+        mass = mass or (b - a, a)
         for _ in range(m, n):
             out = []
             for t in range(half):
                 (o0, d0), (o1, d1) = law[t >> 1], law[(t + half) >> 1]
                 base, w0, w1 = o0 + nums[t], mass[t & 1], mass[(t + half) & 1]
-                merged = dict(zip(d0, _weights(d0, w0)))
+                merged = dict(zip(d0, _weights(d0.values(), w0)))
                 keys = list(map(add, d1, repeat(o1 + nums[t + half] - base)))
                 held = map(merged.get, keys, repeat(0))
-                merged.update(zip(keys, map(add, held, _weights(d1, w1))))
+                merged.update(zip(keys, map(add, held,
+                                            _weights(d1.values(), w1))))
                 out.append((base, merged))
             law = out
         return law
+
+    def _backward(self, nums: list, n: int, c: int) -> tuple:
+        """(back, inside) on the law's states after i = 0, ..., n terms
+        (i + k - 1 symbols), the i-th adding nums[x] for its k symbols x.
+        back[i] holds, in `_push`'s layout, the backward weight of each
+        state: the weight a^ones (b - a)^zeros of its continuations to n
+        terms that end with |s| > c.  inside[i] counts the words of
+        i + k - 1 symbols whose weight is 0.  A forward pass counts the
+        words that reach each state (its layers give the keys, and each is
+        dropped once read); from suffix u the next symbol e leads to
+        suffix (2u + e) mod 2^(k-1), so a backward step reads the next
+        layer's two rows at the shifted keys (the backward recursion of
+        Baum, Petrie, Soules and Weiss, 1970), with no Python loop per
+        state."""
+        h = len(nums) >> 1
+        counts = [[(0, {0: 1})] * h]
+        for i in range(n):
+            counts.append(self._push(nums, counts[i], i, i + 1, (1, 1)))
+        a, b = self.p.numerator, self.p.denominator
+        layer = counts.pop()
+        back = [[(off, dict(zip(d, map(c.__lt__, map(abs, map(
+            add, d, repeat(off))))))) for off, d in layer]]
+        inside = [_inside(layer, back[-1])]
+        while counts:
+            layer, after, row = counts.pop(), back[-1], []
+            for u, (off, d) in enumerate(layer):
+                terms = []
+                for x, w in ((2 * u, b - a), (2 * u + 1, a)):
+                    o, e = after[x & (h - 1)]
+                    keys = map(add, d, repeat(off + nums[x] - o))
+                    terms.append(_weights(map(e.get, keys), w))
+                row.append((off, dict(zip(d, map(add, *terms)))))
+            back.append(row)
+            inside.append(_inside(layer, row))
+        return back[::-1], inside[::-1]
 
     def _priced(self, g: CylinderFn, horizon: int) -> None:
         """Refuse a law pushed to `horizon` before it runs: each n up to it
@@ -318,6 +362,88 @@ class Shift(System):
         found = region.holder(cand.cylinder_prefix)
         return found and (found[0], CANTOR.cylinder_ball(found[1]))
 
+    def replay_window(self, f, n: int, delta: Fraction, witness: IdealBall,
+                      ball: IdealBall) -> tuple:
+        err, holder = self.law_window(*_window(self, f, n, delta))
+        found = holder(ball.cylinder_prefix)
+        return (err, holder(witness.cylinder_prefix) is not None,
+                found and (found[0], CANTOR.cylinder_ball(found[1])))
+
+    def law_window(self, g: CylinderFn, n: int, delta: Fraction) -> tuple:
+        """(err, holder) of the window {|A_n g| < delta}, g centered, on
+        the law's states with no word table: err = mu{|A_n g| >= delta},
+        and holder(word) the (position, word) of the window's maximal
+        cylinder that holds the cylinder of `word`, or None if the window
+        does not hold it, as `CylSet.holder` finds it.  A cylinder lies in
+        the window exactly when its backward weight (`_backward`) is 0,
+        so the holder is the shortest prefix of weight 0.  With N(l) the
+        words of length l of weight 0 and C(v) those of v's length below
+        v, N(l) - 2 N(l - 1) cylinders of each length l are maximal, and
+        C(u) - 2 C(u') of the holder u's length lie below it (u' is u less
+        its last symbol).  Refused like the region, over
+        2^CYLINDER_BUDGET_LOG2 cylinders, then by the law's price."""
+        if g.depth:
+            _refuse_words(g, n)
+        else:  # A_n g = g: the window at n is the one at n = 1
+            n = 1
+        g = g.lift(max(g.depth, 1))
+        self._priced(g, n)
+        k, nums, h = g.depth, g.nums, 1 << (g.depth - 1)
+        back, inside = self._backward(nums, n, (delta.numerator * g.den * n
+                                                - 1) // delta.denominator)
+        # the words of m < k - 1 symbols: a binary tree over the suffixes
+        a, b = self.p.numerator, self.p.denominator
+        tree = [[d[0] for _, d in back[0]]]
+        while len(tree[0]) > 1:
+            e = tree[0]
+            tree.insert(0, list(map(add, map(mul, e[::2], repeat(b - a)),
+                                    map(mul, e[1::2], repeat(a)))))
+        full = [t.count(0) for t in tree[:-1]] + inside
+
+        def walk(word: str):
+            # (i, x, s) for each of the n terms that word reads: the k
+            # symbols x of the i-th and the sum s after it
+            s = 0
+            for i in range(1, min(len(word) - k + 1, n) + 1):
+                x = int(word[i - 1:i - 1 + k], 2)
+                s += nums[x]
+                yield i, x, s
+
+        def weights(word: str):
+            # the backward weight of each prefix of word
+            for m in range(min(len(word), k - 1) + 1):
+                yield tree[m][int(word[:m] or "0", 2)]
+            for i, x, s in walk(word):
+                off, e = back[i][x & (h - 1)]
+                yield e[s - off]
+
+        @cache  # once per holder
+        def position(u: str) -> int:
+            # C(u[:m]) for each m: in the tree, then the words below
+            # u[:m - 1] pushed on by state, and u[:m - 1] + "0" if it is
+            # below u[:m]
+            less = [tree[m][:int(u[:m] or "0", 2)].count(0)
+                    for m in range(min(len(u), k - 1) + 1)]
+            v = int(u[:k - 1] or "0", 2)
+            law = [(0, {0: 1} if t < v else {}) for t in range(h)] \
+                if len(u) >= k else []
+            for i, x, s in walk(u):
+                law = self._push(nums, law, 0, 1, (1, 1))
+                if x & 1:
+                    off, d = law[(x - 1) & (h - 1)]
+                    key = s - nums[x] + nums[x - 1] - off
+                    d[key] = d.get(key, 0) + 1
+                less.append(_inside(law, back[i]))
+            m = len(u)
+            return (sum(full[:m]) - 2 * sum(full[:m - 1]) + less[m]
+                    - 2 * less[m - 1]) if m else 0
+
+        def holder(word: str) -> Optional[tuple]:
+            m = next((m for m, w in enumerate(weights(word)) if not w), None)
+            return None if m is None else (position(word[:m]), word[:m])
+
+        return Fraction(tree[0][0], b ** (n + k - 1)), holder
+
     def region(self, balls: list[IdealBall]) -> CylSet:
         return CylSet([b.cylinder_prefix for b in balls])
 
@@ -347,7 +473,7 @@ class Shift(System):
         b, dn, dd = self.p.denominator, delta.numerator, delta.denominator
         hit, law, m = 0, self._law(g, window.start), window.start
         for n in window:
-            law, hit = self._push(g, law, m, n), hit * b ** (n - m)
+            law, hit = self._push(g.nums, law, m, n), hit * b ** (n - m)
             beyond, law = self._split(law, dn * g.den * n // dd)
             hit, m = hit + beyond, n
         return Fraction(hit, b ** (m + g.depth - 1))
@@ -360,9 +486,15 @@ def _refuse_words(g: CylinderFn, n: int) -> None:
         raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
 
 
-def _weights(d: dict, w: int):
+def _inside(law: list, weights: list) -> int:
+    """The words that `law` counts into states of backward weight 0."""
+    return sum(sum(compress(d.values(), map(not_, map(e.get, d))))
+               for (_, d), (_, e) in zip(law, weights))
+
+
+def _weights(values, w: int):
     """The weights of a law's row, times w."""
-    return d.values() if w == 1 else map(mul, d.values(), repeat(w))
+    return values if w == 1 else map(mul, values, repeat(w))
 
 
 def _suffix_weights(g: CylinderFn, p: Fraction) -> list:
@@ -441,6 +573,13 @@ class CircleMap(System):
         """mu{|A_n g| >= delta}, 1 - mu of the region {|A_n g| < delta}
         that `region()` builds."""
         return 1 - self.weigh(region())
+
+    def replay_window(self, f, n: int, delta: Fraction, witness: IdealBall,
+                      ball: IdealBall) -> tuple:
+        # from the region as `deviation_region` builds it
+        region = deviation_region(self, f, n, delta)
+        return (1 - self.weigh(region), region.contains_ball(witness),
+                self.witness(region, ball))
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)
@@ -827,12 +966,18 @@ def deviation_region(system: System, f: Observable, n: int, delta: Fraction):
     """Region {x : |A_n(f - integral f)(x)| < delta} with rational ends: a
     CylSet of runs over the words A_n reads on Cantor space, an ArcSet on
     the circle (the rotation's rounded inward to the 2^-48 grid)."""
+    return system.sublevel(*_window(system, f, n, delta))
+
+
+def _window(system: System, f: Observable, n: int, delta) -> tuple:
+    """(f - integral f, n, delta) of a deviation window, refused unless
+    delta > 0 and n >= 1."""
     delta = Fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
     if n < 1:
         raise InputError("n must be >= 1")
-    return system.sublevel(centered(system, f), n, delta)
+    return centered(system, f), n, delta
 
 
 # ---------------------------------------------------------------------------

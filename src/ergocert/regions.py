@@ -275,9 +275,6 @@ class CylSet:
         n = d - k
         return before, format(start >> k, f"0{n}b") if n else ""
 
-    def contains_ball(self, ball) -> bool:
-        return self.contains_word_prefix(ball.cylinder_prefix)
-
 
 def _run(word: str, depth: int) -> tuple:
     """The words of length `depth` that extend `word`, as a run."""

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from ergocert import bc
+from ergocert import bc, dynamics
 from ergocert.arith import pow2
 from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
                          horizon_tolerance, replay_synth, SynthPoint,
                          synthesize_point, typical_point, Window,
                          window_witness)
 from ergocert.cli import EXIT_OK, main
-from ergocert.dynamics import (deviation_region, doubling_system,
+from ergocert.dynamics import (Shift, deviation_region, doubling_system,
                                rotation_system, shift_system)
 from ergocert.errors import InputError
 from ergocert.measures import region_measure
@@ -116,6 +116,25 @@ class TestExactWindows:
         assert all(t.region is w.region
                    for t, w in zip(tagged.windows, capped.windows))
         assert len(built) == before
+
+    def test_shift_replay_builds_no_table(self, monkeypatch, capsys):
+        # [DERIVED: replay checks every shift window on the law's states
+        #  (`Shift.law_window`): replaying each shift point of the corpus
+        #  builds no running sum over the words and no region]
+        def built(*args):
+            pytest.fail("replay built a word table")
+
+        monkeypatch.setattr(Shift, "birkhoff_sum", built)
+        monkeypatch.setattr(dynamics, "deviation_region", built)
+        monkeypatch.setattr(bc, "deviation_region", built)
+        points = [p for p in sorted(CORPUS.glob("*.json"))
+                  if "certs" in (d := json.loads(p.read_text()))
+                  and d["system"].startswith("shift")]
+        assert len(points) == 2
+        for path in points:
+            assert main(["replay", "--artifact", str(path)]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            assert out["ok"] and out["checked"] == 4, path.name
 
 
 class TestIntersect:

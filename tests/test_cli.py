@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -710,6 +711,28 @@ class TestPricedBeforeBuilt:
         code, out, err = capped("replay", "--fast", "--artifact", str(art))
         assert code == EXIT_BUDGET and "Traceback" not in err
         assert json.loads(err)["error"] == "budget_exceeded"
+
+    @pytest.mark.parametrize("n", [25, 10 ** 8])
+    def test_huge_shift_window_n(self, capsys, tmp_path, n):
+        # the first bit's window at n reads words of n symbols: past 2^24
+        # words it is refused before the law's states are pushed, as its
+        # region was, so n = 10^8 fails at once and at flat memory
+        point = json.loads(
+            (CORPUS / "synth_shift1-3_first_bit.json").read_text())
+        point["certs"][0]["n"] = n
+        art = tmp_path / "point.json"
+        art.write_text(json.dumps(point))
+        code, out, err = capped("replay", "--artifact", str(art))
+        assert code == EXIT_BUDGET and "Traceback" not in err
+        assert json.loads(err)["error"] == "budget_exceeded"
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
+        assert main(["replay", "--artifact", str(art)]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 0.5
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss \
+            < 8 << 10  # kB
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "budget_exceeded"
 
     def test_huge_precision(self, tmp_path):
         # a failed window, reported in the replay's own JSON

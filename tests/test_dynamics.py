@@ -636,6 +636,35 @@ class TestPartialSumLaw:
                     system.l1_norm(g, h)
                 assert system._law_slot is kept
 
+    @pytest.mark.parametrize("prob", [F(1, 2), F(1, 3), F(2, 5)])
+    def test_backward_pass_matches_the_region(self, prob):
+        # [DERIVED: oracle = the region synthesis builds (`sublevel`), on
+        # seeded random tables of depth 0-3 at n <= 9: the backward pass's
+        # err is 1 - mu of the region, and on every word of up to
+        # n + k + 1 symbols whether it finds a holder is the region's
+        # containment (`contains_word_prefix`), and the holder with its
+        # position is the region's (`CylSet.holder`)]
+        system = shift_system(prob)
+        rng = random.Random(f"backward {prob}")
+        for k in [0, 1, 2, 3] * 3:
+            g = centered(system, CylinderFn(k, [
+                F(rng.randint(-6, 6), rng.randint(1, 5))
+                for _ in range(1 << k)]))
+            n = rng.randint(1, 9)
+            for delta in sorted({F(rng.randint(1, 4), rng.randint(1, 8))
+                                 for _ in range(3)}):
+                region = system.sublevel(g, n, delta)
+                err, holder = system.law_window(g, n, delta)
+                assert err == 1 - region.measure(prob), (k, n, delta)
+                for m in range(n + k + 2):
+                    for v in range(1 << m):
+                        word = format(v, f"0{m}b") if m else ""
+                        found = holder(word)
+                        assert (found is not None) \
+                            == region.contains_word_prefix(word)
+                        assert found == region.holder(word), \
+                            (k, n, delta, word)
+
     def test_region_budget_refused_before_any_mass(self):
         # [DERIVED: synthesis takes only windows whose region it can
         # build, n + k - 1 <= 24, so the law refuses past it first]

@@ -149,7 +149,8 @@ LINES = [
     *[(2, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
            "shift:p=1/2", "--observable", _fterm(_gen("cantor", "01", r))])
       for r in ("1/1048576", "1/16777216")],
-    *[(1, ["replay", "--artifact", f"{{tmp}}/synth_{field}.json"])
+    *[(1, ["replay", "--artifact", f"{{tmp}}/{point}_{field}.json"])
+      for point in ("synth_doubling_hat_a", "synth_shift1-3_first_bit")
       for field in ("err", "lambda", "witness_pos")],
     # every kind on every system
     *_per_kind_and_system(),
@@ -256,13 +257,14 @@ def _inputs(tmp: Path) -> None:
             ws = [r.randint(1, 20) for _ in pts]
             dump(f"w1_{s}{k}.json", [[p, str(Fraction(w, sum(ws)))]
                                      for p, w in zip(pts, ws)])
-    for field, value in (("err", "1/2"), ("lambda", "-5"),
-                         ("witness_pos", 999)):
-        d = load("synth_doubling_hat_a.json")
-        for c in d["certs"]:
-            if field != "err" or not c["trivial"]:
-                c[field] = value
-        dump(f"synth_{field}.json", d)
+    for point in ("synth_doubling_hat_a", "synth_shift1-3_first_bit"):
+        for field, value in (("err", "1/2"), ("lambda", "-5"),
+                             ("witness_pos", 999)):
+            d = load(f"{point}.json")
+            for c in d["certs"]:
+                if field != "err" or not c["trivial"]:
+                    c[field] = value
+            dump(f"{point}_{field}.json", d)
 
 
 #: runs argv lines (JSON on stdin) through `main` of the module argv[2],
