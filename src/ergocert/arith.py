@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
+
 #: default cap on refinement rounds in precision-driven loops
 DEFAULT_STEP_BUDGET = 64
 
@@ -38,6 +40,21 @@ def fmt_rat(q: Fraction) -> str:
 def pow2(m: int) -> Fraction:
     """2^-m as an exact rational (m >= 0)."""
     return Fraction(1, 1 << m)
+
+
+#: sqrt_upper rounds up to the grid of step 2^-SQRT_BITS
+SQRT_BITS = 48
+
+
+def sqrt_upper(q: Fraction) -> Fraction:
+    """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-SQRT_BITS."""
+    q = Fraction(q)
+    if q < 0:
+        raise InputError("negative radicand")
+    if q == 0:
+        return Fraction(0)
+    n = (q.numerator << (2 * SQRT_BITS)) // q.denominator
+    return Fraction(math.isqrt(n) + 1, 1 << SQRT_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,10 @@ class SynthPoint:
             raise ValueError(f"unknown tail_rule {d['tail_rule']!r}")
         track = [system.as_concrete(observable_from_json(o))
                  for o in d["track"]]
-        sp = SynthPoint(d["system"],
-                        parse_int(d["start_index"], "start_index"),
+        start = parse_int(d["start_index"], "start_index")
+        if start < 1:  # windows are numbered from 1 (`BCSequence.modulus`)
+            raise ValueError(f"start_index must be >= 1, not {start}")
+        sp = SynthPoint(d["system"], start,
                         parse_int(d["windows"], "windows"), balls,
                         d["certs"], d["track"])
         sp.point = system.point_in(balls[-1], track)
@@ -341,14 +343,17 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
 
 def window_witness(system: System, win: Window) -> Callable:
     """cand -> (position, ball) of the ideal ball of `win` that holds cand
-    strictly, or None: found in the region (`System.witness`), or on a
-    whole-space window by a first-holder scan over the space's cover
-    (whose two circle balls overlap)."""
+    strictly, or None: `System.witness` in the region, or `cover_witness`."""
     if not win.info["trivial"]:
         return partial(system.witness, win.region)
-    space, cover = system.space, system.space.cover()
-    return lambda cand: next(((k, b) for k, b in enumerate(cover)
-                              if space.inside(cand, b, strict=True)), None)
+    return partial(cover_witness, system.space)
+
+
+def cover_witness(space: Space, cand: IdealBall) -> Optional[tuple]:
+    """A whole-space window's witness: (position, ball) of the first cover
+    ball that holds cand strictly (the circle's two overlap), or None."""
+    return next(((k, b) for k, b in enumerate(space.cover())
+                 if space.inside(cand, b, strict=True)), None)
 
 
 def _forward_feasible(system: System, bc: BCSequence, inter, m_inter,
@@ -377,7 +382,8 @@ def replay_synth(system: System, sp: SynthPoint,
     `start_index`, and windows + 1 stream balls), exact stream nesting,
     that certificate t records stream ball t + 1 as its accepted ball,
     witness membership of every recorded window, a positive `lambda`, and
-    err 0 on a whole-space window.  Every other window is the deviation
+    on a whole-space window n and delta null, err 0 and the witness
+    synthesis takes (`cover_witness`).  Every other window is the deviation
     region synthesis drew from, and the system checks it by its own route
     (`System.replay_window`): the witness must lie in it, `err` must be 1
     - mu of it, and (`witness_pos`, `witness`) its ball that holds the
@@ -426,12 +432,19 @@ def replay_synth(system: System, sp: SynthPoint,
         if not ball_member(space, witness, point, precision):
             failures.append(f"window {j}: point not certified in witness")
         err = parse_rat(cert["err"])
+        pos = parse_int(cert["witness_pos"], "witness_pos")
         if parse_rat(cert["lambda"]) <= 0:
             failures.append(f"window {j}: lambda not positive")
         if cert.get("trivial", True):
+            if cert.get("n") is not None or cert.get("delta") is not None:
+                failures.append(f"window {j}: a whole-space window records "
+                                f"n or delta")
             if err != 0:
                 failures.append(f"window {j}: err of a whole-space window "
                                 f"is not 0")
+            if cover_witness(space, ball) != (pos, witness):
+                failures.append(f"window {j}: witness is not the first cover "
+                                f"ball that holds the accepted ball")
             checked += 1
             continue
         obs = observable_from_json(cert["observable"])
@@ -446,7 +459,6 @@ def replay_synth(system: System, sp: SynthPoint,
             failures.append(f"window {j}: witness outside deviation region")
         if err != mass:
             failures.append(f"window {j}: err is not 1 - mu(region)")
-        pos = parse_int(cert["witness_pos"], "witness_pos")
         if holder != (pos, witness):
             failures.append(f"window {j}: witness is not the region's ball "
                             f"that holds the accepted ball")

@@ -19,7 +19,7 @@ from operator import add, itemgetter, mul, not_
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
-                    fmt_rat, mod1, parse_rat, pow2)
+                    fmt_rat, mod1, parse_rat, pow2, sqrt_upper)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
@@ -55,8 +55,10 @@ class System:
 
     Each subclass owns every choice that depends on the map or on the
     invariant measure: the concrete observable class and its integral, the
-    orbit enclosures, the exact average A_n, the L2 route, the p-search
-    schedule, exact regions, the region of a list of ideal balls (`region`),
+    orbit enclosures, the exact average A_n, the bound on ||A_p fbar|| and
+    its route (`norm_bound`, shared by the p-search and the certificate
+    checks), the p-search schedule, exact regions, the region of a list of
+    ideal balls (`region`),
     the ideal ball of a region that holds a candidate ball (`witness`), the
     measure of a region (`weigh`) and of a deviation window
     (`deviation_mass`, `window_mass`), replay's check of a window
@@ -64,10 +66,10 @@ class System:
     ball that holds an accepted one, each by the checker's own route),
     the exact validation mode and the defaults of exact Borel-Cantelli
     windows.
-    The base class holds the route shared by the two mixing systems:
-    ||A_p fbar||_2^2 from the correlations C(m) of fbar, and a doubling
-    p-search that scans the winning octave and bisects it where the L2
-    bound is proved nonincreasing."""
+    The base class holds the routes shared by the two mixing systems: the
+    exact L1 norm where feasible, else ||A_p fbar||_2 from the correlations
+    C(m) of fbar, and a doubling p-search that scans the winning octave and
+    bisects it where the L2 bound is proved nonincreasing."""
 
     name: str
     space: Space
@@ -119,11 +121,14 @@ class System:
             setattr(self, slot, (key, n, state))
         return state
 
-    def norm_method(self, g, p: int, norm: str) -> str:
-        """How ||A_p fbar||_norm is bounded; g has fbar's depth, segments."""
+    def norm_bound(self, g, p: int, norm: str, corr=None) -> tuple:
+        """(w, method), w a certified upper bound on ||A_p fbar||_norm for g
+        concrete on the system.  `corr` returns fbar's correlation table (a
+        p-search keeps one); without it the table is built here."""
         if norm == "L1" and self.l1_exact_feasible(g, p):
-            return "l1-exact"
-        return "l2-upper"
+            return l_norm_birkhoff(self, g, p), "l1-exact"
+        table = corr() if corr else self.correlations(g, CORRELATION_CUTOFF)
+        return sqrt_upper(l2_sq_enclosure(p, table).hi), "l2-upper"
 
     def search_p(self, bound, threshold: Fraction, settled):
         """(p, w, method) with bound(p) = (w, method) and w < threshold:
@@ -708,10 +713,10 @@ class Rotation(CircleMap):
         # inward to the 2^-48 grid, so the region has rational ends
         return super().sublevel(g, n, delta).to_rational_inner(pow2(48))
 
-    def norm_method(self, g, p: int, norm: str) -> str:
+    def norm_bound(self, g, p: int, norm: str, corr=None) -> tuple:
         # the L1 norm is irrational and correlations do not decay: bound
-        # every norm by the sup norm of the exact average
-        return "sup-exact"
+        # every norm by the sup norm of the exact average (`sup-exact`)
+        return rotation_sup_bound(self, g, p), "sup-exact"
 
     def search_p(self, bound, threshold: Fraction, settled):
         """Probe the denominators of the continued-fraction convergents of

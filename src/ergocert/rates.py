@@ -18,46 +18,17 @@ from .arith import fmt_rat, parse_int, parse_rat
 from .errors import (BudgetExceededError, ErgocertError, InputError,
                      UnsupportedPairError)
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
-                       l2_sq_enclosure, l_norm_birkhoff, parse_system,
-                       rotation_sup_bound)
+                       parse_system)
 from .observables import observable_from_json, observable_to_json
-
-#: sqrt_upper rounds up to the grid of step 2^-SQRT_BITS
-SQRT_BITS = 48
-
-
-def sqrt_upper(q: Fraction) -> Fraction:
-    """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-SQRT_BITS."""
-    q = Fraction(q)
-    if q < 0:
-        raise InputError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    n = (q.numerator << (2 * SQRT_BITS)) // q.denominator
-    return Fraction(math.isqrt(n) + 1, 1 << SQRT_BITS)
 
 
 # ---------------------------------------------------------------------------
-# Certified norm upper bounds (deterministic method choice per (system, p))
-
-
-def norm_bound(system: System, g, p: int, norm: str,
-               corr=None) -> tuple[Fraction, str]:
-    """(w, method) with w a certified upper bound on ||A_p fbar||_norm, g
-    concrete on the system.  `corr` returns fbar's correlation table (a
-    p-search keeps one); without it the table is built here."""
-    method = system.norm_method(g, p, norm)
-    if method == "sup-exact":
-        return rotation_sup_bound(system, g, p), method
-    if method == "l1-exact":
-        return l_norm_birkhoff(system, g, p), method
-    table = corr() if corr else system.correlations(g, CORRELATION_CUTOFF)
-    return sqrt_upper(l2_sq_enclosure(p, table).hi), method
+# Certified norm upper bounds across a p-search
 
 
 class NormOracle:
-    """`norm_bound` across a p-search for one (system, f): fbar's correlation
-    table is built once, priced on the uncentered f before any centering."""
+    """`System.norm_bound` across a p-search for one (system, f): one table
+    of fbar's correlations, priced on the uncentered f before centering."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
@@ -67,7 +38,7 @@ class NormOracle:
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
-        return norm_bound(self.system, self.g, p, norm, self.corr)
+        return self.system.norm_bound(self.g, p, norm, self.corr)
 
     def l2_settled(self, p: int) -> bool:
         """The L2 bound is nonincreasing from p on."""
@@ -189,12 +160,12 @@ class NormCertificate(RateCertificate):
         self._refuse_out_of_domain()
         norm = self.kind[-2:]
         corr = cache(lambda: system.correlations(g, CORRELATION_CUTOFF))
-        w, method = norm_bound(system, g, self.p, norm, corr)
+        w, method = system.norm_bound(g, self.p, norm, corr)
         if w > self.norm_bound:
             return False, f"recomputed ||A_p|| bound {w} > recorded {self.norm_bound}"
         if not self.norm_bound < self.epsilon / 2:
             return False, "recorded bound does not clear eps/2"
-        if norm_bound(system, g, 1, norm, corr)[0] > self.fbar_norm:
+        if system.norm_bound(g, 1, norm, corr)[0] > self.fbar_norm:
             return False, "recomputed ||fbar|| exceeds recorded value"
         if self.n_factor < 2 * self.fbar_norm / self.epsilon:
             return False, "n does not satisfy n >= 2||fbar||/eps"
@@ -223,7 +194,7 @@ class AsBoundedCertificate(RateCertificate):
 
     def _check_bounded(self, system, g, delta, epsilon) -> tuple[bool, str]:
         """The bounded chain for g at level delta and mass epsilon."""
-        w, method = norm_bound(system, g, self.p, "L1")
+        w, method = system.norm_bound(g, self.p, "L1")
         if w > self.norm_bound:
             return False, f"recomputed ||A_p||_1 bound {w} > recorded"
         if not self.norm_bound < delta * epsilon / 2:

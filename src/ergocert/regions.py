@@ -6,7 +6,8 @@ them, so measures and intersections are exact rational (or Q[sqrt2])
 computations.  Both forms are sorted lists of disjoint intervals, arcs
 of the circle or runs of same-length words read as binary numbers, and
 share one merge (`_merged`, run by each constructor and nowhere else) and
-one intersection walk.
+one intersection walk.  A cylinder set's maximal cylinders, which number
+the shift's witnesses, are indexed once (`CylSet._index`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .arith import Quad, mod1
@@ -172,9 +172,10 @@ class CylSet:
     (a, b), a <= word < b (`from_flags` scans them from one byte per word);
     a shorter word w is the run [w 2^k, (w + 1) 2^k), k = depth - len(w).
     The maximal cylinders inside the union are each run split into its
-    maximal aligned dyadic blocks: `measure` weighs them in integers,
-    `holder` finds the one over a word, and `prefixes` lists them sorted
-    by (length, word)."""
+    maximal aligned dyadic blocks (`_blocks`): `measure` weighs them in
+    integers, and one index of them in (length, word) order (`_index`)
+    lists them (`prefixes`) and gives the position of the one that holds
+    a word (`holder`)."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -205,24 +206,14 @@ class CylSet:
                 yield self.depth - k, a >> k
                 a += 1 << k
 
+    @cached_property
+    def _index(self) -> dict:
+        """{(length, word): position} of the maximal cylinders, sorted."""
+        return {block: i for i, block in enumerate(sorted(self._blocks()))}
+
     @property
     def prefixes(self) -> list[str]:
-        return [format(v, f"0{n}b") if n else ""
-                for n, v in sorted(self._blocks())]
-
-    @cached_property
-    def _sizes(self) -> list:
-        """(m, up, down) of each run (a, b), once per set: m is b cut
-        below the highest bit where a and b differ, and the maximal
-        cylinders of the run grow from a to m and shrink from m to b, so
-        their sizes are the set bits of up = m - a, in order, then those of
-        down = b - m, in reverse order."""
-        out = []
-        for a, b in self.runs:
-            h = (a ^ b).bit_length() - 1
-            m = b >> h << h
-            out.append((m, m - a, b - m))
-        return out
+        return [format(v, f"0{n}b") if n else "" for n, v in self._index]
 
     def measure(self, p: Fraction) -> Fraction:
         """Bernoulli(p) mass, one integer sum over b^depth for p = a/b: per
@@ -251,29 +242,13 @@ class CylSet:
     def holder(self, word: str) -> Optional[tuple]:
         """(position, word) of the maximal cylinder that holds the cylinder
         of `word`, or None if the union does not contain it.  The maximal
-        cylinders are disjoint, so it is the block of the run over `word`
-        that holds its first word x; its position is the count of maximal
-        cylinders before it in (length, word) order, counted from the
-        block sizes of each run (`_sizes`): the larger blocks of every
-        run, and those of its size in the runs before and in its own."""
+        cylinders are disjoint, so it is the one prefix of `word` that is
+        a maximal cylinder, and `_index` gives its position."""
         if not self.contains_word_prefix(word):
             return None
-        d = self.depth
-        x = _run(word[:d], d)[0]
-        i = bisect_right(self.runs, x, key=itemgetter(0)) - 1
-        sizes = self._sizes
-        m, up, down = sizes[i]
-        if x < m:  # the growing blocks, read down from m: up's bits
-            k = ((m - 1 - x) ^ up).bit_length() - 1
-            start, before = m - (up >> k << k), 0
-        else:  # the shrinking blocks, read up from m: down's bits
-            k = ((x - m) ^ down).bit_length() - 1
-            start, before = m + (down >> k + 1 << k + 1), up >> k & 1
-        before += sum((u >> k & 1) + (w >> k & 1) for _, u, w in sizes[:i])
-        before += sum((u >> k + 1).bit_count() + (w >> k + 1).bit_count()
-                      for _, u, w in sizes)
-        n = d - k
-        return before, format(start >> k, f"0{n}b") if n else ""
+        blocks = ((n, int(word[:n] or "0", 2)) for n in range(len(word) + 1))
+        n, v = next(block for block in blocks if block in self._index)
+        return self._index[n, v], word[:n]
 
 
 def _run(word: str, depth: int) -> tuple:

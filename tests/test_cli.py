@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ergocert import bc, cli, rates
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from ergocert.dynamics import Rotation, System
 from ergocert.errors import InputError
 from ergocert.rates import RateCertificate, check_certificate
 
@@ -212,6 +213,22 @@ class TestEmitter:
             == json.dumps(value, indent=2, sort_keys=True)
 
 
+def _edit_certs(which, **fields):
+    """A forgery that sets `fields` on the certificates `which` selects."""
+    def forge(data):
+        for cert in data["certs"]:
+            if which(cert):
+                cert.update(fields)
+    return forge
+
+
+def _start_at_minus_3(data):
+    """A forgery that numbers the windows from -3."""
+    data["start_index"] = -3
+    for t, cert in enumerate(data["certs"]):
+        cert["index"] = t - 3
+
+
 class TestExitCodes:
     def test_malformed_observable_names_field(self, capsys):
         code = main(["rate", "--system", "shift:p=1/2", "--observable",
@@ -394,6 +411,36 @@ class TestExitCodes:
         assert code == EXIT_INPUT and not out["ok"]
         assert any(detail in f for f in out["failures"]), out["failures"]
 
+    @pytest.mark.parametrize("name, forge, detail", [
+        ("synth_doubling_identity.json",
+         _edit_certs(lambda c: c["trivial"], witness_pos=999),
+         "witness is not the first cover ball that holds the accepted ball"),
+        ("synth_doubling_identity.json",
+         _edit_certs(lambda c: c["index"] == 5, witness={
+             "space": "circle", "center": "1/2", "radius": "1/3"}),
+         "witness is not the first cover ball that holds the accepted ball"),
+        ("synth_shift1-3_first_bit.json",
+         _edit_certs(lambda c: c["index"] == 3, trivial=True, err="0"),
+         "a whole-space window records n or delta"),
+        ("synth_shift1-3_first_bit.json", _start_at_minus_3,
+         '{"error": "input", "detail": '
+         '"start_index must be >= 1, not -3"}')],
+        ids=["whole-space-witness-pos", "other-cover-ball",
+             "relabelled-whole-space", "start-index-below-1"])
+    def test_forged_synth_point_is_refused(self, capsys, tmp_path, name,
+                                           forge, detail):
+        # a whole-space window records n and delta null, err 0 and the
+        # first cover ball that holds the accepted ball as its witness,
+        # and windows are numbered from 1: each forgery fails replay
+        data = json.loads((CORPUS / name).read_text())
+        forge(data)
+        art = tmp_path / name
+        art.write_text(json.dumps(data))
+        code = main(["replay", "--artifact", str(art)])
+        streams = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert detail in streams.out + streams.err, streams
+
     @pytest.mark.parametrize("name, field, value, detail", [
         ("cert_shift1-2_coord1_norm-l2_1-8.json", "epsilon", "0", "> 0"),
         ("cert_shift1-2_coord1_norm-l2_1-8.json", "p", 0, ">= 1"),
@@ -418,8 +465,9 @@ class TestExitCodes:
         def recompute(*args):
             raise AssertionError("recomputed before the domain check")
 
-        for step in ("norm_bound", "centered", "_tail_l1"):
-            monkeypatch.setattr(rates, step, recompute)
+        for owner, step in ((System, "norm_bound"), (Rotation, "norm_bound"),
+                            (rates, "centered"), (rates, "_tail_l1")):
+            monkeypatch.setattr(owner, step, recompute)
         data = {**json.loads((CORPUS / name).read_text()), field: value}
         with pytest.raises(InputError) as err:
             check_certificate(RateCertificate.from_json(data))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ergocert import dynamics, rates
-from ergocert.arith import Quad, pow2
+from ergocert.arith import Quad, pow2, sqrt_upper
 from ergocert.dynamics import (CORRELATION_CUTOFF, SCAN_CAP,
                                doubling_system, l_norm_birkhoff,
                                birkhoff_observable, centered, l2_sq_enclosure,
@@ -21,7 +21,7 @@ from ergocert.observables import (CylinderFn, PiecewiseLinear,
                                   observable_from_json)
 from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
                             as_rate_l1, check_certificate, find_p, l_rate,
-                            sqrt_upper, validate_as)
+                            validate_as)
 from ergocert.regions import ArcSet, cylinder_mass
 import pl_reference as ref
 from test_dynamics import _random_pl
@@ -186,10 +186,10 @@ SEARCH_NAMES = {"find_p", "NormOracle", "search_p", "l2_settled",
 
 class TestCheckerIndependence:
     def test_checker_reaches_no_search_code(self):
-        # [DERIVED: from check_certificate, norm_bound and every class of
-        #  the kind table, follow each module-level name of rates.py they
-        #  read; no name or attribute read on the way is search code, so a
-        #  bug in the search cannot certify itself]
+        # [DERIVED: from check_certificate and every class of the kind
+        #  table, follow each module-level name of rates.py they read; no
+        #  name or attribute read on the way is search code, so a bug in
+        #  the search cannot certify itself]
         tree = ast.parse(Path(rates.__file__).read_text())
         defs = {}
         for node in tree.body:
@@ -198,7 +198,7 @@ class TestCheckerIndependence:
             elif isinstance(node, ast.Assign):
                 defs.update((t.id, node) for t in node.targets
                             if isinstance(t, ast.Name))
-        todo = ["check_certificate", "norm_bound",
+        todo = ["check_certificate",
                 *(cls.__name__ for cls in rates.KINDS.values())]
         seen, read = set(), set()
         while todo:
