@@ -123,7 +123,7 @@ def bc_exact_windows(system: System, f: Observable,
         raise InputError(f"count must be >= 0, got {count}")
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
-    fbar = centered(system, f)  # once: deviation_region keeps it as it is
+    fbar = centered(system, f)  # deviation_region re-centers it per build
     cover = system.region(system.space.cover())
     whole = Window(Fraction(0), lambda: cover,
                    {"trivial": True, "n": None, "delta": None,
@@ -343,9 +343,10 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
 
 def window_witness(system: System, win: Window) -> Callable:
     """cand -> (position, ball) of the ideal ball of `win` that holds cand
-    strictly, or None: `System.witness` in the region, or `cover_witness`."""
+    strictly, or None: the region's own numbering of its balls (`holder`),
+    or on a whole-space window `cover_witness`."""
     if not win.info["trivial"]:
-        return partial(system.witness, win.region)
+        return win.region.holder
     return partial(cover_witness, system.space)
 
 

@@ -11,15 +11,14 @@ exact norms and sublevel sets, read from one running sum S_n per system.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, compress, cycle, repeat
-from operator import add, itemgetter, mul, not_
+from operator import add, mul, not_
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
-                    fmt_rat, mod1, parse_rat, pow2, sqrt_upper)
+                    fmt_rat, parse_rat, pow2, sqrt_upper)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
@@ -58,14 +57,14 @@ class System:
     orbit enclosures, the exact average A_n, the bound on ||A_p fbar|| and
     its route (`norm_bound`, shared by the p-search and the certificate
     checks), the p-search schedule, exact regions, the region of a list of
-    ideal balls (`region`),
-    the ideal ball of a region that holds a candidate ball (`witness`), the
-    measure of a region (`weigh`) and of a deviation window
-    (`deviation_mass`, `window_mass`), replay's check of a window
-    (`replay_window`: its err, whether it holds a witness ball, and its
-    ball that holds an accepted one, each by the checker's own route),
-    the exact validation mode and the defaults of exact Borel-Cantelli
-    windows.
+    ideal balls (`region`), the measure of a region (`weigh`) and of a
+    deviation window (`deviation_mass`, `window_mass`), replay's check of
+    a window (`replay_window`: its err, whether it holds a witness ball,
+    and its ball that holds an accepted one, each by the checker's own
+    route), the exact validation mode and the defaults of exact
+    Borel-Cantelli windows.  Which of a region's ideal balls holds a
+    candidate depends on the space alone, so the region finds it
+    (`holder`).
     The base class holds the routes shared by the two mixing systems: the
     exact L1 norm where feasible, else ||A_p fbar||_2 from the correlations
     C(m) of fbar, and a doubling p-search that scans the winning octave and
@@ -363,10 +362,6 @@ class Shift(System):
                                                   - 1) // delta.denominator)
         return Fraction(beyond, self.p.denominator ** (n + g.depth - 1))
 
-    def witness(self, region: CylSet, cand: IdealBall) -> Optional[tuple]:
-        found = region.holder(cand.cylinder_prefix)
-        return found and (found[0], CANTOR.cylinder_ball(found[1]))
-
     def replay_window(self, f, n: int, delta: Fraction, witness: IdealBall,
                       ball: IdealBall) -> tuple:
         err, holder = self.law_window(*_window(self, f, n, delta))
@@ -397,12 +392,10 @@ class Shift(System):
         back, inside = self._backward(nums, n, (delta.numerator * g.den * n
                                                 - 1) // delta.denominator)
         # the words of m < k - 1 symbols: a binary tree over the suffixes
-        a, b = self.p.numerator, self.p.denominator
+        b = self.p.denominator
         tree = [[d[0] for _, d in back[0]]]
         while len(tree[0]) > 1:
-            e = tree[0]
-            tree.insert(0, list(map(add, map(mul, e[::2], repeat(b - a)),
-                                    map(mul, e[1::2], repeat(a)))))
+            tree.insert(0, bernoulli_fold(tree[0], self.p, 1))
         full = [t.count(0) for t in tree[:-1]] + inside
 
         def walk(word: str):
@@ -546,27 +539,6 @@ class CircleMap(System):
         # |A_n g| < delta where |S_n g| < n delta
         return self.birkhoff_sum(g, n).arcs_below_abs(n * delta)
 
-    def witness(self, region: ArcSet, cand: IdealBall) -> Optional[tuple]:
-        # every arc is split into its fewest equal parts shorter than 1/2,
-        # floor(2 width) + 1 (a ball of radius >= 1/2 is not an arc); the
-        # parts are disjoint, so only the one over cand's centre can hold
-        # it, and the arcs before it add their parts to the position
-        # (`ArcSet.parts`, counted once per region)
-        comps, first = region.parts
-        for y in (cand.center, cand.center + 1):
-            i = bisect_right(comps, y, key=itemgetter(0)) - 1
-            if i >= 0 and y < comps[i][1]:
-                break
-        else:
-            return None
-        a, b = comps[i]
-        r = (b - a) / (2 * (first[i + 1] - first[i]))
-        k = (y - a) // (2 * r)
-        ball = IdealBall._of(CIRCLE, mod1(a + r * (2 * k + 1)), r)
-        if not CIRCLE.inside(cand, ball, strict=True):
-            return None
-        return first[i] + k, ball
-
     def region(self, balls: list[IdealBall]) -> ArcSet:
         return ArcSet.from_raw([ball_arc(b) for b in balls])
 
@@ -584,7 +556,7 @@ class CircleMap(System):
         # from the region as `deviation_region` builds it
         region = deviation_region(self, f, n, delta)
         return (1 - self.weigh(region), region.contains_ball(witness),
-                self.witness(region, ball))
+                region.holder(ball))
 
     def input_bits(self, g: PiecewiseLinear, n: int, m: int) -> int:
         return m + 2 + self.bits_per_step * n + _slope_bits(g)

@@ -6,23 +6,24 @@ them, so measures and intersections are exact rational (or Q[sqrt2])
 computations.  Both forms are sorted lists of disjoint intervals, arcs
 of the circle or runs of same-length words read as binary numbers, and
 share one merge (`_merged`, run by each constructor and nowhere else) and
-one intersection walk.  A cylinder set's maximal cylinders, which number
-the shift's witnesses, are indexed once (`CylSet._index`).
+one intersection walk.  Each form numbers its own ideal balls, which
+synthesis records as witnesses, and finds the one holding a ball (`holder`).
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .arith import Quad, mod1
 from .errors import UnsupportedPairError
-from .spaces import ball_arc
+from .spaces import CANTOR, CIRCLE, IdealBall, ball_arc
 
 
 class ArcSet:
@@ -32,8 +33,9 @@ class ArcSet:
     arc crossing 0).  Endpoints may be Fraction or Quad.  The constructor
     drops empty arcs, sorts the rest and joins those that overlap or
     touch, so a union of arc sets is `ArcSet` of all their arcs;
-    `_canonical` wraps arcs that are already in that form.  Measure-theoretic operations ignore endpoints (all sets
-    here are finite unions of arcs up to finitely many points)."""
+    `_canonical` wraps arcs already in that form.  Measure-theoretic
+    operations ignore endpoints (all sets here are finite unions of arcs
+    up to finitely many points).  Its ideal balls are the `parts`."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
         self.arcs = _merged(sorted((a, b) for a, b in arcs if a < b))
@@ -94,6 +96,25 @@ class ArcSet:
             (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
              // (a.denominator * b.denominator) + 1 for a, b in comps),
             initial=0))
+
+    def holder(self, cand: IdealBall) -> Optional[tuple]:
+        """(position, ball) of the part that holds the circle ball `cand`
+        strictly, or None: only the part over cand's centre can, and the
+        components before it add their parts to the position."""
+        comps, first = self.parts
+        for y in (cand.center, cand.center + 1):
+            i = bisect_right(comps, y, key=itemgetter(0)) - 1
+            if i >= 0 and y < comps[i][1]:
+                break
+        else:
+            return None
+        a, b = comps[i]
+        r = (b - a) / (2 * (first[i + 1] - first[i]))
+        k = (y - a) // (2 * r)
+        ball = IdealBall._of(CIRCLE, mod1(a + r * (2 * k + 1)), r)
+        if not CIRCLE.inside(cand, ball, strict=True):
+            return None
+        return first[i] + k, ball
 
     def contains_ball(self, ball) -> bool:
         """Does the set contain the closed arc of a circle ball?"""
@@ -173,9 +194,9 @@ class CylSet:
     a shorter word w is the run [w 2^k, (w + 1) 2^k), k = depth - len(w).
     The maximal cylinders inside the union are each run split into its
     maximal aligned dyadic blocks (`_blocks`): `measure` weighs them in
-    integers, and one index of them in (length, word) order (`_index`)
-    lists them (`prefixes`) and gives the position of the one that holds
-    a word (`holder`)."""
+    integers, and they are the set's ideal balls, numbered in (length,
+    word) order from one list of words per length (`_by_length`), which
+    `prefixes` lists and `holder` searches."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -207,13 +228,18 @@ class CylSet:
                 a += 1 << k
 
     @cached_property
-    def _index(self) -> dict:
-        """{(length, word): position} of the maximal cylinders, sorted."""
-        return {block: i for i, block in enumerate(sorted(self._blocks()))}
+    def _by_length(self) -> tuple[list, list]:
+        """(words, first): words[n] the maximal cylinders of length n in
+        word order (blocks come in run order); words[n][0] is at first[n]."""
+        words = [[] for _ in range(self.depth + 1)]
+        for n, v in self._blocks():
+            words[n].append(v)
+        return words, list(accumulate(map(len, words), initial=0))
 
     @property
     def prefixes(self) -> list[str]:
-        return [format(v, f"0{n}b") if n else "" for n, v in self._index]
+        return [format(v, f"0{n}b") if n else ""
+                for n, vs in enumerate(self._by_length[0]) for v in vs]
 
     def measure(self, p: Fraction) -> Fraction:
         """Bernoulli(p) mass, one integer sum over b^depth for p = a/b: per
@@ -233,22 +259,21 @@ class CylSet:
                 for s in (self, other))
         return CylSet._canonical(d, _overlaps(a, b))
 
-    def contains_word_prefix(self, word: str) -> bool:
-        """Does the union contain the cylinder of `word`?"""
-        lo, hi = _run(word[:self.depth], self.depth)
-        i = bisect_right(self.runs, lo, key=lambda r: r[0])
-        return bool(i) and hi <= self.runs[i - 1][1]
-
-    def holder(self, word: str) -> Optional[tuple]:
-        """(position, word) of the maximal cylinder that holds the cylinder
-        of `word`, or None if the union does not contain it.  The maximal
-        cylinders are disjoint, so it is the one prefix of `word` that is
-        a maximal cylinder, and `_index` gives its position."""
-        if not self.contains_word_prefix(word):
-            return None
-        blocks = ((n, int(word[:n] or "0", 2)) for n in range(len(word) + 1))
-        n, v = next(block for block in blocks if block in self._index)
-        return self._index[n, v], word[:n]
+    def holder(self, cand: IdealBall) -> Optional[tuple]:
+        """(position, ball) of the maximal cylinder that holds the cylinder
+        ball `cand`, or None if the union does not contain it: the one
+        prefix of cand's word that is a maximal cylinder.  The word's first
+        m symbols, read once as v, give its prefix of length n, v >> m - n."""
+        word = cand.cylinder_prefix
+        m = min(len(word), self.depth)
+        v = int(word[:m] or "0", 2)
+        words, first = self._by_length
+        for n, vs in enumerate(words[:m + 1]):
+            u = v >> m - n
+            i = bisect_left(vs, u)
+            if i < len(vs) and vs[i] == u:
+                return first[n] + i, CANTOR.cylinder_ball(word[:n])
+        return None
 
 
 def _run(word: str, depth: int) -> tuple:

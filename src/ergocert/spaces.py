@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Callable, Optional
 
-from .arith import Interval, fmt_rat, mod1, parse_rat, pow2
+from .arith import Interval, fmt_rat, parse_rat, pow2
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +82,6 @@ def cantor_word(i: int) -> str:
 # Spaces
 
 
-def circle_dist(x, y):
-    """Arc metric on [0,1); works for Fraction and Quad coordinates."""
-    t = mod1(x - y)
-    return min(t, 1 - t)
-
-
 def cantor_dist(u: str, v: str) -> Fraction:
     """2^-(first differing index) on zero-padded words: the words padded to
     one length n and read as binary numbers differ first at index
@@ -104,8 +98,8 @@ class Space:
     ideal points and balls are encoded: the numberings, the JSON form of a
     point, ball membership and nesting, canonical refinements, the scale
     of the bump generators and the optimal coupling of two atomic measures
-    (`transport`).  `dist` is defined here only, so every distance goes
-    through one method."""
+    (`transport`).  Each subclass has one metric (`_metric`): `dist`,
+    defined here only, reads it, and so does the circle's ball nesting."""
 
     name: str
     #: cap on the radius and the width of a canonical bump generator
@@ -157,7 +151,7 @@ class CircleSpace(Space):
                strict: bool = False) -> bool:
         """Closure of `inner` inside the open (strict) or the closed
         `outer` ball."""
-        gap = outer.radius - circle_dist(inner.center, outer.center) \
+        gap = outer.radius - self._metric(inner.center, outer.center) \
             - inner.radius
         return gap > 0 if strict else gap >= 0
 

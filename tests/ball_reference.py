@@ -7,7 +7,7 @@ every word up to the union's depth against the union's words and listed
 in (length, word) order.  An arc union is cut arc by arc (the arc across
 0 glued, last) into its fewest equal parts shorter than 1/2, found by
 counting parts up.  The balls are built with the checking constructor,
-so the tests compare the program's `witness` with code that shares none
+so the tests compare the program's `holder` with code that shares none
 of its logic."""
 
 from fractions import Fraction
@@ -15,7 +15,8 @@ from math import ceil
 
 from ergocert.arith import Interval, mod1
 from ergocert.regions import ArcSet
-from ergocert.spaces import CANTOR, CIRCLE, IdealBall, circle_dist
+from ergocert.spaces import CANTOR, CIRCLE, IdealBall
+from w1_reference import circle_dist
 
 
 def cylinder_balls(region):

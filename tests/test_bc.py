@@ -16,11 +16,11 @@ from ergocert.bc import (BCSequence, bc_exact_windows, bc_intersect,
                          window_witness)
 from ergocert.cli import EXIT_OK, main
 from ergocert.dynamics import (Shift, deviation_region, doubling_system,
-                               rotation_system, shift_system)
+                               parse_system, rotation_system, shift_system)
 from ergocert.errors import InputError
 from ergocert.measures import region_measure
 from ergocert.observables import (CylinderFn, PiecewiseLinear,
-                                  observable_to_json)
+                                  observable_from_json, observable_to_json)
 from ergocert.spaces import CANTOR, CIRCLE, CirclePoint, IdealBall
 import ball_reference as bref
 
@@ -135,6 +135,30 @@ class TestExactWindows:
             assert main(["replay", "--artifact", str(path)]) == EXIT_OK
             out = json.loads(capsys.readouterr().out)
             assert out["ok"] and out["checked"] == 4, path.name
+
+    def test_accepted_balls_lie_in_every_earlier_window(self):
+        # [DERIVED: oracle = exact measure; on every synthesized and
+        #  typical point of the corpus, stream ball t + 1 lies in the
+        #  deviation region of every non-trivial window up to t's,
+        #  mu(region & ball) = mu(ball), so the intersection synthesis
+        #  keeps of the windows so far holds the whole accepted ball]
+        pairs = 0
+        for path in sorted(CORPUS.glob("synth_*.json")) \
+                + sorted(CORPUS.glob("typical_*.json")):
+            d = json.loads(path.read_text())
+            system = parse_system(d["system"])
+            regions = []
+            for t, cert in enumerate(d["certs"]):
+                if not cert["trivial"]:
+                    regions.append(deviation_region(
+                        system, observable_from_json(cert["observable"]),
+                        cert["n"], F(cert["delta"])))
+                ball = system.region([IdealBall.from_json(cert["ball"])])
+                for region in regions:
+                    assert region_measure(system, region.intersect(ball)) \
+                        == region_measure(system, ball), (path.name, t)
+                    pairs += 1
+        assert pairs == 83
 
 
 class TestIntersect:

@@ -150,7 +150,7 @@ class TestDeviationRegions:
                         words = [format(w, f"0{a.depth}b") if a.depth
                                  else "" for w in range(1 << a.depth)]
                         inside = [abs(v) < delta for v in a.table]
-                        assert [r.contains_word_prefix(w)
+                        assert [r.holder(CANTOR.cylinder_ball(w)) is not None
                                 for w in words] == inside
                         assert r.measure(p) == sum(
                             cylinder_mass(w, p)
@@ -183,7 +183,7 @@ class TestDeviationRegions:
         region = deviation_region(DBL, f, 2, F(1, 4))
         assert all(type(x) is F for arc in region.arcs for x in arc)
         parts = bref.arc_balls(region)
-        found = [DBL.witness(region, IdealBall(CIRCLE, b.center, b.radius / 2))
+        found = [region.holder(IdealBall(CIRCLE, b.center, b.radius / 2))
                  for b in parts]
         assert found == list(enumerate(parts))
         assert sum(2 * b.radius for _, b in found) == region.measure()
@@ -230,8 +230,8 @@ class TestDeviationRegions:
                                       for a in starts])
             for k, b in enumerate(bref.arc_balls(region)):
                 _assert_same_witness(
-                    DBL.witness(region, IdealBall(CIRCLE, b.center,
-                                                  b.radius / 3)), (k, b))
+                    region.holder(IdealBall(CIRCLE, b.center, b.radius / 3)),
+                    (k, b))
 
 
 def _corpus_windows(kind):
@@ -289,7 +289,8 @@ class TestCorpusDeviationRegions:
             assert len(sums) <= 1 << 16
             words = cref.words(cref.depth(sums))
             r = deviation_region(system, f, n, delta)
-            assert [r.contains_word_prefix(w) for w in words] \
+            assert [r.holder(CANTOR.cylinder_ball(w)) is not None
+                    for w in words] \
                 == [abs(s) < n * delta for s in sums], (f, n, delta)
 
     def test_doubling_arcs_in_and_gaps_out(self):
@@ -326,7 +327,7 @@ class TestCorpusDeviationRegions:
                             if lo <= a and b <= hi), F(0))
                 assert hi - lo - kept < 2 * pow2(48), (f, n, delta)
             for k, b in enumerate(bref.arc_balls(region)):
-                assert system.witness(region, IdealBall(
+                assert region.holder(IdealBall(
                     CIRCLE, b.center, b.radius / 2)) == (k, b)
         assert irrational  # some window is rounded
 
@@ -372,7 +373,7 @@ class TestWitness:
                 for w in sorted(cands):
                     cand = CANTOR.cylinder_ball(w)
                     want = bref.first_holder(CANTOR, parts, cand)
-                    _assert_same_witness(system.witness(region, cand), want)
+                    _assert_same_witness(region.holder(cand), want)
                     found += want is not None
                     missed += want is None
         assert found > 2000 and missed > 500, (found, missed)
@@ -407,7 +408,7 @@ class TestWitness:
                 for r in sorted(radii):
                     cand = IdealBall(CIRCLE, x, r)
                     want = bref.first_holder(CIRCLE, parts, cand)
-                    _assert_same_witness(DBL.witness(region, cand), want)
+                    _assert_same_witness(region.holder(cand), want)
                     found += want is not None
                     missed += want is None
         assert split > 20 and found > 1000 and missed > 1000, \
@@ -422,7 +423,7 @@ class TestWitness:
             .arcs_below_abs(F(3, 4))
         assert any(isinstance(x, Quad) for arc in region.arcs for x in arc)
         with pytest.raises(UnsupportedPairError):
-            ROT.witness(region, IdealBall(CIRCLE, F(1, 2), F(1, 64)))
+            region.holder(IdealBall(CIRCLE, F(1, 2), F(1, 64)))
 
 
 class TestMeasurePreservation:
@@ -642,7 +643,7 @@ class TestPartialSumLaw:
         # seeded random tables of depth 0-3 at n <= 9: the backward pass's
         # err is 1 - mu of the region, and on every word of up to
         # n + k + 1 symbols whether it finds a holder is the region's
-        # containment (`contains_word_prefix`), and the holder with its
+        # containment (a holder exists), and the holder with its
         # position is the region's (`CylSet.holder`)]
         system = shift_system(prob)
         rng = random.Random(f"backward {prob}")
@@ -660,10 +661,10 @@ class TestPartialSumLaw:
                     for v in range(1 << m):
                         word = format(v, f"0{m}b") if m else ""
                         found = holder(word)
-                        assert (found is not None) \
-                            == region.contains_word_prefix(word)
-                        assert found == region.holder(word), \
-                            (k, n, delta, word)
+                        want = region.holder(CANTOR.cylinder_ball(word))
+                        assert (found is not None) == (want is not None)
+                        assert (found and (found[0], CANTOR.cylinder_ball(
+                            found[1]))) == want, (k, n, delta, word)
 
     def test_region_budget_refused_before_any_mass(self):
         # [DERIVED: synthesis takes only windows whose region it can

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 from ergocert.arith import Quad, pow2
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
+from ergocert.spaces import CANTOR
 
 
 def rand_arcset(rng, n=3):
@@ -66,8 +67,8 @@ class TestArcSet:
 
 
 def cyl_indicator(s: CylSet, depth=8):
-    return [s.contains_word_prefix(format(w, f"0{depth}b"))
-            for w in range(1 << depth)]
+    return [s.holder(CANTOR.cylinder_ball(format(w, f"0{depth}b")))
+            is not None for w in range(1 << depth)]
 
 
 class TestCylSet:
@@ -155,15 +156,18 @@ class TestCylSet:
             assert s.prefixes == maximal, words
             assert t.prefixes == maximal, words
             kept = {w: full(w) for w in every}
-            assert [s.contains_word_prefix(w) for w in every] \
-                == list(kept.values()), words
+            assert [s.holder(CANTOR.cylinder_ball(w)) is not None
+                    for w in every] == list(kept.values()), words
             # a contained word's holder is its shortest contained prefix
             place = {u: k for k, u in enumerate(maximal)}
-            holders = [next((place[w[:i]], w[:i]) for i in range(len(w) + 1)
+            holders = [next((place[w[:i]], CANTOR.cylinder_ball(w[:i]))
+                            for i in range(len(w) + 1)
                             if kept[w[:i]]) if kept[w] else None
                        for w in every]
-            assert [s.holder(w) for w in every] == holders, words
-            assert [t.holder(w) for w in every] == holders, words
+            assert [s.holder(CANTOR.cylinder_ball(w)) for w in every] \
+                == holders, words
+            assert [t.holder(CANTOR.cylinder_ball(w)) for w in every] \
+                == holders, words
             for p, weight in weights.items():
                 mass = sum(m for m, hit in zip(weight, inside) if hit)
                 assert s.measure(p) == mass

@@ -9,7 +9,7 @@ import pytest
 from ergocert.arith import Interval, pow2
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall, ball_member, cantor_dist,
-                             cantor_word, circle_dist, circle_point,
+                             cantor_word, circle_point,
                              pos_rational, space_named, unpair)
 
 from ball_reference import circle_member
@@ -52,8 +52,8 @@ class TestNumberings:
 class TestMetrics:
     def test_circle_examples(self):
         # [PAPER: arc metric — d(1/10, 9/10) = 1/5]
-        assert circle_dist(F(1, 10), F(9, 10)) == F(1, 5)
-        assert circle_dist(F(1, 4), F(3, 4)) == F(1, 2)
+        assert CIRCLE.dist(F(1, 10), F(9, 10)) == F(1, 5)
+        assert CIRCLE.dist(F(1, 4), F(3, 4)) == F(1, 2)
 
     def test_cantor_examples(self):
         # [PAPER: d = 2^-(first differing coordinate)]
@@ -66,10 +66,10 @@ class TestMetrics:
         rng = random.Random(11)
         for _ in range(2000):
             x, y, z = (F(rng.randint(0, 63), 64) for _ in range(3))
-            assert circle_dist(x, y) == circle_dist(y, x)
-            assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z)
-            assert circle_dist(x, y) >= 0
-            assert (circle_dist(x, y) == 0) == (x == y)
+            assert CIRCLE.dist(x, y) == CIRCLE.dist(y, x)
+            assert CIRCLE.dist(x, z) <= CIRCLE.dist(x, y) + CIRCLE.dist(y, z)
+            assert CIRCLE.dist(x, y) >= 0
+            assert (CIRCLE.dist(x, y) == 0) == (x == y)
         for _ in range(2000):
             u, v, w = ("".join(rng.choice("01") for _ in range(6))
                        for _ in range(3))
