@@ -31,6 +31,15 @@ def parse_int(v, what: str) -> int:
     return v
 
 
+def parse_list(v, what: str, size=None) -> list:
+    """A JSON list, of `size` items if given; a string or an object raises
+    ValueError (iterating either would read its characters or keys)."""
+    if not isinstance(v, list) or size not in (None, len(v)):
+        raise ValueError(f"{what} must be a JSON list"
+                         f"{f' of {size}' if size else ''}, not {v!r:.40}")
+    return v
+
+
 def fmt_rat(q: Fraction) -> str:
     if type(q) is not Fraction:
         q = Fraction(q)

@@ -389,8 +389,8 @@ def replay_synth(system: System, sp: SynthPoint,
     (`System.replay_window`): the witness must lie in it, `err` must be 1
     - mu of it, and (`witness_pos`, `witness`) its ball that holds the
     accepted ball.  The circle maps rebuild the region; the shift reads
-    all three on the partial-sum law's states, weighed backward, and
-    builds no word table.  `lambda` itself is not re-derived: it needs
+    all three on the partial-sum law's states, tested against the range
+    of sums that their continuations add, and builds no word table.  `lambda` itself is not re-derived: it needs
     the error tail past the recorded windows.
     Optionally each window's Birkhoff average is evaluated at the point,
     to width 2^-EVAL_PRECISION."""

@@ -80,7 +80,7 @@ def _load_json_arg(spec: str, what: str) -> dict:
             raise InputError(f"cannot read {what} from {spec!r}: {e}")
     try:
         return json.loads(s)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # or nested too deep
         raise InputError(f"malformed {what} JSON: {e}")
 
 
@@ -206,7 +206,10 @@ def _cmd_demo_float(args) -> int:
     steps = args.steps
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
-    xf = float(x0)
+    try:
+        xf = float(x0)
+    except OverflowError:
+        raise InputError(f"x0 {args.x0!r} is out of a double's range")
     hit_zero = None
     float_orbit = []  # the first iterates, which are printed
     for i in range(steps):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, compress, cycle, repeat
-from operator import add, mul, not_
+from itertools import accumulate, chain, cycle, repeat
+from operator import add, and_, mul, sub
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
@@ -171,8 +171,7 @@ class Shift(System):
     recursion of Baum, Petrie, Soules and Weiss, 1970) and holds at most
     min(2^(k-1) (n (max nums - min nums) + 1), 2^(n+k-1)) states, which
     `_priced` sums before it runs.  Replay checks a window on the same
-    states, weighed backward (`_backward`, `law_window`), and builds no
-    word table."""
+    states by a range test (`law_window`), and builds no word table."""
 
     name = "shift"
     space = CANTOR
@@ -245,41 +244,6 @@ class Shift(System):
                 out.append((base, merged))
             law = out
         return law
-
-    def _backward(self, nums: list, n: int, c: int) -> tuple:
-        """(back, inside) on the law's states after i = 0, ..., n terms
-        (i + k - 1 symbols), the i-th adding nums[x] for its k symbols x.
-        back[i] holds, in `_push`'s layout, the backward weight of each
-        state: the weight a^ones (b - a)^zeros of its continuations to n
-        terms that end with |s| > c.  inside[i] counts the words of
-        i + k - 1 symbols whose weight is 0.  A forward pass counts the
-        words that reach each state (its layers give the keys, and each is
-        dropped once read); from suffix u the next symbol e leads to
-        suffix (2u + e) mod 2^(k-1), so a backward step reads the next
-        layer's two rows at the shifted keys (the backward recursion of
-        Baum, Petrie, Soules and Weiss, 1970), with no Python loop per
-        state."""
-        h = len(nums) >> 1
-        counts = [[(0, {0: 1})] * h]
-        for i in range(n):
-            counts.append(self._push(nums, counts[i], i, i + 1, (1, 1)))
-        a, b = self.p.numerator, self.p.denominator
-        layer = counts.pop()
-        back = [[(off, dict(zip(d, map(c.__lt__, map(abs, map(
-            add, d, repeat(off))))))) for off, d in layer]]
-        inside = [_inside(layer, back[-1])]
-        while counts:
-            layer, after, row = counts.pop(), back[-1], []
-            for u, (off, d) in enumerate(layer):
-                terms = []
-                for x, w in ((2 * u, b - a), (2 * u + 1, a)):
-                    o, e = after[x & (h - 1)]
-                    keys = map(add, d, repeat(off + nums[x] - o))
-                    terms.append(_weights(map(e.get, keys), w))
-                row.append((off, dict(zip(d, map(add, *terms)))))
-            back.append(row)
-            inside.append(_inside(layer, row))
-        return back[::-1], inside[::-1]
 
     def _priced(self, g: CylinderFn, horizon: int) -> None:
         """Refuse a law pushed to `horizon` before it runs: each n up to it
@@ -372,16 +336,18 @@ class Shift(System):
     def law_window(self, g: CylinderFn, n: int, delta: Fraction) -> tuple:
         """(err, holder) of the window {|A_n g| < delta}, g centered, on
         the law's states with no word table: err = mu{|A_n g| >= delta},
-        and holder(word) the (position, word) of the window's maximal
-        cylinder that holds the cylinder of `word`, or None if the window
-        does not hold it, as `CylSet.holder` finds it.  A cylinder lies in
-        the window exactly when its backward weight (`_backward`) is 0,
-        so the holder is the shortest prefix of weight 0.  With N(l) the
-        words of length l of weight 0 and C(v) those of v's length below
-        v, N(l) - 2 N(l - 1) cylinders of each length l are maximal, and
-        C(u) - 2 C(u') of the holder u's length lie below it (u' is u less
-        its last symbol).  Refused like the region, over
-        2^CYLINDER_BUDGET_LOG2 cylinders, then by the law's price."""
+        1 less the law's weight inside at n, and holder(word) the
+        (position, word) of the window's maximal cylinder that holds the
+        cylinder of `word`, or None, as `CylSet.holder` finds it.  The
+        window is |den S_n| <= c, and the state after i terms in suffix t
+        with sum s is inside it (so is every continuation) when s lies in
+        span[i][t] = [-c - lo, c - hi], lo and hi the least and the greatest
+        sum that the other n - i terms add from t; the holder is the
+        shortest prefix inside.  With N(l) the words of length l inside and
+        C(v) those of v's length below v, N(l) - 2 N(l - 1) cylinders of
+        each length l are maximal, and C(u) - 2 C(u') of u's length lie
+        below u (u' is u less its last symbol).  Refused like the region,
+        over 2^CYLINDER_BUDGET_LOG2 cylinders, then by the law's price."""
         if g.depth:
             _refuse_words(g, n)
         else:  # A_n g = g: the window at n is the one at n = 1
@@ -389,14 +355,34 @@ class Shift(System):
         g = g.lift(max(g.depth, 1))
         self._priced(g, n)
         k, nums, h = g.depth, g.nums, 1 << (g.depth - 1)
-        back, inside = self._backward(nums, n, (delta.numerator * g.den * n
-                                                - 1) // delta.denominator)
-        # the words of m < k - 1 symbols: a binary tree over the suffixes
-        b = self.p.denominator
-        tree = [[d[0] for _, d in back[0]]]
+        c = (delta.numerator * g.den * n - 1) // delta.denominator
+        # a term from suffix u reads x = 2u + e, adds nums[x] and ends in
+        # suffix x mod h: lo and hi by suffix, from i = n down
+        lo, hi, span = [0] * h, [0] * h, [[(-c, c)] * h]
+        for _ in range(n):
+            low, high = (list(map(add, nums, v + v)) for v in (lo, hi))
+            lo = list(map(min, low[::2], low[1::2]))
+            hi = list(map(max, high[::2], high[1::2]))
+            span.insert(0, list(zip(map(sub, repeat(-c), lo),
+                                    map(sub, repeat(c), hi))))
+
+        def inside(law: list, i: int) -> int:
+            # the words that law, after i terms, counts into the window
+            return sum(v for (off, d), (left, right) in zip(law, span[i])
+                       for s, v in d.items() if left <= s + off <= right)
+
+        err = 1 - Fraction(inside(self._push(nums, [
+            (0, {0: w}) for w in _suffix_weights(g, self.p)], 0, n), n),
+            self.p.denominator ** (n + k - 1))
+        # the words of m < k - 1 symbols: a binary tree over the suffixes,
+        # a word inside when both of its halves are
+        tree = [[left <= 0 <= right for left, right in span[0]]]
         while len(tree[0]) > 1:
-            tree.insert(0, bernoulli_fold(tree[0], self.p, 1))
-        full = [t.count(0) for t in tree[:-1]] + inside
+            tree.insert(0, list(map(and_, tree[0][::2], tree[0][1::2])))
+        full, layer = [t.count(True) for t in tree], [(0, {0: 1})] * h
+        for i in range(1, n + 1):
+            layer = self._push(nums, layer, 0, 1, (1, 1))
+            full.append(inside(layer, i))
 
         def walk(word: str):
             # (i, x, s) for each of the n terms that word reads: the k
@@ -407,20 +393,20 @@ class Shift(System):
                 s += nums[x]
                 yield i, x, s
 
-        def weights(word: str):
-            # the backward weight of each prefix of word
+        def held(word: str):
+            # whether the window holds each prefix of word
             for m in range(min(len(word), k - 1) + 1):
                 yield tree[m][int(word[:m] or "0", 2)]
             for i, x, s in walk(word):
-                off, e = back[i][x & (h - 1)]
-                yield e[s - off]
+                left, right = span[i][x & (h - 1)]
+                yield left <= s <= right
 
         @cache  # once per holder
         def position(u: str) -> int:
             # C(u[:m]) for each m: in the tree, then the words below
             # u[:m - 1] pushed on by state, and u[:m - 1] + "0" if it is
             # below u[:m]
-            less = [tree[m][:int(u[:m] or "0", 2)].count(0)
+            less = [tree[m][:int(u[:m] or "0", 2)].count(True)
                     for m in range(min(len(u), k - 1) + 1)]
             v = int(u[:k - 1] or "0", 2)
             law = [(0, {0: 1} if t < v else {}) for t in range(h)] \
@@ -431,16 +417,16 @@ class Shift(System):
                     off, d = law[(x - 1) & (h - 1)]
                     key = s - nums[x] + nums[x - 1] - off
                     d[key] = d.get(key, 0) + 1
-                less.append(_inside(law, back[i]))
+                less.append(inside(law, i))
             m = len(u)
             return (sum(full[:m]) - 2 * sum(full[:m - 1]) + less[m]
                     - 2 * less[m - 1]) if m else 0
 
         def holder(word: str) -> Optional[tuple]:
-            m = next((m for m, w in enumerate(weights(word)) if not w), None)
+            m = next((m for m, w in enumerate(held(word)) if w), None)
             return None if m is None else (position(word[:m]), word[:m])
 
-        return Fraction(tree[0][0], b ** (n + k - 1)), holder
+        return err, holder
 
     def region(self, balls: list[IdealBall]) -> CylSet:
         return CylSet([b.cylinder_prefix for b in balls])
@@ -482,12 +468,6 @@ def _refuse_words(g: CylinderFn, n: int) -> None:
     d = n + g.depth - 1
     if d > CYLINDER_BUDGET_LOG2:
         raise BudgetExceededError(f"A_{n} needs 2^{d} cylinders")
-
-
-def _inside(law: list, weights: list) -> int:
-    """The words that `law` counts into states of backward weight 0."""
-    return sum(sum(compress(d.values(), map(not_, map(e.get, d))))
-               for (_, d), (_, e) in zip(law, weights))
 
 
 def _weights(values, w: int):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import fmt_rat
+from .arith import fmt_rat, parse_list
 from .dynamics import System
 from .errors import InputError
 from .spaces import Space
@@ -50,8 +50,9 @@ class IdealMeasure:
 
     @staticmethod
     def from_json(space: Space, data: list) -> "IdealMeasure":
-        """Atoms from [point, weight] strings; JSON numbers are refused."""
-        atoms = tuple((p, w) for p, w in data)
+        """A list of [point, weight] string pairs; anything else is refused."""
+        atoms = tuple(tuple(parse_list(atom, "atom", 2))
+                      for atom in parse_list(data, "measure"))
         if not all(isinstance(x, str) for atom in atoms for x in atom):
             raise ValueError("atom points and weights must be strings")
         return IdealMeasure(space, atoms)

@@ -21,7 +21,7 @@ from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
-                    parse_rat, sign_root2)
+                    parse_list, parse_rat, sign_root2)
 from .errors import BudgetExceededError
 from .regions import ArcSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, pos_rational,
@@ -1023,15 +1023,15 @@ def observable_from_json(d: dict):
     v = d.get("variant")
     if v == "piecewise_linear":
         if "segments" in d:
-            segs = [(parse_rat(a), parse_rat(b), parse_rat(va), parse_rat(vb))
-                    for a, b, va, vb in d["segments"]]
-            return PiecewiseLinear(segs)
-        xs = [parse_rat(x) for x in d["breakpoints"]]
-        vs = [parse_rat(x) for x in d["values"]]
+            return PiecewiseLinear([
+                tuple(map(parse_rat, parse_list(s, "segment", 4)))
+                for s in parse_list(d["segments"], "segments")])
+        xs, vs = ([parse_rat(x) for x in parse_list(d[key], key)]
+                  for key in ("breakpoints", "values"))
         return PiecewiseLinear.from_breakpoint_values(xs, vs)
     if v == "cylinder":
-        return CylinderFn(parse_int(d["depth"], "depth"),
-                          [parse_rat(x) for x in d["table"]])
+        return CylinderFn(parse_int(d["depth"], "depth"), [
+            parse_rat(x) for x in parse_list(d["table"], "table")])
     if v == "fterm":
         return _fterm_from_json(d["expr"])
     raise ValueError(f"unknown observable variant {v!r}")

@@ -587,6 +587,59 @@ class TestExitCodes:
                          json.dumps([[word, "1"]]), "--mu2", '[["0", "1"]]'])
             assert code == EXIT_INPUT
 
+    def _refused(self, capsys, *argv):
+        code = main(list(argv))
+        streams = capsys.readouterr()
+        assert code == EXIT_INPUT and not streams.out, argv
+        assert json.loads(streams.err)["error"] == "input", argv
+
+    @pytest.mark.parametrize("space", ["cantor", "circle"])
+    def test_measure_is_a_list_of_pairs(self, capsys, space):
+        # a string atom would unpack as its characters, an object as its
+        # keys: each shape but a list of two-element lists is refused
+        for mu1 in ('["01"]', '{"01": "x"}', '[["0", "1", "1"]]', '[]',
+                    '[["0"]]', '[{"0": "1"}]'):
+            self._refused(capsys, "w1", "--space", space, "--mu1", mu1,
+                          "--mu2", '[["0", "1"]]')
+
+    def test_observable_lists_are_lists(self, capsys):
+        # a string where a list belongs would be read character by
+        # character (the table [0, 1, 1, 0], the constant 1, breakpoints
+        # 0 and 1)
+        for system, obs in (
+                ("shift:p=1/2", {"variant": "cylinder", "depth": 2,
+                                 "table": "0110"}),
+                ("doubling", {"variant": "piecewise_linear",
+                              "segments": ["0111"]}),
+                ("doubling", {"variant": "piecewise_linear",
+                              "segments": "0111"}),
+                ("doubling", {"variant": "piecewise_linear",
+                              "breakpoints": "01", "values": "01"}),
+                ("doubling", {"variant": "piecewise_linear",
+                              "breakpoints": ["0", "1"], "values": "01"})):
+            self._refused(capsys, "rate", "--system", system, "--observable",
+                          json.dumps(obs), "--eps", "1/4", "--delta", "1/4")
+
+    def test_demo_float_out_of_range(self, capsys):
+        for x0 in ("1e400", "-1e400"):
+            self._refused(capsys, "demo-float", "--x0", x0)
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads recurses once per level: a list nested 100,000 deep
+        # (from a file, as from the command line), and a generator term
+        # nested 5,000 deep
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        for mu1 in (str(deep), deep.read_text()):
+            self._refused(capsys, "w1", "--space", "cantor", "--mu1", mu1,
+                          "--mu2", '[["0", "1"]]')
+        expr = '{"op": "one"}'
+        for _ in range(5000):
+            expr = f'{{"op": "max", "args": [{expr}, {{"op": "one"}}]}}'
+        self._refused(capsys, "rate", "--system", "doubling", "--observable",
+                      f'{{"variant": "fterm", "expr": {expr}}}', "--eps",
+                      "1/4", "--kind", "norm-l2")
+
     def test_bad_eps(self, capsys):
         code = main(["rate", "--system", "shift:p=1/2", "--observable",
                      FIRSTBIT, "--eps", "3/2", "--delta", "1/4"])

@@ -640,18 +640,22 @@ class TestPartialSumLaw:
     @pytest.mark.parametrize("prob", [F(1, 2), F(1, 3), F(2, 5)])
     def test_backward_pass_matches_the_region(self, prob):
         # [DERIVED: oracle = the region synthesis builds (`sublevel`), on
-        # seeded random tables of depth 0-3 at n <= 9: the backward pass's
-        # err is 1 - mu of the region, and on every word of up to
-        # n + k + 1 symbols whether it finds a holder is the region's
-        # containment (a holder exists), and the holder with its
-        # position is the region's (`CylSet.holder`)]
+        # seeded random tables of depth 0-3 at n <= 9 and of depth 5-6 at
+        # n <= 4 (where the short words of k - 1 symbols form a deeper
+        # tree): `law_window`'s err, the law's weight outside the window,
+        # is 1 - mu of the region, and on every word of up to n + k + 1
+        # symbols whether its range test finds a holder is the region's
+        # containment (a holder exists), and the holder with its position
+        # is the region's (`CylSet.holder`)]
         system = shift_system(prob)
         rng = random.Random(f"backward {prob}")
-        for k in [0, 1, 2, 3] * 3:
+        draws = [(k, rng) for k in [0, 1, 2, 3] * 3]
+        deep = random.Random(f"range test {prob}")
+        for k, rng in draws + [(k, deep) for k in (5, 6)]:
             g = centered(system, CylinderFn(k, [
                 F(rng.randint(-6, 6), rng.randint(1, 5))
                 for _ in range(1 << k)]))
-            n = rng.randint(1, 9)
+            n = rng.randint(1, 9 if k < 5 else 4)
             for delta in sorted({F(rng.randint(1, 4), rng.randint(1, 8))
                                  for _ in range(3)}):
                 region = system.sublevel(g, n, delta)

@@ -223,6 +223,26 @@ LINES = [
     (1, ["typical", "--system", "doubling", "--members", "0"]),
     (1, ["w1", "--space", "circle", "--mu1", '[["0", "1"]]',
          "--mu2", '[["1/2", "1/2"]]']),
+    # strings and objects where JSON lists belong, a double out of range
+    # and JSON nested past the parser's recursion limit
+    (1, ["w1", "--space", "cantor", "--mu1", '["01"]',
+         "--mu2", '[["0", "1"]]']),
+    (1, ["w1", "--space", "circle", "--mu1", '{"01": "x"}',
+         "--mu2", '[["0", "1"]]']),
+    (1, ["rate", "--system", "shift:p=1/2", "--observable",
+         '{"variant": "cylinder", "depth": 2, "table": "0110"}',
+         "--eps", "1/4", "--delta", "1/4"]),
+    (1, ["rate", "--system", "doubling", "--observable",
+         '{"variant": "piecewise_linear", "segments": ["0111"]}',
+         "--eps", "1/4", "--delta", "1/4"]),
+    (1, ["rate", "--system", "doubling", "--observable",
+         '{"variant": "piecewise_linear", "breakpoints": "01", '
+         '"values": "01"}', "--eps", "1/4", "--delta", "1/4"]),
+    (1, ["demo-float", "--x0", "1e400"]),
+    (1, ["w1", "--space", "cantor", "--mu1", "{tmp}/deep.json",
+         "--mu2", '[["0", "1"]]']),
+    (1, ["rate", "--system", "doubling", "--observable",
+         "{tmp}/deep_fterm.json", "--eps", "1/4", "--kind", "norm-l2"]),
 ]
 
 
@@ -244,6 +264,10 @@ def _inputs(tmp: Path) -> None:
         **load("cert_shift1-2_w01_as-bounded_1-4_1-2.json"),
         "epsilon": "-1/4", "delta": "-1/2", "n0_or_m": 1,
         "guarantee": "mu(sup_(n>=1) |A_n(f-int f)| > -1/2) <= -1/4"})
+    (tmp / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp / "deep_fterm.json").write_text(
+        '{"variant": "fterm", "expr": ' + '{"op": "max", "args": [' * 5000
+        + '{"op": "one"}' + ', {"op": "one"}]}' * 5000 + "}")
     r = random.Random(12)
     dump("cyl12.json", {"variant": "cylinder", "depth": 12, "table": [
         f"{r.randint(-9, 9)}/{r.randint(1, 9)}" for _ in range(1 << 12)]})
