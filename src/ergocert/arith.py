@@ -8,6 +8,7 @@ backs the default rotation angle.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +18,23 @@ from .errors import InputError
 DEFAULT_STEP_BUDGET = 64
 
 
+#: the plain "num/den" or integer form, in ASCII digits
+_PLAIN_RAT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(s: str) -> Fraction:
-    """Parse a "num/den" (or plain integer) string."""
+    """Parse a "num/den" (or plain integer) string: exactly
+    `Fraction(s.strip())`, in value and in the exceptions raised.  The
+    plain form reads its two integers directly; any other string (blanks,
+    a decimal point, an exponent, underscores) goes to `Fraction`'s own
+    parser."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
-    return Fraction(s.strip())
+    m = _PLAIN_RAT.fullmatch(s)
+    if m is None:
+        return Fraction(s.strip())
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def parse_int(v, what: str) -> int:

@@ -36,8 +36,10 @@ def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
     dicts with string keys, lists, tuples, strings, ints, bools and None
     (anything else goes to json.dumps), written by one recursive walk:
-    json runs its pure-Python encoder whenever an indent is given.  `pad`
-    is the newline and indent that close the value."""
+    json runs its pure-Python encoder whenever an indent is given.  A list
+    writes its plain string and int items (a plan triple, a table) in
+    place, with no call per item.  `pad` is the newline and indent that
+    close the value."""
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, dict):
@@ -52,7 +54,9 @@ def _dumps(value, pad: str = "\n") -> str:
             return "[]"
         inner = pad + "  "
         return "[" + inner + ("," + inner).join([
-            _dumps(v, inner) for v in value]) + pad + "]"
+            _escape(v) if type(v) is str else
+            int.__repr__(v) if type(v) is int else _dumps(v, inner)
+            for v in value]) + pad + "]"
     if value is None:
         return "null"
     if isinstance(value, bool):

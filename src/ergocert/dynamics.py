@@ -91,9 +91,14 @@ class System:
         return self.name
 
     def as_concrete(self, f: Observable):
-        """Resolve an observable to the concrete class of the system."""
+        """Resolve an observable to the concrete class of the system; an
+        FTerm nested too deep to resolve is an InputError."""
         if isinstance(f, FTerm):
-            return f.concrete(self.concrete)
+            try:
+                return f.concrete(self.concrete)
+            except RecursionError:
+                raise InputError(
+                    "observable expression nested too deep") from None
         if not isinstance(f, self.concrete):
             raise UnsupportedPairError(
                 f"{type(f).__name__} observable on {self.where}")
@@ -795,9 +800,10 @@ def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
     The table stops transferring once an iterate repeats up to a scalar:
     g_j = c g_i (i < j) gives C(j + k) = c C(i + k) for every k by
     linearity, so the rest of the table follows exactly.  A zero iterate
-    is the case c = 0.  The transfer keeps the steps 1/n of fbar's integer
-    form, so a repeat shows on equal starts and proportional value and
-    increment columns."""
+    is the case c = 0, which fills the rest of the table with c itself,
+    with no multiplication.  The transfer keeps the steps 1/n of fbar's
+    integer form, so a repeat shows on equal starts and proportional value
+    and increment columns."""
     out = []
     seen = {}  # starts of g_i -> [(i, form of g_i)]
     g = fbar
@@ -805,6 +811,8 @@ def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
         earlier = seen.setdefault(tuple(g.form.xa), [])
         for i, h in earlier:
             c = _multiple(g.form, h)
+            if c == 0:
+                return out + [c] * (count - j)
             if c is not None:
                 for m in range(j, count):
                     out.append(c * out[m - (j - i)])

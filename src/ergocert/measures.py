@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import fmt_rat, parse_list
+from .arith import fmt_rat, parse_list, parse_rat
 from .dynamics import System
 from .errors import InputError
 from .spaces import Space
@@ -27,17 +27,28 @@ from .spaces import Space
 
 @dataclass(frozen=True)
 class IdealMeasure:
-    """Finite rational convex combination of Dirac measures on ideal points."""
+    """Finite rational convex combination of Dirac measures on ideal points.
+
+    An atom is a (point, weight) pair.  A string is read as JSON: a point
+    by the space's `point_from_json`, a weight by `parse_rat`; any other
+    point goes to `space.point` and any other weight (an int, a Fraction)
+    to `Fraction`.  Each is converted once.  The points must be pairwise
+    distinct and the weights positive with sum 1, checked on the points
+    themselves and on integers."""
 
     space: Space
     atoms: tuple  # ((point, weight), ...)
 
     def __post_init__(self):
-        atoms = tuple((self.space.point(p), Fraction(w))
-                      for p, w in self.atoms)
-        if len({str(p) for p, _ in atoms}) != len(atoms):
+        space = self.space
+        atoms = tuple(
+            (space.point_from_json(p) if isinstance(p, str)
+             else space.point(p),
+             parse_rat(w) if isinstance(w, str) else Fraction(w))
+            for p, w in self.atoms)
+        if len({p for p, _ in atoms}) != len(atoms):
             raise ValueError("atom points must be pairwise distinct")
-        if any(w <= 0 for _, w in atoms):
+        if any(w.numerator <= 0 for _, w in atoms):
             raise ValueError("weights must be positive")
         lw = lcm(*(w.denominator for _, w in atoms))
         if sum(w.numerator * (lw // w.denominator) for _, w in atoms) != lw:

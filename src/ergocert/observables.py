@@ -39,8 +39,10 @@ class PiecewiseLinear:
     jumps between segments are allowed (f(x)=x as a circle map jumps at
     0).  Normal form: no segment has zero length and no two neighbours
     are continuous and collinear.  The checking constructor takes rational
-    segments (a, b, va, vb), linear from va at a to vb at b, establishes
-    the normal form and converts them once; every kernel emits it.
+    segments (a, b, va, vb), linear from va at a to vb at b, reads them
+    once as integers (positions over the lcm of their denominators,
+    values over the lcm of theirs), and checks the tiling and establishes
+    the normal form on those integers; every kernel emits it.
 
     `kind` records what a form holds: a rational form has xb = vw = 0; a
     shifted term g o R^i (`shift` by an irrational c) has Q[sqrt2]
@@ -49,8 +51,8 @@ class PiecewiseLinear:
     Q[sqrt2] anywhere.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`,
     `integral` and the sublevel arcs take every kind.  The lattice,
     `shift`, `pullback_doubling`, `transfer_doubling`, `pl_inner`,
-    `abs_integral` and `window_reader` read xa, vu and ds only: they take
-    rational forms and raise ValueError on the others.
+    `abs_integral`, `total_variation` and `window_reader` read xa, vu and
+    ds only: they take rational forms and raise ValueError on the others.
 
     `segments`, the view that JSON output, `range_on` and the evaluations
     read, is built on first read with the types of the form's kind: a
@@ -64,8 +66,14 @@ class PiecewiseLinear:
     def __init__(self, segments):
         if any(type(t) not in (int, Fraction) for s in segments for t in s):
             raise ValueError("piecewise-linear data must be rational")
-        segs = [s for s in segments if s[0] < s[1]]
-        if not segs or segs[0][0] != 0 or segs[-1][1] != 1:
+        # positions as integers over N, values over V: the lcm of their
+        # denominators
+        N = math.lcm(*[t.denominator for s in segments for t in s[:2]])
+        V = math.lcm(*[t.denominator for s in segments for t in s[2:]])
+        segs = [(_over(a, N), _over(b, N), _over(va, V), _over(vb, V))
+                for a, b, va, vb in segments]
+        segs = [s for s in segs if s[0] < s[1]]
+        if not segs or segs[0][0] != 0 or segs[-1][1] != N:
             raise ValueError("segments must tile [0,1]")
         for s, t in zip(segs, segs[1:]):
             if s[1] != t[0]:
@@ -78,15 +86,19 @@ class PiecewiseLinear:
                 merged[-1] = (pa, b, pva, vb)
             else:
                 merged.append((a, b, va, vb))
-        # on the steps 1/n of the lcm of the breakpoint denominators
-        n = math.lcm(*[a.denominator for a, _, _, _ in merged])
-        incs = [Fraction(vb - va) / ((b - a) * n) for a, b, va, vb in merged]
-        e = math.lcm(*[va.denominator for _, _, va, _ in merged],
-                     *[d.denominator for d in incs])
+        # on the steps 1/n of the lcm of the breakpoint denominators, where
+        # a segment changes by p/q per step: (vb - va)/V over (b - a) N/n
+        # steps; e is the lcm of the reduced denominators of the values and
+        # of the p/q, so every division below is exact
+        n = math.lcm(*[N // math.gcd(a, N) for a, _, _, _ in merged])
+        k = N // n
+        incs = [((vb - va) * k, V * (b - a)) for a, b, va, vb in merged]
+        e = math.lcm(*[V // math.gcd(va, V) for _, _, va, _ in merged],
+                     *[q // math.gcd(p, q) for p, q in incs])
         zeros = [0] * len(merged)
-        self.form = _Form(n, e, [_over(a, n) for a, _, _, _ in merged], zeros,
-                          [_over(va, e) for _, _, va, _ in merged], zeros,
-                          [_over(d, e) for d in incs], _RATIONAL)
+        self.form = _Form(n, e, [a // k for a, _, _, _ in merged], zeros,
+                          [va * e // V for _, _, va, _ in merged], zeros,
+                          [p * e // q for p, q in incs], _RATIONAL)
 
     @staticmethod
     def _of(form: "_Form") -> "PiecewiseLinear":
@@ -107,8 +119,10 @@ class PiecewiseLinear:
 
     @staticmethod
     def constant(c) -> "PiecewiseLinear":
-        c = Fraction(c)
-        return PiecewiseLinear([(Fraction(0), Fraction(1), c, c)])
+        if type(c) not in (int, Fraction):
+            c = Fraction(c)
+        return PiecewiseLinear._of(_Form(1, c.denominator, [0], [0],
+                                         [c.numerator], [0], [0], _RATIONAL))
 
     @staticmethod
     def identity() -> "PiecewiseLinear":
@@ -213,13 +227,15 @@ class PiecewiseLinear:
         return _sup(f)
 
     def total_variation(self) -> Fraction:
-        """Total variation around the circle, jumps included."""
-        tv = 0
-        prev_end = self.segments[-1][3]  # value approaching 0 from the left
-        for a, b, va, vb in self.segments:
-            tv = tv + abs(va - prev_end) + abs(vb - va)
-            prev_end = vb
-        return tv
+        """Total variation around the circle, jumps included, for a
+        rational f: each segment adds the jump from the end of the one
+        before it (at 0, the last one's) and |ds| times its length, over
+        e."""
+        f = _rational(self)
+        tu = _ends(f)[0]
+        return Fraction(sum(
+            abs(u - t) + abs(d) * (b - a) for u, t, d, a, b in
+            zip(f.vu, tu[-1:] + tu, f.ds, f.xa, f.xa[1:] + [f.n])), f.e)
 
     def max_slope(self) -> Fraction:
         return max(abs((vb - va) / (b - a)) for a, b, va, vb in self.segments)
@@ -623,10 +639,10 @@ def _form_sum(forms: list) -> _Form:
 
 
 def _abs_integral(f: _Form) -> Fraction:
-    """Integral of |f| for a rational form: one integer sum over the
-    segments that keep their sign, and one Fraction per |increment| of
-    the segments crossing 0, where a segment adds
-    (v^2 + w^2) / (2 n e |d|)."""
+    """Integral of |f| for a rational form, in one Fraction: a segment that
+    keeps its sign adds (b - x)(|v| + |w|) / (2 n e), and one crossing 0
+    adds (v^2 + w^2) / (2 n e |d|); the crossing terms are summed per |d|,
+    then over L, the lcm of the |d|."""
     n, e = f.n, f.e
     flat = 0
     cross = {}
@@ -637,10 +653,9 @@ def _abs_integral(f: _Form) -> Fraction:
             cross[d] = cross.get(d, 0) + v * v + w * w
         else:
             flat += (b - x) * (abs(v) + abs(w))
-    tot = Fraction(flat, 2 * n * e)
-    for d, s in cross.items():
-        tot += Fraction(s, 2 * n * e * d)
-    return tot
+    L = math.lcm(*cross)
+    return Fraction(flat * L + sum(s * (L // d) for d, s in cross.items()),
+                    2 * n * e * L)
 
 
 def _sup(f: _Form) -> Quad:

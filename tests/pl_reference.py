@@ -8,6 +8,7 @@ program's integer kernels with code that shares none of their logic.
 The program's Quad divides by rationals only and has no negation or
 abs; `div` and `mag` supply them here."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -203,4 +204,38 @@ def integral(segs):
     tot = 0
     for a, b, va, vb in segs:
         tot = tot + (b - a) * (va + vb) / 2
+    return tot
+
+
+def checked_form(segments):
+    """The integer form (n, e, xa, xb, vu, vw, ds, kind) of rational
+    segments, in Fraction arithmetic: the segments checked to tile [0, 1],
+    put in normal form, laid on the steps 1/n of the lcm n of their start
+    denominators, with every value and increment over the lcm e of their
+    denominators."""
+    if any(type(t) not in (int, Fraction) for s in segments for t in s):
+        raise ValueError("piecewise-linear data must be rational")
+    segs = [s for s in segments if s[0] < s[1]]
+    if not segs or segs[0][0] != 0 or segs[-1][1] != 1:
+        raise ValueError("segments must tile [0,1]")
+    if any(s[1] != t[0] for s, t in zip(segs, segs[1:])):
+        raise ValueError("segments must be contiguous")
+    segs = normal(segs)
+    n = math.lcm(*[Fraction(a).denominator for a, _, _, _ in segs])
+    incs = [Fraction(vb - va) / ((b - a) * n) for a, b, va, vb in segs]
+    e = math.lcm(*[Fraction(va).denominator for _, _, va, _ in segs],
+                 *[d.denominator for d in incs])
+    zeros = [0] * len(segs)
+    return (n, e, [int(a * n) for a, _, _, _ in segs], zeros,
+            [int(va * e) for _, _, va, _ in segs], zeros,
+            [int(d * e) for d in incs], "rational")
+
+
+def total_variation(segs):
+    """Total variation around the circle: the jump into each segment from
+    the end of the one before it (at 0, the last one), and its rise."""
+    tot, prev = 0, segs[-1][3]
+    for _, _, va, vb in segs:
+        tot = tot + mag(va - prev) + mag(vb - va)
+        prev = vb
     return tot

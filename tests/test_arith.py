@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -207,11 +208,43 @@ class TestQuadOracle:
         assert q + F(1, 2) == Quad(F(3, 2), 1) and 2 * q == Quad(2, 2)
 
 
+def _outcome(parse, s):
+    """parse(s) as (value, type), or the type of the exception raised."""
+    try:
+        q = parse(s)
+    except Exception as e:
+        return type(e)
+    return q, type(q)
+
+
 class TestFormatting:
     def test_roundtrip(self):
         # [TRIVIAL]
         for s in ("0", "1/3", "-7/2", "5"):
             assert fmt_rat(parse_rat(s)) == fmt_rat(F(s))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789+-/._eE \u0663", max_size=12)
+           .filter(lambda s: not re.search(r"[eE][-+]?[\d_]{3}", s)))
+    def test_parse_rat_is_fraction_of_stripped(self, s):
+        # [DERIVED: oracle = Fraction(s.strip()); the plain "num/den" path
+        #  must agree in value, or in the type of exception raised.  An
+        #  exponent of three or more digits is left out: Fraction would
+        #  build 10^exp, up to a billion digits]
+        assert _outcome(parse_rat, s) == _outcome(lambda t: F(t.strip()), s)
+
+    def test_parse_rat_fixed_cases(self):
+        # [DERIVED: oracle = Fraction(s.strip()); a zero denominator, a
+        #  signed zero, leading zeros, blanks, underscores, an exponent, a
+        #  decimal, an explicit sign, a signed denominator, a non-ASCII
+        #  digit and a trailing newline]
+        for s in ("1/0", "-0/5", "007/010", " 3/4 ", "1_000", "1e-3", "0.5",
+                  "+3", "3/-4", "\u0663/4", "3/4\n", "", "/", "-", "12/"):
+            assert _outcome(parse_rat, s) == _outcome(lambda t: F(t.strip()),
+                                                      s), s
+        assert _outcome(parse_rat, "1/0") is ZeroDivisionError
+        with pytest.raises(ValueError):
+            parse_rat(3)
 
     def test_parse_int(self):
         # [DERIVED: JSON integers only; a bool is an int to Python but not

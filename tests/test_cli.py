@@ -17,6 +17,7 @@ from ergocert import bc, cli, rates
 from ergocert.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from ergocert.dynamics import Rotation, System
 from ergocert.errors import InputError
+from ergocert.observables import FTerm
 from ergocert.rates import RateCertificate, check_certificate
 
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
@@ -640,6 +641,18 @@ class TestExitCodes:
                       f'{{"variant": "fterm", "expr": {expr}}}', "--eps",
                       "1/4", "--kind", "norm-l2")
 
+    def test_term_too_deep_to_resolve(self, capsys, monkeypatch):
+        # [DERIVED: a term that parses but nests past the recursion limit
+        #  when resolved (System.as_concrete) is a typed input error, not
+        #  a RecursionError traceback]
+        term = FTerm.one()
+        for _ in range(3000):
+            term = FTerm("max", (term, FTerm.one()))
+        monkeypatch.setattr(cli, "observable_from_json", lambda d: term)
+        self._refused(capsys, "rate", "--system", "doubling", "--observable",
+                      '{"variant": "fterm"}', "--eps", "1/4", "--kind",
+                      "norm-l2")
+
     def test_bad_eps(self, capsys):
         code = main(["rate", "--system", "shift:p=1/2", "--observable",
                      FIRSTBIT, "--eps", "3/2", "--delta", "1/4"])
@@ -779,6 +792,29 @@ def capped(*argv):
                           preexec_fn=cap, env={**os.environ,
                                                "PYTHONPATH": path})
     return done.returncode, done.stdout, done.stderr
+
+
+def max_chain(levels: int) -> str:
+    """An fterm observable: `levels` nested maxima of the constant 1."""
+    return ('{"variant": "fterm", "expr": ' + '{"op": "max", "args": ['
+            * levels + '{"op": "one"}' + ', {"op": "one"}]}' * levels + "}")
+
+
+@pytest.mark.parametrize("levels", [470, 490, 494])
+def test_nested_max_chain_ends_in_an_answer(tmp_path, levels):
+    # [DERIVED: around the depth where json.loads stops, a max chain that
+    #  parses is resolved or refused with a typed error; 490 levels once
+    #  ended in a RecursionError traceback from FTerm.concrete]
+    obs = tmp_path / "chain.json"
+    obs.write_text(max_chain(levels))
+    code, out, err = capped("rate", "--system", "doubling", "--kind",
+                            "norm-l2", "--eps", "1/4", "--observable",
+                            str(obs))
+    assert "Traceback" not in err
+    if levels <= 470 or code == EXIT_OK:
+        assert code == EXIT_OK and json.loads(out)["norm_bound"] == "0"
+    else:
+        assert code == EXIT_INPUT and json.loads(err)["error"] == "input"
 
 
 class TestPricedBeforeBuilt:

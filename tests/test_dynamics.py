@@ -701,6 +701,25 @@ def _plain_correlations(fbar, count):
     return out
 
 
+def _multiplied_correlations(fbar, count):
+    """C(m) = <fbar, L^m fbar> up to the first iterate that repeats an
+    earlier one up to a scalar c, g_j = c g_i, then C(m) = c C(m - (j - i))
+    by one multiplication per entry, c = 0 included."""
+    out, gs, g = [], [], fbar
+    for j in range(count):
+        for i, h in enumerate(gs):
+            c = dynamics._multiple(g.form, h.form) \
+                if g.form.xa == h.form.xa else None
+            if c is not None:
+                for m in range(j, count):
+                    out.append(c * out[m - (j - i)])
+                return out
+        gs.append(g)
+        out.append(pl_inner(fbar, g))
+        g = g.transfer_doubling()
+    return out
+
+
 class TestCorrelations:
     POOL = {"hat_a": PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8)),
             "identity": PiecewiseLinear.identity(),
@@ -724,6 +743,18 @@ class TestCorrelations:
         assert doubling_correlations(zero, 5) == [0] * 5
         hat = centered(DBL, self.POOL["hat_b"])
         assert doubling_correlations(hat, 2) == _plain_correlations(hat, 2)
+
+    def test_zero_iterate_ends_the_table(self):
+        # [DERIVED: oracle = the repeat rule applied by multiplication,
+        #  C(m) = c C(m - (j - i)) for every m >= j; the hats' iterates
+        #  vanish after a few transfers, so their tables end in exact
+        #  zeros]
+        for f in HATS + (self.POOL["hat_a"], self.POOL["hat_b"]):
+            fbar = centered(DBL, f)
+            got = doubling_correlations(fbar, CORRELATION_CUTOFF)
+            assert got == _multiplied_correlations(fbar, CORRELATION_CUTOFF)
+            assert all(type(c) is F for c in got)
+            assert got[-1] == 0 and got.index(0) <= 4
 
     def test_shift_correlations_priced_first(self):
         # [DERIVED: k correlations of depth k cost k 2^(k+1) products:

@@ -183,11 +183,11 @@ class TestW1Examples:
                     return convert(p)
                 monkeypatch.setattr(space, name, spy)
 
-        def fraction(*args):
-            weights.append(args)
-            return F(*args)
-
-        monkeypatch.setattr(measures, "Fraction", fraction)
+        for name in ("Fraction", "parse_rat"):
+            def convert(*args, convert=getattr(measures, name)):
+                weights.append(args)
+                return convert(*args)
+            monkeypatch.setattr(measures, name, convert)
         for space, data in (
                 (CIRCLE, [["1/4", "1/3"], ["5/4", "1/6"], ["2/3", "1/2"]]),
                 (CANTOR, [["1", "1/3"], ["10", "1/6"], ["", "1/2"]])):
@@ -196,6 +196,35 @@ class TestW1Examples:
             assert len(points) == len(weights) == len(data)
             assert [p for p, _ in mu.atoms] == [space.point(p)
                                                 for p, _ in data]
+
+
+    def test_refusals(self):
+        # [DERIVED: duplicate points (also as two spellings of one
+        #  rational), a zero or negative weight, weights off a sum of 1 and
+        #  atoms that are not string pairs are refused, from JSON and from
+        #  ints and Fractions alike, with their messages]
+        cases = [
+            (CIRCLE, [["1/2", "1/2"], ["2/4", "1/2"]], "pairwise distinct"),
+            (CANTOR, [["01", "1/2"], ["01", "1/2"]], "pairwise distinct"),
+            (CIRCLE, [["0", "0"], ["1/2", "1"]], "positive"),
+            (CANTOR, [["0", "-1/2"], ["1", "3/2"]], "positive"),
+            (CIRCLE, [["0", "1/2"], ["1/2", "1/3"]], "sum to 1"),
+            (CANTOR, [["0", "2/3"], ["1", "2/3"]], "sum to 1"),
+            (CIRCLE, [[0, "1"]], "must be strings"),
+            (CANTOR, [["1", 1]], "must be strings"),
+            (CIRCLE, [["0", "1", "x"]], "list of 2"),
+        ]
+        for space, data, message in cases:
+            with pytest.raises(ValueError, match=message):
+                IdealMeasure.from_json(space, data)
+        for atoms, message in (
+                (((F(1, 2), F(1, 2)), (F(1, 2), 1)), "pairwise distinct"),
+                (((0, 0), (F(1, 2), 1)), "positive"),
+                (((0, F(1, 2)), (F(1, 2), F(1, 3))), "sum to 1")):
+            with pytest.raises(ValueError, match=message):
+                IdealMeasure(CIRCLE, atoms)
+        assert IdealMeasure(CIRCLE, ((0, F(1, 3)), (F(1, 2), F(2, 3)))) \
+            .atoms == ((F(0), F(1, 3)), (F(1, 2), F(2, 3)))
 
 
 class TestW1Oracles:

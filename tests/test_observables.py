@@ -3,6 +3,7 @@ generated family F, and the JSON codec."""
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -255,6 +256,8 @@ KERNELS = {
     "integral": lambda f, g, c: (f.integral(), ref.integral(f.segments)),
     "abs_integral": lambda f, g, c: (f.abs_integral(),
                                      ref.abs_integral(f.segments)),
+    "total_variation": lambda f, g, c: (f.total_variation(),
+                                        ref.total_variation(f.segments)),
     "sup": lambda f, g, c: (f.sup_norm(), ref.sup(f.segments)),
     "arcs below abs": lambda f, g, c: (
         f.arcs_below_abs(abs(c)).arcs, ref.arcs(f.segments, -abs(c), abs(c))),
@@ -315,8 +318,90 @@ RATIONAL_ONLY = {
     "pullback_doubling": lambda f: f.pullback_doubling(),
     "shift": lambda f: f.shift(F(1, 3)),
     "abs_integral": lambda f: f.abs_integral(),
+    "total_variation": lambda f: f.total_variation(),
     "window_reader": lambda f: f.window_reader(3),
 }
+
+
+def _random_segments(rng, q):
+    """A rational segment list tiling [0, 1] on the steps 1/q, with jumps,
+    continuous collinear runs, zero-length segments and int data."""
+    xs = sorted(F(rng.randint(0, q), q) for _ in range(rng.randint(0, 9)))
+    segs, v, slope = [], F(rng.randint(-9, 9), rng.randint(1, 6)), F(0)
+    for a, b in zip([F(0)] + xs, xs + [F(1)]):
+        roll = rng.random()
+        if roll < 0.25:
+            v = F(rng.randint(-9, 9), rng.randint(1, 6))  # a jump
+        elif roll < 0.5:
+            slope = F(rng.randint(-7, 7), rng.randint(1, 5))  # a kink
+        vb = v + slope * (b - a)
+        segs.append(tuple(int(t) if t.denominator == 1 and rng.random() < .5
+                          else t for t in (a, b, v, vb)))
+        v = vb
+    return segs
+
+
+def _all_ints(form):
+    """Every number of an integer form is an int (no Fraction, no bool)."""
+    return all(type(x) is int for x in [form.n, form.e, *form.xa, *form.xb,
+                                        *form.vu, *form.vw, *form.ds])
+
+
+class TestCheckingConstructor:
+    def test_form_matches_fraction_reference(self):
+        # [DERIVED: oracle = the checking constructor in Fraction
+        #  arithmetic (pl_reference.checked_form); the integer one must
+        #  build the identical form, on lists with jumps, collinear runs
+        #  that it merges and zero-length segments that it drops]
+        rng = random.Random(3535)
+        merged = dropped = 0
+        for q in (1, 2, 12, 35, 48, 64, 1000):
+            for _ in range(150):
+                segs = _random_segments(rng, q)
+                got = PiecewiseLinear(segs).form
+                assert got == ref.checked_form(segs), segs
+                assert _all_ints(got)
+                kept = [s for s in segs if s[0] < s[1]]
+                dropped += len(kept) < len(segs)
+                merged += len(got.xa) < len(kept)
+        assert merged > 100 and dropped > 100
+
+    def test_refusals_match_fraction_reference(self):
+        # [DERIVED: a gap, an overlap, a list that misses 0 or 1, and an
+        #  empty list are refused with the reference's messages]
+        h, q = F(1, 2), F(1, 4)
+        for segs in ([], [(0, h, 0, 1)], [(h, 1, 0, 1)],
+                     [(0, q, 0, 1), (h, 1, 0, 1)],
+                     [(0, h, 0, 1), (q, 1, 0, 1)],
+                     [(0, h, 0, 1), (h, q, 2, 2), (q, 1, 0, 0)],
+                     [(0, 1, 0, 1), (h, h, 0, 0), (1, 2, 0, 0)]):
+            with pytest.raises(ValueError) as want:
+                ref.checked_form(segs)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                PiecewiseLinear(segs)
+
+    def test_constant_form(self):
+        # [DERIVED: constant(c) builds the form the checking constructor
+        #  builds from one flat segment]
+        for c in (0, 3, -2, F(3, 7), F(-5, 12), True):
+            got = PiecewiseLinear.constant(c).form
+            assert got == PiecewiseLinear([(0, 1, F(c), F(c))]).form
+            assert _all_ints(got)
+
+    def test_abs_integral_of_doubling_sums(self):
+        # [DERIVED: oracle = pl_reference.abs_integral; the doubling sums
+        #  S_p of the centered hats cross 0 on segments of many distinct
+        #  slopes, whose terms the kernel sums over one denominator]
+        for h in (PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 8)),
+                  PiecewiseLinear.hat(F(2, 3), F(1, 8), F(1, 8))):
+            terms = [h.add_const(-h.integral())]
+            for p in (8, 12):
+                while len(terms) < p:
+                    terms.append(terms[-1].pullback_doubling())
+                s = pl_sum(terms)
+                got = s.abs_integral()
+                assert got == ref.abs_integral(s.segments)
+                assert type(got) is F
 
 
 class TestRefusals:
