@@ -37,6 +37,22 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def parse_ratio(s: str) -> tuple:
+    """`parse_rat(s)` as the pair (numerator, denominator) in lowest terms,
+    the denominator positive, with the same exceptions.  The plain form
+    reads its two integers and reduces them by one gcd, building no
+    Fraction; any other string goes to `parse_rat`."""
+    m = _PLAIN_RAT.fullmatch(s)
+    if m is None:
+        q = parse_rat(s)
+        return q.numerator, q.denominator
+    num, den = int(m[1]), int(m[2] or 1)
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def parse_int(v, what: str) -> int:
     """A JSON integer; a bool, a string or a float raises ValueError."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -70,7 +86,8 @@ SQRT_BITS = 48
 
 def sqrt_upper(q: Fraction) -> Fraction:
     """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-SQRT_BITS."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q < 0:
         raise InputError("negative radicand")
     if q == 0:

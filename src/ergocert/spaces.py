@@ -8,6 +8,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -88,7 +89,11 @@ def cantor_dist(u: str, v: str) -> Fraction:
     n - (u ^ v).bit_length()."""
     n = max(len(u), len(v))
     x = int(u.ljust(n, "0") or "0", 2) ^ int(v.ljust(n, "0") or "0", 2)
-    return Fraction(1, 1 << (n - x.bit_length())) if x else Fraction(0)
+    return _half_power(n - x.bit_length()) if x else Fraction(0)
+
+
+#: 2^-k, built once per k: a W1 plan reads one distance per flow
+_half_power = functools.lru_cache(maxsize=256)(pow2)
 
 
 class Space:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert.arith import (Interval, Quad, SQRT2_MINUS_1, floor_root2,
-                            fmt_rat, parse_int, parse_rat, pow2, sign_root2)
+                            fmt_rat, parse_int, parse_rat, parse_ratio, pow2,
+                            sign_root2)
 
 
 def rand_frac(rng, scale=100):
@@ -245,6 +246,35 @@ class TestFormatting:
         assert _outcome(parse_rat, "1/0") is ZeroDivisionError
         with pytest.raises(ValueError):
             parse_rat(3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789+-/._eE \u0663", max_size=12)
+           .filter(lambda s: not re.search(r"[eE][-+]?[\d_]{3}", s)))
+    def test_parse_ratio_is_the_ratio_of_parse_rat(self, s):
+        # [DERIVED: oracle = Fraction(s.strip()) as (numerator,
+        #  denominator), in lowest terms with a positive denominator, or
+        #  the type of exception raised; exponents as above]
+        def ratio(t):
+            q = F(t.strip())
+            return q.numerator, q.denominator
+        assert _outcome(parse_ratio, s) == _outcome(ratio, s)
+
+    def test_parse_ratio_fixed_cases(self):
+        # [DERIVED: the plain form reduced by its gcd (a zero numerator to
+        #  0/1, a sign kept on the numerator), the fallback spellings, and
+        #  a zero denominator refused with Fraction's own message]
+        for s, want in (("2/4", (1, 2)), ("+1/3", (1, 3)), ("-6/4", (-3, 2)),
+                        ("0/7", (0, 1)), ("-0", (0, 1)), ("007/010", (7, 10)),
+                        ("12", (12, 1)), (" 1/6 ", (1, 6)), ("0.5", (1, 2)),
+                        ("1e-3", (1, 1000))):
+            assert parse_ratio(s) == want, s
+            assert all(type(x) is int for x in parse_ratio(s))
+        for s in ("1/0", "-3/0", "+0/00"):
+            with pytest.raises(ZeroDivisionError) as got:
+                parse_ratio(s)
+            with pytest.raises(ZeroDivisionError) as want:
+                parse_rat(s)
+            assert str(got.value) == str(want.value)
 
     def test_parse_int(self):
         # [DERIVED: JSON integers only; a bool is an int to Python but not

@@ -3,15 +3,17 @@ oracles for Lebesgue and Bernoulli."""
 
 import itertools
 import random
+import types
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
-from ergocert import measures
+from ergocert import arith, measures
 from ergocert.dynamics import Shift, doubling_system, shift_system
 from ergocert.errors import InputError
-from ergocert.measures import IdealMeasure, region_measure, w1_ideal
+from ergocert.measures import (IdealMeasure, TransportPlan, region_measure,
+                               w1_ideal)
 from ergocert.regions import cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, IdealBall
 
@@ -167,7 +169,8 @@ class TestW1Examples:
         #  directions, not an assert that python -O strips]
         one = IdealMeasure.dirac(CIRCLE, F(0))
         half = IdealMeasure(CIRCLE, ((F(0), F(1, 2)), (F(1, 2), F(1, 2))))
-        object.__setattr__(half, "atoms", half.atoms[:1])
+        object.__setattr__(half, "points", half.points[:1])
+        object.__setattr__(half, "masses", half.masses[:1])
         for mu1, mu2 in ((one, half), (half, one)):
             with pytest.raises(InputError):
                 w1_ideal(CIRCLE, mu1, mu2)
@@ -183,11 +186,14 @@ class TestW1Examples:
                     return convert(p)
                 monkeypatch.setattr(space, name, spy)
 
-        for name in ("Fraction", "parse_rat"):
-            def convert(*args, convert=getattr(measures, name)):
+        # the weight reader, and what it falls back to or a non-string
+        # weight goes to
+        for module, name in ((measures, "Fraction"),
+                             (measures, "parse_ratio"), (arith, "parse_rat")):
+            def convert(*args, convert=getattr(module, name)):
                 weights.append(args)
                 return convert(*args)
-            monkeypatch.setattr(measures, name, convert)
+            monkeypatch.setattr(module, name, convert)
         for space, data in (
                 (CIRCLE, [["1/4", "1/3"], ["5/4", "1/6"], ["2/3", "1/2"]]),
                 (CANTOR, [["1", "1/3"], ["10", "1/6"], ["", "1/2"]])):
@@ -420,6 +426,137 @@ class TestW1Reference:
         assert values[0] == values[2] == values[3] == values[8] \
             == values[9] == 0
         assert values[4] == F(1, 2) and values[10] == 1
+
+
+def _decimal(w):
+    """w as a decimal string, or None where w has none."""
+    d = w.denominator
+    for p in (2, 5):
+        while d % p == 0:
+            d //= p
+    if d != 1:
+        return None
+    k = w.denominator.bit_length()  # 10^k is a multiple of the denominator
+    digits = str(w.numerator * 10 ** k // w.denominator).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}"
+
+
+class TestIntegerForm:
+    """A measure holds its masses as integers over lw, the lcm of the
+    reduced weight denominators, and a plan its flows as integers over the
+    pair's lw.  Weights spelled in the plain form (one regex and one gcd)
+    and in the forms that fall back to parse_rat give the integer form,
+    the views and the W1 of the Fraction path: Fraction(s) per string and
+    the Fraction sweep of w1_reference."""
+
+    CIRCLE_POOL = sorted({str(F(k, q)) for q in (4, 6, 10, 16)
+                          for k in range(-q, 2 * q)})
+    CANTOR_POOL = sorted({format(v, f"0{n}b") if n else "" for n in range(7)
+                          for v in range(1 << n)})
+
+    @staticmethod
+    def _spell(rng, w):
+        """One spelling of the weight w: plain and reduced ("1/3"),
+        unreduced ("2/4"), signed ("+1/3"), blank-padded (" 1/6 ") or a
+        decimal ("0.5") where w has one; "1" is the plain form of 1."""
+        forms = [str(w), f"{2 * w.numerator}/{2 * w.denominator}",
+                 f"+{w}", f" {w} "]
+        if _decimal(w):
+            forms.append(_decimal(w))
+        return rng.choice(forms)
+
+    def _data(self, rng, space, n):
+        """n atoms as JSON string pairs, the total drawn so that some
+        weights are decimals."""
+        pool = self.CIRCLE_POOL if space is CIRCLE else self.CANTOR_POOL
+        total = rng.choice([rng.randint(n, 3 * n + 20),
+                            1 << (n.bit_length() + rng.randint(0, 3)),
+                            10 ** len(str(n)) * rng.choice((1, 2))])
+        cuts = sorted(rng.sample(range(1, total), n - 1))
+        ws = [F(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+        return [[p, self._spell(rng, w)]
+                for p, w in zip(rng.sample(pool, n), ws)]
+
+    @staticmethod
+    def _fraction_atoms(space, data):
+        return tuple((F(p) if space is CIRCLE else p, F(w)) for p, w in data)
+
+    def _check(self, space, data1, data2):
+        mus = [IdealMeasure.from_json(space, d) for d in (data1, data2)]
+        refs = [self._fraction_atoms(space, d) for d in (data1, data2)]
+        for mu, atoms in zip(mus, refs):
+            lw = lcm(*(w.denominator for _, w in atoms))
+            assert mu.atoms == atoms
+            assert mu.lw == lw
+            assert mu.masses == tuple(int(w * lw) for _, w in atoms)
+            assert mu.points == tuple(p for p, _ in atoms)
+        value, plan = w1_ideal(space, *mus)
+        want_value, want_plan = w1ref.w1(
+            space.name, *(types.SimpleNamespace(atoms=a) for a in refs))
+        assert type(value) is F and value == want_value
+        assert plan.to_json() == want_plan
+        assert plan.lw == lcm(mus[0].lw, mus[1].lw)
+        assert plan.flows == tuple((i, j, F(a)) for i, j, a in want_plan)
+        again = TransportPlan(plan.flows)
+        assert again.to_json() == plan.to_json()
+        assert plan.check_marginals(*mus) and again.check_marginals(*mus)
+        return data1 + data2
+
+    def test_spellings_against_the_fraction_path(self):
+        # [DERIVED: seeded JSON measures of 1 to 8 atoms on both spaces,
+        #  and one pair of 40 or more atoms on each, their weights spelled
+        #  at random in the plain and the fallback forms]
+        rng = random.Random(3607)
+        spelled = []
+        for space in (CIRCLE, CANTOR):
+            for _ in range(40):
+                spelled += self._check(space, *(
+                    self._data(rng, space, rng.randint(1, 8))
+                    for _ in "ab"))
+            spelled += self._check(space, self._data(rng, space, 45),
+                                   self._data(rng, space, 41))
+        weights = [w for _, w in spelled]
+        # every spelling occurs, "1" as the one-atom measures' weight
+        assert "1" in weights and any(w.startswith("+") for w in weights)
+        assert any(w.startswith(" ") for w in weights)
+        assert any("." in w for w in weights)
+        assert any(F(w).denominator != int(w.split("/")[1])
+                   for w in weights if "/" in w and w == w.strip())
+
+    def test_listed_spellings(self):
+        # [DERIVED: the spellings "2/4", "+1/3", " 1/6 ", "0.5" and "1"
+        #  side by side; "2/4" is the weight 1/2, so lw is 6, not 12]
+        data = [["0", "2/4"], ["1/3", "+1/3"], ["2/3", " 1/6 "]]
+        for space, points in ((CIRCLE, ("0", "1/3", "2/3")),
+                              (CANTOR, ("", "01", "1"))):
+            a = [[p, w] for p, (_, w) in zip(points, data)]
+            b = [[points[0], "0.5"], [points[2], "1/2"]]
+            self._check(space, a, b)
+            self._check(space, b, [[points[1], "1"]])
+            mu = IdealMeasure.from_json(space, a)
+            assert (mu.lw, mu.masses) == (6, (3, 2, 1))
+        # one circle point spelled two ways, the weights in fallback forms
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            IdealMeasure.from_json(CIRCLE, [["1/2", " 1/2 "], ["2/4", "0.5"]])
+
+    def test_plan_marginals_fail_on_a_changed_flow(self):
+        # [DERIVED: the integer marginal check refuses a flow moved to
+        #  another row, a negative flow and a flow off by a small amount,
+        #  and negative flows whose sums are the marginals]
+        mu1, mu2 = (IdealMeasure.from_json(CIRCLE, d) for d in (
+            [["0", "1/3"], ["1/2", "2/3"]],
+            [["1/4", "1/2"], ["3/4", "1/2"]]))
+        _, plan = w1_ideal(CIRCLE, mu1, mu2)
+        flows = list(plan.flows)
+        i, j, a = flows[0]
+        for changed in ((1 - i, j, a), (i, j, -a), (i, j, a + F(1, 97))):
+            forged = TransportPlan([changed] + flows[1:])
+            assert not forged.check_marginals(mu1, mu2)
+        assert TransportPlan(flows).check_marginals(mu1, mu2)
+        half = IdealMeasure.from_json(CANTOR, [["0", "1/2"], ["1", "1/2"]])
+        crossed = TransportPlan([(0, 0, F(1)), (0, 1, F(-1, 2)),
+                                 (1, 0, F(-1, 2)), (1, 1, F(1))])
+        assert not crossed.check_marginals(half, half)
 
 
 def big_measure(rng, space, pool, size):

@@ -243,6 +243,18 @@ LINES = [
          "--mu2", '[["0", "1"]]']),
     (1, ["rate", "--system", "doubling", "--observable",
          "{tmp}/deep_fterm.json", "--eps", "1/4", "--kind", "norm-l2"]),
+    # W1 weights: a zero denominator, a negative weight, weights summing
+    # to 3/2 and one circle point spelled two ways are refused; weights in
+    # spellings other than the plain reduced one are read
+    *[(1, ["w1", "--space", space, "--mu1", mu1, "--mu2", '[["0", "1"]]'])
+      for space, mu1 in (
+          ("circle", '[["0", "1/0"]]'),
+          ("circle", '[["0", "-1/2"], ["1/2", "3/2"]]'),
+          ("cantor", '[["0", "1"], ["1", "1/2"]]'),
+          ("circle", '[["1/2", "1/2"], ["2/4", "1/2"]]'))],
+    (0, ["w1", "--space", "circle",
+         "--mu1", '[["0", " 1/2 "], ["1/3", "0.5"]]',
+         "--mu2", '[["1/4", "2/4"], ["3/4", "+1/2"]]']),
 ]
 
 
