@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,7 +298,8 @@ class PiecewiseLinear:
         (Lf)(x) = (f(x/2) + f(x/2 + 1/2)) / 2."""
         return PiecewiseLinear._of(_transfer(_rational(self)))
 
-    # -- sublevel sets -----------------------------------------------------
+    # -- sublevel sets: one classifying pass over the integer form each,
+    # building numbers only at arc ends and level crossings (`_arcs`) ------
 
     def arcs_below_abs(self, delta) -> ArcSet:
         """{x : |f(x)| < delta} as an exact arc set (up to finitely many
@@ -306,12 +308,12 @@ class PiecewiseLinear:
 
     def arcs_above(self, level) -> ArcSet:
         """{x : f(x) > level} as an exact arc set (up to finitely many
-        points)."""
+        points); the band's upper level is missing."""
         return _arcs(self.form, level, None)
 
     def arcs_below(self, level) -> ArcSet:
         """{x : f(x) < level} as an exact arc set (up to finitely many
-        points)."""
+        points); the band's lower level is missing."""
         return _arcs(self.form, None, level)
 
 
@@ -671,32 +673,51 @@ def _sup(f: _Form) -> Quad:
     return Quad(Fraction(bu, f.e), Fraction(bw, f.e))
 
 
+#: a segment's class in `_arcs`; the runs its event loop visits are each
+#: run of outside or of inside segments, at its first, and each cut segment
+_OUT, _CUT, _IN = 0, 1, 2
+_EVENTS = re.compile(b"\x00+|\x02+|\x01")
+
+
 def _arcs(f: _Form, lo, hi) -> ArcSet:
     """{x : lo < f(x) < hi} for rational levels (a missing level is
-    unbounded) in ArcSet's canonical form.  A rational form compares its
-    values with a level in integers: v exceeds lo e iff v > floor(lo e)
-    and falls below it iff v < ceil(lo e); any other form compares
-    (u + w sqrt2)/e with p/q by the exact sign of (u q - p e) + w q sqrt2.
-    On a segment the set is one open interval; it starts at the segment's
-    start or at a level crossing, and it joins the arc before it exactly
-    when it starts at the segment's start and that arc reached it.  A
-    number is built only at a crossing and at the ends of each maximal
-    arc; a crossing is a Quad unless the form is rational."""
+    unbounded) in ArcSet's canonical form.  One list pass sorts the
+    segments by the values at their ends: inside (both strictly between the
+    levels), outside (both at or past one level) or cut (it meets a level;
+    never a flat one).  A rational form compares integers: v/e > L iff
+    v > floor(L e), and v/e >= L iff v >= ceil(L e).  Any other form
+    compares the position of each end (u + w sqrt2)/e, the sum of the exact
+    signs of (u q - p e) + w q sqrt2 against both levels p/q, -2 to 2 and
+    monotone in the value, with -1 and 1.  One event loop then visits only
+    the cut segments and those where the class changes: an inside segment
+    opens an arc at its start and an outside one closes it there, and a cut
+    segment's interval starts at its start or where it enters the band and
+    ends at its end or where it leaves.  So arcs that touch join, and a
+    number is built only at arc ends and crossings (Quads unless the form
+    is rational)."""
     n, e, xa, xb, vu, vw, ds, kind = f
     tu, tw = _ends(f)
-
-    def signs(level, beyond):
-        # the sign of f - level at the start and at the end of every
-        # segment; a missing level lies beyond every value
-        if level is None:
-            return ([beyond] * len(ds),) * 2
-        if kind == _RATIONAL:
-            fl, cl = math.floor(level * e), math.ceil(level * e)
-            return ([(v > fl) - (v < cl) for v in vu],
-                    [(w > fl) - (w < cl) for w in tu])
-        p, q = level.numerator, level.denominator
-        return ([sign_root2(u * q - p * e, w * q) for u, w in zip(vu, vw)],
-                [sign_root2(u * q - p * e, w * q) for u, w in zip(tu, tw)])
+    if kind == _RATIONAL:
+        # key > gt iff the value > lo, key >= ge iff >= lo, key <= le iff
+        # <= hi, key < lt iff < hi; a missing level lies beyond every end
+        heads, tails = vu, tu
+        gt, ge = ((math.floor(lo * e), math.ceil(lo * e)) if lo is not None
+                  else (min(min(vu), min(tu)) - 1,) * 2)
+        le, lt = ((math.floor(hi * e), math.ceil(hi * e)) if hi is not None
+                  else (max(max(vu), max(tu)) + 1,) * 2)
+    else:
+        # a missing level is -1/0 below or 1/0 above: its sign is -p
+        (pl, ql), (ph, qh) = ((-1, 0) if lo is None else lo.as_integer_ratio(),
+                              (1, 0) if hi is None else hi.as_integer_ratio())
+        heads, tails = ([sign_root2(u * ql - pl * e, w * ql)
+                         + sign_root2(u * qh - ph * e, w * qh)
+                         for u, w in zip(us, ws)]
+                        for us, ws in ((vu, vw), (tu, tw)))
+        gt = ge = -1
+        le = lt = 1
+    cls = bytes([_IN if gt < h < lt and gt < t < lt else
+                 _OUT if h <= gt >= t or h >= lt <= t else _CUT
+                 for h, t in zip(heads, tails)])
 
     def crossing(k, level):
         # n x = a + b sqrt2 + (level e - u - w sqrt2) / d
@@ -706,26 +727,27 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
         return x if kind == _RATIONAL else \
             Quad(x, Fraction(xb[k] * d - vw[k], n * d))
 
-    head_lo, tail_lo = signs(lo, 1)
-    head_hi, tail_hi = signs(hi, -1)
     arcs = []
     start = None  # start of the arc that reaches the current segment
-    for k, d in enumerate(ds):
-        if d > 0:
-            inside = tail_lo[k] > 0 and head_hi[k] < 0
-            at_x, at_b = head_lo[k] >= 0, tail_hi[k] <= 0
-            cut_in, cut_out = lo, hi
-        elif d < 0:
-            inside = head_lo[k] > 0 and tail_hi[k] < 0
-            at_x, at_b = head_hi[k] <= 0, tail_lo[k] >= 0
-            cut_in, cut_out = hi, lo
-        else:
-            inside = at_x = at_b = head_lo[k] > 0 and head_hi[k] < 0
-        if not inside:
+    for run in _EVENTS.finditer(cls):
+        k = run.start()
+        c = cls[k]
+        if c == _IN:
+            if start is None:
+                start = _root2(xa[k], xb[k], n)
+            continue
+        if c == _OUT:
             if start is not None:
                 arcs.append((start, _root2(xa[k], xb[k], n)))
                 start = None
             continue
+        # a cut segment: does its interval start at its start (at_x) and end
+        # at its end (at_b), or at the level it crosses there?
+        h, t = heads[k], tails[k]
+        if ds[k] > 0:
+            at_x, at_b, cut_in, cut_out = h >= ge, t <= le, lo, hi
+        else:
+            at_x, at_b, cut_in, cut_out = h <= le, t >= ge, hi, lo
         if not at_x:
             if start is not None:
                 arcs.append((start, _root2(xa[k], xb[k], n)))

@@ -12,6 +12,7 @@ synthesis records as witnesses, and finds the one holding a ball (`holder`).
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -35,7 +36,8 @@ class ArcSet:
     touch, so a union of arc sets is `ArcSet` of all their arcs;
     `_canonical` wraps arcs already in that form.  Measure-theoretic
     operations ignore endpoints (all sets here are finite unions of arcs
-    up to finitely many points).  Its ideal balls are the `parts`."""
+    up to finitely many points); `measure` sums the ends in integers and
+    builds one number.  Its ideal balls are the `parts`."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
         self.arcs = _merged(sorted((a, b) for a, b in arcs if a < b))
@@ -67,7 +69,15 @@ class ArcSet:
         return ArcSet(out)
 
     def measure(self):
-        return sum((b - a for a, b in self.arcs), Fraction(0))
+        """The total length, the sum of b - a over the arcs, in integers
+        (`_length`): a Fraction, or a Quad when an end is one, whose
+        rational and sqrt2 parts are each summed the same way (so a Quad
+        even where the sqrt2 parts cancel)."""
+        ends = [x for arc in self.arcs for x in arc]
+        if not any(type(x) is Quad for x in ends):
+            return _length(ends)
+        return Quad(_length([x.a if type(x) is Quad else x for x in ends]),
+                    _length([x.b if type(x) is Quad else 0 for x in ends]))
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         return ArcSet._canonical(_overlaps(self.arcs, other.arcs))
@@ -100,21 +110,32 @@ class ArcSet:
     def holder(self, cand: IdealBall) -> Optional[tuple]:
         """(position, ball) of the part that holds the circle ball `cand`
         strictly, or None: only the part over cand's centre can, and the
-        components before it add their parts to the position."""
+        components before it add their parts to the position.  Found and
+        checked in integers over D, the lcm of the denominators of the
+        component's ends and of cand's centre and radius."""
         comps, first = self.parts
-        for y in (cand.center, cand.center + 1):
+        c, r = cand.center, cand.radius
+        for s in (0, 1):
+            y = c + s
             i = bisect_right(comps, y, key=itemgetter(0)) - 1
             if i >= 0 and y < comps[i][1]:
                 break
         else:
             return None
-        a, b = comps[i]
-        r = (b - a) / (2 * (first[i + 1] - first[i]))
-        k = (y - a) // (2 * r)
-        ball = IdealBall._of(CIRCLE, mod1(a + r * (2 * k + 1)), r)
-        if not CIRCLE.inside(cand, ball, strict=True):
+        (a, b), m = comps[i], first[i + 1] - first[i]
+        D = math.lcm(a.denominator, b.denominator, c.denominator,
+                     r.denominator)
+        A, B, C, R = (x.numerator * (D // x.denominator) for x in (a, b, c, r))
+        # the m parts have radius (B - A)/E over E = 2 m D: the k-th holds
+        # the centre, and is centred at Z/E mod 1, at distance t/E from it
+        E = 2 * m * D
+        k = m * (C + s * D - A) // (B - A)
+        Z = (2 * m * A + (B - A) * (2 * k + 1)) % E
+        t = (2 * m * C - Z) % E
+        if B - A - min(t, E - t) - 2 * m * R <= 0:
             return None
-        return first[i] + k, ball
+        return first[i] + k, IdealBall._of(CIRCLE, Fraction(Z, E),
+                                           Fraction(B - A, E))
 
     def contains_ball(self, ball) -> bool:
         """Does the set contain the closed arc of a circle ball?"""
@@ -137,6 +158,18 @@ class ArcSet:
                 out.append((a2, b2))
         # rounding inward keeps the arcs sorted, disjoint and apart
         return ArcSet._canonical(out)
+
+
+def _length(ends: list) -> Fraction:
+    """The sum of ends[2i + 1] - ends[2i] over rational ends, in integers:
+    the numerators are summed per denominator, and one Fraction is built
+    over the lcm of the denominators."""
+    per: dict = {}
+    for sign, xs in ((1, ends[1::2]), (-1, ends[::2])):
+        for x in xs:
+            per[x.denominator] = per.get(x.denominator, 0) + sign * x.numerator
+    den = math.lcm(*per)
+    return Fraction(sum(s * (den // d) for d, s in per.items()), den)
 
 
 def _ceil_to_grid(x, grain: Fraction) -> Fraction:
@@ -164,19 +197,16 @@ def _merged(intervals: Iterable[tuple]) -> list[tuple]:
 
 
 def _overlaps(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
-    """Intersection of two sorted, disjoint and apart interval lists, in
-    one walk.  Two pieces of the result lie in different intervals of at
-    least one side, so the result is sorted, disjoint and apart too."""
+    """Intersection of two sorted, disjoint and apart interval lists: each
+    interval (a, b) of xs finds by bisection the first interval of ys that
+    ends past a, and meets it and those after it that start before b.
+    Two pieces of the result lie in different intervals of at least one
+    side, so the result is sorted, disjoint and apart too."""
     out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if xs[i][1] <= ys[j][1]:
-            i += 1
-        else:
+    for a, b in xs:
+        j = bisect_right(ys, a, key=itemgetter(1))
+        while j < len(ys) and ys[j][0] < b:
+            out.append((max(a, ys[j][0]), min(b, ys[j][1])))
             j += 1
     return out
 

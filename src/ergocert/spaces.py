@@ -169,9 +169,10 @@ class CircleSpace(Space):
         lo, hi = ball_arc(cur)
         a0 = ceil(lo * two)
         a1 = min(floor(hi * two) - 1, a0 + two - 1)
+        r = Fraction(1, 2 * two)
         for a in range(a0, a1 + 1):
-            yield IdealBall(self, Fraction(2 * a + 1, 2 * two) % 1,
-                            Fraction(1, 2 * two))
+            yield IdealBall._of(self, Fraction((2 * a + 1) % (2 * two),
+                                               2 * two), r)
 
     def transport(self, src: list, snk: list) -> dict:
         """Optimal coupling of two atom lists [(point, integer mass)] of

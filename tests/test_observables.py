@@ -11,7 +11,7 @@ import pytest
 from ergocert.arith import SQRT2_MINUS_1, Quad
 from ergocert.dynamics import shift_system
 from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear, _Form,
-                                  enumerate_F, observable_from_json,
+                                  _arcs, enumerate_F, observable_from_json,
                                   observable_to_json, pl_inner, pl_sum,
                                   table_integral)
 from ergocert.spaces import CANTOR, CIRCLE, cantor_dist
@@ -306,6 +306,74 @@ class TestIntegerKernels:
                                       [3, -2], "sum"))
         got = g.integral()
         assert got == ref.integral(g.segments) and type(got) is Quad
+
+
+def _assert_canonical(arcs):
+    """ArcSet's canonical form, which `ArcSet._canonical` takes unchecked:
+    0 <= a < b <= 1 for every arc, sorted, and apart (no arc starts where
+    the one before it ends)."""
+    assert all(0 <= a < b <= 1 for a, b in arcs), arcs
+    assert all(b < c for (_, b), (c, _) in zip(arcs, arcs[1:])), arcs
+
+
+class TestSublevelArcs:
+    # [DERIVED: oracle = pl_reference.arcs, segment by segment in the data's
+    #  own arithmetic; equal value by value and type by type, and in
+    #  canonical form, at levels equal to segment values, where a strict
+    #  comparison that should be loose (or the reverse) shows, and half a
+    #  value step off them, where a floor that should be a ceiling shows]
+
+    @staticmethod
+    def _forms(rng):
+        alpha = SQRT2_MINUS_1
+        fs = [_random_pl(rng, rng.randint(1, 9), q)
+              for q in (6, 12, 48) for _ in range(6)]
+        # a doubling Birkhoff sum, and rotation sums and shifted terms,
+        # whose values are rational away from the terms' cuts
+        pulled = [H]
+        for _ in range(4):
+            pulled.append(pulled[-1].pullback_doubling())
+        fs.append(pl_sum(pulled))
+        for f in fs[:4]:
+            fs += [f.shift(alpha * 3),
+                   pl_sum([f.shift(alpha * k) for k in range(3)])]
+        return fs
+
+    def test_matches_reference_at_segment_values(self):
+        rng = random.Random(31)
+        flat = sloped = 0  # cases with a level at a flat / sloped end
+        for f in self._forms(rng):
+            values = sorted({v.a if isinstance(v, Quad) else v
+                             for seg in f.segments for v in seg[2:]
+                             if not isinstance(v, Quad) or v.b == 0})
+            levels = rng.sample(values, min(5, len(values)))
+            # half a value step 1/e off a value, best a flat segment's:
+            # there floor and ceil differ
+            flats = [v for v in values if any(
+                va == vb == v for _, _, va, vb in f.segments)] or levels
+            half = F(1, 2 * f.form.e)
+            levels += [rng.choice(flats) + s * half for s in (-1, 1)] \
+                + [F(rng.randint(-30, 30), rng.randint(1, 7))]
+            cases = [(lo, hi) for lo in levels for hi in levels if lo < hi]
+            cases += [(c, None) for c in levels] + [(None, c) for c in levels]
+            for lo, hi in cases:
+                got = _arcs(f.form, lo, hi).arcs
+                want = ref.arcs(f.segments, lo, hi)
+                assert got == want, (f.segments, lo, hi)
+                assert ref.types(got) == ref.types(want)
+                _assert_canonical(got)
+                for a, b, va, vb in f.segments:
+                    if va == vb and va in (lo, hi):
+                        flat += 1
+                    elif va in (lo, hi) or vb in (lo, hi):
+                        sloped += 1
+            for c in levels:  # the public readers: one level missing
+                assert f.arcs_above(c).arcs == _arcs(f.form, c, None).arcs
+                assert f.arcs_below(c).arcs == _arcs(f.form, None, c).arcs
+                d = abs(c) or F(1, 3)
+                assert f.arcs_below_abs(d).arcs \
+                    == ref.arcs(f.segments, -d, d)
+        assert flat > 0 and sloped > 0, (flat, sloped)
 
 
 H = PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 16))

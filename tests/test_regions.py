@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 from ergocert.arith import Quad, pow2
+from ergocert.dynamics import centered, rotation_system
+from ergocert.observables import PiecewiseLinear
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import CANTOR
 
@@ -43,6 +45,45 @@ class TestArcSet:
             both = [a and b for a, b in zip(si, ti)]
             assert arc_indicator(s.intersect(t)) == both
             assert s.intersect(t).measure() == F(sum(both), 256)
+            # canonical, as `ArcSet._canonical` trusts: no empty piece
+            # where an arc of one starts at the end of an arc of the other
+            arcs = s.intersect(t).arcs
+            assert all(a < b for a, b in arcs)
+            assert all(b < c for (_, b), (c, _) in zip(arcs, arcs[1:]))
+
+    def test_measure_is_the_fraction_sum(self):
+        # [DERIVED: oracle = the sum of b - a over the arcs in Fraction (and
+        #  Quad) arithmetic; equal value and type, so a Quad-ended set
+        #  weighs to a Quad even where its sqrt2 parts cancel]
+        rng = random.Random(8)
+        cases = [ArcSet(), ArcSet([(F(0), F(1))]),
+                 ArcSet.from_raw([(F(3, 4), F(7, 4))])]
+        cases += [rand_arcset(rng, rng.randint(1, 9)) for _ in range(100)]
+        for _ in range(100):  # ends over unrelated denominators
+            ends = sorted({F(rng.randint(0, 97), 97) * F(rng.randint(1, 60),
+                                                         rng.randint(60, 99))
+                           for _ in range(2 * rng.randint(1, 6))})
+            cases.append(ArcSet(zip(ends[::2], ends[1::2])))
+        root = Quad(0, F(1, 4))  # sqrt2/4
+        cases += [ArcSet([(root, F(1, 2)), (F(3, 4), root + F(1, 2))]),
+                  ArcSet([(F(0), F(1, 8)), (root, F(1, 2))])]
+        # the tails window_mass merges on the rotation, Quad-ended
+        system = rotation_system()
+        g = centered(system, PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 8)))
+        for n in (1, 3, 6):
+            s = system.birkhoff_sum(g, n)
+            for delta in (F(1, 16), F(1, 8), F(1, 4)):
+                level = n * delta
+                cases.append(ArcSet(s.arcs_above(level).arcs
+                                    + s.arcs_below(-level).arcs))
+        quads = 0
+        for s in cases:
+            got = s.measure()
+            want = sum((b - a for a, b in s.arcs), F(0))
+            assert got == want and type(got) is type(want), s.arcs
+            quads += type(got) is Quad
+        assert cases[0].measure() == 0 and cases[1].measure() == 1
+        assert quads >= 5
 
     def test_components_glue_wrap(self):
         # [TRIVIAL]

@@ -82,6 +82,7 @@ FTERM_CIRCLE = _fterm({"op": "lin", "terms": [
     ["-1", {"op": "min", "args": [{"op": "one"},
                                   _gen("circle", "0", "1/4")]}]]})
 CIRCLE_TARGET = '{"space": "circle", "center": "3/4", "radius": "1/8"}'
+DYADIC_TARGET = '{"space": "circle", "center": "5/8", "radius": "3/8"}'
 CANTOR_TARGET = '{"space": "cantor", "center": "1", "radius": "3/4"}'
 SYSTEMS = {"doubling": HAT_DBL, "rotation": HAT_ROT, "shift:p=1/2": FIRSTBIT}
 KINDS = {"norm-l1": ["--eps", "1/4"], "norm-l2": ["--eps", "1/8"],
@@ -127,6 +128,10 @@ LINES = [
          "--target", CIRCLE_TARGET, "--count", "6", "--windows", "4",
          "--output", "{tmp}/circle.json"]),
     (0, ["replay", "--artifact", "{tmp}/circle.json"]),
+    (0, ["synthesize", "--system", "doubling", "--observable", IDENTITY,
+         "--target", DYADIC_TARGET, "--count", "6", "--windows", "4",
+         "--output", "{tmp}/doubling.json"]),
+    (0, ["replay", "--artifact", "{tmp}/doubling.json"]),
     (1, ["rate", "--system", "shift:p=1/2", "--observable",
          '{"variant":"cylinder","depth":100000000000,"table":["0"]}',
          "--eps", "1/4"]),
