@@ -137,14 +137,15 @@ class System:
     def search_p(self, bound, threshold: Fraction, settled):
         """(p, w, method) with bound(p) = (w, method) and w < threshold:
         a doubling schedule up to DEFAULT_P_BUDGET, then the least q of a
-        winning octave at most SCAN_CAP wide.  The octave is scanned up to
-        the first failing `l2-upper` q with settled(q), then bisected: later
-        probes stay `l2-upper` and their bound is nonincreasing, so the
-        bisection finds the q the scan would."""
+        winning octave at most SCAN_CAP wide.  A probe that bound rules
+        out without computing it returns w = None and fails.  The octave
+        is scanned up to the first failing `l2-upper` q with settled(q),
+        then bisected: later probes stay `l2-upper` and their bound is
+        nonincreasing, so the bisection finds the q the scan would."""
         p = 1
         while True:
             w, method = bound(p)
-            if w < threshold:
+            if w is not None and w < threshold:
                 break
             p *= 2
             if p > DEFAULT_P_BUDGET:
@@ -155,7 +156,7 @@ class System:
             while p - lo > 1:
                 q = (lo + p) // 2 if bisect else lo + 1
                 wq, mq = bound(q)
-                if wq < threshold:
+                if wq is not None and wq < threshold:
                     p, w, method = q, wq, mq
                 else:
                     lo = q
@@ -606,8 +607,9 @@ class Doubling(CircleMap):
         # the transfer operator halves variation and a zero-mean function
         # is bounded by its variation: |C(m)| <= ||fbar||_1 Var(fbar) 2^-m
         fbar = centered(self, g)
-        return Correlations(doubling_correlations(fbar, count),
-                            fbar.abs_integral() * fbar.total_variation())
+        den, nums = doubling_correlations(fbar, count)
+        return Correlations(nums, fbar.abs_integral() * fbar.total_variation(),
+                            den)
 
     def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
         # p first: a replayed certificate may record any p
@@ -674,6 +676,9 @@ class Rotation(CircleMap):
         # the L1 norm is irrational and correlations do not decay: bound
         # every norm by the sup norm of the exact average (`sup-exact`)
         return rotation_sup_bound(self, g, p), "sup-exact"
+
+    def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
+        return False  # every norm is bounded by `sup-exact`
 
     def search_p(self, bound, threshold: Fraction, settled):
         """Probe the denominators of the continued-fraction convergents of
@@ -792,35 +797,44 @@ def birkhoff_observable(system: System, f: Observable, n: int):
 # Exact norms of centered Birkhoff averages
 
 
-def doubling_correlations(fbar: PiecewiseLinear, count: int) -> list[Fraction]:
-    """C(m) = integral of fbar * (fbar composed with T^m) d Leb, for
-    m < count, read as <fbar, g_m> with g_m = L^m fbar, L the transfer
-    operator (exact; the iterates keep a bounded number of segments).
+def doubling_correlations(fbar: PiecewiseLinear, count: int) -> tuple:
+    """(den, nums) with C(m) = nums[m]/den the integral of fbar * (fbar
+    composed with T^m) d Leb, for m < count, read as <fbar, g_m> with
+    g_m = L^m fbar, L the transfer operator (exact; the iterates keep a
+    bounded number of segments).
 
     The table stops transferring once an iterate repeats up to a scalar:
-    g_j = c g_i (i < j) gives C(j + k) = c C(i + k) for every k by
-    linearity, so the rest of the table follows exactly.  A zero iterate
-    is the case c = 0, which fills the rest of the table with c itself,
-    with no multiplication.  The transfer keeps the steps 1/n of fbar's
-    integer form, so a repeat shows on equal starts and proportional value
-    and increment columns."""
-    out = []
-    seen = {}  # starts of g_i -> [(i, form of g_i)]
-    g = fbar
+    g_j = c g_i (i < j) gives C(i + r d + s) = c^r C(i + s) for every r and
+    s < d = j - i by linearity, so the rest of the table follows exactly,
+    in integers: for c = a/b the transferred head over the lcm of its
+    denominators, all of it times b^R (R the last r), and the r-th period
+    of the tail times a^r b^(R - r).  A zero iterate (c = 0) ends the
+    table in zeros.  The transfer keeps the steps 1/n of fbar's integer
+    form, so a repeat shows on equal starts and proportional value and
+    increment columns."""
+    head, seen, g, rep = [], {}, fbar, None
     for j in range(count):
         earlier = seen.setdefault(tuple(g.form.xa), [])
-        for i, h in earlier:
-            c = _multiple(g.form, h)
-            if c == 0:
-                return out + [c] * (count - j)
-            if c is not None:
-                for m in range(j, count):
-                    out.append(c * out[m - (j - i)])
-                return out
+        rep = next(((i, c) for i, h in earlier
+                    if (c := _multiple(g.form, h)) is not None), None)
+        if rep:
+            break
         earlier.append((j, g.form))
-        out.append(pl_inner(fbar, g))
+        head.append(pl_inner(fbar, g))
         g = g.transfer_doubling()
-    return out
+    den = math.lcm(*[x.denominator for x in head])
+    nums = [x.numerator * (den // x.denominator) for x in head]
+    i, c = rep or (count, 0)
+    a, b = c.as_integer_ratio()
+    if not a:  # no repeat, or a zero iterate
+        return den, nums + [0] * (count - len(nums))
+    period = nums[i:]
+    last = (count - 1 - i) // len(period)
+    ups = accumulate(repeat(a, last), mul, initial=1)
+    downs = list(accumulate(repeat(b, last), mul, initial=1))
+    tail = [x * f for f in map(mul, ups, reversed(downs)) for x in period]
+    top = downs[-1]
+    return den * top, [x * top for x in nums[:i]] + tail[:count - i]
 
 
 def _multiple(g, h) -> Optional[Fraction]:
@@ -838,12 +852,15 @@ class Correlations:
     """C(0), ..., C(len-1) of a centered observable, kept as integers over
     one denominator `den`: den C(0) and the prefix sums of den C(m) and
     den m C(m), so that any p combines in integers and builds each end of
-    its enclosure with one Fraction.  `decay` is a constant such that
-    |C(m)| <= decay * 2^-m for every m >= len."""
+    its enclosure with one Fraction.  `c` lists the C(m), as Fractions or,
+    with `den` given, as integers over it.  `decay` is a constant such
+    that |C(m)| <= decay * 2^-m for every m >= len."""
 
-    def __init__(self, c: list, decay):
-        self.den = math.lcm(*[x.denominator for x in c])
-        nums = [x.numerator * (self.den // x.denominator) for x in c]
+    def __init__(self, c: list, decay, den: int = 0):
+        if not den:
+            den = math.lcm(*[x.denominator for x in c])
+            c = [x.numerator * (den // x.denominator) for x in c]
+        self.den, nums = den, c
         self.c0 = nums[0]
         self.sums = list(accumulate(nums[1:], initial=0))
         self.msums = list(accumulate((m * x for m, x in

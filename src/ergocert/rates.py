@@ -18,7 +18,7 @@ from .arith import fmt_rat, parse_int, parse_rat
 from .errors import (BudgetExceededError, ErgocertError, InputError,
                      UnsupportedPairError)
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
-                       parse_system)
+                       l2_sq_enclosure, parse_system)
 from .observables import observable_from_json, observable_to_json
 
 
@@ -28,17 +28,37 @@ from .observables import observable_from_json, observable_to_json
 
 class NormOracle:
     """`System.norm_bound` across a p-search for one (system, f): one table
-    of fbar's correlations, priced on the uncentered f before centering."""
+    of fbar's correlations, priced on the uncentered f before centering,
+    and ||fbar||_inf, each computed once.  The search probes through
+    `screened`, which rules out from the table an exact-L1 probe that
+    cannot clear; the checker calls `System.norm_bound` itself."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
         self.g = system.as_concrete(f)
         self.corr = cache(
             lambda: system.correlations(self.g, CORRELATION_CUTOFF))
+        self.fbar_sup = cache(lambda: centered(system, self.g).sup_norm())
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
         return self.system.norm_bound(self.g, p, norm, self.corr)
+
+    def screened(self, p: int, norm: str, threshold: Fraction) -> tuple:
+        """bound(p, norm), or (None, "l1-exact") with no S_p or law built
+        when that probe is `l1-exact` and cannot clear the threshold:
+        |A_p fbar| <= ||fbar||_inf everywhere, so ||A_p fbar||_1 >=
+        ||A_p fbar||_2^2 / ||fbar||_inf, and the table encloses the square
+        norm from below (exactly at every p where l1-exact is feasible).
+        p = 1 is not screened: A_1 fbar = fbar, whose L1 norm costs less
+        than the table.  The table is priced before fbar is centered for
+        its sup norm."""
+        if (norm == "L1" and p > 1
+                and self.system.l1_exact_feasible(self.g, p)):
+            sq = l2_sq_enclosure(p, self.corr()).lo
+            if sq > 0 and sq >= threshold * self.fbar_sup():
+                return None, "l1-exact"
+        return self.bound(p, norm)
 
     def l2_settled(self, p: int) -> bool:
         """The L2 bound is nonincreasing from p on."""
@@ -50,9 +70,13 @@ def find_p(oracle: NormOracle, threshold: Fraction,
            norm: str) -> tuple[int, Fraction, str]:
     """Deterministic p-search on the system's schedule
     (`System.search_p`): the smallest probed p whose bound clears the
-    threshold."""
-    return oracle.system.search_p(lambda p: oracle.bound(p, norm), threshold,
-                                  oracle.l2_settled)
+    threshold.  Each probe goes through `NormOracle.screened`, so an
+    exact-L1 probe that the correlation table shows cannot clear fails
+    without building S_p; (p, w, method) come from a probe that ran, so
+    the result is the one of probing `NormOracle.bound` alone."""
+    return oracle.system.search_p(
+        lambda p: oracle.screened(p, norm, threshold), threshold,
+        oracle.l2_settled)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +318,7 @@ def as_rate_bounded(system: System, f: Observable, epsilon: Fraction,
         raise InputError("need eps, delta > 0")
     oracle = NormOracle(system, f)
     p, w, method = find_p(oracle, delta * epsilon / 2, "L1")
-    sup = centered(system, oracle.g).sup_norm()
+    sup = oracle.fbar_sup()
     n0 = max(1, math.ceil(4 * (p - 1) * sup / delta))
     return _certificate(system, f, kind="AS_BOUNDED", epsilon=epsilon,
                         delta=delta, p=p, norm_bound=w, norm_method=method,

@@ -701,6 +701,15 @@ def _plain_correlations(fbar, count):
     return out
 
 
+def _table(fbar, count):
+    """`doubling_correlations` as Fractions, its form checked first: one
+    positive integer denominator over count integer numerators."""
+    den, nums = doubling_correlations(fbar, count)
+    assert type(den) is int and den > 0 and len(nums) == count
+    assert all(type(n) is int for n in nums)
+    return [F(n, den) for n in nums]
+
+
 def _multiplied_correlations(fbar, count):
     """C(m) = <fbar, L^m fbar> up to the first iterate that repeats an
     earlier one up to a scalar c, g_j = c g_i, then C(m) = c C(m - (j - i))
@@ -736,13 +745,13 @@ class TestCorrelations:
         fs += [_random_pl(rng, rng.randint(7, 16)) for _ in range(30)]
         for f in fs:
             fbar = centered(DBL, f)
-            assert doubling_correlations(fbar, CORRELATION_CUTOFF) \
+            assert _table(fbar, CORRELATION_CUTOFF) \
                 == _plain_correlations(fbar, CORRELATION_CUTOFF)
         # a zero observable and a short table
         zero = centered(DBL, PiecewiseLinear.constant(F(3, 7)))
-        assert doubling_correlations(zero, 5) == [0] * 5
+        assert _table(zero, 5) == [0] * 5
         hat = centered(DBL, self.POOL["hat_b"])
-        assert doubling_correlations(hat, 2) == _plain_correlations(hat, 2)
+        assert _table(hat, 2) == _plain_correlations(hat, 2)
 
     def test_zero_iterate_ends_the_table(self):
         # [DERIVED: oracle = the repeat rule applied by multiplication,
@@ -751,9 +760,8 @@ class TestCorrelations:
         #  zeros]
         for f in HATS + (self.POOL["hat_a"], self.POOL["hat_b"]):
             fbar = centered(DBL, f)
-            got = doubling_correlations(fbar, CORRELATION_CUTOFF)
+            got = _table(fbar, CORRELATION_CUTOFF)
             assert got == _multiplied_correlations(fbar, CORRELATION_CUTOFF)
-            assert all(type(c) is F for c in got)
             assert got[-1] == 0 and got.index(0) <= 4
 
     def test_shift_correlations_priced_first(self):

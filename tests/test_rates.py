@@ -23,6 +23,7 @@ from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
                             as_rate_l1, check_certificate, find_p, l_rate,
                             validate_as)
 from ergocert.regions import ArcSet, cylinder_mass
+import cyl_reference as cref
 import pl_reference as ref
 from test_dynamics import _random_pl
 
@@ -181,7 +182,7 @@ class TestCheckerRejections:
 
 #: names of the p-search, which the checker must not reach
 SEARCH_NAMES = {"find_p", "NormOracle", "search_p", "l2_settled",
-                "nonincreasing_from", "Correlations"}
+                "nonincreasing_from", "Correlations", "screened"}
 
 
 class TestCheckerIndependence:
@@ -335,6 +336,56 @@ class TestSearch:
         assert _scan_p(oracle, threshold, "L1") == want
         assert find_p(oracle, threshold, "L1") == want
 
+    def test_screen_rules_out_probes_without_building_s_p(self,
+                                                          monkeypatch):
+        # [DERIVED: oracle = the linear scan over the unscreened bound, on
+        #  doubling hats and the identity and on shift observables at the
+        #  search thresholds of the exact strata; each screened probe fails
+        #  the unscreened bound, builds no S_p (no l_norm_birkhoff call),
+        #  and the screen rules out 55 probes here (none at p = 1, whose
+        #  probe costs less than the table); a constant f, whose fbar is
+        #  0, clears at p = 1, and is not screened at p = 2 either]
+        exact_l1 = [0]
+        norm_l1 = dynamics.l_norm_birkhoff
+
+        def counting(*args):
+            exact_l1[0] += 1
+            return norm_l1(*args)
+
+        monkeypatch.setattr(dynamics, "l_norm_birkhoff", counting)
+        fs = [(DBL, HAT), (DBL, PiecewiseLinear.hat(F(1, 4), F(1, 8),
+                                                     F(1, 16))),
+              (DBL, PiecewiseLinear.identity()),
+              (shift_system(F(1, 3)), CylinderFn.coordinate(1)),
+              (SHIFT, FIRSTBIT), (SHIFT, CylinderFn.word_indicator("01")),
+              (DBL, PiecewiseLinear.constant(F(1, 3)))]
+        screened = 0
+        for system, f in fs:
+            for threshold in (F(1, 32), F(1, 64), F(1, 128)):
+                oracle = NormOracle(system, f)
+                probes, screen = [], oracle.screened
+
+                def recording(p, norm, threshold):
+                    probes.append((p, *screen(p, norm, threshold)))
+                    return probes[-1][1:]
+
+                oracle.screened = recording
+                want = _scan_p(oracle, threshold, "L1")
+                exact_l1[0] = 0
+                assert find_p(oracle, threshold, "L1") == want
+                out = [p for p, w, _ in probes if w is None]
+                assert all(m == "l1-exact" for p, w, m in probes
+                           if w is None)
+                assert exact_l1[0] == sum(m == "l1-exact" and w is not None
+                                          for _, w, m in probes)
+                assert all(oracle.bound(p, "L1")[0] >= threshold
+                           for p in out)
+                screened += len(out)
+        assert screened >= 50
+        # fbar = 0 has ||fbar||_inf = 0: the bound 0 clears, unscreened
+        zero = NormOracle(DBL, PiecewiseLinear.constant(F(1, 3)))
+        assert zero.screened(2, "L1", F(1, 4)) == (0, "l1-exact")
+
     def test_wide_octave_returns_its_power_of_two(self):
         # [DERIVED: 1/p first clears 1/5000 at 5001, in the octave
         #  (4096, 8192], wider than SCAN_CAP: the search keeps 8192]
@@ -349,6 +400,51 @@ class TestSearch:
         assert find_p(oracle, threshold, "L2") \
             == _scan_p(oracle, threshold, "L2") \
             == (8192, *oracle.bound(8192, "L2"))
+
+
+class TestScreenInequality:
+    def test_l2_square_over_sup_bounds_l1(self):
+        # [DERIVED: oracle = A_p fbar built by the references alone (the
+        #  pullbacks of pl_reference on the doubling map, the running sums
+        #  of cyl_reference on the shift); |A_p fbar| <= ||fbar||_inf gives
+        #  ||A_p fbar||_2^2 <= ||fbar||_inf ||A_p fbar||_1, and the lower
+        #  end the search's screen reads is that square norm exactly, next
+        #  to the oracle's ||fbar||_inf]
+        rng = random.Random(38)
+        cases = []
+        for _ in range(4):
+            f = _random_pl(rng, rng.randint(5, 8))
+            m = ref.integral(f.segments)
+            fbar = ref.plus(f.segments, [(F(0), F(1), -m, -m)])
+            terms, avgs = [fbar], []
+            for p in range(1, 6):
+                avgs.append(ref.scale(ref.total(terms), F(1, p)))
+                terms.append(ref.pullback(terms[-1]))
+            cases.append((DBL, f, ref.sup(fbar), [
+                (ref.inner(a, a), ref.abs_integral(a)) for a in avgs]))
+        for prob in (F(1, 2), F(1, 3), F(2, 5)):
+            for _ in range(3):
+                k = rng.randint(1, 4)
+                t = [F(rng.randint(-4, 4), rng.randint(1, 4))
+                     for _ in range(1 << k)]
+                m = cref.integral(t, prob)
+                tbar = [v - m for v in t]
+                norms = []
+                for p in range(1, 7):
+                    a = cref.average(tbar, p)
+                    ws = cref.words(cref.depth(a))
+                    norms.append((
+                        sum(cref.mass(w, prob) * v * v for w, v in zip(ws, a)),
+                        sum(cref.mass(w, prob) * abs(v)
+                            for w, v in zip(ws, a))))
+                cases.append((shift_system(prob), CylinderFn(k, t),
+                              cref.sup(tbar), norms))
+        for system, f, sup, norms in cases:
+            oracle = NormOracle(system, f)
+            assert oracle.fbar_sup() == sup
+            for p, (sq, l1) in enumerate(norms, 1):
+                assert sq <= sup * l1
+                assert l2_sq_enclosure(p, oracle.corr()).lo == sq
 
 
 class TestMaximalInequality:
