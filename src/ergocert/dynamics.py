@@ -54,20 +54,20 @@ class System:
 
     Each subclass owns every choice that depends on the map or on the
     invariant measure: the concrete observable class and its integral, the
-    orbit enclosures, the exact average A_n, the bound on ||A_p fbar|| and
-    its route (`norm_bound`, shared by the p-search and the certificate
-    checks), the p-search schedule, exact regions, the region of a list of
-    ideal balls (`region`), the measure of a region (`weigh`) and of a
-    deviation window (`deviation_mass`, `window_mass`), replay's check of
-    a window (`replay_window`: its err, whether it holds a witness ball,
-    and its ball that holds an accepted one, each by the checker's own
-    route), the exact validation mode and the defaults of exact
-    Borel-Cantelli windows.  Which of a region's ideal balls holds a
-    candidate depends on the space alone, so the region finds it
-    (`holder`).
-    The base class holds the routes shared by the two mixing systems: the
-    exact L1 norm where feasible, else ||A_p fbar||_2 from the correlations
-    C(m) of fbar, and a doubling p-search that scans the winning octave and
+    orbit enclosures, the exact average A_n, the bound on ||A_p fbar|| by a
+    named route (`norm_by`; the checks name the recorded one) and the
+    p-search's pick of route (`norm_route`), the p-search schedule, exact
+    regions, the region of a list of ideal balls (`region`), the measure
+    of a region (`weigh`) and of a deviation window (`deviation_mass`,
+    `window_mass`), replay's check of a window (`replay_window`: its err,
+    whether it holds a witness ball, and its ball that holds an accepted
+    one, each by the checker's own route), the exact validation mode and
+    the defaults of exact Borel-Cantelli windows.  Which of a region's
+    ideal balls holds a candidate depends on the space alone, so the
+    region finds it (`holder`).  The base class holds the routes of the
+    two mixing systems, the exact L1 norm (`l1-exact`) and ||A_p fbar||_2
+    from the correlations C(m) of fbar (`l2-upper`, which bounds either
+    norm), and a doubling p-search that scans the winning octave and
     bisects it where the L2 bound is proved nonincreasing."""
 
     name: str
@@ -125,14 +125,20 @@ class System:
             setattr(self, slot, (key, n, state))
         return state
 
-    def norm_bound(self, g, p: int, norm: str, corr=None) -> tuple:
-        """(w, method), w a certified upper bound on ||A_p fbar||_norm for g
-        concrete on the system.  `corr` returns fbar's correlation table (a
-        p-search keeps one); without it the table is built here."""
-        if norm == "L1" and self.l1_exact_feasible(g, p):
-            return l_norm_birkhoff(self, g, p), "l1-exact"
+    def norm_route(self, g, p: int, norm: str) -> str:
+        """The route the p-search takes: `l1-exact` where it is cheap."""
+        return ("l1-exact" if norm == "L1" and self.l1_exact_feasible(g, p)
+                else "l2-upper")
+
+    def norm_by(self, method: str, g, p: int, norm: str, corr=None):
+        """A certified upper bound on ||A_p fbar||_norm by the route `method`,
+        None if the system lacks it; `corr` returns fbar's C(m) table."""
+        if method == "l1-exact" and norm == "L1":
+            return l_norm_birkhoff(self, g, p)
+        if method != "l2-upper":
+            return None
         table = corr() if corr else self.correlations(g, CORRELATION_CUTOFF)
-        return sqrt_upper(l2_sq_enclosure(p, table).hi), "l2-upper"
+        return sqrt_upper(l2_sq_enclosure(p, table).hi)
 
     def search_p(self, bound, threshold: Fraction, settled):
         """(p, w, method) with bound(p) = (w, method) and w < threshold:
@@ -612,7 +618,7 @@ class Doubling(CircleMap):
                             den)
 
     def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
-        # p first: a replayed certificate may record any p
+        # p first: the p-search asks up to p = DEFAULT_P_BUDGET = 2^34
         return p <= 12 and len(g.form.xa) << p <= 1 << 12
 
     def point_in(self, final: IdealBall, track: list):
@@ -672,13 +678,12 @@ class Rotation(CircleMap):
         # inward to the 2^-48 grid, so the region has rational ends
         return super().sublevel(g, n, delta).to_rational_inner(pow2(48))
 
-    def norm_bound(self, g, p: int, norm: str, corr=None) -> tuple:
-        # the L1 norm is irrational and correlations do not decay: bound
-        # every norm by the sup norm of the exact average (`sup-exact`)
-        return rotation_sup_bound(self, g, p), "sup-exact"
+    def norm_route(self, g, p: int, norm: str) -> str:
+        return "sup-exact"  # L1 is irrational and C(m) does not decay
 
-    def l1_exact_feasible(self, g: PiecewiseLinear, p: int) -> bool:
-        return False  # every norm is bounded by `sup-exact`
+    def norm_by(self, method: str, g, p: int, norm: str, corr=None):
+        return (rotation_sup_bound(self, g, p) if method == "sup-exact"
+                else None)
 
     def search_p(self, bound, threshold: Fraction, settled):
         """Probe the denominators of the continued-fraction convergents of

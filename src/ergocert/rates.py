@@ -18,7 +18,7 @@ from .arith import fmt_rat, parse_int, parse_rat
 from .errors import (BudgetExceededError, ErgocertError, InputError,
                      UnsupportedPairError)
 from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
-                       l2_sq_enclosure, parse_system)
+                       l2_sq_enclosure, l_norm_birkhoff, parse_system)
 from .observables import observable_from_json, observable_to_json
 
 
@@ -27,11 +27,11 @@ from .observables import observable_from_json, observable_to_json
 
 
 class NormOracle:
-    """`System.norm_bound` across a p-search for one (system, f): one table
-    of fbar's correlations, priced on the uncentered f before centering,
-    and ||fbar||_inf, each computed once.  The search probes through
-    `screened`, which rules out from the table an exact-L1 probe that
-    cannot clear; the checker calls `System.norm_bound` itself."""
+    """`System.norm_by` at the route `System.norm_route` picks, across a
+    p-search for one (system, f): one table of fbar's correlations, priced
+    on the uncentered f, and ||fbar||_inf, each computed once.  The search
+    probes through `screened`, which rules out from the table an exact-L1
+    probe that cannot clear; the checker follows the recorded route."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
@@ -42,7 +42,8 @@ class NormOracle:
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
         """(w, method) with w a certified upper bound on ||A_p fbar||_norm."""
-        return self.system.norm_bound(self.g, p, norm, self.corr)
+        method = self.system.norm_route(self.g, p, norm)
+        return self.system.norm_by(method, self.g, p, norm, self.corr), method
 
     def screened(self, p: int, norm: str, threshold: Fraction) -> tuple:
         """bound(p, norm), or (None, "l1-exact") with no S_p or law built
@@ -53,8 +54,7 @@ class NormOracle:
         p = 1 is not screened: A_1 fbar = fbar, whose L1 norm costs less
         than the table.  The table is priced before fbar is centered for
         its sup norm."""
-        if (norm == "L1" and p > 1
-                and self.system.l1_exact_feasible(self.g, p)):
+        if p > 1 and self.system.norm_route(self.g, p, norm) == "l1-exact":
             sq = l2_sq_enclosure(p, self.corr()).lo
             if sq > 0 and sq >= threshold * self.fbar_sup():
                 return None, "l1-exact"
@@ -156,10 +156,8 @@ class RateCertificate:
                 raise InputError(
                     f"{name} must be {'>' if strict else '>='} {least}")
 
-    def _recorded(self, method: str) -> tuple[bool, str]:
-        """The recorded method and guarantee text match the recomputation."""
-        if method != self.norm_method:
-            return False, f"recorded norm_method differs from {method}"
+    def _recorded(self) -> tuple[bool, str]:
+        """The recorded guarantee text matches the certified parameters."""
         if self.guarantee != self.statement():
             return False, "guarantee text differs from the certified parameters"
         return True, "ok"
@@ -184,18 +182,23 @@ class NormCertificate(RateCertificate):
         self._refuse_out_of_domain()
         norm = self.kind[-2:]
         corr = cache(lambda: system.correlations(g, CORRELATION_CUTOFF))
-        w, method = system.norm_bound(g, self.p, norm, corr)
+        w = system.norm_by(self.norm_method, g, self.p, norm, corr)
+        if w is None:
+            return False, (f"{system.name} has no {norm} route "
+                           f"{self.norm_method!r}")
         if w > self.norm_bound:
             return False, f"recomputed ||A_p|| bound {w} > recorded {self.norm_bound}"
         if not self.norm_bound < self.epsilon / 2:
             return False, "recorded bound does not clear eps/2"
-        if system.norm_bound(g, 1, norm, corr)[0] > self.fbar_norm:
+        nf = (l_norm_birkhoff(system, g, 1) if norm == "L1"  # exact, uncapped
+              else system.norm_by(self.norm_method, g, 1, norm, corr))
+        if nf > self.fbar_norm:
             return False, "recomputed ||fbar|| exceeds recorded value"
         if self.n_factor < 2 * self.fbar_norm / self.epsilon:
             return False, "n does not satisfy n >= 2||fbar||/eps"
         if self.n0_or_m != self.n_factor * self.p:
             return False, "m != n*p"
-        return self._recorded(method)
+        return self._recorded()
 
 
 @dataclass(kw_only=True)
@@ -218,7 +221,9 @@ class AsBoundedCertificate(RateCertificate):
 
     def _check_bounded(self, system, g, delta, epsilon) -> tuple[bool, str]:
         """The bounded chain for g at level delta and mass epsilon."""
-        w, method = system.norm_bound(g, self.p, "L1")
+        w = system.norm_by(self.norm_method, g, self.p, "L1")
+        if w is None:
+            return False, f"{system.name} has no L1 route {self.norm_method!r}"
         if w > self.norm_bound:
             return False, f"recomputed ||A_p||_1 bound {w} > recorded"
         if not self.norm_bound < delta * epsilon / 2:
@@ -228,7 +233,7 @@ class AsBoundedCertificate(RateCertificate):
         need = max(1, math.ceil(4 * (self.p - 1) * self.sup_bound / delta))
         if self.n0_or_m < need:
             return False, f"n0 {self.n0_or_m} below required {need}"
-        return self._recorded(method)
+        return self._recorded()
 
 
 @dataclass(kw_only=True)

@@ -466,8 +466,9 @@ class TestExitCodes:
         def recompute(*args):
             raise AssertionError("recomputed before the domain check")
 
-        for owner, step in ((System, "norm_bound"), (Rotation, "norm_bound"),
-                            (rates, "centered"), (rates, "_tail_l1")):
+        for owner, step in ((System, "norm_by"), (Rotation, "norm_by"),
+                            (rates, "l_norm_birkhoff"), (rates, "centered"),
+                            (rates, "_tail_l1")):
             monkeypatch.setattr(owner, step, recompute)
         data = {**json.loads((CORPUS / name).read_text()), field: value}
         with pytest.raises(InputError) as err:

@@ -93,9 +93,12 @@ class TestEmission:
             assert not ok, field
 
     def test_recorded_p_checked_at_flat_memory(self):
-        # [DERIVED: the doubling map weighs p before it shifts by p, so a
-        #  recorded p of 10^8 fails without allocating 2^p bits; the
-        #  answer of the feasibility test is unchanged for every p >= 1]
+        # [DERIVED: the checker follows the recorded l1-exact route, and
+        #  the doubling map prices S_p's segments with n capped before it
+        #  shifts by n, so a recorded p of 10^8 is over budget without
+        #  allocating 2^p bits; the search's feasibility test weighs p
+        #  before it shifts by p, and its answer is unchanged for every
+        #  p >= 1]
         for f in (HAT, PiecewiseLinear.identity(),
                   PiecewiseLinear.constant(F(1, 3))):
             segs = max(len(f.segments), 1)
@@ -106,13 +109,15 @@ class TestEmission:
             (CORPUS / "cert_doubling_hat_a_norm-l1_1-4.json").read_text())
         data["p"] = 10 ** 8
         cert = RateCertificate.from_json(data)
+        assert cert.norm_method == "l1-exact"
         tracemalloc.start()
         try:
-            ok, _ = check_certificate(cert)
+            with pytest.raises(BudgetExceededError, match="segments"):
+                check_certificate(cert)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not ok and peak < 1 << 20
+        assert peak < 1 << 20
 
 
 #: a spike of height 8(16 + 1/64)/7 on the cylinder 111: its centered
@@ -180,9 +185,11 @@ class TestCheckerRejections:
             False, "guarantee text differs from the certified parameters")
 
 
-#: names of the p-search, which the checker must not reach
+#: names of the p-search and of its choice of norm route, which the
+#: checker must not reach
 SEARCH_NAMES = {"find_p", "NormOracle", "search_p", "l2_settled",
-                "nonincreasing_from", "Correlations", "screened"}
+                "nonincreasing_from", "Correlations", "screened",
+                "norm_route", "l1_exact_feasible"}
 
 
 class TestCheckerIndependence:
@@ -216,6 +223,85 @@ class TestCheckerIndependence:
         assert {"RateCertificate", "KINDS", "AsL1Certificate",
                 "_tail_l1"} <= seen
         assert not read & SEARCH_NAMES, read & SEARCH_NAMES
+
+
+#: every System class: the emitter's route policy lives on these
+SYSTEM_CLASSES = (dynamics.System, dynamics.Shift, dynamics.CircleMap,
+                  dynamics.Doubling, dynamics.Rotation)
+
+
+def _corpus_certificates() -> dict:
+    """The stored certificates, by file name."""
+    return {p.name: RateCertificate.from_json(json.loads(p.read_text()))
+            for p in sorted(CORPUS.glob("cert_*.json"))}
+
+
+class TestRecordedRoute:
+    """The checker recomputes each bound by the route the certificate
+    records, whatever route the emitter would pick today."""
+
+    def test_checker_never_asks_the_policy(self, monkeypatch):
+        # [DERIVED: with the emitter's policy raising on every system
+        #  class, each of the 69 stored certificates still checks ok]
+        def policy(*args):
+            raise AssertionError("the checker asked the emitter's policy")
+
+        for cls in SYSTEM_CLASSES:
+            for name in ("norm_route", "l1_exact_feasible"):
+                monkeypatch.setattr(cls, name, policy, raising=False)
+        certs = _corpus_certificates()
+        assert len(certs) == 69
+        for name, cert in certs.items():
+            assert check_certificate(cert) == (True, "ok"), name
+
+    @pytest.mark.parametrize("cap", [8, 24])
+    def test_shift_cap_moves_without_breaking_replay(self, monkeypatch,
+                                                     cap):
+        # [DERIVED: with the shift's exact-L1 cap moved from 16 to 8 or to
+        #  24 the emitter would now pick another route for some stored
+        #  certificate at its recorded p, and all 69 still check ok]
+        monkeypatch.setattr(
+            dynamics.Shift, "l1_exact_feasible",
+            lambda self, g, p: (p + g.depth - 1 if g.depth else 0) <= cap)
+        moved = 0
+        for name, cert in _corpus_certificates().items():
+            system = dynamics.parse_system(cert.system_sel)
+            g = system.as_concrete(observable_from_json(cert.observable))
+            norm = "L2" if cert.kind == "NORM_L2" else "L1"
+            moved += system.norm_route(g, cert.p, norm) != cert.norm_method
+            assert check_certificate(cert) == (True, "ok"), name
+        assert moved
+
+    @pytest.mark.parametrize("name, method, verdict", [
+        ("cert_shift1-2_w01_as-bounded_1-4_1-2.json", "l1-exact",
+         (True, "ok")),
+        ("cert_shift1-2_first_bit_norm-l1_1-4.json", "l2-upper",
+         (False, f"recomputed ||A_p|| bound {sqrt_upper(F(1, 40))} > "
+                 "recorded 63/512")),
+        ("cert_shift1-2_first_bit_norm-l1_1-4.json", "sup-exact",
+         (False, "shift has no L1 route 'sup-exact'")),
+        ("cert_rotation_hat_a_as-bounded_1-4_1-2.json", "l2-upper",
+         (False, "rotation has no L1 route 'l2-upper'")),
+        ("cert_shift1-2_w01_norm-l2_1-8.json", "l1-exact",
+         (False, "shift has no L2 route 'l1-exact'")),
+        ("cert_doubling_hat_a_as-bounded_1-4_1-2.json", "l1-exact",
+         BudgetExceededError)])
+    def test_rewritten_route_is_judged_by_that_route(self, name, method,
+                                                     verdict):
+        # [DERIVED: a norm_method rewritten to another route the system has
+        #  is judged by that route's number: the exact L1 norm of the "01"
+        #  average at p = 18 is below its recorded L2 bound, and the L2
+        #  bound of the first bit at p = 10 is sqrt(C(0)/p) = sqrt(1/40) on
+        #  the fair shift, above its recorded exact 63/512; a route the
+        #  system lacks for the norm is refused by name; exact L1 at p = 30
+        #  on the doubling map is over its segment price]
+        d = {**json.loads((CORPUS / name).read_text()), "norm_method": method}
+        cert = RateCertificate.from_json(d)
+        if verdict is BudgetExceededError:
+            with pytest.raises(BudgetExceededError, match="segments"):
+                check_certificate(cert)
+        else:
+            assert check_certificate(cert) == verdict
 
 
 class TestNormOracle:

@@ -116,6 +116,8 @@ LINES = [
     (1, ["replay", "--artifact", "{tmp}/forged.json"]),
     (1, ["validate", "--certificate", "{tmp}/forged.json",
          "--horizon", "16"]),
+    (1, ["replay", "--artifact", "{tmp}/route_missing.json"]),
+    (0, ["replay", "--artifact", "{tmp}/route_l1.json"]),
     (1, ["rate", "--kind", "bogus", "--system", "doubling", "--observable",
          "x", "--eps", "1"]),
     (1, ["validate", "--certificate",
@@ -277,6 +279,11 @@ def _inputs(tmp: Path) -> None:
     dump("forged.json", {**load("cert_shift1-2_first_bit_norm-l1_1-4.json"),
                          "delta": "1/4", "guarantee":
                          "mu(sup_(n>=40) |A_n(f-int f)| > 1/4) <= 1/4"})
+    dump("route_missing.json", {
+        **load("cert_rotation_hat_a_as-bounded_1-4_1-2.json"),
+        "norm_method": "l2-upper"})
+    dump("route_l1.json", {**load("cert_shift1-2_w01_as-bounded_1-4_1-2.json"),
+                           "norm_method": "l1-exact"})
     dump("negative.json", {
         **load("cert_shift1-2_w01_as-bounded_1-4_1-2.json"),
         "epsilon": "-1/4", "delta": "-1/2", "n0_or_m": 1,
