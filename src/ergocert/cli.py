@@ -32,14 +32,27 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 
 
+def _plan_columns(value) -> tuple | None:
+    """The columns of a list of flat [int, int, str] rows (a transport
+    plan), or None; other lists are told from their first item."""
+    head = value[0]
+    if type(head) is not list or tuple(map(type, head)) != (int, int, str) \
+            or set(map(type, value)) != {list} or set(map(len, value)) != {3}:
+        return None
+    i, j, flows = columns = tuple(zip(*value))
+    return columns if set(map(type, i + j)) == {int} \
+        and set(map(type, flows)) == {str} else None
+
+
 def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
     dicts with string keys, lists, tuples, strings, ints, bools and None
     (anything else goes to json.dumps), written by one recursive walk:
     json runs its pure-Python encoder whenever an indent is given.  A list
-    writes its plain string and int items (a plan triple, a table) in
-    place, with no call per item.  `pad` is the newline and indent that
-    close the value."""
+    of flat [int, int, str] rows (a transport plan) is written by one
+    %-template per row, read column by column; any other list writes its
+    plain string and int items (a table) in place, with no call per item.
+    `pad` is the newline and indent that close the value."""
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, dict):
@@ -53,10 +66,17 @@ def _dumps(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([
-            _escape(v) if type(v) is str else
-            int.__repr__(v) if type(v) is int else _dumps(v, inner)
-            for v in value]) + pad + "]"
+        columns = _plan_columns(value)
+        if columns:
+            cell = inner + "  "
+            row = "[" + cell + "%d," + cell + "%d," + cell + "%s" + inner + "]"
+            i, j, flows = columns
+            items = [row % r for r in zip(i, j, map(_escape, flows))]
+        else:
+            items = [_escape(v) if type(v) is str else
+                     int.__repr__(v) if type(v) is int else _dumps(v, inner)
+                     for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if value is None:
         return "null"
     if isinstance(value, bool):

@@ -308,10 +308,16 @@ class Shift(System):
         return g.integral(self.p)
 
     def l1_norm(self, g: CylinderFn, n: int) -> Fraction:
-        """||A_n g||_1: sum of |s| times weight over den n b^(n+k-1)."""
+        """||A_n g||_1: sum of |s| times weight over den n b^(n+k-1); at
+        n = 1, |g|'s table folded by the word weights (no law is pushed)."""
         g = g.lift(max(g.depth, 1))
-        total = sum(abs(s + off) * v
-                    for off, d in self._law(g, n) for s, v in d.items())
+        if n == 1:
+            self._priced(g, n)
+            total = bernoulli_fold(list(map(abs, g.nums)), self.p,
+                                   g.depth)[0]
+        else:
+            total = sum(abs(s + off) * v
+                        for off, d in self._law(g, n) for s, v in d.items())
         return Fraction(total, g.den * n
                         * self.p.denominator ** (n + g.depth - 1))
 

@@ -10,15 +10,15 @@ weighted median plus a monotone rearrangement on the circle, greedy
 bottom-up matching on the ultrametric Cantor space.  Both work on integers
 up to the final value: circle points as integer positions over the lcm of
 their denominators, Cantor words sorted once as integers and walked with a
-stack of the nodes where they branch.  The value is the plan's cost under
-`Space.dist`, summed in integers per distance denominator.  A finite union
-of ideal balls is weighed exactly under a built-in system's invariant
-measure by the system itself (`System.region`, then `System.weigh`).
+stack of the nodes where they branch.  The value is the plan's cost, which
+the space sums in integers into one Fraction (`Space.plan_cost`), on Cantor
+space from branch depths.  A finite union of ideal balls is weighed exactly
+under a built-in system's invariant measure by the system itself
+(`System.region`, then `System.weigh`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -39,8 +39,9 @@ class IdealMeasure:
     `parse_ratio`; any other point goes to `space.point` and any other
     weight (an int, a Fraction) is read by its ratio.  Each is converted
     once.  The points must be pairwise distinct and the weights positive
-    with sum 1, checked on the points themselves and on integers.  `atoms`,
-    the ((point, Fraction weight), ...) view, is built on first read."""
+    with sum 1, checked on integers (the points by `space.point_key`).
+    `atoms`, the ((point, Fraction weight), ...) view, is built on first
+    read."""
 
     def __init__(self, space: Space, atoms):
         from_json, point = space.point_from_json, space.point
@@ -53,7 +54,7 @@ class IdealMeasure:
                     else (w.numerator, w.denominator))
             nums.append(n)
             dens.append(d)
-        if len(set(points)) != len(points):
+        if len(set(map(space.point_key, points))) != len(points):
             raise ValueError("atom points must be pairwise distinct")
         if nums and min(nums) <= 0:
             raise ValueError("weights must be positive")
@@ -125,11 +126,9 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
 
     The two mass lists are scaled to lw = lcm(mu1.lw, mu2.lw) and the
     space's closed form couples them; the plan holds the integer flows over
-    lw.  The value is the cost of that plan under `Space.dist`, so value
-    and plan agree by construction.  The cost is summed in integers: each
-    integer flow times the numerator of its distance, grouped by the
-    distance's denominator, then over the lcm of those denominators into
-    one Fraction."""
+    lw.  The value is the cost of that plan, summed by the space in
+    integers into one Fraction (`Space.plan_cost`), so value and plan
+    agree by construction."""
     if mu1.space is not space or mu2.space is not space:
         raise ValueError("measures must live on the given space")
     lw = lcm(mu1.lw, mu2.lw)
@@ -138,12 +137,7 @@ def w1_ideal(space: Space, mu1: IdealMeasure, mu2: IdealMeasure):
     if sum(mu1.masses) * mu2.lw != sum(mu2.masses) * mu1.lw:
         raise InputError("the two measures must have equal total mass")
     flows = sorted(space.transport(src, snk).items())
-    cost, dist, p1, p2 = Counter(), space.dist, mu1.points, mu2.points
-    for (i, j), a in flows:
-        d = dist(p1[i], p2[j])
-        cost[d.denominator] += a * d.numerator
-    den = lcm(*cost)
-    value = Fraction(sum(c * (den // k) for k, c in cost.items()), den * lw)
+    value = space.plan_cost(mu1.points, mu2.points, flows, lw)
     return value, TransportPlan([(i, j, a) for (i, j), a in flows], lw)
 
 

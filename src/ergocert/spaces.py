@@ -8,12 +8,12 @@ coordinates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .arith import Interval, fmt_rat, parse_rat, pow2
@@ -89,11 +89,7 @@ def cantor_dist(u: str, v: str) -> Fraction:
     n - (u ^ v).bit_length()."""
     n = max(len(u), len(v))
     x = int(u.ljust(n, "0") or "0", 2) ^ int(v.ljust(n, "0") or "0", 2)
-    return _half_power(n - x.bit_length()) if x else Fraction(0)
-
-
-#: 2^-k, built once per k: a W1 plan reads one distance per flow
-_half_power = functools.lru_cache(maxsize=256)(pow2)
+    return pow2(n - x.bit_length()) if x else Fraction(0)
 
 
 class Space:
@@ -102,16 +98,30 @@ class Space:
     Each subclass owns every choice that depends on the metric or on how
     ideal points and balls are encoded: the numberings, the JSON form of a
     point, ball membership and nesting, canonical refinements, the scale
-    of the bump generators and the optimal coupling of two atomic measures
-    (`transport`).  Each subclass has one metric (`_metric`): `dist`,
-    defined here only, reads it, and so does the circle's ball nesting."""
+    of the bump generators, the optimal coupling of two atomic measures
+    (`transport`) and the cost of a plan (`plan_cost`).  Each subclass
+    has one metric (`_metric`): `dist`, defined here only, reads it, and
+    so does the circle's ball nesting."""
 
     name: str
     #: cap on the radius and the width of a canonical bump generator
     bump_cap: Fraction
+    #: a cheap hashable key per point, equal exactly when the points are
+    point_key: Callable
 
     def dist(self, a, b) -> Fraction:
         return self._metric(a, b)
+
+    def plan_cost(self, p1, p2, flows, lw: int) -> Fraction:
+        """Σ a dist(p1[i], p2[j]) / lw over the integer flows ((i, j), a),
+        summed in integers per distance denominator into one Fraction."""
+        cost, dist = Counter(), self.dist
+        for (i, j), a in flows:
+            d = dist(p1[i], p2[j])
+            cost[d.denominator] += a * d.numerator
+        den = lcm(*cost)
+        return Fraction(sum(c * (den // k) for k, c in cost.items()),
+                        den * lw)
 
 
 class CircleSpace(Space):
@@ -124,6 +134,8 @@ class CircleSpace(Space):
     point = staticmethod(Fraction)
     point_to_json = staticmethod(fmt_rat)
     point_from_json = staticmethod(parse_rat)
+    # hashing a Fraction takes a modular inverse; a pair of ints does not
+    point_key = staticmethod(attrgetter("numerator", "denominator"))
 
     def _metric(self, a, b) -> Fraction:
         # the arc metric over the product of the two denominators
@@ -229,6 +241,7 @@ class CantorSpace(Space):
     _metric = staticmethod(cantor_dist)
     # words are their own canonical and JSON form
     point_to_json = staticmethod(lambda w: w)
+    point_key = staticmethod(str)
 
     @staticmethod
     def point(w) -> str:
@@ -319,6 +332,16 @@ class CantorSpace(Space):
                 a, b = settle(pa, pb)
             stack.append((h, a, b))
         return flows
+
+    def plan_cost(self, p1, p2, flows, lw: int) -> Fraction:
+        """The cost from branch depths: on the words zero-padded to the
+        longest one's length `depth` and read as integers U and V, a flow
+        a costs a << (U ^ V).bit_length() over 2^depth lw, 0 when U = V."""
+        depth = max(len(w) for ws in (p1, p2) for w in ws)
+        u, v = ([int(w or "0", 2) << (depth - len(w)) for w in ws]
+                for ws in (p1, p2))
+        return Fraction(sum([(x := u[i] ^ v[j]) and a << x.bit_length()
+                             for (i, j), a in flows]), lw << depth)
 
 
 CIRCLE = CircleSpace()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -212,6 +213,33 @@ class TestEmitter:
     def test_matches_json_dumps(self, value):
         assert cli._dumps(value) \
             == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_plans_and_rows_off_the_template(self):
+        # [DERIVED: plans of 0, 1 and many [int, int, str] rows, alone and
+        #  nested in a payload, and lists whose rows must not take the
+        #  one-template path: 2 or 4 items, a bool, None, a float, a nested
+        #  list, a tuple row or a dict, in the first row or later; a flow
+        #  that needs escaping takes the template and is escaped]
+        rng = random.Random(42)
+        many = [[rng.randrange(64), rng.randrange(64),
+                 f"{rng.randint(1, 99)}/{rng.randint(100, 999)}"]
+                for _ in range(200)]
+        plans = [[], [[0, 0, "1"]], many, [[-1, 10 ** 30, ""]],
+                 [[0, 1, "é\n\""], [2, 3, "\u2028"]]]
+        off = [[0, 1], [0, 1, "2", 3], [True, 1, "2"], [0, False, "2"],
+               [0, None, "2"], [0, 1.5, "2"], [0, 1, ["2"]], [0, 1, None],
+               (0, 1, "2"), [0, 1, 2], ["0", 1, "2"],
+               {"0": 1, "2": 3}]
+        values = plans + [{"plan": p, "value": "1/2"} for p in plans]
+        for row in off:
+            values += [[row], [row, [0, 1, "2"]], [[0, 1, "2"], row],
+                       many[:5] + [row] + many[5:9]]
+        for value in values:
+            assert cli._dumps(value) \
+                == json.dumps(value, indent=2, sort_keys=True), value
+        # the plans take the template, no list with such a row does
+        assert all(cli._plan_columns(p) for p in plans[1:])
+        assert not any(cli._plan_columns(v) for v in values[2 * len(plans):])
 
 
 def _edit_certs(which, **fields):

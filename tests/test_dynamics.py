@@ -638,6 +638,28 @@ class TestPartialSumLaw:
                 assert system._law_slot is kept
 
     @pytest.mark.parametrize("prob", [F(1, 2), F(1, 3), F(2, 5)])
+    def test_l1_at_one_is_the_law_sum(self, prob):
+        # [DERIVED: oracle = the law pushed one step (`_law`), summed as
+        #  l1_norm sums it at n >= 2; seeded random tables of depth 1-12
+        #  with entries over a common denominator, centered and not: at
+        #  n = 1 the table sum neither reads nor replaces the kept law]
+        rng = random.Random(f"l1 at 1 {prob}")
+        b = prob.denominator
+        for k in range(1, 13):
+            den = rng.randint(1, 30)
+            f = CylinderFn(k, [F(rng.randint(-40, 40), den)
+                               for _ in range(1 << k)])
+            for g in (f, centered(shift_system(prob), f)):
+                system = shift_system(prob)
+                kept = system._law_slot
+                got = system.l1_norm(g, 1)
+                assert system._law_slot is kept
+                total = sum(abs(s + off) * v for off, d in system._law(g, 1)
+                            for s, v in d.items())
+                assert type(got) is F
+                assert got == F(total, g.den * b ** k), (k, g)
+
+    @pytest.mark.parametrize("prob", [F(1, 2), F(1, 3), F(2, 5)])
     def test_backward_pass_matches_the_region(self, prob):
         # [DERIVED: oracle = the region synthesis builds (`sublevel`), on
         # seeded random tables of depth 0-3 at n <= 9 and of depth 5-6 at

@@ -558,6 +558,90 @@ class TestIntegerForm:
                                  (1, 0, F(-1, 2)), (1, 1, F(1))])
         assert not crossed.check_marginals(half, half)
 
+    def test_circle_point_spellings_are_one_point(self):
+        # [DERIVED: distinctness is checked on (numerator, denominator)
+        #  pairs; any two spellings of 1/2 in one measure, from JSON or as
+        #  a Fraction beside a string, are refused as duplicates]
+        spellings = ["1/2", "2/4", " 1/2 ", "0.5", "+1/2"]
+        for a, b in itertools.combinations(spellings, 2):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                IdealMeasure.from_json(CIRCLE, [[a, "1/2"], [b, "1/2"]])
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                IdealMeasure(CIRCLE, ((F(1, 2), F(1, 2)), (b, F(1, 2))))
+        # the same spellings of distinct points stay distinct
+        mu = IdealMeasure.from_json(CIRCLE, [["2/4", "1/2"], [" 1/4 ", "1/2"]])
+        assert mu.points == (F(1, 2), F(1, 4))
+
+
+class TestPlanCost:
+    """Each space sums a plan's cost into one Fraction: on Cantor space from
+    the branch depths of the zero-padded words, on the circle by `dist`.
+    The oracle is Σ a dist(p1[i], p2[j]) / lw, term by term in
+    Fractions."""
+
+    # words equal after padding ("1", "10", "100"; "", "0", "00"), the
+    # empty word and 24-letter words
+    CANTOR_POOL = ["", "0", "00", "1", "10", "100", "01", "011", "1" * 24,
+                   "0" * 23 + "1", "10" * 12, "1" + "0" * 23]
+
+    @staticmethod
+    def _oracle(space, p1, p2, flows, lw):
+        return sum((a * space.dist(p1[i], p2[j]) for (i, j), a in flows),
+                   F(0)) / lw
+
+    def _pairs(self, rng, space):
+        if space is CIRCLE:
+            pool = [F(k, q) for q in (2, 7, 12, 1024) for k in range(q)]
+        else:
+            pool = self.CANTOR_POOL + [
+                format(rng.getrandbits(m), f"0{m}b")
+                for m in (rng.randint(1, 24) for _ in range(20))]
+        p1, p2 = ([rng.choice(pool) for _ in range(rng.randint(1, 8))]
+                  for _ in "ab")
+        flows = [((rng.randrange(len(p1)), rng.randrange(len(p2))),
+                  rng.randint(1, 1 << rng.randint(1, 40)))
+                 for _ in range(rng.randint(1, 12))]
+        return p1, p2, flows, rng.randint(1, 10 ** 6)
+
+    def test_random_plans_against_dist(self):
+        # [DERIVED: seeded random words and flows, not a plan w1_ideal
+        #  would emit: the cost is a sum over any flows]
+        rng = random.Random(4201)
+        for space in (CIRCLE, CANTOR):
+            for _ in range(400):
+                p1, p2, flows, lw = self._pairs(rng, space)
+                got = space.plan_cost(p1, p2, flows, lw)
+                assert type(got) is F
+                assert got == self._oracle(space, p1, p2, flows, lw)
+
+    def test_cantor_edge_words(self):
+        # [DERIVED: words equal after padding cost 0, also when one of
+        #  them is empty or all words are; a 24-letter word against its
+        #  neighbours at each branch depth]
+        for p1, p2 in ((["1"], ["10"]), (["1"], ["100", ""]),
+                       ([""], [""]), (["", "0"], ["00"]),
+                       (["1" * 24], ["1" * 23, "1" * 23 + "0", "0"]),
+                       (["1" * 24, "1"], ["1" * 23 + "01", "1" * 12, ""])):
+            flows = [((i, j), 3 + i + 5 * j) for i in range(len(p1))
+                     for j in range(len(p2))]
+            got = CANTOR.plan_cost(p1, p2, flows, 7)
+            assert got == self._oracle(CANTOR, p1, p2, flows, 7), (p1, p2)
+        assert CANTOR.plan_cost(["1"], ["10", "100"], [((0, 0), 1),
+                                                       ((0, 1), 2)], 3) == 0
+
+    def test_w1_with_words_equal_after_padding(self):
+        # [DERIVED: the value of w1 is the oracle cost of its own plan and
+        #  the cut formula's, on a pair with "1" against "10" and "", and a
+        #  24-letter word]
+        long = "1" + "01" * 11 + "1"
+        mu1 = IdealMeasure.from_json(CANTOR, [["1", "1/3"], [long, "2/3"]])
+        mu2 = IdealMeasure.from_json(
+            CANTOR, [["10", "1/6"], ["", "1/2"], [long[:-1], "1/3"]])
+        value, plan = w1_ideal(CANTOR, mu1, mu2)
+        cost = sum((a * CANTOR.dist(mu1.points[i], mu2.points[j])
+                    for i, j, a in plan.flows), F(0))
+        assert value == cost == cantor_formula(mu1, mu2)
+
 
 def big_measure(rng, space, pool, size):
     ws = [rng.randint(1, 20) for _ in range(size)]

@@ -31,6 +31,9 @@ KEPT = {
         "a fixture of the tests of live code (enclosures hold the value)",
     "measures.IdealMeasure.dirac":
         "a fixture of the tests of live code (single-atom W1 examples)",
+    "spaces.cantor_dist":
+        "Cantor space's metric (`dist`): W1 costs a plan from branch "
+        "depths, and the tests hold that sum to this metric",
     "spaces.CantorPoint.from_word":
         "a fixture of the tests of live code (membership, exact orbits)",
     "observables.PiecewiseLinear.square_integral":
