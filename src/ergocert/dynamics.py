@@ -22,8 +22,7 @@ from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
-                          PiecewiseLinear, bernoulli_fold, pl_inner, pl_sum,
-                          table_integral)
+                          PiecewiseLinear, bernoulli_fold, pl_inner, pl_sum)
 from .regions import ArcSet, CylSet
 from .spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint, IdealBall,
                      Space, ball_arc)
@@ -132,12 +131,12 @@ class System:
 
     def norm_by(self, method: str, g, p: int, norm: str, corr=None):
         """A certified upper bound on ||A_p fbar||_norm by the route `method`,
-        None if the system lacks it; `corr` returns fbar's C(m) table."""
+        None if the system lacks it; `corr` returns `correlations(g)`."""
         if method == "l1-exact" and norm == "L1":
             return l_norm_birkhoff(self, g, p)
         if method != "l2-upper":
             return None
-        table = corr() if corr else self.correlations(g, CORRELATION_CUTOFF)
+        table = corr() if corr else self.correlations(g)
         return sqrt_upper(l2_sq_enclosure(p, table).hi)
 
     def search_p(self, bound, threshold: Fraction, settled):
@@ -289,17 +288,27 @@ class Shift(System):
             out.append((off, within))
         return beyond, out
 
-    def correlations(self, g: CylinderFn, count: int) -> Correlations:
-        # C(m) = 0 for m >= depth (independence), so the list is exact;
-        # each term costs about 2^(k+1) products, priced before centering
+    def correlations(self, g: CylinderFn) -> Correlations:
+        """C(m) = E[fbar . fbar o sigma^m] for m < depth k, exact (C(m) = 0
+        past it, by independence), in integers.  On words u v w with
+        |u| = |w| = m, C(m) = E_v[A(v) B(v)]: A = L^m fbar is fbar's table
+        with its first m symbols folded away (`bernoulli_fold`), B with its
+        last m, each one fold on from m - 1, and A B folds to C(m)."""
+        # priced before centering at k 2^(k+1); the folds cost about 2^(k+3)
         k = g.depth
-        terms = min(k, count) or 1
+        terms = k or 1
         if terms << (k + 1) > 1 << CYLINDER_BUDGET_LOG2:
             raise BudgetExceededError(f"{terms} correlations of depth {k} "
                                       f"need over 2^{CYLINDER_BUDGET_LOG2}")
         fbar = centered(self, g)
-        return Correlations([_shift_correlation(fbar, m, self.p)
-                             for m in range(terms)], 0)
+        b, nums = self.p.denominator, []
+        A = B = fbar.nums
+        for m in range(terms):
+            nums.append(bernoulli_fold(list(map(mul, A, B)), self.p, k - m)[0]
+                        * b ** (terms - 1 - m))
+            A, B = (bernoulli_fold(A, self.p, 1, True),
+                    bernoulli_fold(B, self.p, 1))
+        return Correlations(nums, 0, fbar.den ** 2 * b ** (k + terms - 1))
 
     def l1_exact_feasible(self, g: CylinderFn, p: int) -> bool:
         return (p + g.depth - 1 if g.depth else 0) <= 16
@@ -615,11 +624,12 @@ class Doubling(CircleMap):
             s = s.pullback_doubling().add(g) if i else g
         return s
 
-    def correlations(self, g: PiecewiseLinear, count: int) -> Correlations:
-        # the transfer operator halves variation and a zero-mean function
-        # is bounded by its variation: |C(m)| <= ||fbar||_1 Var(fbar) 2^-m
+    def correlations(self, g: PiecewiseLinear) -> Correlations:
+        # past CORRELATION_CUTOFF terms: the transfer operator halves
+        # variation and a zero-mean function is bounded by its variation,
+        # so |C(m)| <= ||fbar||_1 Var(fbar) 2^-m
         fbar = centered(self, g)
-        den, nums = doubling_correlations(fbar, count)
+        den, nums = doubling_correlations(fbar, CORRELATION_CUTOFF)
         return Correlations(nums, fbar.abs_integral() * fbar.total_variation(),
                             den)
 
@@ -860,18 +870,15 @@ def _multiple(g, h) -> Optional[Fraction]:
 
 
 class Correlations:
-    """C(0), ..., C(len-1) of a centered observable, kept as integers over
-    one denominator `den`: den C(0) and the prefix sums of den C(m) and
-    den m C(m), so that any p combines in integers and builds each end of
-    its enclosure with one Fraction.  `c` lists the C(m), as Fractions or,
-    with `den` given, as integers over it.  `decay` is a constant such
-    that |C(m)| <= decay * 2^-m for every m >= len."""
+    """C(0), ..., C(len-1) of a centered observable, given as the integers
+    `nums` over one positive denominator `den` (any common one, not
+    necessarily the least) and kept as den C(0) and the prefix sums of
+    den C(m) and den m C(m), so that any p combines in integers and builds
+    each end of its enclosure with one Fraction.  `decay` is a constant
+    such that |C(m)| <= decay * 2^-m for every m >= len."""
 
-    def __init__(self, c: list, decay, den: int = 0):
-        if not den:
-            den = math.lcm(*[x.denominator for x in c])
-            c = [x.numerator * (den // x.denominator) for x in c]
-        self.den, nums = den, c
+    def __init__(self, nums: list, decay, den: int):
+        self.den = den
         self.c0 = nums[0]
         self.sums = list(accumulate(nums[1:], initial=0))
         self.msums = list(accumulate((m * x for m, x in
@@ -914,25 +921,13 @@ def l2_sq_enclosure(p: int, corr: Correlations) -> Interval:
     Uses ||A_p fbar||_2^2 = (1/p^2)[p C(0) + 2 sum_{m=1}^{p-1} (p-m) C(m)]
     on the doubling map and the shift, from `corr`, the system's
     correlation table of fbar (`System.correlations`), so f is not
-    re-centered.  On the doubling map the table stops transferring at the
-    first iterate that repeats up to a scalar (`doubling_correlations`),
-    and each p combines the table's integer prefix sums into one Fraction
-    per end (`Correlations`)."""
+    re-centered: integers over one denominator (`Correlations`), which
+    each p combines into one Fraction per end.  The doubling map's stops
+    transferring at the first iterate that repeats up to a scalar
+    (`doubling_correlations`); the shift's folds one more symbol per m."""
     if p < 1:
         raise InputError("p must be >= 1")
     return corr.l2_sq(p)
-
-
-def _shift_correlation(fbar: CylinderFn, m: int, prob: Fraction) -> Fraction:
-    """C(m) = E[fbar . fbar o sigma^m] for m < depth k, in integers.  The
-    k + m symbols both factors read split as u v w with |u| = |w| = m, so
-    C(m) = E_v[A(v) B(v)] with A(v) = E_u fbar(uv) and B(v) = E_w fbar(vw):
-    A folds the first m symbols of fbar's table away, B the last m
-    (`bernoulli_fold`, each b^m den times its expectation for p = a/b)."""
-    A, B = (bernoulli_fold(fbar.nums, prob, m, first)
-            for first in (True, False))
-    return table_integral(list(map(mul, A, B)), prob) \
-        / (prob.denominator ** (2 * m) * fbar.den ** 2)
 
 
 def l_norm_birkhoff(system: System, f: Observable, p: int):

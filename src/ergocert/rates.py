@@ -17,8 +17,8 @@ from fractions import Fraction
 from .arith import fmt_rat, parse_int, parse_rat
 from .errors import (BudgetExceededError, ErgocertError, InputError,
                      UnsupportedPairError)
-from .dynamics import (CORRELATION_CUTOFF, Observable, System, centered,
-                       l2_sq_enclosure, l_norm_birkhoff, parse_system)
+from .dynamics import (Observable, System, centered, l2_sq_enclosure,
+                       l_norm_birkhoff, parse_system)
 from .observables import observable_from_json, observable_to_json
 
 
@@ -28,16 +28,16 @@ from .observables import observable_from_json, observable_to_json
 
 class NormOracle:
     """`System.norm_by` at the route `System.norm_route` picks, across a
-    p-search for one (system, f): one table of fbar's correlations, priced
-    on the uncentered f, and ||fbar||_inf, each computed once.  The search
+    p-search for one (system, f): one integer table of fbar's correlations
+    (`System.correlations`), priced on the uncentered f, and ||fbar||_inf,
+    each computed once.  The search
     probes through `screened`, which rules out from the table an exact-L1
     probe that cannot clear; the checker follows the recorded route."""
 
     def __init__(self, system: System, f: Observable):
         self.system = system
         self.g = system.as_concrete(f)
-        self.corr = cache(
-            lambda: system.correlations(self.g, CORRELATION_CUTOFF))
+        self.corr = cache(lambda: system.correlations(self.g))
         self.fbar_sup = cache(lambda: centered(system, self.g).sup_norm())
 
     def bound(self, p: int, norm: str) -> tuple[Fraction, str]:
@@ -181,7 +181,7 @@ class NormCertificate(RateCertificate):
     def check(self, system: System, g) -> tuple[bool, str]:
         self._refuse_out_of_domain()
         norm = self.kind[-2:]
-        corr = cache(lambda: system.correlations(g, CORRELATION_CUTOFF))
+        corr = cache(lambda: system.correlations(g))
         w = system.norm_by(self.norm_method, g, self.p, norm, corr)
         if w is None:
             return False, (f"{system.name} has no {norm} route "

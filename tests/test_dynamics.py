@@ -4,6 +4,7 @@ preservation, certified orbit evaluation."""
 import json
 import random
 from fractions import Fraction as F
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -79,7 +80,7 @@ class TestNorms:
     def test_shift_l2_iid_closed_form(self):
         # [DERIVED: iid variance scaling Var(A_p) = Var(f)/p, here 1/(4p)]
         for p in range(1, 8):
-            box = l2_sq_enclosure(p, SHIFT.correlations(FIRSTBIT, p))
+            box = l2_sq_enclosure(p, SHIFT.correlations(FIRSTBIT))
             assert box.lo == box.hi == F(1, 4 * p)
 
     def test_doubling_l2_direct(self):
@@ -87,7 +88,7 @@ class TestNorms:
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
         for p in (1, 2, 3, 5):
             a = birkhoff_observable(DBL, centered(DBL, f), p)
-            box = l2_sq_enclosure(p, DBL.correlations(f, p))
+            box = l2_sq_enclosure(p, DBL.correlations(f))
             assert box.contains(a.square_integral())
 
     def test_l1_l2_sup_cross_check(self):
@@ -102,7 +103,7 @@ class TestNorms:
                  (DBL, list(TestCorrelations.POOL.values()))]
         for system, pool in cases:
             for f in pool:
-                corr = system.correlations(f, CORRELATION_CUTOFF)
+                corr = system.correlations(f)
                 fbar = centered(system, f)
                 for p in range(1, 13):
                     box = l2_sq_enclosure(p, corr)
@@ -787,12 +788,13 @@ class TestCorrelations:
             assert got[-1] == 0 and got.index(0) <= 4
 
     def test_shift_correlations_priced_first(self):
-        # [DERIVED: k correlations of depth k cost k 2^(k+1) products:
-        #  depth 18 is within 2^24, depth 19 is refused before any]
+        # [DERIVED: the table of depth k is priced at k 2^(k+1) products
+        #  (it costs about 2^(k+3)): depth 18 is within 2^24, depth 19 is
+        #  refused before any]
         deep = CylinderFn.hat("01", F(1, 1 << 19), F(1, 4))
         assert deep.depth == 19
         with pytest.raises(BudgetExceededError, match="depth 19"):
-            SHIFT.correlations(deep, CORRELATION_CUTOFF)
+            SHIFT.correlations(deep)
 
     def test_l2_upper_nonincreasing_from_its_point(self):
         # [DERIVED: oracle = l2_sq(p).hi itself at every p from the point
@@ -812,16 +814,15 @@ class TestCorrelations:
         cob = CylinderFn(2, [F(w >> 1) - F(w & 1) for w in range(4)])
         cases.append((SHIFT, cob))
         for system, f in cases:
-            corr = system.correlations(centered(system, f),
-                                       CORRELATION_CUTOFF)
+            corr = system.correlations(centered(system, f))
             start = corr.nonincreasing_from()
             assert start is not None and start > len(corr.sums)
             his = [corr.l2_sq(p).hi for p in range(start, start + 501)]
             assert all(a >= b for a, b in zip(his, his[1:]))
-        corr = SHIFT.correlations(cob, CORRELATION_CUTOFF)
+        corr = SHIFT.correlations(cob)
         assert corr.nonincreasing_from() == len(corr.sums) + 1
         # C(0) + 2 C(1) < 0: the upper end (2 - p)/p^2 rises towards 0
-        corr = dynamics.Correlations([F(1), F(-1)], 0)
+        corr = dynamics.Correlations([1, -1], 0, 1)
         assert corr.nonincreasing_from() is None
         assert corr.l2_sq(4).hi < corr.l2_sq(5).hi
 
@@ -835,13 +836,16 @@ class TestCorrelations:
                 f = CylinderFn(k, [F(rng.randint(-5, 5), rng.randint(1, 4))
                                    for _ in range(1 << k)])
                 fbar = centered(system, f)
+                corr = system.correlations(f)
+                got = [corr.c0] + list(map(sub, corr.sums[1:], corr.sums))
                 for m in range(k):
                     want = F(0)
                     for w in range(1 << (k + m)):
                         mass = cylinder_mass(format(w, f"0{k + m}b"), prob)
                         want += (mass * fbar.table[w >> m]
                                  * fbar.table[w & ((1 << k) - 1)])
-                    assert dynamics._shift_correlation(fbar, m, prob) == want
+                    assert F(got[m], corr.den) == want
+                assert len(got) == k
 
     def test_l2_sq_matches_fraction_formula(self):
         # [DERIVED: (1/p^2)[p C(0) + 2 sum_{m=1}^{cut-1} (p-m) C(m)] in
@@ -853,7 +857,7 @@ class TestCorrelations:
             cases.append((DBL, f, c,
                           fbar.abs_integral() * fbar.total_variation()))
         for system, f, c, decay in cases:
-            corr = system.correlations(centered(system, f), CORRELATION_CUTOFF)
+            corr = system.correlations(centered(system, f))
             for p in list(range(1, 131)) + [500, 4096, 1 << 34]:
                 cut = min(p, len(c))
                 val = (p * c[0] + 2 * sum((p - m) * c[m]
@@ -861,6 +865,37 @@ class TestCorrelations:
                 tail = F(2, p) * decay / 2 ** (cut - 1) if cut < p else 0
                 box = corr.l2_sq(p)
                 assert (box.lo, box.hi) == (val - tail, val + tail)
+
+    def test_l2_sq_matches_an_independent_route(self):
+        # [DERIVED: ||A_p fbar||_2^2 read without the table, exactly: on
+        #  the shift the second moment of the partial-sum law,
+        #  sum (s + off)^2 w / (den^2 p^2 b^(p+k-1)) for p = a/b; on the
+        #  doubling map the square integral of the built average.  Random
+        #  tables of depth 1-8 at p <= 10 and of depth 12 at p <= 3, and
+        #  random piecewise-linear functions at p <= 8]
+        rng = random.Random(43)
+        for prob in (F(1, 2), F(1, 3), F(2, 5)):
+            system = shift_system(prob)
+            for k, top in [(k, 10) for k in range(1, 9)] + [(12, 3)]:
+                fbar = centered(system, CylinderFn(k, [
+                    F(rng.randint(-9, 9), rng.randint(1, 9))
+                    for _ in range(1 << k)]))
+                corr = system.correlations(fbar)
+                for p in range(1, top + 1):
+                    moment = sum((s + off) ** 2 * w
+                                 for off, d in system._law(fbar, p)
+                                 for s, w in d.items())
+                    want = F(moment, fbar.den ** 2 * p * p
+                             * prob.denominator ** (p + k - 1))
+                    box = corr.l2_sq(p)
+                    assert box.lo == box.hi == want, (prob, k, p)
+        for _ in range(12):
+            fbar = centered(DBL, _random_pl(rng, rng.randint(7, 16)))
+            corr = DBL.correlations(fbar)
+            for p in range(1, 9):
+                want = birkhoff_observable(DBL, fbar, p).square_integral()
+                box = corr.l2_sq(p)
+                assert box.lo == box.hi == want, (fbar, p)
 
 
 def _oracle_sums(g, count):

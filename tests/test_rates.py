@@ -13,7 +13,8 @@ import pytest
 from ergocert import dynamics, rates
 from ergocert.arith import Quad, pow2, sqrt_upper
 from ergocert.dynamics import (CORRELATION_CUTOFF, SCAN_CAP,
-                               doubling_system, l_norm_birkhoff,
+                               doubling_correlations, doubling_system,
+                               l_norm_birkhoff,
                                birkhoff_observable, centered, l2_sq_enclosure,
                                rotation_system, shift_system)
 from ergocert.errors import BudgetExceededError, InputError
@@ -310,16 +311,20 @@ class TestNormOracle:
         # it must agree with a fresh enclosure on both sides of the cutoff]
         oracle = NormOracle(DBL, HAT)
         for p in (1, 2, 5, 119, 120, 121, 200):
-            fresh = DBL.correlations(HAT, min(p, CORRELATION_CUTOFF))
+            fbar = centered(DBL, HAT)
+            den, nums = doubling_correlations(fbar, min(p, CORRELATION_CUTOFF))
+            fresh = dynamics.Correlations(
+                nums, fbar.abs_integral() * fbar.total_variation(), den)
             expect = sqrt_upper(l2_sq_enclosure(p, fresh).hi)
             assert oracle.bound(p, "L2") == (expect, "l2-upper")
 
 
     def test_deep_shift_observable_refused_before_centering(self,
                                                             monkeypatch):
-        # [DERIVED: a depth-20 observable needs 20 correlations of 2^21
-        #  products each, over 2^24: every bound is refused with
-        #  BUDGET_EXCEEDED before anything centers it (2^20 Fraction sums)]
+        # [DERIVED: a depth-20 observable's table is priced at 20 2^21
+        #  products (it costs about 2^23), over 2^24: every bound is
+        #  refused with BUDGET_EXCEEDED before anything centers it (2^20
+        #  Fraction sums)]
         deep = CylinderFn.hat("01", F(1, 1 << 20), F(1, 4))
         calls = []
         for module in (dynamics, rates):

@@ -144,6 +144,10 @@ LINES = [
          "shift:p=1/2", "--observable", "{tmp}/cyl12.json"]),
     (0, ["rate", "--kind", "as-l1", "--eps", "1/4", "--delta", "1/4",
          "--system", "shift:p=1/3", "--observable", "{tmp}/cyl12.json"]),
+    (0, ["rate", "--kind", "norm-l1", "--eps", "1/4", "--system",
+         "shift:p=1/2", "--observable", "{tmp}/cyl17.json", "--output",
+         "{tmp}/cyl17.out"]),
+    (0, ["replay", "--artifact", "{tmp}/cyl17.out"]),
     (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
          "shift:p=1/2", "--observable", FTERM_CANTOR]),
     (0, ["validate", "--certificate",
@@ -298,6 +302,9 @@ def _inputs(tmp: Path) -> None:
     r = random.Random(12)
     dump("cyl12.json", {"variant": "cylinder", "depth": 12, "table": [
         f"{r.randint(-9, 9)}/{r.randint(1, 9)}" for _ in range(1 << 12)]})
+    r = random.Random(17)
+    dump("cyl17.json", {"variant": "cylinder", "depth": 17, "table": [
+        f"{r.randint(-9, 9)}/{r.randint(1, 9)}" for _ in range(1 << 17)]})
     for s in ("circle", "cantor"):
         for k in (1, 2):
             r = random.Random(s + str(k))
