@@ -18,7 +18,8 @@ from operator import add, and_, mul, sub
 from typing import Optional, Union
 
 from .arith import (DEFAULT_STEP_BUDGET, SQRT2_MINUS_1, Interval, Quad,
-                    fmt_rat, parse_rat, pow2, sqrt_upper)
+                    floor_root2, fmt_rat, parse_rat, pow2, sign_root2,
+                    sqrt_upper)
 from .errors import (BudgetExceededError, InputError, PrecisionStallError,
                      UnsupportedPairError)
 from .observables import (CYLINDER_BUDGET_LOG2, CylinderFn, FTerm,
@@ -670,6 +671,12 @@ class Rotation(CircleMap):
 
     def __init__(self, alpha: Quad):
         self.alpha = alpha
+        # the angle mod 1 as (sa + sb sqrt2)/D, D the lcm of its two
+        # denominators: the orbit i alpha mod 1 is then integers over D
+        c = alpha.mod1()
+        self._den = D = math.lcm(c.a.denominator, c.b.denominator)
+        self._step = (c.a.numerator * (D // c.a.denominator),
+                      c.b.numerator * (D // c.b.denominator))
 
     def _image(self, lo, hi, i: int):
         sh = self.alpha * i
@@ -678,16 +685,30 @@ class Rotation(CircleMap):
     def _segment_count(self, g: PiecewiseLinear, n: int) -> int:
         return len(g.form.xa) * n
 
+    def _orbit(self, m: int, n: int) -> list:
+        """(ca, cb) with i alpha mod 1 = (ca + cb sqrt2)/D, for m <= i < n:
+        the first is m (sa, sb) less D floor((m sa + floor(m sb sqrt2))/D),
+        and each next adds (sa, sb) and takes D away where that reaches
+        1."""
+        D, (sa, sb) = self._den, self._step
+        ca, cb = m * sa, m * sb
+        ca -= D * ((ca + floor_root2(cb)) // D)
+        out = []
+        for _ in range(m, n):
+            out.append((ca, cb))
+            ca, cb = ca + sa, cb + sb
+            if sign_root2(ca - D, cb) >= 0:
+                ca -= D
+        return out
+
     def _extend(self, g: PiecewiseLinear, s, m: int, n: int):
-        # S_n: one sweep over S_m and g o R^i, m <= i < n.  Each g o R^i is
-        # cut from g's rational integer form, with breakpoints
-        # (a + b sqrt2)/N and values (u + w sqrt2)/E (N and E fixed by g
-        # and alpha), and the sweep runs in integers
+        # S_n: one sweep over S_m (g itself at m = 0) and the translates
+        # g o R^i, max(m, 1) <= i < n, each filing g's own jumps at its
+        # point of the integer orbit (`pl_sum`); no term is built
         if self._segment_count(g, n) > SEGMENT_BUDGET:
             raise BudgetExceededError(f"A_{n} rotation average too large")
-        head = [] if s is None else [s]
-        return pl_sum(head + [g.shift(self.alpha * i) if i else g
-                              for i in range(m, n)])
+        return pl_sum([g if s is None else s], g,
+                      self._orbit(max(m, 1), n), self._den)
 
     def sublevel(self, g: PiecewiseLinear, n: int, delta: Fraction) -> ArcSet:
         # the breakpoints b - i alpha are irrational: every arc shrinks

@@ -1,8 +1,8 @@
 """Observable classes with exact integration.
 
 Three variants: piecewise-linear functions on the circle (one integer form
-each: rational data, or Q[sqrt2] data for the rotation's shifted terms and
-sums), cylinder functions on Cantor space, and the closure of the
+each: rational data, or Q[sqrt2] data for irrational shifts and for the
+rotation's sums), cylinder functions on Cantor space, and the closure of the
 Lipschitz bump family under max, min and rational linear combinations.
 Everything integrates and clamps in exact arithmetic, and circle functions
 give exact sublevel arcs; that is what makes rate certificates
@@ -46,10 +46,12 @@ class PiecewiseLinear:
     the normal form on those integers; every kernel emits it.
 
     `kind` records what a form holds: a rational form has xb = vw = 0; a
-    shifted term g o R^i (`shift` by an irrational c) has Q[sqrt2]
-    breakpoints and Q[sqrt2] values only at 0 and 1 (the cut at c); a sum
-    (`pl_sum` of terms not all rational, the rotation's S_n) may hold
-    Q[sqrt2] anywhere.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`,
+    shifted term (`shift` by an irrational c) has Q[sqrt2] breakpoints and
+    Q[sqrt2] values only at 0 and 1 (the cut at c); a sum (`pl_sum` of
+    forms not all rational, or with irrational translates) may hold
+    Q[sqrt2] anywhere.  The rotation's S_n is such a sum, built from no
+    shifted term: `pl_sum` files g's own jumps at each translate's
+    positions.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`,
     `integral` and the sublevel arcs take every kind.  The lattice,
     `shift`, `pullback_doubling`, `transfer_doubling`, `pl_inner`,
     `abs_integral`, `total_variation` and `window_reader` read xa, vu and
@@ -588,22 +590,40 @@ def _shift(f: _Form, c) -> _Form:
     return _Form(n, f.e * k, *cols, _SHIFTED if cb else _RATIONAL)
 
 
-def _form_sum(forms: list) -> _Form:
-    """The sum of integer forms in one sweep: the terms go on common steps
-    (`_common`); every term adds its value and increment at 0, and its
-    jumps in value and increment at each of its other breakpoints, filed
-    under the exact key floor(m (a + b sqrt2)) of its position
-    (a + b sqrt2)/n.  With m a power of two above 2 max|a| + 4 max|b| the
-    keys of different positions differ: integers p, q not both 0 have
-    |p + q sqrt2| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so two
-    positions differ by more than 1/m in a + b sqrt2; one isqrt per
-    distinct b.  The keys are swept in order, ending a segment only where
-    the value or the increment changes (normal form).  The sum is
-    rational when every term is."""
-    forms = _common(forms)
-    n, e = forms[0].n, forms[0].e
-    m = 1 << (2 * max(abs(a) for f in forms for a in f.xa)
-              + 4 * max(abs(b) for f in forms for b in f.xb)).bit_length()
+def _form_sum(forms: list, g: _Form = None, offsets=(), den: int = 1) -> _Form:
+    """The sum of integer forms and of the translates x -> g(x + c) of one
+    rational form g, one for each c = (ca + cb sqrt2)/den in [0, 1) in
+    offsets, in one sweep.  The forms go on common steps 1/n (`_common`),
+    g among them on the steps of the lcm of g.n and den when there are
+    offsets.  Every form adds its value and increment at 0, and its jumps
+    in value and increment at each of its other breakpoints, filed under
+    the exact key floor(m (a + b sqrt2)) of its position (a + b sqrt2)/n.
+    g's jumps (the one across 0 too, the zero ones dropped) are read once,
+    and each translate adds g(c) and g'(c) at 0, from the segment holding
+    c (bisected at floor(n c)), and files every jump of g at x - c mod 1:
+    its key is g's own key moved by one floor_root2 per translate, and a
+    jump at c itself is the value at 0.  With m a power of two above
+    2 max|a| + 4 max|b| the keys of different positions differ: integers
+    p, q not both 0 have |p + q sqrt2| >= 1/(|p| + 2|q|), as
+    |p^2 - 2q^2| >= 1, so two positions differ by more than 1/m in
+    a + b sqrt2; one isqrt per distinct b.  The keys are swept in order,
+    ending a segment only where the value or the increment changes
+    (normal form).  The sum is rational when every form and every c is."""
+    if offsets:
+        k = math.lcm(g.n, den) // g.n
+        *forms, g = _common(forms + [g._replace(
+            n=g.n * k, e=g.e * k, xa=_times(g.xa, k), vu=_times(g.vu, k))])
+        n, e = g.n, g.e
+        k = n // den
+        offsets = [(ca * k, cb * k) for ca, cb in offsets]
+    else:
+        forms = _common(forms)
+        n, e = forms[0].n, forms[0].e
+    # a translate's positions x - c (+ 1) have |a| < 2n + |ca| and b = -cb
+    m = 1 << (2 * max(chain((abs(a) for f in forms for a in f.xa),
+                            (2 * n + abs(ca) for ca, _ in offsets)))
+              + 4 * max(chain((abs(b) for f in forms for b in f.xb),
+                              (abs(cb) for _, cb in offsets)))).bit_length()
     roots = {}  # b -> floor(m b sqrt2)
     jumps = {}  # key -> [a, b, jump in vu, in vw, in ds]
     u = w = d = 0
@@ -624,6 +644,34 @@ def _form_sum(forms: list) -> _Form:
                 held[2] += du
                 held[3] += dw
                 held[4] += d1 - d0
+    if offsets:
+        xs, vs, ds = g.xa, g.vu, g.ds
+        # g's jumps as (x, m x, jump in value, in increment)
+        gj = [(x, m * x, v - v0 - d0 * (x - x0), d1 - d0) for x, v, d1, x0,
+              v0, d0 in zip(xs, vs, ds, [xs[-1] - n] + xs, vs[-1:] + vs,
+                            ds[-1:] + ds)
+              if d1 != d0 or v != v0 + d0 * (x - x0)]
+        jx = [x for x, _, _, _ in gj]
+        for ca, cb in offsets:
+            fl = ca + floor_root2(cb)  # floor(n c)
+            i = bisect_right(xs, fl) - 1
+            u, w, d = u + vs[i] + ds[i] * (ca - xs[i]), w + ds[i] * cb, \
+                d + ds[i]
+            # the jumps at or before c move to x - c + 1, the rest to x - c
+            cut = bisect_right(jx, fl)
+            before = gj[:cut - 1] if cut and jx[cut - 1] == ca and not cb \
+                else gj[:cut]
+            r = floor_root2(-m * cb)
+            for s, run in ((n - ca, before), (-ca, gj[cut:])):
+                t = m * s + r
+                for x, mx, dv, dd in run:
+                    key = mx + t
+                    held = jumps.get(key)
+                    if held is None:
+                        jumps[key] = [x + s, -cb, dv, 0, dd]
+                    else:
+                        held[2] += dv
+                        held[4] += dd
     xa, xb, vu, vw, ds = [0], [0], [u], [w], [d]
     pa = pb = 0
     for key in sorted(jumps):
@@ -636,7 +684,8 @@ def _form_sum(forms: list) -> _Form:
             vu.append(u)
             vw.append(w)
             ds.append(d)
-    kind = _RATIONAL if all(f.kind == _RATIONAL for f in forms) else _SUM
+    kind = _RATIONAL if all(f.kind == _RATIONAL for f in forms) \
+        and not any(cb for _, cb in offsets) else _SUM
     return _Form(n, e, xa, xb, vu, vw, ds, kind)
 
 
@@ -688,13 +737,13 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
     v > floor(L e), and v/e >= L iff v >= ceil(L e).  Any other form
     compares the position of each end (u + w sqrt2)/e, the sum of the exact
     signs of (u q - p e) + w q sqrt2 against both levels p/q, -2 to 2 and
-    monotone in the value, with -1 and 1.  One event loop then visits only
-    the cut segments and those where the class changes: an inside segment
-    opens an arc at its start and an outside one closes it there, and a cut
-    segment's interval starts at its start or where it enters the band and
-    ends at its end or where it leaves.  So arcs that touch join, and a
-    number is built only at arc ends and crossings (Quads unless the form
-    is rational)."""
+    monotone in the value, with -1 and 1 (a missing level's sign is a
+    constant).  One event loop then visits only the cut segments and those
+    where the class changes: an inside segment opens an arc at its start
+    and an outside one closes it there, and a cut segment's interval starts
+    at its start or where it enters the band and ends at its end or where
+    it leaves.  So arcs that touch join, and a number is built only at arc
+    ends and crossings (Quads unless the form is rational)."""
     n, e, xa, xb, vu, vw, ds, kind = f
     tu, tw = _ends(f)
     if kind == _RATIONAL:
@@ -706,13 +755,21 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
         le, lt = ((math.floor(hi * e), math.ceil(hi * e)) if hi is not None
                   else (max(max(vu), max(tu)) + 1,) * 2)
     else:
-        # a missing level is -1/0 below or 1/0 above: its sign is -p
-        (pl, ql), (ph, qh) = ((-1, 0) if lo is None else lo.as_integer_ratio(),
-                              (1, 0) if hi is None else hi.as_integer_ratio())
-        heads, tails = ([sign_root2(u * ql - pl * e, w * ql)
-                         + sign_root2(u * qh - ph * e, w * qh)
-                         for u, w in zip(us, ws)]
-                        for us, ws in ((vu, vw), (tu, tw)))
+        # the sum of the value's signs against both levels; a missing
+        # level's sign is the constant 1 (no lo: every value lies above
+        # it) or -1 (no hi), so a one-sided band reads one sign per end
+        if lo is not None and hi is not None:
+            (pl, ql), (ph, qh) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            heads, tails = ([sign_root2(u * ql - pl * e, w * ql)
+                             + sign_root2(u * qh - ph * e, w * qh)
+                             for u, w in zip(us, ws)]
+                            for us, ws in ((vu, vw), (tu, tw)))
+        else:
+            (p, q), c = ((hi.as_integer_ratio(), 1) if lo is None
+                         else (lo.as_integer_ratio(), -1))
+            heads, tails = ([c + sign_root2(u * q - p * e, w * q)
+                             for u, w in zip(us, ws)]
+                            for us, ws in ((vu, vw), (tu, tw)))
         gt = ge = -1
         le = lt = 1
     cls = bytes([_IN if gt < h < lt and gt < t < lt else
@@ -762,10 +819,16 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
     return ArcSet._canonical(arcs)
 
 
-def pl_sum(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
-    """Pointwise sum of fs in one sweep over their integer forms
-    (`_form_sum`)."""
-    return PiecewiseLinear._of(_form_sum([f.form for f in fs]))
+def pl_sum(fs: list[PiecewiseLinear], g: PiecewiseLinear = None,
+           offsets=(), den: int = 1) -> PiecewiseLinear:
+    """Pointwise sum of fs and of x -> g(x + c) for each offset
+    c = (ca + cb sqrt2)/den in [0, 1), (ca, cb) in offsets, for a rational
+    g, in one sweep over their integer forms (`_form_sum`): each
+    translate files g's own jumps at its moved positions, so none is
+    built."""
+    return PiecewiseLinear._of(_form_sum(
+        [f.form for f in fs], None if g is None else _rational(g), offsets,
+        den))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 preservation, certified orbit evaluation."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from operator import sub
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ergocert import dynamics
-from ergocert.arith import Quad, mod1, pow2
+from ergocert.arith import SQRT2_MINUS_1, Quad, mod1, pow2
 from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
                                birkhoff_observable, builtin_systems, centered,
                                deviation_region, doubling_correlations,
@@ -20,8 +21,8 @@ from ergocert.dynamics import (CORRELATION_CUTOFF, birkhoff_eval,
 from ergocert.errors import (BudgetExceededError, InputError,
                              UnsupportedPairError)
 from ergocert.measures import region_measure
-from ergocert.observables import (CylinderFn, PiecewiseLinear,
-                                  observable_from_json, pl_inner)
+from ergocert.observables import (CylinderFn, PiecewiseLinear, _arcs, _ends,
+                                  observable_from_json, pl_inner, pl_sum)
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
                              IdealBall)
@@ -1020,12 +1021,118 @@ class TestRootTwoRunningSum:
             f = _random_pl(rng, rng.randint(7, 16))
             self._check(ROT, f, 12, self.DELTAS[i % 3:i % 3 + 1])
 
+    def test_one_sided_bands_match_two_sided(self):
+        # [DERIVED: oracle = the same classifying pass with the missing
+        # level replaced by a rational beyond every value, so both levels
+        # are compared; levels at the sum's rational segment ends and
+        # levels that miss every value]
+        rng = random.Random(16)
+        fs = self.HATS + [centered(ROT, _random_pl(rng, rng.randint(7, 16)))
+                          for _ in range(6)]
+        for f in fs:
+            system = rotation_system()
+            for n in (2, 3, 5, 12, 29):
+                s = system.birkhoff_sum(f, n).form
+                top = math.ceil(PiecewiseLinear._of(s).sup_norm()
+                                .approx(8)) + 1
+                ends = {F(u, s.e) for us, ws in ((s.vu, s.vw), _ends(s))
+                        for u, w in zip(us, ws) if not w}
+                levels = sorted(ends) + [F(rng.randint(-999, 999), 1009)
+                                         for _ in range(4)] + [-top, top]
+                for level in levels:
+                    for one, two in ((_arcs(s, level, None),
+                                      _arcs(s, level, top)),
+                                     (_arcs(s, None, level),
+                                      _arcs(s, -top, level))):
+                        assert one.arcs == two.arcs, (f, n, level)
+                        assert ref.types(one.arcs) == ref.types(two.arcs)
+
     @pytest.mark.parametrize("alpha", [Quad(F(1, 5), F(1, 3)),
                                        Quad(F(3, 7), F(-1, 4))])
     def test_other_angles(self, alpha):
         system = rotation_system(alpha)
         for f in self.HATS:
             self._check(system, f, 20)
+
+
+class TestTranslateSum:
+    # [DERIVED: oracle = pl_sum of the translates g.shift(i alpha) built
+    # one by one, as the rotation's running sum was first built; filing
+    # g's own jumps along the integer orbit must give the same form,
+    # column for column on the default angle (n = g.n, e = g.e there) and
+    # segment for segment on the others]
+    # inside (0, 1) and outside it, either sign of each part, and a
+    # rational angle whose orbit meets the hats' breakpoints and 0
+    ANGLES = [Quad(F(1, 5), F(1, 3)), Quad(F(3, 7), F(-1, 4)),
+              Quad(F(-7, 3), F(1, 2)), Quad(F(5, 2), F(-1, 3)),
+              Quad(F(9, 8))]
+
+    @staticmethod
+    def _terms(system, g, count):
+        return [g] + [g.shift(system.alpha * i) for i in range(1, count)]
+
+    def test_default_angle_column_for_column(self):
+        # the hats at every n <= 200, each S_n extended from S_(n-1); the
+        # random functions at every n <= 12 and at n = 50, 120, 200 built
+        # from scratch
+        rng = random.Random(44)
+        fs = TestRootTwoRunningSum.HATS \
+            + [_random_pl(rng, rng.randint(7, 16)) for _ in range(30)]
+        for index, f in enumerate(fs):
+            system = rotation_system()
+            g = centered(system, f)
+            count = 200
+            terms = self._terms(system, g, count)
+            ns = range(1, count + 1) if index < 3 \
+                else [*range(1, 13), 50, 120, count]
+            for n in ns:
+                if index >= 3:
+                    system = rotation_system()
+                got = system.birkhoff_sum(g, n).form
+                want = pl_sum(terms[:n]).form
+                assert got == want, (f, n)
+                assert (got.n, got.e) == (g.form.n, g.form.e)
+            _assert_normal_form(system.birkhoff_sum(g, count).segments, f)
+
+    def test_extending_a_kept_sum(self):
+        # S_m kept, then S_n, equals S_n from scratch
+        rng = random.Random(45)
+        fs = TestRootTwoRunningSum.HATS[:2] + [_random_pl(rng, 11)]
+        for alpha in [None] + self.ANGLES[:1]:
+            for f in fs:
+                g = centered(rotation_system(alpha), f)
+                for m, n in ((1, 2), (2, 5), (5, 12), (12, 29), (55, 59)):
+                    kept = rotation_system(alpha)
+                    kept.birkhoff_sum(g, m)
+                    assert kept._slot[1] == m
+                    got = kept.birkhoff_sum(g, n).form
+                    assert got == rotation_system(alpha).birkhoff_sum(
+                        g, n).form, (alpha, f, m, n)
+
+    @pytest.mark.parametrize("alpha", ANGLES)
+    def test_other_angles_segment_for_segment(self, alpha):
+        rng = random.Random(46)
+        system = rotation_system(alpha)
+        for f in TestRootTwoRunningSum.HATS + [_random_pl(rng, 9)]:
+            g = centered(system, f)
+            terms = self._terms(system, g, 30)
+            for n in range(1, 31):
+                got, want = system.birkhoff_sum(g, n), pl_sum(terms[:n])
+                assert got.segments == want.segments, (alpha, f, n)
+                assert ref.types(got.segments) == ref.types(want.segments)
+
+    @pytest.mark.parametrize("alpha", [SQRT2_MINUS_1] + ANGLES)
+    def test_integer_orbit(self, alpha):
+        system = rotation_system(alpha)
+        count = 10 ** 4
+        orbit = system._orbit(0, count)
+        D = system._den
+        assert len(orbit) == count
+        for i, (ca, cb) in enumerate(orbit):
+            assert Quad(F(ca, D), F(cb, D)) == mod1(alpha * i), (alpha, i)
+        # started anywhere, the orbit is the same
+        for m in (1, 29, 4321):
+            assert system._orbit(m, m + 40) == orbit[m:m + 40]
 
 
 class TestOneIntegerForm:
