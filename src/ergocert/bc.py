@@ -35,6 +35,20 @@ DEPTH_SLACK = 20
 TYPICAL_WINDOWS = 12
 #: replay evaluates a window's average to width 2^-EVAL_PRECISION
 EVAL_PRECISION = 6
+#: cap on the windows a BC sequence lists, the windows a point certifies
+#: and the observables a typical point dovetails (`--count`, `--windows`
+#: and `--members`); each costs at least one exact window
+SIZE_BUDGET = 64
+
+
+def check_size(what: str, size: int) -> None:
+    """Refuse a negative size (InputError) or one past SIZE_BUDGET
+    (BudgetExceededError), before any window is built."""
+    if size < 0:
+        raise InputError(f"{what} must be >= 0, got {size}")
+    if size > SIZE_BUDGET:
+        raise BudgetExceededError(f"{what} {size} is past the budget of "
+                                  f"{SIZE_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +132,10 @@ def bc_exact_windows(system: System, f: Observable,
     the whole space.  Each candidate's err is read once per (n, delta),
     by the system's `deviation_mass`: on the shift from the partial-sum
     law, with the region built only if synthesis reads it, on the circle
-    as 1 - mu of the region, built at once."""
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
+    as 1 - mu of the region, built at once as an integer form and weighed
+    in integers; its Fraction view is built only if something reads it,
+    and synthesis and replay read none."""
+    check_size("count", count)
     max_n = max_n if max_n is not None else system.bc_max_n
     obs_json = observable_to_json(f)
     fbar = centered(system, f)  # deviation_region re-centers it per build
@@ -276,8 +291,7 @@ def synthesize_point(system: System, bc: BCSequence, target: IdealBall,
     the error tail of the unprocessed windows) stays positive, so the
     construction can always continue; running out of mass in the target
     raises NO_MASS."""
-    if windows < 0:
-        raise InputError(f"windows must be >= 0, got {windows}")
+    check_size("windows", windows)
     space = system.space
     if target.space is not space:
         raise InputError(f"a {target.space.name} target on {space.name}")
@@ -488,8 +502,8 @@ def typical_point(system: System, members: int,
     windows."""
     if members < 1:
         raise InputError("need at least one observable")
-    if windows < 0:  # before any member's windows are built
-        raise InputError(f"windows must be >= 0, got {windows}")
+    check_size("members", members)  # before any member's windows are built
+    check_size("windows", windows)
     terms = enumerate_F(system.space, members)
     bcs = [bc_exact_windows(system, terms[i],
                             caps=lambda j, i=i: pow2(i + 1 + j),

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 from .arith import fmt_rat, parse_rat, pow2
-from .bc import (SynthPoint, bc_exact_windows, replay_synth,
+from .bc import (SynthPoint, bc_exact_windows, check_size, replay_synth,
                  synthesize_point, typical_point)
 from .dynamics import builtin_systems, parse_system
 from .errors import BudgetExceededError, ErgocertError, InputError
@@ -177,8 +177,7 @@ def _cmd_synthesize(args) -> int:
     system = parse_system(args.system)
     f = _load_observable(args.observable)
     target = IdealBall.from_json(_load_json_arg(args.target, "target ball"))
-    if args.windows < 0:  # before any window is built
-        raise InputError(f"windows must be >= 0, got {args.windows}")
+    check_size("windows", args.windows)  # before any window is built
     if target.space is not system.space:
         raise InputError(f"a {target.space.name} target on {args.system}")
     bc = bc_exact_windows(system, f, caps=lambda j: pow2(j), count=args.count)

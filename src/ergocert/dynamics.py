@@ -578,8 +578,9 @@ class CircleMap(System):
         arcs where S_n g > n delta or S_n g < -n delta for some n in the
         window (rounded up when the arcs are irrational), both tails read
         from S_n itself (in integers on its integer form, over Z[sqrt2] on
-        the rotation) and every n's arcs merged by one `ArcSet` of them
-        all, which sorts them by exact Fraction and Quad comparisons.
+        the rotation) and every n's arcs merged by one `ArcSet.union`, in
+        integers over one denominator (the rotation's Q[sqrt2] ends by
+        their exact order keys).
         Priced before it runs: the segment counts `_extend` checks, summed
         over the window, must stay within SEGMENT_BUDGET."""
         if any(t > SEGMENT_BUDGET for t in
@@ -587,11 +588,11 @@ class CircleMap(System):
             raise BudgetExceededError(
                 f"validation over n in [{window.start}, {window.stop - 1}] "
                 f"needs more than {SEGMENT_BUDGET} segments")
-        arcs = []
+        tails = []
         for n in window:
             s, level = self.birkhoff_sum(g, n), n * delta
-            arcs += s.arcs_above(level).arcs + s.arcs_below(-level).arcs
-        mass = ArcSet(arcs).measure()
+            tails += [s.arcs_above(level), s.arcs_below(-level)]
+        mass = ArcSet.union(tails).measure()
         if not isinstance(mass, Fraction):
             mass = mass.approx(60) + pow2(60)
         return mass

@@ -301,7 +301,7 @@ class PiecewiseLinear:
         return PiecewiseLinear._of(_transfer(_rational(self)))
 
     # -- sublevel sets: one classifying pass over the integer form each,
-    # building numbers only at arc ends and level crossings (`_arcs`) ------
+    # emitting ArcSet's integer form (`_arcs`) -----------------------------
 
     def arcs_below_abs(self, delta) -> ArcSet:
         """{x : |f(x)| < delta} as an exact arc set (up to finitely many
@@ -402,7 +402,13 @@ def _segments(f: _Form) -> list:
 def _common(forms: list) -> list:
     """The forms on common steps 1/n, n the lcm of their n, over the least
     e that their e divide and that makes every increment per step 1/n an
-    integer.  A rational form keeps its zero columns."""
+    integer (`_grid`).  A rational form keeps its zero columns."""
+    n, e = _grid(forms)
+    return [_on(f, n, e) for f in forms]
+
+
+def _grid(forms: list) -> tuple:
+    """(n, e) of `_common`."""
     n = math.lcm(*[f.n for f in forms])
 
     def least(f):
@@ -410,16 +416,18 @@ def _common(forms: list) -> list:
         return f.e if k == 1 else \
             math.lcm(f.e, f.e * k // math.gcd(f.e * k, *f.ds))
 
-    e = math.lcm(*map(least, forms))
-    out = []
-    for f in forms:
-        k, c = n // f.n, e // f.e
-        b, w = (1, 1) if f.kind == _RATIONAL else (k, c)
-        out.append(f if k == c == 1 else _Form(
-            n, e, _times(f.xa, k), _times(f.xb, b), _times(f.vu, c),
-            _times(f.vw, w), _times(f.ds, c) if k == 1
-            else [d * e // (f.e * k) for d in f.ds], f.kind))
-    return out
+    return n, math.lcm(*map(least, forms))
+
+
+def _on(f: _Form, n: int, e: int) -> _Form:
+    """f on the steps 1/n over e, for n and e that f.n and f.e divide."""
+    k, c = n // f.n, e // f.e
+    if k == c == 1:
+        return f
+    b, w = (1, 1) if f.kind == _RATIONAL else (k, c)
+    return _Form(n, e, _times(f.xa, k), _times(f.xb, b), _times(f.vu, c),
+                 _times(f.vw, w), _times(f.ds, c) if k == 1
+                 else [d * e // (f.e * k) for d in f.ds], f.kind)
 
 
 def _times(col: list, k: int) -> list:
@@ -525,19 +533,25 @@ def _transfer(f: _Form) -> _Form:
 def _form_plus(f: _Form, g: _Form) -> _Form:
     """f + g for rational forms on their common steps (`_common`): a
     merge walk over g's segments that bisects f's breakpoints, so a g
-    with few breakpoints costs one pass over f."""
-    f, g = _common([f, g])
-    n, xs, vs, ds = f.n, f.xa, f.vu, f.ds
+    with few breakpoints costs one pass over f.  When f is already on the
+    common steps, as S_(n-1) o T is in `Doubling._extend`, its values and
+    increments are scaled to the common e inside the walk (by c), so f is
+    never copied."""
+    n, e = _grid([f, g])
+    if f.n != n:
+        f = _on(f, n, e)
+    c, g = e // f.e, _on(g, n, e)
+    xs, vs, ds = f.xa, f.vu, f.ds
     out_x, out_v, out_d = [], [], []
     for x0, x1, v0, d0 in zip(g.xa, g.xa[1:] + [n], g.vu, g.ds):
         lo = bisect_left(xs, x0)
         hi = bisect_left(xs, x1, lo)
         if lo < len(xs) and xs[lo] == x0:
-            hv, hd = vs[lo] + v0, ds[lo] + d0
+            hv, hd = vs[lo] * c + v0, ds[lo] * c + d0
             lo += 1
         else:  # x0 cuts f's segment lo - 1
             k = lo - 1
-            hv, hd = vs[k] + ds[k] * (x0 - xs[k]) + v0, ds[k] + d0
+            hv, hd = (vs[k] + ds[k] * (x0 - xs[k])) * c + v0, ds[k] * c + d0
         # a breakpoint of g where the sum is continuous and collinear goes
         if not (out_x and out_d[-1] == hd
                 and out_v[-1] + out_d[-1] * (x0 - out_x[-1]) == hv):
@@ -546,13 +560,13 @@ def _form_plus(f: _Form, g: _Form) -> _Form:
             out_d.append(hd)
         # on the rest of g's segment f's breakpoints stay, and g adds
         # v0 + d0 (x - x0) at each
-        c = v0 - d0 * x0
+        t = v0 - d0 * x0
         run = xs[lo:hi]
         out_x += run
-        out_v += [v + c + d0 * x for v, x in zip(vs[lo:hi], run)]
-        out_d += [d + d0 for d in ds[lo:hi]] if d0 else ds[lo:hi]
+        out_v += [v * c + t + d0 * x for v, x in zip(vs[lo:hi], run)]
+        out_d += [d * c + d0 for d in ds[lo:hi]]
     zeros = [0] * len(out_x)
-    return _Form(n, f.e, out_x, zeros, out_v, zeros, out_d, _RATIONAL)
+    return _Form(n, e, out_x, zeros, out_v, zeros, out_d, _RATIONAL)
 
 
 def _shift(f: _Form, c) -> _Form:
@@ -726,97 +740,125 @@ def _sup(f: _Form) -> Quad:
 #: run of outside or of inside segments, at its first, and each cut segment
 _OUT, _CUT, _IN = 0, 1, 2
 _EVENTS = re.compile(b"\x00+|\x02+|\x01")
+_CUTS = re.compile(b"\x01")
 
 
 def _arcs(f: _Form, lo, hi) -> ArcSet:
     """{x : lo < f(x) < hi} for rational levels (a missing level is
-    unbounded) in ArcSet's canonical form.  One list pass sorts the
-    segments by the values at their ends: inside (both strictly between the
+    unbounded) as ArcSet's integer form.  One list pass sorts the segments
+    by the values at their ends: inside (both strictly between the
     levels), outside (both at or past one level) or cut (it meets a level;
-    never a flat one).  A rational form compares integers: v/e > L iff
-    v > floor(L e), and v/e >= L iff v >= ceil(L e).  Any other form
-    compares the position of each end (u + w sqrt2)/e, the sum of the exact
-    signs of (u q - p e) + w q sqrt2 against both levels p/q, -2 to 2 and
-    monotone in the value, with -1 and 1 (a missing level's sign is a
-    constant).  One event loop then visits only the cut segments and those
-    where the class changes: an inside segment opens an arc at its start
-    and an outside one closes it there, and a cut segment's interval starts
-    at its start or where it enters the band and ends at its end or where
-    it leaves.  So arcs that touch join, and a number is built only at arc
-    ends and crossings (Quads unless the form is rational)."""
+    never a flat one).  A rational form compares integers, each segment's
+    end value computed in that pass: with the levels p/q over one q,
+    v/e > p/q iff v > floor(p e/q), and v/e >= p/q iff v >= ceil(p e/q).
+    Any other form compares the position of each end (u + w sqrt2)/e, the
+    sum of the exact signs of (u q - p e) + w q sqrt2 against both levels,
+    -2 to 2 and monotone in the value, with -1 and 1 (a missing level's
+    sign is a constant).  One event loop then visits only the cut segments
+    and those where the class changes: an inside segment opens an arc at
+    its start and an outside one closes it there, and a cut segment's
+    interval starts at its start or where it enters the band and ends at
+    its end or where it leaves.  So arcs that touch join.  Every end is an
+    integer over N = n q L, L the lcm of the increments of the cut
+    segments: a start xa/n is xa q L, and the crossing of segment k with
+    the level p/q, (xa d q + p e - vu q)/(n d q) + (xb d - vw)/(n d) sqrt2
+    for its increment d, is that numerator times L/d.  A rational form's
+    set is rational; any other keeps a start's sqrt2 part where it is not
+    0 and every crossing's, so the view has a Quad there."""
     n, e, xa, xb, vu, vw, ds, kind = f
-    tu, tw = _ends(f)
+    # both levels over one denominator q
+    q = math.lcm(*[x.denominator for x in (lo, hi) if x is not None])
+    plo, phi = (None if x is None else x.numerator * (q // x.denominator)
+                for x in (lo, hi))
     if kind == _RATIONAL:
+        stops = xa[1:] + [n]
         # key > gt iff the value > lo, key >= ge iff >= lo, key <= le iff
-        # <= hi, key < lt iff < hi; a missing level lies beyond every end
-        heads, tails = vu, tu
-        gt, ge = ((math.floor(lo * e), math.ceil(lo * e)) if lo is not None
-                  else (min(min(vu), min(tu)) - 1,) * 2)
-        le, lt = ((math.floor(hi * e), math.ceil(hi * e)) if hi is not None
-                  else (max(max(vu), max(tu)) + 1,) * 2)
+        # <= hi, key < lt iff < hi; a missing level lies beyond every end,
+        # each within max|vu| + max|ds| n of 0
+        far = max(map(abs, vu)) + max(map(abs, ds)) * n + 1
+        gt, ge = (plo * e // q, -(-plo * e // q)) if plo is not None \
+            else (-far, -far)
+        le, lt = (phi * e // q, -(-phi * e // q)) if phi is not None \
+            else (far, far)
+        cls = bytes([_IN if gt < (t := u + d * (b - a)) < lt and gt < u < lt
+                     else _OUT if u <= gt >= t or u >= lt <= t else _CUT
+                     for u, d, a, b in zip(vu, ds, xa, stops)])
+
+        def values(k):
+            return vu[k], vu[k] + ds[k] * (stops[k] - xa[k])
     else:
         # the sum of the value's signs against both levels; a missing
         # level's sign is the constant 1 (no lo: every value lies above
         # it) or -1 (no hi), so a one-sided band reads one sign per end
-        if lo is not None and hi is not None:
-            (pl, ql), (ph, qh) = lo.as_integer_ratio(), hi.as_integer_ratio()
-            heads, tails = ([sign_root2(u * ql - pl * e, w * ql)
-                             + sign_root2(u * qh - ph * e, w * qh)
+        tu, tw = _ends(f)
+        if plo is not None and phi is not None:
+            heads, tails = ([sign_root2(u * q - plo * e, w * q)
+                             + sign_root2(u * q - phi * e, w * q)
                              for u, w in zip(us, ws)]
                             for us, ws in ((vu, vw), (tu, tw)))
         else:
-            (p, q), c = ((hi.as_integer_ratio(), 1) if lo is None
-                         else (lo.as_integer_ratio(), -1))
+            p, c = (phi, 1) if plo is None else (plo, -1)
             heads, tails = ([c + sign_root2(u * q - p * e, w * q)
                              for u, w in zip(us, ws)]
                             for us, ws in ((vu, vw), (tu, tw)))
         gt = ge = -1
         le = lt = 1
-    cls = bytes([_IN if gt < h < lt and gt < t < lt else
-                 _OUT if h <= gt >= t or h >= lt <= t else _CUT
-                 for h, t in zip(heads, tails)])
+        cls = bytes([_IN if gt < h < lt and gt < t < lt else
+                     _OUT if h <= gt >= t or h >= lt <= t else _CUT
+                     for h, t in zip(heads, tails)])
 
-    def crossing(k, level):
-        # n x = a + b sqrt2 + (level e - u - w sqrt2) / d
-        p, q = level.numerator, level.denominator
+        def values(k):
+            return heads[k], tails[k]
+    L = math.lcm(*[ds[m.start()] for m in _CUTS.finditer(cls)])
+    qL = q * L
+    keep = kind != _RATIONAL  # the roots of the ends, in order
+    spans, roots = [], []
+
+    def at(k):  # the start of segment k
+        if keep:
+            roots.append(xb[k] * qL if xb[k] else None)
+        return xa[k] * qL
+
+    def crossing(k, p):  # where segment k meets the level p/q
         d = ds[k]
-        x = Fraction(xa[k] * d * q + p * e - vu[k] * q, n * d * q)
-        return x if kind == _RATIONAL else \
-            Quad(x, Fraction(xb[k] * d - vw[k], n * d))
+        if keep:
+            roots.append((xb[k] * d - vw[k]) * q * (L // d))
+        return (xa[k] * d * q + p * e - vu[k] * q) * (L // d)
 
-    arcs = []
     start = None  # start of the arc that reaches the current segment
     for run in _EVENTS.finditer(cls):
         k = run.start()
         c = cls[k]
         if c == _IN:
             if start is None:
-                start = _root2(xa[k], xb[k], n)
+                start = at(k)
             continue
         if c == _OUT:
             if start is not None:
-                arcs.append((start, _root2(xa[k], xb[k], n)))
+                spans.append((start, at(k)))
                 start = None
             continue
         # a cut segment: does its interval start at its start (at_x) and end
         # at its end (at_b), or at the level it crosses there?
-        h, t = heads[k], tails[k]
+        h, t = values(k)
         if ds[k] > 0:
-            at_x, at_b, cut_in, cut_out = h >= ge, t <= le, lo, hi
+            at_x, at_b, cut_in, cut_out = h >= ge, t <= le, plo, phi
         else:
-            at_x, at_b, cut_in, cut_out = h <= le, t >= ge, hi, lo
+            at_x, at_b, cut_in, cut_out = h <= le, t >= ge, phi, plo
         if not at_x:
             if start is not None:
-                arcs.append((start, _root2(xa[k], xb[k], n)))
+                spans.append((start, at(k)))
             start = crossing(k, cut_in)
         elif start is None:
-            start = _root2(xa[k], xb[k], n)
+            start = at(k)
         if not at_b:
-            arcs.append((start, crossing(k, cut_out)))
+            spans.append((start, crossing(k, cut_out)))
             start = None
     if start is not None:
-        arcs.append((start, Fraction(1)))
-    return ArcSet._canonical(arcs)
+        spans.append((start, n * qL))
+        roots.append(None)
+    return ArcSet._canonical(n * qL, spans, list(zip(roots[::2], roots[1::2]))
+                             if any(r is not None for r in roots) else None)
 
 
 def pl_sum(fs: list[PiecewiseLinear], g: PiecewiseLinear = None,

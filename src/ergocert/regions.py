@@ -3,11 +3,14 @@
 These are the normal forms behind the exact measure oracles: every
 finite union of ideal balls in the built-in instances reduces to one of
 them, so measures and intersections are exact rational (or Q[sqrt2])
-computations.  Both forms are sorted lists of disjoint intervals, arcs
-of the circle or runs of same-length words read as binary numbers, and
-share one merge (`_merged`, run by each constructor and nowhere else) and
-one intersection walk.  Each form numbers its own ideal balls, which
-synthesis records as witnesses, and finds the one holding a ball (`holder`).
+computations.  Both forms are integer runs, sorted, disjoint and apart:
+an arc set's ends are integers over one denominator (with a second
+integer column for the sqrt2 parts of Q[sqrt2] ends), a cylinder set's
+runs are same-length words read as binary numbers.  They share one merge
+(`_merged`) and one intersection walk (`_overlaps`), and each numbers its
+own ideal balls, which synthesis records as witnesses, and finds the one
+holding a ball (`holder`), in integers.  An arc set builds its Fraction
+and Quad view (`arcs`) only when it is read.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .arith import Quad, mod1
+from .arith import Quad, floor_root2
 from .errors import UnsupportedPairError
 from .spaces import CANTOR, CIRCLE, IdealBall, ball_arc
 
@@ -30,60 +33,110 @@ from .spaces import CANTOR, CIRCLE, IdealBall, ball_arc
 class ArcSet:
     """Finite union of open arcs on the circle, kept sorted and disjoint.
 
-    Arcs are stored as (a, b) with 0 <= a < b <= 1 (`from_raw` splits an
-    arc crossing 0).  Endpoints may be Fraction or Quad.  The constructor
-    drops empty arcs, sorts the rest and joins those that overlap or
-    touch, so a union of arc sets is `ArcSet` of all their arcs;
-    `_canonical` wraps arcs already in that form.  Measure-theoretic
-    operations ignore endpoints (all sets here are finite unions of arcs
-    up to finitely many points); `measure` sums the ends in integers and
-    builds one number.  Its ideal balls are the `parts`."""
+    One integer form: arc k is (spans[k][0]/den, spans[k][1]/den), with
+    0 <= a < b <= 1, and `roots` is None when every end is a Fraction.  A
+    set with Q[sqrt2] ends (a sublevel set of a rotation sum) keeps in
+    roots[k] the sqrt2 parts of arc k's ends over den, or None for an end
+    that is a Fraction; a Quad end has an int there, 0 included, so the
+    view keeps each end's type.  `arcs`, the view of (a, b) pairs of
+    Fractions and Quads, is built on first read.  The checking
+    constructor takes such pairs, drops empty arcs, sorts the rest and
+    joins those that overlap or touch (`from_raw` reads rational arcs of
+    the real line, mod 1); `_canonical` wraps a form already sorted,
+    disjoint and apart.  Measure-theoretic operations ignore endpoints
+    (all sets here are finite unions of arcs up to finitely many points)
+    and run on the integers: `measure`, `union`, `intersect`, `holder`,
+    `contains_ball` and `to_rational_inner`.  Its ideal balls are the
+    `parts`."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
-        self.arcs = _merged(sorted((a, b) for a, b in arcs if a < b))
+        ends = [(x.a, x.b) if type(x) is Quad else (x, None)
+                for arc in arcs if arc[0] < arc[1] for x in arc]
+        self.den = den = math.lcm(*[y.denominator for end in ends
+                                    for y in end if y is not None])
+        self.spans, self.roots = _joined(
+            [tuple(y if y is None else y.numerator * (den // y.denominator)
+                   for y in end) for end in ends])
 
     @staticmethod
-    def _canonical(arcs: list) -> "ArcSet":
-        """Wrap arcs that are already sorted, disjoint and apart (no arc
-        starts where the one before it ends), unchecked."""
+    def _canonical(den: int, spans: list, roots=None) -> "ArcSet":
+        """Wrap a form that is already sorted, disjoint and apart (no arc
+        starts where the one before it ends), unchecked; roots is None
+        unless some end is a Quad."""
         s = object.__new__(ArcSet)
-        s.arcs = arcs
+        s.den, s.spans, s.roots = den, spans, roots
         return s
 
     @staticmethod
     def from_raw(arcs: Iterable[tuple]) -> "ArcSet":
-        """Build from arcs given on the real line (reduced mod 1, split at 0)."""
+        """Build from rational arcs given on the real line (reduced mod 1,
+        split at 0), in integers over the lcm of their denominators."""
+        arcs = [(a, b) for a, b in arcs if a < b]
+        den = math.lcm(*[x.denominator for arc in arcs for x in arc])
         out = []
         for a, b in arcs:
-            if b <= a:
-                continue
-            if b - a >= 1:
-                return ArcSet([(Fraction(0), Fraction(1))])
-            a0 = mod1(a)
+            a, b = a.numerator * (den // a.denominator), \
+                b.numerator * (den // b.denominator)
+            if b - a >= den:
+                return ArcSet._canonical(1, [(0, 1)])
+            a0 = a % den
             b0 = a0 + (b - a)
-            if b0 <= 1:
+            if b0 <= den:
                 out.append((a0, b0))
             else:
-                out.append((a0, Fraction(1)))
-                out.append((Fraction(0), b0 - 1))
-        return ArcSet(out)
+                out += [(a0, den), (0, b0 - den)]
+        return ArcSet._canonical(den, _merged(sorted(out)))
+
+    @staticmethod
+    def union(sets: list) -> "ArcSet":
+        """The union of arc sets, joined over the lcm of their
+        denominators (`_joined`)."""
+        den = math.lcm(*[s.den for s in sets])
+        ends = []
+        for s in sets:
+            k = den // s.den
+            for span, root in zip(s.spans, s.roots or repeat((None, None))):
+                ends += [(x * k, r if r is None else r * k)
+                         for x, r in zip(span, root)]
+        return ArcSet._canonical(den, *_joined(ends))
+
+    @cached_property
+    def arcs(self) -> list[tuple]:
+        """The arcs as (a, b) pairs of Fractions, and of Quads where the
+        form has an int root."""
+        den, spans = self.den, self.spans
+        if self.roots is None:
+            return [(Fraction(a, den), Fraction(b, den)) for a, b in spans]
+        return [tuple(Fraction(x, den) if r is None else
+                      Quad(Fraction(x, den), Fraction(r, den))
+                      for x, r in zip(span, root))
+                for span, root in zip(spans, self.roots)]
 
     def measure(self):
         """The total length, the sum of b - a over the arcs, in integers
-        (`_length`): a Fraction, or a Quad when an end is one, whose
-        rational and sqrt2 parts are each summed the same way (so a Quad
-        even where the sqrt2 parts cancel)."""
-        ends = [x for arc in self.arcs for x in arc]
-        if not any(type(x) is Quad for x in ends):
-            return _length(ends)
-        return Quad(_length([x.a if type(x) is Quad else x for x in ends]),
-                    _length([x.b if type(x) is Quad else 0 for x in ends]))
+        over den: a Fraction, or a Quad when an end is one (so a Quad even
+        where the sqrt2 parts cancel)."""
+        den, spans, roots = self.den, self.spans, self.roots
+        length = Fraction(sum(map(itemgetter(1), spans))
+                          - sum(map(itemgetter(0), spans)), den)
+        if roots is None:
+            return length
+        return Quad(length, Fraction(sum(b or 0 for _, b in roots)
+                                     - sum(a or 0 for a, _ in roots), den))
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._canonical(_overlaps(self.arcs, other.arcs))
+        """Both sides over the lcm of their denominators, met by one walk
+        (`_overlaps`) on the integers; a side with a Quad end is met on
+        the views, by exact comparisons."""
+        if self.roots is not None or other.roots is not None:
+            return ArcSet(_overlaps(self.arcs, other.arcs))
+        den = math.lcm(self.den, other.den)
+        return ArcSet._canonical(den, _overlaps(_spans_over(self, den),
+                                                _spans_over(other, den)))
 
     def components(self) -> list[tuple]:
-        """Arcs with the wrap across 0 glued (returned arc may end > 1)."""
+        """The view's arcs with the wrap across 0 glued (returned arc may
+        end > 1)."""
         arcs = list(self.arcs)
         if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
             first = arcs.pop(0)
@@ -93,39 +146,43 @@ class ArcSet:
 
     @cached_property
     def parts(self) -> tuple[list, list]:
-        """(components, first): every component splits into its fewest
-        equal parts shorter than 1/2, floor(2 width) + 1, and the i-th
-        holds the parts first[i] to first[i + 1] - 1 in circle order.  The
-        split needs rational endpoints: a Q[sqrt2] end raises
-        UnsupportedPairError."""
-        comps = self.components()
-        if any(isinstance(x, Quad) for arc in comps for x in arc):
+        """(components, first): the arcs as (a, b) over den with the wrap
+        across 0 glued (the glued one ends past den); every one splits
+        into its fewest equal parts shorter than 1/2, floor(2 width) + 1,
+        and the i-th holds the parts first[i] to first[i + 1] - 1 in
+        circle order.  The split needs rational endpoints: a Q[sqrt2] end
+        raises UnsupportedPairError."""
+        if self.roots is not None:
             raise UnsupportedPairError("ball conversion needs rational arcs")
-        # floor(2 (b - a)) + 1 in integers, a = an/ad and b = bn/bd
-        return comps, list(accumulate(
-            (2 * (b.numerator * a.denominator - a.numerator * b.denominator)
-             // (a.denominator * b.denominator) + 1 for a, b in comps),
-            initial=0))
+        den, comps = self.den, list(self.spans)
+        if len(comps) >= 2 and comps[0][0] == 0 and comps[-1][1] == den:
+            first, last = comps.pop(0), comps.pop()
+            comps.append((last[0], first[1] + den))
+        return comps, list(accumulate((2 * (b - a) // den + 1
+                                       for a, b in comps), initial=0))
 
     def holder(self, cand: IdealBall) -> Optional[tuple]:
         """(position, ball) of the part that holds the circle ball `cand`
         strictly, or None: only the part over cand's centre can, and the
         components before it add their parts to the position.  Found and
-        checked in integers over D, the lcm of the denominators of the
-        component's ends and of cand's centre and radius."""
+        checked in integers over D, the lcm of den and of the denominators
+        of cand's centre and radius."""
         comps, first = self.parts
-        c, r = cand.center, cand.radius
+        c, r, den = cand.center, cand.radius, self.den
         for s in (0, 1):
-            y = c + s
+            # the last component starting at or before y = c + s starts at
+            # or before floor(y den), and y lies inside it iff that floor
+            # lies before its end
+            y = (c.numerator + s * c.denominator) * den // c.denominator
             i = bisect_right(comps, y, key=itemgetter(0)) - 1
             if i >= 0 and y < comps[i][1]:
                 break
         else:
             return None
-        (a, b), m = comps[i], first[i + 1] - first[i]
-        D = math.lcm(a.denominator, b.denominator, c.denominator,
-                     r.denominator)
-        A, B, C, R = (x.numerator * (D // x.denominator) for x in (a, b, c, r))
+        m = first[i + 1] - first[i]
+        D = math.lcm(den, c.denominator, r.denominator)
+        A, B = (x * (D // den) for x in comps[i])
+        C, R = (x.numerator * (D // x.denominator) for x in (c, r))
         # the m parts have radius (B - A)/E over E = 2 m D: the k-th holds
         # the centre, and is centred at Z/E mod 1, at distance t/E from it
         E = 2 * m * D
@@ -138,49 +195,81 @@ class ArcSet:
                                            Fraction(B - A, E))
 
     def contains_ball(self, ball) -> bool:
-        """Does the set contain the closed arc of a circle ball?"""
+        """Does the set contain the closed arc of a circle ball?  Each
+        component of `parts` (so the ends must be rational) is compared
+        with the ball's ends in integers over den q, q the lcm of their
+        denominators."""
         a, b = ball_arc(ball)
-        for lo, hi in self.components():
-            for shift in (0, 1):
-                if lo <= a + shift and b + shift <= hi:
+        q = math.lcm(a.denominator, b.denominator)
+        A, B = (x.numerator * (q // x.denominator) * self.den for x in (a, b))
+        for lo, hi in self.parts[0]:
+            for shift in (0, self.den * q):
+                if lo * q <= A + shift and B + shift <= hi * q:
                     return True
         return self.measure() == 1
 
     def to_rational_inner(self, grain: Fraction) -> "ArcSet":
         """Shrink each arc to rational endpoints on the grid of step
-        `grain` (a rational endpoint stays): every arc loses less than
-        2 grain of its length, and one that short may drop out."""
+        `grain` (a Fraction end stays, a Quad one moves inward, start up
+        and end down): every arc loses less than 2 grain of its length,
+        and one that short may drop out.  In integers over the lcm of den
+        and grain's denominator, each Q[sqrt2] floor by `floor_root2`."""
+        if self.roots is None:
+            return self
+        gn, gd = grain.numerator, grain.denominator
+        den = self.den
+        D = math.lcm(den, gd)
+        up, step, fine = D // den, D // gd * gn, den * gn
+
+        def inward(x, r, up_to):
+            if r is None:
+                return x * up
+            # floor((x + r sqrt2)/den / grain), one more for a start off
+            # the grid
+            k, off = divmod(x * gd + floor_root2(r * gd), fine)
+            return (k + 1 if up_to and (r or off) else k) * step
+
         out = []
-        for a, b in self.arcs:
-            a2 = _ceil_to_grid(a, grain)
-            b2 = _floor_to_grid(b, grain)
+        for (a, b), (ra, rb) in zip(self.spans, self.roots):
+            a2, b2 = inward(a, ra, True), inward(b, rb, False)
             if a2 < b2:
                 out.append((a2, b2))
         # rounding inward keeps the arcs sorted, disjoint and apart
-        return ArcSet._canonical(out)
+        return ArcSet._canonical(D, out)
 
 
-def _length(ends: list) -> Fraction:
-    """The sum of ends[2i + 1] - ends[2i] over rational ends, in integers:
-    the numerators are summed per denominator, and one Fraction is built
-    over the lcm of the denominators."""
-    per: dict = {}
-    for sign, xs in ((1, ends[1::2]), (-1, ends[::2])):
-        for x in xs:
-            per[x.denominator] = per.get(x.denominator, 0) + sign * x.numerator
-    den = math.lcm(*per)
-    return Fraction(sum(s * (den // d) for d, s in per.items()), den)
+def _spans_over(s: ArcSet, den: int) -> list:
+    """s's spans over den, a multiple of s.den."""
+    k = den // s.den
+    return s.spans if k == 1 else [(a * k, b * k) for a, b in s.spans]
 
 
-def _ceil_to_grid(x, grain: Fraction) -> Fraction:
-    g = _floor_to_grid(x, grain)
-    return g + grain if g < x else g
-
-
-def _floor_to_grid(x, grain: Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return grain * (x / grain).floor()
+def _joined(ends: list) -> tuple:
+    """(spans, roots) of the union of arcs given by their ends (x, r),
+    two per arc, each (x + r sqrt2)/den over one den (r None on a Fraction
+    end): joined by `_merged` when every end is rational.  Q[sqrt2] ends
+    sort and join the same way by their exact keys floor(m (x + r sqrt2)),
+    m a power of two above 2 max|x| + 4 max|r|: integers p, q not both 0
+    have |p + q sqrt2| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so
+    different ends have different keys.  A joined arc keeps the end that a
+    merge of the Fraction and Quad numbers keeps, type included."""
+    if all(r is None for _, r in ends):
+        xs = [x for x, _ in ends]
+        return _merged(sorted(zip(xs[::2], xs[1::2]))), None
+    m = 1 << (2 * max(abs(x) for x, _ in ends)
+              + 4 * max(abs(r or 0) for _, r in ends)).bit_length()
+    keys = [m * x + floor_root2(m * r) if r else m * x for x, r in ends]
+    out = []  # [start key, end key, start index, end index]
+    for i in sorted(range(0, len(ends), 2),
+                    key=lambda i: (keys[i], keys[i + 1])):
+        if out and keys[i] <= out[-1][1]:
+            if keys[i + 1] > out[-1][1]:
+                out[-1][1], out[-1][3] = keys[i + 1], i + 1
+        else:
+            out.append([keys[i], keys[i + 1], i, i + 1])
+    roots = [(ends[i][1], ends[j][1]) for _, _, i, j in out]
+    return [(ends[i][0], ends[j][0]) for _, _, i, j in out], \
+        roots if any(r != (None, None) for r in roots) else None
 
 
 def _merged(intervals: Iterable[tuple]) -> list[tuple]:

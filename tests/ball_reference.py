@@ -1,6 +1,6 @@
 """Reference decompositions of exact regions into disjoint ideal balls,
-the first-holder scan over a ball list, and the exact distance range that
-decides circle ball membership.
+the first-holder scan over a ball list, the exact distance range that
+decides circle ball membership, and a Fraction walk over arc unions.
 
 A cylinder union is cut into its maximal cylinders, found by checking
 every word up to the union's depth against the union's words and listed
@@ -8,12 +8,15 @@ in (length, word) order.  An arc union is cut arc by arc (the arc across
 0 glued, last) into its fewest equal parts shorter than 1/2, found by
 counting parts up.  The balls are built with the checking constructor,
 so the tests compare the program's `holder` with code that shares none
-of its logic."""
+of its logic.  The arc walk cuts [0, 1] at every end in play and reads
+each cell at its midpoint, in the ends' own Fraction or Quad arithmetic:
+unions, intersections, lengths, the wrap across 0 and the containment of
+a ball's closed arc, with no merge and no integer form."""
 
 from fractions import Fraction
 from math import ceil
 
-from ergocert.arith import Interval, mod1
+from ergocert.arith import Interval, Quad, mod1
 from ergocert.regions import ArcSet
 from ergocert.spaces import CANTOR, CIRCLE, IdealBall
 from w1_reference import circle_dist
@@ -35,14 +38,18 @@ def cylinder_balls(region):
             for w in every if full(w) and (not w or not full(w[:-1]))]
 
 
+def glued(arcs):
+    """Sorted arcs of [0, 1] with the arc across 0 (if any) glued, last."""
+    if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
+        arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + 1)]
+    return arcs
+
+
 def arc_balls(region):
     """Each arc of an `ArcSet` in its fewest equal parts shorter than 1/2,
     the arc across 0 (if any) last."""
-    arcs = list(region.arcs)
-    if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
-        arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + 1)]
     balls = []
-    for a, b in arcs:
+    for a, b in glued(list(region.arcs)):
         parts = 1
         while (b - a) / parts >= Fraction(1, 2):
             parts += 1
@@ -93,3 +100,81 @@ def circle_member(ball, box: Interval) -> bool:
     """Every point of the box lies at circle distance < r from the
     centre."""
     return circle_dist_interval(ball.center, box).hi < ball.radius
+
+
+def cells(points, inside):
+    """The arcs of [0, 1] between consecutive points (0 and 1 added) whose
+    midpoints pass `inside`, touching ones joined."""
+    pts = sorted(set(points) | {Fraction(0), Fraction(1)})
+    out = []
+    for u, v in zip(pts, pts[1:]):
+        if inside((u + v) / 2):
+            if out and out[-1][1] == u:
+                out[-1] = (out[-1][0], v)
+            else:
+                out.append((u, v))
+    return out
+
+
+def pieces(raw):
+    """Arcs given on the real line as arcs of [0, 1]: the whole circle if
+    one is a turn long, else each reduced mod 1 and split at 0."""
+    out = []
+    for a, b in raw:
+        if b - a >= 1:
+            return [(Fraction(0), Fraction(1))]
+        a0 = mod1(a)
+        b0 = a0 + (b - a)
+        out += [(a0, b0)] if b0 <= 1 else [(a0, Fraction(1)),
+                                           (Fraction(0), b0 - 1)]
+    return [(a, b) for a, b in out if a < b]
+
+
+def _inside(arcs, x):
+    return any(a < x < b for a, b in arcs)
+
+
+def arc_union(raw):
+    """The union of arcs of the real line, sorted, disjoint and apart."""
+    arcs = pieces(raw)
+    return cells([x for arc in arcs for x in arc],
+                 lambda x: _inside(arcs, x))
+
+
+def arc_meet(xs, ys):
+    """The intersection of two arc unions."""
+    return cells([x for arc in xs + ys for x in arc],
+                 lambda x: _inside(xs, x) and _inside(ys, x))
+
+
+def arc_length(arcs):
+    """The sum of b - a, from 0."""
+    return sum((b - a for a, b in arcs), Fraction(0))
+
+
+def arc_contains(arcs, ball):
+    """Does the union hold the closed arc of a circle ball, up to finitely
+    many points: every cell of the ball's pieces, cut at the union's ends,
+    lies in the union."""
+    held = pieces([(ball.center - ball.radius, ball.center + ball.radius)])
+    pts = sorted({x for arc in arcs + held for x in arc}
+                 | {Fraction(0), Fraction(1)})
+    return all(_inside(arcs, x) for x in
+               [(u + v) / 2 for u, v in zip(pts, pts[1:])]
+               if _inside(held, x))
+
+
+def inner(arcs, grain):
+    """Each arc shrunk to the grid of step `grain`: a Fraction end stays,
+    a Quad start rounds up and a Quad end down, each through Quad.floor;
+    arcs left empty drop out."""
+    out = []
+    for a, b in arcs:
+        if isinstance(a, Quad):
+            g = grain * (a / grain).floor()
+            a = g + grain if g < a else g
+        if isinstance(b, Quad):
+            b = grain * (b / grain).floor()
+        if a < b:
+            out.append((a, b))
+    return out

@@ -117,6 +117,29 @@ class TestExactWindows:
                    for t, w in zip(tagged.windows, capped.windows))
         assert len(built) == before
 
+    def test_doubling_views_built_only_when_read(self, monkeypatch):
+        # [DERIVED: on the doubling map every candidate window is built
+        #  once to be weighed, as an integer form; synthesis weighs, meets
+        #  and searches the windows it reads in integers, so no window's
+        #  Fraction view is built, read or not: the identity scaled by
+        #  3/4, whose windows reach n = 11 and set construct's tail]
+        built = []
+
+        def counted(system, f, n, delta):
+            built.append(deviation_region(system, f, n, delta))
+            return built[-1]
+
+        monkeypatch.setattr(bc, "deviation_region", counted)
+        f = PiecewiseLinear([(F(0), F(1), F(0), F(3, 4))])
+        seq = bc_exact_windows(DBL, f, caps=lambda j: pow2(j), count=6)
+        sp = synthesize_point(DBL, seq, IdealBall(CIRCLE, F(3, 8), F(1, 8)),
+                              windows=4, track=[f])
+        read = {id(seq.window(c["index"]).region) for c in sp.certs
+                if not c["trivial"]}
+        assert len(built) > len(read) > 0
+        assert {id(r) for r in built} >= read
+        assert [r for r in built if "arcs" in vars(r)] == []
+
     def test_shift_replay_builds_no_table(self, monkeypatch, capsys):
         # [DERIVED: replay checks every shift window on the law's states
         #  (`Shift.law_window`): replaying each shift point of the corpus

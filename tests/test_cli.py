@@ -809,15 +809,15 @@ class TestExitCodes:
             rates.check_certificate(rates.RateCertificate.from_json(cert))
 
 
-def capped(*argv):
+def capped(*argv, timeout=30):
     """(exit code, stdout, stderr) of the CLI run in a subprocess under a
-    1 GB address-space cap and a 30 s timeout."""
+    1 GB address-space cap and a timeout of `timeout` seconds."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-m", "ergocert.cli", *argv],
-                          capture_output=True, text=True, timeout=30,
+                          capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap, env={**os.environ,
                                                "PYTHONPATH": path})
     return done.returncode, done.stdout, done.stderr
@@ -899,6 +899,25 @@ class TestPricedBeforeBuilt:
             < 8 << 10  # kB
         assert json.loads(capsys.readouterr().err)["error"] \
             == "budget_exceeded"
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--count", "1000000"],
+        ["synthesize", "--windows", "100000000"],
+        ["typical", "--windows", "100000000"],
+        ["typical", "--members", "100000000"]])
+    def test_huge_synthesis_sizes(self, argv):
+        # the windows a sequence lists, the windows a point certifies and
+        # the observables a typical point dovetails are priced before any
+        # window is built; each of these ran past 15 s with no answer
+        verb, *sizes = argv
+        synth = ["--observable", '{"variant": "piecewise_linear", '
+                 '"segments": [["0", "1", "0", "3/4"]]}', "--target",
+                 '{"space": "circle", "center": "3/8", "radius": "1/8"}']
+        code, out, err = capped(verb, "--system", "doubling", *sizes,
+                                *(synth if verb == "synthesize" else ()),
+                                timeout=10)
+        assert code == EXIT_BUDGET and not out and "Traceback" not in err
+        assert json.loads(err)["error"] == "budget_exceeded"
 
     def test_huge_precision(self, tmp_path):
         # a failed window, reported in the replay's own JSON

@@ -1,6 +1,7 @@
 """Dynamics: exact Birkhoff averages, norms, deviation regions, measure
 preservation, certified orbit evaluation."""
 
+import functools
 import json
 import math
 import random
@@ -29,6 +30,7 @@ from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
 import ball_reference as bref
 import cyl_reference as cref
 import pl_reference as ref
+import test_observables
 from test_observables import _assert_normal_form
 
 FIRSTBIT = CylinderFn.coordinate(0)
@@ -177,6 +179,41 @@ class TestDeviationRegions:
                     assert inside
                 if inside:
                     assert v <= F(1, 8)
+
+    def test_circle_deviation_mass_is_one_minus_the_weight(self):
+        # [DERIVED: oracle = 1 - the Fraction length of the reference arcs
+        #  {|S_n| < n delta} of the reference S_n (pl_reference: terms
+        #  pulled back on the doubling map, translated on the rotation, and
+        #  added), rounded inward to the 2^-48 grid on the rotation
+        #  (ball_reference.inner); the rational forms of TestSublevelArcs
+        #  as observables; the err bc_exact_windows reads from
+        #  deviation_mass with its cached builder is 1 - weigh of the
+        #  region deviation_region builds, and both are the oracle]
+        rng = random.Random(47)
+        forms = [f for f in test_observables.TestSublevelArcs._forms(rng)
+                 if not any(isinstance(v, Quad) for s in f.segments
+                            for v in s)]
+        for i, f in enumerate(forms):
+            for system in (DBL, ROT):
+                g = centered(system, f)
+                want = g.segments
+                for n in (1, 2, 3):
+                    # S_n = g + S_(n-1) o T, or S_(n-1) + g o R^(n-1)
+                    if n > 1 and system is DBL:
+                        want = ref.plus(g.segments, ref.pullback(want))
+                    elif n > 1:
+                        want = ref.plus(want, ref.shift(
+                            g.segments, mod1(system.alpha * (n - 1))))
+                    delta = (F(1, 16), F(1, 8), F(1, 4))[(i + n) % 3]
+                    arcs = ref.arcs(want, -n * delta, n * delta)
+                    if system is ROT:
+                        arcs = bref.inner(arcs, pow2(48))
+                    build = functools.cache(functools.partial(
+                        deviation_region, system, g, n, delta))
+                    err = system.deviation_mass(g, n, delta, build)
+                    assert err == 1 - system.weigh(
+                        deviation_region(system, f, n, delta))
+                    assert err == 1 - bref.arc_length(arcs), (f, n, delta)
 
     def test_witnesses_cover_region(self):
         # [DERIVED: the witnesses of balls at the reference parts' centres

@@ -7,7 +7,9 @@ from ergocert.arith import Quad, pow2
 from ergocert.dynamics import centered, rotation_system
 from ergocert.observables import PiecewiseLinear
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
-from ergocert.spaces import CANTOR
+from ergocert.spaces import CANTOR, CIRCLE, IdealBall
+
+import ball_reference as bref
 
 
 def rand_arcset(rng, n=3):
@@ -105,6 +107,82 @@ class TestArcSet:
         # an arc shorter than the grain holds no two grid points
         assert ArcSet([(a, a + pow2(21))]).to_rational_inner(pow2(20)) \
             .arcs == []
+
+    def test_integer_form_matches_fraction_walk(self):
+        # [DERIVED: oracle = ball_reference's Fraction walk, which cuts
+        #  [0, 1] at every end in play and reads each cell at its midpoint,
+        #  and its equal parts and first-holder scan; random unions over
+        #  mixed denominators with touching arcs and arcs across 0, their
+        #  meets, and rotation sublevel sets before and after their
+        #  rounding to the 2^-48 grid; equal views, lengths, meets, glued
+        #  arcs, holders and ball containments]
+        rng = random.Random(46)
+        raws = [[(F(0), F(1))], [(F(3, 4), F(7, 4))],
+                [(F(0), F(1, 3)), (F(5, 6), F(1))]]
+        for _ in range(150):
+            raw, a = [], F(rng.randrange(24), 24)
+            for _ in range(rng.randint(1, 4)):
+                q = rng.choice([3, 8, 12, 30, 97])
+                b = a + F(rng.randint(1, q // 2 + 1), q)
+                raw.append((a, b))
+                # the next arc touches this one, or starts anywhere
+                a = b if rng.random() < 0.3 else F(rng.randrange(q), q)
+            raws.append(raw)
+        regions = []
+        for raw in raws:
+            s = ArcSet.from_raw(raw)
+            assert s.arcs == bref.arc_union(raw), raw
+            regions.append(s)
+        system = rotation_system()
+        quads, exact = 0, []
+        for g in (PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 8)),
+                  PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))):
+            g = centered(system, g)
+            for n in (2, 5, 9):
+                for delta in (F(1, 64), F(1, 32), F(1, 8)):
+                    s = system.birkhoff_sum(g, n).arcs_below_abs(n * delta)
+                    length = s.measure()
+                    assert length == bref.arc_length(s.arcs)
+                    quads += type(length) is Quad
+                    exact.append(s)
+                    inner = s.to_rational_inner(pow2(48))
+                    assert inner.arcs == bref.inner(s.arcs, pow2(48))
+                    regions.append(inner)
+        assert quads >= 10
+        for s, t in zip(regions, regions[1:] + regions[:1]):
+            meet = s.intersect(t)
+            assert meet.arcs == bref.arc_meet(s.arcs, t.arcs)
+            regions.append(meet)
+        # meets of Q[sqrt2]-ended sets, with each other and rational ones
+        for s, t in zip(exact + exact, exact[1:] + regions[::-1]):
+            assert s.intersect(t).arcs == bref.arc_meet(s.arcs, t.arcs)
+        # unions, of Q[sqrt2]-ended sets too, as window_mass merges tails,
+        # and of a set with the gaps between its arcs (all touching)
+        gaps = [ArcSet(zip([b for _, b in s.arcs], [a for a, _ in s.arcs[1:]]))
+                for s in exact]
+        for sets in zip(exact, exact[1:], gaps, regions):
+            union = ArcSet.union(list(sets))
+            assert union.arcs == bref.arc_union(
+                [arc for t in sets for arc in t.arcs])
+            assert union.measure() == bref.arc_length(union.arcs)
+        held = missed = 0
+        for s in regions:
+            assert s.measure() == bref.arc_length(s.arcs)
+            assert s.components() == bref.glued(s.arcs)
+            parts = bref.arc_balls(s)
+            cands = [IdealBall(CIRCLE, b.center, b.radius * t)
+                     for b in parts for t in (F(1, 3), F(1))]
+            cands += [IdealBall(CIRCLE, F(rng.randrange(97), 97),
+                                F(1, rng.choice([5, 16, 64])))
+                      for _ in range(4)]
+            for cand in cands:
+                assert s.holder(cand) \
+                    == bref.first_holder(CIRCLE, parts, cand)
+                want = bref.arc_contains(s.arcs, cand)
+                assert s.contains_ball(cand) == want, (s.arcs, cand)
+                held += want
+                missed += not want
+        assert held > 500 and missed > 200, (held, missed)
 
 
 def cyl_indicator(s: CylSet, depth=8):

@@ -46,6 +46,15 @@ KEPT = {
     "regions.CylSet.prefixes":
         "the tests read a region's maximal cylinders with it; the program "
         "weighs and finds them without a list",
+    "regions.ArcSet.__init__":
+        "the tests build arc sets from Fraction and Quad ends with it; the "
+        "program builds the integer form directly",
+    "regions.ArcSet.arcs":
+        "the tests read an arc set's ends with it; the program weighs, "
+        "meets and searches the integer form without a view",
+    "regions.ArcSet.components":
+        "the tests read an arc set's glued arcs with it; the program "
+        "glues the integer form",
     "arith.Quad.__hash__":
         "a Quad defines ==, so without it a Quad is unhashable; it must "
         "hash like the Fraction it equals",
