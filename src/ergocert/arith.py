@@ -274,6 +274,16 @@ def floor_root2(t: int) -> int:
     return r if t >= 0 else -r - 1
 
 
+def root2_scale(amax: int, bmax: int) -> int:
+    """The power of two m above 2 amax + 4 bmax, whose integer keys
+    m a + floor_root2(m b) = floor(m (a + b sqrt2)) order the numbers
+    a + b sqrt2 with |a| <= amax and |b| <= bmax exactly: integers p, q
+    not both 0 have |p + q sqrt2| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1,
+    so two different such numbers differ by more than 1/m and their keys
+    differ too."""
+    return 1 << (2 * amax + 4 * bmax).bit_length()
+
+
 def mod1(x):
     """x mod 1 for a rational or a Quad."""
     return x % 1 if isinstance(x, (Fraction, int)) else x.mod1()

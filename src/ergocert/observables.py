@@ -22,7 +22,7 @@ from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
-                    parse_list, parse_rat, sign_root2)
+                    parse_list, parse_rat, root2_scale, sign_root2)
 from .errors import BudgetExceededError
 from .regions import ArcSet, cylinder_mass
 from .spaces import (CANTOR, CIRCLE, Space, pos_rational,
@@ -616,13 +616,11 @@ def _form_sum(forms: list, g: _Form = None, offsets=(), den: int = 1) -> _Form:
     and each translate adds g(c) and g'(c) at 0, from the segment holding
     c (bisected at floor(n c)), and files every jump of g at x - c mod 1:
     its key is g's own key moved by one floor_root2 per translate, and a
-    jump at c itself is the value at 0.  With m a power of two above
-    2 max|a| + 4 max|b| the keys of different positions differ: integers
-    p, q not both 0 have |p + q sqrt2| >= 1/(|p| + 2|q|), as
-    |p^2 - 2q^2| >= 1, so two positions differ by more than 1/m in
-    a + b sqrt2; one isqrt per distinct b.  The keys are swept in order,
-    ending a segment only where the value or the increment changes
-    (normal form).  The sum is rational when every form and every c is."""
+    jump at c itself is the value at 0.  The scale m (`root2_scale`) makes
+    the keys of different positions differ; one isqrt per distinct b.  The
+    keys are swept in order, ending a segment only where the value or the
+    increment changes (normal form).  The sum is rational when every form
+    and every c is."""
     if offsets:
         k = math.lcm(g.n, den) // g.n
         *forms, g = _common(forms + [g._replace(
@@ -634,10 +632,10 @@ def _form_sum(forms: list, g: _Form = None, offsets=(), den: int = 1) -> _Form:
         forms = _common(forms)
         n, e = forms[0].n, forms[0].e
     # a translate's positions x - c (+ 1) have |a| < 2n + |ca| and b = -cb
-    m = 1 << (2 * max(chain((abs(a) for f in forms for a in f.xa),
-                            (2 * n + abs(ca) for ca, _ in offsets)))
-              + 4 * max(chain((abs(b) for f in forms for b in f.xb),
-                              (abs(cb) for _, cb in offsets)))).bit_length()
+    m = root2_scale(max(chain((abs(a) for f in forms for a in f.xa),
+                              (2 * n + abs(ca) for ca, _ in offsets))),
+                    max(chain((abs(b) for f in forms for b in f.xb),
+                              (abs(cb) for _, cb in offsets))))
     roots = {}  # b -> floor(m b sqrt2)
     jumps = {}  # key -> [a, b, jump in vu, in vw, in ds]
     u = w = d = 0

@@ -2,8 +2,9 @@
 
 These are the normal forms behind the exact measure oracles: every
 finite union of ideal balls in the built-in instances reduces to one of
-them, so measures and intersections are exact rational (or Q[sqrt2])
-computations.  Both forms are integer runs, sorted, disjoint and apart:
+them, so measures and intersections are exact rational computations
+(a rotation's sublevel sets weigh in Q[sqrt2] until they are rounded to
+rational ends).  Both forms are integer runs, sorted, disjoint and apart:
 an arc set's ends are integers over one denominator (with a second
 integer column for the sqrt2 parts of Q[sqrt2] ends), a cylinder set's
 runs are same-length words read as binary numbers.  They share one merge
@@ -25,7 +26,7 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .arith import Quad, floor_root2
+from .arith import Quad, floor_root2, root2_scale
 from .errors import UnsupportedPairError
 from .spaces import CANTOR, CIRCLE, IdealBall, ball_arc
 
@@ -45,9 +46,11 @@ class ArcSet:
     the real line, mod 1); `_canonical` wraps a form already sorted,
     disjoint and apart.  Measure-theoretic operations ignore endpoints
     (all sets here are finite unions of arcs up to finitely many points)
-    and run on the integers: `measure`, `union`, `intersect`, `holder`,
-    `contains_ball` and `to_rational_inner`.  Its ideal balls are the
-    `parts`."""
+    and run on the integers: `measure`, `union` and `to_rational_inner`
+    on any form; `intersect`, `components`, `holder` and `contains_ball`
+    on rational ends only, and a Q[sqrt2] end raises UnsupportedPairError
+    (the program meets and searches a rotation's sets after rounding them
+    to rational ends).  Its ideal balls are the `parts`."""
 
     def __init__(self, arcs: Iterable[tuple] = ()):
         ends = [(x.a, x.b) if type(x) is Quad else (x, None)
@@ -126,23 +129,19 @@ class ArcSet:
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
         """Both sides over the lcm of their denominators, met by one walk
-        (`_overlaps`) on the integers; a side with a Quad end is met on
-        the views, by exact comparisons."""
+        (`_overlaps`) on the integers.  A Q[sqrt2] end on either side
+        raises UnsupportedPairError."""
         if self.roots is not None or other.roots is not None:
-            return ArcSet(_overlaps(self.arcs, other.arcs))
+            raise UnsupportedPairError("intersection needs rational arcs")
         den = math.lcm(self.den, other.den)
         return ArcSet._canonical(den, _overlaps(_spans_over(self, den),
                                                 _spans_over(other, den)))
 
     def components(self) -> list[tuple]:
-        """The view's arcs with the wrap across 0 glued (returned arc may
-        end > 1)."""
-        arcs = list(self.arcs)
-        if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
-            first = arcs.pop(0)
-            last = arcs.pop()
-            arcs.append((last[0], first[1] + 1))
-        return arcs
+        """The arcs of `parts` as Fractions, the wrap across 0 glued (the
+        glued arc ends past 1); a Q[sqrt2] end raises UnsupportedPairError."""
+        den = self.den
+        return [(Fraction(a, den), Fraction(b, den)) for a, b in self.parts[0]]
 
     @cached_property
     def parts(self) -> tuple[list, list]:
@@ -196,9 +195,9 @@ class ArcSet:
 
     def contains_ball(self, ball) -> bool:
         """Does the set contain the closed arc of a circle ball?  Each
-        component of `parts` (so the ends must be rational) is compared
-        with the ball's ends in integers over den q, q the lcm of their
-        denominators."""
+        component of `parts` is compared with the ball's ends in integers
+        over den q, q the lcm of their denominators.  A Q[sqrt2] end raises
+        UnsupportedPairError, as in `parts`."""
         a, b = ball_arc(ball)
         q = math.lcm(a.denominator, b.denominator)
         A, B = (x.numerator * (q // x.denominator) * self.den for x in (a, b))
@@ -249,15 +248,13 @@ def _joined(ends: list) -> tuple:
     two per arc, each (x + r sqrt2)/den over one den (r None on a Fraction
     end): joined by `_merged` when every end is rational.  Q[sqrt2] ends
     sort and join the same way by their exact keys floor(m (x + r sqrt2)),
-    m a power of two above 2 max|x| + 4 max|r|: integers p, q not both 0
-    have |p + q sqrt2| >= 1/(|p| + 2|q|), as |p^2 - 2q^2| >= 1, so
-    different ends have different keys.  A joined arc keeps the end that a
-    merge of the Fraction and Quad numbers keeps, type included."""
+    m from `root2_scale`.  A joined arc keeps the end that a merge of the
+    Fraction and Quad numbers keeps, type included."""
     if all(r is None for _, r in ends):
         xs = [x for x, _ in ends]
         return _merged(sorted(zip(xs[::2], xs[1::2]))), None
-    m = 1 << (2 * max(abs(x) for x, _ in ends)
-              + 4 * max(abs(r or 0) for _, r in ends)).bit_length()
+    m = root2_scale(max(abs(x) for x, _ in ends),
+                    max(abs(r or 0) for _, r in ends))
     keys = [m * x + floor_root2(m * r) if r else m * x for x, r in ends]
     out = []  # [start key, end key, start index, end index]
     for i in sorted(range(0, len(ends), 2),

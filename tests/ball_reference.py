@@ -38,18 +38,14 @@ def cylinder_balls(region):
             for w in every if full(w) and (not w or not full(w[:-1]))]
 
 
-def glued(arcs):
-    """Sorted arcs of [0, 1] with the arc across 0 (if any) glued, last."""
-    if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
-        arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + 1)]
-    return arcs
-
-
 def arc_balls(region):
     """Each arc of an `ArcSet` in its fewest equal parts shorter than 1/2,
     the arc across 0 (if any) last."""
+    arcs = list(region.arcs)
+    if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
+        arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + 1)]
     balls = []
-    for a, b in glued(list(region.arcs)):
+    for a, b in arcs:
         parts = 1
         while (b - a) / parts >= Fraction(1, 2):
             parts += 1

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ergocert.arith import Quad, pow2
 from ergocert.dynamics import centered, rotation_system
+from ergocert.errors import UnsupportedPairError
 from ergocert.observables import PiecewiseLinear
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
 from ergocert.spaces import CANTOR, CIRCLE, IdealBall
@@ -114,8 +117,9 @@ class TestArcSet:
         #  and its equal parts and first-holder scan; random unions over
         #  mixed denominators with touching arcs and arcs across 0, their
         #  meets, and rotation sublevel sets before and after their
-        #  rounding to the 2^-48 grid; equal views, lengths, meets, glued
-        #  arcs, holders and ball containments]
+        #  rounding to the 2^-48 grid; equal views, lengths, meets,
+        #  holders and ball containments, and a Q[sqrt2]-ended set refused
+        #  by meets and containment]
         rng = random.Random(46)
         raws = [[(F(0), F(1))], [(F(3, 4), F(7, 4))],
                 [(F(0), F(1, 3)), (F(5, 6), F(1))]]
@@ -153,9 +157,15 @@ class TestArcSet:
             meet = s.intersect(t)
             assert meet.arcs == bref.arc_meet(s.arcs, t.arcs)
             regions.append(meet)
-        # meets of Q[sqrt2]-ended sets, with each other and rational ones
-        for s, t in zip(exact + exact, exact[1:] + regions[::-1]):
-            assert s.intersect(t).arcs == bref.arc_meet(s.arcs, t.arcs)
+        # a Q[sqrt2]-ended set is met and searched only once rounded
+        ball = IdealBall(CIRCLE, F(1, 2), F(1, 8))
+        surds = [s for s in exact if s.roots is not None]
+        assert len(surds) >= 10
+        for s, t in zip(surds, regions[::-1]):
+            for call in (lambda: s.intersect(t), lambda: t.intersect(s),
+                         lambda: s.contains_ball(ball)):
+                with pytest.raises(UnsupportedPairError):
+                    call()
         # unions, of Q[sqrt2]-ended sets too, as window_mass merges tails,
         # and of a set with the gaps between its arcs (all touching)
         gaps = [ArcSet(zip([b for _, b in s.arcs], [a for a, _ in s.arcs[1:]]))
@@ -168,7 +178,6 @@ class TestArcSet:
         held = missed = 0
         for s in regions:
             assert s.measure() == bref.arc_length(s.arcs)
-            assert s.components() == bref.glued(s.arcs)
             parts = bref.arc_balls(s)
             cands = [IdealBall(CIRCLE, b.center, b.radius * t)
                      for b in parts for t in (F(1, 3), F(1))]

@@ -54,7 +54,7 @@ KEPT = {
         "meets and searches the integer form without a view",
     "regions.ArcSet.components":
         "the tests read an arc set's glued arcs with it; the program "
-        "glues the integer form",
+        "reads them as integers from `parts`, where they are glued",
     "arith.Quad.__hash__":
         "a Quad defines ==, so without it a Quad is unhashable; it must "
         "hash like the Fraction it equals",
