@@ -127,9 +127,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, q) -> bool:
-        return self.lo <= q <= self.hi
-
     def __add__(self, other):
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -157,9 +154,10 @@ _RATIONAL = (int, Fraction)
 class Quad:
     """Exact number a + b*sqrt(2) with rational a, b.
 
-    Supports +, -, *, division by a rational and exact total order; used
-    for rotation-map internals where orbit points and PL breakpoints live
-    in Q[sqrt(2)].
+    Supports +, * and exact total order with rationals on either side,
+    subtraction of a Quad or a rational from a Quad, and division by a
+    rational; used for rotation-map internals where orbit points and PL
+    breakpoints live in Q[sqrt(2)].
     Both parts are `Fraction`s, kept as given when they already are; int and
     Fraction operands join without a lift to Quad, and any other operand
     (a float, a string) is `NotImplemented`, so no binary float enters.
@@ -194,11 +192,6 @@ class Quad:
             return Quad(self.a - o.a, self.b - o.b)
         if isinstance(o, _RATIONAL):
             return Quad(self.a - o, self.b)
-        return NotImplemented
-
-    def __rsub__(self, o):
-        if isinstance(o, _RATIONAL):
-            return Quad(o - self.a, -self.b)
         return NotImplemented
 
     def __mul__(self, o):

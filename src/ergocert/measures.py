@@ -71,10 +71,6 @@ class IdealMeasure:
                      for p, m in zip(self.points, self.masses))
 
     @staticmethod
-    def dirac(space: Space, point) -> "IdealMeasure":
-        return IdealMeasure(space, ((point, 1),))
-
-    @staticmethod
     def from_json(space: Space, data: list) -> "IdealMeasure":
         """A list of [point, weight] string pairs; anything else is refused."""
         atoms = [parse_list(atom, "atom", 2)

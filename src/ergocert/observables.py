@@ -1,9 +1,9 @@
 """Observable classes with exact integration.
 
 Three variants: piecewise-linear functions on the circle (one integer form
-each: rational data, or Q[sqrt2] data for irrational shifts and for the
-rotation's sums), cylinder functions on Cantor space, and the closure of the
-Lipschitz bump family under max, min and rational linear combinations.
+each: rational data, or Q[sqrt2] data for the rotation's sums), cylinder
+functions on Cantor space, and the closure of the Lipschitz bump family
+under max, min and rational linear combinations.
 Everything integrates and clamps in exact arithmetic, and circle functions
 give exact sublevel arcs; that is what makes rate certificates
 replayable.
@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .arith import (Interval, Quad, floor_root2, fmt_rat, mod1, parse_int,
@@ -45,23 +45,20 @@ class PiecewiseLinear:
     values over the lcm of theirs), and checks the tiling and establishes
     the normal form on those integers; every kernel emits it.
 
-    `kind` records what a form holds: a rational form has xb = vw = 0; a
-    shifted term (`shift` by an irrational c) has Q[sqrt2] breakpoints and
-    Q[sqrt2] values only at 0 and 1 (the cut at c); a sum (`pl_sum` of
-    forms not all rational, or with irrational translates) may hold
-    Q[sqrt2] anywhere.  The rotation's S_n is such a sum, built from no
-    shifted term: `pl_sum` files g's own jumps at each translate's
+    `kind` records what a form holds, one of two kinds: a rational form
+    has xb = vw = 0, and a sum (`pl_sum` of forms not all rational, or
+    with irrational translates) may hold Q[sqrt2] anywhere.  The rotation's
+    S_n is such a sum: `pl_sum` files g's own jumps at each translate's
     positions.  `scale`, `add_const`, `add`, `pl_sum`, `sup_norm`,
-    `integral` and the sublevel arcs take every kind.  The lattice,
+    `integral` and the sublevel arcs take both kinds.  The lattice,
     `shift`, `pullback_doubling`, `transfer_doubling`, `pl_inner`,
     `abs_integral`, `total_variation` and `window_reader` read xa, vu and
-    ds only: they take rational forms and raise ValueError on the others.
+    ds only: they take rational forms and raise ValueError on sums.
 
     `segments`, the view that JSON output, `range_on` and the evaluations
     read, is built on first read with the types of the form's kind: a
     position is a Fraction exactly when it is rational, every value of a
-    rational form is a Fraction and every value of a sum a Quad, and a
-    shifted term has Quad values only at 0 and 1."""
+    rational form is a Fraction and every value of a sum a Quad."""
 
     __slots__ = ("segments", "form")
     space = CIRCLE
@@ -159,11 +156,6 @@ class PiecewiseLinear:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_right(self, x):
-        """f(x) with the right-continuous convention; x in [0,1)."""
-        segs = self.segments
-        return _lerp(*segs[bisect_right(segs, x, key=itemgetter(0)) - 1], x)
-
     def window_reader(self, k: int):
         """(den, read) for a rational f: read(w) = den f((2w + 1)/2^(k+1)),
         mid-way on the arc of the k-digit word w, from f's integer form."""
@@ -215,12 +207,6 @@ class PiecewiseLinear:
     def abs_integral(self) -> Fraction:
         """Exact integral of |f|; a sign change splits a segment in two."""
         return _abs_integral(_rational(self))
-
-    def square_integral(self):
-        tot = 0
-        for a, b, va, vb in self.segments:
-            tot = tot + (b - a) * (va * va + va * vb + vb * vb) / 3
-        return tot
 
     def sup_norm(self):
         """sup |f|: a Fraction for a rational form, else a Quad."""
@@ -287,8 +273,8 @@ class PiecewiseLinear:
 
     def shift(self, c) -> "PiecewiseLinear":
         """Pullback under rotation: x -> f(x + c mod 1), for rational f and
-        c rational or in Q[sqrt2] (`_shift`); f itself when c = 0 mod 1."""
-        f, c = _rational(self), mod1(c)
+        c (`_shift`; a Quad c raises TypeError); f itself when c = 0 mod 1."""
+        f, c = _rational(self), c % 1
         return self if c == 0 else PiecewiseLinear._of(_shift(f, c))
 
     def pullback_doubling(self) -> "PiecewiseLinear":
@@ -330,14 +316,14 @@ def _lerp(a, b, va, vb, x):
 # -- the integer form of PiecewiseLinear ------------------------------------
 
 #: the value types of a form's segments (see PiecewiseLinear)
-_RATIONAL, _SHIFTED, _SUM = "rational", "shifted", "sum"
+_RATIONAL, _SUM = "rational", "sum"
 
 
 class _Form(NamedTuple):
     """Segment k starts at (xa[k] + xb[k] sqrt2)/n, has value
     (vu[k] + vw[k] sqrt2)/e there and changes by ds[k]/e per step 1/n;
-    all ints, in normal form, never changed in place, and xb = vw = 0
-    when `kind` is _RATIONAL (see PiecewiseLinear)."""
+    all ints, in normal form, never changed in place; `kind` is
+    _RATIONAL, with xb = vw = 0, or _SUM (see PiecewiseLinear)."""
 
     n: int
     e: int
@@ -393,9 +379,6 @@ def _segments(f: _Form) -> list:
         # a continuous breakpoint shares its value between two segments
         tails = [h if t == u else Fraction(t, e) for t, u, h in
                  zip(tu, f.vu[1:] + [None], heads[1:] + [None])]
-        if f.kind == _SHIFTED:  # the cut value at 0 and at 1
-            heads[0] = Quad(heads[0], Fraction(f.vw[0], e))
-            tails[-1] = Quad(tails[-1], Fraction(tw[-1], e))
     return list(zip(pts, pts[1:], heads, tails))
 
 
@@ -569,30 +552,24 @@ def _form_plus(f: _Form, g: _Form) -> _Form:
     return _Form(n, e, out_x, zeros, out_v, zeros, out_d, _RATIONAL)
 
 
-def _shift(f: _Form, c) -> _Form:
-    """x -> f(x + c) for a rational form and c in (0, 1), rational or in
-    Q[sqrt2], on the steps 1/n, n the lcm of f.n and the denominators of
-    c: each breakpoint x moves to x - c (plus 1 before c) with its value
-    and increment, and the segment holding c is cut there, its right
-    part starting at 0 and its left part ending at 1.  A rational c that
-    is a breakpoint cuts nothing, and the form stays rational; an
-    irrational c gives a shifted term."""
-    a, b = (c.a, c.b) if isinstance(c, Quad) else (c, 0)
-    n = math.lcm(f.n, a.denominator, b.denominator)
+def _shift(f: _Form, c: Fraction) -> _Form:
+    """x -> f(x + c) for a rational form and a rational c in (0, 1), on
+    the steps 1/n, n the lcm of f.n and c's denominator: each breakpoint x
+    moves to x - c (plus 1 before c) with its value and increment, and the
+    segment holding c is cut there, its right part starting at 0 and its
+    left part ending at 1.  A c that is a breakpoint cuts nothing."""
+    n = math.lcm(f.n, c.denominator)
     k = n // f.n
     xs, vs, ds = [x * k for x in f.xa], [v * k for v in f.vu], f.ds
-    ca, cb = _over(a, n), _over(b, n)
-    # segment i holds c, as it holds floor(n c) = ca + floor(cb sqrt2)
-    i = bisect_right(xs, ca + floor_root2(cb)) - 1
+    ca = _over(c, n)
+    i = bisect_right(xs, ca) - 1  # the segment holding c
     order = list(range(i + 1, len(xs))) + list(range(i))
     xa = [0] + [xs[j] - ca + (n if j < i else 0) for j in order] \
         + [xs[i] + n - ca]
-    xb = [0] + [-cb] * (len(order) + 1)
     vu = [vs[i] + ds[i] * (ca - xs[i])] + [vs[j] for j in order] + [vs[i]]
-    vw = [ds[i] * cb] + [0] * (len(order) + 1)
     dd = [ds[i]] + [ds[j] for j in order] + [ds[i]]
-    cols = (xa, xb, vu, vw, dd)
-    if xs[i] == ca and not cb:  # c is segment i's start: no left part
+    cols = (xa, vu, dd)
+    if xs[i] == ca:  # c is segment i's start: no left part
         for col in cols:
             col.pop()
     # f's start, now at index len(xs) - i, goes where f is continuous and
@@ -601,7 +578,8 @@ def _shift(f: _Form, c) -> _Form:
     if ds[last] == ds[0] and vs[last] + ds[last] * (n - xs[last]) == vs[0]:
         for col in cols:
             del col[len(xs) - i]
-    return _Form(n, f.e * k, *cols, _SHIFTED if cb else _RATIONAL)
+    zeros = [0] * len(xa)
+    return _Form(n, f.e * k, xa, zeros, vu, zeros, dd, _RATIONAL)
 
 
 def _form_sum(forms: list, g: _Form = None, offsets=(), den: int = 1) -> _Form:
@@ -855,8 +833,8 @@ def _arcs(f: _Form, lo, hi) -> ArcSet:
     if start is not None:
         spans.append((start, n * qL))
         roots.append(None)
-    return ArcSet._canonical(n * qL, spans, list(zip(roots[::2], roots[1::2]))
-                             if any(r is not None for r in roots) else None)
+    return ArcSet(n * qL, spans, list(zip(roots[::2], roots[1::2]))
+                  if any(r is not None for r in roots) else None)
 
 
 def pl_sum(fs: list[PiecewiseLinear], g: PiecewiseLinear = None,

@@ -10,8 +10,7 @@ integer column for the sqrt2 parts of Q[sqrt2] ends), a cylinder set's
 runs are same-length words read as binary numbers.  They share one merge
 (`_merged`) and one intersection walk (`_overlaps`), and each numbers its
 own ideal balls, which synthesis records as witnesses, and finds the one
-holding a ball (`holder`), in integers.  An arc set builds its Fraction
-and Quad view (`arcs`) only when it is read.
+holding a ball (`holder`), in integers.
 """
 
 from __future__ import annotations
@@ -34,41 +33,24 @@ from .spaces import CANTOR, CIRCLE, IdealBall, ball_arc
 class ArcSet:
     """Finite union of open arcs on the circle, kept sorted and disjoint.
 
-    One integer form: arc k is (spans[k][0]/den, spans[k][1]/den), with
-    0 <= a < b <= 1, and `roots` is None when every end is a Fraction.  A
-    set with Q[sqrt2] ends (a sublevel set of a rotation sum) keeps in
-    roots[k] the sqrt2 parts of arc k's ends over den, or None for an end
-    that is a Fraction; a Quad end has an int there, 0 included, so the
-    view keeps each end's type.  `arcs`, the view of (a, b) pairs of
-    Fractions and Quads, is built on first read.  The checking
-    constructor takes such pairs, drops empty arcs, sorts the rest and
-    joins those that overlap or touch (`from_raw` reads rational arcs of
-    the real line, mod 1); `_canonical` wraps a form already sorted,
-    disjoint and apart.  Measure-theoretic operations ignore endpoints
-    (all sets here are finite unions of arcs up to finitely many points)
-    and run on the integers: `measure`, `union` and `to_rational_inner`
-    on any form; `intersect`, `components`, `holder` and `contains_ball`
-    on rational ends only, and a Q[sqrt2] end raises UnsupportedPairError
-    (the program meets and searches a rotation's sets after rounding them
-    to rational ends).  Its ideal balls are the `parts`."""
+    One integer form, which the constructor takes as it is: arc k is
+    (spans[k][0]/den, spans[k][1]/den), with 0 <= a < b <= 1, the arcs
+    sorted, disjoint and apart (no arc starts where the one before it
+    ends), and `roots` is None when every end is rational.  A set with
+    Q[sqrt2] ends (a sublevel set of a rotation sum) keeps in roots[k] the
+    sqrt2 parts of arc k's ends over den, or None for a rational end; an
+    end in Q[sqrt2] has an int there, 0 included.  `from_raw` reads
+    rational arcs of the real line, mod 1, and `union` joins sets.
+    Measure-theoretic operations ignore endpoints (all sets here are
+    finite unions of arcs up to finitely many points) and run on the
+    integers: `measure`, `union` and `to_rational_inner` on any form;
+    `intersect`, `holder` and `contains_ball` on rational ends only, and a
+    Q[sqrt2] end raises UnsupportedPairError (the program meets and
+    searches a rotation's sets after rounding them to rational ends).  Its
+    ideal balls are the `parts`."""
 
-    def __init__(self, arcs: Iterable[tuple] = ()):
-        ends = [(x.a, x.b) if type(x) is Quad else (x, None)
-                for arc in arcs if arc[0] < arc[1] for x in arc]
-        self.den = den = math.lcm(*[y.denominator for end in ends
-                                    for y in end if y is not None])
-        self.spans, self.roots = _joined(
-            [tuple(y if y is None else y.numerator * (den // y.denominator)
-                   for y in end) for end in ends])
-
-    @staticmethod
-    def _canonical(den: int, spans: list, roots=None) -> "ArcSet":
-        """Wrap a form that is already sorted, disjoint and apart (no arc
-        starts where the one before it ends), unchecked; roots is None
-        unless some end is a Quad."""
-        s = object.__new__(ArcSet)
-        s.den, s.spans, s.roots = den, spans, roots
-        return s
+    def __init__(self, den: int, spans: list, roots=None):
+        self.den, self.spans, self.roots = den, spans, roots
 
     @staticmethod
     def from_raw(arcs: Iterable[tuple]) -> "ArcSet":
@@ -81,14 +63,14 @@ class ArcSet:
             a, b = a.numerator * (den // a.denominator), \
                 b.numerator * (den // b.denominator)
             if b - a >= den:
-                return ArcSet._canonical(1, [(0, 1)])
+                return ArcSet(1, [(0, 1)])
             a0 = a % den
             b0 = a0 + (b - a)
             if b0 <= den:
                 out.append((a0, b0))
             else:
                 out += [(a0, den), (0, b0 - den)]
-        return ArcSet._canonical(den, _merged(sorted(out)))
+        return ArcSet(den, _merged(sorted(out)))
 
     @staticmethod
     def union(sets: list) -> "ArcSet":
@@ -101,19 +83,7 @@ class ArcSet:
             for span, root in zip(s.spans, s.roots or repeat((None, None))):
                 ends += [(x * k, r if r is None else r * k)
                          for x, r in zip(span, root)]
-        return ArcSet._canonical(den, *_joined(ends))
-
-    @cached_property
-    def arcs(self) -> list[tuple]:
-        """The arcs as (a, b) pairs of Fractions, and of Quads where the
-        form has an int root."""
-        den, spans = self.den, self.spans
-        if self.roots is None:
-            return [(Fraction(a, den), Fraction(b, den)) for a, b in spans]
-        return [tuple(Fraction(x, den) if r is None else
-                      Quad(Fraction(x, den), Fraction(r, den))
-                      for x, r in zip(span, root))
-                for span, root in zip(spans, self.roots)]
+        return ArcSet(den, *_joined(ends))
 
     def measure(self):
         """The total length, the sum of b - a over the arcs, in integers
@@ -134,14 +104,8 @@ class ArcSet:
         if self.roots is not None or other.roots is not None:
             raise UnsupportedPairError("intersection needs rational arcs")
         den = math.lcm(self.den, other.den)
-        return ArcSet._canonical(den, _overlaps(_spans_over(self, den),
-                                                _spans_over(other, den)))
-
-    def components(self) -> list[tuple]:
-        """The arcs of `parts` as Fractions, the wrap across 0 glued (the
-        glued arc ends past 1); a Q[sqrt2] end raises UnsupportedPairError."""
-        den = self.den
-        return [(Fraction(a, den), Fraction(b, den)) for a, b in self.parts[0]]
+        return ArcSet(den, _overlaps(_spans_over(self, den),
+                                     _spans_over(other, den)))
 
     @cached_property
     def parts(self) -> tuple[list, list]:
@@ -234,7 +198,7 @@ class ArcSet:
             if a2 < b2:
                 out.append((a2, b2))
         # rounding inward keeps the arcs sorted, disjoint and apart
-        return ArcSet._canonical(D, out)
+        return ArcSet(D, out)
 
 
 def _spans_over(s: ArcSet, den: int) -> list:
@@ -312,7 +276,7 @@ class CylSet:
     maximal aligned dyadic blocks (`_blocks`): `measure` weighs them in
     integers, and they are the set's ideal balls, numbered in (length,
     word) order from one list of words per length (`_by_length`), which
-    `prefixes` lists and `holder` searches."""
+    `holder` searches."""
 
     def __init__(self, words: Iterable[str] = ()):
         words = list(words)
@@ -351,11 +315,6 @@ class CylSet:
         for n, v in self._blocks():
             words[n].append(v)
         return words, list(accumulate(map(len, words), initial=0))
-
-    @property
-    def prefixes(self) -> list[str]:
-        return [format(v, f"0{n}b") if n else ""
-                for n, vs in enumerate(self._by_length[0]) for v in vs]
 
     def measure(self, p: Fraction) -> Fraction:
         """Bernoulli(p) mass, one integer sum over b^depth for p = a/b: per

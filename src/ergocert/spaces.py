@@ -453,10 +453,6 @@ class CantorPoint:
         self._oracle = bit_oracle
         self._memo: dict[int, int] = {}
 
-    @staticmethod
-    def from_word(w: str) -> "CantorPoint":
-        return CantorPoint(lambda i: int(w[i]) if i < len(w) else 0)
-
     def bit(self, i: int) -> int:
         if i not in self._memo:
             b = int(self._oracle(i))

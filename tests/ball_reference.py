@@ -11,14 +11,19 @@ so the tests compare the program's `holder` with code that shares none
 of its logic.  The arc walk cuts [0, 1] at every end in play and reads
 each cell at its midpoint, in the ends' own Fraction or Quad arithmetic:
 unions, intersections, lengths, the wrap across 0 and the containment of
-a ball's closed arc, with no merge and no integer form."""
+a ball's closed arc, with no merge and no integer form.  `ends` reads an
+arc set's integer form as those Fraction and Quad ends, and `word_point`
+is the Cantor point of a finite word."""
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from math import ceil
 
 from ergocert.arith import Interval, Quad, mod1
 from ergocert.regions import ArcSet
-from ergocert.spaces import CANTOR, CIRCLE, IdealBall
+from ergocert.spaces import CANTOR, CIRCLE, CantorPoint, IdealBall
+from pl_reference import sub
 from w1_reference import circle_dist
 
 
@@ -38,10 +43,22 @@ def cylinder_balls(region):
             for w in every if full(w) and (not w or not full(w[:-1]))]
 
 
+def ends(region):
+    """The arcs of an `ArcSet` as (a, b) pairs, read from its integer form:
+    x/den a Fraction, and (x + r sqrt2)/den a Quad where the form keeps a
+    root r (0 included)."""
+    den = region.den
+    return [tuple(Fraction(x, den) if r is None
+                  else Quad(Fraction(x, den), Fraction(r, den))
+                  for x, r in zip(span, root))
+            for span, root in zip(region.spans,
+                                  region.roots or repeat((None, None)))]
+
+
 def arc_balls(region):
     """Each arc of an `ArcSet` in its fewest equal parts shorter than 1/2,
     the arc across 0 (if any) last."""
-    arcs = list(region.arcs)
+    arcs = ends(region)
     if len(arcs) >= 2 and arcs[0][0] == 0 and arcs[-1][1] == 1:
         arcs = arcs[1:-1] + [(arcs[-1][0], arcs[0][1] + 1)]
     balls = []
@@ -60,6 +77,11 @@ def region_balls(region):
     if isinstance(region, ArcSet):
         return arc_balls(region)
     return cylinder_balls(region)
+
+
+def word_point(w):
+    """The Cantor point that reads the word w, then 0 forever."""
+    return CantorPoint(lambda i: int(w[i]) if i < len(w) else 0)
 
 
 def first_holder(space, balls, cand):
@@ -114,13 +136,17 @@ def cells(points, inside):
 
 def pieces(raw):
     """Arcs given on the real line as arcs of [0, 1]: the whole circle if
-    one is a turn long, else each reduced mod 1 and split at 0."""
+    one is a turn long, else each reduced mod 1 and split at 0 (an arc of
+    [0, 1] already keeps its ends, types included)."""
     out = []
     for a, b in raw:
-        if b - a >= 1:
+        if sub(b, a) >= 1:
             return [(Fraction(0), Fraction(1))]
+        if 0 <= a and b <= 1:
+            out.append((a, b))
+            continue
         a0 = mod1(a)
-        b0 = a0 + (b - a)
+        b0 = a0 + sub(b, a)
         out += [(a0, b0)] if b0 <= 1 else [(a0, Fraction(1)),
                                            (Fraction(0), b0 - 1)]
     return [(a, b) for a, b in out if a < b]
@@ -131,10 +157,13 @@ def _inside(arcs, x):
 
 
 def arc_union(raw):
-    """The union of arcs of the real line, sorted, disjoint and apart."""
+    """The union of arcs of the real line, sorted, disjoint and apart: a
+    cell lies in it when more arcs start before its midpoint than end
+    before it."""
     arcs = pieces(raw)
-    return cells([x for arc in arcs for x in arc],
-                 lambda x: _inside(arcs, x))
+    starts, ends = sorted(a for a, _ in arcs), sorted(b for _, b in arcs)
+    return cells(starts + ends,
+                 lambda x: bisect_left(starts, x) > bisect_left(ends, x))
 
 
 def arc_meet(xs, ys):
@@ -145,7 +174,7 @@ def arc_meet(xs, ys):
 
 def arc_length(arcs):
     """The sum of b - a, from 0."""
-    return sum((b - a for a, b in arcs), Fraction(0))
+    return sum((sub(b, a) for a, b in arcs), Fraction(0))
 
 
 def arc_contains(arcs, ball):

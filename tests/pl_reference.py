@@ -4,9 +4,13 @@ A function here is a list of segments (a, b, va, vb): linear from va at a
 to vb at b, right-continuous at a, tiling [0, 1] in order.  The data may
 be Fractions or Quads, and every function works on them directly in
 their own arithmetic, cell by cell, so that the tests compare the
-program's integer kernels with code that shares none of their logic.
-The program's Quad divides by rationals only and has no negation or
-abs; `div` and `mag` supply them here."""
+program's integer kernels with code that shares none of their logic:
+`value` reads a function at a point and `inner` its L2 products, and
+`shift` translates by a rational or a Q[sqrt2] offset, the oracle of the
+rotation's translates, which the program files inside `pl_sum`.  The
+program's Quad divides by rationals only and has no negation, abs or
+reflected subtraction (a rational minus a Quad); `div`, `mag` and `sub`
+supply them here."""
 
 import math
 from fractions import Fraction
@@ -28,7 +32,15 @@ def div(x, y):
 
 def mag(x):
     """|x| for a rational or a Quad."""
-    return x if x >= 0 else 0 - x
+    return x if x >= 0 else x * -1
+
+
+def sub(x, y):
+    """x - y for rationals and Quads in either place: a rational minus a
+    Quad is the rational plus the Quad times -1."""
+    if isinstance(y, Quad) and not isinstance(x, Quad):
+        return x + y * -1
+    return x - y
 
 
 def lerp(a, b, va, vb, x):
@@ -37,7 +49,13 @@ def lerp(a, b, va, vb, x):
         return va
     if x == b:
         return vb
-    return va + div((vb - va) * (x - a), b - a)
+    return va + div(sub(vb, va) * sub(x, a), sub(b, a))
+
+
+def value(segs, x):
+    """f(x) for x in [0, 1), right-continuous: lerp on the segment that
+    holds x."""
+    return lerp(*next(s for s in segs if s[0] <= x < s[1]), x)
 
 
 def types(pairs):
@@ -54,7 +72,8 @@ def normal(segs):
             continue
         if out:
             pa, pb, pva, pvb = out[-1]
-            if pvb == va and (pvb - pva) * (b - pa) == (vb - pva) * (pb - pa):
+            if pvb == va and sub(pvb, pva) * sub(b, pa) \
+                    == sub(vb, pva) * sub(pb, pa):
                 out[-1] = (pa, b, pva, vb)
                 continue
         out.append((a, b, va, vb))
@@ -95,9 +114,9 @@ def lattice(fs, gs, pick):
     changes sign is cut at the crossing."""
     out = []
     for a, b, fa, fb, ga, gb in cells(fs, gs):
-        da, db = fa - ga, fb - gb
+        da, db = sub(fa, ga), sub(fb, gb)
         if (da < 0 < db) or (db < 0 < da):
-            x = a + div((b - a) * (0 - da), db - da)
+            x = a + div(sub(b, a) * da * -1, sub(db, da))
             fx = lerp(a, b, fa, fb, x)
             out += [(a, x, pick(fa, ga), fx), (x, b, fx, pick(fb, gb))]
         else:
@@ -143,10 +162,10 @@ def shift(segs, c):
     """x -> f(x + c) for c in [0, 1): the cells between 0, the points
     a - c mod 1 and 1, each read by lerp on the segment of f that its
     midpoint moves into."""
-    xs = sorted({Fraction(0)} | {mod1(a - c) for a, _, _, _ in segs})
+    xs = sorted({Fraction(0)} | {mod1(sub(a, c)) for a, _, _, _ in segs})
     out = []
     for x0, x1 in zip(xs, xs[1:] + [Fraction(1)]):
-        h = (x1 - x0) / 2
+        h = sub(x1, x0) / 2
         y = mod1(x0 + h + c)
         seg = next(s for s in segs if s[0] <= y < s[1])
         out.append((x0, x1, lerp(*seg, y - h), lerp(*seg, y + h)))
@@ -172,11 +191,12 @@ def arcs(segs, lo, hi):
         if (lo is not None and big <= lo) or (hi is not None and small >= hi):
             continue
         # the segment meets a level, so it is not constant
-        slope = div(vb - va, b - a)
-        xs = sorted([a, b] + [a + div(lvl - va, slope) for lvl in (lo, hi)
+        slope = div(sub(vb, va), sub(b, a))
+        xs = sorted([a, b] + [a + div(sub(lvl, va), slope)
+                              for lvl in (lo, hi)
                               if lvl is not None and small < lvl < big])
         for u, v in zip(xs, xs[1:]):
-            mid = va + slope * ((u + v) / 2 - a)
+            mid = va + slope * sub((u + v) / 2, a)
             if (lo is None or lo < mid) and (hi is None or mid < hi):
                 add(u, v)
     return out
@@ -203,7 +223,7 @@ def integral(segs):
     """The integral, by the trapezoid on every segment."""
     tot = 0
     for a, b, va, vb in segs:
-        tot = tot + (b - a) * (va + vb) / 2
+        tot = tot + sub(b, a) * (va + vb) / 2
     return tot
 
 

@@ -25,13 +25,12 @@ from ergocert.measures import region_measure
 from ergocert.observables import (CylinderFn, PiecewiseLinear, _arcs, _ends,
                                   observable_from_json, pl_inner, pl_sum)
 from ergocert.regions import ArcSet, CylSet, cylinder_mass
-from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
-                             IdealBall)
+from ergocert.spaces import CANTOR, CIRCLE, CirclePoint, IdealBall
 import ball_reference as bref
 import cyl_reference as cref
 import pl_reference as ref
 import test_observables
-from test_observables import _assert_normal_form
+from test_observables import _assert_normal_form, _translate
 
 FIRSTBIT = CylinderFn.coordinate(0)
 SHIFT = shift_system(F(1, 2))
@@ -92,7 +91,7 @@ class TestNorms:
         for p in (1, 2, 3, 5):
             a = birkhoff_observable(DBL, centered(DBL, f), p)
             box = l2_sq_enclosure(p, DBL.correlations(f))
-            assert box.contains(a.square_integral())
+            assert box.lo <= ref.inner(a.segments, a.segments) <= box.hi
 
     def test_l1_l2_sup_cross_check(self):
         # [PAPER: ||g||_1 <= ||g||_2 <= ||g||_inf on a probability space,
@@ -137,7 +136,8 @@ class TestDeviationRegions:
     def test_shift_example(self):
         # [PAPER: |A_2(firstbit - 1/2)| < 1/4 exactly on words 01, 10]
         r = deviation_region(SHIFT, FIRSTBIT, 2, F(1, 4))
-        assert sorted(r.prefixes) == ["01", "10"]
+        assert sorted(b.cylinder_prefix
+                      for b in bref.cylinder_balls(r)) == ["01", "10"]
         assert r.measure(F(1, 2)) == F(1, 2)
 
     def test_shift_region_matches_table(self):
@@ -163,7 +163,7 @@ class TestDeviationRegions:
     def test_doubling_example(self):
         # [PAPER: |x - 1/2| < 1/8 is the arc (3/8, 5/8)]
         r = deviation_region(DBL, PiecewiseLinear.identity(), 1, F(1, 8))
-        assert r.arcs == [(F(3, 8), F(5, 8))]
+        assert bref.ends(r) == [(F(3, 8), F(5, 8))]
 
     def test_region_measure_matches_pointwise(self):
         # [DERIVED: oracle = pointwise |A_n fbar| on a fine grid]
@@ -173,8 +173,8 @@ class TestDeviationRegions:
             r = deviation_region(DBL, f, n, F(1, 8))
             for i in range(256):
                 x = F(2 * i + 1, 512)
-                inside = any(lo < x < hi for lo, hi in r.arcs)
-                v = abs(a.eval_right(x))
+                inside = any(lo < x < hi for lo, hi in bref.ends(r))
+                v = abs(ref.value(a.segments, x))
                 if v < F(1, 8):
                     assert inside
                 if inside:
@@ -220,7 +220,7 @@ class TestDeviationRegions:
         #  are every part, in order, and reproduce the region measure]
         f = PiecewiseLinear.hat(F(1, 2), F(1, 8), F(1, 8))
         region = deviation_region(DBL, f, 2, F(1, 4))
-        assert all(type(x) is F for arc in region.arcs for x in arc)
+        assert region.roots is None
         parts = bref.arc_balls(region)
         found = [region.holder(IdealBall(CIRCLE, b.center, b.radius / 2))
                  for b in parts]
@@ -334,8 +334,9 @@ class TestCorpusDeviationRegions:
 
     def test_doubling_arcs_in_and_gaps_out(self):
         for system, f, n, delta in _corpus_windows(dynamics.Doubling):
-            arcs = deviation_region(system, f, n, delta).arcs
-            assert all(type(x) is F for arc in arcs for x in arc)
+            region = deviation_region(system, f, n, delta)
+            assert region.roots is None
+            arcs = bref.ends(region)
             # from each arc's end to the next arc's start, around the circle
             starts = [a for a, _ in arcs[1:]] + [a + 1 for a, _ in arcs[:1]]
             gaps = list(zip([b for _, b in arcs], starts)) or [(F(0), F(1))]
@@ -353,18 +354,19 @@ class TestCorpusDeviationRegions:
         irrational = 0
         for system, f, n, delta in _corpus_windows(dynamics.Rotation):
             region = deviation_region(system, f, n, delta)
-            exact = system.birkhoff_sum(centered(system, f), n) \
-                .arcs_below_abs(n * delta).arcs
+            exact = bref.ends(system.birkhoff_sum(centered(system, f), n)
+                              .arcs_below_abs(n * delta))
             irrational += any(isinstance(x, Quad) for arc in exact
                               for x in arc)
-            assert all(type(x) is F for arc in region.arcs for x in arc)
-            for a, b in region.arcs:
+            assert region.roots is None
+            arcs = bref.ends(region)
+            for a, b in arcs:
                 assert _ref_region_test(system, f, n, delta, (a + b) / 2)
                 assert sum(lo <= a and b <= hi for lo, hi in exact) == 1
             for lo, hi in exact:
-                kept = sum((b - a for a, b in region.arcs
-                            if lo <= a and b <= hi), F(0))
-                assert hi - lo - kept < 2 * pow2(48), (f, n, delta)
+                kept = sum((b - a for a, b in arcs if lo <= a and b <= hi),
+                           F(0))
+                assert ref.sub(hi, lo) - kept < 2 * pow2(48), (f, n, delta)
             for k, b in enumerate(bref.arc_balls(region)):
                 assert region.holder(IdealBall(
                     CIRCLE, b.center, b.radius / 2)) == (k, b)
@@ -425,7 +427,7 @@ class TestWitness:
         #  narrower and wider than the part, and random ones; equal in ==,
         #  hash and JSON]
         rng = random.Random(45)
-        regions = [ArcSet(), ArcSet([(F(0), F(1))]),
+        regions = [ArcSet(1, []), ArcSet(1, [(0, 1)]),
                    ArcSet.from_raw([(F(3, 4), F(5, 4))]),
                    ArcSet.from_raw([(F(7, 8), F(13, 8))])]
         for _ in range(150):
@@ -437,7 +439,7 @@ class TestWitness:
         found = missed = split = 0
         for region in regions:
             parts = bref.arc_balls(region)
-            split += len(parts) > len(region.components())
+            split += len(parts) > len(region.parts[0])
             centres = {mod1(b.center + s * b.radius)
                        for b in parts for s in (-1, 0, 1)}
             centres |= {F(rng.randrange(96), 96) for _ in range(4)}
@@ -460,7 +462,7 @@ class TestWitness:
         hat = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
         region = ROT.birkhoff_sum(centered(ROT, hat), 3) \
             .arcs_below_abs(F(3, 4))
-        assert any(isinstance(x, Quad) for arc in region.arcs for x in arc)
+        assert region.roots is not None
         with pytest.raises(UnsupportedPairError):
             region.holder(IdealBall(CIRCLE, F(1, 2), F(1, 64)))
 
@@ -507,7 +509,7 @@ class TestOrbitEvaluation:
         x = CirclePoint.from_rational(F(1, 3))
         box = birkhoff_eval(DBL, f, x, 4, 20)
         assert box.width <= F(1, 1 << 20)
-        assert box.contains(F(1, 2))  # (1/3 + 2/3 + 1/3 + 2/3)/4
+        assert box.lo <= F(1, 2) <= box.hi  # (1/3 + 2/3 + 1/3 + 2/3)/4
 
     def test_rotation_eval_consistent(self):
         # [DERIVED: enclosures at different precisions must intersect and
@@ -521,7 +523,7 @@ class TestOrbitEvaluation:
 
     def test_shift_eval_exact(self):
         # [DERIVED: symbolic orbit makes the average a point interval]
-        x = CantorPoint.from_word("0110" * 4)
+        x = bref.word_point("0110" * 4)
         box = birkhoff_eval(SHIFT, FIRSTBIT, x, 8, 0)
         assert box.width == 0 and box.lo == F(1, 2)
 
@@ -558,7 +560,8 @@ def _shift_matches(g, n, a) -> bool:
 def _circle_matches(orbit):
     def matches(g, n, a) -> bool:
         # a is linear on each segment: read it at the start and midpoint
-        return all(sum(g.eval_right(orbit(x, i)) for i in range(n)) == n * v
+        return all(sum(ref.value(g.segments, orbit(x, i))
+                       for i in range(n)) == n * v
                    for lo, hi, va, vb in a.segments
                    for x, v in ((lo, va), ((lo + hi) / 2, (va + vb) / 2)))
     return matches
@@ -931,7 +934,8 @@ class TestCorrelations:
             fbar = centered(DBL, _random_pl(rng, rng.randint(7, 16)))
             corr = DBL.correlations(fbar)
             for p in range(1, 9):
-                want = birkhoff_observable(DBL, fbar, p).square_integral()
+                a = birkhoff_observable(DBL, fbar, p).segments
+                want = ref.inner(a, a)
                 box = corr.l2_sq(p)
                 assert box.lo == box.hi == want, (fbar, p)
 
@@ -962,10 +966,11 @@ class TestIntegerRunningSum:
             assert got.abs_integral() == ref.abs_integral(want), (f, n)
             for delta in deltas:
                 level = n * delta
-                assert got.arcs_below_abs(level).arcs \
+                assert bref.ends(got.arcs_below_abs(level)) \
                     == ref.arcs(want, -level, level), (f, n, delta)
                 above = ref.arcs(want, level, None)
-                assert got.arcs_above(level).arcs == above, (f, n, delta)
+                assert bref.ends(got.arcs_above(level)) == above, \
+                    (f, n, delta)
                 tails[delta].append(above + ref.arcs(want, None, -level))
             assert got.segments == want, (f, n)
             _assert_normal_form(got.segments, (f, n))
@@ -974,7 +979,7 @@ class TestIntegerRunningSum:
         for delta, per_n in tails.items():
             arcs = [arc for n in window for arc in per_n[n - 1]]
             assert system.window_mass(g, window, delta) \
-                == ArcSet(arcs).measure(), (f, delta)
+                == bref.arc_length(bref.arc_union(arcs)), (f, delta)
 
     @pytest.mark.parametrize("name", TestCorrelations.POOL)
     def test_pool(self, name):
@@ -998,8 +1003,9 @@ class TestRootTwoRunningSum:
     # [DERIVED: oracle = each term g o R^i cut and read in plain Quad
     # arithmetic, added by a merge walk and joined into normal form, as
     # segment lists (pl_reference); the integer form over Z[sqrt2] must
-    # give the same terms and sums, value by value and type by type, and
-    # the same sup norm, sublevel arcs and window masses]
+    # give the same terms (one translate of pl_sum each) value by value,
+    # the same sums value by value and type by type, and the same sup
+    # norm, sublevel arcs and window masses]
     DELTAS = (F(1, 8), F(1, 32), F(1, 128))
     HATS = [PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8)),
             PiecewiseLinear.hat(F(0), F(1, 8), F(1, 8)),
@@ -1013,12 +1019,11 @@ class TestRootTwoRunningSum:
         want, last = g.segments, []
         for n in range(1, count + 1):
             if n > 1:
-                c = system.alpha * (n - 1)
-                term, got_term = ref.shift(g.segments, mod1(c)), g.shift(c)
+                c = mod1(system.alpha * (n - 1))
+                term, got_term = ref.shift(g.segments, c), _translate(g, c)
                 assert got_term.segments == term, (f, n)
-                assert ref.types(got_term.segments) == ref.types(term)
                 delta = deltas[n % len(deltas)]
-                arcs = got_term.arcs_below_abs(delta).arcs
+                arcs = bref.ends(got_term.arcs_below_abs(delta))
                 oracle = ref.arcs(term, -delta, delta)
                 assert arcs == oracle
                 assert ref.types(arcs) == ref.types(oracle)
@@ -1035,14 +1040,14 @@ class TestRootTwoRunningSum:
                      ref.arcs(want, -level, level)),
                     (got.arcs_above(level), ref.arcs(want, level, None)),
                     (got.arcs_below(-level), ref.arcs(want, None, -level))):
-                assert arcs.arcs == oracle, (f, n, level)
-                assert ref.types(arcs.arcs) == ref.types(oracle)
+                assert bref.ends(arcs) == oracle, (f, n, level)
+                assert ref.types(bref.ends(arcs)) == ref.types(oracle)
             last = last[-2:] + [(n, want)]
         window = range(count - 2, count + 1)
         for delta in deltas:
-            mass = ArcSet([arc for n, s in last for arc in
-                           ref.arcs(s, n * delta, None)
-                           + ref.arcs(s, None, -n * delta)]).measure()
+            mass = bref.arc_length(bref.arc_union(
+                [arc for n, s in last for arc in ref.arcs(s, n * delta, None)
+                 + ref.arcs(s, None, -n * delta)]))
             if isinstance(mass, Quad):
                 mass = mass.approx(60) + pow2(60)
             got = system.window_mass(g, window, delta)
@@ -1081,8 +1086,9 @@ class TestRootTwoRunningSum:
                                       _arcs(s, level, top)),
                                      (_arcs(s, None, level),
                                       _arcs(s, -top, level))):
-                        assert one.arcs == two.arcs, (f, n, level)
-                        assert ref.types(one.arcs) == ref.types(two.arcs)
+                        one, two = bref.ends(one), bref.ends(two)
+                        assert one == two, (f, n, level)
+                        assert ref.types(one) == ref.types(two)
 
     @pytest.mark.parametrize("alpha", [Quad(F(1, 5), F(1, 3)),
                                        Quad(F(3, 7), F(-1, 4))])
@@ -1093,11 +1099,13 @@ class TestRootTwoRunningSum:
 
 
 class TestTranslateSum:
-    # [DERIVED: oracle = pl_sum of the translates g.shift(i alpha) built
-    # one by one, as the rotation's running sum was first built; filing
-    # g's own jumps along the integer orbit must give the same form,
-    # column for column on the default angle (n = g.n, e = g.e there) and
-    # segment for segment on the others]
+    # [DERIVED: filing g's own jumps along the integer orbit must give, on
+    # the default angle, the form of pl_sum over the translates of g
+    # built one by one (each one translate of pl_sum, which
+    # TestRootTwoRunningSum holds to pl_reference.shift), column for
+    # column (n = g.n, e = g.e there); and on the others the segments of
+    # the reference translates (pl_reference.shift) added by the
+    # reference merge walk, value by value and type by type]
     # inside (0, 1) and outside it, either sign of each part, and a
     # rational angle whose orbit meets the hats' breakpoints and 0
     ANGLES = [Quad(F(1, 5), F(1, 3)), Quad(F(3, 7), F(-1, 4)),
@@ -1105,8 +1113,10 @@ class TestTranslateSum:
               Quad(F(9, 8))]
 
     @staticmethod
-    def _terms(system, g, count):
-        return [g] + [g.shift(system.alpha * i) for i in range(1, count)]
+    def _offsets(system, count):
+        """alpha i mod 1 for i < count, a Fraction where it is rational."""
+        return [c if c.b else c.a
+                for c in (mod1(system.alpha * i) for i in range(count))]
 
     def test_default_angle_column_for_column(self):
         # the hats at every n <= 200, each S_n extended from S_(n-1); the
@@ -1119,7 +1129,8 @@ class TestTranslateSum:
             system = rotation_system()
             g = centered(system, f)
             count = 200
-            terms = self._terms(system, g, count)
+            terms = [g] + [_translate(g, c)
+                           for c in self._offsets(system, count)[1:]]
             ns = range(1, count + 1) if index < 3 \
                 else [*range(1, 13), 50, 120, count]
             for n in ns:
@@ -1152,11 +1163,13 @@ class TestTranslateSum:
         system = rotation_system(alpha)
         for f in TestRootTwoRunningSum.HATS + [_random_pl(rng, 9)]:
             g = centered(system, f)
-            terms = self._terms(system, g, 30)
-            for n in range(1, 31):
-                got, want = system.birkhoff_sum(g, n), pl_sum(terms[:n])
-                assert got.segments == want.segments, (alpha, f, n)
-                assert ref.types(got.segments) == ref.types(want.segments)
+            want = []
+            for n, c in enumerate(self._offsets(system, 30), 1):
+                want = ref.plus(want, ref.shift(g.segments, c)) if want \
+                    else g.segments
+                got = system.birkhoff_sum(g, n).segments
+                assert got == want, (alpha, f, n)
+                assert ref.types(got) == ref.types(want)
 
     @pytest.mark.parametrize("alpha", [SQRT2_MINUS_1] + ANGLES)
     def test_integer_orbit(self, alpha):
@@ -1231,14 +1244,15 @@ def _word(bits):
 
 class TestDigitTail:
     # [DERIVED: oracle = _FractionTail, reading g at the middle of the
-    #  window's dyadic arc with eval_right on the doubling map and on the
-    #  window's word with value_on_word on the shift; 200 digits after
-    #  seeded bases shorter and longer than the window]
+    #  window's dyadic arc with pl_reference.value on the doubling map and
+    #  on the window's word with value_on_word on the shift; 200 digits
+    #  after seeded bases shorter and longer than the window]
 
     def test_window_readers_are_the_fraction_values(self):
         # [DERIVED: oracle = den g at the window in Fractions, through
-        #  eval_right at the middle of the window's dyadic arc and through
-        #  value_on_word; windows of 1 to 24 digits, both ends included]
+        #  pl_reference.value at the middle of the window's dyadic arc and
+        #  through value_on_word; windows of 1 to 24 digits, both ends
+        #  included]
         rng = random.Random(50)
         for _ in range(20):
             g = _random_pl(rng, rng.randint(3, 12))
@@ -1246,8 +1260,8 @@ class TestDigitTail:
             den, read = g.window_reader(k)
             for w in [0, (1 << k) - 1] + [rng.randrange(1 << k)
                                           for _ in range(30)]:
-                assert read(w) == den * g.eval_right(
-                    F(2 * w + 1, 1 << (k + 1)))
+                assert read(w) == den * ref.value(
+                    g.segments, F(2 * w + 1, 1 << (k + 1)))
             depth = rng.randint(0, 5)
             c = CylinderFn(depth, [F(rng.randint(-6, 6), rng.randint(1, 5))
                                    for _ in range(1 << depth)])
@@ -1261,8 +1275,8 @@ class TestDigitTail:
         rng = random.Random(51)
 
         def value(g, bits):
-            return g.eval_right(F(2 * int(_word(bits), 2) + 1,
-                                  1 << (len(bits) + 1)))
+            return ref.value(g.segments, F(2 * int(_word(bits), 2) + 1,
+                                           1 << (len(bits) + 1)))
 
         for _ in range(8):
             fs = [PiecewiseLinear.hat(F(rng.randint(0, 15), 16),

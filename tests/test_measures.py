@@ -98,8 +98,8 @@ def vertex_minimum(space, mu1, mu2):
 class TestW1Examples:
     def test_single_atom_distance(self):
         # [PAPER: single-atom transport equals the metric]
-        mu1 = IdealMeasure.dirac(CIRCLE, F(1, 4))
-        mu2 = IdealMeasure.dirac(CIRCLE, F(3, 4))
+        mu1 = IdealMeasure(CIRCLE, ((F(1, 4), 1),))
+        mu2 = IdealMeasure(CIRCLE, ((F(3, 4), 1),))
         value, plan = w1_ideal(CIRCLE, mu1, mu2)
         assert value == F(1, 2)
         assert plan.check_marginals(mu1, mu2)
@@ -113,7 +113,7 @@ class TestW1Examples:
     def test_two_to_one(self):
         # [PAPER: move mass 1/3 across distance 1/2]
         mu1 = IdealMeasure(CIRCLE, ((F(0), F(2, 3)), (F(1, 2), F(1, 3))))
-        mu2 = IdealMeasure.dirac(CIRCLE, F(0))
+        mu2 = IdealMeasure(CIRCLE, ((F(0), 1),))
         value, _ = w1_ideal(CIRCLE, mu1, mu2)
         assert value == F(1, 6)
 
@@ -167,7 +167,7 @@ class TestW1Examples:
     def test_unbalanced_rejected(self):
         # [DERIVED: unequal total masses raise a typed error in both
         #  directions, not an assert that python -O strips]
-        one = IdealMeasure.dirac(CIRCLE, F(0))
+        one = IdealMeasure(CIRCLE, ((F(0), 1),))
         half = IdealMeasure(CIRCLE, ((F(0), F(1, 2)), (F(1, 2), F(1, 2))))
         object.__setattr__(half, "points", half.points[:1])
         object.__setattr__(half, "masses", half.masses[:1])
@@ -289,8 +289,8 @@ class TestW1Oracles:
             assert dab >= 0
             if a.atoms != b.atoms:
                 pass  # distinctness check below uses genuinely distinct pairs
-        mu1 = IdealMeasure.dirac(CIRCLE, F(0))
-        mu2 = IdealMeasure.dirac(CIRCLE, F(1, 8))
+        mu1 = IdealMeasure(CIRCLE, ((F(0), 1),))
+        mu2 = IdealMeasure(CIRCLE, ((F(1, 8), 1),))
         assert w1_ideal(CIRCLE, mu1, mu2)[0] > 0
 
     def test_closed_forms_large(self):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ergocert.arith import SQRT2_MINUS_1, Quad
+from ergocert.arith import SQRT2_MINUS_1, Quad, mod1
 from ergocert.dynamics import shift_system
 from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear, _Form,
                                   _arcs, enumerate_F, observable_from_json,
@@ -16,8 +16,19 @@ from ergocert.observables import (CylinderFn, FTerm, PiecewiseLinear, _Form,
                                   table_integral)
 from ergocert.spaces import CANTOR, CIRCLE, cantor_dist
 
+import ball_reference as bref
 import cyl_reference as cref
 import pl_reference as ref
+
+
+def _translate(g, c):
+    """x -> g(x + c mod 1) for a rational or Q[sqrt2] c, as one translate
+    of pl_sum: c mod 1 = (ca + cb sqrt2)/den over the lcm den of the
+    denominators of its parts."""
+    c = mod1(c)
+    a, b = (c.a, c.b) if isinstance(c, Quad) else (c, F(0))
+    den = math.lcm(a.denominator, b.denominator)
+    return pl_sum([], g, [(int(a * den), int(b * den))], den)
 
 
 class TestPiecewiseLinear:
@@ -25,10 +36,10 @@ class TestPiecewiseLinear:
         # [PAPER: the bump g_{1/2,1/4,1/8} integrates to 2r + eps = 5/8]
         h = PiecewiseLinear.hat(F(1, 2), F(1, 4), F(1, 8))
         assert h.integral() == F(5, 8)
-        assert h.eval_right(F(1, 2)) == 1
-        assert h.eval_right(F(1, 2) + F(1, 4)) == 1
-        assert h.eval_right(F(1, 2) + F(3, 8)) == 0
-        assert h.eval_right(F(0)) == 0
+        assert ref.value(h.segments, F(1, 2)) == 1
+        assert ref.value(h.segments, F(1, 2) + F(1, 4)) == 1
+        assert ref.value(h.segments, F(1, 2) + F(3, 8)) == 0
+        assert ref.value(h.segments, F(0)) == 0
 
     def test_identity_and_constant(self):
         # [TRIVIAL]
@@ -45,20 +56,23 @@ class TestPiecewiseLinear:
             box = h.range_on(a, min(b, F(1)))
             for k in range(5):
                 x = a + (min(b, F(1)) - a) * F(k, 5)
-                assert box.contains(h.eval_right(x))
+                assert box.lo <= ref.value(h.segments, x) <= box.hi
 
     def test_lattice_ops_pointwise(self):
         # [DERIVED: oracle = pointwise evaluation on a fine grid]
         f = PiecewiseLinear.hat(F(1, 4), F(1, 8), F(1, 8))
         g = PiecewiseLinear.identity()
+        def at(h, x):
+            return ref.value(h.segments, x)
+
         for i in range(64):
             x = F(i, 64)
-            fx, gx = f.eval_right(x), g.eval_right(x)
-            assert f.add(g).eval_right(x) == fx + gx
-            assert f.min_with(g).eval_right(x) == min(fx, gx)
-            assert f.max_with(g).eval_right(x) == max(fx, gx)
-            assert f.scale(F(-2, 3)).eval_right(x) == F(-2, 3) * fx
-            assert f.add_const(F(1, 5)).eval_right(x) == fx + F(1, 5)
+            fx, gx = at(f, x), at(g, x)
+            assert at(f.add(g), x) == fx + gx
+            assert at(f.min_with(g), x) == min(fx, gx)
+            assert at(f.max_with(g), x) == max(fx, gx)
+            assert at(f.scale(F(-2, 3)), x) == F(-2, 3) * fx
+            assert at(f.add_const(F(1, 5)), x) == fx + F(1, 5)
 
     def test_abs_integral_matches_envelope(self):
         # [DERIVED: oracle = the integral of the lattice envelope max(f, -f);
@@ -87,29 +101,28 @@ class TestPiecewiseLinear:
         below, above = f.arcs_below_abs(F(1, 4)), f.arcs_above(F(1, 4))
         for i in range(128):
             x = F(2 * i + 1, 256)
-            fx = f.eval_right(x)
-            inside = any(a < x < b for a, b in below.arcs)
+            fx = ref.value(f.segments, x)
+            inside = any(a < x < b for a, b in bref.ends(below))
             assert inside == (abs(fx) < F(1, 4)) or abs(fx) == F(1, 4)
-            inside = any(a < x < b for a, b in above.arcs)
+            inside = any(a < x < b for a, b in bref.ends(above))
             assert inside == (fx > F(1, 4)) or fx == F(1, 4)
         # segments constant at exactly +-delta are not in either set
         g = PiecewiseLinear([(F(0), F(1, 4), F(1, 4), F(1, 4)),
                              (F(1, 4), F(1, 2), F(1, 4), F(-1, 4)),
                              (F(1, 2), F(3, 4), F(-1, 4), F(-1, 4)),
                              (F(3, 4), F(1), F(-1, 4), F(1, 4))])
-        assert g.arcs_below_abs(F(1, 4)).arcs == [(F(1, 4), F(1, 2)),
-                                                  (F(3, 4), F(1))]
-        assert g.arcs_above(F(1, 4)).arcs == []
-        assert g.arcs_above(F(-1, 4)).arcs == [(F(0), F(1, 2)),
-                                               (F(3, 4), F(1))]
+        assert bref.ends(g.arcs_below_abs(F(1, 4))) == [(F(1, 4), F(1, 2)),
+                                                        (F(3, 4), F(1))]
+        assert bref.ends(g.arcs_above(F(1, 4))) == []
+        assert bref.ends(g.arcs_above(F(-1, 4))) == [(F(0), F(1, 2)),
+                                                     (F(3, 4), F(1))]
 
     def test_sum_of_many_terms_pointwise(self):
         # [DERIVED: oracle = the terms evaluated one by one at every
         # breakpoint and midpoint, right-continuously, by the reference
         # lerp (a Q[sqrt2] breakpoint gap divides by a Quad)]
         def at(f, x):
-            return ref.lerp(*next(s for s in reversed(f.segments)
-                                  if s[0] <= x), x)
+            return ref.value(f.segments, x)
 
         h = PiecewiseLinear.hat(F(1, 3), F(1, 6), F(1, 12))
         ident = PiecewiseLinear.identity()
@@ -119,9 +132,10 @@ class TestPiecewiseLinear:
              ident.pullback_doubling().pullback_doubling()],
             # coinciding breakpoints, and a function added to itself
             [h, h, h.pullback_doubling(), h.scale(F(-1, 2))],
-            # rotation shifts: Q[sqrt2] breakpoints
-            [h] + [h.shift(SQRT2_MINUS_1 * i) for i in range(1, 5)],
-            [ident, ident.shift(SQRT2_MINUS_1), h.shift(0 - SQRT2_MINUS_1)],
+            # rotation translates: Q[sqrt2] breakpoints
+            [h] + [_translate(h, SQRT2_MINUS_1 * i) for i in range(1, 5)],
+            [ident, _translate(ident, SQRT2_MINUS_1),
+             _translate(h, SQRT2_MINUS_1 * -1)],
         ]
         for terms in families:
             total = pl_sum(terms)
@@ -137,8 +151,8 @@ class TestPiecewiseLinear:
               h.shift(F(2, 7)), PiecewiseLinear.constant(F(2, 3))]
         for f in fs:
             for g in fs:
-                want = (f.add(g).square_integral()
-                        - f.add(g.scale(-1)).square_integral()) / 4
+                plus, minus = f.add(g).segments, f.add(g.scale(-1)).segments
+                want = (ref.inner(plus, plus) - ref.inner(minus, minus)) / 4
                 assert pl_inner(f, g) == want
 
 
@@ -178,9 +192,11 @@ class TestNormalForm:
         h0 = PiecewiseLinear.hat(F(0), F(1, 8), F(1, 16))
         fs = [_random_pl(rng, k) for k in (1, 2, 5, 9, 14)]
         fs += [h, h0, PiecewiseLinear.identity(), PiecewiseLinear.constant(2)]
-        # shifted terms g o R^i take only the kernels that accept them
-        shifted = [g.shift(alpha * k) for g in (h, h0) for k in (1, 2, 5)]
-        for f in fs + shifted:
+        # translates g o R^i are sums: they take only the kernels that
+        # accept them
+        translates = [_translate(g, alpha * k) for g in (h, h0)
+                      for k in (1, 2, 5)]
+        for f in fs + translates:
             outs = {"scale 0": f.scale(0), "scale": f.scale(F(-3, 2)),
                     "add_const": f.add_const(F(5, 7)),
                     "sum with -f": pl_sum([f, f.scale(-1)]),
@@ -189,22 +205,23 @@ class TestNormalForm:
             # f + (g - f) = g: every breakpoint of f cancels
             outs["sum g - f + f"] = pl_sum([f, g.add(f.scale(-1))])
             if f in fs:
-                cuts = [F(0), f.segments[-1][0], alpha * 3, F(-7, 5)]
+                cuts = [F(0), f.segments[-1][0], F(-7, 5)]
                 outs["pullback_doubling"] = f.pullback_doubling()
                 outs.update((f"shift {c}", f.shift(c)) for c in cuts)
-                outs["rotated sum"] = pl_sum([f.shift(alpha * k)
+                outs["translate by 3 alpha"] = _translate(f, alpha * 3)
+                outs["rotated sum"] = pl_sum([_translate(f, alpha * k)
                                               for k in range(4)])
             for what, out in outs.items():
                 _assert_normal_form(out.segments, (f, what))
             assert len(outs["sum with -f"].segments) == 1
             assert outs["sum g - f + f"].segments == g.segments
         # the doubling and rotation chains of a Birkhoff sum: the rotation
-        # shifts f by alpha k, as its running sum does
+        # translates f by alpha k, as its running sum does
         for f in (h0, h, fs[3]):
             pulled = [f]
             for _ in range(5):
                 pulled.append(pulled[-1].pullback_doubling())
-            rotated = [f] + [f.shift(alpha * k) for k in range(1, 6)]
+            rotated = [f] + [_translate(f, alpha * k) for k in range(1, 6)]
             for terms in (pulled, rotated):
                 for t in terms[1:]:
                     _assert_normal_form(t.segments, (f, "chain"))
@@ -260,10 +277,11 @@ KERNELS = {
                                         ref.total_variation(f.segments)),
     "sup": lambda f, g, c: (f.sup_norm(), ref.sup(f.segments)),
     "arcs below abs": lambda f, g, c: (
-        f.arcs_below_abs(abs(c)).arcs, ref.arcs(f.segments, -abs(c), abs(c))),
-    "arcs above": lambda f, g, c: (f.arcs_above(c).arcs,
+        bref.ends(f.arcs_below_abs(abs(c))),
+        ref.arcs(f.segments, -abs(c), abs(c))),
+    "arcs above": lambda f, g, c: (bref.ends(f.arcs_above(c)),
                                    ref.arcs(f.segments, c, None)),
-    "arcs below": lambda f, g, c: (f.arcs_below(c).arcs,
+    "arcs below": lambda f, g, c: (bref.ends(f.arcs_below(c)),
                                    ref.arcs(f.segments, None, c)),
 }
 
@@ -289,13 +307,13 @@ class TestIntegerKernels:
 
     def test_integral_of_every_kind(self):
         # [DERIVED: oracle = the trapezoid sum over the segments view, in
-        #  Q[sqrt2] arithmetic (pl_reference); a shifted term and a sum
+        #  Q[sqrt2] arithmetic (pl_reference); a translate and a sum
         #  integrate in integers too, and the rotation keeps the integral,
         #  so each is a Fraction]
         rng = random.Random(77)
         for _ in range(12):
             f = _random_pl(rng, rng.randint(1, 9), 35)
-            terms = [f] + [f.shift(SQRT2_MINUS_1 * k) for k in (1, 3)]
+            terms = [f] + [_translate(f, SQRT2_MINUS_1 * k) for k in (1, 3)]
             for g, copies in ((f, 1), (terms[1], 1), (pl_sum(terms), 3)):
                 got = g.integral()
                 assert got == ref.integral(g.segments) == copies * f.integral()
@@ -309,7 +327,7 @@ class TestIntegerKernels:
 
 
 def _assert_canonical(arcs):
-    """ArcSet's canonical form, which `ArcSet._canonical` takes unchecked:
+    """ArcSet's canonical form, which its constructor takes unchecked:
     0 <= a < b <= 1 for every arc, sorted, and apart (no arc starts where
     the one before it ends)."""
     assert all(0 <= a < b <= 1 for a, b in arcs), arcs
@@ -328,15 +346,15 @@ class TestSublevelArcs:
         alpha = SQRT2_MINUS_1
         fs = [_random_pl(rng, rng.randint(1, 9), q)
               for q in (6, 12, 48) for _ in range(6)]
-        # a doubling Birkhoff sum, and rotation sums and shifted terms,
-        # whose values are rational away from the terms' cuts
+        # a doubling Birkhoff sum, and rotation sums and translates, whose
+        # values are rational away from the terms' cuts
         pulled = [H]
         for _ in range(4):
             pulled.append(pulled[-1].pullback_doubling())
         fs.append(pl_sum(pulled))
         for f in fs[:4]:
-            fs += [f.shift(alpha * 3),
-                   pl_sum([f.shift(alpha * k) for k in range(3)])]
+            fs += [_translate(f, alpha * 3),
+                   pl_sum([_translate(f, alpha * k) for k in range(3)])]
         return fs
 
     def test_matches_reference_at_segment_values(self):
@@ -357,7 +375,7 @@ class TestSublevelArcs:
             cases = [(lo, hi) for lo in levels for hi in levels if lo < hi]
             cases += [(c, None) for c in levels] + [(None, c) for c in levels]
             for lo, hi in cases:
-                got = _arcs(f.form, lo, hi).arcs
+                got = bref.ends(_arcs(f.form, lo, hi))
                 want = ref.arcs(f.segments, lo, hi)
                 assert got == want, (f.segments, lo, hi)
                 assert ref.types(got) == ref.types(want)
@@ -368,10 +386,12 @@ class TestSublevelArcs:
                     elif va in (lo, hi) or vb in (lo, hi):
                         sloped += 1
             for c in levels:  # the public readers: one level missing
-                assert f.arcs_above(c).arcs == _arcs(f.form, c, None).arcs
-                assert f.arcs_below(c).arcs == _arcs(f.form, None, c).arcs
+                assert bref.ends(f.arcs_above(c)) \
+                    == bref.ends(_arcs(f.form, c, None))
+                assert bref.ends(f.arcs_below(c)) \
+                    == bref.ends(_arcs(f.form, None, c))
                 d = abs(c) or F(1, 3)
-                assert f.arcs_below_abs(d).arcs \
+                assert bref.ends(f.arcs_below_abs(d)) \
                     == ref.arcs(f.segments, -d, d)
         assert flat > 0 and sloped > 0, (flat, sloped)
 
@@ -485,13 +505,20 @@ class TestRefusals:
                     PiecewiseLinear(segs)
 
     @pytest.mark.parametrize("kernel", RATIONAL_ONLY)
-    def test_rational_kernels_refuse_shifted_and_summed_forms(self, kernel):
-        # [DERIVED: these kernels would drop the sqrt2 parts of a shifted
-        # term or a sum, so they refuse both]
-        shifted = H.shift(SQRT2_MINUS_1)
-        for f in (shifted, pl_sum([H, shifted])):
+    def test_rational_kernels_refuse_summed_forms(self, kernel):
+        # [DERIVED: these kernels would drop the sqrt2 parts of a sum, so
+        # they refuse it: a translate by an irrational c, and a sum of one
+        # with a rational form]
+        translate = _translate(H, SQRT2_MINUS_1)
+        for f in (translate, pl_sum([H, translate])):
             with pytest.raises(ValueError, match="rational"):
                 RATIONAL_ONLY[kernel](f)
+
+    def test_shift_refuses_an_irrational_offset(self):
+        # [DERIVED: shift takes rational offsets only; an irrational one is
+        # refused, never read as another number]
+        with pytest.raises(TypeError):
+            H.shift(SQRT2_MINUS_1)
 
 
 class TestCylinderFn:
@@ -697,9 +724,8 @@ class TestFamilyF:
         p1, p2 = (g.concrete(PiecewiseLinear) for g in (g1, g2))
         for i in range(64):
             x = F(i, 64)
-            want = 2 * max(p1.eval_right(x), p2.eval_right(x)) \
-                - p1.eval_right(x)
-            assert pl.eval_right(x) == want
+            v1, v2 = ref.value(p1.segments, x), ref.value(p2.segments, x)
+            assert ref.value(pl.segments, x) == 2 * max(v1, v2) - v1
 
 
 class TestCodec:

@@ -23,7 +23,8 @@ from ergocert.observables import (CylinderFn, PiecewiseLinear,
 from ergocert.rates import (NormOracle, RateCertificate, as_rate_bounded,
                             as_rate_l1, check_certificate, find_p, l_rate,
                             validate_as)
-from ergocert.regions import ArcSet, cylinder_mass
+from ergocert.regions import cylinder_mass
+import ball_reference as bref
 import cyl_reference as cref
 import pl_reference as ref
 from test_dynamics import _random_pl
@@ -630,7 +631,7 @@ class TestMaximalInequality:
                 a = ref.lattice(a, ref.scale(a, -1), max)
                 arcs += [(n, arc) for arc in ref.arcs(a, delta, None)]
                 env = a if env is None else ref.lattice(env, a, max)
-            mass = ArcSet(ref.arcs(env, delta, None)).measure()
+            mass = bref.arc_length(ref.arcs(env, delta, None))
             if isinstance(mass, Quad):
                 mass = mass.approx(60) + pow2(60)
             assert 0 < mass < 1

@@ -29,7 +29,7 @@ def arc_indicator(s: ArcSet, grid=256):
     out = []
     for i in range(grid):
         x = F(2 * i + 1, 2 * grid)
-        out.append(any(a < x < b for a, b in s.arcs))
+        out.append(any(a < x < b for a, b in bref.ends(s)))
     return out
 
 
@@ -37,7 +37,7 @@ class TestArcSet:
     def test_normalization(self):
         # [TRIVIAL] overlapping and wrapped arcs merge, sorted output
         s = ArcSet.from_raw([(F(7, 8), F(9, 8)), (F(1, 8), F(1, 4))])
-        assert s.arcs == [(F(0), F(1, 4)), (F(7, 8), F(1))]
+        assert bref.ends(s) == [(F(0), F(1, 4)), (F(7, 8), F(1))]
         assert s.measure() == F(3, 8)
 
     def test_boolean_algebra_oracle(self):
@@ -50,28 +50,30 @@ class TestArcSet:
             both = [a and b for a, b in zip(si, ti)]
             assert arc_indicator(s.intersect(t)) == both
             assert s.intersect(t).measure() == F(sum(both), 256)
-            # canonical, as `ArcSet._canonical` trusts: no empty piece
+            # canonical, as the ArcSet constructor trusts: no empty piece
             # where an arc of one starts at the end of an arc of the other
-            arcs = s.intersect(t).arcs
+            arcs = bref.ends(s.intersect(t))
             assert all(a < b for a, b in arcs)
             assert all(b < c for (_, b), (c, _) in zip(arcs, arcs[1:]))
 
     def test_measure_is_the_fraction_sum(self):
         # [DERIVED: oracle = the sum of b - a over the arcs in Fraction (and
-        #  Quad) arithmetic; equal value and type, so a Quad-ended set
-        #  weighs to a Quad even where its sqrt2 parts cancel]
+        #  Quad) arithmetic (ball_reference); equal value and type, so a
+        #  Quad-ended set weighs to a Quad even where its sqrt2 parts
+        #  cancel]
         rng = random.Random(8)
-        cases = [ArcSet(), ArcSet([(F(0), F(1))]),
+        cases = [ArcSet(1, []), ArcSet(1, [(0, 1)]),
                  ArcSet.from_raw([(F(3, 4), F(7, 4))])]
         cases += [rand_arcset(rng, rng.randint(1, 9)) for _ in range(100)]
         for _ in range(100):  # ends over unrelated denominators
             ends = sorted({F(rng.randint(0, 97), 97) * F(rng.randint(1, 60),
                                                          rng.randint(60, 99))
                            for _ in range(2 * rng.randint(1, 6))})
-            cases.append(ArcSet(zip(ends[::2], ends[1::2])))
-        root = Quad(0, F(1, 4))  # sqrt2/4
-        cases += [ArcSet([(root, F(1, 2)), (F(3, 4), root + F(1, 2))]),
-                  ArcSet([(F(0), F(1, 8)), (root, F(1, 2))])]
+            cases.append(ArcSet.from_raw(zip(ends[::2], ends[1::2])))
+        # with r = sqrt2/4: (r, 1/2) and (3/4, r + 1/2) over 4, whose sqrt2
+        # parts cancel, and (0, 1/8) and (r, 1/2) over 8
+        cases += [ArcSet(4, [(0, 2), (3, 2)], [(1, None), (None, 1)]),
+                  ArcSet(8, [(0, 1), (0, 4)], [(None, None), (2, None)])]
         # the tails window_mass merges on the rotation, Quad-ended
         system = rotation_system()
         g = centered(system, PiecewiseLinear.hat(F(1, 3), F(1, 8), F(1, 8)))
@@ -79,13 +81,13 @@ class TestArcSet:
             s = system.birkhoff_sum(g, n)
             for delta in (F(1, 16), F(1, 8), F(1, 4)):
                 level = n * delta
-                cases.append(ArcSet(s.arcs_above(level).arcs
-                                    + s.arcs_below(-level).arcs))
+                cases.append(ArcSet.union([s.arcs_above(level),
+                                           s.arcs_below(-level)]))
         quads = 0
         for s in cases:
             got = s.measure()
-            want = sum((b - a for a, b in s.arcs), F(0))
-            assert got == want and type(got) is type(want), s.arcs
+            want = bref.arc_length(bref.ends(s))
+            assert got == want and type(got) is type(want), bref.ends(s)
             quads += type(got) is Quad
         assert cases[0].measure() == 0 and cases[1].measure() == 1
         assert quads >= 5
@@ -93,23 +95,25 @@ class TestArcSet:
     def test_components_glue_wrap(self):
         # [TRIVIAL]
         s = ArcSet.from_raw([(F(7, 8), F(9, 8))])
-        comps = s.components()
-        assert len(comps) == 1 and comps[0][1] - comps[0][0] == F(1, 4)
+        comps, first = s.parts
+        assert len(comps) == 1 and first == [0, 1]
+        assert F(comps[0][1] - comps[0][0], s.den) == F(1, 4)
 
     def test_rational_inner_defect(self):
         # [DERIVED: shrinking to the grid keeps a rational end, moves an
         #  irrational one inward by less than the grain, and loses less
         #  than the grain]
         a = Quad(0, F(1, 4))  # sqrt2/4, irrational
-        s = ArcSet([(a, F(1, 2))])
+        s = ArcSet(4, [(0, 2)], [(1, None)])  # (a, 1/2)
         inner = s.to_rational_inner(pow2(20))
-        assert all(isinstance(e, F) for arc in inner.arcs for e in arc)
-        [(lo, hi)] = inner.arcs
+        assert inner.roots is None
+        [(lo, hi)] = bref.ends(inner)
         assert hi == F(1, 2) and a < lo < a + pow2(20)
         assert 0 <= s.measure() - inner.measure() < pow2(20)
-        # an arc shorter than the grain holds no two grid points
-        assert ArcSet([(a, a + pow2(21))]).to_rational_inner(pow2(20)) \
-            .arcs == []
+        # an arc shorter than the grain holds no two grid points: (a,
+        # a + 2^-21), a = 2^19 sqrt2 / 2^21
+        short = ArcSet(1 << 21, [(0, 1)], [(1 << 19, 1 << 19)])
+        assert short.to_rational_inner(pow2(20)).spans == []
 
     def test_integer_form_matches_fraction_walk(self):
         # [DERIVED: oracle = ball_reference's Fraction walk, which cuts
@@ -135,7 +139,7 @@ class TestArcSet:
         regions = []
         for raw in raws:
             s = ArcSet.from_raw(raw)
-            assert s.arcs == bref.arc_union(raw), raw
+            assert bref.ends(s) == bref.arc_union(raw), raw
             regions.append(s)
         system = rotation_system()
         quads, exact = 0, []
@@ -146,16 +150,18 @@ class TestArcSet:
                 for delta in (F(1, 64), F(1, 32), F(1, 8)):
                     s = system.birkhoff_sum(g, n).arcs_below_abs(n * delta)
                     length = s.measure()
-                    assert length == bref.arc_length(s.arcs)
+                    assert length == bref.arc_length(bref.ends(s))
                     quads += type(length) is Quad
                     exact.append(s)
                     inner = s.to_rational_inner(pow2(48))
-                    assert inner.arcs == bref.inner(s.arcs, pow2(48))
+                    assert bref.ends(inner) \
+                        == bref.inner(bref.ends(s), pow2(48))
                     regions.append(inner)
         assert quads >= 10
         for s, t in zip(regions, regions[1:] + regions[:1]):
             meet = s.intersect(t)
-            assert meet.arcs == bref.arc_meet(s.arcs, t.arcs)
+            assert bref.ends(meet) \
+                == bref.arc_meet(bref.ends(s), bref.ends(t))
             regions.append(meet)
         # a Q[sqrt2]-ended set is met and searched only once rounded
         ball = IdealBall(CIRCLE, F(1, 2), F(1, 8))
@@ -168,16 +174,19 @@ class TestArcSet:
                     call()
         # unions, of Q[sqrt2]-ended sets too, as window_mass merges tails,
         # and of a set with the gaps between its arcs (all touching)
-        gaps = [ArcSet(zip([b for _, b in s.arcs], [a for a, _ in s.arcs[1:]]))
+        gaps = [ArcSet(s.den, [(b, c) for (_, b), (c, _)
+                               in zip(s.spans, s.spans[1:])],
+                       s.roots and [(b, c) for (_, b), (c, _)
+                                    in zip(s.roots, s.roots[1:])])
                 for s in exact]
         for sets in zip(exact, exact[1:], gaps, regions):
             union = ArcSet.union(list(sets))
-            assert union.arcs == bref.arc_union(
-                [arc for t in sets for arc in t.arcs])
-            assert union.measure() == bref.arc_length(union.arcs)
+            assert bref.ends(union) == bref.arc_union(
+                [arc for t in sets for arc in bref.ends(t)])
+            assert union.measure() == bref.arc_length(bref.ends(union))
         held = missed = 0
         for s in regions:
-            assert s.measure() == bref.arc_length(s.arcs)
+            assert s.measure() == bref.arc_length(bref.ends(s))
             parts = bref.arc_balls(s)
             cands = [IdealBall(CIRCLE, b.center, b.radius * t)
                      for b in parts for t in (F(1, 3), F(1))]
@@ -187,8 +196,8 @@ class TestArcSet:
             for cand in cands:
                 assert s.holder(cand) \
                     == bref.first_holder(CIRCLE, parts, cand)
-                want = bref.arc_contains(s.arcs, cand)
-                assert s.contains_ball(cand) == want, (s.arcs, cand)
+                want = bref.arc_contains(bref.ends(s), cand)
+                assert s.contains_ball(cand) == want, (s.spans, cand)
                 held += want
                 missed += not want
         assert held > 500 and missed > 200, (held, missed)
@@ -202,9 +211,13 @@ def cyl_indicator(s: CylSet, depth=8):
 class TestCylSet:
     def test_antichain_and_sibling_merge(self):
         # [TRIVIAL] {0,1} merges to everything; child of kept prefix drops
-        assert CylSet(["0", "1"]).prefixes == [""]
-        assert CylSet(["0", "01"]).prefixes == ["0"]
-        assert CylSet(["00", "01", "10"]).prefixes == ["0", "10"]
+        def kept(words):
+            return [b.cylinder_prefix
+                    for b in bref.cylinder_balls(CylSet(words))]
+
+        assert kept(["0", "1"]) == [""]
+        assert kept(["0", "01"]) == ["0"]
+        assert kept(["00", "01", "10"]) == ["0", "10"]
 
     def test_boolean_algebra_oracle(self):
         # [DERIVED: oracle = membership table at depth 8]
@@ -281,8 +294,9 @@ class TestCylSet:
                              key=lambda w: (len(w), w))
             s = CylSet(words)
             t = CylSet.from_flags(depth, bytes(inside))
-            assert s.prefixes == maximal, words
-            assert t.prefixes == maximal, words
+            for u in (s, t):
+                assert [b.cylinder_prefix
+                        for b in bref.cylinder_balls(u)] == maximal, words
             kept = {w: full(w) for w in every}
             assert [s.holder(CANTOR.cylinder_ball(w)) is not None
                     for w in every] == list(kept.values()), words
@@ -311,9 +325,10 @@ class TestCylSet:
                              for _ in range(rng.randint(0, 9)))
                      for _ in range(rng.randint(0, 8))]
             s = CylSet(words)
+            kept = [b.cylinder_prefix for b in bref.cylinder_balls(s)]
             for p in (F(1, 2), F(1, 3), F(2, 7), F(0), F(1)):
                 assert s.measure(p) == sum(
-                    (cylinder_mass(w, p) for w in s.prefixes), F(0))
+                    (cylinder_mass(w, p) for w in kept), F(0))
 
     def test_large_same_depth_union_fast(self):
         # [DERIVED: construction must stay near-linear in the input size]

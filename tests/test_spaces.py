@@ -7,12 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from ergocert.arith import Interval, pow2
-from ergocert.spaces import (CANTOR, CIRCLE, CantorPoint, CirclePoint,
-                             IdealBall, ball_member, cantor_dist,
-                             cantor_word, circle_point,
-                             pos_rational, space_named, unpair)
+from ergocert.spaces import (CANTOR, CIRCLE, CirclePoint, IdealBall,
+                             ball_member, cantor_dist, cantor_word,
+                             circle_point, pos_rational, space_named, unpair)
 
-from ball_reference import circle_member
+from ball_reference import circle_member, word_point
 
 
 class TestNumberings:
@@ -120,8 +119,8 @@ class TestBalls:
     def test_membership_cantor(self):
         # [TRIVIAL]
         b = IdealBall(CANTOR, "10", F(3, 8))
-        assert ball_member(CANTOR, b, CantorPoint.from_word("101"), 0) is True
-        assert ball_member(CANTOR, b, CantorPoint.from_word("11"), 0) is False
+        assert ball_member(CANTOR, b, word_point("101"), 0) is True
+        assert ball_member(CANTOR, b, word_point("11"), 0) is False
 
 
 class _Box:

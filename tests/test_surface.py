@@ -27,39 +27,15 @@ CORPUS = PERFBENCH / "corpus"
 KEPT = {
     "bc.horizon_tolerance":
         "tests/test_acceptance.py reads a point's carried tolerance with it",
-    "arith.Interval.contains":
-        "a fixture of the tests of live code (enclosures hold the value)",
-    "measures.IdealMeasure.dirac":
-        "a fixture of the tests of live code (single-atom W1 examples)",
     "spaces.cantor_dist":
         "Cantor space's metric (`dist`): W1 costs a plan from branch "
         "depths, and the tests hold that sum to this metric",
-    "spaces.CantorPoint.from_word":
-        "a fixture of the tests of live code (membership, exact orbits)",
-    "observables.PiecewiseLinear.square_integral":
-        "the tests' exact L2 reference for the piecewise-linear kernels",
-    "observables.PiecewiseLinear.eval_right":
-        "the tests' pointwise reference for the piecewise-linear kernels",
     "dynamics.Shift.average":
         "the acceptance test's exact shift average, through "
         "birkhoff_observable; the program averages only on the circle",
-    "regions.CylSet.prefixes":
-        "the tests read a region's maximal cylinders with it; the program "
-        "weighs and finds them without a list",
-    "regions.ArcSet.__init__":
-        "the tests build arc sets from Fraction and Quad ends with it; the "
-        "program builds the integer form directly",
-    "regions.ArcSet.arcs":
-        "the tests read an arc set's ends with it; the program weighs, "
-        "meets and searches the integer form without a view",
-    "regions.ArcSet.components":
-        "the tests read an arc set's glued arcs with it; the program "
-        "reads them as integers from `parts`, where they are glued",
     "arith.Quad.__hash__":
         "a Quad defines ==, so without it a Quad is unhashable; it must "
         "hash like the Fraction it equals",
-    "arith.Quad.__rsub__":
-        "tests/pl_reference.py subtracts Quads from rationals",
 }
 
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
@@ -77,6 +53,9 @@ TINY_HAT = ('{"variant": "piecewise_linear", "segments": '
             ' ["3/4", "7/8", "1/100", "0"], ["7/8", "1", "0", "0"]]}')
 IDENTITY = ('{"variant": "piecewise_linear", "breakpoints": ["0", "1"], '
             '"values": ["0", "1"]}')
+NARROW = ('{"variant": "piecewise_linear", "segments": '
+          '[["0", "31/64", "0", "0"], ["31/64", "1/2", "0", "1"],'
+          ' ["1/2", "33/64", "1", "0"], ["33/64", "1", "0", "0"]]}')
 
 
 def _gen(space, s, r, eps="1/4"):
@@ -184,6 +163,14 @@ LINES = [
     (0, ["validate", "--certificate", "{tmp}/n0_2.json", "--horizon", "10"]),
     (0, ["validate", "--certificate", "{tmp}/n0_2.json", "--horizon", "10",
          "--mode", "EXACT_CYLINDER"]),
+    # a horizon past n0 on the doubling map measures the narrow bump's
+    # window from each S_n's two one-sided tails (`arcs_above`,
+    # `arcs_below`)
+    (0, ["rate", "--kind", "as-bounded", "--eps", "1", "--delta", "1/4",
+         "--system", "doubling", "--observable", NARROW, "--output",
+         "{tmp}/narrow.json"]),
+    (0, ["validate", "--certificate", "{tmp}/narrow.json", "--horizon",
+         "12"]),
     # the rotation's n0 = 52: the circle window measured, then priced
     (0, ["validate", "--certificate",
          "{corpus}/cert_rotation_hat_c_as-bounded_1-4_1-2.json",
@@ -456,6 +443,40 @@ def test_no_test_only_surface(tmp_path):
     assert sorted(set(KEPT) - found) == [], \
         "kept names that now run, or are gone: drop them from KEPT"
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def unread_imports(src: Path) -> list:
+    """(module, name) of every name a module of `src` binds by a
+    module-level import and never reads; `from __future__` binds none."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [(a.asname or a.name).split(".")[0] for n in tree.body
+                 if isinstance(n, (ast.Import, ast.ImportFrom))
+                 and getattr(n, "module", None) != "__future__"
+                 for a in n.names]
+        read = _refs(tree)
+        out += [(path.stem, name) for name in bound if name not in read]
+    return out
+
+
+def test_no_unread_import():
+    # [DERIVED: every name a src/ module imports at module level is read
+    #  there; an import the code no longer uses is a dead line]
+    assert unread_imports(SRC) == []
+
+
+def test_unread_imports_are_found(tmp_path):
+    # [DERIVED: a module-level import read nowhere is flagged, whether
+    #  plain, aliased or from a package; one read as a bare name or as the
+    #  base of an attribute is not]
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nimport re as regex\n"
+        "from operator import add, itemgetter\n"
+        "def f(x):\n    return add(math.floor(x), 1)\n")
+    assert unread_imports(tmp_path) == [("a", "os"), ("a", "regex"),
+                                        ("a", "itemgetter")]
 
 
 def _package(tmp_path, modules: dict, bench: dict = {}) -> set:
