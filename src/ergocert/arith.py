@@ -70,8 +70,6 @@ def parse_list(v, what: str, size=None) -> list:
 
 
 def fmt_rat(q: Fraction) -> str:
-    if type(q) is not Fraction:
-        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
@@ -86,8 +84,6 @@ SQRT_BITS = 48
 
 def sqrt_upper(q: Fraction) -> Fraction:
     """Rational u with u >= sqrt(q) and u - sqrt(q) <= 2^-SQRT_BITS."""
-    if type(q) is not Fraction:
-        q = Fraction(q)
     if q < 0:
         raise InputError("negative radicand")
     if q == 0:
@@ -108,9 +104,6 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -127,22 +120,12 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other):
-        other = _as_interval(other)
+    def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
-    def intersect(self, other) -> "Interval | None":
-        other = _as_interval(other)
+    def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval.point(Fraction(x))
 
 
 # ---------------------------------------------------------------------------

@@ -478,8 +478,6 @@ class Shift(System):
         states with |A_n g| > delta; their weight is carried on, times b
         per symbol.  Priced before it runs: the law's states up to the
         window's end (`_priced`)."""
-        if not window:
-            return Fraction(0)
         g = g.lift(max(g.depth, 1))
         self._priced(g, window[-1])
         b, dn, dd = self.p.denominator, delta.numerator, delta.denominator

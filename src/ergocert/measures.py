@@ -48,8 +48,6 @@ class IdealMeasure:
         points, nums, dens = [], [], []
         for p, w in atoms:
             points.append(from_json(p) if isinstance(p, str) else point(p))
-            if not isinstance(w, (str, int, Fraction)):
-                w = Fraction(w)
             n, d = (parse_ratio(w) if isinstance(w, str)
                     else (w.numerator, w.denominator))
             nums.append(n)

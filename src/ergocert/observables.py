@@ -119,8 +119,6 @@ class PiecewiseLinear:
 
     @staticmethod
     def constant(c) -> "PiecewiseLinear":
-        if type(c) not in (int, Fraction):
-            c = Fraction(c)
         return PiecewiseLinear._of(_Form(1, c.denominator, [0], [0],
                                          [c.numerator], [0], [0], _RATIONAL))
 
@@ -251,9 +249,8 @@ class PiecewiseLinear:
             ds=_times(f.ds, k)))
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if self.form.kind == other.form.kind == _RATIONAL:
-            return PiecewiseLinear._of(_form_plus(self.form, other.form))
-        return pl_sum([self, other])
+        return PiecewiseLinear._of(_form_plus(_rational(self),
+                                              _rational(other)))
 
     def min_with(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return PiecewiseLinear._of(_lattice(self, other, False))

@@ -122,8 +122,11 @@ def circle_member(ball, box: Interval) -> bool:
 
 def cells(points, inside):
     """The arcs of [0, 1] between consecutive points (0 and 1 added) whose
-    midpoints pass `inside`, touching ones joined."""
-    pts = sorted(set(points) | {Fraction(0), Fraction(1)})
+    midpoints pass `inside`, touching ones joined.  A Quad with no sqrt2
+    part is read as its Fraction first, so of two equal ends the set keeps
+    the same type whatever their order."""
+    pts = sorted({x.a if isinstance(x, Quad) and x.b == 0 else x
+                  for x in points} | {Fraction(0), Fraction(1)})
     out = []
     for u, v in zip(pts, pts[1:]):
         if inside((u + v) / 2):

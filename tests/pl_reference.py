@@ -5,9 +5,10 @@ to vb at b, right-continuous at a, tiling [0, 1] in order.  The data may
 be Fractions or Quads, and every function works on them directly in
 their own arithmetic, cell by cell, so that the tests compare the
 program's integer kernels with code that shares none of their logic:
-`value` reads a function at a point and `inner` its L2 products, and
+`value` reads a function at a point and `inner` its L2 products,
 `shift` translates by a rational or a Q[sqrt2] offset, the oracle of the
-rotation's translates, which the program files inside `pl_sum`.  The
+rotation's translates, which the program files inside `pl_sum`, and
+`sweep` adds many terms at once, the oracle of their sum.  The
 program's Quad divides by rationals only and has no negation, abs or
 reflected subtraction (a rational minus a Quad); `div`, `mag` and `sub`
 supply them here."""
@@ -102,6 +103,31 @@ def plus(fs, gs):
 def total(terms):
     """The sum of a list of functions, added one at a time."""
     return reduce(plus, terms)
+
+
+def sweep(terms):
+    """The sum of a list of functions in one sorted sweep: each term's
+    jumps in value and in slope, filed at its breakpoints, are sorted
+    together by position and read left to right from the terms' values and
+    slopes at 0, in the ends' own arithmetic."""
+    def slope(a, b, va, vb):
+        return div(sub(vb, va), sub(b, a))
+
+    value = rise = 0
+    jumps = []  # (position, jump in value, jump in slope)
+    for segs in terms:
+        value, rise = value + segs[0][2], rise + slope(*segs[0])
+        jumps += [(t[0], sub(t[2], s[3]), sub(slope(*t), slope(*s)))
+                  for s, t in zip(segs, segs[1:])]
+    jumps.sort(key=lambda j: j[0])
+    out, x = [], Fraction(0)
+    for i, (at, dv, dd) in enumerate(jumps + [(Fraction(1), 0, 0)]):
+        if at != x:
+            end = value + rise * sub(at, x)
+            out.append((x, at, value, end))
+            value, x = end, at
+        value, rise = value + dv, rise + dd
+    return normal(out)
 
 
 def scale(segs, c):

@@ -37,14 +37,6 @@ class TestInterval:
             i1, i2 = Interval(a, b), Interval(c, d)
             assert (i1 + i2).lo <= x + y <= (i1 + i2).hi
 
-    def test_mixed_operands(self):
-        # [DERIVED: a rational or an integer operand acts as a point
-        #  interval on either side of + and in intersect]
-        i = Interval(F(1, 4), F(1, 2))
-        assert i + 1 == 1 + i == Interval(F(5, 4), F(3, 2))
-        assert i.intersect(F(1, 3)) == Interval.point(F(1, 3))
-        assert i.intersect(1) is None
-
     def test_intersect(self):
         # [TRIVIAL]
         assert Interval(0, 1).intersect(Interval(2, 3)) is None

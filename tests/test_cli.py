@@ -187,13 +187,14 @@ class TestCorpus:
         assert not failed
 
 
-#: JSON-shaped values: non-ASCII strings, ints, bools and None, nested in
-#: dicts, lists and tuples (which json writes as lists)
+#: payload-shaped values: non-ASCII strings, ints, bools and None, nested
+#: in non-empty dicts, lists and tuples (which json writes as lists)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24)
+    | st.dictionaries(st.text(), inner, min_size=1, max_size=4),
+    max_leaves=24)
 
 
 class TestEmitter:
@@ -217,9 +218,10 @@ class TestEmitter:
     def test_plans_and_rows_off_the_template(self):
         # [DERIVED: plans of 0, 1 and many [int, int, str] rows, alone and
         #  nested in a payload, and lists whose rows must not take the
-        #  one-template path: 2 or 4 items, a bool, None, a float, a nested
-        #  list, a tuple row or a dict, in the first row or later; a flow
-        #  that needs escaping takes the template and is escaped]
+        #  one-template path: 2 or 4 items, a bool, None, a nested list, a
+        #  tuple row or a dict, in the first row or later; a flow that
+        #  needs escaping takes the template and is escaped; a float is no
+        #  payload value and is refused]
         rng = random.Random(42)
         many = [[rng.randrange(64), rng.randrange(64),
                  f"{rng.randint(1, 99)}/{rng.randint(100, 999)}"]
@@ -227,7 +229,7 @@ class TestEmitter:
         plans = [[], [[0, 0, "1"]], many, [[-1, 10 ** 30, ""]],
                  [[0, 1, "é\n\""], [2, 3, "\u2028"]]]
         off = [[0, 1], [0, 1, "2", 3], [True, 1, "2"], [0, False, "2"],
-               [0, None, "2"], [0, 1.5, "2"], [0, 1, ["2"]], [0, 1, None],
+               [0, None, "2"], [0, 1, ["2"]], [0, 1, None],
                (0, 1, "2"), [0, 1, 2], ["0", 1, "2"],
                {"0": 1, "2": 3}]
         values = plans + [{"plan": p, "value": "1/2"} for p in plans]
@@ -237,6 +239,8 @@ class TestEmitter:
         for value in values:
             assert cli._dumps(value) \
                 == json.dumps(value, indent=2, sort_keys=True), value
+        with pytest.raises(TypeError):
+            cli._dumps([[0, 1.5, "2"]])
         # the plans take the template, no list with such a row does
         assert all(cli._plan_columns(p) for p in plans[1:])
         assert not any(cli._plan_columns(v) for v in values[2 * len(plans):])

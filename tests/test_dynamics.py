@@ -1103,8 +1103,9 @@ class TestTranslateSum:
     # the default angle, the form of pl_sum over the translates of g
     # built one by one (each one translate of pl_sum, which
     # TestRootTwoRunningSum holds to pl_reference.shift), column for
-    # column (n = g.n, e = g.e there); and on the others the segments of
-    # the reference translates (pl_reference.shift) added by the
+    # column (n = g.n, e = g.e there), and the segments of the reference
+    # translates (pl_reference.shift) added in one sorted sweep; and on
+    # the others the segments of the reference translates added by the
     # reference merge walk, value by value and type by type]
     # inside (0, 1) and outside it, either sign of each part, and a
     # rational angle whose orbit meets the hats' breakpoints and 0
@@ -1141,6 +1142,20 @@ class TestTranslateSum:
                 assert got == want, (f, n)
                 assert (got.n, got.e) == (g.form.n, g.form.e)
             _assert_normal_form(system.birkhoff_sum(g, count).segments, f)
+
+    def test_default_angle_against_the_reference_sweep(self):
+        # the pool hats at every n <= 12 and at n = 50, 120, 200, against
+        # the reference translates (pl_reference.shift) added in one sorted
+        # sweep (pl_reference.sweep), value by value: an oracle that
+        # shares no code with pl_sum
+        for f in TestRootTwoRunningSum.HATS:
+            system = rotation_system()
+            g = centered(system, f)
+            terms = [g.segments] + [ref.shift(g.segments, c) for c in
+                                    self._offsets(system, 200)[1:]]
+            for n in [*range(1, 13), 50, 120, 200]:
+                want = ref.sweep(terms[:n])
+                assert system.birkhoff_sum(g, n).segments == want, (f, n)
 
     def test_extending_a_kept_sum(self):
         # S_m kept, then S_n, equals S_n from scratch

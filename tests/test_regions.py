@@ -1,5 +1,6 @@
 """Exact region algebra oracles: arc unions and cylinder unions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -201,6 +202,26 @@ class TestArcSet:
                 held += want
                 missed += not want
         assert held > 500 and missed > 200, (held, missed)
+
+    def test_reference_ends_do_not_depend_on_input_order(self):
+        # [DERIVED: the reference union and meet give equal ends of equal
+        #  types for every order of their arcs: an end given as a Fraction
+        #  and as a Quad with no sqrt2 part is a Fraction, a Q[sqrt2] end
+        #  stays a Quad]
+        half = Quad(F(1, 2), F(0))
+        arcs = [(F(1, 8), F(1, 2)), (F(3, 8), half), (half, F(9, 16)),
+                (F(5, 8), Quad(F(1, 2), F(1, 4))), (Quad(F(7, 8)), F(15, 16))]
+        want = [(F(1, 8), F(9, 16)), (F(5, 8), Quad(F(1, 2), F(1, 4))),
+                (F(7, 8), F(15, 16))]
+        for order in itertools.permutations(arcs):
+            got = bref.arc_union(list(order))
+            assert got == want
+            assert [tuple(map(type, e)) for e in got] \
+                == [(F, F), (F, Quad), (F, F)], order
+            met = bref.arc_meet(got, [(half, F(1))])
+            assert met == [(F(1, 2), F(9, 16))] + want[1:]
+            assert [tuple(map(type, e)) for e in met] \
+                == [(F, F), (F, Quad), (F, F)], order
 
 
 def cyl_indicator(s: CylSet, depth=8):

@@ -1,14 +1,32 @@
-"""Every function defined in src/ is one the program runs.
+"""Every function defined in src/, and every branch in it, is one the
+program runs.
 
 A function, method or dunder (nested ones included) that no command line
-reaches is code the program carries without using.  The gate runs the
-fixed argv lines of LINES through `cli.main`, in order, in one new
-interpreter under `sys.setprofile`, and records every src/ function that
-starts; each line must end with its expected exit code.  A function that
-never ran fails the gate unless perfbench/ reads its name (it is timed,
-traced or called there) or KEPT keeps it, with the reason why.  Matching
-by the running code, not by name, means a dead method cannot hide behind
-a live one of the same spelling."""
+reaches is code the program carries without using; so is a statement that
+no command line runs inside a function that does run: a second input
+form, a fallback, a coercion no caller needs.  The gate runs the fixed
+argv lines of LINES through `cli.main`, in order, in one new interpreter
+under `sys.settrace`, and records every src/ function that starts and the
+lines that run in it; each line must end with its expected exit code.
+
+Functions: one that never ran fails the gate unless perfbench/ reads its
+name (it is timed, traced or called there) or KEPT keeps it, with the
+reason why.  Matching by the running code, not by name, means a dead
+method cannot hide behind a live one of the same spelling.
+
+Statements: in each function that started, a statement that never ran
+fails the gate unless it is a refusal or KEPT_BRANCHES names its function,
+with the reason why.  A statement is known by its first line and counts
+once, however many lines it spans; it ran when a line event fell on one
+of its own lines or a statement nested in it ran.  A refusal is a `raise`
+or `return NotImplemented`, a statement inside an `except` handler, or a
+statement of a block that ends in a `raise`, in `return NotImplemented`,
+or in a check-failure report: `return False, ...`, or
+`failures.append(...)` then `continue`.  A function's own body is no such
+block: one that ends in a raise still does its work before it.  Refusals
+answer inputs from outside the program, which the tests feed.
+A KEPT or KEPT_BRANCHES entry whose name no longer needs it, or is gone,
+fails too.  A function that never starts is the function gate's alone."""
 
 import ast
 import json
@@ -17,6 +35,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ergocert"
@@ -38,6 +58,53 @@ KEPT = {
         "hash like the Fraction it equals",
 }
 
+#: functions with a statement that no argv line runs and that is no
+#: refusal (see the module docstring), each kept on purpose
+KEPT_BRANCHES = {
+    "arith.Quad.__eq__":
+        "Quad == Quad: the tests compare sums' Q[sqrt2] segments with "
+        "pl_reference's; the program compares a Quad with rationals only",
+    "arith.Quad.__mul__":
+        "Quad times Quad, which pl_reference's arithmetic reads (20 tests "
+        "fail without it); the program multiplies a Quad by rationals only",
+    "arith.Quad.floor":
+        "soundness guard: the loops correct a floor read from a 2^-4 "
+        "approximation that lands across an integer, which no Quad the "
+        "program builds does",
+    "cli._cmd_validate":
+        "soundness guard: the exit of a validation whose measured mass "
+        "exceeds the certified epsilon, which a sound certificate never "
+        "reaches",
+    "bc.replay_synth":
+        "the failure reports of a forged SynthPoint field; "
+        "tests/test_bc.py forges each, the lines forge err, lambda and "
+        "witness_pos",
+    "regions.ArcSet.contains_ball":
+        "a ball across 0 lies in an arc set only when the set is the whole "
+        "circle; the witnesses synthesis records never cross 0, a forged "
+        "one may",
+    "dynamics.CircleMap.window_mass":
+        "the rounding of a rotation window's Q[sqrt2] mass: every "
+        "rotation certificate's n0 leaves its tails empty (ROADMAP AI)",
+    "regions.ArcSet.measure":
+        "the Q[sqrt2] length of the rotation's unrounded tails, read only "
+        "by `CircleMap.window_mass` (above)",
+    "regions._joined":
+        "the union of the rotation's unrounded tails, built only for "
+        "`CircleMap.window_mass` (above)",
+    "measures.TransportPlan.__init__":
+        "the plan from rational (i, j, amount) triples, which "
+        "perfbench/checks.py builds",
+    "observables._form_sum":
+        "forms that share a breakpoint, and translates whose jumps meet: "
+        "pl_sum of several forms or of rational offsets, which the tests "
+        "hold to pl_reference; the program sums one form and the "
+        "translates by multiples of an irrational angle",
+    "observables._segments":
+        "the Q[sqrt2] segments of a sum, the view by which the tests hold "
+        "the rotation's S_n to pl_reference",
+}
+
 FIRSTBIT = '{"variant": "cylinder", "depth": 1, "table": ["0", "1"]}'
 HAT_DBL = ('{"variant": "piecewise_linear", "segments": '
            '[["0", "1/4", "0", "0"], ["1/4", "3/8", "0", "1"],'
@@ -53,6 +120,13 @@ TINY_HAT = ('{"variant": "piecewise_linear", "segments": '
             ' ["3/4", "7/8", "1/100", "0"], ["7/8", "1", "0", "0"]]}')
 IDENTITY = ('{"variant": "piecewise_linear", "breakpoints": ["0", "1"], '
             '"values": ["0", "1"]}')
+#: x1 - x2, a coboundary: its correlations sum to zero variance
+COBOUNDARY = ('{"variant": "cylinder", "depth": 2, '
+              '"table": ["0", "-1", "1", "0"]}')
+#: circular interpolation from 1/4: two collinear segments, and collinear
+#: across 1/4, where the unrolled function starts
+BENT = ('{"variant": "piecewise_linear", "breakpoints": '
+        '["1/4", "1/2", "3/4", "7/8"], "values": ["0", "1", "2", "-3/2"]}')
 NARROW = ('{"variant": "piecewise_linear", "segments": '
           '[["0", "31/64", "0", "0"], ["31/64", "1/2", "0", "1"],'
           ' ["1/2", "33/64", "1", "0"], ["33/64", "1", "0", "0"]]}')
@@ -67,6 +141,9 @@ def _fterm(expr) -> str:
 
 
 FTERM_CANTOR = _fterm(_gen("cantor", "01", "1/16384"))
+#: 0 times a bump, plus 1: a constant, so A_p fbar = 0
+FTERM_ZERO = _fterm({"op": "lin", "terms": [
+    ["0", _gen("circle", "1/3", "1/8")], ["1", {"op": "one"}]]})
 FTERM_CIRCLE = _fterm({"op": "lin", "terms": [
     ["1/2", {"op": "max", "args": [_gen("circle", "1/3", "1/8"),
                                    _gen("circle", "2/3", "1/8")]}],
@@ -128,6 +205,12 @@ LINES = [
     (1, ["rate", "--system", "shift:p=1/2", "--observable",
          '{"variant":"cylinder","depth":100000000000,"table":["0"]}',
          "--eps", "1/4"]),
+    # weights in spellings other than the plain reduced one are read;
+    # early, so that the line gate stops tracing the rational parser
+    # before the tables of 2^12 and 2^17 rationals below
+    (0, ["w1", "--space", "circle",
+         "--mu1", '[["0", " 1/2 "], ["1/3", "0.5"]]',
+         "--mu2", '[["1/4", "2/4"], ["3/4", "+1/2"]]']),
     (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
          "shift:p=1/2", "--observable", "{tmp}/cyl12.json"]),
     (0, ["rate", "--kind", "as-l1", "--eps", "1/4", "--delta", "1/4",
@@ -254,17 +337,54 @@ LINES = [
     (1, ["rate", "--system", "doubling", "--observable",
          "{tmp}/deep_fterm.json", "--eps", "1/4", "--kind", "norm-l2"]),
     # W1 weights: a zero denominator, a negative weight, weights summing
-    # to 3/2 and one circle point spelled two ways are refused; weights in
-    # spellings other than the plain reduced one are read
+    # to 3/2 and one circle point spelled two ways are refused (weights in
+    # other spellings are read above)
     *[(1, ["w1", "--space", space, "--mu1", mu1, "--mu2", '[["0", "1"]]'])
       for space, mu1 in (
           ("circle", '[["0", "1/0"]]'),
           ("circle", '[["0", "-1/2"], ["1/2", "3/2"]]'),
           ("cantor", '[["0", "1"], ["1", "1/2"]]'),
           ("circle", '[["1/2", "1/2"], ["2/4", "1/2"]]'))],
-    (0, ["w1", "--space", "circle",
-         "--mu1", '[["0", " 1/2 "], ["1/3", "0.5"]]',
-         "--mu2", '[["1/4", "2/4"], ["3/4", "+1/2"]]']),
+    # input cases that take a branch no line above takes: both orbits of
+    # 1/2 reach 0, the float one at the last step; a zero coefficient and
+    # a coboundary, whose averages have norm 0; a breakpoint form merged
+    # and rotated back to its first breakpoint; a shift window of a
+    # constant and of depth 2, replayed; no window, so the point comes
+    # from the target ball itself; a point whose first enclosure of an
+    # average straddles the identity's jump at 0, so replay refines it;
+    # ideal points past index 0, with a
+    # candidate that a later window leaves no mass; windows past a typical
+    # sequence's list; an L2 certificate naming the L1 route; Cantor radii
+    # of no cylinder
+    (0, ["demo-float", "--x0", "1/2", "--steps", "1"]),
+    (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system", "doubling",
+         "--observable", FTERM_ZERO]),
+    (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
+         "shift:p=1/2", "--observable", COBOUNDARY]),
+    (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system", "doubling",
+         "--observable", BENT]),
+    *[line for table, name in ((COBOUNDARY, "cob"), (
+        '{"variant": "cylinder", "depth": 0, "table": ["1"]}', "const"))
+      for line in (
+          (0, ["synthesize", "--system", "shift:p=1/2", "--observable", table,
+               "--target", CANTOR_TARGET, "--output", f"{{tmp}}/{name}.json"]),
+          (0, ["replay", "--artifact", f"{{tmp}}/{name}.json"]))],
+    (0, ["synthesize", "--system", "doubling", "--observable", HAT_DBL,
+         "--target", CIRCLE_TARGET, "--windows", "0"]),
+    (0, ["synthesize", "--system", "doubling", "--observable", IDENTITY,
+         "--target", CIRCLE_TARGET, "--output", "{tmp}/jump.json"]),
+    (0, ["replay", "--artifact", "{tmp}/jump.json"]),
+    (0, ["typical", "--system", "doubling", "--members", "6", "--windows",
+         "30"]),
+    (0, ["typical", "--system", "doubling", "--members", "2", "--windows",
+         "30"]),
+    (0, ["typical", "--system", "shift:p=1/2", "--members", "14",
+         "--windows", "1"]),
+    (1, ["replay", "--artifact", "{tmp}/route_l2.json"]),
+    *[(1, ["synthesize", "--system", "shift:p=1/2", "--observable", FIRSTBIT,
+           "--target", json.dumps({"space": "cantor", "center": "1",
+                                   "radius": r})])
+      for r in ("1/2", "3/10")],
 ]
 
 
@@ -285,6 +405,8 @@ def _inputs(tmp: Path) -> None:
     dump("route_missing.json", {
         **load("cert_rotation_hat_a_as-bounded_1-4_1-2.json"),
         "norm_method": "l2-upper"})
+    dump("route_l2.json", {**load("cert_shift1-2_coord1_norm-l2_1-8.json"),
+                           "norm_method": "l1-exact"})
     dump("route_l1.json", {**load("cert_shift1-2_w01_as-bounded_1-4_1-2.json"),
                            "norm_method": "l1-exact"})
     dump("negative.json", {
@@ -321,47 +443,78 @@ def _inputs(tmp: Path) -> None:
             dump(f"{point}_{field}.json", d)
 
 
-#: runs argv lines (JSON on stdin) through `main` of the module argv[2],
-#: imported from the directory argv[1], under a profile hook
+#: runs the argv lines of a JSON [lines, need] on stdin through `main` of
+#: the module argv[2], imported from the directory argv[1], under a trace
+#: hook on the frames of code under argv[1].  need holds, per statement
+#: the line gate waits for, its file and own lines; a code object stops
+#: raising line events once each such statement in it has run.
 _RUNNER = r"""
 import contextlib, importlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-lines = json.load(sys.stdin)
-seen = set()
+root = sys.argv[1]
+sys.path.insert(0, root)
+lines, need = json.load(sys.stdin)
+where = {(f, n): i for i, (f, own) in enumerate(need) for n in own}
+started, ran, todo = [], set(), {}  # todo is keyed by id: a code's hash
+                                    # is computed anew on every call
 
-def hook(frame, event, arg):
-    if event == "call":
-        seen.add(frame.f_code)
+def line(frame, event, arg):
+    if event == "line":
+        key = (frame.f_code.co_filename, frame.f_lineno)
+        ran.add(key)
+        left = todo[id(frame.f_code)]
+        left.discard(where.get(key))
+        if not left:
+            frame.f_trace_lines = False
+    return line
 
-sys.setprofile(hook)
+def call(frame, event, arg):
+    code = frame.f_code
+    left = todo.get(id(code))
+    if left is None:
+        if not code.co_filename.startswith(root):
+            return None
+        started.append(code)  # held, so no other code takes its id
+        left = todo[id(code)] = {where[code.co_filename, n]
+                                 for _, _, n in code.co_lines()
+                                 if (code.co_filename, n) in where}
+    if left:
+        return line
+
+sys.settrace(call)
 main = importlib.import_module(sys.argv[2]).main
 codes = []
 for argv in lines:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-sys.setprofile(None)
+sys.settrace(None)
 print(json.dumps({"codes": codes, "called": sorted(
-    {(c.co_filename, c.co_firstlineno) for c in seen})}))
+    {(c.co_filename, c.co_firstlineno) for c in started}),
+    "ran": sorted(ran)}))
 """
 
 
-def run_lines(argvs: list, path: Path, entry: str) -> dict:
-    """{"codes", "called"} of `argvs` run in order through `entry`.main
-    in a new interpreter: called holds (file, first line) of every
-    function that started."""
+def run_lines(argvs: list, src: Path, entry: str) -> dict:
+    """{"codes", "called", "ran"} of `argvs` run in order through
+    `entry`.main, `entry` a module of the package `src`, in a new
+    interpreter: called holds (file, first line) of every function of
+    `src` that started, ran (file, line) of the line events in them up to
+    the point where they could change no answer of `unreached`."""
+    need = [(path, sorted(own)) for _, path, _, tree in _functions(src)
+            for own in _waited(tree)]
     done = subprocess.run(
-        [sys.executable, "-c", _RUNNER, str(path), entry],
-        input=json.dumps(argvs), capture_output=True, text=True)
+        [sys.executable, "-c", _RUNNER, str(src.parent), entry],
+        input=json.dumps([argvs, need]), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def defined(src: Path) -> list:
-    """(qualified name, {(file, line)}) of every function in `src`,
-    methods and nested functions included.  A code object's first line is
-    its first decorator's, so a decorated function is known by that line
-    and by its `def` line."""
+def _functions(src: Path) -> list:
+    """(qualified name, file, {(file, line)}, statements) of every function
+    in `src`, methods and nested functions included, each file named as the
+    code imported from `src` names it.  A code object's first line is its
+    first decorator's, so a decorated function is known by that line and
+    by its `def` line; statements is `_statements` of its body."""
     out = []
 
     def walk(node, path, prefix):
@@ -370,13 +523,126 @@ def defined(src: Path) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 lines = {child.lineno} | {d.lineno
                                           for d in child.decorator_list}
-                out.append((f"{prefix}.{name}",
-                            {(path, line) for line in lines}))
+                out.append((f"{prefix}.{name}", path,
+                            {(path, line) for line in lines},
+                            _statements(child.body)))
             walk(child, path, f"{prefix}.{name}" if name else prefix)
 
     for path in sorted(src.glob("*.py")):
-        walk(ast.parse(path.read_text()), str(path.resolve()), path.stem)
+        walk(ast.parse(path.read_text()), str(path), path.stem)
     return out
+
+
+def _refuses(block) -> bool:
+    """Whether `block` ends in a refusal: a raise, `return NotImplemented`,
+    or a check-failure report, `return False, ...` or
+    `failures.append(...)` then `continue`."""
+    last = block[-1]
+    value = getattr(last, "value", None)
+    if isinstance(last, ast.Raise):
+        return True
+    if isinstance(last, ast.Return):
+        return (isinstance(value, ast.Name) and value.id == "NotImplemented"
+                or isinstance(value, ast.Tuple) and bool(value.elts)
+                and isinstance(value.elts[0], ast.Constant)
+                and value.elts[0].value is False)
+    if isinstance(last, ast.Continue) and len(block) > 1:
+        call = getattr(block[-2], "value", None)
+        target = getattr(call, "func", None)
+        return (isinstance(call, ast.Call)
+                and isinstance(target, ast.Attribute)
+                and target.attr == "append"
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "failures")
+    return False
+
+
+def _blocks(stmt) -> list:
+    """(block, whether it is an except handler's) of each statement list
+    nested in `stmt`, a nested function's or class's body included."""
+    return ([(getattr(stmt, f), False) for f in ("body", "orelse",
+                                                 "finalbody")
+             if getattr(stmt, f, None)]
+            + [(h.body, True) for h in getattr(stmt, "handlers", ())]
+            + [(c.body, False) for c in getattr(stmt, "cases", ())])
+
+
+def _own_lines(stmt) -> set:
+    """The lines of `stmt` outside the statements nested in it: all of a
+    simple statement, however many lines it spans, and the header of a
+    compound one, decorators included."""
+    first = min([stmt.lineno] + [d.lineno for d in
+                                 getattr(stmt, "decorator_list", ())])
+    lines = set(range(first, stmt.end_lineno + 1))
+    for block, _ in _blocks(stmt):
+        for inner in block:
+            lines -= set(range(inner.lineno, inner.end_lineno + 1))
+    return lines
+
+
+def _statements(block, exempt=False) -> list:
+    """(statement, own lines, exempt, nested) of each statement of `block`,
+    a function's body, that runs code (a docstring or `global` runs none),
+    nested the same list of the statements inside it; a nested function's
+    or class's body is its own.  A statement is exempt when it is a
+    refusal: a raise or `return NotImplemented`, in an except handler, or
+    in a block nested in a statement that ends in a refusal (`_refuses`).
+    A function's body that ends in a raise is no refusal: the statements
+    before it are the function's work, the raise its last resort."""
+    return [(s, _own_lines(s), exempt or _refuses([s]),
+             [] if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             else [n for inner, handler in _blocks(s)
+                   for n in _statements(inner, exempt or handler
+                                        or _refuses(inner))])
+            for s in block
+            if not isinstance(s, (ast.Global, ast.Nonlocal))
+            and not (isinstance(s, ast.Expr)
+                     and isinstance(s.value, ast.Constant))]
+
+
+def _waited(statements):
+    """The own lines of each statement that is no refusal and holds none
+    that is no refusal: once all of them have run, every statement that
+    is no refusal has run."""
+    for stmt, own, exempt, nested in statements:
+        inner = list(_waited(nested))
+        if inner:
+            yield from inner
+        elif not exempt:
+            yield own
+
+
+def _missed(statements, ran: set, out: list) -> bool:
+    """Whether any of `statements` ran; appends to `out` the first line of
+    each that never ran and is not exempt.  A statement ran when a line
+    event fell on its own lines or a statement nested in it ran (a `try:`
+    line has no event of its own)."""
+    any_ran = False
+    for stmt, own, exempt, nested in statements:
+        here = _missed(nested, ran, out) | bool(own & ran)
+        if not (here or exempt):
+            out.append(stmt.lineno)
+        any_ran |= here
+    return any_ran
+
+
+def unreached(out: dict, src: Path) -> dict:
+    """{qualified name: first lines} of the statements that never ran under
+    `run_lines`' answer `out` and are no refusal, in each function of
+    `src` that started."""
+    started = set(map(tuple, out["called"]))
+    ran = {}
+    for f, line in out["ran"]:
+        ran.setdefault(f, set()).add(line)
+    found = {}
+    for q, path, keys, statements in _functions(src):
+        missed = []
+        if keys & started:
+            _missed(statements, ran.get(path, set()), missed)
+        if missed:
+            found[q] = sorted(missed)
+    return found
 
 
 def _refs(node, attributes_only=False) -> set:
@@ -415,9 +681,9 @@ def _bench_refs(perfbench: Path) -> set:
 def never_ran(called, src: Path, perfbench: Path) -> set:
     """Qualified names of the functions of `src` absent from `called`
     whose name perfbench does not read."""
-    ran = {(str(Path(f).resolve()), line) for f, line in called}
+    ran = set(map(tuple, called))
     bench = _bench_refs(perfbench)
-    return {q for q, keys in defined(src)
+    return {q for q, _, keys, _ in _functions(src)
             if not keys & ran and q.rsplit(".", 1)[1] not in bench}
 
 
@@ -426,23 +692,54 @@ def _substituted(argv: list, tmp: Path) -> list:
             for a in argv]
 
 
-def test_no_test_only_surface(tmp_path):
+def untaken(found: dict, kept: dict) -> tuple:
+    """(unkept, stale) for `unreached`'s answer `found` and a KEPT_BRANCHES
+    `kept`: unkept holds found's functions that kept does not name with a
+    non-empty reason, and their lines; stale the names kept holds that
+    found lacks."""
+    return ({q: lines for q, lines in found.items()
+             if not kept.get(q, "").strip()},
+            sorted(set(kept) - set(found)))
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """`run_lines`' answer on LINES: one run for both gates."""
+    tmp = tmp_path_factory.mktemp("lines")
+    _inputs(tmp)
+    return run_lines([_substituted(a, tmp) for _, a in LINES], SRC,
+                     "ergocert.cli")
+
+
+def test_no_test_only_surface(traced):
     # [DERIVED: every function of src/ runs under the argv lines, or
     #  perfbench reads it, or it is kept on purpose in KEPT, with a
     #  reason; every kept name is defined and still never runs]
-    _inputs(tmp_path)
-    out = run_lines([_substituted(a, tmp_path) for _, a in LINES],
-                    SRC.parent, "ergocert.cli")
     wrong = [(argv, code, got) for (code, argv), got
-             in zip(LINES, out["codes"]) if got != code]
+             in zip(LINES, traced["codes"]) if got != code]
     assert wrong == [], "argv lines that end with another exit code"
-    found = never_ran(out["called"], SRC, PERFBENCH)
+    found = never_ran(traced["called"], SRC, PERFBENCH)
     assert sorted(found - set(KEPT)) == [], \
         "functions no argv line runs: delete them, add the line that " \
         "reaches them, or keep them in KEPT with a reason"
     assert sorted(set(KEPT) - found) == [], \
         "kept names that now run, or are gone: drop them from KEPT"
     assert all(reason.strip() for reason in KEPT.values())
+
+
+def test_no_untaken_branch(traced):
+    # [DERIVED: in every src/ function that starts under the argv lines,
+    #  every statement runs, or is a refusal, or its function is kept on
+    #  purpose in KEPT_BRANCHES, with a reason; every kept function still
+    #  has a statement that needs it]
+    unkept, stale = untaken(unreached(traced, SRC), KEPT_BRANCHES)
+    assert unkept == {}, \
+        "statements no argv line runs (function: first lines): delete " \
+        "them, add the line that reaches them, or keep their function in " \
+        "KEPT_BRANCHES with a reason"
+    assert stale == [], \
+        "kept functions whose statements all run now, or are gone: drop " \
+        "them from KEPT_BRANCHES"
 
 
 def unread_imports(src: Path) -> list:
@@ -461,9 +758,11 @@ def unread_imports(src: Path) -> list:
 
 
 def test_no_unread_import():
-    # [DERIVED: every name a src/ module imports at module level is read
-    #  there; an import the code no longer uses is a dead line]
+    # [DERIVED: every name a module of src/ or tests/ imports at module
+    #  level is read there; an import the code no longer uses is a dead
+    #  line]
     assert unread_imports(SRC) == []
+    assert unread_imports(ROOT / "tests") == []
 
 
 def test_unread_imports_are_found(tmp_path):
@@ -479,15 +778,21 @@ def test_unread_imports_are_found(tmp_path):
                                         ("a", "itemgetter")]
 
 
-def _package(tmp_path, modules: dict, bench: dict = {}) -> set:
-    """The gate's answer on a package `pkg` of `modules` and a bench of
-    `bench`, each {stem: source}, after `pkg.cli.main([])`."""
+def _traced_package(tmp_path, modules: dict, bench: dict = {}) -> tuple:
+    """(`run_lines`' answer, package dir, bench dir) for a package `pkg` of
+    `modules` and a bench of `bench`, each {stem: source}, after
+    `pkg.cli.main([])`."""
     src, perf = tmp_path / "pkg", tmp_path / "bench"
     for d, files in ((src, modules), (perf, bench)):
         d.mkdir()
         for stem, text in files.items():
             (d / f"{stem}.py").write_text(text)
-    out = run_lines([[]], tmp_path, "pkg.cli")
+    return run_lines([[]], src, "pkg.cli"), src, perf
+
+
+def _package(tmp_path, modules: dict, bench: dict = {}) -> set:
+    """The function gate's answer on `_traced_package`."""
+    out, src, perf = _traced_package(tmp_path, modules, bench)
     return never_ran(out["called"], src, perf)
 
 
@@ -562,3 +867,103 @@ def test_gate_ignores_a_bench_local_of_the_same_name(tmp_path):
                "index = [0]\nindex[0] += imported()\n",
     })
     assert found == {"a.Ball.index"}
+
+
+#: a module whose every unreached statement is named by its trailing
+#: comment: "# untaken" or, for a refusal, "# refusal"
+BRANCHY = '''def f(x):
+    """A docstring runs no code."""
+    if x > 5:
+        x += 1  # untaken
+    if x < 0:
+        print(x)  # refusal
+        raise ValueError("negative")  # refusal
+    try:
+        y = 1 / x
+    except ZeroDivisionError:
+        y = 0  # refusal
+    if x == 7:
+        return NotImplemented  # refusal
+    return y
+
+
+def check(items):
+    failures = []
+    for i in items:
+        if i < 0:
+            failures.append(i)  # refusal
+            continue  # refusal
+    if not items:
+        return False, "empty"  # refusal
+    return True, failures
+
+
+def outer():
+    def inner(flag):
+        if flag:
+            return 1  # untaken
+        return 0
+    return inner(False)
+
+
+def long(x):
+    if x > 5:
+        x = (x +  # untaken
+             1 +
+             2)
+    return (x +
+            1)
+
+
+def first(xs):
+    for x in xs:
+        if x > 0:
+            return x
+        print(x)  # untaken
+    raise LookupError(xs)  # refusal
+
+
+def never():
+    return 0
+'''
+
+
+def _marked(text: str, mark: str) -> list:
+    return [i for i, line in enumerate(text.splitlines(), 1)
+            if line.endswith(f"# {mark}")]
+
+
+def test_line_gate_flags_a_branch_no_line_takes(tmp_path):
+    # [DERIVED: in a function that starts, an if body that never runs is
+    #  flagged, under the nested function's name when it is nested; a
+    #  multi-line statement counts once, by its first line, whether it
+    #  runs or not; a raise, an except body and a block ending in a
+    #  raise, `return NotImplemented`, `return False, ...` or
+    #  `failures.append(...)` then `continue` are refusals, but a
+    #  function's body ending in a raise is not; a function that never
+    #  starts is left to the function gate]
+    out, src, _ = _traced_package(tmp_path, {
+        "cli": "from pkg.a import f, check, outer, long, first\n"
+               "def main(argv):\n"
+               "    f(2), f(1), check([1]), outer(), long(2), first([1])\n"
+               "    return 0\n",
+        "a": BRANCHY,
+    })
+    untaken_lines = _marked(BRANCHY, "untaken")
+    assert unreached(out, src) == {"a.f": untaken_lines[:1],
+                                   "a.outer.inner": untaken_lines[1:2],
+                                   "a.long": untaken_lines[2:3],
+                                   "a.first": untaken_lines[3:]}
+    assert len(_marked(BRANCHY, "refusal")) == 8
+
+
+def test_line_gate_refuses_a_stale_kept_branch():
+    # [DERIVED: KEPT_BRANCHES keeps a function's unreached statements only
+    #  with a non-empty reason; an entry whose function has none, or that
+    #  names no function, is stale]
+    found = {"a.f": [4], "a.g": [9]}
+    assert untaken(found, {"a.f": "a reason", "a.g": "another"}) == ({}, [])
+    assert untaken(found, {"a.f": "a reason", "a.g": " "}) == \
+        ({"a.g": [9]}, [])
+    assert untaken(found, {"a.f": "a reason", "a.g": "x", "a.h": "x",
+                           "a.gone": "x"}) == ({}, ["a.gone", "a.h"])
