@@ -34,22 +34,20 @@ class IdealMeasure:
 
     Held as one integer form: `points`, and `masses`, the weights as
     integers over `lw`, the lcm of their reduced denominators.  The
-    checking constructor takes atoms, (point, weight) pairs.  A string is
-    read as JSON: a point by the space's `point_from_json`, a weight by
-    `parse_ratio`; any other point goes to `space.point` and any other
-    weight (an int, a Fraction) is read by its ratio.  Each is converted
-    once.  The points must be pairwise distinct and the weights positive
-    with sum 1, checked on integers (the points by `space.point_key`).
+    checking constructor takes atoms, (point, weight) pairs of strings
+    (`from_json` checks that they are): a point is read by the space's
+    `point_from_json`, a weight by `parse_ratio`, each once.  The points
+    must be pairwise distinct and the weights positive with sum 1,
+    checked on integers (the points by `space.point_key`).
     `atoms`, the ((point, Fraction weight), ...) view, is built on first
     read."""
 
     def __init__(self, space: Space, atoms):
-        from_json, point = space.point_from_json, space.point
+        from_json = space.point_from_json
         points, nums, dens = [], [], []
         for p, w in atoms:
-            points.append(from_json(p) if isinstance(p, str) else point(p))
-            n, d = (parse_ratio(w) if isinstance(w, str)
-                    else (w.numerator, w.denominator))
+            points.append(from_json(p))
+            n, d = parse_ratio(w)
             nums.append(n)
             dens.append(d)
         if len(set(map(space.point_key, points))) != len(points):

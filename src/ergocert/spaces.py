@@ -131,7 +131,6 @@ class CircleSpace(Space):
     name = "circle"
     bump_cap = Fraction(1, 3)  # keep bumps well inside the circle scale
     ideal_point = staticmethod(circle_point)
-    point = staticmethod(Fraction)
     point_to_json = staticmethod(fmt_rat)
     point_from_json = staticmethod(parse_rat)
     # hashing a Fraction takes a modular inverse; a pair of ints does not
@@ -244,12 +243,10 @@ class CantorSpace(Space):
     point_key = staticmethod(str)
 
     @staticmethod
-    def point(w) -> str:
+    def point_from_json(w) -> str:
         if not isinstance(w, str) or w.strip("01"):
             raise ValueError(f"not a binary word: {w!r}")
         return w
-
-    point_from_json = point
 
     def ball_center(self, ball: "IdealBall") -> str:
         if ball.cylinder_depth is None:

@@ -473,7 +473,7 @@ class TestCheckingConstructor:
     def test_constant_form(self):
         # [DERIVED: constant(c) builds the form the checking constructor
         #  builds from one flat segment]
-        for c in (0, 3, -2, F(3, 7), F(-5, 12)):
+        for c in (0, 3, -2, F(3, 7), F(-5, 12), True):
             got = PiecewiseLinear.constant(c).form
             assert got == PiecewiseLinear([(0, 1, F(c), F(c))]).form
             assert _all_ints(got)

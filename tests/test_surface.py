@@ -1,4 +1,4 @@
-"""Every function defined in src/, and every branch in it, is one the
+"""Every function defined in src/, and every statement in it, is one the
 program runs.
 
 A function, method or dunder (nested ones included) that no command line
@@ -18,13 +18,16 @@ Statements: in each function that started, a statement that never ran
 fails the gate unless it is a refusal or KEPT_BRANCHES names its function,
 with the reason why.  A statement is known by its first line and counts
 once, however many lines it spans; it ran when a line event fell on one
-of its own lines or a statement nested in it ran.  A refusal is a `raise`
-or `return NotImplemented`, a statement inside an `except` handler, or a
-statement of a block that ends in a `raise`, in `return NotImplemented`,
-or in a check-failure report: `return False, ...`, or
-`failures.append(...)` then `continue`.  A function's own body is no such
-block: one that ends in a raise still does its work before it.  Refusals
-answer inputs from outside the program, which the tests feed.
+of its own lines or a statement nested in it ran.  A compound statement
+written on one line shares it with its body, so each counts as run when
+the other does.  A refusal is a `raise` or `return NotImplemented`, a
+check-failure report (`return False, ...` or `failures.append(...)`), a
+statement inside an `except` handler, or a statement of a block that ends
+in a refusal, a `continue` after a report included.  A function's own body
+is no such block: one that ends in a raise still does its work before it.
+Refusals answer inputs from outside the program, which the tests feed.
+The gate sees statements, not the branches of an expression (`x if c
+else y`, `and`, `or`).
 A KEPT or KEPT_BRANCHES entry whose name no longer needs it, or is gone,
 fails too.  A function that never starts is the function gate's alone."""
 
@@ -75,10 +78,6 @@ KEPT_BRANCHES = {
         "soundness guard: the exit of a validation whose measured mass "
         "exceeds the certified epsilon, which a sound certificate never "
         "reaches",
-    "bc.replay_synth":
-        "the failure reports of a forged SynthPoint field; "
-        "tests/test_bc.py forges each, the lines forge err, lambda and "
-        "witness_pos",
     "regions.ArcSet.contains_ball":
         "a ball across 0 lies in an arc set only when the set is the whole "
         "circle; the witnesses synthesis records never cross 0, a forged "
@@ -205,12 +204,6 @@ LINES = [
     (1, ["rate", "--system", "shift:p=1/2", "--observable",
          '{"variant":"cylinder","depth":100000000000,"table":["0"]}',
          "--eps", "1/4"]),
-    # weights in spellings other than the plain reduced one are read;
-    # early, so that the line gate stops tracing the rational parser
-    # before the tables of 2^12 and 2^17 rationals below
-    (0, ["w1", "--space", "circle",
-         "--mu1", '[["0", " 1/2 "], ["1/3", "0.5"]]',
-         "--mu2", '[["1/4", "2/4"], ["3/4", "+1/2"]]']),
     (0, ["rate", "--kind", "norm-l2", "--eps", "1/4", "--system",
          "shift:p=1/2", "--observable", "{tmp}/cyl12.json"]),
     (0, ["rate", "--kind", "as-l1", "--eps", "1/4", "--delta", "1/4",
@@ -337,14 +330,17 @@ LINES = [
     (1, ["rate", "--system", "doubling", "--observable",
          "{tmp}/deep_fterm.json", "--eps", "1/4", "--kind", "norm-l2"]),
     # W1 weights: a zero denominator, a negative weight, weights summing
-    # to 3/2 and one circle point spelled two ways are refused (weights in
-    # other spellings are read above)
+    # to 3/2 and one circle point spelled two ways are refused; weights in
+    # spellings other than the plain reduced one are read
     *[(1, ["w1", "--space", space, "--mu1", mu1, "--mu2", '[["0", "1"]]'])
       for space, mu1 in (
           ("circle", '[["0", "1/0"]]'),
           ("circle", '[["0", "-1/2"], ["1/2", "3/2"]]'),
           ("cantor", '[["0", "1"], ["1", "1/2"]]'),
           ("circle", '[["1/2", "1/2"], ["2/4", "1/2"]]'))],
+    (0, ["w1", "--space", "circle",
+         "--mu1", '[["0", " 1/2 "], ["1/3", "0.5"]]',
+         "--mu2", '[["1/4", "2/4"], ["3/4", "+1/2"]]']),
     # input cases that take a branch no line above takes: both orbits of
     # 1/2 reach 0, the float one at the last step; a zero coefficient and
     # a coboundary, whose averages have norm 0; a breakpoint form merged
@@ -443,41 +439,25 @@ def _inputs(tmp: Path) -> None:
             dump(f"{point}_{field}.json", d)
 
 
-#: runs the argv lines of a JSON [lines, need] on stdin through `main` of
-#: the module argv[2], imported from the directory argv[1], under a trace
-#: hook on the frames of code under argv[1].  need holds, per statement
-#: the line gate waits for, its file and own lines; a code object stops
-#: raising line events once each such statement in it has run.
+#: runs the argv lines of a JSON list on stdin through `main` of the
+#: module argv[2], imported from the directory argv[1], under a trace hook
+#: on the frames of code under argv[1]
 _RUNNER = r"""
 import contextlib, importlib, io, json, sys
 root = sys.argv[1]
 sys.path.insert(0, root)
-lines, need = json.load(sys.stdin)
-where = {(f, n): i for i, (f, own) in enumerate(need) for n in own}
-started, ran, todo = [], set(), {}  # todo is keyed by id: a code's hash
-                                    # is computed anew on every call
+lines = json.load(sys.stdin)
+started, ran = set(), set()
 
 def line(frame, event, arg):
     if event == "line":
-        key = (frame.f_code.co_filename, frame.f_lineno)
-        ran.add(key)
-        left = todo[id(frame.f_code)]
-        left.discard(where.get(key))
-        if not left:
-            frame.f_trace_lines = False
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
     return line
 
 def call(frame, event, arg):
     code = frame.f_code
-    left = todo.get(id(code))
-    if left is None:
-        if not code.co_filename.startswith(root):
-            return None
-        started.append(code)  # held, so no other code takes its id
-        left = todo[id(code)] = {where[code.co_filename, n]
-                                 for _, _, n in code.co_lines()
-                                 if (code.co_filename, n) in where}
-    if left:
+    if code.co_filename.startswith(root):
+        started.add((code.co_filename, code.co_firstlineno))
         return line
 
 sys.settrace(call)
@@ -488,9 +468,8 @@ for argv in lines:
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
 sys.settrace(None)
-print(json.dumps({"codes": codes, "called": sorted(
-    {(c.co_filename, c.co_firstlineno) for c in started}),
-    "ran": sorted(ran)}))
+print(json.dumps({"codes": codes, "called": sorted(started),
+                  "ran": sorted(ran)}))
 """
 
 
@@ -498,13 +477,10 @@ def run_lines(argvs: list, src: Path, entry: str) -> dict:
     """{"codes", "called", "ran"} of `argvs` run in order through
     `entry`.main, `entry` a module of the package `src`, in a new
     interpreter: called holds (file, first line) of every function of
-    `src` that started, ran (file, line) of the line events in them up to
-    the point where they could change no answer of `unreached`."""
-    need = [(path, sorted(own)) for _, path, _, tree in _functions(src)
-            for own in _waited(tree)]
+    `src` that started, ran (file, line) of every line event in them."""
     done = subprocess.run(
         [sys.executable, "-c", _RUNNER, str(src.parent), entry],
-        input=json.dumps([argvs, need]), capture_output=True, text=True)
+        input=json.dumps(argvs), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -536,9 +512,12 @@ def _functions(src: Path) -> list:
 def _refuses(block) -> bool:
     """Whether `block` ends in a refusal: a raise, `return NotImplemented`,
     or a check-failure report, `return False, ...` or
-    `failures.append(...)` then `continue`."""
+    `failures.append(...)`, with or without a `continue` after it."""
+    if isinstance(block[-1], ast.Continue) and len(block) > 1:
+        block = block[:-1]
     last = block[-1]
     value = getattr(last, "value", None)
+    target = getattr(value, "func", None)
     if isinstance(last, ast.Raise):
         return True
     if isinstance(last, ast.Return):
@@ -546,15 +525,10 @@ def _refuses(block) -> bool:
                 or isinstance(value, ast.Tuple) and bool(value.elts)
                 and isinstance(value.elts[0], ast.Constant)
                 and value.elts[0].value is False)
-    if isinstance(last, ast.Continue) and len(block) > 1:
-        call = getattr(block[-2], "value", None)
-        target = getattr(call, "func", None)
-        return (isinstance(call, ast.Call)
-                and isinstance(target, ast.Attribute)
-                and target.attr == "append"
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "failures")
-    return False
+    return (isinstance(last, ast.Expr) and isinstance(value, ast.Call)
+            and isinstance(target, ast.Attribute) and target.attr == "append"
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "failures")
 
 
 def _blocks(stmt) -> list:
@@ -585,8 +559,8 @@ def _statements(block, exempt=False) -> list:
     a function's body, that runs code (a docstring or `global` runs none),
     nested the same list of the statements inside it; a nested function's
     or class's body is its own.  A statement is exempt when it is a
-    refusal: a raise or `return NotImplemented`, in an except handler, or
-    in a block nested in a statement that ends in a refusal (`_refuses`).
+    refusal (`_refuses`), in an except handler, or in a block nested in a
+    statement that ends in a refusal.
     A function's body that ends in a raise is no refusal: the statements
     before it are the function's work, the raise its last resort."""
     return [(s, _own_lines(s), exempt or _refuses([s]),
@@ -599,18 +573,6 @@ def _statements(block, exempt=False) -> list:
             if not isinstance(s, (ast.Global, ast.Nonlocal))
             and not (isinstance(s, ast.Expr)
                      and isinstance(s.value, ast.Constant))]
-
-
-def _waited(statements):
-    """The own lines of each statement that is no refusal and holds none
-    that is no refusal: once all of them have run, every statement that
-    is no refusal has run."""
-    for stmt, own, exempt, nested in statements:
-        inner = list(_waited(nested))
-        if inner:
-            yield from inner
-        elif not exempt:
-            yield own
 
 
 def _missed(statements, ran: set, out: list) -> bool:
@@ -875,6 +837,7 @@ BRANCHY = '''def f(x):
     """A docstring runs no code."""
     if x > 5:
         x += 1  # untaken
+    if x > 100: raise ValueError(x)
     if x < 0:
         print(x)  # refusal
         raise ValueError("negative")  # refusal
@@ -893,6 +856,8 @@ def check(items):
         if i < 0:
             failures.append(i)  # refusal
             continue  # refusal
+    if len(items) > 3:
+        failures.append("long")  # refusal
     if not items:
         return False, "empty"  # refusal
     return True, failures
@@ -937,11 +902,12 @@ def test_line_gate_flags_a_branch_no_line_takes(tmp_path):
     # [DERIVED: in a function that starts, an if body that never runs is
     #  flagged, under the nested function's name when it is nested; a
     #  multi-line statement counts once, by its first line, whether it
-    #  runs or not; a raise, an except body and a block ending in a
-    #  raise, `return NotImplemented`, `return False, ...` or
-    #  `failures.append(...)` then `continue` are refusals, but a
-    #  function's body ending in a raise is not; a function that never
-    #  starts is left to the function gate]
+    #  runs or not; a one-line `if ...: raise` runs when its test does; a
+    #  raise, an except body and a block ending in a raise,
+    #  `return NotImplemented`, `return False, ...` or
+    #  `failures.append(...)`, with or without `continue`, are refusals,
+    #  but a function's body ending in a raise is not; a function that
+    #  never starts is left to the function gate]
     out, src, _ = _traced_package(tmp_path, {
         "cli": "from pkg.a import f, check, outer, long, first\n"
                "def main(argv):\n"
@@ -954,7 +920,7 @@ def test_line_gate_flags_a_branch_no_line_takes(tmp_path):
                                    "a.outer.inner": untaken_lines[1:2],
                                    "a.long": untaken_lines[2:3],
                                    "a.first": untaken_lines[3:]}
-    assert len(_marked(BRANCHY, "refusal")) == 8
+    assert len(_marked(BRANCHY, "refusal")) == 9
 
 
 def test_line_gate_refuses_a_stale_kept_branch():
